@@ -77,14 +77,10 @@ fn acceptance_chain() -> Option<(ModAdd, u128)> {
     None
 }
 
-fn factory(
-    chain: &ModAdd,
-    p: u128,
-    simd: bool,
-) -> impl Fn() -> Box<dyn Simulator + Send> + Sync + '_ {
+fn factory(chain: &ModAdd, p: u128) -> impl Fn() -> Box<dyn Simulator + Send> + Sync + '_ {
     let nq = chain.circuit.num_qubits();
     move || {
-        let mut sv = StateVector::zeros(nq).unwrap().with_simd(simd);
+        let mut sv = StateVector::zeros(nq).unwrap();
         sv.set_value(chain.x.qubits(), (p - 1) % p).unwrap();
         sv.set_value(chain.y.qubits(), (p / 2) % p).unwrap();
         Box::new(sv) as Box<dyn Simulator + Send>
@@ -107,8 +103,7 @@ fn branch_tree_vs_monte_carlo(c: &mut Criterion) {
         return;
     };
     let nq = chain.circuit.num_qubits();
-    let make = factory(&chain, p, true);
-    let make_scalar = factory(&chain, p, false);
+    let make = factory(&chain, p);
 
     // Equivalence contract before any timing.
     let small_branch = BranchEnsemble::new(MC_SAMPLE_SHOTS)
@@ -167,18 +162,9 @@ fn branch_tree_vs_monte_carlo(c: &mut Criterion) {
                 .unwrap(),
         );
     });
-    // The same tree on the scalar (pre-SoA) enumeration path: the
-    // vectorized/scalar ratio is this bench's PR-over-PR headline.
-    let branch_scalar_time = best_of(2, &mut || {
-        black_box(
-            BranchEnsemble::new(SHOTS)
-                .run(&chain.circuit, &make_scalar)
-                .unwrap(),
-        );
-    });
     // The same tree with the fusion pass on: unitary segments execute as
     // single-sweep dense/permutation blocks through `apply_fused` instead
-    // of one sweep per gate — this PR's branch-engine headline.
+    // of one sweep per gate — the branch-engine headline.
     let branch_fused_time = best_of(2, &mut || {
         black_box(
             BranchEnsemble::new(SHOTS)
@@ -196,13 +182,12 @@ fn branch_tree_vs_monte_carlo(c: &mut Criterion) {
     );
     let mc_per_shot = start.elapsed() / u32::try_from(MC_SAMPLE_SHOTS).unwrap();
     let mc_time = mc_per_shot * u32::try_from(SHOTS).unwrap();
+    // Plain ÷ fused on the same kernels: the fusion pass's gain alone.
+    let fusion_speedup = branch_time.as_secs_f64() / branch_fused_time.as_secs_f64().max(1e-9);
     eprintln!(
-        "  {SHOTS}-shot ensemble: branch tree {branch_time:.0?} (scalar \
-         {branch_scalar_time:.0?}, {:.2}x; fused {branch_fused_time:.0?}, \
-         {:.2}x) vs serial Monte Carlo \
+        "  {SHOTS}-shot ensemble: branch tree {branch_time:.0?} (fused \
+         {branch_fused_time:.0?}, {fusion_speedup:.2}x) vs serial Monte Carlo \
          ~{mc_time:.0?} ({MC_SAMPLE_SHOTS}-shot sample × {SHOTS}/{MC_SAMPLE_SHOTS}): {:.1}x",
-        branch_scalar_time.as_secs_f64() / branch_time.as_secs_f64().max(1e-9),
-        branch_scalar_time.as_secs_f64() / branch_fused_time.as_secs_f64().max(1e-9),
         mc_time.as_secs_f64() / branch_time.as_secs_f64().max(1e-9)
     );
 
@@ -220,9 +205,7 @@ fn branch_tree_vs_monte_carlo(c: &mut Criterion) {
          \"units\": {{ \"wall\": \"ms\", \"memory\": \"bytes\" }},\n  \"rows\": [\n    \
          {{ \"qubits\": {nq}, \"shots\": {SHOTS}, \"leaves\": {leaves}, \
          \"fork_nodes\": {forks}, \"branch_wall_ms\": {branch:.3}, \
-         \"branch_wall_scalar_ms\": {branch_scalar:.3}, \
          \"branch_wall_fused_ms\": {branch_fused:.3}, \
-         \"simd_speedup\": {simd_speedup:.2}, \
          \"fusion_speedup\": {fusion_speedup:.2}, \
          \"monte_carlo_wall_ms_extrapolated\": {mc:.3}, \"speedup\": {speedup:.2}, \
          \"peak_amplitudes_per_shot\": {peak_amps}, \
@@ -230,11 +213,7 @@ fn branch_tree_vs_monte_carlo(c: &mut Criterion) {
         leaves = dist.num_leaves(),
         forks = dist.fork_nodes(),
         branch = branch_time.as_secs_f64() * 1e3,
-        branch_scalar = branch_scalar_time.as_secs_f64() * 1e3,
         branch_fused = branch_fused_time.as_secs_f64() * 1e3,
-        simd_speedup = branch_scalar_time.as_secs_f64() / branch_time.as_secs_f64().max(1e-9),
-        fusion_speedup =
-            branch_scalar_time.as_secs_f64() / branch_fused_time.as_secs_f64().max(1e-9),
         mc = mc_time.as_secs_f64() * 1e3,
         speedup = mc_time.as_secs_f64() / branch_time.as_secs_f64().max(1e-9),
         peak_bytes = peak_amps * 16,

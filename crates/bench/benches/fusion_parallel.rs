@@ -6,15 +6,14 @@
 //! shape): one seeded `run_compiled` per iteration, comparing
 //!
 //! * `serial_unfused` — the pre-fusion engine: one kernel sweep per gate,
-//!   one thread, per-amplitude scalar enumeration;
-//! * `fused_serial_scalar` — the fusion pass alone: dense blocks, one
-//!   sweep per block, still scalar (the `MBU_SIMD=0` path);
-//! * `fused_serial_simd` — fused blocks through the SoA lane kernels;
-//! * `fused_parallel_8` — SoA fused blocks with 8 amplitude lanes
-//!   splitting every sweep across the persistent worker pool.
+//!   one thread;
+//! * `fused_serial_simd` — the fusion pass alone: dense blocks, one sweep
+//!   per block through the SoA lane kernels;
+//! * `fused_parallel_8` — fused blocks with 8 amplitude lanes splitting
+//!   every sweep across the persistent worker pool.
 //!
-//! The scalar-vs-SIMD A/B at equal fusion/lane settings is appended as a
-//! trajectory row to `BENCH_fusion_parallel.json` at the repo root.
+//! The three mean wall times are appended as a trajectory row to
+//! `BENCH_fusion_parallel.json` at the repo root.
 //!
 //! Before timing, the harness *asserts* the equivalence contract: the
 //! fused-parallel run produces bit-identical amplitudes, classical records
@@ -76,12 +75,11 @@ fn fused_passes() -> PassConfig {
     }
 }
 
-fn prepared(chain: &ModAdd, p: u128, amp_threads: usize, simd: bool) -> StateVector {
+fn prepared(chain: &ModAdd, p: u128, amp_threads: usize) -> StateVector {
     let mut sv = StateVector::zeros(chain.circuit.num_qubits())
         .unwrap()
         .with_reclamation(false)
-        .with_amp_threads(amp_threads)
-        .with_simd(simd);
+        .with_amp_threads(amp_threads);
     sv.set_value(chain.x.qubits(), (p - 1) % p).unwrap();
     sv.set_value(chain.y.qubits(), (p / 2) % p).unwrap();
     sv
@@ -93,10 +91,9 @@ fn one_shot(
     compiled: &CompiledCircuit,
     p: u128,
     lanes: usize,
-    simd: bool,
     seed: u64,
 ) -> Duration {
-    let mut sv = prepared(chain, p, lanes, simd);
+    let mut sv = prepared(chain, p, lanes);
     let mut rng = StdRng::seed_from_u64(seed);
     let start = Instant::now();
     black_box(sv.run_compiled(compiled, &mut rng).unwrap());
@@ -117,12 +114,12 @@ fn single_shot_fusion_parallel(c: &mut Criterion) {
     );
     assert!(fused.stats().fused_blocks > 0, "chain must fuse");
 
-    // Equivalence contract before any timing: bit-identical everything,
-    // across both the fusion pass and the SoA/SIMD enumeration switch.
-    let mut base = prepared(&chain, p, 1, false);
+    // Equivalence contract before any timing: bit-identical everything
+    // across the fusion pass and the amplitude lanes.
+    let mut base = prepared(&chain, p, 1);
     let mut rng = StdRng::seed_from_u64(7);
     let ex_base = base.run_compiled(&unfused, &mut rng).unwrap();
-    let mut fast = prepared(&chain, p, AMP_LANES, true);
+    let mut fast = prepared(&chain, p, AMP_LANES);
     let mut rng = StdRng::seed_from_u64(7);
     let ex_fast = fast.run_compiled(&fused, &mut rng).unwrap();
     assert_eq!(ex_base, ex_fast, "records and counts must be identical");
@@ -132,47 +129,37 @@ fn single_shot_fusion_parallel(c: &mut Criterion) {
     }
     drop((base, fast));
 
-    // Headline: measured speedup over a few seeded shots. `scalar` is the
-    // pre-SoA engine (MBU_SIMD=0 equivalent): per-amplitude enumeration,
-    // no vector kernels — the A side of this PR's trajectory row.
+    // Headline: measured speedup over a few seeded shots.
     let mut serial_total = Duration::ZERO;
-    let mut scalar_total = Duration::ZERO;
-    let mut simd_total = Duration::ZERO;
+    let mut fused_total = Duration::ZERO;
     let mut parallel_total = Duration::ZERO;
     for seed in 0..3u64 {
-        serial_total += one_shot(&chain, &unfused, p, 1, false, seed);
-        scalar_total += one_shot(&chain, &fused, p, AMP_LANES, false, seed);
-        simd_total += one_shot(&chain, &fused, p, 1, true, seed);
-        parallel_total += one_shot(&chain, &fused, p, AMP_LANES, true, seed);
+        serial_total += one_shot(&chain, &unfused, p, 1, seed);
+        fused_total += one_shot(&chain, &fused, p, 1, seed);
+        parallel_total += one_shot(&chain, &fused, p, AMP_LANES, seed);
     }
-    let simd_speedup = scalar_total.as_secs_f64() / parallel_total.as_secs_f64().max(1e-9);
     let speedup_vs_serial = serial_total.as_secs_f64() / parallel_total.as_secs_f64().max(1e-9);
     eprintln!(
-        "  single-shot serial {:.0?} vs fused+{AMP_LANES}-lane scalar {:.0?} vs \
-         fused+{AMP_LANES}-lane simd {:.0?}: {simd_speedup:.2}x from the SoA kernels, \
+        "  single-shot serial {:.0?} vs fused serial {:.0?} vs fused+{AMP_LANES}-lane {:.0?}: \
          {speedup_vs_serial:.2}x end to end",
         serial_total / 3,
-        scalar_total / 3,
+        fused_total / 3,
         parallel_total / 3,
     );
 
-    // Machine-readable trajectory row: the scalar-vs-SIMD A/B at equal
-    // fusion and lane settings, so the vectorization win (or a regression
-    // of it) is visible PR-over-PR.
+    // Machine-readable trajectory row, so the fusion and lane wins (or a
+    // regression of them) are visible run over run.
     let json = format!(
         "{{\n  \"bench\": \"fusion_parallel\",\n  \
          \"workload\": \"{STAGES}-stage cdkpm-mbu modadd chain, single shot, mean of 3 seeds\",\n  \
          \"units\": {{ \"wall\": \"ms\" }},\n  \"rows\": [\n    \
          {{ \"qubits\": {nq}, \"amp_lanes\": {AMP_LANES}, \
          \"serial_unfused_wall_ms\": {serial:.3}, \
-         \"fused_scalar_wall_ms\": {scalar:.3}, \
-         \"fused_simd_serial_wall_ms\": {simd:.3}, \
+         \"fused_simd_serial_wall_ms\": {fused:.3}, \
          \"fused_simd_parallel_wall_ms\": {parallel:.3}, \
-         \"simd_speedup\": {simd_speedup:.2}, \
          \"speedup_vs_serial\": {speedup_vs_serial:.2} }}\n  ]\n}}",
         serial = serial_total.as_secs_f64() / 3.0 * 1e3,
-        scalar = scalar_total.as_secs_f64() / 3.0 * 1e3,
-        simd = simd_total.as_secs_f64() / 3.0 * 1e3,
+        fused = fused_total.as_secs_f64() / 3.0 * 1e3,
         parallel = parallel_total.as_secs_f64() / 3.0 * 1e3,
     );
     let path = concat!(
@@ -184,18 +171,17 @@ fn single_shot_fusion_parallel(c: &mut Criterion) {
     eprintln!("  appended run to {path}");
 
     let mut group = c.benchmark_group("fusion_parallel/single_shot");
-    let rows: [(&str, &CompiledCircuit, usize, bool); 4] = [
-        ("serial_unfused", &unfused, 1, false),
-        ("fused_serial_scalar", &fused, 1, false),
-        ("fused_serial_simd", &fused, 1, true),
-        ("fused_parallel_8", &fused, AMP_LANES, true),
+    let rows: [(&str, &CompiledCircuit, usize); 3] = [
+        ("serial_unfused", &unfused, 1),
+        ("fused_serial_simd", &fused, 1),
+        ("fused_parallel_8", &fused, AMP_LANES),
     ];
-    for (label, compiled, lanes, simd) in rows {
+    for (label, compiled, lanes) in rows {
         let mut seed = 100u64;
         group.bench_function(label, |b| {
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let mut sv = prepared(&chain, p, lanes, simd);
+                let mut sv = prepared(&chain, p, lanes);
                 let mut rng = StdRng::seed_from_u64(seed);
                 black_box(sv.run_compiled(compiled, &mut rng).unwrap())
             })

@@ -1,14 +1,15 @@
 //! Shared resolution of `MBU_*` environment knobs.
 //!
-//! Every tunable in the workspace is an environment variable (`MBU_FUSION`,
-//! `MBU_RECLAIM`, `MBU_SHOT_THREADS`, `MBU_AMP_THREADS`,
-//! `MBU_BRANCH_EPS`), and each used to parse itself: the thread knobs
-//! warned once on garbage and fell back, while `MBU_FUSION` and
-//! `MBU_RECLAIM` silently swallowed unparsable values — `MBU_RECLAIM=flase`
-//! quietly behaved like "on". This module is the single resolver all of
-//! them route through: one tokenisation policy, one warn-once channel, and
-//! pure functions over *injected* raw values so every policy is testable
-//! without mutating process-global environment state.
+//! The workspace reads seven environment variables (`MBU_BACKEND`,
+//! `MBU_FUSION`, `MBU_RECLAIM`, `MBU_AMP_THREADS`, `MBU_SHOT_THREADS`,
+//! `MBU_BRANCH_EPS`, `MBU_VERIFY`); every other setting is made in code.
+//! Each knob used to parse itself: the thread knobs warned once on garbage
+//! and fell back, while `MBU_FUSION` and `MBU_RECLAIM` silently swallowed
+//! unparsable values — `MBU_RECLAIM=flase` quietly behaved like "on". This
+//! module is the single resolver all of them route through: one
+//! tokenisation policy, one warn-once channel, and pure functions over
+//! *injected* raw values so every policy is testable without mutating
+//! process-global environment state.
 //!
 //! The resolvers never read the environment themselves; call sites do the
 //! `std::env::var` (usually once, behind a `OnceLock`, because knob
@@ -54,9 +55,9 @@ fn parse_switch_token(raw: &str) -> Option<bool> {
     }
 }
 
-/// Resolves an on/off knob (`MBU_RECLAIM`): unset keeps `default`,
-/// recognised tokens pin, anything else warns once and keeps `default` —
-/// garbage can no longer masquerade as either setting.
+/// Resolves an on/off knob (`MBU_RECLAIM`, `MBU_VERIFY`): unset keeps
+/// `default`, recognised tokens pin, anything else warns once and keeps
+/// `default` — garbage can no longer masquerade as either setting.
 #[must_use]
 pub fn switch(name: &str, raw: Option<&str>, default: bool) -> bool {
     match raw {

@@ -31,9 +31,11 @@
 //! spot past the dense cap — the interior of a QFT adder — wants the
 //! phase-accumulator representation, where diagonal gates are O(occupied)
 //! exact angle additions. The `mbu-sim` crate's hybrid backend
-//! (`MBU_BACKEND=auto`) consumes the same profiles at run time — seeded
-//! with the *live* occupancy instead of the static prediction — and
-//! converts representations at segment boundaries.
+//! (`MBU_BACKEND=auto`) replays the dense/sparse half of the decision at
+//! run time — seeded with the *live* occupancy instead of the static
+//! prediction — and converts representations at segment boundaries; it
+//! never runs a segment on the phase accumulator, so a `Phase` label
+//! marks a segment where `MBU_BACKEND=phase` pays.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -44,27 +46,24 @@ use crate::gate::Gate;
 /// Default cap on the register width for which the planner will consider
 /// a dense representation at all: a dense phase allocates `2^n` amplitude
 /// slots, and past this width (16 MiB of complex amplitudes at 24
-/// qubits) converting to dense cannot pay for itself. Overridable at run
-/// time through the `MBU_AUTO_DENSE_QUBITS` environment knob.
+/// qubits) converting to dense cannot pay for itself. The run-time hybrid
+/// backend starts from the same value.
 pub const DEFAULT_AUTO_DENSE_QUBITS: usize = 24;
 
 /// Default occupancy threshold separating "sparse is cheaper" from
 /// "dense is cheaper": a segment whose predicted occupied set stays at or
-/// under this many entries is planned sparse. Overridable at run time
-/// through the `MBU_AUTO_SPARSITY` environment knob.
+/// under this many entries is planned sparse. The run-time hybrid backend
+/// starts from the same value.
 pub const DEFAULT_AUTO_SPARSITY: u64 = 4096;
 
 /// Default minimum number of diagonal gates for a segment to be worth the
 /// phase-accumulator representation: below this the conversion round-trip
-/// costs more than the diagonal fast path saves. Overridable at run time
-/// through the `MBU_AUTO_PHASE_DIAG` environment knob.
+/// costs more than the diagonal fast path saves.
 pub const DEFAULT_AUTO_PHASE_DIAG: u32 = 8;
 
 /// Thresholds steering the three-way representation choice of
-/// [`plan_segment`]. The compile-time dump plans with [`Default`] (all
-/// three representations on the table); the run-time hybrid backend
-/// rebuilds a config from the `MBU_AUTO_*` environment knobs, where the
-/// phase arm is opt-in via `MBU_AUTO_PHASE`.
+/// [`plan_segment`]. The compile-time dump plans with [`Default`]; a
+/// `phase_diag_min` of `u32::MAX` leaves only the dense/sparse arms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PlanConfig {
     /// Widest register for which a dense `2^n` allocation is considered
@@ -73,9 +72,6 @@ pub struct PlanConfig {
     /// Occupied-set size at or under which sparse is presumed cheaper
     /// (see [`DEFAULT_AUTO_SPARSITY`]).
     pub sparsity_threshold: u64,
-    /// Whether the phase-accumulator representation may be planned at
-    /// all.
-    pub phase_enabled: bool,
     /// Minimum diagonal-gate count for a phase plan (see
     /// [`DEFAULT_AUTO_PHASE_DIAG`]).
     pub phase_diag_min: u32,
@@ -86,22 +82,6 @@ impl Default for PlanConfig {
         Self {
             dense_qubit_cap: DEFAULT_AUTO_DENSE_QUBITS,
             sparsity_threshold: DEFAULT_AUTO_SPARSITY,
-            phase_enabled: true,
-            phase_diag_min: DEFAULT_AUTO_PHASE_DIAG,
-        }
-    }
-}
-
-impl PlanConfig {
-    /// A two-way (dense/sparse) config at the given thresholds — the
-    /// pre-phase planner's behaviour, used where the phase arm is not
-    /// wanted.
-    #[must_use]
-    pub fn dense_sparse(dense_qubit_cap: usize, sparsity_threshold: u64) -> Self {
-        Self {
-            dense_qubit_cap,
-            sparsity_threshold,
-            phase_enabled: false,
             phase_diag_min: DEFAULT_AUTO_PHASE_DIAG,
         }
     }
@@ -152,9 +132,9 @@ impl SegmentProfile {
     /// representation is for: a predicted occupied set past the sparse
     /// sweet spot *and* enough diagonal gates to amortise the conversion
     /// round-trip. [`plan_segment`] plans `Phase` only for such segments
-    /// (when the phase arm is enabled and the dense arm declined), and the
-    /// static verifier re-derives the same predicate from its own segment
-    /// walk to certify plan coherence.
+    /// (when the dense arm declined), and the static verifier re-derives
+    /// the same predicate from its own segment walk to certify plan
+    /// coherence.
     #[must_use]
     pub fn phase_suitable(&self, config: &PlanConfig) -> bool {
         self.predicted_entries() > config.sparsity_threshold
@@ -219,11 +199,11 @@ impl fmt::Display for PlannedRepr {
 ///    (`num_qubits ≤ dense_qubit_cap`) *and* the predicted occupied set
 ///    outgrows `sparsity_threshold` entries — flat sweeps beat map
 ///    updates once occupancy is a sizable fraction of `2^n`;
-/// 2. otherwise **Phase** when the phase arm is enabled, the predicted
-///    occupied set still outgrows the sparsity threshold (the blow-up a
-///    sparse map cannot absorb past the dense cap comes from Fourier-basis
-///    fan-out), and the segment carries at least `phase_diag_min`
-///    diagonal gates to amortise the conversion;
+/// 2. otherwise **Phase** when the predicted occupied set still outgrows
+///    the sparsity threshold (the blow-up a sparse map cannot absorb past
+///    the dense cap comes from Fourier-basis fan-out), and the segment
+///    carries at least `phase_diag_min` diagonal gates to amortise the
+///    conversion;
 /// 3. otherwise **Sparse**.
 #[must_use]
 pub fn plan_segment(
@@ -234,7 +214,7 @@ pub fn plan_segment(
     let outgrows = profile.predicted_entries() > config.sparsity_threshold;
     if num_qubits <= config.dense_qubit_cap && outgrows {
         PlannedRepr::Dense
-    } else if config.phase_enabled && profile.phase_suitable(config) {
+    } else if profile.phase_suitable(config) {
         PlannedRepr::Phase
     } else {
         PlannedRepr::Sparse
@@ -419,6 +399,16 @@ mod tests {
         assert_eq!(profiles[0].occ_ceiling_log2, 0);
     }
 
+    /// A dense/sparse-only config: no segment carries `u32::MAX`
+    /// diagonal gates, so the phase arm never fires.
+    fn dense_sparse(dense_qubit_cap: usize, sparsity_threshold: u64) -> PlanConfig {
+        PlanConfig {
+            dense_qubit_cap,
+            sparsity_threshold,
+            phase_diag_min: u32::MAX,
+        }
+    }
+
     #[test]
     fn plan_switches_on_width_cap_and_sparsity_threshold() {
         let mut b = CircuitBuilder::new();
@@ -432,17 +422,17 @@ mod tests {
 
         // Occupancy above threshold and width under cap: dense.
         assert_eq!(
-            compiled.representation_plan(&PlanConfig::dense_sparse(24, 4)),
+            compiled.representation_plan(&dense_sparse(24, 4)),
             vec![PlannedRepr::Dense]
         );
         // Threshold at/above the prediction: sparse.
         assert_eq!(
-            compiled.representation_plan(&PlanConfig::dense_sparse(24, 8)),
+            compiled.representation_plan(&dense_sparse(24, 8)),
             vec![PlannedRepr::Sparse]
         );
         // Register wider than the dense cap: sparse regardless.
         assert_eq!(
-            compiled.representation_plan(&PlanConfig::dense_sparse(2, 0)),
+            compiled.representation_plan(&dense_sparse(2, 0)),
             vec![PlannedRepr::Sparse]
         );
     }
@@ -452,8 +442,8 @@ mod tests {
         // A QFT-adder-shaped segment: H fan-out into a diagonal rotation
         // cascade. Past the dense cap with occupancy over the sparsity
         // threshold, the planner picks the phase representation — but
-        // only when the phase arm is enabled and the segment is diagonal-
-        // heavy enough to amortise the conversion.
+        // only when the segment is diagonal-heavy enough to amortise the
+        // conversion.
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 6);
         for i in 0..6 {
@@ -471,7 +461,6 @@ mod tests {
         let phase_on = PlanConfig {
             dense_qubit_cap: 2,
             sparsity_threshold: 4,
-            phase_enabled: true,
             phase_diag_min: 5,
         };
         assert_eq!(
@@ -494,10 +483,10 @@ mod tests {
             }),
             vec![PlannedRepr::Sparse]
         );
-        // Phase arm disabled: the pre-phase two-way behaviour.
+        // Phase arm out of reach: the two-way behaviour.
         assert_eq!(
             compiled.representation_plan(&PlanConfig {
-                phase_enabled: false,
+                phase_diag_min: u32::MAX,
                 ..phase_on
             }),
             vec![PlannedRepr::Sparse]

@@ -13,8 +13,8 @@
 //! the bitwise pack on reset-free circuits — see
 //! [`auto_matches_both_forced_backends_on_a_reset_free_circuit`].
 
-use mbu_arith::{adders::draper, modular, Uncompute};
-use mbu_circuit::{Angle, Basis, CircuitBuilder, CompiledCircuit, PassConfig};
+use mbu_arith::{modular, Uncompute};
+use mbu_circuit::{Basis, CircuitBuilder, CompiledCircuit, PassConfig};
 use mbu_sim::{
     dense_to_sparse, sparse_to_dense, Complex, HybridState, KernelMode, Simulator, SparseVector,
     StateVector,
@@ -160,149 +160,6 @@ proptest! {
         // With the threshold this tight the planner genuinely switched at
         // least once — the identities above cover real mid-run hops, not
         // a planner that stayed sparse throughout.
-        prop_assert!(auto.last_run_switches().unwrap() >= 1);
-    }
-}
-
-/// A random diagonal-heavy gate soup on `n` qubits: the mixed workload
-/// the three-way planner sees inside QFT arithmetic — `H` fan-out,
-/// dyadic rotations at every arity, permutation moves and mid-circuit
-/// measurements, with a guaranteed diagonal gate in the opening segment
-/// so the phase hop always has something to bite on.
-fn diag_soup_circuit(n: usize, ops: &[(u8, u32, u32, u32)]) -> mbu_circuit::Circuit {
-    let mut b = CircuitBuilder::new();
-    let r = b.qreg("q", n);
-    b.cphase(r[0], r[1], Angle::turn_over_power_of_two(2));
-    for (i, &(kind, a, c, k)) in ops.iter().enumerate() {
-        let (qa, qc) = (r[a as usize % n], r[c as usize % n]);
-        let theta = Angle::turn_over_power_of_two(1 + k % 6);
-        match kind % 7 {
-            0 => b.h(qa),
-            1 => b.x(qa),
-            2 => b.phase(qa, theta),
-            3 if qa != qc => b.cphase(qa, qc, theta),
-            3 => b.phase(qa, theta),
-            4 if qa != qc => b.cx(qa, qc),
-            4 => b.x(qa),
-            5 if qa != qc => b.swap(qa, qc),
-            5 => b.h(qa),
-            _ => {
-                let qt = r[(a as usize + c as usize + 1) % n];
-                if qa != qc && qc != qt && qa != qt {
-                    b.ccphase(qa, qc, qt, theta);
-                } else {
-                    b.phase(qa, theta);
-                }
-            }
-        }
-        if i % 9 == 8 {
-            let _ = b.measure(qa, Basis::Z);
-        }
-    }
-    b.finish()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random Draper wrapping adders — pure QFT arithmetic, the
-    /// diagonal-heavy shape the phase arm exists for. With the dense cap
-    /// pinned below the register width and the phase arm forced on, the
-    /// planner hops into the phase tandem for the whole adder; records,
-    /// RNG stream and every amplitude still match the forced sparse run
-    /// bit for bit.
-    #[test]
-    fn auto_phase_arm_matches_forced_sparse_on_draper_adders(
-        n in 2usize..=4,
-        xk in 0u128..16,
-        yk in 0u128..16,
-        superpose in proptest::bool::ANY,
-        seed in 0u64..u64::MAX,
-    ) {
-        let (x, y) = (xk % (1 << n), yk % (1 << n));
-        let mut b = CircuitBuilder::new();
-        let xr = b.qreg("x", n);
-        let yr = b.qreg("y", n);
-        if superpose {
-            b.h(xr[0]);
-        }
-        draper::wrapping_add(&mut b, xr.qubits(), yr.qubits()).unwrap();
-        if superpose {
-            // Collapse the fanned control again: a measurement *after*
-            // the diagonal wall, so the draw happens off the tandem exit.
-            let _ = b.measure(xr[0], Basis::Z);
-        }
-        let circuit = b.finish();
-        let q = circuit.num_qubits();
-        let compiled = CompiledCircuit::compile(&circuit).unwrap();
-
-        let mut auto = HybridState::zeros(q).unwrap()
-            .with_thresholds(2, 1)
-            .with_phase(true, 1);
-        let mut sparse = SparseVector::zeros(q).unwrap();
-        for sim in [&mut auto as &mut dyn Simulator, &mut sparse] {
-            sim.set_value(xr.qubits(), x).unwrap();
-            sim.set_value(yr.qubits(), y).unwrap();
-        }
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let mut rng_s = StdRng::seed_from_u64(seed);
-        let ex_a = Simulator::run_compiled(&mut auto, &compiled, &mut rng_a).unwrap();
-        let ex_s = Simulator::run_compiled(&mut sparse, &compiled, &mut rng_s).unwrap();
-
-        prop_assert_eq!(&ex_a, &ex_s);
-        prop_assert_eq!(rng_a.next_u64(), rng_s.next_u64());
-        assert_amps_bitwise(
-            &auto.amplitudes().unwrap(),
-            &sparse_to_dense(&sparse).unwrap().amplitudes(),
-            "auto+phase vs sparse (draper)",
-        );
-        if !superpose {
-            prop_assert_eq!(
-                Simulator::value(&auto, yr.qubits()).unwrap(),
-                (x + y) % (1 << n)
-            );
-        }
-        // The cap sits below the register width and the opening segment
-        // is wall-to-wall rotations: the planner must have hopped into
-        // (and back out of) the phase tandem, not sat sparse throughout.
-        prop_assert!(auto.last_run_switches().unwrap() >= 1);
-    }
-
-    /// Random diagonal-heavy gate soups with mid-circuit measurements:
-    /// the adversarial mixed workload for the three-way planner. The
-    /// tandem's authoritative-map design makes this an exact bit-identity
-    /// — amplitudes, records, counts and RNG position — however the soup
-    /// interleaves fan-out, rotations and collapses.
-    #[test]
-    fn auto_phase_arm_matches_forced_sparse_on_diagonal_mixes(
-        ops in proptest::collection::vec(
-            (0u8..7, 0u32..5, 0u32..5, 0u32..6), 10..40),
-        seed in 0u64..u64::MAX,
-    ) {
-        let n = 5usize;
-        let circuit = diag_soup_circuit(n, &ops);
-        let compiled = CompiledCircuit::compile(&circuit).unwrap();
-
-        // Sparsity 0: every segment "outgrows", so the hop decision is
-        // purely the diagonal-count rule — phase hops forced mid-run.
-        let mut auto = HybridState::zeros(n).unwrap()
-            .with_thresholds(2, 0)
-            .with_phase(true, 1);
-        let mut sparse = SparseVector::zeros(n).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let mut rng_s = StdRng::seed_from_u64(seed);
-        let ex_a = Simulator::run_compiled(&mut auto, &compiled, &mut rng_a).unwrap();
-        let ex_s = Simulator::run_compiled(&mut sparse, &compiled, &mut rng_s).unwrap();
-
-        prop_assert_eq!(&ex_a, &ex_s);
-        prop_assert_eq!(rng_a.next_u64(), rng_s.next_u64());
-        assert_amps_bitwise(
-            &auto.amplitudes().unwrap(),
-            &sparse_to_dense(&sparse).unwrap().amplitudes(),
-            "auto+phase vs sparse (soup)",
-        );
-        // The opening segment always carries a rotation, so the planner
-        // hopped at least once on every generated soup.
         prop_assert!(auto.last_run_switches().unwrap() >= 1);
     }
 }

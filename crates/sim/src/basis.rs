@@ -32,11 +32,9 @@ use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::simulator::{Fork, Simulator};
 
-/// Per-qubit state of the tracker. Crate-visible so the state-conversion
-/// module can enumerate the tracked product state into an amplitude
-/// representation without round-tripping through gate applications.
+/// Per-qubit state of the tracker.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Mode {
+enum Mode {
     /// `|0⟩` (false) or `|1⟩` (true).
     Z(bool),
     /// `|+⟩` (false) or `|−⟩` (true).
@@ -153,11 +151,6 @@ impl BasisTracker {
     #[must_use]
     pub fn num_qubits(&self) -> usize {
         self.qubits.len()
-    }
-
-    /// The per-qubit mode table, for the state-conversion module.
-    pub(crate) fn modes(&self) -> &[Mode] {
-        &self.qubits
     }
 
     /// Sets qubit `q` to the computational-basis bit `value`.

@@ -18,42 +18,26 @@
 //!   ascending index *is* ascending key order, so the map invariant holds
 //!   by construction and the occupied set equals the dense array's
 //!   nonzero support exactly (the sparse engine's own culling rule);
-//! * [`tracker_to_sparse`] enumerates the [`BasisTracker`]'s tensor-product
-//!   state (`2^(X-mode qubits)` entries) into the map, so a tracker run
-//!   that is about to leave the Toffoli fragment can be resumed on an
-//!   amplitude backend instead of erroring out;
-//! * [`sparse_to_phase`] lifts the map into the phase-accumulator
-//!   representation ([`PhaseAccumulator`]) losslessly — every entry
-//!   becomes an all-Z branch with its amplitude moved bitwise — so a
-//!   diagonal-heavy segment can run on exact dyadic phase arithmetic;
-//! * [`phase_to_sparse`] enumerates a phase-accumulator state back into
-//!   the map (`2^(Fourier qubits)` entries per branch, like the tracker
-//!   conversion), with each entry's phase evaluated from the *exact*
-//!   dyadic accumulators in a single `cis`. A state that never left
-//!   Z-mode converts back bitwise — the round trip is the identity;
-//! * [`dense_to_phase`] / [`phase_to_dense`] compose the above through
-//!   the sparse map.
+//! * [`phase_to_sparse`] enumerates a phase-accumulator state
+//!   ([`PhaseAccumulator`]) into the map (`2^(Fourier qubits)` entries per
+//!   branch), with each entry's phase evaluated from the *exact* dyadic
+//!   accumulators in a single `cis` — the readout the phase backend's
+//!   tests compare against the amplitude engines through;
+//! * [`phase_to_dense`] composes it with [`sparse_to_dense`].
 
-use crate::basis::{BasisTracker, Mode};
 use crate::complex::Complex;
 use crate::error::SimError;
-use crate::phase::{Branch, Dyadic, PhaseAccumulator};
+use crate::phase::PhaseAccumulator;
 use crate::simulator::Simulator;
 use crate::sparse::SparseVector;
 use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
-
-/// Widest tracker state [`tracker_to_sparse`] will enumerate: `2^20`
-/// occupied entries (~32 MiB of keys+amplitudes at one key word). The
-/// tracker itself is `O(1)` per gate at any superposition width; the cap
-/// only bounds what a *conversion out of it* may materialise.
-pub const MAX_TRACKER_ENUM_XMODE: usize = 20;
 
 /// Converts a sparse basis map into the dense amplitude array holding the
 /// same state: every occupied entry lands at its basis index, every other
 /// index is an exact zero. Amplitudes are moved bitwise — no arithmetic.
 ///
 /// The dense state is built with the process-default kernel mode,
-/// SIMD/reclamation switches and amplitude-lane count, exactly like
+/// reclamation switch and amplitude-lane count, exactly like
 /// [`StateVector::zeros`] — so a converted state behaves like a natively
 /// constructed one.
 ///
@@ -99,97 +83,11 @@ pub fn dense_to_sparse(dense: &StateVector) -> SparseVector {
     SparseVector::from_sorted_entries(n, keys, amps)
 }
 
-/// Converts a [`BasisTracker`]'s product state into the sparse basis map:
-/// one entry per assignment of the X-mode qubits, each with amplitude
-/// `(±1)·(1/√2)^k · e^{2πi·phase}` (`k` = X-mode count, sign from the
-/// `|−⟩` factors on set bits).
-///
-/// The amplitude of each entry is computed by chained `1/√2` multiplies in
-/// ascending qubit order — the same expression an `H` cascade evaluates —
-/// but the tracker performs no amplitude arithmetic of its own, so unlike
-/// the dense↔sparse pair this conversion defines the amplitudes rather
-/// than moving existing bits.
-///
-/// # Errors
-///
-/// Returns [`SimError::TooManyQubits`] when more than
-/// [`MAX_TRACKER_ENUM_XMODE`] qubits are in X-mode (the enumeration would
-/// materialise more than `2^20` entries).
-pub fn tracker_to_sparse(tracker: &BasisTracker) -> Result<SparseVector, SimError> {
-    let modes = tracker.modes();
-    let n = modes.len();
-    // The X-mode qubits, ascending, plus the definite-bit base key.
-    let words = n.div_ceil(64).max(1);
-    let mut base = vec![0u64; words];
-    let mut x_qubits: Vec<(usize, bool)> = Vec::new();
-    for (q, mode) in modes.iter().enumerate() {
-        match *mode {
-            Mode::Z(true) => base[q / 64] |= 1u64 << (q % 64),
-            Mode::Z(false) => {}
-            Mode::X(sign) => x_qubits.push((q, sign)),
-        }
-    }
-    if x_qubits.len() > MAX_TRACKER_ENUM_XMODE {
-        return Err(SimError::TooManyQubits {
-            requested: x_qubits.len(),
-            max: MAX_TRACKER_ENUM_XMODE,
-        });
-    }
-    let phase = Complex::cis(tracker.global_phase().radians());
-    let mut magnitude = phase;
-    for _ in &x_qubits {
-        magnitude = magnitude.scale(std::f64::consts::FRAC_1_SQRT_2);
-    }
-    let entries = 1usize << x_qubits.len();
-    let mut keys = Vec::with_capacity(entries * words);
-    let mut amps = Vec::with_capacity(entries);
-    // Scattering counter bit `j` into the ascending X-mode position
-    // `x_qubits[j]` is monotonic in the counter, so the emitted keys are
-    // already ascending — no sort needed.
-    for assignment in 0..entries {
-        let mut key = base.clone();
-        let mut negate = false;
-        for (j, &(q, sign)) in x_qubits.iter().enumerate() {
-            if assignment >> j & 1 == 1 {
-                key[q / 64] |= 1u64 << (q % 64);
-                negate ^= sign;
-            }
-        }
-        keys.extend_from_slice(&key);
-        amps.push(if negate { -magnitude } else { magnitude });
-    }
-    Ok(SparseVector::from_sorted_entries(n, keys, amps))
-}
-
 /// Widest Fourier-mode register [`phase_to_sparse`] will enumerate: each
 /// occupied branch expands into `2^f` map entries over `f` Fourier
 /// qubits, and past `2^20` the enumeration defeats the point of having
 /// left the amplitude representation.
 pub const MAX_PHASE_ENUM_FOURIER: usize = 20;
-
-/// Lifts a sparse basis map into the phase-accumulator representation.
-///
-/// Lossless and bitwise: every occupied entry becomes one all-Z branch
-/// whose amplitude is moved untouched, with zero phase accumulators. The
-/// map's ascending-key invariant is the branch invariant, so no sorting
-/// happens. This is the cheap direction — the hybrid planner takes it on
-/// entry to a diagonal-heavy segment.
-pub fn sparse_to_phase(sparse: &SparseVector) -> PhaseAccumulator {
-    let n = Simulator::num_qubits(sparse);
-    let words = sparse.key_words();
-    let branches = sparse
-        .raw_amps()
-        .iter()
-        .enumerate()
-        .map(|(e, &amp)| Branch {
-            key: sparse.raw_keys()[e * words..(e + 1) * words].to_vec(),
-            amp,
-            phase: Dyadic::zero(),
-            phis: Vec::new(),
-        })
-        .collect();
-    PhaseAccumulator::from_parts(n, Vec::new(), branches)
-}
 
 /// Enumerates a phase-accumulator state into the sparse basis map.
 ///
@@ -198,9 +96,8 @@ pub fn sparse_to_phase(sparse: &SparseVector) -> PhaseAccumulator {
 /// phase and the selected qubits' accumulators, evaluated in a single
 /// `cis` — no per-gate rounding survives from the diagonal segment, which
 /// is precisely what the phase representation buys. The magnitude is the
-/// `H`-cascade's chained `1/√2` products (the [`tracker_to_sparse`]
-/// convention). A state with no Fourier qubits converts back bitwise, so
-/// `sparse → phase → sparse` around an all-Z segment is the identity.
+/// `H`-cascade's chained `1/√2` products. A branch with no Fourier qubits
+/// converts with its amplitude moved bitwise.
 ///
 /// Exact zeros are culled on the way out (the map's occupancy rule), and
 /// any `-0.0` produced by the phase arithmetic is canonicalised to `+0.0`
@@ -266,12 +163,6 @@ pub fn phase_to_sparse(phase: &PhaseAccumulator) -> Result<SparseVector, SimErro
         amps.push(amp);
     }
     Ok(SparseVector::from_sorted_entries(n, keys, amps))
-}
-
-/// Converts a dense amplitude array into the phase-accumulator
-/// representation (through the sparse map; both legs lossless).
-pub fn dense_to_phase(dense: &StateVector) -> PhaseAccumulator {
-    sparse_to_phase(&dense_to_sparse(dense))
 }
 
 /// Converts a phase-accumulator state into the dense amplitude array
@@ -402,64 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn tracker_enumeration_matches_a_real_h_cascade() {
-        // |110⟩ → H on q1 (|−⟩ factor) and H on q2: four entries whose
-        // amplitudes the sparse engine computed by actual H arithmetic.
-        let mut tracker = BasisTracker::zeros(3);
-        tracker.set_bit(q(1), true).unwrap();
-        tracker.set_bit(q(2), true).unwrap();
-        let mut reference = SparseVector::zeros(3).unwrap();
-        Simulator::set_bit(&mut reference, q(1), true).unwrap();
-        Simulator::set_bit(&mut reference, q(2), true).unwrap();
-        for g in [Gate::H(q(1)), Gate::H(q(2))] {
-            Simulator::apply_gate(&mut tracker, &g).unwrap();
-            Simulator::apply_gate(&mut reference, &g).unwrap();
-        }
-        let converted = tracker_to_sparse(&tracker).unwrap();
-        assert_eq!(converted.occupied(), reference.occupied());
-        assert_eq!(converted.raw_keys(), reference.raw_keys());
-        for (i, (x, y)) in converted
-            .raw_amps()
-            .iter()
-            .zip(reference.raw_amps())
-            .enumerate()
-        {
-            assert!((*x - *y).norm() < 1e-15, "entry {i}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn tracker_enumeration_carries_the_global_phase() {
-        let mut tracker = BasisTracker::zeros(2);
-        tracker.set_bit(q(0), true).unwrap();
-        // Z on |1⟩ contributes a global π phase; then superpose q1.
-        Simulator::apply_gate(&mut tracker, &Gate::Z(q(0))).unwrap();
-        Simulator::apply_gate(&mut tracker, &Gate::H(q(1))).unwrap();
-        let converted = tracker_to_sparse(&tracker).unwrap();
-        assert_eq!(converted.occupied(), 2);
-        for e in converted.raw_amps() {
-            assert!(e.re < 0.0, "π global phase negates every entry: {e}");
-        }
-    }
-
-    #[test]
-    fn sparse_phase_round_trip_is_bitwise_identity() {
-        // A state that never enters Fourier mode must survive
-        // sparse → phase → sparse with identical keys and amplitude bits.
-        let (_, sparse) = lockstep_pair();
-        let lifted = sparse_to_phase(&sparse);
-        assert_eq!(lifted.occupied(), sparse.occupied());
-        assert_eq!(lifted.fourier_width(), 0);
-        let back = phase_to_sparse(&lifted).unwrap();
-        assert_eq!(back.occupied(), sparse.occupied());
-        assert_eq!(back.raw_keys(), sparse.raw_keys());
-        for (i, (x, y)) in sparse.raw_amps().iter().zip(back.raw_amps()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re of entry {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im of entry {i}");
-        }
-    }
-
-    #[test]
     fn phase_enumeration_matches_a_real_sparse_run() {
         // Drive the same diagonal-heavy program on the sparse engine and
         // the phase engine; enumerating the phase state must agree with
@@ -499,21 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_phase_composition_round_trips() {
-        let (dense, _) = lockstep_pair();
-        let back = phase_to_dense(&dense_to_phase(&dense)).unwrap();
-        for (i, (x, y)) in dense
-            .amplitudes()
-            .iter()
-            .zip(&back.amplitudes())
-            .enumerate()
-        {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re of amp {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im of amp {i}");
-        }
-    }
-
-    #[test]
     fn phase_enumeration_width_cap() {
         let mut phase = PhaseAccumulator::zeros(64).unwrap();
         for i in 0..(MAX_PHASE_ENUM_FOURIER as u32 + 1) {
@@ -521,18 +339,6 @@ mod tests {
         }
         assert!(matches!(
             phase_to_sparse(&phase),
-            Err(SimError::TooManyQubits { .. })
-        ));
-    }
-
-    #[test]
-    fn tracker_enumeration_width_cap() {
-        let mut tracker = BasisTracker::zeros(64);
-        for i in 0..(MAX_TRACKER_ENUM_XMODE as u32 + 1) {
-            Simulator::apply_gate(&mut tracker, &Gate::H(q(i))).unwrap();
-        }
-        assert!(matches!(
-            tracker_to_sparse(&tracker),
             Err(SimError::TooManyQubits { .. })
         ));
     }

@@ -2,31 +2,21 @@
 //! per-segment planner and mid-run representation switching.
 //!
 //! [`HybridState`] holds the quantum state in whichever representation is
-//! currently cheapest — the dense [`StateVector`] array, the sparse
-//! [`SparseVector`] basis map, or (opt-in) the Fourier-basis
-//! [`PhaseAccumulator`](crate::PhaseAccumulator) — and re-decides at every
-//! deterministic segment boundary of a compiled program:
+//! currently cheapest — the dense [`StateVector`] array or the sparse
+//! [`SparseVector`] basis map — and re-decides at every deterministic
+//! segment boundary of a compiled program:
 //!
 //! * **sparse → dense (promote)** before a segment whose `H` fan-out
 //!   would push the occupied set past the sparsity threshold (and the
 //!   register fits under the dense width cap);
 //! * **dense → sparse (demote)** when the array's nonzero support has
 //!   collapsed far enough (post-measurement, post-uncomputation) that the
-//!   map representation wins even through the segment's fan-out;
-//! * **sparse → phase (hop)** before a diagonal-heavy segment — at least
-//!   `MBU_AUTO_PHASE_DIAG` diagonal gates — that outgrows the sparse
-//!   sweet spot past the dense cap (a QFT-adder interior), when the phase
-//!   arm is enabled with `MBU_AUTO_PHASE=1`; and **phase → sparse** back
-//!   at the first segment that is not.
+//!   map representation wins even through the segment's fan-out.
 //!
-//! The phase representation runs in *tandem*: the authoritative state is
-//! still the sparse map (every gate, measurement and draw goes through
-//! it, so the bit-identity contract below survives phase hops verbatim),
-//! with the phase accumulator executing the same stream as a mirror and
-//! resynchronised from the map after every non-unitary operation. The
-//! pure `MBU_BACKEND=phase` backend is where the representation's
-//! asymptotic wins land; inside `auto` it is a correctness-pinned
-//! passenger that proves the three-way plumbing on live traffic.
+//! The static plan ([`CompiledCircuit::representation_plan`]) also labels
+//! diagonal-heavy blow-ups past the dense cap `phase`: those are the
+//! segments where `MBU_BACKEND=phase` pays. `auto` never runs them on the
+//! phase accumulator; it plans dense↔sparse only.
 //!
 //! Conversions are the bit-exact moves of [`crate::convert`] — no
 //! amplitude arithmetic — and both representations compute bit-identical
@@ -45,15 +35,9 @@
 //!
 //! Selected at runtime with `MBU_BACKEND=auto`
 //! ([`BackendKind`](crate::BackendKind)); the planning thresholds are the
-//! compile-time defaults of [`mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS`] /
-//! [`mbu_circuit::DEFAULT_AUTO_SPARSITY`] /
-//! [`mbu_circuit::DEFAULT_AUTO_PHASE_DIAG`], overridable through the
-//! `MBU_AUTO_DENSE_QUBITS`, `MBU_AUTO_SPARSITY` and `MBU_AUTO_PHASE_DIAG`
-//! environment knobs; the phase arm itself is off unless `MBU_AUTO_PHASE`
-//! is set (the compile-time [`mbu_circuit::PassStats`] dump plans with it
-//! on, showing what the run-time planner *would* do).
-
-use std::sync::OnceLock;
+//! compile-time defaults [`mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS`] and
+//! [`mbu_circuit::DEFAULT_AUTO_SPARSITY`], overridable per state with
+//! [`HybridState::with_thresholds`].
 
 use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, Instr, PlannedRepr, QubitId};
 use rand::RngCore;
@@ -61,7 +45,6 @@ use rand::RngCore;
 use crate::convert;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
-use crate::phase::PhaseAccumulator;
 use crate::simulator::{ConcreteFork, Fork, Simulator};
 use crate::sparse::SparseVector;
 use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
@@ -70,98 +53,13 @@ use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
 /// overhead over just picking a backend — `MBU_BACKEND=auto` warns once.
 const TINY_PLAN_INSTRS: usize = 16;
 
-/// Resolves an (injected) `MBU_AUTO_DENSE_QUBITS` value: the widest
-/// register the planner may materialise densely. Unset keeps
-/// [`mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS`]; numbers pin (clamped to
-/// [`MAX_STATEVECTOR_QUBITS`]); `0`/`off` forbids promotion entirely;
-/// garbage warns once and keeps the default.
-fn resolve_auto_dense_qubits(raw: Option<&str>) -> usize {
-    mbu_circuit::knobs::window(
-        "MBU_AUTO_DENSE_QUBITS",
-        raw,
-        mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS,
-        MAX_STATEVECTOR_QUBITS,
-    )
-}
-
-/// Resolves an (injected) `MBU_AUTO_SPARSITY` value: the occupied-entry
-/// threshold separating "sparse is cheaper" from "dense is cheaper".
-/// Unset keeps [`mbu_circuit::DEFAULT_AUTO_SPARSITY`]; numbers pin;
-/// `0`/`off` makes every superposing segment promote; garbage warns once
-/// and keeps the default.
-fn resolve_auto_sparsity(raw: Option<&str>) -> u64 {
-    let default = usize::try_from(mbu_circuit::DEFAULT_AUTO_SPARSITY).unwrap_or(usize::MAX);
-    mbu_circuit::knobs::window("MBU_AUTO_SPARSITY", raw, default, usize::MAX) as u64
-}
-
-/// The process-wide `MBU_AUTO_DENSE_QUBITS` pin, read once (construction
-/// sits in per-shot hot loops, like every other `MBU_*` knob).
-fn auto_dense_qubits_env() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        resolve_auto_dense_qubits(std::env::var("MBU_AUTO_DENSE_QUBITS").ok().as_deref())
-    })
-}
-
-/// The process-wide `MBU_AUTO_SPARSITY` pin, read once.
-fn auto_sparsity_env() -> u64 {
-    static DEFAULT: OnceLock<u64> = OnceLock::new();
-    *DEFAULT
-        .get_or_init(|| resolve_auto_sparsity(std::env::var("MBU_AUTO_SPARSITY").ok().as_deref()))
-}
-
-/// Resolves an (injected) `MBU_AUTO_PHASE` value: whether the runtime
-/// planner may hop to the phase-accumulator representation at all.
-/// Default **off** — inside `auto` the phase arm runs in tandem with the
-/// authoritative sparse map (pure correctness plumbing, no speedup), so it
-/// is opt-in; `MBU_BACKEND=phase` is the representation's native mode.
-fn resolve_auto_phase(raw: Option<&str>) -> bool {
-    mbu_circuit::knobs::switch("MBU_AUTO_PHASE", raw, false)
-}
-
-/// Resolves an (injected) `MBU_AUTO_PHASE_DIAG` value: the minimum
-/// diagonal-gate count for a segment to be worth a phase hop. Unset keeps
-/// [`mbu_circuit::DEFAULT_AUTO_PHASE_DIAG`]; numbers pin; `0`/`off` makes
-/// every outgrowing segment eligible; garbage warns once and keeps the
-/// default.
-fn resolve_auto_phase_diag(raw: Option<&str>) -> u32 {
-    let default = usize::try_from(mbu_circuit::DEFAULT_AUTO_PHASE_DIAG).unwrap_or(usize::MAX);
-    u32::try_from(mbu_circuit::knobs::window(
-        "MBU_AUTO_PHASE_DIAG",
-        raw,
-        default,
-        u32::MAX as usize,
-    ))
-    .unwrap_or(u32::MAX)
-}
-
-/// The process-wide `MBU_AUTO_PHASE` switch, read once.
-fn auto_phase_env() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| resolve_auto_phase(std::env::var("MBU_AUTO_PHASE").ok().as_deref()))
-}
-
-/// The process-wide `MBU_AUTO_PHASE_DIAG` pin, read once.
-fn auto_phase_diag_env() -> u32 {
-    static DEFAULT: OnceLock<u32> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        resolve_auto_phase_diag(std::env::var("MBU_AUTO_PHASE_DIAG").ok().as_deref())
-    })
-}
-
-/// The `H` and diagonal gate counts of `instrs[start..end]`, counting
-/// fused-block constituents — the per-segment facts the runtime planner
-/// keys on (`H` count is the occupancy-growth exponent; the diagonal
-/// count decides whether a phase hop can pay). `O(segment length)`,
-/// stateless, so re-planning per run costs a fraction of executing the
-/// segment itself.
-fn segment_mix(compiled: &CompiledCircuit, start: usize, end: usize) -> (u32, u32) {
+/// The `H` count of `instrs[start..end]`, counting fused-block
+/// constituents — the per-segment fact the runtime planner keys on (the
+/// occupancy-growth exponent). `O(segment length)`, stateless, so
+/// re-planning per run costs a fraction of executing the segment itself.
+fn segment_h_count(compiled: &CompiledCircuit, start: usize, end: usize) -> u32 {
     let mut h = 0u32;
-    let mut diag = 0u32;
-    let mut tally = |g: &Gate| {
-        h += u32::from(matches!(g, Gate::H(_)));
-        diag += u32::from(g.is_diagonal());
-    };
+    let mut tally = |g: &Gate| h += u32::from(matches!(g, Gate::H(_)));
     for instr in &compiled.instrs()[start..end] {
         match instr {
             Instr::Gate(g) => tally(g),
@@ -173,7 +71,7 @@ fn segment_mix(compiled: &CompiledCircuit, start: usize, end: usize) -> (u32, u3
             _ => {}
         }
     }
-    (h, diag)
+    h
 }
 
 /// Wraps a draw callback with the sparse map's policy: exact-definite
@@ -200,17 +98,6 @@ enum Repr {
     Dense(StateVector),
     /// Sorted basis-key → amplitude map.
     Sparse(SparseVector),
-    /// The phase-accumulator tandem: `sv` is the authoritative sparse map
-    /// (per-gate identical to a forced sparse run; all measurements and
-    /// draws happen here), `ps` mirrors the same stream on the
-    /// phase-accumulator representation and is resynchronised from `sv`
-    /// after every non-unitary operation.
-    Phase {
-        /// The authoritative sparse state.
-        sv: SparseVector,
-        /// The phase-accumulator mirror.
-        ps: Box<PhaseAccumulator>,
-    },
 }
 
 /// A state that executes each compiled segment in whichever representation
@@ -245,12 +132,6 @@ pub struct HybridState {
     dense_cap: usize,
     /// Predicted-occupancy threshold above which dense wins.
     sparsity: u64,
-    /// Whether the planner may hop to the phase-accumulator
-    /// representation (`MBU_AUTO_PHASE`, default off).
-    phase_on: bool,
-    /// Minimum diagonal-gate count for a segment to be worth a phase hop
-    /// (`MBU_AUTO_PHASE_DIAG`).
-    phase_diag: u32,
     /// Representation switches since the last compiled-run start (forked
     /// children inherit the counter of the branch they split from).
     switches: u64,
@@ -269,8 +150,9 @@ pub struct HybridState {
 
 impl HybridState {
     /// Creates `|0…0⟩` over `num_qubits` qubits, starting in the sparse
-    /// representation (one occupied entry) with the process-default
-    /// planning thresholds (`MBU_AUTO_DENSE_QUBITS`, `MBU_AUTO_SPARSITY`).
+    /// representation (one occupied entry) with the default planning
+    /// thresholds ([`mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS`],
+    /// [`mbu_circuit::DEFAULT_AUTO_SPARSITY`]).
     ///
     /// # Errors
     ///
@@ -279,10 +161,8 @@ impl HybridState {
     pub fn zeros(num_qubits: usize) -> Result<Self, SimError> {
         Ok(Self {
             repr: Repr::Sparse(SparseVector::zeros(num_qubits)?),
-            dense_cap: auto_dense_qubits_env(),
-            sparsity: auto_sparsity_env(),
-            phase_on: auto_phase_env(),
-            phase_diag: auto_phase_diag_env(),
+            dense_cap: mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS,
+            sparsity: mbu_circuit::DEFAULT_AUTO_SPARSITY,
             switches: 0,
             last_run_switches: None,
             peak: 1,
@@ -302,25 +182,12 @@ impl HybridState {
         self
     }
 
-    /// Overrides the phase-hop policy (builder style): whether the
-    /// planner may hop to the phase-accumulator representation, and the
-    /// minimum diagonal-gate count a segment needs for the hop to pay.
-    /// The constructor reads both from the `MBU_AUTO_PHASE` /
-    /// `MBU_AUTO_PHASE_DIAG` knobs.
-    #[must_use]
-    pub fn with_phase(mut self, enabled: bool, diag_min: u32) -> Self {
-        self.phase_on = enabled;
-        self.phase_diag = diag_min;
-        self
-    }
-
     /// The representation currently holding the state.
     #[must_use]
     pub fn representation(&self) -> PlannedRepr {
         match self.repr {
             Repr::Dense(_) => PlannedRepr::Dense,
             Repr::Sparse(_) => PlannedRepr::Sparse,
-            Repr::Phase { .. } => PlannedRepr::Phase,
         }
     }
 
@@ -350,7 +217,6 @@ impl HybridState {
         match &self.repr {
             Repr::Dense(sv) => Simulator::occupancy_peak(sv).unwrap_or(0),
             Repr::Sparse(sp) => sp.peak_entries(),
-            Repr::Phase { sv, .. } => sv.peak_entries(),
         }
     }
 
@@ -387,63 +253,22 @@ impl HybridState {
         }
     }
 
-    /// Hops from the sparse map into the phase tandem: the map stays (and
-    /// stays authoritative), the phase-accumulator mirror is lifted from
-    /// it losslessly. No-op unless currently sparse.
-    fn hop_to_phase(&mut self) {
-        let (sv, ps) = match &self.repr {
-            Repr::Sparse(sp) => (sp.clone(), Box::new(convert::sparse_to_phase(sp))),
-            _ => return,
-        };
-        self.fold_peak();
-        self.repr = Repr::Phase { sv, ps };
-        self.switches += 1;
-    }
-
-    /// Leaves the phase tandem for the plain sparse map: the authoritative
-    /// map is taken bitwise, the mirror is dropped. No-op unless currently
-    /// in the tandem.
-    fn hop_from_phase(&mut self) {
-        let sv = match &self.repr {
-            Repr::Phase { sv, .. } => sv.clone(),
-            _ => return,
-        };
-        self.fold_peak();
-        self.repr = Repr::Sparse(sv);
-        self.switches += 1;
-    }
-
-    /// Rebuilds the phase mirror from the authoritative map — after a
-    /// non-unitary operation (whose collapse happened on the map), or when
-    /// the mirror's branch budget overflowed mid-gate. No-op outside the
-    /// tandem.
-    fn resync_mirror(&mut self) {
-        if let Repr::Phase { sv, ps } = &mut self.repr {
-            **ps = convert::sparse_to_phase(sv);
-        }
-    }
-
-    /// Re-plans the representation for a segment with `h_count` Hadamards
-    /// and `diag_count` diagonal gates — the runtime mirror of the static
-    /// three-way cost model
+    /// Re-plans the representation for a segment with `h_count`
+    /// Hadamards — the runtime mirror of the static cost model's
+    /// dense/sparse arms
     /// ([`mbu_circuit::plan_segment`](mbu_circuit::plan_segment)), seeded
     /// with live occupancy instead of the compile-time prediction:
     ///
-    /// * sparse, and the current occupancy could exceed the sparsity
-    ///   threshold after `2^h_count` fan-out:
-    ///   * the register fits the dense cap → promote;
-    ///   * otherwise, the phase arm is on and the segment is
-    ///     diagonal-heavy (`diag_count ≥ phase_diag`) → hop to the phase
-    ///     tandem;
-    /// * in the phase tandem, and the segment no longer qualifies → hop
-    ///   back to the plain map (then the promote rule gets its look);
+    /// * sparse, the current occupancy could exceed the sparsity
+    ///   threshold after `2^h_count` fan-out, and the register fits the
+    ///   dense cap → promote;
     /// * dense, and the nonzero support is provably small enough that even
     ///   after the fan-out it stays under the threshold → demote.
     ///
     /// The demotion probe ([`StateVector::nonzero_count_capped`]) bails
     /// out at the first `bound + 1` occupied entries, so keeping a dense
     /// state dense costs far less than a full sweep per segment.
-    fn replan(&mut self, h_count: u32, diag_count: u32) -> Result<(), SimError> {
+    fn replan(&mut self, h_count: u32) -> Result<(), SimError> {
         // `occ · 2^h > s  ⇔  occ > s >> h` for integers (and any shift of
         // 64+ overflows every occ ≥ 1), computed without overflow.
         let bound = if h_count >= 64 {
@@ -451,19 +276,10 @@ impl HybridState {
         } else {
             self.sparsity >> h_count
         };
-        if let Repr::Phase { sv, .. } = &self.repr {
-            let outgrows = sv.occupied() as u64 > bound;
-            if !(self.phase_on && outgrows && diag_count >= self.phase_diag) {
-                self.hop_from_phase();
-            }
-        }
         match &self.repr {
             Repr::Sparse(sp) => {
-                let outgrows = sp.occupied() as u64 > bound;
-                if outgrows && Simulator::num_qubits(sp) <= self.dense_cap {
+                if sp.occupied() as u64 > bound && Simulator::num_qubits(sp) <= self.dense_cap {
                     self.promote()?;
-                } else if outgrows && self.phase_on && diag_count >= self.phase_diag {
-                    self.hop_to_phase();
                 }
             }
             Repr::Dense(sv) => {
@@ -471,7 +287,6 @@ impl HybridState {
                     self.demote();
                 }
             }
-            Repr::Phase { .. } => {}
         }
         Ok(())
     }
@@ -503,7 +318,6 @@ impl HybridState {
         match &self.repr {
             Repr::Dense(sv) => Ok(sv.amplitudes()),
             Repr::Sparse(sp) => Ok(convert::sparse_to_dense(sp)?.amplitudes()),
-            Repr::Phase { sv, .. } => Ok(convert::sparse_to_dense(sv)?.amplitudes()),
         }
     }
 }
@@ -513,7 +327,6 @@ impl Simulator for HybridState {
         match &self.repr {
             Repr::Dense(sv) => sv.num_qubits(),
             Repr::Sparse(sp) => Simulator::num_qubits(sp),
-            Repr::Phase { sv, .. } => Simulator::num_qubits(sv),
         }
     }
 
@@ -521,16 +334,6 @@ impl Simulator for HybridState {
         match &mut self.repr {
             Repr::Dense(sv) => Simulator::apply_gate(sv, gate),
             Repr::Sparse(sp) => Simulator::apply_gate(sp, gate),
-            Repr::Phase { sv, ps } => {
-                Simulator::apply_gate(sv, gate)?;
-                // The map is authoritative; a mirror failure (branch
-                // budget on a pathological materialisation) costs a
-                // resync, never correctness.
-                if Simulator::apply_gate(ps.as_mut(), gate).is_err() {
-                    **ps = convert::sparse_to_phase(sv);
-                }
-                Ok(())
-            }
         }
     }
 
@@ -538,13 +341,6 @@ impl Simulator for HybridState {
         match &mut self.repr {
             Repr::Dense(sv) => Simulator::apply_fused(sv, block),
             Repr::Sparse(sp) => Simulator::apply_fused(sp, block),
-            Repr::Phase { sv, ps } => {
-                Simulator::apply_fused(sv, block)?;
-                if Simulator::apply_fused(ps.as_mut(), block).is_err() {
-                    **ps = convert::sparse_to_phase(sv);
-                }
-                Ok(())
-            }
         }
     }
 
@@ -560,57 +356,39 @@ impl Simulator for HybridState {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        let outcome = match &mut self.repr {
-            Repr::Dense(sv) => {
-                return Simulator::measure(sv, qubit, basis, &mut sparse_policy(draw))
-            }
-            Repr::Sparse(sp) => return Simulator::measure(sp, qubit, basis, draw),
-            // The tandem measures on the authoritative map (native sparse
-            // draw policy), then rebuilds the mirror from the collapsed
-            // state.
-            Repr::Phase { sv, .. } => Simulator::measure(sv, qubit, basis, draw)?,
-        };
-        self.resync_mirror();
-        Ok(outcome)
+        match &mut self.repr {
+            Repr::Dense(sv) => Simulator::measure(sv, qubit, basis, &mut sparse_policy(draw)),
+            Repr::Sparse(sp) => Simulator::measure(sp, qubit, basis, draw),
+        }
     }
 
     /// Reset under the same representation-independent draw policy as
     /// [`measure`](Self::measure).
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
         match &mut self.repr {
-            Repr::Dense(sv) => return Simulator::reset(sv, qubit, &mut sparse_policy(draw)),
-            Repr::Sparse(sp) => return Simulator::reset(sp, qubit, draw),
-            Repr::Phase { sv, .. } => Simulator::reset(sv, qubit, draw)?,
+            Repr::Dense(sv) => Simulator::reset(sv, qubit, &mut sparse_policy(draw)),
+            Repr::Sparse(sp) => Simulator::reset(sp, qubit, draw),
         }
-        self.resync_mirror();
-        Ok(())
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
         match &mut self.repr {
-            Repr::Dense(sv) => return Simulator::set_bit(sv, q, value),
-            Repr::Sparse(sp) => return Simulator::set_bit(sp, q, value),
-            Repr::Phase { sv, .. } => Simulator::set_bit(sv, q, value)?,
+            Repr::Dense(sv) => Simulator::set_bit(sv, q, value),
+            Repr::Sparse(sp) => Simulator::set_bit(sp, q, value),
         }
-        self.resync_mirror();
-        Ok(())
     }
 
     fn set_value(&mut self, qubits: &[QubitId], value: u128) -> Result<(), SimError> {
         match &mut self.repr {
-            Repr::Dense(sv) => return Simulator::set_value(sv, qubits, value),
-            Repr::Sparse(sp) => return Simulator::set_value(sp, qubits, value),
-            Repr::Phase { sv, .. } => Simulator::set_value(sv, qubits, value)?,
+            Repr::Dense(sv) => Simulator::set_value(sv, qubits, value),
+            Repr::Sparse(sp) => Simulator::set_value(sp, qubits, value),
         }
-        self.resync_mirror();
-        Ok(())
     }
 
     fn bit(&self, q: QubitId) -> Result<bool, SimError> {
         match &self.repr {
             Repr::Dense(sv) => Simulator::bit(sv, q),
             Repr::Sparse(sp) => Simulator::bit(sp, q),
-            Repr::Phase { sv, .. } => Simulator::bit(sv, q),
         }
     }
 
@@ -618,7 +396,6 @@ impl Simulator for HybridState {
         match &self.repr {
             Repr::Dense(sv) => Simulator::value(sv, qubits),
             Repr::Sparse(sp) => Simulator::value(sp, qubits),
-            Repr::Phase { sv, .. } => Simulator::value(sv, qubits),
         }
     }
 
@@ -626,7 +403,6 @@ impl Simulator for HybridState {
         match &self.repr {
             Repr::Dense(sv) => Simulator::global_phase(sv),
             Repr::Sparse(sp) => Simulator::global_phase(sp),
-            Repr::Phase { sv, .. } => Simulator::global_phase(sv),
         }
     }
 
@@ -642,14 +418,11 @@ impl Simulator for HybridState {
     /// auto run does.
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
         let (dense_cap, sparsity) = (self.dense_cap, self.sparsity);
-        let (phase_on, phase_diag) = (self.phase_on, self.phase_diag);
         let (switches, peak, amp_threads) = (self.switches, self.peak, self.amp_threads);
         let wrap = move |repr: Repr| HybridState {
             repr,
             dense_cap,
             sparsity,
-            phase_on,
-            phase_diag,
             switches,
             last_run_switches: None,
             peak,
@@ -686,26 +459,6 @@ impl Simulator for HybridState {
                     one: one.map(|s| Box::new(wrap(Repr::Sparse(s))) as Box<dyn Simulator + Send>),
                 })),
             },
-            // The tandem forks its authoritative map; both the receiver
-            // (collapsed in place by `fork_concrete`) and the spun-off
-            // child rebuild their mirrors from their own collapsed state.
-            Repr::Phase { sv, ps } => {
-                let fork = match sv.fork_concrete(qubit, basis)? {
-                    ConcreteFork::Definite(b) => Some(Fork::Definite(b)),
-                    ConcreteFork::Split { p_one, one } => Some(Fork::Split {
-                        p_one,
-                        one: one.map(|child| {
-                            let mirror = Box::new(convert::sparse_to_phase(&child));
-                            Box::new(wrap(Repr::Phase {
-                                sv: child,
-                                ps: mirror,
-                            })) as Box<dyn Simulator + Send>
-                        }),
-                    }),
-                };
-                **ps = convert::sparse_to_phase(sv);
-                Ok(fork)
-            }
         }
     }
 
@@ -722,8 +475,8 @@ impl Simulator for HybridState {
         if let Repr::Dense(sv) = &mut self.repr {
             Simulator::set_amp_threads(sv, self.amp_threads);
         }
-        // Sparse and phase representations are serial; the budget is
-        // remembered for the next promotion either way.
+        // The sparse representation is serial; the budget is remembered
+        // for the next promotion either way.
     }
 
     /// The gate-at-a-time planning seam: the branch-tree engine announces
@@ -735,8 +488,7 @@ impl Simulator for HybridState {
         start: usize,
         end: usize,
     ) -> Result<(), SimError> {
-        let (h, diag) = segment_mix(compiled, start, end);
-        self.replan(h, diag)
+        self.replan(segment_h_count(compiled, start, end))
     }
 
     /// Compiled execution with per-segment re-planning: a segment-start
@@ -752,13 +504,6 @@ impl Simulator for HybridState {
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits())?;
-        if !crate::statevector::simd_default() {
-            mbu_circuit::knobs::warn_once(
-                "MBU_BACKEND=auto+MBU_SIMD=0",
-                "MBU_BACKEND=auto with MBU_SIMD=0: dense segments will run the scalar \
-                 reference kernels, which forfeits most of what promotion buys",
-            );
-        }
         if compiled.instrs().len() < TINY_PLAN_INSTRS {
             mbu_circuit::knobs::warn_once(
                 "MBU_BACKEND=auto+tiny-circuit",
@@ -767,20 +512,18 @@ impl Simulator for HybridState {
             );
         }
         self.switches = 0;
-        match &mut self.repr {
-            Repr::Sparse(sp) => sp.reset_peak(),
-            Repr::Phase { sv, .. } => sv.reset_peak(),
-            Repr::Dense(_) => {}
+        if let Repr::Sparse(sp) = &mut self.repr {
+            sp.reset_peak();
         }
         self.peak = self.inner_peak();
-        // pc → the segment's (H, diagonal) counts, present only at
-        // segment starts. Every program point the executor can land on
-        // after a branch is a segment start (`CompiledCircuit::segments`
-        // cuts at join targets), so probing at each pc re-plans exactly
-        // once per segment entry.
-        let mut plan_at: Vec<Option<(u32, u32)>> = vec![None; compiled.instrs().len()];
+        // pc → the segment's H count, present only at segment starts.
+        // Every program point the executor can land on after a branch is
+        // a segment start (`CompiledCircuit::segments` cuts at join
+        // targets), so probing at each pc re-plans exactly once per
+        // segment entry.
+        let mut plan_at: Vec<Option<u32>> = vec![None; compiled.instrs().len()];
         for seg in compiled.segments() {
-            plan_at[seg.start] = Some(segment_mix(compiled, seg.start, seg.end));
+            plan_at[seg.start] = Some(segment_h_count(compiled, seg.start, seg.end));
         }
         let mut executed = Executed::default();
         exec::execute_compiled_core(
@@ -793,7 +536,7 @@ impl Simulator for HybridState {
             |_, q| Ok(q),
             |_, _| {},
             |s, pc| match plan_at[pc] {
-                Some((h, diag)) => s.replan(h, diag),
+                Some(h) => s.replan(h),
                 None => Ok(()),
             },
         )?;
@@ -920,145 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_knob_resolution_policy() {
-        assert_eq!(
-            resolve_auto_dense_qubits(None),
-            mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS
-        );
-        assert_eq!(resolve_auto_dense_qubits(Some("20")), 20);
-        assert_eq!(
-            resolve_auto_dense_qubits(Some("99")),
-            MAX_STATEVECTOR_QUBITS,
-            "clamped to the dense construction cap"
-        );
-        assert_eq!(resolve_auto_dense_qubits(Some("off")), 0, "never promote");
-        assert_eq!(
-            resolve_auto_sparsity(None),
-            mbu_circuit::DEFAULT_AUTO_SPARSITY
-        );
-        assert_eq!(resolve_auto_sparsity(Some("128")), 128);
-        assert_eq!(resolve_auto_sparsity(Some("0")), 0);
-    }
-
-    #[test]
-    fn planner_hops_to_phase_and_back() {
-        // 30 qubits is past a cap of 4, and a sparsity of 0 makes every
-        // occupied state outgrow — so the three-way rule is decided purely
-        // by the segment's diagonal count.
-        let mut sim = HybridState::zeros(30)
-            .unwrap()
-            .with_thresholds(4, 0)
-            .with_phase(true, 4);
-        assert_eq!(sim.representation(), PlannedRepr::Sparse);
-        sim.replan(0, 3).unwrap();
-        assert_eq!(
-            sim.representation(),
-            PlannedRepr::Sparse,
-            "below the diagonal floor: no hop"
-        );
-        sim.replan(0, 4).unwrap();
-        assert_eq!(sim.representation(), PlannedRepr::Phase);
-        sim.replan(0, 7).unwrap();
-        assert_eq!(
-            sim.representation(),
-            PlannedRepr::Phase,
-            "still diagonal-heavy: the tandem persists"
-        );
-        sim.replan(0, 0).unwrap();
-        assert_eq!(sim.representation(), PlannedRepr::Sparse);
-        assert_eq!(sim.switches, 2, "one hop in, one hop out");
-
-        // With the arm forced off (the builder overrides any
-        // `MBU_AUTO_PHASE` in the environment), the same segment stays
-        // sparse no matter how diagonal-heavy it is.
-        let mut sim = HybridState::zeros(30)
-            .unwrap()
-            .with_thresholds(4, 0)
-            .with_phase(false, 4);
-        sim.replan(0, 64).unwrap();
-        assert_eq!(sim.representation(), PlannedRepr::Sparse);
-    }
-
-    #[test]
-    fn phase_hops_stay_bit_identical_to_forced_sparse() {
-        // A diagonal-heavy fan-out (a QFT-adder-interior shape) on a
-        // register past the dense cap: the first segment hops into the
-        // phase tandem, the post-measurement tail hops back out. Every
-        // gate, draw and amplitude must still match the forced sparse
-        // backend bit for bit — the tandem's authoritative-map contract.
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 12);
-        b.x(r[0]);
-        for i in 0..3 {
-            b.h(r[i]);
-        }
-        for i in 0..11 {
-            b.cphase(
-                r[i],
-                r[i + 1],
-                Angle::turn_over_power_of_two(2 + (i as u32 % 3)),
-            );
-        }
-        for i in 0..3 {
-            b.phase(r[i], Angle::turn_over_power_of_two(1));
-        }
-        let m = b.measure(r[1], Basis::Z);
-        let (_, fix) = b.record(|b| {
-            b.z(r[0]);
-            b.x(r[1]);
-        });
-        b.emit_conditional(m, &fix);
-        for i in 0..3 {
-            b.h(r[i]);
-        }
-        for i in 0..3 {
-            let _ = b.measure(r[i], Basis::Z);
-        }
-        let circuit = b.finish();
-        let compiled = mbu_circuit::CompiledCircuit::compile(&circuit).unwrap();
-        for seed in 0..16 {
-            let mut auto = HybridState::zeros(12)
-                .unwrap()
-                .with_thresholds(4, 2)
-                .with_phase(true, 1);
-            let mut sparse = SparseVector::zeros(12).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_s = StdRng::seed_from_u64(seed);
-            let ex_a = Simulator::run_compiled(&mut auto, &compiled, &mut rng_a).unwrap();
-            let ex_s = Simulator::run_compiled(&mut sparse, &compiled, &mut rng_s).unwrap();
-            assert_eq!(ex_a, ex_s, "seed {seed}");
-            assert_eq!(rng_a.next_u64(), rng_s.next_u64(), "seed {seed}: RNG pos");
-            assert!(
-                auto.last_run_switches().unwrap() >= 2,
-                "seed {seed}: the run must actually hop through the tandem"
-            );
-            let a = auto.amplitudes().unwrap();
-            let s = convert::sparse_to_dense(&sparse).unwrap().amplitudes();
-            for (i, (x, y)) in a.iter().zip(&s).enumerate() {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "seed {seed} re amp {i}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "seed {seed} im amp {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn phase_knob_resolution_policy() {
-        assert!(!resolve_auto_phase(None), "tandem arm is opt-in");
-        assert!(resolve_auto_phase(Some("1")));
-        assert!(!resolve_auto_phase(Some("0")));
-        assert_eq!(
-            resolve_auto_phase_diag(None),
-            mbu_circuit::DEFAULT_AUTO_PHASE_DIAG
-        );
-        assert_eq!(resolve_auto_phase_diag(Some("3")), 3);
-        assert_eq!(
-            resolve_auto_phase_diag(Some("0")),
-            0,
-            "every outgrowing segment eligible"
-        );
-    }
-
-    #[test]
     fn definite_measurements_never_draw_in_either_representation() {
         // The draw policy is the sparse map's whichever representation is
         // live: definite outcomes consume no randomness even while dense
@@ -1073,7 +677,7 @@ mod tests {
 
         let mut sim = HybridState::zeros(2).unwrap().with_thresholds(24, 0);
         Simulator::set_bit(&mut sim, q(0), true).unwrap();
-        sim.replan(0, 0).unwrap();
+        sim.replan(0).unwrap();
         assert_eq!(sim.representation(), PlannedRepr::Dense);
         assert!(Simulator::measure(&mut sim, q(0), Basis::Z, &mut no_draw).unwrap());
         Simulator::reset(&mut sim, q(0), &mut no_draw).unwrap();
@@ -1084,7 +688,7 @@ mod tests {
         // splits), so tree replay consumes the per-shot stream.
         let mut sim = HybridState::zeros(2).unwrap().with_thresholds(24, 0);
         Simulator::set_bit(&mut sim, q(1), true).unwrap();
-        sim.replan(0, 0).unwrap();
+        sim.replan(0).unwrap();
         assert_eq!(sim.representation(), PlannedRepr::Dense);
         let Some(Fork::Definite(true)) = Simulator::measure_fork(&mut sim, q(1), Basis::Z).unwrap()
         else {

@@ -1,5 +1,5 @@
 //! Stride-based state-vector kernels over SoA storage, serial and
-//! chunk-parallel, with an autovectorized grouped-run fast path.
+//! chunk-parallel, walked as autovectorized groups of runs.
 //!
 //! Every kernel iterates exactly the amplitudes a gate can move, instead
 //! of scanning all `2^n` entries with a per-index branch:
@@ -22,16 +22,13 @@
 //! cleared target bit) and [`drive`] walks the *touched index space* — the
 //! `len >> pins` indices whose pinned bits match — as contiguous runs.
 //!
-//! # The SIMD path and the scalar reference path
+//! # The lane-grouped enumeration
 //!
-//! [`Par`] carries a `simd` switch next to the worker pool. With `simd`
-//! off, `drive` reproduces the original scalar enumeration: one closure
-//! call per maximal run, each run handled as a single span. With `simd`
-//! on, `drive` hands the closure *groups* of consecutive runs — `count`
-//! runs of length `run` spaced `stride = 2·run_len` apart — which is
-//! valid because within a group (bounded by the second-lowest pinned
-//! position) the absolute base address is an affine function of the run
-//! index: `deposit(u + j·run_len) = deposit(u) + j·stride`, no carry ever
+//! `drive` hands the closure *groups* of consecutive runs — `count` runs
+//! of length `run` spaced `stride = 2·run_len` apart — which is valid
+//! because within a group (bounded by the second-lowest pinned position)
+//! the absolute base address is an affine function of the run index:
+//! `deposit(u + j·run_len) = deposit(u) + j·stride`, no carry ever
 //! crossing the next pinned bit. The concrete kernels turn a group into
 //! one or two long slices walked by `chunks_exact` loops, so the per-run
 //! closure dispatch and bit-deposit arithmetic disappear from the hot
@@ -39,16 +36,17 @@
 //! structure-of-arrays `f64` buffers of [`Amps`] — homogeneous streams
 //! LLVM autovectorizes into full-width packed ops (the span helpers also
 //! process explicit [`LANES`]-wide chunks so the vector shape is stated
-//! in the source, stable Rust only). Both paths perform *identical*
-//! per-amplitude arithmetic in *identical* order, so amplitudes are
-//! bit-identical between them; `MBU_SIMD=0` keeps the scalar path
-//! available as the differential reference and honest benchmark baseline.
+//! in the source, stable Rust only). The unit tests keep the original
+//! run-at-a-time scalar enumeration as a test-only reference
+//! (`Par::scalar()`) and check every kernel against it bit for bit: the
+//! grouping changes iteration shape only, never the per-amplitude
+//! arithmetic or its order.
 //!
 //! `drive` is also the parallelism seam: given an
 //! [`AmpPool`](crate::pool::AmpPool), it splits the touched space into
 //! per-thread chunks at **deterministic** boundaries (a pure function of
-//! work size and thread count, rounded down to [`LANES`] multiples on the
-//! SIMD path so chunk interiors stay lane-aligned) and runs the same
+//! work size and thread count, rounded down to [`LANES`] multiples so
+//! chunk interiors stay lane-aligned) and runs the same
 //! per-group closure on each chunk concurrently. Chunks write disjoint
 //! amplitudes and every amplitude is touched exactly once with identical
 //! arithmetic, so parallel execution is bit-identical to serial at any
@@ -81,38 +79,40 @@ pub(crate) const LANES: usize = 8;
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// The execution context of one kernel call: an optional worker pool and
-/// the SIMD switch (see the module docs for what the switch changes —
-/// enumeration shape only, never arithmetic).
+/// The execution context of one kernel call: an optional worker pool.
 #[derive(Clone, Copy)]
 pub(crate) struct Par<'a> {
     pool: Option<&'a AmpPool>,
-    simd: bool,
+    /// Walk the original run-at-a-time scalar enumeration instead of the
+    /// lane-grouped one — the reference the unit tests compare every
+    /// kernel against.
+    #[cfg(test)]
+    scalar: bool,
 }
 
 impl<'a> Par<'a> {
-    /// Serial execution on the vectorized path.
-    #[cfg(test)]
-    pub(crate) fn serial() -> Self {
+    /// Execution over `pool`'s lanes (serial when `None`).
+    pub(crate) fn new(pool: Option<&'a AmpPool>) -> Self {
         Self {
-            pool: None,
-            simd: true,
+            pool,
+            #[cfg(test)]
+            scalar: false,
         }
     }
 
-    /// Serial execution on the scalar reference path.
+    /// Serial execution.
+    #[cfg(test)]
+    pub(crate) fn serial() -> Self {
+        Self::new(None)
+    }
+
+    /// Serial execution on the scalar reference enumeration.
     #[cfg(test)]
     pub(crate) fn scalar() -> Self {
         Self {
             pool: None,
-            simd: false,
+            scalar: true,
         }
-    }
-
-    /// Execution over `pool`'s lanes (serial when `None`), vectorized or
-    /// scalar per `simd`.
-    pub(crate) fn new(pool: Option<&'a AmpPool>, simd: bool) -> Self {
-        Self { pool, simd }
     }
 }
 
@@ -253,14 +253,13 @@ impl Shared {
 /// once — splitting the touched index space across the pool's lanes when
 /// one is supplied and the array is large enough to pay for the wake-up.
 ///
-/// On the scalar path `count` is always 1 and runs are maximal (the
-/// original per-run enumeration); on the SIMD path full runs arrive in
-/// affine groups (see [`Pins::group_runs`]), with partial head/tail runs
-/// at chunk boundaries still delivered singly. Chunk boundaries depend
-/// only on `(touched, lanes, simd)` — never on timing — and every run
-/// (plus whatever partner range `f` derives from it) is disjoint from
-/// every other, so the parallel sweep performs exactly the serial sweep's
-/// writes.
+/// Full runs arrive in affine groups (see [`Pins::group_runs`]), with
+/// partial head/tail runs at chunk boundaries still delivered singly (the
+/// test-only scalar reference delivers every maximal run singly). Chunk
+/// boundaries depend only on `(touched, lanes)` — never on timing — and
+/// every run (plus whatever partner range `f` derives from it) is disjoint
+/// from every other, so the parallel sweep performs exactly the serial
+/// sweep's writes.
 fn drive(
     par: Par<'_>,
     amps: &mut Amps,
@@ -285,6 +284,7 @@ fn drive(
     let p0 = m0.trailing_zeros() as usize;
     let stride = m0 << 1;
     // The original scalar enumeration: one maximal run per closure call.
+    #[cfg(test)]
     let scalar_chunk = |from: usize, to: usize| {
         let mut u = from;
         while u < to {
@@ -319,20 +319,20 @@ fn drive(
         }
     };
     let run_chunk = |from: usize, to: usize| {
-        if par.simd {
-            grouped_chunk(from, to);
-        } else {
-            scalar_chunk(from, to);
+        #[cfg(test)]
+        if par.scalar {
+            return scalar_chunk(from, to);
         }
+        grouped_chunk(from, to);
     };
     match par.pool {
         Some(pool) if pool.threads() > 1 && len >= PAR_MIN_AMPS && touched > 1 => {
             let chunks = pool.threads().min(touched);
             let per = touched / chunks;
             let extra = touched % chunks;
-            // Interior boundaries round down to lane multiples on the
-            // SIMD path so chunk interiors stay lane-aligned; monotonic
-            // either way, so chunks stay disjoint (possibly empty).
+            // Interior boundaries round down to lane multiples so chunk
+            // interiors stay lane-aligned; still monotonic, so chunks stay
+            // disjoint (possibly empty).
             let boundary = |c: usize| -> usize {
                 if c == 0 {
                     return 0;
@@ -340,12 +340,7 @@ fn drive(
                 if c == chunks {
                     return touched;
                 }
-                let raw = c * per + c.min(extra);
-                if par.simd {
-                    raw & !(LANES - 1)
-                } else {
-                    raw
-                }
+                (c * per + c.min(extra)) & !(LANES - 1)
             };
             pool.run(chunks, &|c| run_chunk(boundary(c), boundary(c + 1)));
         }
@@ -1364,7 +1359,7 @@ mod tests {
     fn indices(len: usize, pins: &[(usize, usize)]) -> Vec<usize> {
         let grouped = indices_with(Par::serial(), len, pins);
         let scalar = indices_with(Par::scalar(), len, pins);
-        assert_eq!(grouped, scalar, "simd and scalar enumerations diverge");
+        assert_eq!(grouped, scalar, "grouped and scalar enumerations diverge");
         grouped
     }
 
@@ -1539,9 +1534,9 @@ mod tests {
     fn parallel_kernels_are_bit_identical_to_serial() {
         // A pool with several lanes on an array above the parallel
         // threshold: every kernel family must produce bitwise-identical
-        // amplitudes across scalar-serial, simd-serial, simd-parallel and
-        // scalar-parallel runs, including high-bit operands where a run
-        // spans a huge contiguous range.
+        // amplitudes across the scalar reference, serial and parallel
+        // runs, including high-bit operands where a run spans a huge
+        // contiguous range.
         let n = 15usize; // 2^15 = 32768 ≥ PAR_MIN_AMPS
         let len = 1usize << n;
         let pool = AmpPool::new(4);
@@ -1549,9 +1544,8 @@ mod tests {
             let mut scalar = ramp(len);
             kernel(Par::scalar(), &mut scalar);
             for (mode, par) in [
-                ("simd serial", Par::serial()),
-                ("simd parallel", Par::new(Some(&pool), true)),
-                ("scalar parallel", Par::new(Some(&pool), false)),
+                ("serial", Par::serial()),
+                ("parallel", Par::new(Some(&pool))),
             ] {
                 let mut got = ramp(len);
                 kernel(par, &mut got);
@@ -1562,30 +1556,54 @@ mod tests {
 
     #[test]
     fn simd_matches_scalar_on_tiny_states() {
-        // States smaller than one lane chunk must take the span helpers'
-        // scalar tails and still agree bitwise with the scalar path.
+        // States no longer than one lane chunk must take the span helpers'
+        // scalar tails and still agree bitwise with the scalar path: every
+        // kernel at every width from one qubit up to the kernel's arity.
         let w = Complex::cis(1.1);
         type K = Box<dyn Fn(Par<'_>, &mut Amps)>;
-        for n in [2usize, 3] {
+        for n in [1usize, 2, 3] {
             let len = 1usize << n;
-            let kernels: Vec<(&'static str, K)> = vec![
+            // `z` acts on qubit 1 once it exists, on qubit 0 at n = 1.
+            let z_q = (n - 1).min(1);
+            let mut kernels: Vec<(&'static str, K)> = vec![
                 ("x", Box::new(|p, a: &mut Amps| x(p, a, 0))),
                 ("h", Box::new(|p, a: &mut Amps| h(p, a, 0))),
-                ("z", Box::new(|p, a: &mut Amps| z(p, a, 1, 1))),
+                ("z", Box::new(move |p, a: &mut Amps| z(p, a, z_q, 1))),
                 (
                     "phase1",
                     Box::new(move |p, a: &mut Amps| phase1(p, a, 0, 1, w)),
                 ),
-                ("cx", Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1))),
-                (
-                    "cz",
-                    Box::new(move |p, a: &mut Amps| cz(p, a, 0, 1, n - 1, 1)),
-                ),
-                (
-                    "swap",
-                    Box::new(move |p, a: &mut Amps| swap(p, a, 0, n - 1)),
-                ),
             ];
+            if n >= 2 {
+                kernels.extend::<[(&'static str, K); 4]>([
+                    ("cx", Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1))),
+                    (
+                        "cz",
+                        Box::new(move |p, a: &mut Amps| cz(p, a, 0, 1, n - 1, 1)),
+                    ),
+                    (
+                        "phase2",
+                        Box::new(move |p, a: &mut Amps| phase2(p, a, n - 1, 1, 0, 0, w)),
+                    ),
+                    (
+                        "swap",
+                        Box::new(move |p, a: &mut Amps| swap(p, a, 0, n - 1)),
+                    ),
+                ]);
+            }
+            if n >= 3 {
+                kernels.extend::<[(&'static str, K); 3]>([
+                    ("ccx", Box::new(|p, a: &mut Amps| ccx(p, a, 0, 1, 2, 1, 1))),
+                    (
+                        "ccz",
+                        Box::new(|p, a: &mut Amps| ccz(p, a, 2, 1, 0, 0, 1, 1)),
+                    ),
+                    (
+                        "phase3",
+                        Box::new(move |p, a: &mut Amps| phase3(p, a, 1, 1, 2, 0, 0, 1, w)),
+                    ),
+                ]);
+            }
             for (name, kernel) in &kernels {
                 let mut scalar = ramp(len);
                 let mut simd = ramp(len);
@@ -1648,12 +1666,7 @@ mod tests {
         }
 
         let pool = AmpPool::new(3);
-        for par in [
-            Par::scalar(),
-            Par::serial(),
-            Par::new(Some(&pool), true),
-            Par::new(Some(&pool), false),
-        ] {
+        for par in [Par::scalar(), Par::serial(), Par::new(Some(&pool))] {
             let mut fused_amps = ramp(len);
             fused(par, &mut fused_amps, &positions, &gates).unwrap();
             assert_bit_identical(&reference, &fused_amps, "fused");
@@ -1934,15 +1947,12 @@ mod tests {
         }
         let want = Amps::from_complex(&want);
 
-        for simd in [false, true] {
-            let mut amps = ramp(len);
-            let mut scratch = Amps::zeroed(0);
-            let par = Par { pool: None, simd };
-            permute(par, &mut amps, &mut scratch, &positions, &gates).unwrap();
-            assert_bit_identical(&amps, &want, "serial permute");
-            // Old amplitudes land in the swapped-out scratch.
-            assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
-        }
+        let mut amps = ramp(len);
+        let mut scratch = Amps::zeroed(0);
+        permute(Par::serial(), &mut amps, &mut scratch, &positions, &gates).unwrap();
+        assert_bit_identical(&amps, &want, "serial permute");
+        // Old amplitudes land in the swapped-out scratch.
+        assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
     }
 
     /// Pooled permutation sweeps are bit-identical to serial ones, above
@@ -1969,11 +1979,14 @@ mod tests {
         let pool = AmpPool::new(4);
         let mut parallel = ramp(len);
         let mut pscratch = Amps::zeroed(0);
-        let par = Par {
-            pool: Some(&pool),
-            simd: true,
-        };
-        permute(par, &mut parallel, &mut pscratch, &positions, &gates).unwrap();
+        permute(
+            Par::new(Some(&pool)),
+            &mut parallel,
+            &mut pscratch,
+            &positions,
+            &gates,
+        )
+        .unwrap();
         assert_bit_identical(&parallel, &serial, "pooled permute");
     }
 

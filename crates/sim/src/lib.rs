@@ -65,11 +65,8 @@
 //! deterministic chunking — bit-identical results at any lane count.
 //! Amplitudes live in cache-line-aligned structure-of-arrays re/im
 //! buffers, and the kernels walk them as grouped strided spans whose
-//! inner loops autovectorize (explicit 8-wide lane chunks, stable Rust);
-//! [`StateVector::with_simd`] / `MBU_SIMD` selects between that vectorized
-//! enumeration and the scalar reference enumeration, with amplitudes
-//! bit-identical either way. The
-//! [`ShotRunner`] builds on those seams: a seeded, deterministic,
+//! inner loops autovectorize (explicit 8-wide lane chunks, stable Rust).
+//! The [`ShotRunner`] builds on those seams: a seeded, deterministic,
 //! multi-threaded ensemble engine that compiles the circuit once, shares
 //! the immutable program across all workers, divides one thread budget
 //! between shot workers and per-shot amplitude lanes, and averages
@@ -87,9 +84,8 @@
 //! at compiled-segment boundaries using the compiler's structural
 //! segment profiles ([`mbu_circuit::SegmentProfile`]). The lossless
 //! conversions it rides on are public ([`sparse_to_dense`],
-//! [`dense_to_sparse`], [`tracker_to_sparse`], and the phase-accumulator
-//! seams [`sparse_to_phase`] / [`phase_to_sparse`] /
-//! [`dense_to_phase`] / [`phase_to_dense`]).
+//! [`dense_to_sparse`]), next to the phase-accumulator readouts
+//! [`phase_to_sparse`] / [`phase_to_dense`].
 //!
 //! # Examples
 //!
@@ -155,8 +151,7 @@ pub use basis::BasisTracker;
 pub use branch::{BranchDistribution, BranchEnsemble, DEFAULT_NODE_BUDGET};
 pub use complex::Complex;
 pub use convert::{
-    dense_to_phase, dense_to_sparse, phase_to_dense, phase_to_sparse, sparse_to_dense,
-    sparse_to_phase, tracker_to_sparse, MAX_PHASE_ENUM_FOURIER, MAX_TRACKER_ENUM_XMODE,
+    dense_to_sparse, phase_to_dense, phase_to_sparse, sparse_to_dense, MAX_PHASE_ENUM_FOURIER,
 };
 pub use error::SimError;
 pub use exec::Executed;

@@ -397,39 +397,6 @@ impl PhaseAccumulator {
         qubits.iter().map(|q| Simulator::bit(self, *q)).collect()
     }
 
-    /// Builds a state directly from pre-sorted parts — the
-    /// representation-conversion seam (`crate::convert`). Branch keys must
-    /// be ascending and pairwise distinct with no exact-zero amplitude,
-    /// and every branch's `phis` parallel to `fourier_qubits` (sorted).
-    pub(crate) fn from_parts(
-        num_qubits: usize,
-        fourier_qubits: Vec<u32>,
-        branches: Vec<Branch>,
-    ) -> Self {
-        let words = num_qubits.div_ceil(64).max(1);
-        debug_assert!(fourier_qubits.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(branches
-            .iter()
-            .all(|b| b.key.len() == words && b.phis.len() == fourier_qubits.len()));
-        debug_assert!((1..branches.len())
-            .all(|e| cmp_keys(&branches[e - 1].key, &branches[e].key) == Ordering::Less));
-        debug_assert!(!branches.iter().any(|b| is_zero_amp(b.amp)));
-        let mut fourier = vec![false; num_qubits];
-        for q in &fourier_qubits {
-            fourier[*q as usize] = true;
-        }
-        let peak = branches.len() as u64;
-        Self {
-            num_qubits,
-            words,
-            fourier,
-            fourier_qubits,
-            branches,
-            peak_branches: peak,
-            last_run_peak: None,
-        }
-    }
-
     /// The sorted Fourier-qubit list (conversion seam).
     pub(crate) fn fourier_list(&self) -> &[u32] {
         &self.fourier_qubits

@@ -87,10 +87,6 @@ pub struct StateVector {
     /// Whether compiled runs may execute `Drop` instructions by compacting
     /// the amplitude array (defaults to on; `MBU_RECLAIM=0` force-disables).
     reclaim: bool,
-    /// Whether stride kernels use the vectorized grouped enumeration
-    /// (defaults to on; `MBU_SIMD=0` force-disables). Bit-identity either
-    /// way — the switch changes iteration shape only, never arithmetic.
-    simd: bool,
     /// Peak live amplitudes of the most recent compiled run.
     last_run_peak: Option<usize>,
     /// Requested intra-state amplitude worker lanes (`MBU_AMP_THREADS`
@@ -113,7 +109,6 @@ impl Clone for StateVector {
             amps: self.amps.clone(),
             mode: self.mode,
             reclaim: self.reclaim,
-            simd: self.simd,
             last_run_peak: self.last_run_peak,
             amp_threads: self.amp_threads,
             // Worker pools are per-instance (one in-flight job each); the
@@ -147,34 +142,6 @@ fn reclaim_default() -> bool {
     })
 }
 
-/// Resolves an (injected) `MBU_SIMD` value: the vectorized grouped
-/// enumeration is on unless the variable disables it (`0`, `off`,
-/// `false`, `no`), through the same shared [`mbu_circuit::knobs`] policy
-/// as `MBU_RECLAIM` — unparsable values warn once and keep the default.
-/// Injected rather than read here so the policy is testable without
-/// mutating process-global state.
-fn resolve_simd(env_value: Option<&str>) -> bool {
-    mbu_circuit::knobs::switch("MBU_SIMD", env_value, true)
-}
-
-/// The process-wide SIMD construction default. Like [`reclaim_default`],
-/// the env var flips the *construction default* only — explicit
-/// [`StateVector::with_simd`] calls always win, which is also how the
-/// benches pit the two enumerations against each other inside one
-/// process — and it is read once because construction sits in per-shot
-/// hot loops.
-pub(crate) fn simd_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| resolve_simd(std::env::var("MBU_SIMD").ok().as_deref()))
-}
-
-/// The process-wide amplitude-lane construction default: 1 (serial),
-/// unless the `MBU_AMP_THREADS` environment variable pins a positive lane
-/// count. Serial by default because amplitude parallelism only pays on
-/// large states and the [`ShotRunner`](crate::ShotRunner) assigns lanes
-/// itself from its thread budget; unparsable values (and `0`, which has no
-/// meaning for a lane count) warn once and stay serial. Read once, like
-/// [`reclaim_default`]: construction sits in per-shot hot loops.
 /// Resolves an (injected) `MBU_AMP_THREADS` value to a lane pin: `None`
 /// when unset (callers pick their own default — the state vector runs
 /// serial, the [`ShotRunner`](crate::ShotRunner) auto-schedules), a
@@ -228,7 +195,6 @@ impl StateVector {
             amps,
             mode: KernelMode::Stride,
             reclaim: reclaim_default(),
-            simd: simd_default(),
             last_run_peak: None,
             amp_threads: amp_threads_default(),
             pool: None,
@@ -275,7 +241,6 @@ impl StateVector {
             amps: Amps::from_complex(&amps),
             mode: KernelMode::Stride,
             reclaim: reclaim_default(),
-            simd: simd_default(),
             last_run_peak: None,
             amp_threads: amp_threads_default(),
             pool: None,
@@ -322,32 +287,6 @@ impl StateVector {
     #[must_use]
     pub fn reclamation_enabled(&self) -> bool {
         self.reclaim
-    }
-
-    /// Enables or disables the vectorized kernel enumeration (builder
-    /// style).
-    ///
-    /// When enabled (the default, unless the `MBU_SIMD` environment
-    /// variable force-disables it), the stride kernels walk the amplitude
-    /// array as *groups* of consecutive strided runs and hand each span to
-    /// explicit 8-wide lane loops over the structure-of-arrays re/im
-    /// buffers — the autovectorizable shape. When disabled, they fall back
-    /// to the original run-at-a-time scalar enumeration. Amplitudes, RNG
-    /// draws, outcomes and executed counts are **bit-identical** either
-    /// way: the switch changes iteration shape only, never the
-    /// per-amplitude arithmetic or its order — it exists so the scalar
-    /// path stays an honest in-process A/B baseline (and a CI leg) for
-    /// the vectorized one.
-    #[must_use]
-    pub fn with_simd(mut self, enabled: bool) -> Self {
-        self.simd = enabled;
-        self
-    }
-
-    /// Whether stride kernels use the vectorized grouped enumeration.
-    #[must_use]
-    pub fn simd_enabled(&self) -> bool {
-        self.simd
     }
 
     /// Sets the number of amplitude worker lanes for gate execution
@@ -676,11 +615,10 @@ impl StateVector {
         let Self {
             amps,
             pool,
-            simd,
             scratch,
             ..
         } = self;
-        let par = Par::new(pool.as_ref(), *simd);
+        let par = Par::new(pool.as_ref());
         let width = amps.len().trailing_zeros() as usize;
         if positions.iter().all(|&p| p < width) {
             for &p in positions {
@@ -712,10 +650,8 @@ impl StateVector {
             1 ^ (flip >> q.index() & 1)
         }
         self.ensure_pool();
-        let Self {
-            amps, pool, simd, ..
-        } = self;
-        let par = Par::new(pool.as_ref(), *simd);
+        let Self { amps, pool, .. } = self;
+        let par = Par::new(pool.as_ref());
         match *gate {
             Gate::X(q) => *flip ^= 1usize << q.index(),
             Gate::H(q) => {
@@ -807,10 +743,8 @@ impl StateVector {
     /// always the physical one.
     fn flush_flips(&mut self, flip: &mut usize) {
         self.ensure_pool();
-        let Self {
-            amps, pool, simd, ..
-        } = self;
-        let par = Par::new(pool.as_ref(), *simd);
+        let Self { amps, pool, .. } = self;
+        let par = Par::new(pool.as_ref());
         let mut m = *flip;
         while m != 0 {
             let q = m.trailing_zeros() as usize;
@@ -982,7 +916,6 @@ impl StateVector {
             amps,
             mode: self.mode,
             reclaim: self.reclaim,
-            simd: self.simd,
             last_run_peak: None,
             amp_threads: self.amp_threads,
             pool: None,
@@ -1249,13 +1182,13 @@ impl LiveMap {
     /// to half its length and re-indexes the surviving qubits and the
     /// bit-flip frame. A qubit that cannot be proven definite stays live —
     /// skipping is always safe because drops are advisory.
-    fn drop_qubit(&mut self, amps: &mut Amps, q: usize, flip: &mut usize, simd: bool) {
+    fn drop_qubit(&mut self, amps: &mut Amps, q: usize, flip: &mut usize) {
         let LiveSlot::Live(p) = self.slots[q] else {
             // Factored out since the initial compaction and never touched
             // again: already reclaimed.
             return;
         };
-        StateVector::flush_flip_bit(Par::new(None, simd), amps, flip, p);
+        StateVector::flush_flip_bit(Par::new(None), amps, flip, p);
         let (m0, m1) = kernels::bit_masses(amps, p);
         let keep = if m0 <= RECLAIM_TOL {
             true
@@ -1397,8 +1330,7 @@ impl StateVector {
             |sv, q| {
                 let mut lm = live.borrow_mut();
                 let mut f = flip.get();
-                let simd = sv.simd;
-                lm.drop_qubit(&mut sv.amps, q.index(), &mut f, simd);
+                lm.drop_qubit(&mut sv.amps, q.index(), &mut f);
                 flip.set(f);
             },
             |_, _| Ok(()),
@@ -2226,60 +2158,6 @@ mod tests {
             sweep_and_probe(s_child.as_mut(), n).to_bits(),
             "child branch diverged from serial"
         );
-    }
-
-    #[test]
-    fn simd_knob_resolution_policy() {
-        // Unset and garbage keep the vectorized default; explicit
-        // disablers turn it off.
-        assert!(resolve_simd(None));
-        assert!(resolve_simd(Some("1")));
-        assert!(resolve_simd(Some("definitely")));
-        assert!(!resolve_simd(Some("0")));
-        assert!(!resolve_simd(Some("off")));
-        assert!(!resolve_simd(Some("false")));
-    }
-
-    #[test]
-    fn simd_builder_override_and_propagation() {
-        let sv = StateVector::zeros(2).unwrap().with_simd(false);
-        assert!(!sv.simd_enabled());
-        assert!(!sv.clone().simd_enabled(), "clones keep the setting");
-        let sv = sv.with_simd(true);
-        assert!(sv.simd_enabled());
-    }
-
-    #[test]
-    fn scalar_enumeration_matches_vectorized_bit_for_bit() {
-        // The same gate program under both enumerations, amplitudes
-        // compared exactly — the contract every equivalence suite in this
-        // PR rides on, asserted here at its source.
-        let theta = Angle::turn_over_power_of_two(3);
-        let program = [
-            Gate::H(q(0)),
-            Gate::H(q(3)),
-            Gate::Cx(q(3), q(1)),
-            Gate::Ccx(q(0), q(1), q(4)),
-            Gate::Phase(q(1), theta),
-            Gate::CPhase(q(4), q(1), theta),
-            Gate::CcPhase(q(1), q(2), q(0), theta),
-            Gate::Cz(q(1), q(4)),
-            Gate::Swap(q(0), q(4)),
-            Gate::X(q(2)),
-            Gate::H(q(2)),
-        ];
-        let mut vec = StateVector::basis(5, 0b10110).unwrap().with_simd(true);
-        let mut sca = StateVector::basis(5, 0b10110).unwrap().with_simd(false);
-        for gate in &program {
-            vec.apply(gate).unwrap();
-            sca.apply(gate).unwrap();
-        }
-        let va = vec.amplitudes();
-        let sa = sca.amplitudes();
-        for (i, (a, b)) in va.iter().zip(&sa).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "re of amp {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "im of amp {i}");
-        }
     }
 
     #[test]
