@@ -821,3 +821,165 @@ fn table1_functional_at_scale_on_sparse() {
         assert_eq!(sp.peak_amplitudes(), Some(peak), "{name} n={n}");
     }
 }
+
+/// A `PassStats` golden: one value per [`pass_counters`] entry.
+type Counters = [u64; 14];
+
+/// The named `PassStats` counters a golden pins, in table order.
+fn pass_counters(s: &mbu_circuit::PassStats) -> [(&'static str, u64); 14] {
+    [
+        ("lowered_instrs", s.lowered_instrs as u64),
+        ("cancelled", s.cancelled),
+        ("merged", s.merged),
+        ("identities_removed", s.identities_removed),
+        ("phase_dead_removed", s.phase_dead_removed),
+        ("dead_qubits_reclaimed", s.dead_qubits_reclaimed),
+        ("fused_blocks", s.fused_blocks),
+        ("fused_gates", s.fused_gates),
+        ("emitted_instrs", s.emitted_instrs as u64),
+        ("segments", s.segments as u64),
+        ("fork_points", s.fork_points as u64),
+        ("planned_dense", s.planned_dense as u64),
+        ("planned_sparse", s.planned_sparse as u64),
+        ("planned_phase", s.planned_phase as u64),
+    ]
+}
+
+/// Compiles `circuit` with the default passes at the default fusion
+/// window (3, whatever `MBU_FUSION` says) and checks every counter.
+fn check_pass_stats(tag: &str, circuit: &Circuit, want: Counters) {
+    use mbu_circuit::{CompiledCircuit, PassConfig};
+    let config = PassConfig {
+        fuse_max_qubits: 3,
+        ..PassConfig::default()
+    };
+    let compiled = CompiledCircuit::with_config(circuit, &config).unwrap();
+    for ((name, got), want) in pass_counters(compiled.stats()).into_iter().zip(want) {
+        assert_eq!(got, want, "{tag}: PassStats::{name}");
+    }
+}
+
+#[test]
+fn table1_wide_pass_stats_golden() {
+    // The modadd_wide benchmark rows: the five ripple Table-1 rows ×
+    // {MBU, unitary} × n ∈ {256, 1024}, p = 2^127 − 1. Columns follow
+    // `pass_counters`: lowered, cancelled, merged, identities,
+    // phase-dead, reclaimed, fused blocks, fused gates, emitted,
+    // segments, fork points, planned dense / sparse / phase.
+    // (row, spec, n, MBU counters, unitary counters).
+    type Row = (
+        &'static str,
+        fn(Uncompute) -> ModAddSpec,
+        usize,
+        Counters,
+        Counters,
+    );
+    let p = (1u128 << 127) - 1;
+    let rows: [Row; 10] = [
+        (
+            "vbe5",
+            ModAddSpec::vbe5,
+            256,
+            [10758, 6, 0, 0, 0, 1, 529, 9974, 1308, 2, 1, 0, 2, 0],
+            [10752, 6, 0, 0, 0, 0, 528, 9971, 1303, 1, 0, 0, 1, 0],
+        ),
+        (
+            "vbe4",
+            ModAddSpec::vbe4,
+            256,
+            [8711, 2, 0, 0, 0, 1, 426, 7418, 1718, 2, 1, 0, 2, 0],
+            [8705, 2, 0, 0, 0, 0, 426, 7419, 1710, 1, 0, 0, 1, 0],
+        ),
+        (
+            "cdkpm",
+            ModAddSpec::cdkpm,
+            256,
+            [7700, 4, 0, 0, 0, 1, 310, 6453, 1554, 2, 1, 0, 2, 0],
+            [7694, 4, 0, 0, 0, 0, 310, 6454, 1546, 1, 0, 0, 1, 0],
+        ),
+        (
+            "gidney",
+            ModAddSpec::gidney,
+            256,
+            [
+                13817, 0, 0, 0, 0, 514, 1245, 6398, 9178, 2050, 2049, 0, 2050, 0,
+            ],
+            [
+                13811, 0, 0, 0, 0, 514, 1245, 6416, 9154, 2050, 2048, 0, 2050, 0,
+            ],
+        ),
+        (
+            "hybrid",
+            ModAddSpec::gidney_cdkpm,
+            256,
+            [
+                10754, 4, 0, 0, 0, 257, 776, 6419, 5364, 1024, 1023, 0, 1024, 0,
+            ],
+            [
+                10748, 4, 0, 0, 0, 257, 776, 6421, 5356, 1023, 1022, 0, 1023, 0,
+            ],
+        ),
+        (
+            "vbe5",
+            ModAddSpec::vbe5,
+            1024,
+            [41478, 6, 0, 0, 0, 1, 2063, 39163, 4373, 2, 1, 0, 2, 0],
+            [41472, 6, 0, 0, 0, 0, 2063, 39163, 4366, 1, 0, 0, 1, 0],
+        ),
+        (
+            "vbe4",
+            ModAddSpec::vbe4,
+            1024,
+            [33287, 2, 0, 0, 0, 1, 1654, 28935, 6005, 2, 1, 0, 2, 0],
+            [33281, 2, 0, 0, 0, 0, 1654, 28937, 5996, 1, 0, 0, 1, 0],
+        ),
+        (
+            "cdkpm",
+            ModAddSpec::cdkpm,
+            1024,
+            [29204, 4, 0, 0, 0, 1, 1187, 24851, 5537, 2, 1, 0, 2, 0],
+            [29198, 4, 0, 0, 0, 0, 1187, 24852, 5529, 1, 0, 0, 1, 0],
+        ),
+        (
+            "gidney",
+            ModAddSpec::gidney,
+            1024,
+            [
+                53753, 0, 0, 0, 0, 2050, 4931, 24830, 35904, 8194, 8193, 0, 8194, 0,
+            ],
+            [
+                53747, 0, 0, 0, 0, 2050, 4932, 24846, 35883, 8194, 8192, 0, 8194, 0,
+            ],
+        ),
+        (
+            "hybrid",
+            ModAddSpec::gidney_cdkpm,
+            1024,
+            [
+                41474, 4, 0, 0, 0, 1025, 3058, 24853, 20700, 4096, 4095, 0, 4096, 0,
+            ],
+            [
+                41468, 4, 0, 0, 0, 1025, 3058, 24855, 20692, 4096, 4094, 0, 4096, 0,
+            ],
+        ),
+    ];
+    for (name, spec, n, mbu, unitary) in rows {
+        for (unc, want) in [(Uncompute::Mbu, mbu), (Uncompute::Unitary, unitary)] {
+            let layout = modular::modadd_circuit(&spec(unc), n, p).unwrap();
+            check_pass_stats(&format!("{name}{n}-{unc:?}"), &layout.circuit, want);
+        }
+    }
+}
+
+#[test]
+fn beauregard_pass_stats_golden() {
+    // The qft_phase benchmark program: 92,500 lowered instructions on
+    // which the peephole passes find nothing to remove.
+    let p = (1u128 << 127) - 1;
+    let layout = modular::beauregard::modadd_circuit(Uncompute::Mbu, 128, p).unwrap();
+    check_pass_stats(
+        "beauregard128-Mbu",
+        &layout.circuit,
+        [92500, 0, 0, 0, 0, 1, 556, 1689, 91368, 2, 1, 0, 0, 2],
+    );
+}
