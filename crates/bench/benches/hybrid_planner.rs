@@ -1,4 +1,4 @@
-//! The `hybrid_planner` group: the `MBU_BACKEND=auto` backend on a mixed
+//! The `hybrid_planner` group: the `auto` backend (`HybridState`) on a mixed
 //! workload that defeats every fixed representation.
 //!
 //! The workload is one circuit with three phases on ~22 qubits: a CDKPM

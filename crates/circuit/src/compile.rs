@@ -39,9 +39,9 @@
 //!      amplitude array per drop — the paper's early-ancilla-release payoff
 //!      made concrete in the execution engine;
 //!    * *gate fusion* (on by default, see
-//!      [`PassConfig::fuse_max_qubits`] and the `MBU_FUSION` environment
-//!      variable) — merges maximal runs of adjacent gates whose combined
-//!      support fits in `k ≤ `[`MAX_FUSED_QUBITS`] qubits into dense
+//!      [`PassConfig::fuse_max_qubits`]) — merges maximal runs of
+//!      adjacent gates whose combined support fits in
+//!      `k ≤ `[`MAX_FUSED_QUBITS`] qubits into dense
 //!      `2^k × 2^k` [`Instr::Fused`] unitaries ([`FusedUnitary`]), so an
 //!      amplitude backend applies the whole run in **one sweep** over the
 //!      state instead of one sweep per gate. Exact: executors apply the
@@ -173,10 +173,6 @@ pub const MAX_FUSED_QUBITS: usize = 4;
 /// bounds table memory (`2^16` entries) and per-execution build time, not
 /// a dense matrix dimension.
 pub const MAX_PERM_FUSED_QUBITS: usize = 16;
-
-/// The default fusion window, overridable through the `MBU_FUSION`
-/// environment variable (see [`PassConfig::default`]).
-const DEFAULT_FUSE_QUBITS: usize = 3;
 
 /// A run of adjacent gates merged into one dense unitary instruction.
 ///
@@ -423,30 +419,8 @@ pub struct PassConfig {
     /// [`Instr::Fused`] unitary (clamped to [`MAX_FUSED_QUBITS`]; `0`
     /// disables the pass). Fusion is exact — backends apply the block with
     /// per-amplitude arithmetic identical to the unfused stream — so it is
-    /// on by default (window 3, covering every gate family in the set),
-    /// unless the `MBU_FUSION` environment variable overrides it: `0`,
-    /// `off`, `false` or `no` disables fusion process-wide, a positive
-    /// integer replaces the window.
+    /// on by default (window 3, covering every gate family in the set).
     pub fuse_max_qubits: usize,
-}
-
-/// The process-wide fusion default: window [`DEFAULT_FUSE_QUBITS`] unless
-/// the `MBU_FUSION` environment variable overrides it, resolved through
-/// the shared [`knobs`](crate::knobs) policy — off tokens disable, integer
-/// values pin (clamped to [`MAX_FUSED_QUBITS`]), and garbage warns once
-/// instead of silently meaning "the default". Read once (compile sits in
-/// shot-setup paths) and only consulted by [`PassConfig::default`];
-/// explicit configs always win.
-fn fuse_default() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        crate::knobs::window(
-            "MBU_FUSION",
-            std::env::var("MBU_FUSION").ok().as_deref(),
-            DEFAULT_FUSE_QUBITS,
-            MAX_FUSED_QUBITS,
-        )
-    })
 }
 
 impl Default for PassConfig {
@@ -457,7 +431,7 @@ impl Default for PassConfig {
             remove_identities: true,
             phase_dead_before_measure: false,
             reclaim_dead_qubits: true,
-            fuse_max_qubits: fuse_default(),
+            fuse_max_qubits: 3,
         }
     }
 }
@@ -2057,16 +2031,6 @@ mod tests {
         );
     }
 
-    /// Default passes with the fusion window pinned on, so these tests
-    /// hold under a `MBU_FUSION=0` environment (the CI leg that disables
-    /// fusion process-wide).
-    fn fused_config() -> PassConfig {
-        PassConfig {
-            fuse_max_qubits: 3,
-            ..PassConfig::default()
-        }
-    }
-
     /// All gates of `compiled`, fused blocks expanded back to their
     /// global-operand constituents, in program order.
     fn effective_gates(compiled: &CompiledCircuit) -> Vec<Gate> {
@@ -2094,7 +2058,7 @@ mod tests {
         b.cx(r[0], r[2]);
         b.cz(r[0], r[1]);
         let source = b.finish();
-        let compiled = CompiledCircuit::with_config(&source, &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&source).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
         assert_eq!(compiled.stats().fused_gates, 4);
         assert_eq!(compiled.instrs().len(), 1);
@@ -2128,7 +2092,7 @@ mod tests {
         b.cx(r[0], r[1]);
         b.h(r[2]);
         b.cx(r[2], r[3]);
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         // Greedy: the first block absorbs H q2 (support {0,1,2} still fits)
         // but must close before CX q2 q3 would push it to four qubits; the
         // leftover lone CX stays plain (only one heavy gate).
@@ -2155,7 +2119,7 @@ mod tests {
         b.cz(r[1], r[2]);
         b.x(r[0]);
         b.ccz(r[0], r[1], r[2]);
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 0, "{compiled}");
         assert_eq!(compiled.counts().total_gates(), 4);
     }
@@ -2176,7 +2140,7 @@ mod tests {
         b.cx(r[0], r[1]);
         let no_reclaim = PassConfig {
             reclaim_dead_qubits: false,
-            ..fused_config()
+            ..PassConfig::default()
         };
         let compiled = CompiledCircuit::with_config(&b.finish(), &no_reclaim).unwrap();
         // Three separate blocks: before the measurement, inside the guarded
@@ -2242,7 +2206,7 @@ mod tests {
             b.cx(r[i], r[i + 1]);
         }
         let source = b.finish();
-        let compiled = CompiledCircuit::with_config(&source, &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&source).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
         assert_eq!(compiled.stats().fused_gates, 7);
         assert_eq!(compiled.instrs().len(), 1);
@@ -2275,7 +2239,7 @@ mod tests {
         for i in 0..5 {
             b.cx(r[i], r[i + 1]);
         }
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 0, "{compiled}");
         assert_eq!(compiled.instrs().len(), 5);
     }
@@ -2294,7 +2258,7 @@ mod tests {
         for i in 0..7 {
             b.cx(r[i + 1], r[i]);
         }
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 2, "{compiled}");
         assert_eq!(compiled.stats().fused_gates, 14);
         assert!(compiled
@@ -2313,7 +2277,7 @@ mod tests {
         let r = b.qreg("q", 2);
         b.h(r[0]);
         b.cx(r[0], r[1]);
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 1);
         let m = compiled.fused_unitaries()[0].matrix();
         let s = std::f64::consts::FRAC_1_SQRT_2;
@@ -2339,7 +2303,7 @@ mod tests {
         let _ = b.measure(r[0], Basis::Z);
         b.h(r[1]);
         b.cx(r[0], r[1]);
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_config()).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
         let drop_pc = compiled
             .instrs()

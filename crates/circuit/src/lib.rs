@@ -60,7 +60,6 @@ mod depth;
 pub mod diagram;
 mod error;
 mod gate;
-pub mod knobs;
 mod op;
 mod plan;
 pub mod verify;

@@ -31,11 +31,11 @@
 //! spot past the dense cap — the interior of a QFT adder — wants the
 //! phase-accumulator representation, where diagonal gates are O(occupied)
 //! exact angle additions. The `mbu-sim` crate's hybrid backend
-//! (`MBU_BACKEND=auto`) replays the dense/sparse half of the decision at
+//! (`BackendKind::Auto`) replays the dense/sparse half of the decision at
 //! run time — seeded with the *live* occupancy instead of the static
 //! prediction — and converts representations at segment boundaries; it
 //! never runs a segment on the phase accumulator, so a `Phase` label
-//! marks a segment where `MBU_BACKEND=phase` pays.
+//! marks a segment where the phase backend (`BackendKind::Phase`) pays.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -315,7 +315,6 @@ impl CompiledCircuit {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
-    use crate::compile::PassConfig;
     use crate::gate::Basis;
 
     #[test]
@@ -383,11 +382,7 @@ mod tests {
         for i in 0..7 {
             b.cx(r[i], r[i + 1]);
         }
-        let fused_on = PassConfig {
-            fuse_max_qubits: 3,
-            ..PassConfig::default()
-        };
-        let compiled = CompiledCircuit::with_config(&b.finish(), &fused_on).unwrap();
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
         let profiles = compiled.segment_profiles();
         assert_eq!(profiles.len(), 1);

@@ -1,6 +1,6 @@
 //! Cross-backend equivalence on the paper's modular adders: the lossless
 //! dense↔sparse conversions round-trip bit-for-bit under every kernel
-//! configuration, and the `MBU_BACKEND=auto` hybrid planner matches the
+//! configuration, and the `BackendKind::Auto` hybrid planner matches the
 //! forced sparse backend bit-for-bit — amplitudes, executed records,
 //! classical bits and RNG stream position — on random MBU modadd
 //! instances, switching representations mid-run while it does so.
@@ -123,12 +123,14 @@ proptest! {
     /// The auto backend, with thresholds tightened so it actually switches
     /// representations mid-run, matches the forced sparse backend
     /// bit-for-bit on random MBU modadds: record, classical bits, RNG
-    /// position and every amplitude.
+    /// position and every amplitude — with its dense phases serial or
+    /// split over two amplitude lanes.
     #[test]
     fn auto_backend_matches_forced_sparse_bit_for_bit(
         (spec, p, x, y) in arb_instance(),
         seed in 0u64..u64::MAX,
         fuse in 0usize..2,
+        lanes in 1usize..=2,
     ) {
         let layout = modular::modadd_circuit(&spec, 3, p).unwrap();
         let q = layout.circuit.num_qubits();
@@ -136,6 +138,7 @@ proptest! {
         let compiled = compile(&layout.circuit, fuse == 1);
 
         let mut auto = HybridState::zeros(q).unwrap().with_thresholds(24, 1);
+        Simulator::set_amp_threads(&mut auto, lanes);
         let mut sparse = SparseVector::zeros(q).unwrap();
         for sim in [&mut auto as &mut dyn Simulator, &mut sparse] {
             sim.set_value(layout.x.qubits(), x).unwrap();

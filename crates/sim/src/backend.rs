@@ -1,32 +1,23 @@
-//! Runtime backend selection: the `MBU_BACKEND` knob.
+//! Backend selection by value.
 //!
 //! Every harness that builds simulators through a factory — the shot
 //! engine, the branch-tree engine, benches, examples — can route
-//! construction through [`BackendKind`] so one environment variable picks
-//! the backend process-wide:
+//! construction through [`BackendKind`], so the backend is one value the
+//! caller passes in:
 //!
-//! * `MBU_BACKEND=dense` (default; aliases `statevector`, `sv`) — the
-//!   exact dense-amplitude [`StateVector`];
-//! * `MBU_BACKEND=sparse` — the basis-map [`SparseVector`], identical
-//!   amplitudes at a memory cost of the occupied states only;
-//! * `MBU_BACKEND=phase` — the Fourier-basis
+//! * [`Dense`](BackendKind::Dense) — the exact dense-amplitude
+//!   [`StateVector`];
+//! * [`Sparse`](BackendKind::Sparse) — the basis-map [`SparseVector`],
+//!   identical amplitudes at a memory cost of the occupied states only;
+//! * [`Phase`](BackendKind::Phase) — the Fourier-basis
 //!   [`PhaseAccumulator`](crate::PhaseAccumulator), exact dyadic phase
 //!   arithmetic on occupied branches: QFT-adder interiors run with no
 //!   amplitude sweeps at any width the sparse map accepts;
-//! * `MBU_BACKEND=tracker` (alias `basis`) — the `O(1)`-per-gate
+//! * [`Tracker`](BackendKind::Tracker) — the `O(1)`-per-gate
 //!   [`BasisTracker`], which rejects circuits that leave its fragment;
-//! * `MBU_BACKEND=auto` (alias `hybrid`) — the planning
-//!   [`HybridState`], which starts sparse and switches dense↔sparse at
-//!   compiled-segment boundaries, bit-identical to the best fixed choice.
-//!
-//! Resolution goes through [`mbu_circuit::knobs::choice`]: unknown values
-//! warn once and keep the default rather than silently selecting a
-//! backend. The environment is read once per process ([`from_env`]
-//! caches), matching the other `MBU_*` knobs.
-//!
-//! [`from_env`]: BackendKind::from_env
-
-use std::sync::OnceLock;
+//! * [`Auto`](BackendKind::Auto) — the planning [`HybridState`], which
+//!   starts sparse and switches dense↔sparse at compiled-segment
+//!   boundaries, bit-identical to the best fixed choice.
 
 use crate::basis::BasisTracker;
 use crate::error::SimError;
@@ -36,22 +27,20 @@ use crate::simulator::Simulator;
 use crate::sparse::SparseVector;
 use crate::statevector::StateVector;
 
-/// The simulator backends a factory can construct, selectable at runtime
-/// via `MBU_BACKEND`.
+/// The simulator backends a factory can construct.
 ///
 /// # Examples
 ///
 /// ```
 /// use mbu_sim::BackendKind;
 ///
-/// assert_eq!(BackendKind::resolve(None), BackendKind::Dense);
-/// assert_eq!(BackendKind::resolve(Some("sparse")), BackendKind::Sparse);
+/// assert_eq!(BackendKind::Sparse.to_string(), "sparse");
 /// let sim = BackendKind::Sparse.build(300).unwrap();
 /// assert_eq!(sim.num_qubits(), 300);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackendKind {
-    /// The dense-amplitude [`StateVector`] (default).
+    /// The dense-amplitude [`StateVector`].
     Dense,
     /// The sparse basis-map [`SparseVector`].
     Sparse,
@@ -64,43 +53,8 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every token [`resolve`](Self::resolve) accepts, canonical
-    /// (lowercase) spellings.
-    const OPTIONS: &'static [&'static str] = &[
-        "dense",
-        "statevector",
-        "sv",
-        "sparse",
-        "phase",
-        "tracker",
-        "basis",
-        "auto",
-        "hybrid",
-    ];
-
-    /// Resolves a raw `MBU_BACKEND` value: unset or unrecognised (the
-    /// latter warns once) selects [`Dense`](Self::Dense).
-    #[must_use]
-    pub fn resolve(raw: Option<&str>) -> Self {
-        match mbu_circuit::knobs::choice("MBU_BACKEND", raw, Self::OPTIONS, "dense") {
-            "sparse" => Self::Sparse,
-            "phase" => Self::Phase,
-            "tracker" | "basis" => Self::Tracker,
-            "auto" | "hybrid" => Self::Auto,
-            _ => Self::Dense,
-        }
-    }
-
-    /// The process-wide `MBU_BACKEND` selection, read from the
-    /// environment once and cached (knob resolution sits inside per-shot
-    /// factories).
-    #[must_use]
-    pub fn from_env() -> Self {
-        static CHOSEN: OnceLock<BackendKind> = OnceLock::new();
-        *CHOSEN.get_or_init(|| Self::resolve(std::env::var("MBU_BACKEND").ok().as_deref()))
-    }
-
-    /// The canonical knob token for this backend.
+    /// The backend's lowercase name, as [`Display`](std::fmt::Display)
+    /// prints it.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -141,28 +95,6 @@ impl std::fmt::Display for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolution_covers_aliases_case_and_garbage() {
-        for (raw, expect) in [
-            (None, BackendKind::Dense),
-            (Some("dense"), BackendKind::Dense),
-            (Some("statevector"), BackendKind::Dense),
-            (Some(" SV "), BackendKind::Dense),
-            (Some("sparse"), BackendKind::Sparse),
-            (Some("Sparse"), BackendKind::Sparse),
-            (Some("phase"), BackendKind::Phase),
-            (Some(" Phase "), BackendKind::Phase),
-            (Some("tracker"), BackendKind::Tracker),
-            (Some("basis"), BackendKind::Tracker),
-            (Some("auto"), BackendKind::Auto),
-            (Some(" Hybrid "), BackendKind::Auto),
-            (Some("spares"), BackendKind::Dense),
-            (Some(""), BackendKind::Dense),
-        ] {
-            assert_eq!(BackendKind::resolve(raw), expect, "{raw:?}");
-        }
-    }
 
     #[test]
     fn build_respects_per_backend_width_caps() {

@@ -237,6 +237,18 @@ impl BasisTracker {
         Simulator::run(self, circuit, rng)
     }
 
+    /// `q`'s index into the mode table, or [`SimError::OutOfRange`]
+    /// naming it as the `role` operand.
+    fn index_of(&self, q: QubitId, role: &str) -> Result<usize, SimError> {
+        if q.index() < self.qubits.len() {
+            Ok(q.index())
+        } else {
+            Err(SimError::OutOfRange {
+                what: format!("{role} q{}", q.0),
+            })
+        }
+    }
+
     fn flip_phase(&mut self) {
         self.phase = self.phase + Angle::HALF_TURN;
     }
@@ -379,16 +391,13 @@ impl Simulator for BasisTracker {
     }
 
     fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError> {
+        exec::validate_gate(gate, self.qubits.len())?;
         self.apply(gate)
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
-        if q.index() >= self.qubits.len() {
-            return Err(SimError::OutOfRange {
-                what: format!("qubit q{}", q.0),
-            });
-        }
-        self.set_mode(q.index(), Mode::Z(value));
+        let i = self.index_of(q, "qubit")?;
+        self.set_mode(i, Mode::Z(value));
         Ok(())
     }
 
@@ -412,7 +421,7 @@ impl Simulator for BasisTracker {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        let i = qubit.index();
+        let i = self.index_of(qubit, "measured qubit")?;
         match (basis, self.qubits[i]) {
             // Measuring a definite bit is deterministic.
             (Basis::Z, Mode::Z(b)) => Ok(b),
@@ -441,7 +450,8 @@ impl Simulator for BasisTracker {
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
-        match self.qubits[qubit.index()] {
+        let i = self.index_of(qubit, "reset qubit")?;
+        match self.qubits[i] {
             Mode::Z(_) => {}
             Mode::X(s) => {
                 // Collapse first (a fair coin); |−⟩ collapsing to |1⟩
@@ -452,7 +462,7 @@ impl Simulator for BasisTracker {
                 }
             }
         }
-        self.set_mode(qubit.index(), Mode::Z(false));
+        self.set_mode(i, Mode::Z(false));
         Ok(())
     }
 
@@ -463,12 +473,7 @@ impl Simulator for BasisTracker {
     /// whose two collapsed children (including the |−⟩-collapse phase
     /// flip) are produced by cloning the per-qubit mode table.
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        let i = qubit.index();
-        if i >= self.qubits.len() {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
+        let i = self.index_of(qubit, "measured qubit")?;
         let split = |zero: &mut Self, one_mode: Mode, flip: bool| {
             let mut one = zero.clone();
             one.last_run_peak = None;
@@ -511,11 +516,13 @@ impl Simulator for BasisTracker {
         Some(self.peak)
     }
 
-    /// Compiled execution with occupancy bookkeeping: the default
+    /// Compiled execution with occupancy bookkeeping: the shared
     /// program-counter loop, bracketed by a high-water-mark reset and
     /// capture so the tracker reports
     /// [`peak_amplitudes`](Simulator::peak_amplitudes) in the same
-    /// occupied-states unit as the amplitude backends.
+    /// occupied-states unit as the amplitude backends. Gates and fused
+    /// blocks go straight to the unchecked `apply`: lowering validated
+    /// every operand, and `check_width` bounds them by the mode table.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -524,7 +531,17 @@ impl Simulator for BasisTracker {
         exec::check_width(compiled.num_qubits(), self.num_qubits())?;
         self.peak = self.occupied();
         let mut executed = Executed::default();
-        exec::execute_compiled(self, compiled, rng, &mut executed)?;
+        exec::execute_compiled_core(
+            self,
+            compiled,
+            rng,
+            &mut executed,
+            |s, g| s.apply(g),
+            |s, fu| fu.global_gates().try_for_each(|g| s.apply(&g)),
+            |_, q| Ok(q),
+            |_, _| {},
+            |_, _| Ok(()),
+        )?;
         self.last_run_peak = Some(self.peak);
         Ok(executed)
     }
@@ -835,6 +852,44 @@ mod tests {
             Err(SimError::OutOfRange { .. })
         ));
         assert_eq!(t.value(&[q(0), q(1), q(2)]).unwrap(), 0);
+    }
+
+    #[test]
+    fn bad_operands_error_like_the_other_backends() {
+        // Regression: gates, measurements and resets on a qubit past the
+        // width used to index the mode table and panic, and `Cx(q0, q0)`
+        // ran as if it were a gate. Every backend now rejects both with
+        // the same typed errors.
+        let mut t = BasisTracker::zeros(2);
+        for gate in [
+            Gate::X(q(5)),
+            Gate::Ccx(q(0), q(1), q(2)),
+            Gate::Cz(q(9), q(0)),
+        ] {
+            assert!(
+                matches!(t.apply_gate(&gate), Err(SimError::OutOfRange { .. })),
+                "{gate}"
+            );
+        }
+        for gate in [Gate::Cx(q(0), q(0)), Gate::Ccz(q(1), q(0), q(1))] {
+            assert!(
+                matches!(t.apply_gate(&gate), Err(SimError::DuplicateOperand { .. })),
+                "{gate}"
+            );
+        }
+        let mut never = |_: f64| -> bool { unreachable!("no draw on a rejected qubit") };
+        for basis in [Basis::Z, Basis::X] {
+            assert!(matches!(
+                t.measure(q(2), basis, &mut never),
+                Err(SimError::OutOfRange { .. })
+            ));
+        }
+        assert!(matches!(
+            t.reset(q(2), &mut never),
+            Err(SimError::OutOfRange { .. })
+        ));
+        assert_eq!(t.value(&[q(0), q(1)]).unwrap(), 0, "left untouched");
+        assert!(t.global_phase().is_zero());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   same order along every path.
 //!
 //! Branches whose conditional probability falls below the floor
-//! (`MBU_BRANCH_EPS`, default `1e-12`, `0` = full expansion down to
-//! exactly-impossible branches) are pruned; their mass is tracked in
+//! ([`BranchEnsemble::with_eps`], default `1e-12`, `0` = full expansion
+//! down to exactly-impossible branches) are pruned; their mass is tracked in
 //! [`BranchDistribution::pruned_mass`], and a replayed shot that lands in
 //! pruned territory quietly falls back to per-shot execution of exactly
 //! that shot. When the tree would exceed the node budget, the sampled mode
@@ -48,7 +48,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::SimError;
 use crate::exec::Executed;
 use crate::shots::{
-    count_fields, resolve_threads, shot_seed, split_budget, Accumulator, CountStats, Ensemble,
+    count_fields, cpu_threads, shot_seed, split_budget, Accumulator, CountStats, Ensemble,
     ShotRunner, DEFAULT_MASTER_SEED, NFIELDS,
 };
 use crate::simulator::{Fork, Simulator};
@@ -64,21 +64,6 @@ pub const DEFAULT_NODE_BUDGET: usize = 4096;
 /// of a fork must stay impossible).
 const DEFAULT_BRANCH_EPS: f64 = 1e-12;
 const MAX_BRANCH_EPS: f64 = 0.25;
-
-/// The process-wide `MBU_BRANCH_EPS` default, resolved once through the
-/// shared [`mbu_circuit::knobs`] policy (garbage warns and keeps the
-/// default; values are clamped like [`BranchEnsemble::with_eps`]).
-fn branch_eps_default() -> f64 {
-    static DEFAULT: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        mbu_circuit::knobs::fraction(
-            "MBU_BRANCH_EPS",
-            std::env::var("MBU_BRANCH_EPS").ok().as_deref(),
-            DEFAULT_BRANCH_EPS,
-        )
-        .min(MAX_BRANCH_EPS)
-    })
-}
 
 /// A reference into the outcome tree.
 #[derive(Clone, Copy, Debug)]
@@ -494,18 +479,19 @@ impl BranchEnsemble {
     /// A branch-tree scheduler whose sampled mode replays `shots` shots
     /// (the exact mode ignores the count — `new(0)` is fine for
     /// distribution-only use). Defaults mirror [`ShotRunner::new`]: the
-    /// same master seed, the `MBU_SHOT_THREADS` / `MBU_AMP_THREADS` thread
-    /// knobs, plus the `MBU_BRANCH_EPS` pruning floor and the
-    /// [`DEFAULT_NODE_BUDGET`] node budget.
+    /// same master seed and one-thread-per-CPU budget with scheduled
+    /// amplitude lanes, plus a `1e-12` pruning floor
+    /// ([`with_eps`](Self::with_eps)) and the [`DEFAULT_NODE_BUDGET`] node
+    /// budget.
     #[must_use]
     pub fn new(shots: u64) -> Self {
         Self {
             shots,
             master_seed: DEFAULT_MASTER_SEED,
-            threads: resolve_threads(std::env::var("MBU_SHOT_THREADS").ok().as_deref()),
-            amp_threads: crate::statevector::amp_threads_env(),
+            threads: cpu_threads(),
+            amp_threads: None,
             passes: None,
-            eps: branch_eps_default(),
+            eps: DEFAULT_BRANCH_EPS,
             node_budget: DEFAULT_NODE_BUDGET,
         }
     }
@@ -976,7 +962,8 @@ impl BranchDistribution {
         self.total_weight
     }
 
-    /// Probability mass dropped by `MBU_BRANCH_EPS` pruning.
+    /// Probability mass dropped by pruning below the
+    /// [`with_eps`](BranchEnsemble::with_eps) floor.
     #[must_use]
     pub fn pruned_mass(&self) -> f64 {
         self.pruned_mass
@@ -1432,12 +1419,17 @@ mod tests {
             .distribution(&circuit, factory)
             .unwrap();
         assert_eq!(base.num_leaves(), 4, "two genuine forks");
-        for threads in [2, 3, 8] {
+        for (threads, lanes) in [(2, 1), (3, 1), (8, 1), (8, 2)] {
             let d = BranchEnsemble::new(0)
                 .with_threads(threads)
+                .with_amp_threads(lanes)
                 .distribution(&circuit, factory)
                 .unwrap();
-            assert_eq!(d.mean_counts(), base.mean_counts(), "threads {threads}");
+            assert_eq!(
+                d.mean_counts(),
+                base.mean_counts(),
+                "threads {threads}, lanes {lanes}"
+            );
             assert_eq!(d.total_weight().to_bits(), base.total_weight().to_bits());
             assert_eq!(d.pruned_mass().to_bits(), base.pruned_mass().to_bits());
             let rb: Vec<_> = base
@@ -1448,18 +1440,22 @@ mod tests {
                 .record_frequencies()
                 .map(|(r, f)| (r.to_vec(), f.to_bits()))
                 .collect();
-            assert_eq!(rb, rd, "threads {threads}");
+            assert_eq!(rb, rd, "threads {threads}, lanes {lanes}");
             let lb: Vec<_> = base
                 .leaves()
                 .map(|(w, e)| (w.to_bits(), e.clone()))
                 .collect();
             let ld: Vec<_> = d.leaves().map(|(w, e)| (w.to_bits(), e.clone())).collect();
-            assert_eq!(lb, ld, "threads {threads}: canonical leaf order");
+            assert_eq!(
+                lb, ld,
+                "threads {threads}, lanes {lanes}: canonical leaf order"
+            );
         }
     }
 
     #[test]
     fn eps_is_clamped_below_a_double_prune() {
+        assert_eq!(BranchEnsemble::new(1).eps(), 1e-12, "the default floor");
         let runner = BranchEnsemble::new(1).with_eps(0.9);
         assert!(runner.eps() <= 0.25);
         let runner = runner.with_eps(-1.0);

@@ -7,10 +7,11 @@
 
 use std::sync::OnceLock;
 
-use mbu_circuit::{knobs, CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op};
+use mbu_circuit::{CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op, QubitId};
 use rand::{Rng, RngCore};
 
 use crate::error::SimError;
+use crate::knobs;
 use crate::simulator::Simulator;
 
 /// Whether the `MBU_VERIFY` admission gate is on: executors then run the
@@ -79,6 +80,49 @@ pub(crate) fn check_width(program_qubits: usize, state_qubits: usize) -> Result<
     if program_qubits > state_qubits {
         return Err(SimError::OutOfRange {
             what: format!("{program_qubits}-qubit compiled program on {state_qubits}-qubit state"),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a gate whose operands are out of range or duplicated — the
+/// one operand check every backend runs before a gate-at-a-time
+/// [`apply_gate`](Simulator::apply_gate).
+///
+/// Kernels and mode tables assume valid operands: an out-of-range mask
+/// makes some dense gates silent no-ops (`Z`, `CZ`, phases: the
+/// `i & m != 0` filter never fires) and others panic (`X`: `amps.swap`
+/// past the end), an out-of-range index panics the tracker's mode table,
+/// and a duplicated operand makes the pinned-bit expansion enumerate
+/// garbage. Validation up front turns all of that into a typed error.
+/// Compiled runs skip it per gate: lowering already validated the
+/// operands, and [`check_width`] bounds them by the state.
+#[inline]
+pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
+    let mut seen: [Option<QubitId>; 3] = [None; 3];
+    let mut count = 0usize;
+    let mut oob: Option<QubitId> = None;
+    let mut dup: Option<QubitId> = None;
+    gate.for_each_qubit(&mut |q| {
+        if q.index() >= num_qubits {
+            oob.get_or_insert(q);
+        }
+        if seen[..count].contains(&Some(q)) {
+            dup.get_or_insert(q);
+        } else if count < seen.len() {
+            seen[count] = Some(q);
+            count += 1;
+        }
+    });
+    if let Some(q) = oob {
+        return Err(SimError::OutOfRange {
+            what: format!("gate `{gate}` on qubit q{}", q.0),
+        });
+    }
+    if let Some(q) = dup {
+        return Err(SimError::DuplicateOperand {
+            gate: gate.to_string(),
+            qubit: q.0,
         });
     }
     Ok(())
@@ -201,11 +245,8 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     executed: &mut Executed,
     mut apply: impl FnMut(&mut S, &Gate) -> Result<(), SimError>,
     mut apply_fused: impl FnMut(&mut S, &FusedUnitary) -> Result<(), SimError>,
-    mut before_nonunitary: impl FnMut(
-        &mut S,
-        mbu_circuit::QubitId,
-    ) -> Result<mbu_circuit::QubitId, SimError>,
-    mut on_drop: impl FnMut(&mut S, mbu_circuit::QubitId),
+    mut before_nonunitary: impl FnMut(&mut S, QubitId) -> Result<QubitId, SimError>,
+    mut on_drop: impl FnMut(&mut S, QubitId),
     mut at_pc: impl FnMut(&mut S, usize) -> Result<(), SimError>,
 ) -> Result<(), SimError> {
     admit_compiled(compiled)?;

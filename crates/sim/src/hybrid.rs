@@ -15,8 +15,11 @@
 //!
 //! The static plan ([`CompiledCircuit::representation_plan`]) also labels
 //! diagonal-heavy blow-ups past the dense cap `phase`: those are the
-//! segments where `MBU_BACKEND=phase` pays. `auto` never runs them on the
-//! phase accumulator; it plans dense↔sparse only.
+//! segments where the phase backend ([`BackendKind::Phase`]) pays. The
+//! hybrid never runs them on the phase accumulator; it plans dense↔sparse
+//! only.
+//!
+//! [`BackendKind::Phase`]: crate::BackendKind::Phase
 //!
 //! Conversions are the bit-exact moves of [`crate::convert`] — no
 //! amplitude arithmetic — and both representations compute bit-identical
@@ -28,13 +31,13 @@
 //! `1`) consumes no draw even while dense — the wrapper shortcuts the
 //! dense engine's unconditional draw, which is sound because the two
 //! representations' ascending-order Born sums are bitwise identical, so
-//! they agree exactly on which outcomes are definite. Hence
-//! `MBU_BACKEND=auto` is stream-identical to `MBU_BACKEND=sparse` on
-//! every circuit, and to `dense` as well on circuits whose measurements
-//! are all genuinely random (every draw policy draws there).
+//! they agree exactly on which outcomes are definite. Hence the hybrid is
+//! stream-identical to the sparse backend on every circuit, and to the
+//! dense one as well on circuits whose measurements are all genuinely
+//! random (every draw policy draws there).
 //!
-//! Selected at runtime with `MBU_BACKEND=auto`
-//! ([`BackendKind`](crate::BackendKind)); the planning thresholds are the
+//! Factories select it as [`BackendKind::Auto`](crate::BackendKind::Auto);
+//! the planning thresholds are the
 //! compile-time defaults [`mbu_circuit::DEFAULT_AUTO_DENSE_QUBITS`] and
 //! [`mbu_circuit::DEFAULT_AUTO_SPARSITY`], overridable per state with
 //! [`HybridState::with_thresholds`].
@@ -50,7 +53,7 @@ use crate::sparse::SparseVector;
 use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
 
 /// Below this many compiled instructions, per-segment planning is pure
-/// overhead over just picking a backend — `MBU_BACKEND=auto` warns once.
+/// overhead over just picking a backend — the hybrid warns once.
 const TINY_PLAN_INSTRS: usize = 16;
 
 /// The `H` count of `instrs[start..end]`, counting fused-block
@@ -103,7 +106,8 @@ enum Repr {
 /// A state that executes each compiled segment in whichever representation
 /// the planner predicts is cheapest, converting losslessly at segment
 /// boundaries. See the module docs for the planning rule and the
-/// bit-identity contract; `MBU_BACKEND=auto` selects it process-wide.
+/// bit-identity contract; factories select it as
+/// [`BackendKind::Auto`](crate::BackendKind::Auto).
 ///
 /// # Examples
 ///
@@ -167,7 +171,7 @@ impl HybridState {
             last_run_switches: None,
             peak: 1,
             last_run_peak: None,
-            amp_threads: crate::statevector::amp_threads_env().unwrap_or(1),
+            amp_threads: 1,
         })
     }
 
@@ -505,10 +509,11 @@ impl Simulator for HybridState {
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits())?;
         if compiled.instrs().len() < TINY_PLAN_INSTRS {
-            mbu_circuit::knobs::warn_once(
-                "MBU_BACKEND=auto+tiny-circuit",
-                "MBU_BACKEND=auto on a tiny compiled program: per-segment planning is \
-                 pure overhead here; a fixed backend (dense/sparse/tracker) will be faster",
+            crate::knobs::warn_once(
+                "auto-backend-tiny-circuit",
+                "auto backend (HybridState) on a tiny compiled program: per-segment \
+                 planning is pure overhead here; a fixed backend (dense/sparse/tracker) \
+                 will be faster",
             );
         }
         self.switches = 0;

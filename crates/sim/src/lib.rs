@@ -2,7 +2,7 @@
 //!
 //! Three exact backends execute the [`mbu-circuit`](mbu_circuit) IR,
 //! including mid-circuit measurement and classically-controlled blocks —
-//! plus a fourth, [`HybridState`] (`MBU_BACKEND=auto`), that hops between
+//! plus a fourth, [`HybridState`] ([`BackendKind::Auto`]), that hops between
 //! the first two mid-run via a per-segment planner (see below):
 //!
 //! * [`StateVector`] — exact complex-amplitude simulation of every gate in
@@ -23,7 +23,7 @@
 //!   cryptographic register sizes of Table 1 (n = 64, 256, 1024) where a
 //!   dense amplitude array cannot exist.
 //! * [`PhaseAccumulator`] — a Fourier-basis phase-accumulator backend
-//!   (`MBU_BACKEND=phase`). Each occupied basis branch carries a basis key
+//!   ([`BackendKind::Phase`]). Each occupied basis branch carries a basis key
 //!   plus exact arbitrary-precision dyadic phase accumulators for its
 //!   Fourier-mode qubits, so the entire interior of a QFT adder —
 //!   `H` promotion, `Rz`/`Phase`/`CPhase`/`CCPhase` rotations, `H`
@@ -61,7 +61,7 @@
 //! vector applies each block in a single sweep over the amplitude array
 //! (bit-identical to unfused execution), and every kernel sweep can split
 //! across a persistent per-state worker pool
-//! ([`StateVector::with_amp_threads`] / `MBU_AMP_THREADS`) with
+//! ([`StateVector::with_amp_threads`]) with
 //! deterministic chunking — bit-identical results at any lane count.
 //! Amplitudes live in cache-line-aligned structure-of-arrays re/im
 //! buffers, and the kernels walk them as grouped strided spans whose
@@ -78,8 +78,8 @@
 //! once, and either returns the **exact** outcome distribution (no RNG at
 //! all) or replays the per-shot RNG streams against the tree for
 //! aggregates bit-identical to the [`ShotRunner`]'s. The backend behind
-//! any of those harnesses is selectable at runtime through the
-//! `MBU_BACKEND` knob ([`BackendKind`]) — including `auto`, the
+//! any of those harnesses is one [`BackendKind`] value the caller passes
+//! to its factory — including [`BackendKind::Auto`], the
 //! [`HybridState`] planner that starts sparse and converts dense↔sparse
 //! at compiled-segment boundaries using the compiler's structural
 //! segment profiles ([`mbu_circuit::SegmentProfile`]). The lossless
@@ -138,6 +138,7 @@ mod error;
 mod exec;
 mod hybrid;
 mod kernels;
+mod knobs;
 mod phase;
 mod pool;
 mod shots;

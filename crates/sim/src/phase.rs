@@ -32,7 +32,7 @@
 
 use std::cmp::Ordering;
 
-use mbu_circuit::{knobs, Angle, Basis, CompiledCircuit, Gate, QubitId};
+use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, QubitId};
 use rand::RngCore;
 
 use crate::complex::Complex;
@@ -287,7 +287,7 @@ fn bit_addr(q: QubitId) -> (usize, u64) {
     (q.index() / 64, 1u64 << (q.index() % 64))
 }
 
-/// The phase-accumulator simulation backend (`MBU_BACKEND=phase`).
+/// The phase-accumulator simulation backend ([`BackendKind::Phase`](crate::BackendKind::Phase)).
 ///
 /// See the [module docs](self) for the representation. Functionally exact
 /// on the full gate set; asymptotically fast on the Fourier-arithmetic
@@ -425,38 +425,6 @@ impl PhaseAccumulator {
         self.fourier_qubits
             .binary_search(&q.0)
             .expect("mode map out of sync")
-    }
-
-    /// Same validation as the amplitude engines: out-of-range and
-    /// duplicated operands are typed errors, not silent corruption.
-    fn validate_gate(&self, gate: &Gate) -> Result<(), SimError> {
-        let mut seen: [Option<QubitId>; 3] = [None; 3];
-        let mut count = 0usize;
-        let mut oob: Option<QubitId> = None;
-        let mut dup: Option<QubitId> = None;
-        gate.for_each_qubit(&mut |q| {
-            if q.index() >= self.num_qubits {
-                oob.get_or_insert(q);
-            }
-            if seen[..count].contains(&Some(q)) {
-                dup.get_or_insert(q);
-            } else if count < seen.len() {
-                seen[count] = Some(q);
-                count += 1;
-            }
-        });
-        if let Some(q) = oob {
-            return Err(SimError::OutOfRange {
-                what: format!("gate `{gate}` on qubit q{}", q.0),
-            });
-        }
-        if let Some(q) = dup {
-            return Err(SimError::DuplicateOperand {
-                gate: gate.to_string(),
-                qubit: q.0,
-            });
-        }
-        Ok(())
     }
 
     /// Losslessly expands Fourier qubit `q` into explicit 0/1 branches
@@ -794,7 +762,7 @@ impl PhaseAccumulator {
     }
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        self.validate_gate(gate)?;
+        exec::validate_gate(gate, self.num_qubits)?;
         match *gate {
             Gate::X(q) => self.permute_x(&[], q),
             Gate::Cx(c, t) => self.permute_x(&[c], t),
@@ -1066,10 +1034,9 @@ impl Simulator for PhaseAccumulator {
 
     /// Compiled execution through the shared program-counter core, with
     /// the branch high-water mark reset and reported like the sparse
-    /// engine's. Warns once (via [`mbu_circuit::knobs`]) when the program
-    /// has no diagonal gates at all — forcing `MBU_BACKEND=phase` on such
-    /// a circuit never engages the fast path and the sparse map would be
-    /// at least as good.
+    /// engine's. Warns once when the program has no diagonal gates at
+    /// all — the phase backend never engages its fast path on such a
+    /// circuit, and the sparse map would be at least as good.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -1081,11 +1048,11 @@ impl Simulator for PhaseAccumulator {
             .iter()
             .all(|p| p.diag_count == 0)
         {
-            knobs::warn_once(
+            crate::knobs::warn_once(
                 "phase-backend-no-diagonal",
                 "phase backend: program has no diagonal gates, so the \
-                 phase-accumulator fast path never engages; MBU_BACKEND=sparse \
-                 is at least as fast on this circuit",
+                 phase-accumulator fast path never engages; the sparse backend \
+                 (SparseVector) is at least as fast on this circuit",
             );
         }
         self.peak_branches = self.branches.len() as u64;

@@ -4,8 +4,8 @@
 //! over the amplitude array into disjoint index ranges and execute them
 //! concurrently. Spawning OS threads per gate would dwarf the sweep itself
 //! (a compiled run applies thousands of kernels), so each
-//! [`StateVector`](crate::StateVector) that runs with `MBU_AMP_THREADS > 1`
-//! owns one [`AmpPool`]: `threads − 1` parked worker threads plus the
+//! [`StateVector`](crate::StateVector) that runs with more than one
+//! amplitude lane (`with_amp_threads`) owns one [`AmpPool`]: `threads − 1` parked worker threads plus the
 //! calling thread, woken per kernel call and re-parked after a barrier.
 //!
 //! The pool is deliberately minimal: one job at a time (the owning

@@ -25,7 +25,7 @@
 //! one-per-core with serial kernels, while a single deep shot hands the
 //! whole budget to the amplitude kernels (whose chunking is itself
 //! bit-deterministic), so aggregates stay identical at every
-//! `(MBU_SHOT_THREADS, MBU_AMP_THREADS)` combination.
+//! `(with_threads, with_amp_threads)` combination.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -50,19 +50,10 @@ type ChunkResult<O> = Result<(Accumulator, Vec<O>), (u64, SimError)>;
 /// the box ("MBUSHOTS").
 pub(crate) const DEFAULT_MASTER_SEED: u64 = 0x4d42_5553_484f_5453;
 
-/// Resolves the default worker count from an (injected) `MBU_SHOT_THREADS`
-/// value: a positive integer pins the pool, anything else — including `0`,
-/// which would deadlock a pool, and unparsable garbage — warns once (via
-/// the shared [`mbu_circuit::knobs`] resolver) and falls back to the CPU
-/// count.
-///
-/// Taking the value as a parameter (rather than reading the environment
-/// here) keeps the selection policy testable without mutating
-/// process-global state under a parallel test harness.
-pub(crate) fn resolve_threads(env_value: Option<&str>) -> usize {
-    let cpu = thread::available_parallelism().map_or(1, |n| n.get());
-    mbu_circuit::knobs::positive_count("MBU_SHOT_THREADS", env_value, cpu, "the CPU count")
-        .unwrap_or(cpu)
+/// The default thread budget of both ensemble engines: one thread per
+/// available CPU.
+pub(crate) fn cpu_threads() -> usize {
+    thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The deterministic per-shot seed: SplitMix64 over `(master_seed, shot)`,
@@ -153,29 +144,18 @@ pub struct ShotRunner {
 }
 
 impl ShotRunner {
-    /// An ensemble of `shots` runs, with the default master seed and one
-    /// thread per available CPU.
-    ///
-    /// The worker count can be pinned from the environment: if
-    /// `MBU_SHOT_THREADS` is set to a positive integer, it replaces the
-    /// CPU-count default (still overridable with
-    /// [`with_threads`](Self::with_threads)). CI uses this to run the whole
-    /// test suite at 1, 2 and 8 workers, exercising the
-    /// bit-identical-parallelism guarantee. A value of `0` or anything
-    /// unparsable is rejected with a one-time warning and falls back to
-    /// the CPU count — it no longer silently masquerades as "unset".
+    /// An ensemble of `shots` runs, with the default master seed, a
+    /// thread budget of one thread per available CPU
+    /// ([`with_threads`](Self::with_threads) changes it) and per-shot
+    /// amplitude lanes scheduled from that budget
+    /// ([`with_amp_threads`](Self::with_amp_threads) pins them).
     #[must_use]
     pub fn new(shots: u64) -> Self {
-        let threads = resolve_threads(std::env::var("MBU_SHOT_THREADS").ok().as_deref());
-        // One resolution policy with the state vector's construction
-        // default: unset = auto-schedule, a positive integer pins, and 0
-        // or garbage warns once and pins serial (never silently "auto").
-        let amp_threads = crate::statevector::amp_threads_env();
         Self {
             shots,
             master_seed: DEFAULT_MASTER_SEED,
-            threads,
-            amp_threads,
+            threads: cpu_threads(),
+            amp_threads: None,
             passes: None,
         }
     }
@@ -220,9 +200,9 @@ impl ShotRunner {
 
     /// Pins the per-shot amplitude lane count instead of letting the
     /// scheduler derive it from the budget (clamped into `1..=budget`;
-    /// shot workers shrink to keep `workers × lanes ≤ budget`). The
-    /// construction default follows the `MBU_AMP_THREADS` environment
-    /// variable when set, mirroring the state vector's standalone default.
+    /// shot workers shrink to keep `workers × lanes ≤ budget`). By default
+    /// the lanes are scheduled from the budget (see
+    /// [`with_threads`](Self::with_threads)).
     ///
     /// Results are bit-identical for every `(budget, lanes)` combination —
     /// both parallelism levels guarantee determinism — so this only tunes
@@ -524,7 +504,7 @@ impl Ensemble {
     /// the backend reports one (see `Simulator::peak_amplitudes`): the
     /// largest working set any shot's compiled execution operated on. With
     /// qubit reclamation the state vector's peak drops below `2^n`;
-    /// without it (or with `MBU_RECLAIM=0`) this reports the full width.
+    /// without it (`with_reclamation(false)`) this reports the full width.
     /// Note the caller-held full-width array before the initial compaction
     /// and after the end-of-run restore is not counted — this measures
     /// what the engine sweeps, not total allocation. `None` for backends
@@ -785,10 +765,8 @@ mod tests {
 
     #[test]
     fn schedule_prefers_shot_workers_then_amplitude_lanes() {
-        let runner = ShotRunner::new(0).with_threads(8);
-        let mut auto = runner;
-        auto.amp_threads = None; // ignore any ambient MBU_AMP_THREADS pin
-                                 // Many shots: all budget to shot workers, serial kernels.
+        let auto = ShotRunner::new(0).with_threads(8);
+        // Many shots: all budget to shot workers, serial kernels.
         assert_eq!(auto.schedule(100), (8, 1));
         assert_eq!(auto.schedule(8), (8, 1));
         // Few shots: leftover budget becomes per-shot amplitude lanes.
@@ -870,48 +848,14 @@ mod tests {
     }
 
     #[test]
-    fn thread_resolution_pins_positive_integers() {
-        // The selection policy is a pure function of the injected value, so
-        // these tests never mutate process-global environment state (which
-        // used to poison concurrently running ShotRunner tests).
-        assert_eq!(resolve_threads(Some("3")), 3);
-        assert_eq!(resolve_threads(Some(" 8 ")), 8, "whitespace tolerated");
-        assert_eq!(resolve_threads(Some("1")), 1);
-    }
-
-    #[test]
-    fn thread_resolution_rejects_zero_and_garbage() {
-        let cpu_default = thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(resolve_threads(None), cpu_default);
-        assert_eq!(resolve_threads(Some("0")), cpu_default, "0 would deadlock");
-        assert_eq!(resolve_threads(Some("zero")), cpu_default);
-        assert_eq!(resolve_threads(Some("-2")), cpu_default);
-        assert_eq!(resolve_threads(Some("")), cpu_default);
-    }
-
-    #[test]
     fn runner_honours_the_resolved_default() {
-        // ShotRunner::new routes through resolve_threads; with_threads
-        // still overrides whatever the environment said.
-        let runner = ShotRunner::new(10).with_threads(5);
-        assert_eq!(runner.threads, 5);
-        assert!(ShotRunner::new(10).threads >= 1);
-    }
-
-    #[test]
-    fn env_pin_is_honoured_when_already_set() {
-        // Guards the actual env-to-runner wiring without mutating the
-        // process environment: in the CI thread matrix MBU_SHOT_THREADS is
-        // set for the whole process, and the runner must have picked it
-        // up. A no-op when the variable is unset or invalid (where
-        // resolve_threads' own tests take over).
-        if let Some(pinned) = std::env::var("MBU_SHOT_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-        {
-            assert_eq!(ShotRunner::new(1).threads, pinned);
-        }
+        // ShotRunner::new budgets one thread per CPU and schedules the
+        // amplitude lanes itself; the setters override both.
+        let runner = ShotRunner::new(10);
+        assert_eq!(runner.threads, cpu_threads());
+        assert_eq!(runner.amp_threads, None);
+        let runner = runner.with_threads(5).with_amp_threads(2);
+        assert_eq!((runner.threads, runner.amp_threads), (5, Some(2)));
     }
 
     #[test]

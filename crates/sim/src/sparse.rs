@@ -323,38 +323,6 @@ impl SparseVector {
         self.amps = amps;
     }
 
-    /// Same validation as the dense engine: out-of-range and duplicated
-    /// operands are typed errors, not silent corruption.
-    fn validate_gate(&self, gate: &Gate) -> Result<(), SimError> {
-        let mut seen: [Option<QubitId>; 3] = [None; 3];
-        let mut count = 0usize;
-        let mut oob: Option<QubitId> = None;
-        let mut dup: Option<QubitId> = None;
-        gate.for_each_qubit(&mut |q| {
-            if q.index() >= self.num_qubits {
-                oob.get_or_insert(q);
-            }
-            if seen[..count].contains(&Some(q)) {
-                dup.get_or_insert(q);
-            } else if count < seen.len() {
-                seen[count] = Some(q);
-                count += 1;
-            }
-        });
-        if let Some(q) = oob {
-            return Err(SimError::OutOfRange {
-                what: format!("gate `{gate}` on qubit q{}", q.0),
-            });
-        }
-        if let Some(q) = dup {
-            return Err(SimError::DuplicateOperand {
-                gate: gate.to_string(),
-                qubit: q.0,
-            });
-        }
-        Ok(())
-    }
-
     /// Toggles `target` in every entry whose `controls` bits are all set:
     /// the X/CX/CCX family as pure key rewrites.
     fn permute_x(&mut self, controls: &[QubitId], target: QubitId) {
@@ -482,7 +450,7 @@ impl SparseVector {
     }
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        self.validate_gate(gate)?;
+        exec::validate_gate(gate, self.num_qubits)?;
         match *gate {
             Gate::X(q) => self.permute_x(&[], q),
             Gate::Cx(c, t) => self.permute_x(&[c], t),

@@ -85,12 +85,12 @@ pub struct StateVector {
     amps: Amps,
     mode: KernelMode,
     /// Whether compiled runs may execute `Drop` instructions by compacting
-    /// the amplitude array (defaults to on; `MBU_RECLAIM=0` force-disables).
+    /// the amplitude array (defaults to on).
     reclaim: bool,
     /// Peak live amplitudes of the most recent compiled run.
     last_run_peak: Option<usize>,
-    /// Requested intra-state amplitude worker lanes (`MBU_AMP_THREADS`
-    /// construction default; 1 = serial).
+    /// Requested intra-state amplitude worker lanes (1 = serial, the
+    /// construction default).
     amp_threads: usize,
     /// The persistent worker pool, spawned lazily on the first kernel call
     /// large enough to benefit (never for small states).
@@ -121,59 +121,6 @@ impl Clone for StateVector {
     }
 }
 
-/// The process-wide reclamation default: on, unless the `MBU_RECLAIM`
-/// environment variable disables it (`0`, `off`, `false`, `no`), resolved
-/// through the shared [`mbu_circuit::knobs`] policy — unparsable values
-/// warn once and keep the default instead of silently counting as "on".
-/// The env var flips the *construction default* only — explicit
-/// `with_reclamation(..)` calls always win — so the CI leg that sets
-/// `MBU_RECLAIM=0` runs every test that doesn't pick an engine explicitly
-/// on the non-compacting path. Read once: `StateVector` construction sits
-/// in `ShotRunner`'s per-shot hot loop, and `std::env::var` takes a
-/// process-global lock.
-fn reclaim_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        mbu_circuit::knobs::switch(
-            "MBU_RECLAIM",
-            std::env::var("MBU_RECLAIM").ok().as_deref(),
-            true,
-        )
-    })
-}
-
-/// Resolves an (injected) `MBU_AMP_THREADS` value to a lane pin: `None`
-/// when unset (callers pick their own default — the state vector runs
-/// serial, the [`ShotRunner`](crate::ShotRunner) auto-schedules), a
-/// positive integer pins that many lanes, and `0` or unparsable garbage
-/// warns once and pins **serial** — one policy for every consumer, so an
-/// explicit `MBU_AMP_THREADS=0` can never come back as multi-lane
-/// parallelism through a different code path.
-///
-/// Injected value rather than an env read here so the policy is testable
-/// without mutating process-global state (mirrors
-/// `shots::resolve_threads`); the parse-and-warn-once policy itself lives
-/// in the shared [`mbu_circuit::knobs`] resolver.
-fn resolve_amp_threads(env_value: Option<&str>) -> Option<usize> {
-    mbu_circuit::knobs::positive_count("MBU_AMP_THREADS", env_value, 1, "serial amplitude kernels")
-}
-
-/// The process-wide `MBU_AMP_THREADS` pin, resolved through
-/// [`resolve_amp_threads`] and read once (construction sits in per-shot
-/// hot loops, like [`reclaim_default`]).
-pub(crate) fn amp_threads_env() -> Option<usize> {
-    static DEFAULT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| resolve_amp_threads(std::env::var("MBU_AMP_THREADS").ok().as_deref()))
-}
-
-/// The amplitude-lane construction default: serial unless the environment
-/// pins a lane count. Serial by default because amplitude parallelism
-/// only pays on large states and the [`ShotRunner`](crate::ShotRunner)
-/// assigns lanes itself from its thread budget.
-fn amp_threads_default() -> usize {
-    amp_threads_env().unwrap_or(1)
-}
-
 impl StateVector {
     /// Creates `|0…0⟩` over `num_qubits` qubits.
     ///
@@ -194,9 +141,9 @@ impl StateVector {
             num_qubits,
             amps,
             mode: KernelMode::Stride,
-            reclaim: reclaim_default(),
+            reclaim: true,
             last_run_peak: None,
-            amp_threads: amp_threads_default(),
+            amp_threads: 1,
             pool: None,
             scratch: None,
         })
@@ -240,9 +187,9 @@ impl StateVector {
             num_qubits,
             amps: Amps::from_complex(&amps),
             mode: KernelMode::Stride,
-            reclaim: reclaim_default(),
+            reclaim: true,
             last_run_peak: None,
-            amp_threads: amp_threads_default(),
+            amp_threads: 1,
             pool: None,
             scratch: None,
         })
@@ -266,8 +213,7 @@ impl StateVector {
     /// Enables or disables qubit reclamation for compiled runs (builder
     /// style).
     ///
-    /// When enabled (the default, unless the `MBU_RECLAIM` environment
-    /// variable force-disables it) and the compiled program contains
+    /// When enabled (the default) and the compiled program contains
     /// [`Drop`](mbu_circuit::Instr::Drop) instructions,
     /// [`run_compiled`](Simulator::run_compiled) executes on a *compacted*
     /// amplitude array: definite qubits are factored out up front,
@@ -301,8 +247,7 @@ impl StateVector {
     /// RNG draws and measurement outcomes are **bit-identical** to serial
     /// execution at any lane count.
     ///
-    /// The construction default is 1 (serial), or the `MBU_AMP_THREADS`
-    /// environment variable when set; the
+    /// The construction default is 1 (serial); the
     /// [`ShotRunner`](crate::ShotRunner) overrides it per shot from its
     /// unified thread budget.
     #[must_use]
@@ -538,46 +483,8 @@ impl StateVector {
         }
     }
 
-    /// Rejects gates whose operands are out of range or duplicated.
-    ///
-    /// Kernels (stride and scan alike) assume valid operands: an
-    /// out-of-range mask used to make some gates silently no-ops (`Z`,
-    /// `CZ`, phases: the `i & m != 0` filter never fires) and others panic
-    /// (`X`: `amps.swap` past the end), and a duplicated operand would make
-    /// the pinned-bit expansion enumerate garbage. Validation up front
-    /// turns all of that into a typed error.
-    fn validate_gate(&self, gate: &Gate) -> Result<(), SimError> {
-        let mut seen: [Option<QubitId>; 3] = [None; 3];
-        let mut count = 0usize;
-        let mut oob: Option<QubitId> = None;
-        let mut dup: Option<QubitId> = None;
-        gate.for_each_qubit(&mut |q| {
-            if q.index() >= self.num_qubits {
-                oob.get_or_insert(q);
-            }
-            if seen[..count].contains(&Some(q)) {
-                dup.get_or_insert(q);
-            } else if count < seen.len() {
-                seen[count] = Some(q);
-                count += 1;
-            }
-        });
-        if let Some(q) = oob {
-            return Err(SimError::OutOfRange {
-                what: format!("gate `{gate}` on qubit q{}", q.0),
-            });
-        }
-        if let Some(q) = dup {
-            return Err(SimError::DuplicateOperand {
-                gate: gate.to_string(),
-                qubit: q.0,
-            });
-        }
-        Ok(())
-    }
-
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        self.validate_gate(gate)?;
+        exec::validate_gate(gate, self.num_qubits)?;
         match self.mode {
             KernelMode::Stride => {
                 // Gate-at-a-time use: run the kernel under an empty frame
@@ -2050,20 +1957,12 @@ mod tests {
     }
 
     #[test]
-    fn amp_thread_resolution_policy_is_uniform() {
-        // Unset: callers choose (state vector serial, runner auto).
-        assert_eq!(resolve_amp_threads(None), None);
-        // Positive integers pin.
-        assert_eq!(resolve_amp_threads(Some("4")), Some(4));
-        assert_eq!(resolve_amp_threads(Some(" 2 ")), Some(2));
-        // 0 and garbage pin *serial* — never silently auto-parallel.
-        assert_eq!(resolve_amp_threads(Some("0")), Some(1));
-        assert_eq!(resolve_amp_threads(Some("lots")), Some(1));
-        assert_eq!(resolve_amp_threads(Some("-3")), Some(1));
-    }
-
-    #[test]
     fn amp_threads_builder_and_trait_agree() {
+        assert_eq!(
+            StateVector::zeros(1).unwrap().amp_threads(),
+            1,
+            "serial by default"
+        );
         let sv = StateVector::zeros(1).unwrap().with_amp_threads(6);
         assert_eq!(sv.amp_threads(), 6);
         let mut sv = sv.with_amp_threads(0);
@@ -2163,6 +2062,7 @@ mod tests {
     #[test]
     fn reclamation_default_honours_builder_override() {
         let sv = StateVector::zeros(1).unwrap();
+        assert!(sv.reclamation_enabled(), "on by default");
         let off = sv.clone().with_reclamation(false);
         assert!(!off.reclamation_enabled());
         let on = off.with_reclamation(true);

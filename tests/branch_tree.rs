@@ -11,9 +11,9 @@
 //!   with the same master seed it reproduces the [`ShotRunner`]'s
 //!   classical aggregates **bit for bit** (records, outcome counts,
 //!   executed-count means and variances), across both kernel modes,
-//!   reclamation on/off and fusion on/off — the replayed per-shot RNG
-//!   streams draw against the very probabilities the sampling path
-//!   computes.
+//!   reclamation on/off, fusion on/off and the default vs the zero
+//!   pruning floor — the replayed per-shot RNG streams draw against the
+//!   very probabilities the sampling path computes.
 
 use mbu_arith::{
     modular::{self, ModAddSpec},
@@ -49,13 +49,6 @@ fn few_fork_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
 fn unfused_passes() -> PassConfig {
     PassConfig {
         fuse_max_qubits: 0,
-        ..PassConfig::default()
-    }
-}
-
-fn fused_passes() -> PassConfig {
-    PassConfig {
-        fuse_max_qubits: 3,
         ..PassConfig::default()
     }
 }
@@ -104,7 +97,7 @@ proptest! {
             Box::new(StateVector::basis(nq, input).unwrap()) as Box<dyn Simulator + Send>
         };
         let dist = BranchEnsemble::new(0)
-            .with_passes(fused_passes())
+            .with_passes(PassConfig::default())
             .distribution(&layout.circuit, factory_send)
             .unwrap();
         prop_assert!(dist.pruned_mass() < 1e-9, "only rounding residues prune");
@@ -113,7 +106,7 @@ proptest! {
         const SHOTS: u64 = 400;
         let mc = ShotRunner::new(SHOTS)
             .with_master_seed(seed)
-            .with_passes(fused_passes())
+            .with_passes(PassConfig::default())
             .run(&layout.circuit, || Box::new(StateVector::basis(nq, input).unwrap()))
             .unwrap();
         let tol = 5.0 * (0.25 / SHOTS as f64).sqrt();
@@ -139,7 +132,9 @@ proptest! {
 
     /// Bit-compatibility: branch-tree sampling replays the ShotRunner's
     /// aggregates exactly, for every engine configuration — kernel mode ×
-    /// reclamation × fusion — and several master seeds.
+    /// reclamation × fusion — several master seeds, and trees pruned at
+    /// the default floor or fully expanded (`eps = 0`: every possible
+    /// branch materialised).
     #[test]
     fn sampled_branch_trees_are_bit_identical_to_per_shot_runs(
         n in 2usize..=3,
@@ -148,6 +143,7 @@ proptest! {
         yk in 0u128..1_000_000,
         arch in 0u8..3,
         seed in 0u64..u64::MAX,
+        full_expansion in proptest::bool::ANY,
     ) {
         let pmax = (1u128 << n) - 1;
         let p = 2 + pk % (pmax - 1);
@@ -161,9 +157,10 @@ proptest! {
             (layout.y.qubits(), u64::try_from(y).unwrap()),
         ]);
 
+        let eps = if full_expansion { 0.0 } else { BranchEnsemble::new(0).eps() };
         for mode in [KernelMode::Stride, KernelMode::Scan] {
             for reclaim in [true, false] {
-                for passes in [unfused_passes(), fused_passes()] {
+                for passes in [unfused_passes(), PassConfig::default()] {
                     // A tight node budget keeps the Gidney-style cases
                     // (one fork per AND) from building thousands of nodes
                     // before falling back: the fallback *is* the
@@ -172,6 +169,7 @@ proptest! {
                         .with_master_seed(seed)
                         .with_node_budget(256)
                         .with_passes(passes)
+                        .with_eps(eps)
                         .run(&layout.circuit, || {
                             Box::new(
                                 StateVector::basis(nq, input)
@@ -196,10 +194,11 @@ proptest! {
                     prop_assert_eq!(
                         classical_view(&branch),
                         classical_view(&per_shot),
-                        "{:?} reclaim={} fuse={}",
+                        "{:?} reclaim={} fuse={} eps={}",
                         mode,
                         reclaim,
-                        passes.fuse_max_qubits
+                        passes.fuse_max_qubits,
+                        eps
                     );
                 }
             }
@@ -209,9 +208,8 @@ proptest! {
 
 #[test]
 fn full_expansion_matches_the_default_floor_on_mbu_adders() {
-    // `MBU_BRANCH_EPS=0` (exercised as an explicit with_eps(0.0) and by
-    // the CI env leg) only keeps additional measure-zero branches: on MBU
-    // modadds the surviving frequencies are identical to the default
+    // A zero pruning floor only keeps additional measure-zero branches: on
+    // MBU modadds the surviving frequencies are identical to the default
     // floor's, and the fully expanded tree carries no pruned mass.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let layout = modular::modadd_circuit(&spec, 2, 3).unwrap();

@@ -458,6 +458,55 @@ fn table1_expected_counts_reproduced_by_branch_tree_exact_mode() {
     }
 }
 
+/// The same exact-mode reproduction on the planning hybrid
+/// ([`BackendKind::Auto`](mbu_sim::BackendKind::Auto)), pinned to hop to
+/// the dense array: a sparsity threshold of one entry makes the first
+/// fan-out segment promote, so every measurement history runs across a
+/// representation switch, and the weighted counts must still be the
+/// analytic expectation to the last bit.
+#[test]
+fn table1_expected_counts_survive_hybrid_representation_switches() {
+    use mbu_circuit::CompiledCircuit;
+    use mbu_sim::{BranchEnsemble, HybridState, Simulator};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let (n, p) = (4usize, 13u128);
+    type SpecFn = fn(Uncompute) -> ModAddSpec;
+    let specs: [(&str, SpecFn, f64, f64); 3] = [
+        ("vbe5", ModAddSpec::vbe5, 62.0, 66.5),
+        ("vbe4", ModAddSpec::vbe4, 55.0, 54.0),
+        ("cdkpm", ModAddSpec::cdkpm, 32.0, 72.5),
+    ];
+    for (name, spec, etof, ecx) in specs {
+        let layout = modular::modadd_circuit(&spec(Uncompute::Mbu), n, p).unwrap();
+        let nq = layout.circuit.num_qubits();
+        let (x, y) = (layout.x.qubits().to_vec(), layout.y.qubits().to_vec());
+        let hybrid = move || {
+            let mut sim = HybridState::zeros(nq).unwrap().with_thresholds(24, 1);
+            sim.set_value(&x, 7).unwrap();
+            sim.set_value(&y, 9).unwrap();
+            sim
+        };
+        let dist = BranchEnsemble::new(0)
+            .distribution(&layout.circuit, || {
+                Box::new(hybrid()) as Box<dyn Simulator + Send>
+            })
+            .unwrap();
+        let exact = dist.mean_counts();
+        let analytic = layout.circuit.expected_counts();
+        assert_eq!(exact.toffoli, etof, "{name}: exact-mode E[Toffoli]");
+        assert_eq!(exact.cx, ecx, "{name}: exact-mode E[CNOT]");
+        assert_eq!(exact.toffoli, analytic.toffoli, "{name}: E[Toffoli]");
+        assert_eq!(exact.cx, analytic.cx, "{name}: E[CNOT]");
+
+        let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
+        let mut sim = hybrid();
+        sim.run_compiled(&compiled, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        assert_eq!(sim.last_run_switches(), Some(1), "{name}: one hop to dense");
+    }
+}
+
 #[test]
 fn beauregard_draper_golden() {
     // Prop 3.7 structure at n ∈ {4, 8}: pure QFT arithmetic — no Toffolis,
@@ -845,15 +894,9 @@ fn pass_counters(s: &mbu_circuit::PassStats) -> [(&'static str, u64); 14] {
     ]
 }
 
-/// Compiles `circuit` with the default passes at the default fusion
-/// window (3, whatever `MBU_FUSION` says) and checks every counter.
+/// Compiles `circuit` with the default passes and checks every counter.
 fn check_pass_stats(tag: &str, circuit: &Circuit, want: Counters) {
-    use mbu_circuit::{CompiledCircuit, PassConfig};
-    let config = PassConfig {
-        fuse_max_qubits: 3,
-        ..PassConfig::default()
-    };
-    let compiled = CompiledCircuit::with_config(circuit, &config).unwrap();
+    let compiled = mbu_circuit::CompiledCircuit::compile(circuit).unwrap();
     for ((name, got), want) in pass_counters(compiled.stats()).into_iter().zip(want) {
         assert_eq!(got, want, "{tag}: PassStats::{name}");
     }

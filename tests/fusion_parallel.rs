@@ -1,7 +1,7 @@
 //! Observational invisibility of gate fusion and amplitude parallelism.
 //!
 //! The gate-fusion pass rewrites the compiled program (runs of adjacent
-//! gates become dense `Instr::Fused` blocks) and `MBU_AMP_THREADS`-style
+//! gates become dense `Instr::Fused` blocks) and `with_amp_threads`
 //! amplitude lanes rewrite the execution schedule (each kernel sweep
 //! splits across a worker pool) — but neither is allowed to change a
 //! single bit of observable behaviour. For random MBU modular adders, the
@@ -29,19 +29,11 @@ fn arch_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
     }
 }
 
-/// Passes with fusion pinned off (everything else at the defaults), so the
-/// baseline is unfused regardless of the ambient `MBU_FUSION` setting.
+/// Passes with fusion off, everything else at the defaults: the unfused
+/// baseline.
 fn unfused_passes() -> PassConfig {
     PassConfig {
         fuse_max_qubits: 0,
-        ..PassConfig::default()
-    }
-}
-
-/// Passes with fusion pinned on at the standard window.
-fn fused_passes() -> PassConfig {
-    PassConfig {
-        fuse_max_qubits: 3,
         ..PassConfig::default()
     }
 }
@@ -73,7 +65,7 @@ proptest! {
         ]);
 
         let unfused = CompiledCircuit::with_config(&layout.circuit, &unfused_passes()).unwrap();
-        let fused = CompiledCircuit::with_config(&layout.circuit, &fused_passes()).unwrap();
+        let fused = CompiledCircuit::compile(&layout.circuit).unwrap();
         prop_assert!(
             fused.stats().fused_blocks > 0,
             "modadds always contain fusable gate runs: {}",
@@ -178,7 +170,7 @@ fn ensemble_outcome_frequencies_survive_fusion_and_thread_splits() {
         .unwrap();
     for (threads, lanes) in [(1, 1), (8, 1), (8, 4), (2, 2)] {
         let fused = ShotRunner::new(48)
-            .with_passes(fused_passes())
+            .with_passes(PassConfig::default())
             .with_threads(threads)
             .with_amp_threads(lanes)
             .run(&chain.circuit, factory)
@@ -204,7 +196,7 @@ fn fusion_report_shows_up_in_stats_and_dump() {
     // its fusion work and renders blocks in the dump.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let layout = modular::modadd_circuit(&spec, 2, 3).unwrap();
-    let compiled = CompiledCircuit::with_config(&layout.circuit, &fused_passes()).unwrap();
+    let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
     let stats = compiled.stats();
     assert!(stats.fused_blocks > 0);
     assert!(stats.fused_gates >= 2 * stats.fused_blocks);

@@ -46,13 +46,6 @@ fn unfused_passes() -> PassConfig {
     }
 }
 
-fn fused_passes() -> PassConfig {
-    PassConfig {
-        fuse_max_qubits: 3,
-        ..PassConfig::default()
-    }
-}
-
 proptest! {
     // Each case runs one sparse simulation and eight dense variants
     // (2 kernel modes × reclamation on/off × fused/unfused) of the same
@@ -83,7 +76,7 @@ proptest! {
         let layout = modular::modadd_circuit(&spec, n, p).unwrap();
         let nq = layout.circuit.num_qubits();
         let unfused = CompiledCircuit::with_config(&layout.circuit, &unfused_passes()).unwrap();
-        let fused = CompiledCircuit::with_config(&layout.circuit, &fused_passes()).unwrap();
+        let fused = CompiledCircuit::compile(&layout.circuit).unwrap();
 
         // One sparse run; every dense variant must agree with it.
         let mut sp = SparseVector::zeros(nq).unwrap();
@@ -108,8 +101,7 @@ proptest! {
                     let mut sv = StateVector::basis(nq, input)
                         .unwrap()
                         .with_kernel_mode(mode)
-                        .with_reclamation(reclaim)
-                        .with_amp_threads(1);
+                        .with_reclamation(reclaim);
                     let mut rng_sv = StdRng::seed_from_u64(seed);
                     let ex_sv = sv.run_compiled(compiled, &mut rng_sv).unwrap();
 
@@ -567,21 +559,27 @@ fn definite_measurements_consume_no_rng_on_sparse_or_tracker() {
 }
 
 #[test]
-fn env_selected_backend_computes_the_modular_sum() {
-    // Whatever `MBU_BACKEND` selects — dense, sparse or tracker — the
-    // knob-built simulator runs the same MBU modadd to the same answer.
-    // (CI exercises this test under every setting of the knob.)
+fn every_backend_kind_computes_the_modular_sum() {
+    // Whichever backend a factory builds — dense, sparse, phase, tracker
+    // or the auto planner — it runs the same MBU modadd to the same answer.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let (n, p, x, y) = (3usize, 5u128, 4u128, 3u128);
     let layout = modular::modadd_circuit(&spec, n, p).unwrap();
     let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
 
-    let kind = BackendKind::from_env();
-    let mut sim = kind.build(layout.circuit.num_qubits()).unwrap();
-    sim.set_value(layout.x.qubits(), x).unwrap();
-    sim.set_value(layout.y.qubits(), y).unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
-    sim.run_compiled(&compiled, &mut rng).unwrap();
-    assert_eq!(sim.value(layout.x.qubits()).unwrap(), x, "{kind}");
-    assert_eq!(sim.value(layout.y.qubits()).unwrap(), (x + y) % p, "{kind}");
+    for kind in [
+        BackendKind::Dense,
+        BackendKind::Sparse,
+        BackendKind::Phase,
+        BackendKind::Tracker,
+        BackendKind::Auto,
+    ] {
+        let mut sim = kind.build(layout.circuit.num_qubits()).unwrap();
+        sim.set_value(layout.x.qubits(), x).unwrap();
+        sim.set_value(layout.y.qubits(), y).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        sim.run_compiled(&compiled, &mut rng).unwrap();
+        assert_eq!(sim.value(layout.x.qubits()).unwrap(), x, "{kind}");
+        assert_eq!(sim.value(layout.y.qubits()).unwrap(), (x + y) % p, "{kind}");
+    }
 }
