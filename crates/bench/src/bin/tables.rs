@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Subcommands: `table1 table2 table3 table4 table5 table6 headline
-//! mbu-stats`.
+//! mbu-stats all`; any other name prints a usage line and exits with
+//! status 2.
 
 use mbu_arith::modular::{self, beauregard};
 use mbu_arith::resources::{self, Table1Row};
@@ -18,34 +19,34 @@ use mbu_bench::{
 };
 use mbu_bitstring::hamming_weight;
 
+/// Every artifact, by subcommand name, in print order.
+const ARTIFACTS: [(&str, fn()); 8] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("headline", headline),
+    ("mbu-stats", mbu_stats),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &str| a == "all" || ARTIFACTS.iter().any(|(name, _)| *name == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "tables: unknown subcommand `{bad}`; usage: tables [all | {}]...",
+            names.join(" | ")
+        );
+        std::process::exit(2);
+    }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
-
-    if want("table1") {
-        table1();
-    }
-    if want("table2") {
-        table2();
-    }
-    if want("table3") {
-        table3();
-    }
-    if want("table4") {
-        table4();
-    }
-    if want("table5") {
-        table5();
-    }
-    if want("table6") {
-        table6();
-    }
-    if want("headline") {
-        headline();
-    }
-    if want("mbu-stats") {
-        mbu_stats();
+    for (name, run) in ARTIFACTS {
+        if all || args.iter().any(|a| a == name) {
+            run();
+        }
     }
 }
 

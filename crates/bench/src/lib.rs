@@ -1,40 +1,24 @@
 //! Shared harness code for regenerating the paper's tables and figures.
 //!
-//! The binaries (`tables`, `figures`) and the Criterion benches all build
-//! circuits through [`mbu_arith`] and measure them three ways:
+//! The binaries (`tables`, `figures`) build circuits through
+//! [`mbu_arith`] and measure them three ways:
 //!
-//! * **static** — exact [`GateCounts`] of the constructed circuit
-//!   (conditional blocks at full weight);
+//! * **static** — exact [`GateCounts`](mbu_circuit::GateCounts) of the
+//!   constructed circuit (conditional blocks at full weight);
 //! * **analytic expectation** — [`ExpectedCounts`](mbu_circuit::ExpectedCounts) with conditional blocks
 //!   at weight ½, the paper's "in expectation" accounting;
 //! * **Monte-Carlo** — mean executed counts over a seeded
 //!   [`ShotRunner`] ensemble, which validates the analytic expectation
 //!   empirically (and in parallel).
-
-pub mod trajectory;
+//!
+//! Timing lives in the separate `perfbench` workspace; the integration
+//! tests and examples import [`benchmark_modulus`] and
+//! [`build_row_circuit`] from here.
 
 use mbu_arith::modular::ModAddSpec;
 use mbu_arith::{modular, resources, Uncompute};
 use mbu_circuit::{Circuit, QubitId};
 use mbu_sim::{BasisTracker, CountStats, Ensemble, ShotRunner};
-
-/// Mean executed gate counts over a `trials`-shot ensemble of `circuit`,
-/// with each register of `inputs` prepared before every shot.
-///
-/// Thin wrapper over [`monte_carlo_ensemble`] that projects the ensemble
-/// down to the paper-relevant means.
-///
-/// # Panics
-///
-/// Panics if the circuit leaves the basis tracker's supported fragment.
-#[must_use]
-pub fn monte_carlo_counts(
-    circuit: &Circuit,
-    inputs: &[(&[QubitId], u128)],
-    trials: u64,
-) -> MeanCounts {
-    MeanCounts::from_stats(&monte_carlo_ensemble(circuit, inputs, trials).mean())
-}
 
 /// The full executed-count ensemble over `trials` seeded shots of
 /// `circuit` on the [`BasisTracker`], run across all available CPUs.
@@ -190,11 +174,12 @@ mod tests {
     fn monte_carlo_agrees_with_analytic_on_a_small_circuit() {
         let layout = build_row_circuit(Table1Row::Cdkpm, Uncompute::Mbu, 6, 61).unwrap();
         let analytic = layout.circuit.expected_counts().toffoli;
-        let mean = monte_carlo_counts(
+        let mean = monte_carlo_ensemble(
             &layout.circuit,
             &[(layout.x.qubits(), 30), (layout.y.qubits(), 45)],
             400,
-        );
+        )
+        .mean();
         assert!(
             (mean.toffoli - analytic).abs() < analytic * 0.1 + 1.0,
             "{} vs {analytic}",

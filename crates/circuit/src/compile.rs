@@ -140,7 +140,7 @@ pub enum Instr {
     /// measurement-based uncomputation payoff of releasing ancillas early.
     ///
     /// Semantically a no-op: executors without a compaction story (the
-    /// basis tracker, the full-scan reference path) simply skip it, and
+    /// basis tracker, the sparse map) simply skip it, and
     /// compacting executors must be observationally invisible — identical
     /// outcomes, RNG consumption, executed counts and final state.
     Drop(QubitId),

@@ -16,8 +16,7 @@
 use mbu_arith::{modular, Uncompute};
 use mbu_circuit::{Basis, CircuitBuilder, CompiledCircuit, PassConfig};
 use mbu_sim::{
-    dense_to_sparse, sparse_to_dense, Complex, HybridState, KernelMode, Simulator, SparseVector,
-    StateVector,
+    dense_to_sparse, sparse_to_dense, Complex, HybridState, Simulator, SparseVector, StateVector,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,25 +70,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Dense↔sparse round trips are bitwise lossless across
-    /// KernelMode × fusion × reclamation, and both exact backends land on
+    /// fusion × reclamation, and both exact backends land on
     /// the correct modular sum whatever their trajectories drew.
     #[test]
     fn dense_sparse_round_trip_is_bitwise_across_configs(
         (spec, p, x, y) in arb_instance(),
         seed in 0u64..u64::MAX,
-        scan in 0usize..2,
         fuse in 0usize..2,
         reclaim in 0usize..2,
     ) {
-        let (scan, fuse, reclaim) = (scan == 1, fuse == 1, reclaim == 1);
+        let (fuse, reclaim) = (fuse == 1, reclaim == 1);
         let layout = modular::modadd_circuit(&spec, 3, p).unwrap();
         let q = layout.circuit.num_qubits();
         prop_assume!(q <= 16);
         let compiled = compile(&layout.circuit, fuse);
-        let mode = if scan { KernelMode::Scan } else { KernelMode::Stride };
 
         let mut dense = StateVector::zeros(q).unwrap()
-            .with_kernel_mode(mode)
             .with_reclamation(reclaim);
         let mut sparse = SparseVector::zeros(q).unwrap();
         for sim in [&mut dense as &mut dyn Simulator, &mut sparse] {

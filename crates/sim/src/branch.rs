@@ -46,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::SimError;
-use crate::exec::Executed;
+use crate::exec::{self, Executed};
 use crate::shots::{
     count_fields, cpu_threads, shot_seed, split_budget, Accumulator, CountStats, Ensemble,
     ShotRunner, DEFAULT_MASTER_SEED, NFIELDS,
@@ -590,15 +590,10 @@ impl BranchEnsemble {
         F: Fn() -> Box<dyn Simulator + Send> + Sync,
     {
         let root_sim = factory();
-        if compiled.num_qubits() > root_sim.num_qubits() {
-            return Err(SimError::OutOfRange {
-                what: format!(
-                    "{}-qubit compiled program on {}-qubit state",
-                    compiled.num_qubits(),
-                    root_sim.num_qubits()
-                ),
-            });
-        }
+        // The tree walks programs through its own `advance` loop, not the
+        // shared executor, so it runs the executor's entry checks itself.
+        exec::check_width(compiled.num_qubits(), root_sim.num_qubits())?;
+        exec::admit_compiled(compiled)?;
         // Segment lookup: run_end[pc] = end of the unitary run starting at
         // (or containing) pc. The walker only enters runs at segment
         // starts — barriers and branch targets are all segment boundaries.

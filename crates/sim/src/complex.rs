@@ -4,6 +4,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
+use mbu_circuit::Angle;
+
 /// A complex number with `f64` components.
 ///
 /// # Examples
@@ -52,6 +54,22 @@ impl Complex {
             re: theta.cos(),
             im: theta.sin(),
         }
+    }
+
+    /// The dyadic angle `θ` with `cis(θ) ≈ self`, snapped to 2^-24 of a
+    /// turn: the amplitude backends' global-phase read-out. `None` unless
+    /// `self` is of unit norm and the snapped angle reproduces it, both
+    /// within `1e-6`.
+    pub(crate) fn dyadic_phase(self) -> Option<Angle> {
+        if (self.norm() - 1.0).abs() > 1e-6 {
+            return None;
+        }
+        const LOG2_DENOM: u32 = 24;
+        let turns = (self.im.atan2(self.re) / std::f64::consts::TAU).rem_euclid(1.0);
+        let scaled = (turns * f64::from(1u32 << LOG2_DENOM)).round();
+        let numerator = (scaled as u128) % (1u128 << LOG2_DENOM);
+        let angle = Angle::from_fraction(numerator, LOG2_DENOM);
+        ((Self::cis(angle.radians()) - self).norm() < 1e-6).then_some(angle)
     }
 
     /// Complex conjugate.

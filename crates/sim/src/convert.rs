@@ -36,8 +36,8 @@ use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
 /// same state: every occupied entry lands at its basis index, every other
 /// index is an exact zero. Amplitudes are moved bitwise — no arithmetic.
 ///
-/// The dense state is built with the process-default kernel mode,
-/// reclamation switch and amplitude-lane count, exactly like
+/// The dense state is built with the default reclamation switch and
+/// amplitude-lane count, exactly like
 /// [`StateVector::zeros`] — so a converted state behaves like a natively
 /// constructed one.
 ///

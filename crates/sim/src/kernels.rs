@@ -55,8 +55,7 @@
 //!
 //! The kernels assume their qubit indices are in range and distinct; the
 //! [`StateVector`](crate::StateVector) front end validates operands before
-//! dispatching (and exposes an unoptimised full-scan reference path used
-//! for differential testing and benchmarking). [`fused`] additionally
+//! dispatching. [`fused`] additionally
 //! validates its caller-supplied block descriptor up front and returns a
 //! typed [`SimError`] instead of trusting `debug_assert!`s that vanish in
 //! release builds.
@@ -372,7 +371,7 @@ fn scale_span(re: &mut [f64], im: &mut [f64], w: Complex) {
 }
 
 /// Negates the spans in place (exact even on signed zeros, unlike a
-/// complex multiply by `−1 + 0i` — the stride and scan paths promise
+/// complex multiply by `−1 + 0i` — the dense and sparse engines promise
 /// bit-identical amplitudes).
 #[inline(always)]
 fn negate_span(re: &mut [f64], im: &mut [f64]) {

@@ -11,8 +11,7 @@
 //!   subspace (`2^(n-3)` indices per Toffoli), diagonal gates are pure
 //!   phase sweeps. Used to verify the QFT-based (Draper/Beauregard)
 //!   circuits and the *phase* correctness of measurement-based
-//!   uncomputation on superposition inputs. A full-sweep reference path
-//!   ([`KernelMode::Scan`]) is retained for differential testing.
+//!   uncomputation on superposition inputs.
 //! * [`SparseVector`] — exact complex-amplitude simulation over a sorted
 //!   map from occupied basis bitstrings to amplitudes, instead of a dense
 //!   `2^n` array. Permutation gates (X/CX/CCX/SWAP) are `O(occupied)` key
@@ -71,7 +70,7 @@
 //! the immutable program across all workers, divides one thread budget
 //! between shot workers and per-shot amplitude lanes, and averages
 //! executed counts (and peak-memory stats) over many shots — how the
-//! benchmark harness measures the paper's "in expectation" MBU costs as
+//! `tables` binary measures the paper's "in expectation" MBU costs as
 //! Monte-Carlo means. [`BranchEnsemble`] goes one step further: instead
 //! of re-running the deterministic prefix per shot it forks the state at
 //! each measurement ([`Simulator::measure_fork`]), walks the outcome tree
@@ -161,4 +160,4 @@ pub use phase::{PhaseAccumulator, MAX_PHASE_BRANCHES};
 pub use shots::{CountStats, Ensemble, ShotRunner};
 pub use simulator::{Fork, Simulator};
 pub use sparse::{SparseVector, MAX_SPARSEVECTOR_QUBITS};
-pub use statevector::{KernelMode, StateVector, MAX_STATEVECTOR_QUBITS};
+pub use statevector::{StateVector, MAX_STATEVECTOR_QUBITS};

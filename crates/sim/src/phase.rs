@@ -1014,47 +1014,20 @@ impl Simulator for PhaseAccumulator {
         }
         // Inexact amplitude: recover a dyadic phase numerically, the
         // amplitude engines' policy.
-        let total = b.amp * b.phase.cis();
-        if (total.norm() - 1.0).abs() > 1e-6 {
-            return None;
-        }
-        let tau = std::f64::consts::TAU;
-        let turns = (total.im.atan2(total.re) / tau).rem_euclid(1.0);
-        const LOG2_DENOM: u32 = 24;
-        let scaled = (turns * f64::from(1u32 << LOG2_DENOM)).round();
-        let numerator = (scaled as u128) % (1u128 << LOG2_DENOM);
-        let angle = Angle::from_fraction(numerator, LOG2_DENOM);
-        let back = Complex::cis(angle.radians());
-        if (back - total).norm() < 1e-6 {
-            Some(angle)
-        } else {
-            None
-        }
+        (b.amp * b.phase.cis()).dyadic_phase()
     }
 
     /// Compiled execution through the shared program-counter core, with
     /// the branch high-water mark reset and reported like the sparse
-    /// engine's. Warns once when the program has no diagonal gates at
-    /// all — the phase backend never engages its fast path on such a
-    /// circuit, and the sparse map would be at least as good.
+    /// engine's. Whether the phase backend pays on a program is a
+    /// compile-time question: see
+    /// [`PassStats::planned_phase`](mbu_circuit::PassStats::planned_phase).
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        if compiled
-            .segment_profiles()
-            .iter()
-            .all(|p| p.diag_count == 0)
-        {
-            crate::knobs::warn_once(
-                "phase-backend-no-diagonal",
-                "phase backend: program has no diagonal gates, so the \
-                 phase-accumulator fast path never engages; the sparse backend \
-                 (SparseVector) is at least as fast on this circuit",
-            );
-        }
         self.peak_branches = self.branches.len() as u64;
         let mut executed = Executed::default();
         exec::execute_compiled(self, compiled, rng, &mut executed)?;

@@ -154,12 +154,6 @@ impl Amps {
         self.im.as_mut_slice()[i] = a.im;
     }
 
-    /// Swaps the amplitudes at `i` and `j`.
-    pub(crate) fn swap(&mut self, i: usize, j: usize) {
-        self.re.as_mut_slice().swap(i, j);
-        self.im.as_mut_slice().swap(i, j);
-    }
-
     /// Zeroes every amplitude.
     pub(crate) fn fill_zero(&mut self) {
         self.re.as_mut_slice().fill(0.0);
@@ -256,13 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn set_swap_and_fill() {
+    fn set_and_fill() {
         let mut amps = Amps::zeroed(4);
         amps.set(1, Complex::new(-1.0, 0.5));
         amps.set(3, Complex::I);
-        amps.swap(1, 2);
-        assert_eq!(amps.get(1), Complex::ZERO);
-        assert_eq!(amps.get(2), Complex::new(-1.0, 0.5));
+        assert_eq!(amps.get(1), Complex::new(-1.0, 0.5));
+        assert_eq!(amps.get(2), Complex::ZERO);
         assert_eq!(amps.get(3), Complex::I);
         amps.fill_zero();
         assert!(amps.iter().all(|a| a == Complex::ZERO));

@@ -339,7 +339,7 @@ impl SparseVector {
     }
 
     /// Negates every entry whose `operands` bits are all set: the
-    /// Z/CZ/CCZ family, with the dense scan path's exact `-a` arithmetic.
+    /// Z/CZ/CCZ family, with the stride kernels' exact `-a` arithmetic.
     fn diagonal_negate(&mut self, operands: &[QubitId]) {
         let ops: Vec<(usize, u64)> = operands.iter().map(|o| bit_addr(*o)).collect();
         let words = self.words;
@@ -352,7 +352,7 @@ impl SparseVector {
     }
 
     /// Multiplies every entry whose `operands` bits are all set by
-    /// `cis(theta)`: the R/C-R/CC-R family, with the dense scan path's
+    /// `cis(theta)`: the R/C-R/CC-R family, with the stride kernels'
     /// exact `a * w` arithmetic.
     fn diagonal_phase(&mut self, operands: &[QubitId], theta: Angle) {
         let w = Complex::cis(theta.radians());
@@ -693,21 +693,7 @@ impl Simulator for SparseVector {
         if residue > DEFINITE_TOL {
             return None;
         }
-        if (amp.norm() - 1.0).abs() > 1e-6 {
-            return None;
-        }
-        let tau = std::f64::consts::TAU;
-        let turns = (amp.im.atan2(amp.re) / tau).rem_euclid(1.0);
-        const LOG2_DENOM: u32 = 24;
-        let scaled = (turns * f64::from(1u32 << LOG2_DENOM)).round();
-        let numerator = (scaled as u128) % (1u128 << LOG2_DENOM);
-        let angle = Angle::from_fraction(numerator, LOG2_DENOM);
-        let back = Complex::cis(angle.radians());
-        if (back - *amp).norm() < 1e-6 {
-            Some(angle)
-        } else {
-            None
-        }
+        amp.dyadic_phase()
     }
 
     fn measure(
@@ -754,8 +740,7 @@ impl Simulator for SparseVector {
         Ok(())
     }
 
-    /// Compiled execution through the shared program-counter core
-    /// (`execute_compiled_core`), with the sparse backend's hook choices:
+    /// Compiled execution through the shared executor's default hooks:
     /// plain per-gate application (a sparse X is already `O(occupied)` —
     /// no bit-flip frame to batch), fused blocks replayed as their
     /// constituent gates (bitwise the unfused stream), and `Instr::Drop`
@@ -772,22 +757,7 @@ impl Simulator for SparseVector {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
         self.peak_entries = self.amps.len() as u64;
         let mut executed = Executed::default();
-        exec::execute_compiled_core(
-            self,
-            compiled,
-            rng,
-            &mut executed,
-            |s, g| s.apply_gate(g),
-            |s, fu| {
-                for g in fu.global_gates() {
-                    s.apply_gate(&g)?;
-                }
-                Ok(())
-            },
-            |_, q| Ok(q),
-            |_, _| {},
-            |_, _| Ok(()),
-        )?;
+        exec::execute_compiled(self, compiled, rng, &mut executed)?;
         self.last_run_peak = Some(self.peak_entries);
         Ok(executed)
     }

@@ -31,28 +31,6 @@ const RECLAIM_TOL: f64 = 1e-20;
 /// Maximum width the state-vector backend accepts (2^26 amplitudes ≈ 1 GiB).
 pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 
-const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
-
-/// How the [`StateVector`] applies gates.
-///
-/// The default [`Stride`](KernelMode::Stride) mode uses the bit-stride
-/// kernels of the [`kernels`] module: 1-qubit gates touch `2^(n-1)`
-/// amplitude pairs, controlled gates iterate only the control-satisfied
-/// subspace, diagonal gates are pure phase sweeps.
-/// [`Scan`](KernelMode::Scan) is the unoptimised reference path — a full
-/// `0..2^n` sweep with a per-index branch for every gate — retained for
-/// differential testing and for benchmarking the stride kernels against.
-/// Both modes compute the same amplitudes (the arithmetic per touched
-/// amplitude is identical; only the iteration scheme differs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum KernelMode {
-    /// Stride-based kernels (the default).
-    #[default]
-    Stride,
-    /// Full-amplitude-sweep reference implementation.
-    Scan,
-}
-
 /// An exact state-vector simulator.
 ///
 /// Amplitudes are indexed little-endian: qubit `i` is bit `i` of the index,
@@ -83,7 +61,6 @@ pub enum KernelMode {
 pub struct StateVector {
     num_qubits: usize,
     amps: Amps,
-    mode: KernelMode,
     /// Whether compiled runs may execute `Drop` instructions by compacting
     /// the amplitude array (defaults to on).
     reclaim: bool,
@@ -107,7 +84,6 @@ impl Clone for StateVector {
         Self {
             num_qubits: self.num_qubits,
             amps: self.amps.clone(),
-            mode: self.mode,
             reclaim: self.reclaim,
             last_run_peak: self.last_run_peak,
             amp_threads: self.amp_threads,
@@ -140,7 +116,6 @@ impl StateVector {
         Ok(Self {
             num_qubits,
             amps,
-            mode: KernelMode::Stride,
             reclaim: true,
             last_run_peak: None,
             amp_threads: 1,
@@ -186,28 +161,12 @@ impl StateVector {
         Ok(Self {
             num_qubits,
             amps: Amps::from_complex(&amps),
-            mode: KernelMode::Stride,
             reclaim: true,
             last_run_peak: None,
             amp_threads: 1,
             pool: None,
             scratch: None,
         })
-    }
-
-    /// Switches the gate-application path (builder style).
-    ///
-    /// See [`KernelMode`]; the default is the stride kernels.
-    #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active gate-application path.
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Enables or disables qubit reclamation for compiled runs (builder
@@ -485,17 +444,12 @@ impl StateVector {
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
         exec::validate_gate(gate, self.num_qubits)?;
-        match self.mode {
-            KernelMode::Stride => {
-                // Gate-at-a-time use: run the kernel under an empty frame
-                // and materialise immediately (an X gate toggles the local
-                // frame, so the flush performs the physical move).
-                let mut flip = 0usize;
-                self.apply_stride(gate, &mut flip);
-                self.flush_flips(&mut flip);
-            }
-            KernelMode::Scan => self.apply_scan(gate),
-        }
+        // Gate-at-a-time use: run the kernel under an empty frame and
+        // materialise immediately (an X gate toggles the local frame, so
+        // the flush performs the physical move).
+        let mut flip = 0usize;
+        self.apply_stride(gate, &mut flip);
+        self.flush_flips(&mut flip);
         Ok(())
     }
 
@@ -661,112 +615,6 @@ impl StateVector {
         *flip = 0;
     }
 
-    /// Reference implementation: a full `0..2^n` sweep with a per-index
-    /// branch for every gate. Semantically identical to the stride path
-    /// (same per-amplitude arithmetic); kept for differential tests and as
-    /// the baseline the `simulators` bench compares the kernels against.
-    fn apply_scan(&mut self, gate: &Gate) {
-        match *gate {
-            Gate::X(q) => {
-                let m = 1usize << q.index();
-                for i in 0..self.amps.len() {
-                    if i & m == 0 {
-                        self.amps.swap(i, i | m);
-                    }
-                }
-            }
-            Gate::Z(q) => {
-                let m = 1usize << q.index();
-                for i in 0..self.amps.len() {
-                    if i & m != 0 {
-                        self.amps.set(i, -self.amps.get(i));
-                    }
-                }
-            }
-            Gate::H(q) => {
-                let m = 1usize << q.index();
-                for i in 0..self.amps.len() {
-                    if i & m == 0 {
-                        let a = self.amps.get(i);
-                        let b = self.amps.get(i | m);
-                        self.amps.set(i, (a + b).scale(FRAC_1_SQRT_2));
-                        self.amps.set(i | m, (a - b).scale(FRAC_1_SQRT_2));
-                    }
-                }
-            }
-            Gate::Phase(q, theta) => {
-                let m = 1usize << q.index();
-                let w = Complex::cis(theta.radians());
-                for i in 0..self.amps.len() {
-                    if i & m != 0 {
-                        self.amps.set(i, self.amps.get(i) * w);
-                    }
-                }
-            }
-            Gate::Cx(c, t) => {
-                let mc = 1usize << c.index();
-                let mt = 1usize << t.index();
-                for i in 0..self.amps.len() {
-                    if i & mc != 0 && i & mt == 0 {
-                        self.amps.swap(i, i | mt);
-                    }
-                }
-            }
-            Gate::Cz(a, b) => {
-                let m = (1usize << a.index()) | (1usize << b.index());
-                for i in 0..self.amps.len() {
-                    if i & m == m {
-                        self.amps.set(i, -self.amps.get(i));
-                    }
-                }
-            }
-            Gate::Ccx(c1, c2, t) => {
-                let mc = (1usize << c1.index()) | (1usize << c2.index());
-                let mt = 1usize << t.index();
-                for i in 0..self.amps.len() {
-                    if i & mc == mc && i & mt == 0 {
-                        self.amps.swap(i, i | mt);
-                    }
-                }
-            }
-            Gate::Ccz(a, b, c) => {
-                let m = (1usize << a.index()) | (1usize << b.index()) | (1usize << c.index());
-                for i in 0..self.amps.len() {
-                    if i & m == m {
-                        self.amps.set(i, -self.amps.get(i));
-                    }
-                }
-            }
-            Gate::CPhase(c, t, theta) => {
-                let m = (1usize << c.index()) | (1usize << t.index());
-                let w = Complex::cis(theta.radians());
-                for i in 0..self.amps.len() {
-                    if i & m == m {
-                        self.amps.set(i, self.amps.get(i) * w);
-                    }
-                }
-            }
-            Gate::CcPhase(c1, c2, t, theta) => {
-                let m = (1usize << c1.index()) | (1usize << c2.index()) | (1usize << t.index());
-                let w = Complex::cis(theta.radians());
-                for i in 0..self.amps.len() {
-                    if i & m == m {
-                        self.amps.set(i, self.amps.get(i) * w);
-                    }
-                }
-            }
-            Gate::Swap(a, b) => {
-                let ma = 1usize << a.index();
-                let mb = 1usize << b.index();
-                for i in 0..self.amps.len() {
-                    if i & ma != 0 && i & mb == 0 {
-                        self.amps.swap(i, i ^ ma ^ mb);
-                    }
-                }
-            }
-        }
-    }
-
     /// The Born probability that the qubit at bit `p` reads 1, clamped
     /// into `[0, 1]`: long gate chains can push the summed mass a few ulps
     /// past 1, and the complementary branch probability `1 − p1` then goes
@@ -821,7 +669,6 @@ impl StateVector {
         Self {
             num_qubits: self.num_qubits,
             amps,
-            mode: self.mode,
             reclaim: self.reclaim,
             last_run_peak: None,
             amp_threads: self.amp_threads,
@@ -1265,14 +1112,7 @@ impl Simulator for StateVector {
     /// (the branch-tree engine's deterministic segments): dense blocks go
     /// through the gather kernel, wide permutation blocks through the
     /// index-remap kernel — bit-identical to replaying the constituents.
-    /// The scan reference path keeps replaying gate by gate.
     fn apply_fused(&mut self, block: &mbu_circuit::FusedUnitary) -> Result<(), SimError> {
-        if self.mode == KernelMode::Scan {
-            for g in block.global_gates() {
-                self.apply_gate(&g)?;
-            }
-            return Ok(());
-        }
         if let Some(q) = block.qubits().iter().find(|q| q.index() >= self.num_qubits) {
             return Err(SimError::OutOfRange {
                 what: format!("fused-block qubit {}", q.0),
@@ -1306,19 +1146,10 @@ impl Simulator for StateVector {
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        let mut executed = Executed::default();
-        if self.mode == KernelMode::Scan {
-            // Reference semantics: the generic per-instruction executor.
-            // Drops are ignored here — the scan path keeps the full array,
-            // which is exactly what makes it a differential baseline for
-            // the reclaiming engine.
-            self.last_run_peak = Some(self.amps.len());
-            exec::execute_compiled(self, compiled, rng, &mut executed)?;
-            return Ok(executed);
-        }
         if self.reclaim && compiled.reclaims_qubits() {
             return self.run_compiled_reclaiming(compiled, rng);
         }
+        let mut executed = Executed::default();
         self.last_run_peak = Some(self.amps.len());
         // The frame lives in a `Cell` so the gate-application closure and
         // the pre-measurement flush hook can both reach it.
@@ -1443,21 +1274,7 @@ impl Simulator for StateVector {
         // Only meaningful when the state is (numerically) one basis state
         // whose amplitude lies on the unit circle at a dyadic angle.
         let (_, amp) = self.as_basis(DEFINITE_TOL)?;
-        if (amp.norm() - 1.0).abs() > 1e-6 {
-            return None;
-        }
-        let tau = std::f64::consts::TAU;
-        let turns = (amp.im.atan2(amp.re) / tau).rem_euclid(1.0);
-        const LOG2_DENOM: u32 = 24;
-        let scaled = (turns * f64::from(1u32 << LOG2_DENOM)).round();
-        let numerator = (scaled as u128) % (1u128 << LOG2_DENOM);
-        let angle = Angle::from_fraction(numerator, LOG2_DENOM);
-        let back = Complex::cis(angle.radians());
-        if (back - amp).norm() < 1e-6 {
-            Some(angle)
-        } else {
-            None
-        }
+        amp.dyadic_phase()
     }
 
     fn measure(
@@ -1545,16 +1362,11 @@ mod tests {
             Gate::CcPhase(q(0), q(1), q(2), theta),
             Gate::Swap(q(1), q(2)),
         ];
-        for mode in [KernelMode::Stride, KernelMode::Scan] {
-            for gate in &gates {
-                let mut sv = StateVector::basis(2, 0b01).unwrap().with_kernel_mode(mode);
-                let err = sv.apply(gate).unwrap_err();
-                assert!(
-                    matches!(err, SimError::OutOfRange { .. }),
-                    "{gate} ({mode:?}): {err}"
-                );
-                assert_eq!(sv.as_basis(0.0).unwrap().0, 0b01, "state untouched");
-            }
+        for gate in &gates {
+            let mut sv = StateVector::basis(2, 0b01).unwrap();
+            let err = sv.apply(gate).unwrap_err();
+            assert!(matches!(err, SimError::OutOfRange { .. }), "{gate}: {err}");
+            assert_eq!(sv.as_basis(0.0).unwrap().0, 0b01, "state untouched");
         }
     }
 
@@ -1599,10 +1411,11 @@ mod tests {
     }
 
     #[test]
-    fn stride_and_scan_modes_agree_bit_for_bit() {
-        // A superposed 4-qubit state pushed through every gate family in
-        // both kernel modes must match exactly: the per-amplitude
-        // arithmetic is identical, only the iteration order differs.
+    fn stride_kernels_match_the_sparse_map_bit_for_bit() {
+        // A superposed 4-qubit state pushed through every gate family on
+        // the stride kernels and on the sparse map must match exactly: the
+        // sparse map does the dense per-amplitude arithmetic on the
+        // occupied entries only, so the two differ in iteration alone.
         let theta = Angle::turn_over_power_of_two(3);
         let program = [
             Gate::H(q(0)),
@@ -1618,19 +1431,27 @@ mod tests {
             Gate::Swap(q(0), q(3)),
             Gate::X(q(1)),
         ];
-        let mut stride = StateVector::basis(4, 0b1010).unwrap();
-        let mut scan = StateVector::basis(4, 0b1010)
-            .unwrap()
-            .with_kernel_mode(KernelMode::Scan);
+        let mut dense = StateVector::basis(4, 0b1010).unwrap();
+        let mut sparse = crate::SparseVector::zeros(4).unwrap();
+        sparse.set_value(&[q(0), q(1), q(2), q(3)], 0b1010).unwrap();
         for gate in &program {
-            stride.apply(gate).unwrap();
-            scan.apply(gate).unwrap();
+            dense.apply(gate).unwrap();
+            sparse.apply_gate(gate).unwrap();
         }
-        let stride_amps = stride.amplitudes();
-        let scan_amps = scan.amplitudes();
-        for (i, (a, b)) in stride_amps.iter().zip(&scan_amps).enumerate() {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "re of amp {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "im of amp {i}");
+        for (i, a) in dense.amplitudes().iter().enumerate() {
+            // The sparse map stores no exact zeros, so a zero read back
+            // is an absent entry, which the dense state must also hold
+            // as an exact zero.
+            let b = sparse.amplitude(i as u128);
+            if b.re == 0.0 && b.im == 0.0 {
+                assert!(
+                    a.re == 0.0 && a.im == 0.0,
+                    "amp {i} absent from the map: {a:?}"
+                );
+            } else {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "re of amp {i}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "im of amp {i}");
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! operands, and every permutation of a Toffoli's qubits.
 
 use mbu_circuit::{Angle, Gate, QubitId};
-use mbu_sim::{Complex, KernelMode, StateVector};
+use mbu_sim::{Complex, StateVector};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -119,11 +119,9 @@ fn dense_apply(gate: &Gate, amps: &[Complex]) -> Vec<Complex> {
     out
 }
 
-/// Applies `gate` through the `StateVector` in the given kernel mode.
-fn sv_apply(gate: &Gate, amps: &[Complex], mode: KernelMode) -> Vec<Complex> {
-    let mut sv = StateVector::from_amplitudes(amps.to_vec())
-        .unwrap()
-        .with_kernel_mode(mode);
+/// Applies `gate` through the `StateVector`'s stride kernels.
+fn sv_apply(gate: &Gate, amps: &[Complex]) -> Vec<Complex> {
+    let mut sv = StateVector::from_amplitudes(amps.to_vec()).unwrap();
     sv.apply_gate_pub(gate).unwrap();
     sv.amplitudes().to_vec()
 }
@@ -131,14 +129,12 @@ fn sv_apply(gate: &Gate, amps: &[Complex], mode: KernelMode) -> Vec<Complex> {
 fn assert_matches_reference(gate: &Gate, n: usize) {
     let amps = random_state(n, 0xD1FF ^ (n as u64));
     let expect = dense_apply(gate, &amps);
-    for mode in [KernelMode::Stride, KernelMode::Scan] {
-        let got = sv_apply(gate, &amps, mode);
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (*g - *e).norm() < 1e-12,
-                "{gate} on {n} qubits ({mode:?}): amp {i} = {g}, want {e}"
-            );
-        }
+    let got = sv_apply(gate, &amps);
+    for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+        assert!(
+            (*g - *e).norm() < 1e-12,
+            "{gate} on {n} qubits: amp {i} = {g}, want {e}"
+        );
     }
 }
 

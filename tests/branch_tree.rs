@@ -10,8 +10,8 @@
 //! * **bit-level** — the sampled mode is not merely statistically right:
 //!   with the same master seed it reproduces the [`ShotRunner`]'s
 //!   classical aggregates **bit for bit** (records, outcome counts,
-//!   executed-count means and variances), across both kernel modes,
-//!   reclamation on/off, fusion on/off and the default vs the zero
+//!   executed-count means and variances), across reclamation on/off,
+//!   fusion on/off and the default vs the zero
 //!   pruning floor — the replayed per-shot RNG streams draw against the
 //!   very probabilities the sampling path computes.
 
@@ -20,9 +20,7 @@ use mbu_arith::{
     Uncompute,
 };
 use mbu_circuit::PassConfig;
-use mbu_sim::{
-    BasisTracker, BranchEnsemble, Ensemble, KernelMode, ShotRunner, Simulator, StateVector,
-};
+use mbu_sim::{BasisTracker, BranchEnsemble, Ensemble, ShotRunner, Simulator, StateVector};
 use proptest::prelude::*;
 
 fn arch_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
@@ -131,8 +129,8 @@ proptest! {
     }
 
     /// Bit-compatibility: branch-tree sampling replays the ShotRunner's
-    /// aggregates exactly, for every engine configuration — kernel mode ×
-    /// reclamation × fusion — several master seeds, and trees pruned at
+    /// aggregates exactly, for every engine configuration — reclamation ×
+    /// fusion — several master seeds, and trees pruned at
     /// the default floor or fully expanded (`eps = 0`: every possible
     /// branch materialised).
     #[test]
@@ -158,49 +156,44 @@ proptest! {
         ]);
 
         let eps = if full_expansion { 0.0 } else { BranchEnsemble::new(0).eps() };
-        for mode in [KernelMode::Stride, KernelMode::Scan] {
-            for reclaim in [true, false] {
-                for passes in [unfused_passes(), PassConfig::default()] {
-                    // A tight node budget keeps the Gidney-style cases
-                    // (one fork per AND) from building thousands of nodes
-                    // before falling back: the fallback *is* the
-                    // ShotRunner, so bit-identity must hold either way.
-                    let branch = BranchEnsemble::new(64)
-                        .with_master_seed(seed)
-                        .with_node_budget(256)
-                        .with_passes(passes)
-                        .with_eps(eps)
-                        .run(&layout.circuit, || {
-                            Box::new(
-                                StateVector::basis(nq, input)
-                                    .unwrap()
-                                    .with_kernel_mode(mode)
-                                    .with_reclamation(reclaim),
-                            ) as Box<dyn Simulator + Send>
-                        })
-                        .unwrap();
-                    let per_shot = ShotRunner::new(64)
-                        .with_master_seed(seed)
-                        .with_passes(passes)
-                        .run(&layout.circuit, || {
-                            Box::new(
-                                StateVector::basis(nq, input)
-                                    .unwrap()
-                                    .with_kernel_mode(mode)
-                                    .with_reclamation(reclaim),
-                            )
-                        })
-                        .unwrap();
-                    prop_assert_eq!(
-                        classical_view(&branch),
-                        classical_view(&per_shot),
-                        "{:?} reclaim={} fuse={} eps={}",
-                        mode,
-                        reclaim,
-                        passes.fuse_max_qubits,
-                        eps
-                    );
-                }
+        for reclaim in [true, false] {
+            for passes in [unfused_passes(), PassConfig::default()] {
+                // A tight node budget keeps the Gidney-style cases
+                // (one fork per AND) from building thousands of nodes
+                // before falling back: the fallback *is* the
+                // ShotRunner, so bit-identity must hold either way.
+                let branch = BranchEnsemble::new(64)
+                    .with_master_seed(seed)
+                    .with_node_budget(256)
+                    .with_passes(passes)
+                    .with_eps(eps)
+                    .run(&layout.circuit, || {
+                        Box::new(
+                            StateVector::basis(nq, input)
+                                .unwrap()
+                                .with_reclamation(reclaim),
+                        ) as Box<dyn Simulator + Send>
+                    })
+                    .unwrap();
+                let per_shot = ShotRunner::new(64)
+                    .with_master_seed(seed)
+                    .with_passes(passes)
+                    .run(&layout.circuit, || {
+                        Box::new(
+                            StateVector::basis(nq, input)
+                                .unwrap()
+                                .with_reclamation(reclaim),
+                        )
+                    })
+                    .unwrap();
+                prop_assert_eq!(
+                    classical_view(&branch),
+                    classical_view(&per_shot),
+                    "reclaim={} fuse={} eps={}",
+                    reclaim,
+                    passes.fuse_max_qubits,
+                    eps
+                );
             }
         }
     }

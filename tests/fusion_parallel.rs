@@ -8,15 +8,14 @@
 //! fused, amplitude-parallel engine must reproduce the unfused serial
 //! engine **exactly**: bitwise-identical amplitudes, identical classical
 //! records and executed counts, identical RNG consumption, and identical
-//! ensemble outcome frequencies — across both kernel modes and with qubit
-//! reclamation on and off.
+//! ensemble outcome frequencies — with qubit reclamation on and off.
 
 use mbu_arith::{
     modular::{self, ModAddSpec},
     Uncompute,
 };
 use mbu_circuit::{CompiledCircuit, PassConfig};
-use mbu_sim::{Ensemble, KernelMode, ShotRunner, Simulator, StateVector};
+use mbu_sim::{Ensemble, ShotRunner, Simulator, StateVector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -39,8 +38,8 @@ fn unfused_passes() -> PassConfig {
 }
 
 proptest! {
-    // Each case simulates an up-to-18-qubit modadd 8 times (2 kernel
-    // modes × reclamation on/off × fused/unfused).
+    // Each case simulates an up-to-18-qubit modadd 4 times (reclamation
+    // on/off × fused/unfused).
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
@@ -74,65 +73,58 @@ proptest! {
         // Fusion moves gates into blocks but loses none of them.
         prop_assert_eq!(fused.counts(), unfused.counts());
 
-        for mode in [KernelMode::Stride, KernelMode::Scan] {
-            for reclaim in [true, false] {
-                // Baseline: unfused program, serial kernels.
-                let mut sv_base = StateVector::basis(nq, input)
-                    .unwrap()
-                    .with_kernel_mode(mode)
-                    .with_reclamation(reclaim)
-                    .with_amp_threads(1);
-                let mut rng_base = StdRng::seed_from_u64(seed);
-                let ex_base = sv_base.run_compiled(&unfused, &mut rng_base).unwrap();
+        for reclaim in [true, false] {
+            // Baseline: unfused program, serial kernels.
+            let mut sv_base = StateVector::basis(nq, input)
+                .unwrap()
+                .with_reclamation(reclaim)
+                .with_amp_threads(1);
+            let mut rng_base = StdRng::seed_from_u64(seed);
+            let ex_base = sv_base.run_compiled(&unfused, &mut rng_base).unwrap();
 
-                // Fused program, four amplitude lanes.
-                let mut sv_fast = StateVector::basis(nq, input)
-                    .unwrap()
-                    .with_kernel_mode(mode)
-                    .with_reclamation(reclaim)
-                    .with_amp_threads(4);
-                let mut rng_fast = StdRng::seed_from_u64(seed);
-                let ex_fast = sv_fast.run_compiled(&fused, &mut rng_fast).unwrap();
+            // Fused program, four amplitude lanes.
+            let mut sv_fast = StateVector::basis(nq, input)
+                .unwrap()
+                .with_reclamation(reclaim)
+                .with_amp_threads(4);
+            let mut rng_fast = StdRng::seed_from_u64(seed);
+            let ex_fast = sv_fast.run_compiled(&fused, &mut rng_fast).unwrap();
 
-                // Identical executed counts and classical records.
-                prop_assert_eq!(&ex_base, &ex_fast, "{:?} reclaim={}", mode, reclaim);
-                // Identical RNG consumption: the generators are at the
-                // same stream position after the run.
+            // Identical executed counts and classical records.
+            prop_assert_eq!(&ex_base, &ex_fast, "reclaim={}", reclaim);
+            // Identical RNG consumption: the generators are at the
+            // same stream position after the run.
+            prop_assert_eq!(
+                rng_base.next_u64(),
+                rng_fast.next_u64(),
+                "reclaim={}: RNG streams diverged",
+                reclaim
+            );
+            // Bitwise-identical amplitudes.
+            for (i, (a, b)) in sv_base
+                .amplitudes()
+                .iter()
+                .zip(sv_fast.amplitudes())
+                .enumerate()
+            {
                 prop_assert_eq!(
-                    rng_base.next_u64(),
-                    rng_fast.next_u64(),
-                    "{:?} reclaim={}: RNG streams diverged",
-                    mode,
-                    reclaim
+                    a.re.to_bits(),
+                    b.re.to_bits(),
+                    "reclaim={}: re of amp {}",
+                    reclaim,
+                    i
                 );
-                // Bitwise-identical amplitudes.
-                for (i, (a, b)) in sv_base
-                    .amplitudes()
-                    .iter()
-                    .zip(sv_fast.amplitudes())
-                    .enumerate()
-                {
-                    prop_assert_eq!(
-                        a.re.to_bits(),
-                        b.re.to_bits(),
-                        "{:?} reclaim={}: re of amp {}",
-                        mode,
-                        reclaim,
-                        i
-                    );
-                    prop_assert_eq!(
-                        a.im.to_bits(),
-                        b.im.to_bits(),
-                        "{:?} reclaim={}: im of amp {}",
-                        mode,
-                        reclaim,
-                        i
-                    );
-                }
-                // And both compute the paper's modular sum.
-                prop_assert_eq!(sv_fast.value(layout.x.qubits()).unwrap(), x);
-                prop_assert_eq!(sv_fast.value(layout.y.qubits()).unwrap(), (x + y) % p);
+                prop_assert_eq!(
+                    a.im.to_bits(),
+                    b.im.to_bits(),
+                    "reclaim={}: im of amp {}",
+                    reclaim,
+                    i
+                );
             }
+            // And both compute the paper's modular sum.
+            prop_assert_eq!(sv_fast.value(layout.x.qubits()).unwrap(), x);
+            prop_assert_eq!(sv_fast.value(layout.y.qubits()).unwrap(), (x + y) % p);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! with `2^n` — but it is allowed no observable deviation from the dense
 //! engine on circuits both can run. These tests pin that contract on
 //! random MBU modular adders across every architecture, against every
-//! dense engine variant (kernel mode × fusion × reclamation): identical
+//! dense engine variant (fusion × reclamation): identical
 //! classical records and executed counts, identical RNG consumption,
 //! bitwise-identical amplitudes on the shared support, and identical
 //! branch-tree distributions. The one *intended* divergence — a definite
@@ -23,7 +23,7 @@ use mbu_arith::{
 use mbu_circuit::{Basis, CircuitBuilder, CompiledCircuit, PassConfig};
 use mbu_sim::{
     phase_to_dense, BackendKind, BasisTracker, BranchDistribution, BranchEnsemble, Ensemble,
-    KernelMode, PhaseAccumulator, ShotRunner, Simulator, SparseVector, StateVector,
+    PhaseAccumulator, ShotRunner, Simulator, SparseVector, StateVector,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,9 +47,8 @@ fn unfused_passes() -> PassConfig {
 }
 
 proptest! {
-    // Each case runs one sparse simulation and eight dense variants
-    // (2 kernel modes × reclamation on/off × fused/unfused) of the same
-    // seeded modadd. Restricted to the reset-free architectures
+    // Each case runs one sparse simulation and four dense variants
+    // (reclamation on/off × fused/unfused) of the same seeded modadd. Restricted to the reset-free architectures
     // (VBE5/VBE4/CDKPM): every measurement there lands on an H-fanned
     // qubit at p = 1/2, so the sparse definite-measurement shortcut
     // never fires and the RNG streams stay in lockstep with the dense
@@ -95,68 +94,61 @@ proptest! {
             (layout.x.qubits(), u64::try_from(x).unwrap()),
             (layout.y.qubits(), u64::try_from(y).unwrap()),
         ]);
-        for mode in [KernelMode::Stride, KernelMode::Scan] {
-            for reclaim in [true, false] {
-                for compiled in [&unfused, &fused] {
-                    let mut sv = StateVector::basis(nq, input)
-                        .unwrap()
-                        .with_kernel_mode(mode)
-                        .with_reclamation(reclaim);
-                    let mut rng_sv = StdRng::seed_from_u64(seed);
-                    let ex_sv = sv.run_compiled(compiled, &mut rng_sv).unwrap();
+        for reclaim in [true, false] {
+            for compiled in [&unfused, &fused] {
+                let mut sv = StateVector::basis(nq, input)
+                    .unwrap()
+                    .with_reclamation(reclaim);
+                let mut rng_sv = StdRng::seed_from_u64(seed);
+                let ex_sv = sv.run_compiled(compiled, &mut rng_sv).unwrap();
 
-                    // Identical records, counts and RNG consumption: a
-                    // modadd only ever measures H-fanned qubits, so the
-                    // sparse definite-measurement shortcut never fires
-                    // and the streams stay in lockstep.
-                    prop_assert_eq!(&ex_sp, &ex_sv, "{:?} reclaim={}", mode, reclaim);
-                    prop_assert_eq!(
-                        tail_sp,
-                        rng_sv.next_u64(),
-                        "{:?} reclaim={}: RNG streams diverged",
-                        mode,
-                        reclaim
-                    );
-                    prop_assert_eq!(sv.value(layout.x.qubits()).unwrap(), x);
-                    prop_assert_eq!(sv.value(layout.y.qubits()).unwrap(), (x + y) % p);
+                // Identical records, counts and RNG consumption: a
+                // modadd only ever measures H-fanned qubits, so the
+                // sparse definite-measurement shortcut never fires
+                // and the streams stay in lockstep.
+                prop_assert_eq!(&ex_sp, &ex_sv, "reclaim={}", reclaim);
+                prop_assert_eq!(
+                    tail_sp,
+                    rng_sv.next_u64(),
+                    "reclaim={}: RNG streams diverged",
+                    reclaim
+                );
+                prop_assert_eq!(sv.value(layout.x.qubits()).unwrap(), x);
+                prop_assert_eq!(sv.value(layout.y.qubits()).unwrap(), (x + y) % p);
 
-                    // Bitwise-identical amplitudes on the full index
-                    // range (reclamation compacts the dense array, so
-                    // only the uncompacted variants expose all of it).
-                    if !reclaim {
-                        let amps = sv.amplitudes();
-                        let mut dense_occupied = 0usize;
-                        for (i, a) in amps.iter().enumerate() {
-                            let s = sp.amplitude(i as u128);
-                            if a.re == 0.0 && a.im == 0.0 {
-                                // Dense zeros may be negatively signed;
-                                // the sparse map culls them entirely.
-                                prop_assert!(
-                                    s.re == 0.0 && s.im == 0.0,
-                                    "{:?}: spurious sparse amp {}",
-                                    mode,
-                                    i
-                                );
-                            } else {
-                                dense_occupied += 1;
-                                prop_assert_eq!(
-                                    a.re.to_bits(),
-                                    s.re.to_bits(),
-                                    "{:?}: re of amp {}",
-                                    mode,
-                                    i
-                                );
-                                prop_assert_eq!(
-                                    a.im.to_bits(),
-                                    s.im.to_bits(),
-                                    "{:?}: im of amp {}",
-                                    mode,
-                                    i
-                                );
-                            }
+                // Bitwise-identical amplitudes on the full index
+                // range (reclamation compacts the dense array, so
+                // only the uncompacted variants expose all of it).
+                if !reclaim {
+                    let amps = sv.amplitudes();
+                    let mut dense_occupied = 0usize;
+                    for (i, a) in amps.iter().enumerate() {
+                        let s = sp.amplitude(i as u128);
+                        if a.re == 0.0 && a.im == 0.0 {
+                            // Dense zeros may be negatively signed;
+                            // the sparse map culls them entirely.
+                            prop_assert!(
+                                s.re == 0.0 && s.im == 0.0,
+                                "spurious sparse amp {}",
+                                i
+                            );
+                        } else {
+                            dense_occupied += 1;
+                            prop_assert_eq!(
+                                a.re.to_bits(),
+                                s.re.to_bits(),
+                                "re of amp {}",
+                                i
+                            );
+                            prop_assert_eq!(
+                                a.im.to_bits(),
+                                s.im.to_bits(),
+                                "im of amp {}",
+                                i
+                            );
                         }
-                        prop_assert_eq!(sp.occupied(), dense_occupied);
                     }
+                    prop_assert_eq!(sp.occupied(), dense_occupied);
                 }
             }
         }
