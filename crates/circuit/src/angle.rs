@@ -20,8 +20,8 @@ use std::fmt;
 /// fit 128 bits carry a *negated* marker instead: `−x` is stored as the
 /// pair `(x, negated)` whenever the equivalent `1 − x` numerator would
 /// overflow (only possible past `2^128` denominators, where the two forms
-/// never collide). Sums that cannot be represented exactly are reported by
-/// [`Angle::checked_add`]; the `+` operator panics on them.
+/// never collide). Addition is [`Angle::checked_add`], which reports sums
+/// that cannot be represented exactly as `None`.
 ///
 /// # Examples
 ///
@@ -29,13 +29,13 @@ use std::fmt;
 /// use mbu_circuit::Angle;
 ///
 /// let eighth = Angle::turn_over_power_of_two(3); // 2π/8 = π/4 (a T gate)
-/// let quarter = eighth + eighth;
+/// let quarter = eighth.checked_add(eighth).unwrap();
 /// assert_eq!(quarter, Angle::turn_over_power_of_two(2));
-/// assert_eq!((-quarter) + quarter, Angle::ZERO);
+/// assert_eq!((-quarter).checked_add(quarter).unwrap(), Angle::ZERO);
 ///
 /// // Deep-QFT angles far past u128 denominators stay exact.
 /// let deep = Angle::turn_over_power_of_two(1025);
-/// assert_eq!((-deep) + deep, Angle::ZERO);
+/// assert_eq!((-deep).checked_add(deep).unwrap(), Angle::ZERO);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Angle {
@@ -235,7 +235,8 @@ impl Angle {
     /// reduced numerator of the sum does not fit 128 bits (only possible
     /// when mixing wildly different denominators past `2^128`, e.g.
     /// `π + 2π/2^{1025}`). The compile-time rotation-merge pass skips
-    /// unmergeable pairs through this; the `+` operator panics instead.
+    /// unmergeable pairs through this, and the basis tracker reports them
+    /// as a typed error.
     #[must_use]
     pub fn checked_add(self, rhs: Self) -> Option<Self> {
         let d = self.log2_denom.max(rhs.log2_denom);
@@ -285,15 +286,6 @@ impl Angle {
 }
 
 use std::ops::Neg;
-
-impl std::ops::Add for Angle {
-    type Output = Self;
-
-    fn add(self, rhs: Self) -> Self {
-        self.checked_add(rhs)
-            .unwrap_or_else(|| panic!("angle sum {self} + {rhs} exceeds exact dyadic range"))
-    }
-}
 
 impl Neg for Angle {
     type Output = Self;
@@ -348,14 +340,17 @@ mod tests {
         let three_quarters = Angle::from_fraction(3, 2);
         let half = Angle::HALF_TURN;
         // 3/4 + 1/2 = 5/4 ≡ 1/4.
-        assert_eq!(three_quarters + half, Angle::from_fraction(1, 2));
+        assert_eq!(
+            three_quarters.checked_add(half).unwrap(),
+            Angle::from_fraction(1, 2)
+        );
     }
 
     #[test]
     fn negation_is_additive_inverse() {
         for (num, denom) in [(1u128, 1u32), (3, 3), (5, 4), (0, 0), (7, 5)] {
             let a = Angle::from_fraction(num, denom);
-            assert_eq!(a + (-a), Angle::ZERO, "{a}");
+            assert_eq!(a.checked_add(-a).unwrap(), Angle::ZERO, "{a}");
         }
     }
 
@@ -375,7 +370,9 @@ mod tests {
         let mut theta = Angle::ZERO;
         for (k, &bit) in a_bits.iter().enumerate() {
             if bit {
-                theta = theta + Angle::turn_over_power_of_two(i - k as u32 + 1);
+                theta = theta
+                    .checked_add(Angle::turn_over_power_of_two(i - k as u32 + 1))
+                    .unwrap();
             }
         }
         // Σ = 2π(2^0 + 2^2 + 2^3)/2^4 = 2π·13/16.
@@ -393,9 +390,16 @@ mod tests {
             assert_eq!(a.log2_denom(), k);
             let neg = -a;
             assert_eq!(-neg, a, "double negation at 2^{k}");
-            assert_eq!(a + neg, Angle::ZERO, "cancellation at 2^{k}");
+            assert_eq!(
+                a.checked_add(neg).unwrap(),
+                Angle::ZERO,
+                "cancellation at 2^{k}"
+            );
             // a + a halves the denominator exactly.
-            assert_eq!(a + a, Angle::turn_over_power_of_two(k - 1));
+            assert_eq!(
+                a.checked_add(a).unwrap(),
+                Angle::turn_over_power_of_two(k - 1)
+            );
             assert!(a.radians() >= 0.0);
         }
     }
@@ -405,14 +409,14 @@ mod tests {
         // Σ_{j} −2π/2^{k_j}, the IQFT's rotation column at one target.
         let mut acc = Angle::ZERO;
         for k in [1025u32, 1024, 1023] {
-            acc = acc + (-Angle::turn_over_power_of_two(k));
+            acc = acc.checked_add(-Angle::turn_over_power_of_two(k)).unwrap();
         }
         // −(1 + 2 + 4)/2^1025 = −7/2^1025.
         let expected = -Angle::from_fraction(7, 1025);
         assert_eq!(acc, expected);
         // And the forward column cancels it exactly.
         for k in [1025u32, 1024, 1023] {
-            acc = acc + Angle::turn_over_power_of_two(k);
+            acc = acc.checked_add(Angle::turn_over_power_of_two(k)).unwrap();
         }
         assert_eq!(acc, Angle::ZERO);
     }
@@ -426,7 +430,9 @@ mod tests {
         assert!(deep.checked_add(half).is_none());
         // But representable mixes still work: both deep, close exponents.
         assert_eq!(
-            Angle::turn_over_power_of_two(200) + Angle::turn_over_power_of_two(201),
+            Angle::turn_over_power_of_two(200)
+                .checked_add(Angle::turn_over_power_of_two(201))
+                .unwrap(),
             Angle::from_fraction(3, 201)
         );
     }
@@ -440,7 +446,7 @@ mod tests {
         assert!(!neg.is_negated());
         assert_eq!(neg.numerator(), u128::MAX);
         assert_eq!(neg.log2_denom(), 128);
-        assert_eq!(a + neg, Angle::ZERO);
+        assert_eq!(a.checked_add(neg).unwrap(), Angle::ZERO);
     }
 
     #[test]

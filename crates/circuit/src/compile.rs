@@ -1830,7 +1830,7 @@ mod tests {
         let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         let g = gates(&compiled);
         assert_eq!(g.len(), 1);
-        assert_eq!(g[0], Gate::Phase(r[0], t + t));
+        assert_eq!(g[0], Gate::Phase(r[0], t.checked_add(t).unwrap()));
         assert_eq!(compiled.stats().merged, 2);
         assert_eq!(compiled.stats().identities_removed, 1);
     }
@@ -2423,7 +2423,7 @@ mod tests {
             [
                 Gate::Phase(r[0], deep),
                 Gate::Cz(r[0], r[1]),
-                Gate::Phase(r[0], wide + t + t),
+                Gate::Phase(r[0], wide.checked_add(t).unwrap().checked_add(t).unwrap()),
             ]
         );
         assert_eq!(compiled.stats().merged, 2);

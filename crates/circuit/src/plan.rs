@@ -30,12 +30,9 @@
 //! diagonal-heavy segment whose occupied set outgrows the sparse sweet
 //! spot past the dense cap — the interior of a QFT adder — wants the
 //! phase-accumulator representation, where diagonal gates are O(occupied)
-//! exact angle additions. The `mbu-sim` crate's hybrid backend
-//! (`BackendKind::Auto`) replays the dense/sparse half of the decision at
-//! run time — seeded with the *live* occupancy instead of the static
-//! prediction — and converts representations at segment boundaries; it
-//! never runs a segment on the phase accumulator, so a `Phase` label
-//! marks a segment where the phase backend (`BackendKind::Phase`) pays.
+//! exact angle additions. The plan is a static label: `PassStats` and the
+//! program's `Display` report it, the static verifier checks it, and no
+//! simulator acts on it — a caller picks one backend for the whole run.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -46,14 +43,12 @@ use crate::gate::Gate;
 /// Default cap on the register width for which the planner will consider
 /// a dense representation at all: a dense phase allocates `2^n` amplitude
 /// slots, and past this width (16 MiB of complex amplitudes at 24
-/// qubits) converting to dense cannot pay for itself. The run-time hybrid
-/// backend starts from the same value.
+/// qubits) converting to dense cannot pay for itself.
 pub const DEFAULT_AUTO_DENSE_QUBITS: usize = 24;
 
 /// Default occupancy threshold separating "sparse is cheaper" from
 /// "dense is cheaper": a segment whose predicted occupied set stays at or
-/// under this many entries is planned sparse. The run-time hybrid backend
-/// starts from the same value.
+/// under this many entries is planned sparse.
 pub const DEFAULT_AUTO_SPARSITY: u64 = 4096;
 
 /// Default minimum number of diagonal gates for a segment to be worth the

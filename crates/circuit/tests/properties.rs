@@ -39,7 +39,7 @@ proptest! {
 
     #[test]
     fn angle_addition_is_commutative(a in arb_angle(), b in arb_angle()) {
-        prop_assert_eq!(a + b, b + a);
+        prop_assert_eq!(a.checked_add(b).unwrap(), b.checked_add(a).unwrap());
     }
 
     #[test]
@@ -48,12 +48,15 @@ proptest! {
         b in arb_angle(),
         c in arb_angle(),
     ) {
-        prop_assert_eq!((a + b) + c, a + (b + c));
+        prop_assert_eq!(
+            a.checked_add(b).unwrap().checked_add(c).unwrap(),
+            a.checked_add(b.checked_add(c).unwrap()).unwrap()
+        );
     }
 
     #[test]
     fn angle_negation_inverts(a in arb_angle()) {
-        prop_assert_eq!(a + (-a), Angle::ZERO);
+        prop_assert_eq!(a.checked_add(-a).unwrap(), Angle::ZERO);
         prop_assert_eq!(-(-a), a);
     }
 

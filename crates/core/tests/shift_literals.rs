@@ -3,11 +3,13 @@
 //! Exhaustive adder tests iterate with `1u128 << n` but historically
 //! reduced with a bare `(1 << n)` — which is fine while type inference
 //! lands on a wide type, and a silent `i32` overflow the moment a
-//! reduction is moved into a context that defaults. This test (run as its
-//! own CI step) scans every `mbu-arith` source file and fails if a bare,
-//! suffix-less integer literal — decimal, hex or binary — appears as the
-//! left operand of a shift, so the class cannot regress: write
-//! `1u128 << n` (or the context's explicit type), never `1 << n`.
+//! reduction is moved into a context that defaults. This test scans every
+//! `mbu-arith` source file and fails if a bare, suffix-less integer
+//! literal — decimal, hex or binary — appears as the left operand of a
+//! shift, so the class cannot regress: write `1u128 << n` (or the
+//! context's explicit type), never `1 << n`. It runs in the workspace's
+//! bare `cargo test` (CI's Test step), so CI and a local run share one
+//! source of truth.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -14,14 +14,10 @@
 //!   arithmetic on occupied branches: QFT-adder interiors run with no
 //!   amplitude sweeps at any width the sparse map accepts;
 //! * [`Tracker`](BackendKind::Tracker) — the `O(1)`-per-gate
-//!   [`BasisTracker`], which rejects circuits that leave its fragment;
-//! * [`Auto`](BackendKind::Auto) — the planning [`HybridState`], which
-//!   starts sparse and switches dense↔sparse at compiled-segment
-//!   boundaries, bit-identical to the best fixed choice.
+//!   [`BasisTracker`], which rejects circuits that leave its fragment.
 
 use crate::basis::BasisTracker;
 use crate::error::SimError;
-use crate::hybrid::HybridState;
 use crate::phase::PhaseAccumulator;
 use crate::simulator::Simulator;
 use crate::sparse::SparseVector;
@@ -48,8 +44,6 @@ pub enum BackendKind {
     Phase,
     /// The phase-tracking [`BasisTracker`].
     Tracker,
-    /// The planning dense↔sparse [`HybridState`].
-    Auto,
 }
 
 impl BackendKind {
@@ -62,7 +56,6 @@ impl BackendKind {
             Self::Sparse => "sparse",
             Self::Phase => "phase",
             Self::Tracker => "tracker",
-            Self::Auto => "auto",
         }
     }
 
@@ -72,7 +65,7 @@ impl BackendKind {
     ///
     /// [`SimError::TooManyQubits`] when the width exceeds the backend's
     /// construction cap (the dense engine caps near 25 qubits; the sparse
-    /// map, the phase accumulator and the hybrid at
+    /// map and the phase accumulator at
     /// [`MAX_SPARSEVECTOR_QUBITS`](crate::MAX_SPARSEVECTOR_QUBITS);
     /// the tracker has no cap).
     pub fn build(self, num_qubits: usize) -> Result<Box<dyn Simulator + Send>, SimError> {
@@ -81,7 +74,6 @@ impl BackendKind {
             Self::Sparse => Box::new(SparseVector::zeros(num_qubits)?),
             Self::Phase => Box::new(PhaseAccumulator::zeros(num_qubits)?),
             Self::Tracker => Box::new(BasisTracker::zeros(num_qubits)),
-            Self::Auto => Box::new(HybridState::zeros(num_qubits)?),
         })
     }
 }
@@ -98,13 +90,10 @@ mod tests {
 
     #[test]
     fn build_respects_per_backend_width_caps() {
-        // The dense engine refuses what the sparse map takes in stride;
-        // the hybrid starts sparse, so it takes the same widths (its
-        // planner just never promotes past the dense cap).
+        // The dense engine refuses what the sparse map takes in stride.
         assert!(BackendKind::Dense.build(300).is_err());
         assert_eq!(BackendKind::Sparse.build(300).unwrap().num_qubits(), 300);
         assert_eq!(BackendKind::Phase.build(300).unwrap().num_qubits(), 300);
-        assert_eq!(BackendKind::Auto.build(300).unwrap().num_qubits(), 300);
         assert_eq!(
             BackendKind::Tracker.build(100_000).unwrap().num_qubits(),
             100_000
@@ -121,6 +110,5 @@ mod tests {
         assert_eq!(BackendKind::Sparse.to_string(), "sparse");
         assert_eq!(BackendKind::Phase.to_string(), "phase");
         assert_eq!(BackendKind::Tracker.to_string(), "tracker");
-        assert_eq!(BackendKind::Auto.to_string(), "auto");
     }
 }

@@ -21,7 +21,8 @@
 //! * measurements in either basis.
 //!
 //! Anything that would entangle (e.g. CNOT with an X-mode control and
-//! Z-mode target) returns [`SimError::UnsupportedEntanglement`]. That the
+//! Z-mode target) returns [`SimError::UnsupportedEntanglement`], and so
+//! does a global phase the exact dyadic [`Angle`] cannot hold. That the
 //! paper's circuits never trigger this error is itself checked by the test
 //! suite.
 
@@ -249,20 +250,38 @@ impl BasisTracker {
         }
     }
 
-    fn flip_phase(&mut self) {
-        self.phase = self.phase + Angle::HALF_TURN;
+    /// Adds `theta` to the exact global phase; `op` renders the operation
+    /// that contributed it. A sum [`Angle::checked_add`] cannot hold
+    /// exactly is a state the tracker cannot represent, reported as
+    /// [`SimError::UnsupportedEntanglement`].
+    fn add_phase(&mut self, theta: Angle, op: impl FnOnce() -> String) -> Result<(), SimError> {
+        let Some(sum) = self.phase.checked_add(theta) else {
+            return Err(SimError::UnsupportedEntanglement {
+                gate: op(),
+                reason: "global phase leaves the exact dyadic range",
+            });
+        };
+        self.phase = sum;
+        Ok(())
     }
 
-    /// Applies an X to `q`: flips a Z-mode bit; on X-mode, `X|−⟩ = −|−⟩`.
-    fn apply_x(&mut self, q: QubitId) {
+    /// Adds a half turn to the global phase (see [`add_phase`](Self::add_phase)).
+    fn flip_phase(&mut self, op: impl FnOnce() -> String) -> Result<(), SimError> {
+        self.add_phase(Angle::HALF_TURN, op)
+    }
+
+    /// Applies an X to `q` as part of `gate`: flips a Z-mode bit; on
+    /// X-mode, `X|−⟩ = −|−⟩`.
+    fn apply_x(&mut self, q: QubitId, gate: &Gate) -> Result<(), SimError> {
         match self.qubits[q.index()] {
             Mode::Z(b) => self.set_mode(q.index(), Mode::Z(!b)),
             Mode::X(sign) => {
                 if sign {
-                    self.flip_phase();
+                    self.flip_phase(|| gate.to_string())?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Applies a Z-type phase of `theta` controlled on all `operands`.
@@ -293,10 +312,7 @@ impl BasisTracker {
             }
         }
         match x_mode {
-            None => {
-                self.phase = self.phase + theta;
-                Ok(())
-            }
+            None => self.add_phase(theta, || gate.to_string()),
             Some(q) => {
                 if theta == Angle::HALF_TURN {
                     // Z on |±⟩ toggles the sign.
@@ -350,16 +366,12 @@ impl BasisTracker {
                 }
             }
         }
-        self.apply_x(target);
-        Ok(())
+        self.apply_x(target, gate)
     }
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
         match *gate {
-            Gate::X(q) => {
-                self.apply_x(q);
-                Ok(())
-            }
+            Gate::X(q) => self.apply_x(q, gate),
             Gate::Z(q) => self.apply_phase_on(&[q], Angle::HALF_TURN, gate),
             Gate::H(q) => {
                 // H|0⟩=|+⟩, H|1⟩=|−⟩, H|+⟩=|0⟩, H|−⟩=|1⟩.
@@ -432,7 +444,7 @@ impl Simulator for BasisTracker {
                 let outcome = draw(0.5);
                 // (|0⟩ + (−1)^s|1⟩)/√2: outcome 1 picks up the sign.
                 if s && outcome {
-                    self.flip_phase();
+                    self.flip_phase(|| format!("M{basis} {qubit}"))?;
                 }
                 self.set_mode(i, Mode::Z(outcome));
                 Ok(outcome)
@@ -441,7 +453,7 @@ impl Simulator for BasisTracker {
                 let outcome = draw(0.5);
                 // |b⟩ = (|+⟩ + (−1)^b|−⟩)/√2: outcome |−⟩ picks up (−1)^b.
                 if b && outcome {
-                    self.flip_phase();
+                    self.flip_phase(|| format!("M{basis} {qubit}"))?;
                 }
                 self.set_mode(i, Mode::X(outcome));
                 Ok(outcome)
@@ -458,7 +470,7 @@ impl Simulator for BasisTracker {
                 // contributes a π phase, exactly as a measurement would.
                 let outcome = draw(0.5);
                 if s && outcome {
-                    self.flip_phase();
+                    self.flip_phase(|| format!("reset {qubit}"))?;
                 }
             }
         }
@@ -474,30 +486,30 @@ impl Simulator for BasisTracker {
     /// flip) are produced by cloning the per-qubit mode table.
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
         let i = self.index_of(qubit, "measured qubit")?;
-        let split = |zero: &mut Self, one_mode: Mode, flip: bool| {
+        let split = |zero: &mut Self, one_mode: Mode, flip: bool| -> Result<Fork, SimError> {
             let mut one = zero.clone();
             one.last_run_peak = None;
             one.set_mode(i, one_mode);
             if flip {
-                one.flip_phase();
+                one.flip_phase(|| format!("M{basis} {qubit}"))?;
             }
-            Fork::Split {
+            Ok(Fork::Split {
                 p_one: 0.5,
                 one: Some(Box::new(one)),
-            }
+            })
         };
         match (basis, self.qubits[i]) {
             (Basis::Z, Mode::Z(b)) => Ok(Some(Fork::Definite(b))),
             (Basis::X, Mode::X(s)) => Ok(Some(Fork::Definite(s))),
             (Basis::Z, Mode::X(s)) => {
                 // (|0⟩ + (−1)^s|1⟩)/√2: outcome 1 picks up the sign.
-                let fork = split(self, Mode::Z(true), s);
+                let fork = split(self, Mode::Z(true), s)?;
                 self.set_mode(i, Mode::Z(false));
                 Ok(Some(fork))
             }
             (Basis::X, Mode::Z(b)) => {
                 // |b⟩ = (|+⟩ + (−1)^b|−⟩)/√2: outcome |−⟩ picks up (−1)^b.
-                let fork = split(self, Mode::X(true), b);
+                let fork = split(self, Mode::X(true), b)?;
                 self.set_mode(i, Mode::X(false));
                 Ok(Some(fork))
             }
@@ -540,7 +552,6 @@ impl Simulator for BasisTracker {
             |s, fu| fu.global_gates().try_for_each(|g| s.apply(&g)),
             |_, q| Ok(q),
             |_, _| {},
-            |_, _| Ok(()),
         )?;
         self.last_run_peak = Some(self.peak);
         Ok(executed)
@@ -890,6 +901,45 @@ mod tests {
         ));
         assert_eq!(t.value(&[q(0), q(1)]).unwrap(), 0, "left untouched");
         assert!(t.global_phase().is_zero());
+    }
+
+    #[test]
+    fn phase_sums_past_the_dyadic_range_error_instead_of_panicking() {
+        // Regression: the global phase used `Angle`'s panicking `+`, so a
+        // sum whose exact numerator outgrows 128 bits (π + 2π/2^200)
+        // aborted the process where the amplitude backends return `Ok`.
+        // Both phase paths — a diagonal gate on set bits and an X
+        // kickback off |−⟩ — now report the typed "cannot represent".
+        let deep = Angle::turn_over_power_of_two(200);
+        let programs = [
+            vec![Gate::X(q(0)), Gate::Z(q(0)), Gate::Phase(q(0), deep)],
+            vec![
+                Gate::X(q(0)),
+                Gate::Phase(q(0), deep),
+                Gate::X(q(1)),
+                Gate::H(q(1)),
+                Gate::X(q(1)),
+            ],
+        ];
+        for (i, gates) in programs.into_iter().enumerate() {
+            let ops = gates.into_iter().map(mbu_circuit::Op::Gate).collect();
+            let circuit = Circuit::from_ops(2, 0, ops);
+            let program = CompiledCircuit::compile(&circuit).unwrap();
+            let interpreted = BasisTracker::zeros(2).run(&circuit, &mut rng(0));
+            let compiled = BasisTracker::zeros(2).run_compiled(&program, &mut rng(0));
+            for result in [interpreted.map(|_| ()), compiled.map(|_| ())] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(SimError::UnsupportedEntanglement {
+                            reason: "global phase leaves the exact dyadic range",
+                            ..
+                        })
+                    ),
+                    "program {i}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -231,15 +231,8 @@ fn advance(
     while let Some(instr) = instrs.get(pc) {
         match instr {
             Instr::Gate(_) | Instr::Fused(_) => {
-                // A whole deterministic segment in one go. Announce the
-                // segment first: planning backends (the hybrid) re-decide
-                // their representation here, exactly as their compiled
-                // loop would at this segment start — so forked branches
-                // keep making per-branch representation choices.
+                // A whole deterministic segment in one go.
                 let end = run_end[pc];
-                if let Err(e) = sim.plan_segment(compiled, pc, end) {
-                    return Advanced::Leaf(Err(e));
-                }
                 while pc < end {
                     match &instrs[pc] {
                         Instr::Gate(g) => {

@@ -1,23 +1,13 @@
-//! Lossless state conversion between simulator representations.
-//!
-//! The hybrid planner ([`HybridState`](crate::HybridState)) switches a
-//! running state between the dense amplitude array and the sparse basis
-//! map at segment boundaries; these conversions are its seams. Both
-//! amplitude-level conversions are **bit-exact**: no arithmetic is
-//! performed on any amplitude — entries are moved, never recomputed — so
-//! a state converted dense→sparse→dense compares bitwise equal to the
-//! original on its nonzero support, and a run that hops representations
-//! produces amplitudes bit-identical to the best single-representation
-//! run. The one canonicalisation is the sign of exact zeros: dense
-//! diagonal sweeps may leave `-0.0` on unoccupied indices, culling treats
-//! it as the zero it is, and re-materialisation writes `+0.0` back.
+//! Lossless state readouts across simulator representations, for
+//! comparing a finished run with another backend's.
 //!
 //! * [`sparse_to_dense`] scatters the occupied entries into a freshly
-//!   zeroed `2^n` array (fails above the dense width cap);
-//! * [`dense_to_sparse`] culls exact zeros in ascending index order —
-//!   ascending index *is* ascending key order, so the map invariant holds
-//!   by construction and the occupied set equals the dense array's
-//!   nonzero support exactly (the sparse engine's own culling rule);
+//!   zeroed `2^n` array (fails above the dense width cap). It is
+//!   **bit-exact**: entries are moved, never recomputed, so a sparse run
+//!   converted to dense compares bitwise equal to the dense engine's run
+//!   of the same program. The one canonicalisation is the sign of exact
+//!   zeros: dense diagonal sweeps may leave `-0.0` on unoccupied indices,
+//!   while the scattered array holds `+0.0` there;
 //! * [`phase_to_sparse`] enumerates a phase-accumulator state
 //!   ([`PhaseAccumulator`]) into the map (`2^(Fourier qubits)` entries per
 //!   branch), with each entry's phase evaluated from the *exact* dyadic
@@ -63,24 +53,6 @@ pub fn sparse_to_dense(sparse: &SparseVector) -> Result<StateVector, SimError> {
         })?] = a;
     }
     StateVector::from_amplitudes(amps)
-}
-
-/// Converts a dense amplitude array into the sparse basis map holding the
-/// same state: exact zeros are culled (the sparse engine's own occupancy
-/// rule, so the occupied set equals the dense nonzero support), everything
-/// else is moved bitwise in ascending index order — which *is* ascending
-/// key order, so the map's sort invariant holds by construction.
-pub fn dense_to_sparse(dense: &StateVector) -> SparseVector {
-    let n = dense.num_qubits();
-    let mut keys = Vec::new();
-    let mut amps = Vec::new();
-    for (i, a) in dense.amplitudes().into_iter().enumerate() {
-        if a.re != 0.0 || a.im != 0.0 {
-            keys.push(i as u64);
-            amps.push(a);
-        }
-    }
-    SparseVector::from_sorted_entries(n, keys, amps)
 }
 
 /// Widest Fourier-mode register [`phase_to_sparse`] will enumerate: each
@@ -208,10 +180,25 @@ mod tests {
         (dense, sparse)
     }
 
+    /// The occupied entries of a dense state, in ascending index order, as
+    /// a sparse map: the inverse the round-trip tests check
+    /// [`sparse_to_dense`] against.
+    fn gather(dense: &StateVector) -> SparseVector {
+        let mut keys = Vec::new();
+        let mut amps = Vec::new();
+        for (i, a) in dense.amplitudes().into_iter().enumerate() {
+            if a.re != 0.0 || a.im != 0.0 {
+                keys.push(i as u64);
+                amps.push(a);
+            }
+        }
+        SparseVector::from_sorted_entries(Simulator::num_qubits(dense), keys, amps)
+    }
+
     #[test]
     fn dense_round_trip_is_bitwise_identity() {
         let (dense, _) = lockstep_pair();
-        let back = sparse_to_dense(&dense_to_sparse(&dense)).unwrap();
+        let back = sparse_to_dense(&gather(&dense)).unwrap();
         let a = dense.amplitudes();
         let b = back.amplitudes();
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
@@ -223,7 +210,7 @@ mod tests {
     #[test]
     fn sparse_round_trip_preserves_entries_and_order() {
         let (_, sparse) = lockstep_pair();
-        let back = dense_to_sparse(&sparse_to_dense(&sparse).unwrap());
+        let back = gather(&sparse_to_dense(&sparse).unwrap());
         assert_eq!(back.occupied(), sparse.occupied());
         assert_eq!(back.raw_keys(), sparse.raw_keys());
         for (i, (x, y)) in sparse.raw_amps().iter().zip(back.raw_amps()).enumerate() {
@@ -235,30 +222,28 @@ mod tests {
     #[test]
     fn conversion_crosses_representations_losslessly() {
         // Dense and sparse runs of the same program are bit-identical
-        // (the sparse backend's contract); converting either way lands
-        // exactly on the other's state.
+        // (the sparse backend's contract); scattering the sparse map
+        // lands exactly on the dense state.
         let (dense, sparse) = lockstep_pair();
-        let converted = dense_to_sparse(&dense);
-        assert_eq!(converted.occupied(), sparse.occupied());
-        assert_eq!(converted.raw_keys(), sparse.raw_keys());
-        for (i, (x, y)) in converted
-            .raw_amps()
+        let converted = sparse_to_dense(&sparse).unwrap();
+        for (i, (x, y)) in dense
+            .amplitudes()
             .iter()
-            .zip(sparse.raw_amps())
+            .zip(&converted.amplitudes())
             .enumerate()
         {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re of entry {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im of entry {i}");
+            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re of amp {i}");
+            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im of amp {i}");
         }
     }
 
     #[test]
     fn converted_states_keep_running_identically() {
-        // Convert mid-computation, run the suffix on both representations
-        // with cloned RNGs: outcomes and final amplitudes must agree
-        // bitwise — the property the hybrid planner's switches rest on.
-        let (mut dense, _) = lockstep_pair();
-        let mut hopped = sparse_to_dense(&dense_to_sparse(&dense)).unwrap();
+        // Convert mid-computation, run the suffix on the dense engine and
+        // on the converted state with cloned RNGs: outcomes and final
+        // amplitudes must agree bitwise.
+        let (mut dense, sparse) = lockstep_pair();
+        let mut hopped = sparse_to_dense(&sparse).unwrap();
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 5);
         b.h(r[2]);

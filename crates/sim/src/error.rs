@@ -34,11 +34,12 @@ pub enum SimError {
         /// Maximum supported by this backend.
         max: usize,
     },
-    /// The basis tracker cannot represent the entanglement this gate would
-    /// create (e.g. a CNOT controlled by an `X`-mode qubit with a `Z`-mode
-    /// target).
+    /// The basis tracker cannot represent the state this operation would
+    /// create: entanglement (e.g. a CNOT controlled by an `X`-mode qubit
+    /// with a `Z`-mode target) or a global phase outside the exact dyadic
+    /// range of [`Angle`](mbu_circuit::Angle).
     UnsupportedEntanglement {
-        /// Rendering of the offending gate.
+        /// Rendering of the offending gate, measurement or reset.
         gate: String,
         /// Why the gate left the tracked fragment.
         reason: &'static str,

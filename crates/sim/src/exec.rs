@@ -7,12 +7,12 @@
 
 use std::sync::OnceLock;
 
-use mbu_circuit::{CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op, QubitId};
+use mbu_circuit::{Basis, CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op, QubitId};
 use rand::{Rng, RngCore};
 
 use crate::error::SimError;
 use crate::knobs;
-use crate::simulator::Simulator;
+use crate::simulator::{Fork, Simulator};
 
 /// Whether the `MBU_VERIFY` admission gate is on: executors then run the
 /// static verifier (`mbu_circuit::verify`) on every compiled program
@@ -128,6 +128,41 @@ pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimErr
     Ok(())
 }
 
+/// The one [`measure_fork`](Simulator::measure_fork) front end of the
+/// amplitude backends: rejects an out-of-range qubit, then runs the
+/// backend's Z-basis fork `fork_z`. An X-basis fork is the sampling
+/// path's `H` conjugation applied to each branch: `H` on the receiver
+/// around the Z fork, then `H` on the outcome-1 child. Every such backend
+/// implements [`apply_gate`](Simulator::apply_gate) as its own gate
+/// `apply`, so conjugating the boxed child through the trait gives the
+/// same bits.
+pub(crate) fn fork_in_basis<S: Simulator>(
+    sim: &mut S,
+    qubit: QubitId,
+    basis: Basis,
+    fork_z: impl FnOnce(&mut S, QubitId) -> Result<Fork, SimError>,
+) -> Result<Option<Fork>, SimError> {
+    if qubit.index() >= sim.num_qubits() {
+        return Err(SimError::OutOfRange {
+            what: format!("measured qubit q{}", qubit.0),
+        });
+    }
+    let fork = match basis {
+        Basis::Z => fork_z(sim, qubit)?,
+        Basis::X => {
+            let h = Gate::H(qubit);
+            sim.apply_gate(&h)?;
+            let mut fork = fork_z(sim, qubit)?;
+            sim.apply_gate(&h)?;
+            if let Fork::Split { one: Some(one), .. } = &mut fork {
+                one.apply_gate(&h)?;
+            }
+            fork
+        }
+    };
+    Ok(Some(fork))
+}
+
 /// Executes `ops` on `sim`, recording outcomes and executed counts.
 ///
 /// Works through the object-safe [`Simulator`] surface so one executor
@@ -206,14 +241,13 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
         },
         |_, q| Ok(q),
         |_, _| {},
-        |_, _| Ok(()),
     )
 }
 
 /// The compiled program-counter loop, parametrised over gate application
 /// (`apply`), fused-block application (`apply_fused`), a hook run before
-/// every non-unitary instruction (`before_nonunitary`), a handler for
-/// [`Instr::Drop`] (`on_drop`) and a per-instruction hook (`at_pc`). Backends with deferred per-gate state —
+/// every non-unitary instruction (`before_nonunitary`) and a handler for
+/// [`Instr::Drop`] (`on_drop`). Backends with deferred per-gate state —
 /// the state vector's bit-flip frame — route through this with a custom
 /// `apply` and a flush hook, so measurement, reset, branch and
 /// classical-record semantics live in exactly one place.
@@ -230,13 +264,6 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
 /// unchanged. `on_drop` is the reclamation hook; for backends without a
 /// compaction story a drop is a semantic no-op and the default handler
 /// does nothing.
-///
-/// `at_pc` fires at the top of every loop iteration, before the
-/// instruction at `pc` dispatches. Because every program point the loop
-/// can land on after a barrier or branch is a segment start (see
-/// `CompiledCircuit::segments`), a backend that re-plans its state
-/// representation per segment (the hybrid auto backend) keys a
-/// segment-start table on the hook's `pc`; everyone else passes a no-op.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     sim: &mut S,
@@ -247,13 +274,11 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     mut apply_fused: impl FnMut(&mut S, &FusedUnitary) -> Result<(), SimError>,
     mut before_nonunitary: impl FnMut(&mut S, QubitId) -> Result<QubitId, SimError>,
     mut on_drop: impl FnMut(&mut S, QubitId),
-    mut at_pc: impl FnMut(&mut S, usize) -> Result<(), SimError>,
 ) -> Result<(), SimError> {
     admit_compiled(compiled)?;
     let instrs = compiled.instrs();
     let mut pc = 0usize;
     while let Some(instr) = instrs.get(pc) {
-        at_pc(sim, pc)?;
         match instr {
             Instr::Gate(g) => {
                 apply(sim, g)?;

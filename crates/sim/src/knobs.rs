@@ -12,13 +12,10 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 /// Emits `message` to stderr exactly once per process for each distinct
-/// `key`; later calls with the same key stay silent. Also the channel for
-/// advisory diagnostics that are not parse failures — e.g. a backend
-/// choice that is legal but defeats its own purpose (the planning hybrid
-/// on a circuit too small for planning to pay). Key the call by the
+/// `key`; later calls with the same key stay silent. Key the call by the
 /// *condition*, not the message, so a hot loop hitting the condition every
 /// shot warns once.
-pub(crate) fn warn_once(key: &str, message: &str) {
+fn warn_once(key: &str, message: &str) {
     static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
     let mut warned = WARNED.lock().expect("knob warning registry");
     if warned.insert(key.to_string()) {

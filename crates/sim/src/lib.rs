@@ -1,9 +1,7 @@
 //! Simulators for adaptive quantum circuits.
 //!
-//! Three exact backends execute the [`mbu-circuit`](mbu_circuit) IR,
-//! including mid-circuit measurement and classically-controlled blocks —
-//! plus a fourth, [`HybridState`] ([`BackendKind::Auto`]), that hops between
-//! the first two mid-run via a per-segment planner (see below):
+//! Four exact backends execute the [`mbu-circuit`](mbu_circuit) IR,
+//! including mid-circuit measurement and classically-controlled blocks:
 //!
 //! * [`StateVector`] — exact complex-amplitude simulation of every gate in
 //!   the set, built on stride-based kernels: 1-qubit gates touch `2^(n-1)`
@@ -78,13 +76,9 @@
 //! all) or replays the per-shot RNG streams against the tree for
 //! aggregates bit-identical to the [`ShotRunner`]'s. The backend behind
 //! any of those harnesses is one [`BackendKind`] value the caller passes
-//! to its factory — including [`BackendKind::Auto`], the
-//! [`HybridState`] planner that starts sparse and converts dense↔sparse
-//! at compiled-segment boundaries using the compiler's structural
-//! segment profiles ([`mbu_circuit::SegmentProfile`]). The lossless
-//! conversions it rides on are public ([`sparse_to_dense`],
-//! [`dense_to_sparse`]), next to the phase-accumulator readouts
-//! [`phase_to_sparse`] / [`phase_to_dense`].
+//! to its factory. The readouts [`sparse_to_dense`], [`phase_to_sparse`]
+//! and [`phase_to_dense`] convert a finished state for comparison across
+//! representations.
 //!
 //! # Examples
 //!
@@ -135,7 +129,6 @@ mod complex;
 mod convert;
 mod error;
 mod exec;
-mod hybrid;
 mod kernels;
 mod knobs;
 mod phase;
@@ -150,12 +143,9 @@ pub use backend::BackendKind;
 pub use basis::BasisTracker;
 pub use branch::{BranchDistribution, BranchEnsemble, DEFAULT_NODE_BUDGET};
 pub use complex::Complex;
-pub use convert::{
-    dense_to_sparse, phase_to_dense, phase_to_sparse, sparse_to_dense, MAX_PHASE_ENUM_FOURIER,
-};
+pub use convert::{phase_to_dense, phase_to_sparse, sparse_to_dense, MAX_PHASE_ENUM_FOURIER};
 pub use error::SimError;
 pub use exec::Executed;
-pub use hybrid::HybridState;
 pub use phase::{PhaseAccumulator, MAX_PHASE_BRANCHES};
 pub use shots::{CountStats, Ensemble, ShotRunner};
 pub use simulator::{Fork, Simulator};

@@ -38,7 +38,7 @@ use rand::RngCore;
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
-use crate::simulator::{ConcreteFork, Fork, Simulator};
+use crate::simulator::{Fork, Simulator};
 use crate::sparse::MAX_SPARSEVECTOR_QUBITS;
 
 /// Branch-count ceiling for materialisation fallbacks: a gate that would
@@ -854,7 +854,7 @@ impl PhaseAccumulator {
     /// The both-branch Z measurement behind
     /// [`measure_fork`](Simulator::measure_fork), mirroring the sparse
     /// engine's fork semantics (definite outcomes consume no randomness).
-    fn fork_z(&mut self, q: QubitId) -> Result<ConcreteFork<PhaseAccumulator>, SimError> {
+    fn fork_z(&mut self, q: QubitId) -> Result<Fork, SimError> {
         if self.fourier[q.index()] {
             self.materialize(q)?;
         }
@@ -862,7 +862,7 @@ impl PhaseAccumulator {
         if p1 == 0.0 || p1 == 1.0 {
             let outcome = p1 == 1.0;
             self.project(q, outcome, self.z_branch_scale(q, outcome, p1));
-            return Ok(ConcreteFork::Definite(outcome));
+            return Ok(Fork::Definite(outcome));
         }
         let scale0 = self.z_branch_scale(q, false, p1);
         let scale1 = self.z_branch_scale(q, true, p1);
@@ -871,41 +871,10 @@ impl PhaseAccumulator {
         self.project(q, false, scale0);
         one.project(q, true, scale1);
         one.note_peak();
-        Ok(ConcreteFork::Split {
+        Ok(Fork::Split {
             p_one: p1,
-            one: Some(one),
+            one: Some(Box::new(one)),
         })
-    }
-
-    /// The typed fork (see [`ConcreteFork`]): wrapper backends re-wrap the
-    /// branch to keep planning state.
-    pub(crate) fn fork_concrete(
-        &mut self,
-        qubit: QubitId,
-        basis: Basis,
-    ) -> Result<ConcreteFork<PhaseAccumulator>, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => self.fork_z(qubit),
-            Basis::X => {
-                self.apply(&Gate::H(qubit))?;
-                let fork = self.fork_z(qubit)?;
-                self.apply(&Gate::H(qubit))?;
-                match fork {
-                    ConcreteFork::Definite(b) => Ok(ConcreteFork::Definite(b)),
-                    ConcreteFork::Split { p_one, mut one } => {
-                        if let Some(one) = one.as_mut() {
-                            one.apply(&Gate::H(qubit))?;
-                        }
-                        Ok(ConcreteFork::Split { p_one, one })
-                    }
-                }
-            }
-        }
     }
 
     /// A definite-bit read under the shared tolerance. Fourier-mode
@@ -957,7 +926,7 @@ impl Simulator for PhaseAccumulator {
     }
 
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        Ok(Some(self.fork_concrete(qubit, basis)?.into_fork()))
+        exec::fork_in_basis(self, qubit, basis, Self::fork_z)
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
@@ -1211,14 +1180,14 @@ mod tests {
     fn fork_splits_even_superpositions() {
         let mut sim = PhaseAccumulator::zeros(1).unwrap();
         sim.apply(&Gate::H(q(0))).unwrap();
-        match sim.fork_concrete(q(0), Basis::Z).unwrap() {
-            ConcreteFork::Split { p_one, one } => {
+        match sim.measure_fork(q(0), Basis::Z).unwrap().unwrap() {
+            Fork::Split { p_one, one } => {
                 assert!((p_one - 0.5).abs() < 1e-12);
                 let one = one.unwrap();
                 assert!(one.bit(q(0)).unwrap());
                 assert!(!sim.bit(q(0)).unwrap());
             }
-            ConcreteFork::Definite(_) => panic!("even superposition must split"),
+            Fork::Definite(_) => panic!("even superposition must split"),
         }
     }
 

@@ -46,41 +46,6 @@ pub enum Fork {
     },
 }
 
-/// A fork whose outcome-1 branch keeps its concrete state type.
-///
-/// The typed twin of [`Fork`]: backends implement their fork logic once
-/// against their own state type, and the trait's
-/// [`measure_fork`](Simulator::measure_fork) wraps the branch into a
-/// `Box<dyn Simulator + Send>`. Wrapper backends (the hybrid auto
-/// backend) call the concrete method instead, so forked branches stay
-/// wrapped — each branch inherits the wrapper's planning state rather
-/// than escaping as a bare inner state.
-pub(crate) enum ConcreteFork<S> {
-    /// Deterministic measurement: state untouched, no randomness used.
-    Definite(bool),
-    /// The receiver collapsed to the outcome-0 branch; `one` is the
-    /// outcome-1 branch (`None` exactly when `p_one == 0.0`).
-    Split {
-        /// Born probability of outcome 1.
-        p_one: f64,
-        /// The outcome-`true` branch.
-        one: Option<S>,
-    },
-}
-
-impl<S: Simulator + Send + 'static> ConcreteFork<S> {
-    /// Type-erases the branch into the public [`Fork`] shape.
-    pub(crate) fn into_fork(self) -> Fork {
-        match self {
-            ConcreteFork::Definite(b) => Fork::Definite(b),
-            ConcreteFork::Split { p_one, one } => Fork::Split {
-                p_one,
-                one: one.map(|s| Box::new(s) as Box<dyn Simulator + Send>),
-            },
-        }
-    }
-}
-
 /// A quantum-circuit simulation backend.
 ///
 /// Object-safe: harnesses hold `Box<dyn Simulator>` and stay agnostic of
@@ -267,35 +232,11 @@ pub trait Simulator {
     /// Where [`peak_amplitudes`](Simulator::peak_amplitudes) reports the
     /// allocated working set (the dense backend's full `2^n` array), this
     /// reports logical occupancy: the sparse backend's high-water entry
-    /// count, the basis tracker's `2^(X-mode qubits)` branch bound, the
-    /// hybrid backend's fold across its representation phases. Branch-tree
-    /// execution aggregates it per leaf so shared-trajectory runs report
-    /// peak statistics too.
+    /// count, the basis tracker's `2^(X-mode qubits)` branch bound.
+    /// Branch-tree execution aggregates it per leaf so shared-trajectory
+    /// runs report peak statistics too.
     fn occupancy_peak(&self) -> Option<u64> {
         None
-    }
-
-    /// Hook fired when a compiled-program executor enters the
-    /// deterministic segment `start..end` of `compiled` (see
-    /// `CompiledCircuit::segments`).
-    ///
-    /// Backends that adapt their state representation mid-run (the hybrid
-    /// auto backend) re-plan here — inspecting the segment's structure and
-    /// their live occupancy, and converting representations when the
-    /// segment would run cheaper elsewhere. The default does nothing:
-    /// fixed-representation backends have nothing to plan.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific conversion failures.
-    fn plan_segment(
-        &mut self,
-        compiled: &CompiledCircuit,
-        start: usize,
-        end: usize,
-    ) -> Result<(), SimError> {
-        let _ = (compiled, start, end);
-        Ok(())
     }
 
     /// Requests `threads` intra-state amplitude worker lanes for

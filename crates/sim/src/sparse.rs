@@ -50,7 +50,7 @@ use rand::RngCore;
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
-use crate::simulator::{ConcreteFork, Fork, Simulator};
+use crate::simulator::{Fork, Simulator};
 
 /// Construction cap for [`SparseVector::zeros`]: wide enough for every
 /// Table-1 architecture at n = 1024 (the 5n-qubit VBE-family layouts land
@@ -255,17 +255,6 @@ impl SparseVector {
     /// Key width in 64-bit words.
     pub(crate) fn key_words(&self) -> usize {
         self.words
-    }
-
-    /// The occupied-entry high-water mark since the last reset.
-    pub(crate) fn peak_entries(&self) -> u64 {
-        self.peak_entries
-    }
-
-    /// Restarts the high-water mark at the current occupancy (a compiled
-    /// run is beginning).
-    pub(crate) fn reset_peak(&mut self) {
-        self.peak_entries = self.amps.len() as u64;
     }
 
     /// Binary search for `key` among the sorted entries.
@@ -570,17 +559,17 @@ impl SparseVector {
     /// The both-branch Z measurement behind
     /// [`measure_fork`](Simulator::measure_fork). A definite outcome
     /// (`p₁` exactly `0.0` or `1.0`) reports
-    /// [`ConcreteFork::Definite`] — the sampling path consumes no
+    /// [`Fork::Definite`] — the sampling path consumes no
     /// randomness for it — after dropping the impossible half's
     /// (numerically massless) entries, so the surviving state is bitwise
     /// what [`measure_z`](Self::measure_z) leaves. A genuine split scales
     /// both halves with the dense `split_bit` arithmetic.
-    fn fork_z(&mut self, q: QubitId) -> ConcreteFork<SparseVector> {
+    fn fork_z(&mut self, q: QubitId) -> Fork {
         let p1 = self.z_prob_one(q);
         if p1 == 0.0 || p1 == 1.0 {
             let outcome = p1 == 1.0;
             self.project(q, outcome, self.z_branch_scale(q, outcome, p1));
-            return ConcreteFork::Definite(outcome);
+            return Fork::Definite(outcome);
         }
         let scale0 = self.z_branch_scale(q, false, p1);
         let scale1 = self.z_branch_scale(q, true, p1);
@@ -589,41 +578,9 @@ impl SparseVector {
         self.project(q, false, scale0);
         one.project(q, true, scale1);
         one.note_peak();
-        ConcreteFork::Split {
+        Fork::Split {
             p_one: p1,
-            one: Some(one),
-        }
-    }
-
-    /// The typed fork behind [`measure_fork`](Simulator::measure_fork):
-    /// same semantics, but the outcome-1 branch keeps its concrete
-    /// `SparseVector` type so wrapper backends can re-wrap it.
-    pub(crate) fn fork_concrete(
-        &mut self,
-        qubit: QubitId,
-        basis: Basis,
-    ) -> Result<ConcreteFork<SparseVector>, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => Ok(self.fork_z(qubit)),
-            Basis::X => {
-                self.apply(&Gate::H(qubit))?;
-                let fork = self.fork_z(qubit);
-                self.apply(&Gate::H(qubit))?;
-                match fork {
-                    ConcreteFork::Definite(b) => Ok(ConcreteFork::Definite(b)),
-                    ConcreteFork::Split { p_one, mut one } => {
-                        if let Some(one) = one.as_mut() {
-                            one.apply(&Gate::H(qubit))?;
-                        }
-                        Ok(ConcreteFork::Split { p_one, one })
-                    }
-                }
-            }
+            one: Some(Box::new(one)),
         }
     }
 
@@ -721,7 +678,7 @@ impl Simulator for SparseVector {
     }
 
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        Ok(Some(self.fork_concrete(qubit, basis)?.into_fork()))
+        exec::fork_in_basis(self, qubit, basis, |s, q| Ok(s.fork_z(q)))
     }
 
     fn occupancy_peak(&self) -> Option<u64> {

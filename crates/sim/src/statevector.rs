@@ -8,7 +8,7 @@ use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::kernels::{self, Par};
 use crate::pool::AmpPool;
-use crate::simulator::{ConcreteFork, Fork, Simulator};
+use crate::simulator::{Fork, Simulator};
 use crate::soa::Amps;
 
 /// Tolerance below which a probability is treated as exactly 0 or 1 when
@@ -677,24 +677,6 @@ impl StateVector {
         }
     }
 
-    /// Counts amplitudes that are not exactly zero, giving up as soon as
-    /// the count exceeds `bound` (returning `None`) so the hybrid planner
-    /// can probe "is this state sparse enough to demote?" without paying a
-    /// full `O(2^n)` sweep on dense states — the common case stops at the
-    /// first `bound + 1` occupied entries.
-    pub(crate) fn nonzero_count_capped(&self, bound: u64) -> Option<u64> {
-        let mut count = 0u64;
-        for a in self.amps.iter() {
-            if a != Complex::ZERO {
-                count += 1;
-                if count > bound {
-                    return None;
-                }
-            }
-        }
-        Some(count)
-    }
-
     /// The both-branch Z measurement behind [`Simulator::measure_fork`]:
     /// one probability sweep plus one [`kernels::split_bit`] sweep yields
     /// both renormalised children, each **possible** branch bit-identical
@@ -706,7 +688,7 @@ impl StateVector {
     /// branch-tree consumer prunes zero-probability children unseen, and
     /// paying a full child allocation plus two extra sweeps per definite
     /// measurement would double the traffic of a full-expansion run.
-    fn fork_z(&mut self, q: QubitId) -> ConcreteFork<Self> {
+    fn fork_z(&mut self, q: QubitId) -> Fork {
         let p = q.index();
         let p1 = self.z_prob_one(p);
         if p1 == 0.0 {
@@ -714,7 +696,7 @@ impl StateVector {
             // 1/√(1−0) = 1, so `measure_z(…, false)` would scale the
             // survivors by 1.0 (a bitwise no-op) and zero the dead half.
             kernels::zero_where_bit(&mut self.amps, p);
-            return ConcreteFork::Split {
+            return Fork::Split {
                 p_one: p1,
                 one: None,
             };
@@ -726,46 +708,9 @@ impl StateVector {
         };
         let scale1 = self.z_branch_scale(p, true, p1);
         let one_amps = kernels::split_bit(&mut self.amps, 1usize << p, scale0, scale1);
-        ConcreteFork::Split {
+        Fork::Split {
             p_one: p1,
-            one: Some(self.child_with_amps(one_amps)),
-        }
-    }
-
-    /// [`measure_fork`](Simulator::measure_fork) with the child still a
-    /// concrete `StateVector` instead of a boxed trait object, so wrapper
-    /// backends (the hybrid planner) can re-wrap both branches in their own
-    /// type. The state vector always reports a split — its sampling path
-    /// consumes one draw per measurement even when the outcome is certain,
-    /// and the fork must mirror that so per-shot RNG replay stays
-    /// bit-identical.
-    pub(crate) fn fork_concrete(
-        &mut self,
-        qubit: QubitId,
-        basis: Basis,
-    ) -> Result<ConcreteFork<Self>, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => Ok(self.fork_z(qubit)),
-            Basis::X => {
-                // Same H-conjugation as the sampling path, applied to each
-                // branch independently (the branches are product-separate
-                // states once split).
-                self.apply(&Gate::H(qubit))?;
-                let fork = self.fork_z(qubit);
-                self.apply(&Gate::H(qubit))?;
-                let ConcreteFork::Split { p_one, mut one } = fork else {
-                    unreachable!("fork_z always splits");
-                };
-                if let Some(one) = one.as_mut() {
-                    one.apply(&Gate::H(qubit))?;
-                }
-                Ok(ConcreteFork::Split { p_one, one })
-            }
+            one: Some(Box::new(self.child_with_amps(one_amps))),
         }
     }
 }
@@ -1087,7 +1032,6 @@ impl StateVector {
                 lm.drop_qubit(&mut sv.amps, q.index(), &mut f);
                 flip.set(f);
             },
-            |_, _| Ok(()),
         );
         let mut f = flip.get();
         self.flush_flips(&mut f);
@@ -1179,7 +1123,6 @@ impl Simulator for StateVector {
                 Ok(q)
             },
             |_, _| {},
-            |_, _| Ok(()),
         )?;
         let mut f = flip.get();
         self.flush_flips(&mut f);
@@ -1192,9 +1135,8 @@ impl Simulator for StateVector {
 
     /// The dense working set *is* the amplitude array: every entry is
     /// materialised whether or not it carries mass, so the occupancy a
-    /// branch-tree leaf or hybrid planner should account for is its
-    /// current length (compacted mid-run under reclamation, `2^n`
-    /// otherwise).
+    /// branch-tree leaf should account for is its current length
+    /// (compacted mid-run under reclamation, `2^n` otherwise).
     fn occupancy_peak(&self) -> Option<u64> {
         Some(self.amps.len() as u64)
     }
@@ -1304,9 +1246,11 @@ impl Simulator for StateVector {
     /// Both-branch measurement for the branch-tree engine: the receiver
     /// collapses to the outcome-0 branch, the returned child holds the
     /// outcome-1 branch. The state vector always reports a
-    /// [`Fork::Split`] — see [`fork_concrete`](Self::fork_concrete).
+    /// [`Fork::Split`]: its sampling path consumes one draw per
+    /// measurement even when the outcome is certain, and the fork must
+    /// mirror that so per-shot RNG replay stays bit-identical.
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        Ok(Some(self.fork_concrete(qubit, basis)?.into_fork()))
+        exec::fork_in_basis(self, qubit, basis, |s, q| Ok(s.fork_z(q)))
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {

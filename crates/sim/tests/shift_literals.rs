@@ -6,11 +6,11 @@
 //! `1u64 << x_count`; a bare `(1 << n)` in those spots type-infers to
 //! `i32` the moment the context stops pinning a wide type and silently
 //! overflows past bit 31 — exactly the class the `mbu-arith` guard
-//! exists for. This is the same scan, pointed at `mbu-sim`'s sources
-//! (run as its own CI step): a bare, suffix-less integer literal —
-//! decimal, hex or binary — as the left operand of a shift fails the
-//! build. Write `1u64 << n` (or the context's explicit type), never
-//! `1 << n`.
+//! exists for. This is the same scan, pointed at `mbu-sim`'s sources,
+//! and it runs in the workspace's bare `cargo test` (CI's Test step): a
+//! bare, suffix-less integer literal — decimal, hex or binary — as the
+//! left operand of a shift fails the build. Write `1u64 << n` (or the
+//! context's explicit type), never `1 << n`.
 
 use std::fs;
 use std::path::{Path, PathBuf};

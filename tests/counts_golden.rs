@@ -458,17 +458,13 @@ fn table1_expected_counts_reproduced_by_branch_tree_exact_mode() {
     }
 }
 
-/// The same exact-mode reproduction on the planning hybrid
-/// ([`BackendKind::Auto`](mbu_sim::BackendKind::Auto)), pinned to hop to
-/// the dense array: a sparsity threshold of one entry makes the first
-/// fan-out segment promote, so every measurement history runs across a
-/// representation switch, and the weighted counts must still be the
-/// analytic expectation to the last bit.
+/// The same exact-mode reproduction on the sparse basis map at n = 4:
+/// every measurement history runs on the amplitude representation, and
+/// the probability-weighted counts must still be the analytic
+/// expectation to the last bit.
 #[test]
-fn table1_expected_counts_survive_hybrid_representation_switches() {
-    use mbu_circuit::CompiledCircuit;
-    use mbu_sim::{BranchEnsemble, HybridState, Simulator};
-    use rand::{rngs::StdRng, SeedableRng};
+fn table1_expected_counts_reproduced_on_the_sparse_map() {
+    use mbu_sim::{BranchEnsemble, Simulator, SparseVector};
 
     let (n, p) = (4usize, 13u128);
     type SpecFn = fn(Uncompute) -> ModAddSpec;
@@ -481,15 +477,12 @@ fn table1_expected_counts_survive_hybrid_representation_switches() {
         let layout = modular::modadd_circuit(&spec(Uncompute::Mbu), n, p).unwrap();
         let nq = layout.circuit.num_qubits();
         let (x, y) = (layout.x.qubits().to_vec(), layout.y.qubits().to_vec());
-        let hybrid = move || {
-            let mut sim = HybridState::zeros(nq).unwrap().with_thresholds(24, 1);
-            sim.set_value(&x, 7).unwrap();
-            sim.set_value(&y, 9).unwrap();
-            sim
-        };
         let dist = BranchEnsemble::new(0)
-            .distribution(&layout.circuit, || {
-                Box::new(hybrid()) as Box<dyn Simulator + Send>
+            .distribution(&layout.circuit, move || {
+                let mut sim = SparseVector::zeros(nq).unwrap();
+                sim.set_value(&x, 7).unwrap();
+                sim.set_value(&y, 9).unwrap();
+                Box::new(sim) as Box<dyn Simulator + Send>
             })
             .unwrap();
         let exact = dist.mean_counts();
@@ -498,12 +491,6 @@ fn table1_expected_counts_survive_hybrid_representation_switches() {
         assert_eq!(exact.cx, ecx, "{name}: exact-mode E[CNOT]");
         assert_eq!(exact.toffoli, analytic.toffoli, "{name}: E[Toffoli]");
         assert_eq!(exact.cx, analytic.cx, "{name}: E[CNOT]");
-
-        let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
-        let mut sim = hybrid();
-        sim.run_compiled(&compiled, &mut StdRng::seed_from_u64(1))
-            .unwrap();
-        assert_eq!(sim.last_run_switches(), Some(1), "{name}: one hop to dense");
     }
 }
 

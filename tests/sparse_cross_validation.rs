@@ -550,10 +550,61 @@ fn definite_measurements_consume_no_rng_on_sparse_or_tracker() {
     assert!(ex_sv.outcome(0).unwrap());
 }
 
+/// Dense and sparse agree bit for bit — records, RNG position and every
+/// amplitude — through a mid-circuit MBU measurement on superposed
+/// inputs, where the outcome-dependent correction acts on a multi-branch
+/// state (the modadds above run on basis inputs). The circuit is
+/// reset-free and its measurement genuinely random (H-preceded,
+/// `p₁ = ½`), so the two engines' RNG streams stay in lockstep.
+#[test]
+fn superposed_mbu_and_matches_dense_bit_for_bit() {
+    // Gidney's logical AND on superposed inputs with measurement-based
+    // uncomputation: H both inputs, compute the AND, MBU-uncompute it.
+    let mut b = CircuitBuilder::new();
+    let q = b.qreg("q", 3);
+    b.h(q[0]);
+    b.h(q[1]);
+    b.ccx(q[0], q[1], q[2]);
+    b.h(q[2]);
+    let m = b.measure(q[2], Basis::Z);
+    let (_, fix) = b.record(|bb| {
+        bb.cz(q[0], q[1]);
+        bb.x(q[2]);
+    });
+    b.emit_conditional(m, &fix);
+    let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+
+    for seed in 0..32u64 {
+        let mut dense = StateVector::zeros(3).unwrap().with_reclamation(false);
+        let mut sparse = SparseVector::zeros(3).unwrap();
+        let mut rng_d = StdRng::seed_from_u64(seed);
+        let mut rng_s = StdRng::seed_from_u64(seed);
+        let ex_d = dense.run_compiled(&compiled, &mut rng_d).unwrap();
+        let ex_s = sparse.run_compiled(&compiled, &mut rng_s).unwrap();
+        assert_eq!(ex_d, ex_s, "seed {seed}");
+        assert_eq!(
+            rng_d.next_u64(),
+            rng_s.next_u64(),
+            "seed {seed}: RNG position"
+        );
+        for (i, a) in dense.amplitudes().iter().enumerate() {
+            let s = sparse.amplitude(i as u128);
+            if a.re == 0.0 && a.im == 0.0 {
+                // Dense zeros may be negatively signed; the sparse map
+                // culls them entirely.
+                assert!(s.re == 0.0 && s.im == 0.0, "seed {seed}: amp {i}");
+            } else {
+                assert_eq!(a.re.to_bits(), s.re.to_bits(), "seed {seed}: re {i}");
+                assert_eq!(a.im.to_bits(), s.im.to_bits(), "seed {seed}: im {i}");
+            }
+        }
+    }
+}
+
 #[test]
 fn every_backend_kind_computes_the_modular_sum() {
-    // Whichever backend a factory builds — dense, sparse, phase, tracker
-    // or the auto planner — it runs the same MBU modadd to the same answer.
+    // Whichever backend a factory builds — dense, sparse, phase or
+    // tracker — it runs the same MBU modadd to the same answer.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let (n, p, x, y) = (3usize, 5u128, 4u128, 3u128);
     let layout = modular::modadd_circuit(&spec, n, p).unwrap();
@@ -564,7 +615,6 @@ fn every_backend_kind_computes_the_modular_sum() {
         BackendKind::Sparse,
         BackendKind::Phase,
         BackendKind::Tracker,
-        BackendKind::Auto,
     ] {
         let mut sim = kind.build(layout.circuit.num_qubits()).unwrap();
         sim.set_value(layout.x.qubits(), x).unwrap();
