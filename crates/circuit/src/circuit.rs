@@ -1,12 +1,11 @@
 //! The [`Circuit`] container.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::counts::{ExpectedCounts, GateCounts};
 use crate::depth::{self, DepthWeights};
 use crate::error::CircuitError;
-use crate::op::{Op, QubitId};
+use crate::op::Op;
 
 /// An adaptive quantum circuit: a sequence of [`Op`]s over a fixed set of
 /// qubits and classical bits.
@@ -159,32 +158,21 @@ impl Circuit {
     pub fn validate(&self) -> Result<(), CircuitError> {
         fn check(ops: &[Op], num_qubits: usize, num_clbits: usize) -> Result<(), CircuitError> {
             for op in ops {
-                let mut seen: HashSet<QubitId> = HashSet::new();
-                let mut dup: Option<u32> = None;
                 let mut oob: Option<u32> = None;
-                if let Op::Gate(g) = op {
-                    g.for_each_qubit(&mut |q| {
-                        if q.index() >= num_qubits {
-                            oob.get_or_insert(q.0);
-                        }
-                        if !seen.insert(q) {
-                            dup.get_or_insert(q.0);
-                        }
-                    });
-                } else {
-                    op.for_each_qubit(&mut |q| {
-                        if q.index() >= num_qubits {
-                            oob.get_or_insert(q.0);
-                        }
-                    });
-                }
+                op.for_each_qubit(&mut |q| {
+                    if q.index() >= num_qubits {
+                        oob.get_or_insert(q.0);
+                    }
+                });
                 if let Some(qubit) = oob {
                     return Err(CircuitError::QubitOutOfRange { qubit, num_qubits });
                 }
-                if let Some(qubit) = dup {
-                    return Err(CircuitError::DuplicateOperand { qubit });
-                }
                 match op {
+                    Op::Gate(g) => {
+                        if let Some(qubit) = g.repeated_operand() {
+                            return Err(CircuitError::DuplicateOperand { qubit: qubit.0 });
+                        }
+                    }
                     Op::Measure { clbit, .. } => {
                         if clbit.index() >= num_clbits {
                             return Err(CircuitError::ClbitOutOfRange {
@@ -202,7 +190,7 @@ impl Circuit {
                         }
                         check(ops, num_qubits, num_clbits)?;
                     }
-                    Op::Gate(_) | Op::Reset(_) => {}
+                    Op::Reset(_) => {}
                 }
             }
             Ok(())
@@ -248,8 +236,9 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::angle::Angle;
     use crate::gate::{Basis, Gate};
-    use crate::op::ClbitId;
+    use crate::op::{ClbitId, QubitId};
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
@@ -285,6 +274,38 @@ mod tests {
         assert_eq!(
             c.validate(),
             Err(CircuitError::DuplicateOperand { qubit: 1 })
+        );
+    }
+
+    #[test]
+    fn validate_catches_duplicates_inside_conditional_bodies() {
+        let c = Circuit::from_ops(
+            3,
+            1,
+            vec![Op::Conditional {
+                clbit: ClbitId(0),
+                ops: vec![
+                    Op::Gate(Gate::Cx(q(0), q(1))),
+                    Op::Gate(Gate::CcPhase(q(0), q(2), q(2), Angle::HALF_TURN)),
+                ],
+            }],
+        );
+        assert_eq!(
+            c.validate(),
+            Err(CircuitError::DuplicateOperand { qubit: 2 })
+        );
+    }
+
+    #[test]
+    fn out_of_range_wins_over_duplicate_operands() {
+        // q1 repeats before q7 is seen, yet the range error is reported.
+        let c = Circuit::from_ops(3, 0, vec![Op::Gate(Gate::Ccx(q(1), q(1), q(7)))]);
+        assert_eq!(
+            c.validate(),
+            Err(CircuitError::QubitOutOfRange {
+                qubit: 7,
+                num_qubits: 3
+            })
         );
     }
 

@@ -104,6 +104,7 @@ use crate::counts::GateCounts;
 use crate::error::CircuitError;
 use crate::gate::{Basis, Gate};
 use crate::op::{ClbitId, Op, QubitId};
+use crate::plan::SegmentProfile;
 
 /// One instruction of a compiled program.
 ///
@@ -612,6 +613,8 @@ pub struct CompiledCircuit {
     instrs: Vec<Instr>,
     /// Dense unitary blocks referenced by [`Instr::Fused`] indices.
     fused: Vec<FusedUnitary>,
+    /// One profile per deterministic segment, in program order.
+    profiles: Vec<SegmentProfile>,
     stats: PassStats,
 }
 
@@ -683,14 +686,16 @@ impl CompiledCircuit {
             crate::verify::expect_valid_stage("reclamation", nq, nc, &instrs, &fused)?;
         }
         stats.emitted_instrs = instrs.len();
+        let profiles = crate::plan::profile_segments(&instrs, &fused, nq);
         let mut compiled = Self {
             num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
             instrs,
             fused,
+            profiles,
             stats,
         };
-        compiled.stats.segments = compiled.segments().len();
+        compiled.stats.segments = compiled.profiles.len();
         compiled.stats.fork_points = compiled.fork_points();
         let plan = compiled.representation_plan(&crate::plan::PlanConfig::default());
         compiled.stats.planned_dense = plan
@@ -801,34 +806,30 @@ impl CompiledCircuit {
     ///   segment start, so a program-counter walk always enters segments
     ///   at their beginning and can apply a whole segment without
     ///   re-dispatching on control flow.
+    ///
+    /// The ranges are those of [`segment_profiles`](Self::segment_profiles),
+    /// which compilation records.
     #[must_use]
     pub fn segments(&self) -> Vec<Segment> {
-        let n = self.instrs.len();
-        // Branch join targets cut runs: the instructions before and after
-        // a join execute under different guard conditions.
-        let mut join = vec![false; n + 1];
-        for (pc, instr) in self.instrs.iter().enumerate() {
-            if let Instr::BranchUnless { skip, .. } = instr {
-                join[pc + 1 + *skip as usize] = true;
-            }
-        }
-        let mut segments = Vec::new();
-        let mut start: Option<usize> = None;
-        for (pc, instr) in self.instrs.iter().enumerate() {
-            let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
-            if join[pc] || !unitary {
-                if let Some(s) = start.take() {
-                    segments.push(Segment { start: s, end: pc });
-                }
-            }
-            if unitary && start.is_none() {
-                start = Some(pc);
-            }
-        }
-        if let Some(s) = start {
-            segments.push(Segment { start: s, end: n });
-        }
-        segments
+        self.profiles.iter().map(|p| p.segment).collect()
+    }
+
+    /// The structural facts of [`SegmentProfile`] for every deterministic
+    /// segment of the program (see [`CompiledCircuit::segments`]), with
+    /// the occupancy ceiling threaded across segments from the `|0…0⟩`
+    /// start state. Computed once, when compilation finishes the program.
+    ///
+    /// The occupancy thread is a *bound*, not an estimate: Hadamards at
+    /// most double the occupied set, permutations and diagonals preserve
+    /// it exactly. The one heuristic step is the between-segment
+    /// collapse — a measurement or reset halves the bound (exact for a
+    /// qubit in an even superposition, an over-estimate of the reduction
+    /// for a definite qubit) — which can under-predict occupancy for
+    /// states biased toward definite outcomes. The profiles are static
+    /// compile-time facts: nothing re-checks them against live occupancy.
+    #[must_use]
+    pub fn segment_profiles(&self) -> &[SegmentProfile] {
+        &self.profiles
     }
 
     /// How many instructions of the program can fork an execution
@@ -1729,6 +1730,7 @@ mod tests {
     use super::*;
     use crate::angle::Angle;
     use crate::builder::CircuitBuilder;
+    use crate::verify::Finding;
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
@@ -2554,6 +2556,19 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         #[test]
+        fn profile_walk_matches_the_ordered_set_oracle(circuit in gate_soup()) {
+            for config in [PassConfig::none(), PassConfig::default()] {
+                let compiled = CompiledCircuit::with_config(&circuit, &config).unwrap();
+                let want = crate::plan::oracle::segment_profiles(&compiled);
+                proptest::prop_assert!(
+                    compiled.segment_profiles() == want.as_slice(),
+                    "{config:?} on\n{compiled}\nstamped: {:?}\nordered-set: {want:?}",
+                    compiled.segment_profiles()
+                );
+            }
+        }
+
+        #[test]
         fn indexed_peephole_matches_the_rescan_oracle(circuit in gate_soup()) {
             // Each peephole pass alone, then the default and aggressive sets.
             let configs = [
@@ -2573,6 +2588,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gate_soups_reach_every_instruction_kind_under_default_passes() {
+        use proptest::Strategy;
+        use rand::SeedableRng;
+        let soup = gate_soup();
+        let mut rng = proptest::TestRng::seed_from_u64(7);
+        // Fused blocks, branches (joins), measurements, resets, drops.
+        let mut seen = [false; 5];
+        for _ in 0..200 {
+            let compiled = CompiledCircuit::compile(&soup.generate(&mut rng)).unwrap();
+            for instr in compiled.instrs() {
+                let kind = match instr {
+                    Instr::Gate(_) => continue,
+                    Instr::Fused(_) => 0,
+                    Instr::BranchUnless { .. } => 1,
+                    Instr::Measure { .. } => 2,
+                    Instr::Reset(_) => 3,
+                    Instr::Drop(_) => 4,
+                };
+                seen[kind] = true;
+            }
+        }
+        assert_eq!(seen, [true; 5]);
+    }
+
+    /// A compiled program with a segment before, inside and after a
+    /// guarded block, its recorded facts then altered by `tamper`: what
+    /// `verify()` reports, next to the untouched program.
+    fn verify_tampered(
+        tamper: impl FnOnce(&mut CompiledCircuit),
+    ) -> (CompiledCircuit, Vec<Finding>) {
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 3);
+        b.h(r[0]);
+        b.ccx(r[0], r[1], r[2]);
+        let m = b.measure(r[2], Basis::Z);
+        let (_, fix) = b.record(|b| b.cz(r[0], r[1]));
+        b.emit_conditional(m, &fix);
+        b.cx(r[0], r[1]);
+        let clean = CompiledCircuit::compile(&b.finish()).unwrap();
+        assert_eq!(clean.verify(), Ok(()));
+        assert_eq!(clean.stats.segments, 3, "{clean}");
+        let mut tampered = clean.clone();
+        tamper(&mut tampered);
+        let findings = tampered.verify().unwrap_err().findings().to_vec();
+        (clean, findings)
+    }
+
+    #[test]
+    fn verify_catches_a_drifted_segment_count() {
+        let (clean, findings) = verify_tampered(|c| c.stats.segments += 1);
+        let actual = clean.stats.segments as u64;
+        assert_eq!(
+            findings,
+            [Finding::StatsMismatch {
+                field: "segments",
+                recorded: actual + 1,
+                actual,
+            }]
+        );
+    }
+
+    #[test]
+    fn verify_catches_a_drifted_stored_profile() {
+        let (clean, findings) = verify_tampered(|c| c.profiles[1].support_width += 1);
+        let rederived = clean.profiles[1];
+        let recorded = SegmentProfile {
+            support_width: rederived.support_width + 1,
+            ..rederived
+        };
+        assert_eq!(
+            findings,
+            [Finding::PlanIncoherent {
+                segment: 1,
+                why: format!("recorded profile ({recorded}) != re-derived profile ({rederived})"),
+            }]
+        );
+    }
+
+    #[test]
+    fn verify_catches_a_drifted_plan_tally() {
+        let (clean, findings) = verify_tampered(|c| c.stats.planned_sparse += 1);
+        let actual = clean.stats.planned_sparse as u64;
+        assert_eq!(
+            findings,
+            [Finding::StatsMismatch {
+                field: "planned_sparse",
+                recorded: actual + 1,
+                actual,
+            }]
+        );
     }
 
     #[test]

@@ -164,6 +164,28 @@ impl Gate {
         self.for_each_qubit(&mut |_| n += 1);
         n
     }
+
+    /// The first operand, in [`for_each_qubit`](Self::for_each_qubit)
+    /// order, that repeats an earlier one: `None` when the operands are
+    /// distinct, as every executable gate's must be.
+    #[must_use]
+    pub fn repeated_operand(&self) -> Option<QubitId> {
+        match *self {
+            Gate::X(_) | Gate::Z(_) | Gate::H(_) | Gate::Phase(..) => None,
+            Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::CPhase(a, b, _) | Gate::Swap(a, b) => {
+                (a == b).then_some(b)
+            }
+            Gate::Ccx(a, b, c) | Gate::Ccz(a, b, c) | Gate::CcPhase(a, b, c, _) => {
+                if a == b {
+                    Some(b)
+                } else if a == c || b == c {
+                    Some(c)
+                } else {
+                    None
+                }
+            }
+        }
+    }
 }
 
 impl fmt::Display for Gate {
@@ -221,6 +243,46 @@ mod tests {
         assert_eq!(Gate::H(q(0)).arity(), 1);
         assert_eq!(Gate::Cx(q(0), q(1)).arity(), 2);
         assert_eq!(Gate::Ccx(q(0), q(1), q(2)).arity(), 3);
+    }
+
+    #[test]
+    fn repeated_operand_finds_every_duplicate_position() {
+        let theta = Angle::turn_over_power_of_two(4);
+        let (a, b, c) = (q(0), q(1), q(2));
+        for g in [
+            Gate::H(a),
+            Gate::Phase(a, theta),
+            Gate::Cx(a, b),
+            Gate::Swap(b, a),
+            Gate::Ccx(a, b, c),
+            Gate::CcPhase(c, b, a, theta),
+        ] {
+            assert_eq!(g.repeated_operand(), None, "{g}");
+        }
+        let twos: [fn(QubitId, QubitId) -> Gate; 4] = [
+            Gate::Cx,
+            Gate::Cz,
+            |x, y| Gate::CPhase(x, y, Angle::HALF_TURN),
+            Gate::Swap,
+        ];
+        for two in twos {
+            assert_eq!(two(b, b).repeated_operand(), Some(b), "{}", two(b, b));
+        }
+        let threes: [fn(QubitId, QubitId, QubitId) -> Gate; 3] =
+            [Gate::Ccx, Gate::Ccz, |x, y, z| {
+                Gate::CcPhase(x, y, z, Angle::HALF_TURN)
+            }];
+        for three in threes {
+            // Positions (0,1), (0,2), (1,2), then all three equal.
+            for (g, want) in [
+                (three(b, b, c), b),
+                (three(b, a, b), b),
+                (three(a, c, c), c),
+                (three(c, c, c), c),
+            ] {
+                assert_eq!(g.repeated_operand(), Some(want), "{g}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Segment classification and per-segment representation planning.
 //!
-//! The [`CompiledCircuit::segments`] decomposition already identifies the
+//! The [`CompiledCircuit::segments`] decomposition identifies the
 //! deterministic unitary runs of a program; this module labels each run
 //! with the *structural facts* a simulation engine needs to pick a state
-//! representation for it:
+//! representation for it. Compilation cuts the runs and labels them in
+//! one linear walk, once, and stores the labels on the program:
 //!
 //! * **permutation-only** — every gate is a classical basis permutation
 //!   ([`Gate::is_permutation`]), so the segment moves amplitudes without
@@ -34,11 +35,11 @@
 //! program's `Display` report it, the static verifier checks it, and no
 //! simulator acts on it — a caller picks one backend for the whole run.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::compile::{CompiledCircuit, Instr, Segment};
+use crate::compile::{CompiledCircuit, FusedUnitary, Instr, Segment};
 use crate::gate::Gate;
+use crate::op::QubitId;
 
 /// Default cap on the register width for which the planner will consider
 /// a dense representation at all: a dense phase allocates `2^n` amplitude
@@ -216,29 +217,161 @@ pub fn plan_segment(
     }
 }
 
+/// The compile side's one walk over a finished program: cuts the
+/// deterministic segments (maximal unitary runs, split at every barrier
+/// and branch join target; see [`CompiledCircuit::segments`]) and
+/// classifies each with the facts of [`SegmentProfile`], threading the
+/// occupancy ceiling across segments from the `|0…0⟩` start state.
+/// [`CompiledCircuit::with_config`] runs it once and stores the result.
+pub(crate) fn profile_segments(
+    instrs: &[Instr],
+    fused: &[FusedUnitary],
+    num_qubits: usize,
+) -> Vec<SegmentProfile> {
+    // Branch join targets cut runs: the instructions before and after a
+    // join execute under different guard conditions.
+    let mut join = vec![false; instrs.len() + 1];
+    for (pc, instr) in instrs.iter().enumerate() {
+        if let Instr::BranchUnless { skip, .. } = instr {
+            join[pc + 1 + *skip as usize] = true;
+        }
+    }
+    let width_log2 = u32::try_from(num_qubits).unwrap_or(u32::MAX);
+    let mut profiles = Vec::new();
+    let mut occ_log2: u32 = 0;
+    let mut open: Option<SegmentProfile> = None;
+    // Per qubit, the start of the last segment whose support counted it;
+    // grown only as far as the widest qubit touched.
+    let mut counted_in: Vec<usize> = Vec::new();
+    for (pc, instr) in instrs.iter().enumerate() {
+        let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
+        if join[pc] || !unitary {
+            if let Some(mut done) = open.take() {
+                done.segment.end = pc;
+                occ_log2 = occ_log2.saturating_add(done.h_count).min(width_log2);
+                done.occ_ceiling_log2 = occ_log2;
+                profiles.push(done);
+            }
+        }
+        let start = open.map_or(pc, |p| p.segment.start);
+        let mut newly_counted = 0;
+        let mut count = |q: QubitId| {
+            let q = q.index();
+            if q >= counted_in.len() {
+                counted_in.resize(q + 1, usize::MAX);
+            }
+            if counted_in[q] != start {
+                counted_in[q] = start;
+                newly_counted += 1;
+            }
+        };
+        // A fused block classifies by its (operand-independent) gate
+        // families and takes its support from its global qubits.
+        let gates = match instr {
+            Instr::Gate(g) => {
+                g.for_each_qubit(&mut count);
+                std::slice::from_ref(g)
+            }
+            Instr::Fused(idx) => {
+                let block = &fused[*idx as usize];
+                block.qubits().iter().copied().for_each(count);
+                block.gates()
+            }
+            Instr::Measure { .. } | Instr::Reset(_) => {
+                occ_log2 = occ_log2.saturating_sub(1);
+                continue;
+            }
+            Instr::BranchUnless { .. } | Instr::Drop(_) => continue,
+        };
+        let p = open.get_or_insert(SegmentProfile {
+            segment: Segment { start, end: pc },
+            perm_only: true,
+            diag_only: true,
+            h_count: 0,
+            diag_count: 0,
+            support_width: 0,
+            occ_ceiling_log2: 0,
+        });
+        p.support_width += newly_counted;
+        for g in gates {
+            p.perm_only &= g.is_permutation();
+            p.diag_only &= g.is_diagonal();
+            p.h_count += u32::from(matches!(g, Gate::H(_)));
+            p.diag_count += u32::from(g.is_diagonal());
+        }
+    }
+    if let Some(mut done) = open {
+        done.segment.end = instrs.len();
+        done.occ_ceiling_log2 = occ_log2.saturating_add(done.h_count).min(width_log2);
+        profiles.push(done);
+    }
+    // The program keeps its profiles for as long as it lives.
+    profiles.shrink_to_fit();
+    profiles
+}
+
 impl CompiledCircuit {
-    /// Classifies every deterministic segment of the program (see
-    /// [`CompiledCircuit::segments`]) with the structural facts of
-    /// [`SegmentProfile`], threading the occupancy ceiling across
-    /// segments from the `|0…0⟩` start state.
-    ///
-    /// The occupancy thread is a *bound*, not an estimate: Hadamards at
-    /// most double the occupied set, permutations and diagonals preserve
-    /// it exactly. The one heuristic step is the between-segment
-    /// collapse — a measurement or reset halves the bound (exact for a
-    /// qubit in an even superposition, an over-estimate of the reduction
-    /// for a definite qubit) — which can under-predict occupancy for
-    /// states biased toward definite outcomes; planners using the ceiling
-    /// re-check against *live* occupancy at run time.
+    /// The per-segment dense/sparse/phase plan at the given thresholds
+    /// (see [`plan_segment`]). Positions correspond to
+    /// [`CompiledCircuit::segments`] /
+    /// [`CompiledCircuit::segment_profiles`] order.
     #[must_use]
-    pub fn segment_profiles(&self) -> Vec<SegmentProfile> {
-        let instrs = self.instrs();
-        let fused = self.fused_unitaries();
-        let width_log2 = u32::try_from(self.num_qubits()).unwrap_or(u32::MAX);
+    pub fn representation_plan(&self, config: &PlanConfig) -> Vec<PlannedRepr> {
+        self.segment_profiles()
+            .iter()
+            .map(|p| plan_segment(self.num_qubits(), p, config))
+            .collect()
+    }
+}
+
+/// The profile walk as first written: the segments cut by their own loop,
+/// then each segment's support collected in an ordered set. It stays as
+/// the reference [`profile_segments`] must match exactly.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    /// The segment cut of [`CompiledCircuit::segments`], by its own loop.
+    fn segments(compiled: &CompiledCircuit) -> Vec<Segment> {
+        let instrs = compiled.instrs();
+        let n = instrs.len();
+        let mut join = vec![false; n + 1];
+        for (pc, instr) in instrs.iter().enumerate() {
+            if let Instr::BranchUnless { skip, .. } = instr {
+                join[pc + 1 + *skip as usize] = true;
+            }
+        }
+        let mut segments = Vec::new();
+        let mut start: Option<usize> = None;
+        for (pc, instr) in instrs.iter().enumerate() {
+            let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
+            if join[pc] || !unitary {
+                if let Some(s) = start.take() {
+                    segments.push(Segment { start: s, end: pc });
+                }
+            }
+            if unitary && start.is_none() {
+                start = Some(pc);
+            }
+        }
+        if let Some(s) = start {
+            segments.push(Segment { start: s, end: n });
+        }
+        segments
+    }
+
+    /// [`CompiledCircuit::segment_profiles`], walked segment by segment
+    /// with a `BTreeSet` of support qubits each.
+    pub(crate) fn segment_profiles(compiled: &CompiledCircuit) -> Vec<SegmentProfile> {
+        let instrs = compiled.instrs();
+        let fused = compiled.fused_unitaries();
+        let width_log2 = u32::try_from(compiled.num_qubits()).unwrap_or(u32::MAX);
         let mut profiles = Vec::new();
         let mut occ_log2: u32 = 0;
         let mut cursor = 0usize;
-        for segment in self.segments() {
+        for segment in segments(compiled) {
             for instr in &instrs[cursor..segment.start] {
                 if matches!(instr, Instr::Measure { .. } | Instr::Reset(_)) {
                     occ_log2 = occ_log2.saturating_sub(1);
@@ -263,9 +396,6 @@ impl CompiledCircuit {
                     Instr::Gate(g) => classify(g, &mut support),
                     Instr::Fused(idx) => {
                         let fu = &fused[*idx as usize];
-                        // Classify by the (operand-independent) gate
-                        // families; take support from the block's global
-                        // qubits, not the local constituents.
                         let mut scratch = BTreeSet::new();
                         for g in fu.gates() {
                             classify(g, &mut scratch);
@@ -274,8 +404,7 @@ impl CompiledCircuit {
                             support.insert(q.0);
                         }
                     }
-                    // Segments hold only unitary instructions.
-                    _ => debug_assert!(false, "non-unitary instr inside a segment"),
+                    _ => unreachable!("non-unitary instr inside a segment"),
                 }
             }
             occ_log2 = occ_log2.saturating_add(h_count).min(width_log2);
@@ -291,18 +420,6 @@ impl CompiledCircuit {
             cursor = segment.end;
         }
         profiles
-    }
-
-    /// The per-segment dense/sparse/phase plan at the given thresholds
-    /// (see [`plan_segment`]). Positions correspond to
-    /// [`CompiledCircuit::segments`] /
-    /// [`CompiledCircuit::segment_profiles`] order.
-    #[must_use]
-    pub fn representation_plan(&self, config: &PlanConfig) -> Vec<PlannedRepr> {
-        self.segment_profiles()
-            .iter()
-            .map(|p| plan_segment(self.num_qubits(), p, config))
-            .collect()
     }
 }
 

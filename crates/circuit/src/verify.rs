@@ -92,7 +92,7 @@ use crate::compile::{
 use crate::error::CircuitError;
 use crate::gate::{Basis, Gate};
 use crate::op::QubitId;
-use crate::plan::{PlanConfig, PlannedRepr, SegmentProfile};
+use crate::plan::{plan_segment, PlanConfig, PlannedRepr, SegmentProfile};
 
 /// A borrowed, possibly untrusted instruction stream plus the register
 /// shape it claims — the validator's input. Obtain one from a finished
@@ -598,11 +598,12 @@ pub fn validate(view: &ProgramView<'_>) -> Vec<Finding> {
 }
 
 /// Independent re-derivation of the per-segment structural profiles: the
-/// same facts [`CompiledCircuit::segment_profiles`] computes, but from a
-/// fresh walk written against the *specification* (segments are maximal
-/// unitary runs cut at barriers and join targets; occupancy starts at one
-/// entry, doubles per `H`, halves per collapse) so drift in either
-/// implementation surfaces as a [`Finding::PlanIncoherent`].
+/// same facts compilation records in
+/// [`CompiledCircuit::segment_profiles`], but from a fresh walk written
+/// against the *specification* (segments are maximal unitary runs cut at
+/// barriers and join targets; occupancy starts at one entry, doubles per
+/// `H`, halves per collapse) so drift in either implementation surfaces
+/// as a [`Finding::PlanIncoherent`].
 fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
     let len = view.instrs.len();
     let mut join = vec![false; len + 1];
@@ -618,12 +619,35 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
     let mut profiles = Vec::new();
     let mut occ_log2: u32 = 0;
     let mut run_start: Option<usize> = None;
-    let close = |profiles: &mut Vec<SegmentProfile>, occ: &mut u32, start: usize, end: usize| {
+    // Per qubit, 1 + the index of the last segment that counted it toward
+    // its support (0: none yet). Grown on demand, never past the register:
+    // an out-of-range operand is already a `validate` finding and is not
+    // counted.
+    let mut last_seen: Vec<usize> = Vec::new();
+    let close = |profiles: &mut Vec<SegmentProfile>,
+                 last_seen: &mut Vec<usize>,
+                 occ: &mut u32,
+                 start: usize,
+                 end: usize| {
         let mut perm_only = true;
         let mut diag_only = true;
         let mut h_count = 0u32;
         let mut diag_count = 0u32;
-        let mut support = std::collections::BTreeSet::new();
+        let stamp = profiles.len() + 1;
+        let mut support_width = 0usize;
+        let mut touch = |q: QubitId| {
+            let q = q.index();
+            if q >= view.num_qubits {
+                return;
+            }
+            if q >= last_seen.len() {
+                last_seen.resize(q + 1, 0);
+            }
+            if last_seen[q] != stamp {
+                last_seen[q] = stamp;
+                support_width += 1;
+            }
+        };
         let mut classify = |g: &Gate| {
             perm_only &= g.is_permutation();
             diag_only &= g.is_diagonal();
@@ -634,17 +658,15 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
             match instr {
                 Instr::Gate(g) => {
                     classify(g);
-                    g.for_each_qubit(&mut |q| {
-                        support.insert(q.0);
-                    });
+                    g.for_each_qubit(&mut touch);
                 }
                 Instr::Fused(idx) => {
                     if let Some(block) = view.fused.get(*idx as usize) {
                         for g in block.gates() {
                             classify(g);
                         }
-                        for q in block.qubits() {
-                            support.insert(q.0);
+                        for &q in block.qubits() {
+                            touch(q);
                         }
                     }
                 }
@@ -658,7 +680,7 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
             diag_only,
             h_count,
             diag_count,
-            support_width: support.len(),
+            support_width,
             occ_ceiling_log2: *occ,
         });
     };
@@ -666,7 +688,7 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
         let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
         if join[pc] || !unitary {
             if let Some(start) = run_start.take() {
-                close(&mut profiles, &mut occ_log2, start, pc);
+                close(&mut profiles, &mut last_seen, &mut occ_log2, start, pc);
             }
         }
         if matches!(instr, Instr::Measure { .. } | Instr::Reset(_)) {
@@ -677,7 +699,7 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
         }
     }
     if let Some(start) = run_start {
-        close(&mut profiles, &mut occ_log2, start, len);
+        close(&mut profiles, &mut last_seen, &mut occ_log2, start, len);
     }
     profiles
 }
@@ -695,7 +717,9 @@ fn push_stat(findings: &mut Vec<Finding>, field: &'static str, recorded: u64, ac
 /// Full Layer-1 validation of a finished program: the stream checks of
 /// [`validate`] plus stats consistency (emitted/fused/drop/segment/plan
 /// tallies must describe this exact program) and segment-profile/plan
-/// coherence against an independent re-derivation.
+/// coherence against an independent re-derivation. It walks the segments
+/// once: the recorded profiles are compared with that one re-derivation,
+/// and the plan tallies are re-planned from the recorded profiles.
 #[must_use]
 pub fn validate_compiled(compiled: &CompiledCircuit) -> Vec<Finding> {
     let view = compiled.view();
@@ -776,7 +800,10 @@ pub fn validate_compiled(compiled: &CompiledCircuit) -> Vec<Finding> {
     }
 
     let plan_config = PlanConfig::default();
-    let plan = compiled.representation_plan(&plan_config);
+    let plan: Vec<PlannedRepr> = recorded
+        .iter()
+        .map(|p| plan_segment(view.num_qubits, p, &plan_config))
+        .collect();
     let count_of = |kind: PlannedRepr| plan.iter().filter(|r| **r == kind).count() as u64;
     push_stat(
         &mut findings,

@@ -215,7 +215,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S, L> {
         element: S,

@@ -99,19 +99,10 @@ pub(crate) fn check_width(program_qubits: usize, state_qubits: usize) -> Result<
 /// operands, and [`check_width`] bounds them by the state.
 #[inline]
 pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
-    let mut seen: [Option<QubitId>; 3] = [None; 3];
-    let mut count = 0usize;
     let mut oob: Option<QubitId> = None;
-    let mut dup: Option<QubitId> = None;
     gate.for_each_qubit(&mut |q| {
         if q.index() >= num_qubits {
             oob.get_or_insert(q);
-        }
-        if seen[..count].contains(&Some(q)) {
-            dup.get_or_insert(q);
-        } else if count < seen.len() {
-            seen[count] = Some(q);
-            count += 1;
         }
     });
     if let Some(q) = oob {
@@ -119,7 +110,7 @@ pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimErr
             what: format!("gate `{gate}` on qubit q{}", q.0),
         });
     }
-    if let Some(q) = dup {
+    if let Some(q) = gate.repeated_operand() {
         return Err(SimError::DuplicateOperand {
             gate: gate.to_string(),
             qubit: q.0,

@@ -289,8 +289,11 @@ fn bit_addr(q: QubitId) -> (usize, u64) {
 
 /// The phase-accumulator simulation backend ([`BackendKind::Phase`](crate::BackendKind::Phase)).
 ///
-/// See the [module docs](self) for the representation. Functionally exact
-/// on the full gate set; asymptotically fast on the Fourier-arithmetic
+/// The state is a small set of occupied basis *branches*. Each qubit is
+/// globally either in Z-mode, one definite bit per branch, or in
+/// Fourier-mode, an exact dyadic phase per branch, so diagonal gates are
+/// exact angle additions with no amplitude sweep. Functionally exact on
+/// the full gate set; asymptotically fast on the Fourier-arithmetic
 /// fragment (QFT adders on basis inputs run at constant occupancy).
 ///
 /// # Examples

@@ -11,7 +11,7 @@
 //! | [`circuit`] | `mbu-circuit` | adaptive-circuit IR, builder, resource accounting, and the [`circuit::CompiledCircuit`] lower → passes → execute pipeline |
 //! | [`arith`] | `mbu-arith` | every adder/comparator/modular construction of the paper |
 //! | [`sim`] | `mbu-sim` | basis tracker + stride-kernel state vector behind the [`sim::Simulator`] trait (interpreted [`sim::Simulator::run`] and compiled [`sim::Simulator::run_compiled`] execution), the [`sim::ShotRunner`] ensemble engine, and the [`sim::BranchEnsemble`] branch-tree engine (exact distributions / bit-compatible sampling) |
-//! | [`bench`] | `mbu-bench` | table/figure regeneration harness |
+//! | [`bench`](mod@bench) | `mbu-bench` | table/figure regeneration harness |
 //!
 //! This crate also owns the cross-crate integration tests (`tests/`) and
 //! the runnable examples (`examples/`).

@@ -881,12 +881,33 @@ fn pass_counters(s: &mbu_circuit::PassStats) -> [(&'static str, u64); 14] {
     ]
 }
 
-/// Compiles `circuit` with the default passes and checks every counter.
-fn check_pass_stats(tag: &str, circuit: &Circuit, want: Counters) {
+/// A segment-profile digest of a compiled program: Σ `support_width`,
+/// Σ `h_count`, Σ `diag_count` and max `occ_ceiling_log2` over its
+/// [`segment_profiles`](mbu_circuit::CompiledCircuit::segment_profiles).
+type ProfileDigest = [u64; 4];
+
+fn profile_digest(compiled: &mbu_circuit::CompiledCircuit) -> ProfileDigest {
+    let profiles = compiled.segment_profiles();
+    [
+        profiles.iter().map(|p| p.support_width as u64).sum(),
+        profiles.iter().map(|p| u64::from(p.h_count)).sum(),
+        profiles.iter().map(|p| u64::from(p.diag_count)).sum(),
+        profiles
+            .iter()
+            .map(|p| u64::from(p.occ_ceiling_log2))
+            .max()
+            .unwrap_or(0),
+    ]
+}
+
+/// Compiles `circuit` with the default passes and checks every counter
+/// and the profile digest.
+fn check_pass_stats(tag: &str, circuit: &Circuit, want: Counters, digest: ProfileDigest) {
     let compiled = mbu_circuit::CompiledCircuit::compile(circuit).unwrap();
     for ((name, got), want) in pass_counters(compiled.stats()).into_iter().zip(want) {
         assert_eq!(got, want, "{tag}: PassStats::{name}");
     }
+    assert_eq!(profile_digest(&compiled), digest, "{tag}: profile digest");
 }
 
 #[test]
@@ -993,10 +1014,28 @@ fn table1_wide_pass_stats_golden() {
             ],
         ),
     ];
-    for (name, spec, n, mbu, unitary) in rows {
-        for (unc, want) in [(Uncompute::Mbu, mbu), (Uncompute::Unitary, unitary)] {
+    // Each row's profile digests (see `profile_digest`): [MBU, unitary].
+    let digests: [[ProfileDigest; 2]; 10] = [
+        [[1798, 3, 0, 2], [1028, 0, 0, 0]],
+        [[1797, 3, 0, 2], [1028, 0, 0, 0]],
+        [[1286, 3, 0, 2], [772, 0, 0, 0]],
+        [[9590, 1027, 1024, 2], [9463, 1024, 1024, 1]],
+        [[5367, 514, 511, 2], [4852, 511, 511, 1]],
+        [[7174, 3, 0, 2], [4100, 0, 0, 0]],
+        [[7173, 3, 0, 2], [4100, 0, 0, 0]],
+        [[5126, 3, 0, 2], [3076, 0, 0, 0]],
+        [[38006, 4099, 4096, 2], [37879, 4096, 4096, 1]],
+        [[21495, 2050, 2047, 2], [19445, 2047, 2047, 1]],
+    ];
+    for ((name, spec, n, mbu, unitary), [mbu_digest, unitary_digest]) in
+        rows.into_iter().zip(digests)
+    {
+        for (unc, want, digest) in [
+            (Uncompute::Mbu, mbu, mbu_digest),
+            (Uncompute::Unitary, unitary, unitary_digest),
+        ] {
             let layout = modular::modadd_circuit(&spec(unc), n, p).unwrap();
-            check_pass_stats(&format!("{name}{n}-{unc:?}"), &layout.circuit, want);
+            check_pass_stats(&format!("{name}{n}-{unc:?}"), &layout.circuit, want, digest);
         }
     }
 }
@@ -1004,12 +1043,14 @@ fn table1_wide_pass_stats_golden() {
 #[test]
 fn beauregard_pass_stats_golden() {
     // The qft_phase benchmark program: 92,500 lowered instructions on
-    // which the peephole passes find nothing to remove.
+    // which the peephole passes find nothing to remove. The last row is
+    // its profile digest (see `profile_digest`).
     let p = (1u128 << 127) - 1;
     let layout = modular::beauregard::modadd_circuit(Uncompute::Mbu, 128, p).unwrap();
     check_pass_stats(
         "beauregard128-Mbu",
         &layout.circuit,
         [92500, 0, 0, 0, 0, 1, 556, 1689, 91368, 2, 1, 0, 0, 2],
+        [516, 1035, 91458, 258],
     );
 }
