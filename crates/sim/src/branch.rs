@@ -34,9 +34,8 @@
 //! [`SimError::BranchBudgetExceeded`]).
 //!
 //! The engine reuses the single thread budget of the shot engine: active
-//! tree leaves are scheduled like shots (`w = min(leaves, B)` workers) and
-//! each leaf's state runs its amplitude kernels with the leftover
-//! `⌊B / w⌋` lanes, so a lone deep branch still saturates the machine.
+//! tree leaves are scheduled like shots, `min(leaves, B)` workers each
+//! advancing whole trajectories.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -48,7 +47,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::shots::{
-    count_fields, cpu_threads, shot_seed, split_budget, Accumulator, CountStats, Ensemble,
+    count_fields, cpu_threads, shot_seed, worker_count, Accumulator, CountStats, Ensemble,
     ShotRunner, DEFAULT_MASTER_SEED, NFIELDS,
 };
 use crate::simulator::{Fork, Simulator};
@@ -182,8 +181,9 @@ struct ChildSeed {
 /// (Boxed fork payload: the variant carries two whole child states and
 /// would otherwise dwarf `Leaf`/`Unsupported`.)
 enum Advanced {
-    /// The trajectory finished (or died on an error).
-    Leaf(Result<Executed, SimError>),
+    /// The trajectory finished (or died on an error), with its state's
+    /// occupancy high-water mark ([`Simulator::occupancy_peak`]).
+    Leaf(Result<Executed, SimError>, Option<u64>),
     /// The trajectory hit a randomness-consuming instruction and split.
     Fork(Box<ForkStep>),
     /// The backend declined `measure_fork`: no branch-sharing execution.
@@ -210,22 +210,28 @@ fn write_clbit(executed: &mut Executed, idx: usize, outcome: bool) {
     executed.classical[idx] = Some(outcome);
 }
 
-/// Runs one trajectory from `pc` until it finishes, errors, or forks.
-/// Unitary segments are applied run-at-a-time via the compiled program's
-/// segmentation (`run_end[pc]` is the end of the segment starting at
-/// `pc`); counts are tallied exactly as the per-shot executor tallies
-/// them, so leaf records are interchangeable with per-shot [`Executed`]s.
+/// Runs one trajectory from `pc` until it finishes, errors, or forks,
+/// consuming its state: a leaf reports the state's occupancy peak, a fork
+/// moves it into the outcome-0 child. Unitary segments are applied
+/// run-at-a-time via the compiled program's segmentation (`run_end[pc]`
+/// is the end of the segment starting at `pc`); counts are tallied
+/// exactly as the per-shot executor tallies them, so leaf records are
+/// interchangeable with per-shot [`Executed`]s.
 fn advance(
     compiled: &CompiledCircuit,
     run_end: &[usize],
     mut pc: usize,
-    sim: &mut Box<dyn Simulator + Send>,
-    executed: &mut Executed,
+    mut sim: Box<dyn Simulator + Send>,
+    mut executed: Executed,
     eps: f64,
 ) -> Advanced {
     /// Whether a branch with conditional probability `p` is dropped.
     fn pruned(p: f64, eps: f64) -> bool {
         p <= eps || p <= 0.0
+    }
+    /// A finished (or failed) trajectory, with its state's peak.
+    fn leaf(sim: &(dyn Simulator + Send), result: Result<Executed, SimError>) -> Advanced {
+        Advanced::Leaf(result, sim.occupancy_peak())
     }
     let instrs = compiled.instrs();
     while let Some(instr) = instrs.get(pc) {
@@ -237,7 +243,7 @@ fn advance(
                     match &instrs[pc] {
                         Instr::Gate(g) => {
                             if let Err(e) = sim.apply_gate(g) {
-                                return Advanced::Leaf(Err(e));
+                                return leaf(&*sim, Err(e));
                             }
                             executed.counts.record_gate(g);
                         }
@@ -248,7 +254,7 @@ fn advance(
                             // constituents); others replay via the trait
                             // default.
                             if let Err(e) = sim.apply_fused(fu) {
-                                return Advanced::Leaf(Err(e));
+                                return leaf(&*sim, Err(e));
                             }
                             for g in fu.gates() {
                                 executed.counts.record_gate(g);
@@ -262,7 +268,8 @@ fn advance(
             Instr::Drop(_) => pc += 1,
             Instr::BranchUnless { clbit, skip } => {
                 let Some(bit) = executed.classical.get(clbit.index()).copied().flatten() else {
-                    return Advanced::Leaf(Err(SimError::UnwrittenClassicalBit { clbit: clbit.0 }));
+                    let e = SimError::UnwrittenClassicalBit { clbit: clbit.0 };
+                    return leaf(&*sim, Err(e));
                 };
                 if !bit {
                     pc += *skip as usize;
@@ -276,26 +283,15 @@ fn advance(
             } => {
                 executed.counts.record_measurement(*basis);
                 match sim.measure_fork(*qubit, *basis) {
-                    Err(e) => return Advanced::Leaf(Err(e)),
+                    Err(e) => return leaf(&*sim, Err(e)),
                     Ok(None) => return Advanced::Unsupported,
                     Ok(Some(Fork::Definite(outcome))) => {
-                        write_clbit(executed, clbit.index(), outcome);
+                        write_clbit(&mut executed, clbit.index(), outcome);
                         pc += 1;
                     }
                     Ok(Some(Fork::Split { p_one, one })) => {
                         let p0 = 1.0 - p_one;
                         let mut dropped = 0.0;
-                        let zero = if pruned(p0, eps) {
-                            dropped += p0.max(0.0);
-                            None
-                        } else {
-                            let mut executed = executed.clone();
-                            write_clbit(&mut executed, clbit.index(), false);
-                            // The receiver *is* the zero branch; hand its
-                            // state over via a placeholder swap-free move:
-                            // the caller rebuilds children from seeds.
-                            Some((executed, p0))
-                        };
                         let one_seed = match one {
                             // `one` is `None` exactly when the branch is
                             // impossible (p_one == 0), which `pruned`
@@ -314,11 +310,19 @@ fn advance(
                                 None
                             }
                         };
-                        let zero_seed = zero.map(|(executed, p)| ChildSeed {
-                            sim: std::mem::replace(sim, Box::new(NoSim)),
-                            executed,
-                            p,
-                        });
+                        // The receiver *is* the zero branch: its state and
+                        // record move into the outcome-0 seed.
+                        let zero_seed = if pruned(p0, eps) {
+                            dropped += p0.max(0.0);
+                            None
+                        } else {
+                            write_clbit(&mut executed, clbit.index(), false);
+                            Some(ChildSeed {
+                                sim,
+                                executed,
+                                p: p0,
+                            })
+                        };
                         return Advanced::Fork(Box::new(ForkStep {
                             p_one,
                             zero: zero_seed,
@@ -332,14 +336,14 @@ fn advance(
             Instr::Reset(qubit) => {
                 executed.counts.reset += 1;
                 match sim.measure_fork(*qubit, Basis::Z) {
-                    Err(e) => return Advanced::Leaf(Err(e)),
+                    Err(e) => return leaf(&*sim, Err(e)),
                     Ok(None) => return Advanced::Unsupported,
                     Ok(Some(Fork::Definite(outcome))) => {
                         // Measure-and-flip semantics without a record: the
                         // backend consumed no randomness, so neither do we.
                         if outcome {
                             if let Err(e) = sim.apply_gate(&Gate::X(*qubit)) {
-                                return Advanced::Leaf(Err(e));
+                                return leaf(&*sim, Err(e));
                             }
                         }
                         pc += 1;
@@ -351,7 +355,7 @@ fn advance(
                             Some(mut one) if !pruned(p_one, eps) => {
                                 // The 1-branch gets the reset's corrective X.
                                 if let Err(e) = one.apply_gate(&Gate::X(*qubit)) {
-                                    return Advanced::Leaf(Err(e));
+                                    return leaf(&*sim, Err(e));
                                 }
                                 Some(ChildSeed {
                                     sim: one,
@@ -369,8 +373,8 @@ fn advance(
                             None
                         } else {
                             Some(ChildSeed {
-                                sim: std::mem::replace(sim, Box::new(NoSim)),
-                                executed: executed.clone(),
+                                sim,
+                                executed,
                                 p: p0,
                             })
                         };
@@ -386,50 +390,7 @@ fn advance(
             }
         }
     }
-    Advanced::Leaf(Ok(std::mem::take(executed)))
-}
-
-/// A placeholder left behind when a work item's state moves into a child
-/// seed; never executed.
-struct NoSim;
-
-impl Simulator for NoSim {
-    fn num_qubits(&self) -> usize {
-        0
-    }
-
-    fn apply_gate(&mut self, _gate: &Gate) -> Result<(), SimError> {
-        unreachable!("placeholder simulator is never executed")
-    }
-
-    fn measure(
-        &mut self,
-        _qubit: mbu_circuit::QubitId,
-        _basis: Basis,
-        _draw: &mut dyn FnMut(f64) -> bool,
-    ) -> Result<bool, SimError> {
-        unreachable!("placeholder simulator is never executed")
-    }
-
-    fn reset(
-        &mut self,
-        _qubit: mbu_circuit::QubitId,
-        _draw: &mut dyn FnMut(f64) -> bool,
-    ) -> Result<(), SimError> {
-        unreachable!("placeholder simulator is never executed")
-    }
-
-    fn set_bit(&mut self, _q: mbu_circuit::QubitId, _value: bool) -> Result<(), SimError> {
-        unreachable!("placeholder simulator is never executed")
-    }
-
-    fn bit(&self, _q: mbu_circuit::QubitId) -> Result<bool, SimError> {
-        unreachable!("placeholder simulator is never executed")
-    }
-
-    fn global_phase(&self) -> Option<mbu_circuit::Angle> {
-        None
-    }
+    leaf(&*sim, Ok(executed))
 }
 
 /// A seeded branch-tree ensemble scheduler: the branch-sharing counterpart
@@ -459,10 +420,8 @@ impl Simulator for NoSim {
 pub struct BranchEnsemble {
     shots: u64,
     master_seed: u64,
-    /// Total thread budget shared by leaf workers and amplitude lanes.
+    /// Total thread budget for leaf workers.
     threads: usize,
-    /// Pinned per-leaf amplitude lanes; `None` auto-schedules.
-    amp_threads: Option<usize>,
     passes: Option<PassConfig>,
     eps: f64,
     node_budget: usize,
@@ -472,8 +431,8 @@ impl BranchEnsemble {
     /// A branch-tree scheduler whose sampled mode replays `shots` shots
     /// (the exact mode ignores the count — `new(0)` is fine for
     /// distribution-only use). Defaults mirror [`ShotRunner::new`]: the
-    /// same master seed and one-thread-per-CPU budget with scheduled
-    /// amplitude lanes, plus a `1e-12` pruning floor
+    /// same master seed and one-thread-per-CPU budget, plus a `1e-12`
+    /// pruning floor
     /// ([`with_eps`](Self::with_eps)) and the [`DEFAULT_NODE_BUDGET`] node
     /// budget.
     #[must_use]
@@ -482,7 +441,6 @@ impl BranchEnsemble {
             shots,
             master_seed: DEFAULT_MASTER_SEED,
             threads: cpu_threads(),
-            amp_threads: None,
             passes: None,
             eps: DEFAULT_BRANCH_EPS,
             node_budget: DEFAULT_NODE_BUDGET,
@@ -503,14 +461,6 @@ impl BranchEnsemble {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Pins the per-leaf amplitude lane count instead of letting the
-    /// scheduler derive it from the budget.
-    #[must_use]
-    pub fn with_amp_threads(mut self, amp_threads: usize) -> Self {
-        self.amp_threads = Some(amp_threads.max(1));
         self
     }
 
@@ -576,8 +526,8 @@ impl BranchEnsemble {
 
     /// Builds the outcome tree: frontier rounds of active trajectories,
     /// each round scheduled under the shared thread budget (leaves like
-    /// shots, amplitude lanes inside each leaf), results linked back in
-    /// deterministic item order so the tree never depends on scheduling.
+    /// shots), results linked back in deterministic item order so the
+    /// tree never depends on scheduling.
     fn build_tree<F>(&self, compiled: &CompiledCircuit, factory: &F) -> Result<Tree, SimError>
     where
         F: Fn() -> Box<dyn Simulator + Send> + Sync,
@@ -618,12 +568,12 @@ impl BranchEnsemble {
             // arrays at once before the node budget even tripped.
             let take = frontier.len().min(self.threads.max(1));
             let items: Vec<Work> = frontier.split_off(frontier.len() - take);
-            let (workers, lanes) = split_budget(self.threads, items.len() as u64, self.amp_threads);
-            let results = run_round(items, workers, lanes, compiled, run_end, self.eps);
-            for (slot, weight, advanced, peak) in results {
+            let workers = worker_count(self.threads, items.len() as u64);
+            let results = run_round(items, workers, compiled, run_end, self.eps);
+            for (slot, weight, advanced) in results {
                 match advanced {
                     Advanced::Unsupported => return Err(SimError::BranchUnsupported),
-                    Advanced::Leaf(result) => {
+                    Advanced::Leaf(result, peak) => {
                         let i = tree.leaves.len();
                         tree.leaves.push(LeafNode {
                             weight,
@@ -811,9 +761,6 @@ impl BranchEnsemble {
         let mut runner = ShotRunner::new(self.shots)
             .with_master_seed(self.master_seed)
             .with_threads(self.threads);
-        if let Some(lanes) = self.amp_threads {
-            runner = runner.with_amp_threads(lanes);
-        }
         if let Some(passes) = self.passes {
             runner = runner.with_passes(passes);
         }
@@ -822,30 +769,18 @@ impl BranchEnsemble {
 }
 
 /// Executes one frontier round: `workers` scoped threads over contiguous
-/// item chunks, every item's state pinned to `lanes` amplitude lanes.
-/// Results come back in item order regardless of scheduling. The fourth
-/// tuple field is the state's occupancy peak after the advance —
-/// meaningful for leaves (a forked item's receiver state has moved into a
-/// child seed, leaving the reporting-nothing placeholder behind).
+/// item chunks. Results come back in item order regardless of
+/// scheduling.
 fn run_round(
     items: Vec<Work>,
     workers: usize,
-    lanes: usize,
     compiled: &CompiledCircuit,
     run_end: &[usize],
     eps: f64,
-) -> Vec<(Slot, f64, Advanced, Option<u64>)> {
-    let advance_item = |mut work: Work| -> (Slot, f64, Advanced, Option<u64>) {
-        work.sim.set_amp_threads(lanes);
-        let advanced = advance(
-            compiled,
-            run_end,
-            work.pc,
-            &mut work.sim,
-            &mut work.executed,
-            eps,
-        );
-        (work.slot, work.weight, advanced, work.sim.occupancy_peak())
+) -> Vec<(Slot, f64, Advanced)> {
+    let advance_item = |work: Work| -> (Slot, f64, Advanced) {
+        let advanced = advance(compiled, run_end, work.pc, work.sim, work.executed, eps);
+        (work.slot, work.weight, advanced)
     };
     if workers <= 1 || items.len() <= 1 {
         return items.into_iter().map(advance_item).collect();
@@ -1079,7 +1014,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn sampled_mode_is_bit_identical_to_per_shot_execution() {
         let circuit = coin_circuit();
         for seed in [0u64, 7, 99] {
@@ -1134,7 +1068,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn shared_trajectory_ensembles_report_peak_occupancy() {
         // Regression: tree-mode ensembles used to report `None` for the
         // peak stat on every backend. Each backend that tracks occupancy
@@ -1165,7 +1098,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn phase_leaves_census_occupied_branches_not_the_hilbert_space() {
         // Regression for the phase-representation census: a branch tree
         // over [`crate::PhaseAccumulator`] leaves must aggregate the
@@ -1203,7 +1135,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn state_vector_trees_match_tracker_trees() {
         let circuit = coin_circuit();
         let sv_dist = BranchEnsemble::new(0)
@@ -1217,7 +1148,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn resets_fork_and_rejoin_with_identical_records() {
         // H then reset: the reset forks (the qubit is superposed) but
         // writes no classical bit, so both histories share the record.
@@ -1252,7 +1182,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn node_budget_is_a_typed_error_exactly_and_a_fallback_when_sampling() {
         let circuit = coin_circuit();
         let tight = BranchEnsemble::new(100).with_node_budget(1);
@@ -1270,7 +1199,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn backends_without_fork_support_fall_back() {
         /// A backend that answers everything but declines to fork.
         struct NoFork;
@@ -1350,7 +1278,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn parallel_tree_builds_match_serial_ones() {
         // Three forks → up to 8 leaves: enough frontier width to schedule
         // real worker rounds. The distribution must be identical at any
@@ -1384,7 +1311,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn exact_aggregates_are_bit_identical_across_thread_budgets() {
         // Non-dyadic fork probabilities (cos²(π/8) from an H·R·H
         // sandwich): summing leaf weights in build-schedule order would
@@ -1407,17 +1333,12 @@ mod tests {
             .distribution(&circuit, factory)
             .unwrap();
         assert_eq!(base.num_leaves(), 4, "two genuine forks");
-        for (threads, lanes) in [(2, 1), (3, 1), (8, 1), (8, 2)] {
+        for threads in [2, 3, 8] {
             let d = BranchEnsemble::new(0)
                 .with_threads(threads)
-                .with_amp_threads(lanes)
                 .distribution(&circuit, factory)
                 .unwrap();
-            assert_eq!(
-                d.mean_counts(),
-                base.mean_counts(),
-                "threads {threads}, lanes {lanes}"
-            );
+            assert_eq!(d.mean_counts(), base.mean_counts(), "threads {threads}");
             assert_eq!(d.total_weight().to_bits(), base.total_weight().to_bits());
             assert_eq!(d.pruned_mass().to_bits(), base.pruned_mass().to_bits());
             let rb: Vec<_> = base
@@ -1428,16 +1349,13 @@ mod tests {
                 .record_frequencies()
                 .map(|(r, f)| (r.to_vec(), f.to_bits()))
                 .collect();
-            assert_eq!(rb, rd, "threads {threads}, lanes {lanes}");
+            assert_eq!(rb, rd, "threads {threads}");
             let lb: Vec<_> = base
                 .leaves()
                 .map(|(w, e)| (w.to_bits(), e.clone()))
                 .collect();
             let ld: Vec<_> = d.leaves().map(|(w, e)| (w.to_bits(), e.clone())).collect();
-            assert_eq!(
-                lb, ld,
-                "threads {threads}, lanes {lanes}: canonical leaf order"
-            );
+            assert_eq!(lb, ld, "threads {threads}: canonical leaf order");
         }
     }
 

@@ -26,10 +26,9 @@ use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
 /// same state: every occupied entry lands at its basis index, every other
 /// index is an exact zero. Amplitudes are moved bitwise — no arithmetic.
 ///
-/// The dense state is built with the default reclamation switch and
-/// amplitude-lane count, exactly like
-/// [`StateVector::zeros`] — so a converted state behaves like a natively
-/// constructed one.
+/// The dense state is built with the default reclamation switch, exactly
+/// like [`StateVector::zeros`] — so a converted state behaves like a
+/// natively constructed one.
 ///
 /// # Errors
 ///
@@ -174,7 +173,7 @@ mod tests {
             Gate::Swap(q(2), q(4)),
         ];
         for g in &program {
-            dense.apply_gate_pub(g).unwrap();
+            Simulator::apply_gate(&mut dense, g).unwrap();
             Simulator::apply_gate(&mut sparse, g).unwrap();
         }
         (dense, sparse)

@@ -1,5 +1,5 @@
-//! Stride-based state-vector kernels over SoA storage, serial and
-//! chunk-parallel, walked as autovectorized groups of runs.
+//! Stride-based state-vector kernels over SoA storage, walked as
+//! autovectorized groups of runs.
 //!
 //! Every kernel iterates exactly the amplitudes a gate can move, instead
 //! of scanning all `2^n` entries with a per-index branch:
@@ -42,16 +42,15 @@
 //! grouping changes iteration shape only, never the per-amplitude
 //! arithmetic or its order.
 //!
-//! `drive` is also the parallelism seam: given an
-//! [`AmpPool`](crate::pool::AmpPool), it splits the touched space into
-//! per-thread chunks at **deterministic** boundaries (a pure function of
-//! work size and thread count, rounded down to [`LANES`] multiples so
-//! chunk interiors stay lane-aligned) and runs the same
-//! per-group closure on each chunk concurrently. Chunks write disjoint
-//! amplitudes and every amplitude is touched exactly once with identical
-//! arithmetic, so parallel execution is bit-identical to serial at any
-//! thread count — the guarantee the shot engine's aggregate determinism
-//! rests on.
+//! # Safe spans
+//!
+//! `drive` hands its closure the whole `(re, im)` component buffers, and
+//! every kernel cuts its spans out of them as bounds-checked sub-slices
+//! (one check per span, not per amplitude). Where a kernel needs two
+//! spans at once — a pair group and its partner `d` higher, a SWAP
+//! partner above or below, two member slices of a fused block — it takes
+//! them with `split_at_mut` through [`two_spans`], which panics instead
+//! of aliasing if they overlap. No kernel needs `unsafe`.
 //!
 //! The kernels assume their qubit indices are in range and distinct; the
 //! [`StateVector`](crate::StateVector) front end validates operands before
@@ -64,13 +63,7 @@ use mbu_circuit::Gate;
 
 use crate::complex::Complex;
 use crate::error::SimError;
-use crate::pool::AmpPool;
 use crate::soa::Amps;
-
-/// Below this many live amplitudes a parallel sweep costs more in wake-up
-/// latency than it saves; kernels fall back to the serial path. Purely a
-/// scheduling decision — results are bit-identical either way.
-pub(crate) const PAR_MIN_AMPS: usize = 1usize << 14;
 
 /// Amplitudes per explicit vector chunk in the span helpers: one cache
 /// line of `f64`s, and a full AVX-512 register (two AVX2 registers).
@@ -78,10 +71,10 @@ pub(crate) const LANES: usize = 8;
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// The execution context of one kernel call: an optional worker pool.
+/// Which enumeration a kernel call walks: the lane-grouped one, or (in
+/// the unit tests) the original run-at-a-time scalar reference.
 #[derive(Clone, Copy)]
-pub(crate) struct Par<'a> {
-    pool: Option<&'a AmpPool>,
+pub(crate) struct Par {
     /// Walk the original run-at-a-time scalar enumeration instead of the
     /// lane-grouped one — the reference the unit tests compare every
     /// kernel against.
@@ -89,29 +82,19 @@ pub(crate) struct Par<'a> {
     scalar: bool,
 }
 
-impl<'a> Par<'a> {
-    /// Execution over `pool`'s lanes (serial when `None`).
-    pub(crate) fn new(pool: Option<&'a AmpPool>) -> Self {
+impl Par {
+    /// The lane-grouped enumeration every non-test caller uses.
+    pub(crate) fn serial() -> Self {
         Self {
-            pool,
             #[cfg(test)]
             scalar: false,
         }
     }
 
-    /// Serial execution.
-    #[cfg(test)]
-    pub(crate) fn serial() -> Self {
-        Self::new(None)
-    }
-
-    /// Serial execution on the scalar reference enumeration.
+    /// The scalar reference enumeration.
     #[cfg(test)]
     pub(crate) fn scalar() -> Self {
-        Self {
-            pool: None,
-            scalar: true,
-        }
+        Self { scalar: true }
     }
 }
 
@@ -124,11 +107,11 @@ struct Pins {
     offset: usize,
 }
 
-// The address-geometry helpers below feed raw indices straight into
-// `Shared::slice` spans: an arithmetic wrap here would not just compute a
-// wrong amplitude, it would alias supposedly disjoint mutable ranges. The
-// lint forces every operation to be visibly non-overflowing (masked
-// shifts, or additions whose bounds a comment can state).
+// The address-geometry helpers below compute the base index of every span
+// a kernel touches. A wrap here would pass the bounds checks and silently
+// address the wrong amplitudes, so the lint forces every operation to be
+// visibly non-overflowing (masked shifts, or additions whose bounds a
+// comment can state).
 #[deny(clippy::arithmetic_side_effects)]
 impl Pins {
     /// Invariant (callers are the fixed-arity kernels in this module,
@@ -201,149 +184,72 @@ impl Pins {
     }
 }
 
-/// A lifetime-erased view of the SoA component buffers for
-/// disjoint-range concurrent access from `drive` closures.
-pub(crate) struct Shared {
-    re: *mut f64,
-    im: *mut f64,
-    len: usize,
-}
-
-// SAFETY: every access goes through `Shared::slice`, whose contract makes
-// concurrent callers touch disjoint ranges.
-#[allow(unsafe_code)]
-unsafe impl Sync for Shared {}
-
-impl Shared {
-    /// The component spans `re[start .. start + len]` /
-    /// `im[start .. start + len]` as exclusive slices.
-    ///
-    /// # Safety
-    ///
-    /// No two concurrently alive spans (across all threads of the current
-    /// `drive` call) may overlap. The kernels guarantee this
-    /// structurally: each run of the touched space, and each run's
-    /// partner range, is disjoint from every other run and partner. The
-    /// *bounds* are checked here unconditionally — a checked `assert!`,
-    /// not a `debug_assert!`, so a malformed span can never index out of
-    /// bounds in release builds; the branch is paid once per span, not
-    /// per amplitude.
-    #[allow(unsafe_code)]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, start: usize, len: usize) -> (&mut [f64], &mut [f64]) {
-        assert!(
-            len <= self.len && start <= self.len - len,
-            "kernel span {start}+{len} exceeds {} amplitudes",
-            self.len
-        );
-        // SAFETY: bounds checked above; disjointness is the caller's
-        // contract, so no two live `&mut` alias.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.re.add(start), len),
-                std::slice::from_raw_parts_mut(self.im.add(start), len),
-            )
-        }
+/// The spans `buf[a..a + len]` and `buf[b..b + len]`, in that order, as
+/// two exclusive slices cut apart by `split_at_mut` at the higher start.
+///
+/// # Panics
+///
+/// Panics if the spans overlap or either runs past the buffer — the
+/// kernels' geometry makes every pair of spans they request disjoint, so
+/// a panic here means a geometry bug, never an aliased write.
+fn two_spans(buf: &mut [f64], a: usize, b: usize, len: usize) -> (&mut [f64], &mut [f64]) {
+    if a < b {
+        let (lo, hi) = buf.split_at_mut(b);
+        (&mut lo[a..a + len], &mut hi[..len])
+    } else {
+        let (lo, hi) = buf.split_at_mut(a);
+        (&mut hi[..len], &mut lo[b..b + len])
     }
 }
 
-/// Calls `f(shared, base, run, stride, count)` for `count` runs of `run`
-/// amplitudes spaced `stride` apart — every touched amplitude exactly
-/// once — splitting the touched index space across the pool's lanes when
-/// one is supplied and the array is large enough to pay for the wake-up.
+/// Calls `f(re, im, base, run, stride, count)` for `count` runs of `run`
+/// amplitudes spaced `stride` apart, over the whole component buffers —
+/// every touched amplitude exactly once, in ascending index order.
 ///
-/// Full runs arrive in affine groups (see [`Pins::group_runs`]), with
-/// partial head/tail runs at chunk boundaries still delivered singly (the
-/// test-only scalar reference delivers every maximal run singly). Chunk
-/// boundaries depend only on `(touched, lanes)` — never on timing — and
-/// every run (plus whatever partner range `f` derives from it) is disjoint
-/// from every other, so the parallel sweep performs exactly the serial
-/// sweep's writes.
+/// Full runs arrive in affine groups (see [`Pins::group_runs`]); the
+/// test-only scalar reference delivers every maximal run singly. A
+/// partial tail run (possible only when the array is shorter than the
+/// pinned geometry assumes) is delivered singly too.
 fn drive(
-    par: Par<'_>,
+    par: Par,
     amps: &mut Amps,
     pins: &[(usize, usize)],
-    f: impl Fn(&Shared, usize, usize, usize, usize) + Sync,
+    mut f: impl FnMut(&mut [f64], &mut [f64], usize, usize, usize, usize),
 ) {
     let pins = Pins::new(pins);
     let touched = pins.touched(amps.len());
-    if touched == 0 {
-        return;
-    }
-    let len = amps.len();
-    let shared = {
-        let (re, im) = amps.parts_mut();
-        Shared {
-            re: re.as_mut_ptr(),
-            im: im.as_mut_ptr(),
-            len,
-        }
-    };
+    let (re, im) = amps.parts_mut();
     let m0 = pins.run_len();
     let p0 = m0.trailing_zeros() as usize;
     let stride = m0 << 1;
+    let mut u = 0usize;
     // The original scalar enumeration: one maximal run per closure call.
     #[cfg(test)]
-    let scalar_chunk = |from: usize, to: usize| {
-        let mut u = from;
-        while u < to {
-            let run = (m0 - (u & (m0 - 1))).min(to - u);
-            f(&shared, pins.deposit(u), run, stride, 1);
+    if par.scalar {
+        while u < touched {
+            let run = m0.min(touched - u);
+            f(re, im, pins.deposit(u), run, stride, 1);
             u += run;
         }
-    };
+        return;
+    }
+    #[cfg(not(test))]
+    let _ = par;
     // Grouped enumeration: one closure call per affine group of runs.
-    let grouped_chunk = |from: usize, to: usize| {
-        let g = pins.group_runs();
-        let mut u = from;
-        if u < to && u & (m0 - 1) != 0 {
-            // Partial head run (a chunk boundary split a run).
-            let run = (m0 - (u & (m0 - 1))).min(to - u);
-            f(&shared, pins.deposit(u), run, stride, 1);
-            u += run;
+    let g = pins.group_runs();
+    while u < touched {
+        let runs_ahead = (touched - u) >> p0;
+        if runs_ahead == 0 {
+            // Partial tail run.
+            f(re, im, pins.deposit(u), touched - u, stride, 1);
+            break;
         }
-        while u < to {
-            let runs_ahead = (to - u) >> p0;
-            if runs_ahead == 0 {
-                // Partial tail run.
-                f(&shared, pins.deposit(u), to - u, stride, 1);
-                break;
-            }
-            let count = match g {
-                None => runs_ahead,
-                Some(g) => runs_ahead.min(g - ((u >> p0) & (g - 1))),
-            };
-            f(&shared, pins.deposit(u), m0, stride, count);
-            u += count << p0;
-        }
-    };
-    let run_chunk = |from: usize, to: usize| {
-        #[cfg(test)]
-        if par.scalar {
-            return scalar_chunk(from, to);
-        }
-        grouped_chunk(from, to);
-    };
-    match par.pool {
-        Some(pool) if pool.threads() > 1 && len >= PAR_MIN_AMPS && touched > 1 => {
-            let chunks = pool.threads().min(touched);
-            let per = touched / chunks;
-            let extra = touched % chunks;
-            // Interior boundaries round down to lane multiples so chunk
-            // interiors stay lane-aligned; still monotonic, so chunks stay
-            // disjoint (possibly empty).
-            let boundary = |c: usize| -> usize {
-                if c == 0 {
-                    return 0;
-                }
-                if c == chunks {
-                    return touched;
-                }
-                (c * per + c.min(extra)) & !(LANES - 1)
-            };
-            pool.run(chunks, &|c| run_chunk(boundary(c), boundary(c + 1)));
-        }
-        _ => run_chunk(0, touched),
+        let count = match g {
+            None => runs_ahead,
+            Some(g) => runs_ahead.min(g - ((u >> p0) & (g - 1))),
+        };
+        f(re, im, pins.deposit(u), m0, stride, count);
+        u += count << p0;
     }
 }
 
@@ -425,22 +331,31 @@ macro_rules! for_strided {
 }
 
 /// One group of diagonal runs: scales `count` runs from `base` by `w`.
-fn scale_groups(sh: &Shared, base: usize, run: usize, stride: usize, count: usize, w: Complex) {
-    let total = (count - 1) * stride + run;
-    // SAFETY: the group's runs live inside `[base, base + total)`; groups
-    // are pairwise disjoint across the sweep (the untouched gaps between
-    // runs belong to no other group — they carry the opposite pin value).
-    #[allow(unsafe_code)]
-    let (re, im) = unsafe { sh.slice(base, total) };
+fn scale_groups(
+    re: &mut [f64],
+    im: &mut [f64],
+    base: usize,
+    run: usize,
+    stride: usize,
+    count: usize,
+    w: Complex,
+) {
+    let span = base..base + (count - 1) * stride + run;
+    let (re, im) = (&mut re[span.clone()], &mut im[span]);
     for_strided!(re, im, run, stride, |r, i| scale_span(r, i, w));
 }
 
 /// One group of diagonal runs: negates `count` runs from `base`.
-fn negate_groups(sh: &Shared, base: usize, run: usize, stride: usize, count: usize) {
-    let total = (count - 1) * stride + run;
-    // SAFETY: as in [`scale_groups`].
-    #[allow(unsafe_code)]
-    let (re, im) = unsafe { sh.slice(base, total) };
+fn negate_groups(
+    re: &mut [f64],
+    im: &mut [f64],
+    base: usize,
+    run: usize,
+    stride: usize,
+    count: usize,
+) {
+    let span = base..base + (count - 1) * stride + run;
+    let (re, im) = (&mut re[span.clone()], &mut im[span]);
     for_strided!(re, im, run, stride, |r, i| negate_span(r, i));
 }
 
@@ -457,8 +372,10 @@ fn negate_groups(sh: &Shared, base: usize, run: usize, stride: usize, count: usi
 ///   `(count−1)·stride + run ≤ 2^pos[1] ≤ d` long (group bound; a lone
 ///   partial run is shorter than `d` too), so `[base, base+total)` and
 ///   `[base+d, base+d+total)` never overlap.
+#[allow(clippy::too_many_arguments)]
 fn pair_groups(
-    sh: &Shared,
+    re: &mut [f64],
+    im: &mut [f64],
     base: usize,
     d: usize,
     run: usize,
@@ -467,9 +384,8 @@ fn pair_groups(
     butterfly: bool,
 ) {
     if run == d && run << 1 == stride {
-        // SAFETY: merged geometry (see above); groups pairwise disjoint.
-        #[allow(unsafe_code)]
-        let (re, im) = unsafe { sh.slice(base, count * stride) };
+        let span = base..base + count * stride;
+        let (re, im) = (&mut re[span.clone()], &mut im[span]);
         for (cr, ci) in re.chunks_exact_mut(stride).zip(im.chunks_exact_mut(stride)) {
             let (lr, hr) = cr.split_at_mut(run);
             let (li, hi) = ci.split_at_mut(run);
@@ -483,17 +399,10 @@ fn pair_groups(
         }
     } else {
         let total = (count - 1) * stride + run;
-        debug_assert!(
-            total <= d,
-            "dual-span groups must fit below the partner offset"
-        );
-        // SAFETY: dual-span geometry (see above); lo spans hold the
-        // target-clear subspace, hi spans the target-set one.
-        #[allow(unsafe_code)]
-        let (lr, li) = unsafe { sh.slice(base, total) };
-        // SAFETY: as above — the hi spans sit `d` past the lo spans.
-        #[allow(unsafe_code)]
-        let (hr, hi) = unsafe { sh.slice(base + d, total) };
+        // Lo spans hold the target-clear subspace, hi spans the
+        // target-set one, `d` higher.
+        let (lr, hr) = two_spans(re, base, base + d, total);
+        let (li, hi) = two_spans(im, base, base + d, total);
         if butterfly {
             for_strided!(lr, hr, run, stride, |a, b| butterfly_span(a, b));
             for_strided!(li, hi, run, stride, |a, b| butterfly_span(a, b));
@@ -505,18 +414,18 @@ fn pair_groups(
 }
 
 /// X gate: swaps the two halves of every block split on bit `t`.
-pub(crate) fn x(par: Par<'_>, amps: &mut Amps, t: usize) {
+pub(crate) fn x(par: Par, amps: &mut Amps, t: usize) {
     let m = 1usize << t;
-    drive(par, amps, &[(t, 0)], |sh, base, run, stride, count| {
-        pair_groups(sh, base, m, run, stride, count, false);
+    drive(par, amps, &[(t, 0)], |re, im, base, run, stride, count| {
+        pair_groups(re, im, base, m, run, stride, count, false);
     });
 }
 
 /// Hadamard: butterfly over every pair split on bit `t`.
-pub(crate) fn h(par: Par<'_>, amps: &mut Amps, t: usize) {
+pub(crate) fn h(par: Par, amps: &mut Amps, t: usize) {
     let m = 1usize << t;
-    drive(par, amps, &[(t, 0)], |sh, base, run, stride, count| {
-        pair_groups(sh, base, m, run, stride, count, true);
+    drive(par, amps, &[(t, 0)], |re, im, base, run, stride, count| {
+        pair_groups(re, im, base, m, run, stride, count, true);
     });
 }
 
@@ -524,51 +433,43 @@ pub(crate) fn h(par: Par<'_>, amps: &mut Amps, t: usize) {
 /// `v` by `w`. `v = 1` is a plain phase gate; `v = 0` is its "anti" form,
 /// which the bit-flip frame of the compiled executor uses to apply phases
 /// on qubits whose storage is X-conjugated.
-pub(crate) fn phase1(par: Par<'_>, amps: &mut Amps, t: usize, v: usize, w: Complex) {
-    drive(par, amps, &[(t, v)], |sh, base, run, stride, count| {
-        scale_groups(sh, base, run, stride, count, w);
+pub(crate) fn phase1(par: Par, amps: &mut Amps, t: usize, v: usize, w: Complex) {
+    drive(par, amps, &[(t, v)], |re, im, base, run, stride, count| {
+        scale_groups(re, im, base, run, stride, count, w);
     });
 }
 
 /// Z gate on bit value `v`: negates every amplitude whose bit `t` equals
 /// `v` (see [`negate_span`] for why negation gets its own kernel).
-pub(crate) fn z(par: Par<'_>, amps: &mut Amps, t: usize, v: usize) {
-    drive(par, amps, &[(t, v)], |sh, base, run, stride, count| {
-        negate_groups(sh, base, run, stride, count);
+pub(crate) fn z(par: Par, amps: &mut Amps, t: usize, v: usize) {
+    drive(par, amps, &[(t, v)], |re, im, base, run, stride, count| {
+        negate_groups(re, im, base, run, stride, count);
     });
 }
 
 /// CNOT with control active on bit value `vc`: swaps target pairs only in
 /// the control-satisfied quarter of the space.
-pub(crate) fn cx(par: Par<'_>, amps: &mut Amps, c: usize, vc: usize, t: usize) {
+pub(crate) fn cx(par: Par, amps: &mut Amps, c: usize, vc: usize, t: usize) {
     let mt = 1usize << t;
     drive(
         par,
         amps,
         &[(c, vc), (t, 0)],
-        |sh, base, run, stride, count| {
-            pair_groups(sh, base, mt, run, stride, count, false);
+        |re, im, base, run, stride, count| {
+            pair_groups(re, im, base, mt, run, stride, count, false);
         },
     );
 }
 
 /// Toffoli with controls active on bit values `v1`/`v2`.
-pub(crate) fn ccx(
-    par: Par<'_>,
-    amps: &mut Amps,
-    c1: usize,
-    v1: usize,
-    c2: usize,
-    v2: usize,
-    t: usize,
-) {
+pub(crate) fn ccx(par: Par, amps: &mut Amps, c1: usize, v1: usize, c2: usize, v2: usize, t: usize) {
     let mt = 1usize << t;
     drive(
         par,
         amps,
         &[(c1, v1), (c2, v2), (t, 0)],
-        |sh, base, run, stride, count| {
-            pair_groups(sh, base, mt, run, stride, count, false);
+        |re, im, base, run, stride, count| {
+            pair_groups(re, im, base, mt, run, stride, count, false);
         },
     );
 }
@@ -576,7 +477,7 @@ pub(crate) fn ccx(
 /// Diagonal 2-qubit sweep: multiplies amplitudes whose bits at `a`/`b`
 /// equal `va`/`vb` by `w`.
 pub(crate) fn phase2(
-    par: Par<'_>,
+    par: Par,
     amps: &mut Amps,
     a: usize,
     va: usize,
@@ -588,20 +489,20 @@ pub(crate) fn phase2(
         par,
         amps,
         &[(a, va), (b, vb)],
-        |sh, base, run, stride, count| {
-            scale_groups(sh, base, run, stride, count, w);
+        |re, im, base, run, stride, count| {
+            scale_groups(re, im, base, run, stride, count, w);
         },
     );
 }
 
 /// CZ on bit values `va`/`vb`: negates the selected quarter.
-pub(crate) fn cz(par: Par<'_>, amps: &mut Amps, a: usize, va: usize, b: usize, vb: usize) {
+pub(crate) fn cz(par: Par, amps: &mut Amps, a: usize, va: usize, b: usize, vb: usize) {
     drive(
         par,
         amps,
         &[(a, va), (b, vb)],
-        |sh, base, run, stride, count| {
-            negate_groups(sh, base, run, stride, count);
+        |re, im, base, run, stride, count| {
+            negate_groups(re, im, base, run, stride, count);
         },
     );
 }
@@ -609,7 +510,7 @@ pub(crate) fn cz(par: Par<'_>, amps: &mut Amps, a: usize, va: usize, b: usize, v
 /// Diagonal 3-qubit sweep over the selected eighth of the space.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase3(
-    par: Par<'_>,
+    par: Par,
     amps: &mut Amps,
     a: usize,
     va: usize,
@@ -623,8 +524,8 @@ pub(crate) fn phase3(
         par,
         amps,
         &[(a, va), (b, vb), (c, vc)],
-        |sh, base, run, stride, count| {
-            scale_groups(sh, base, run, stride, count, w);
+        |re, im, base, run, stride, count| {
+            scale_groups(re, im, base, run, stride, count, w);
         },
     );
 }
@@ -632,7 +533,7 @@ pub(crate) fn phase3(
 /// CCZ on bit values `va`/`vb`/`vc`: negates the selected eighth.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ccz(
-    par: Par<'_>,
+    par: Par,
     amps: &mut Amps,
     a: usize,
     va: usize,
@@ -645,8 +546,8 @@ pub(crate) fn ccz(
         par,
         amps,
         &[(a, va), (b, vb), (c, vc)],
-        |sh, base, run, stride, count| {
-            negate_groups(sh, base, run, stride, count);
+        |re, im, base, run, stride, count| {
+            negate_groups(re, im, base, run, stride, count);
         },
     );
 }
@@ -656,26 +557,21 @@ pub(crate) fn ccz(
 /// The partner offset `base ^ mask` can point *below* `base` (when the
 /// set pin sits above the cleared one), so this kernel keeps a per-run
 /// partner computation instead of the group span walk.
-pub(crate) fn swap(par: Par<'_>, amps: &mut Amps, a: usize, b: usize) {
+pub(crate) fn swap(par: Par, amps: &mut Amps, a: usize, b: usize) {
     let mask = (1usize << a) | (1usize << b);
     drive(
         par,
         amps,
         &[(a, 1), (b, 0)],
-        |sh, base, run, stride, count| {
+        |re, im, base, run, stride, count| {
             for j in 0..count {
                 let lo = base + j * stride;
                 // Run indices carry bits below both swapped positions only,
-                // so `^ mask` maps the run to a contiguous partner range.
-                // SAFETY: runs live in the (a=1, b=0) subspace, partners in
-                // (a=0, b=1): pairwise disjoint across the sweep.
-                #[allow(unsafe_code)]
-                let (lr, li) = unsafe { sh.slice(lo, run) };
-                // SAFETY: as above — `^ mask` lands in the (a=0, b=1)
-                // subspace, disjoint from every run.
-                #[allow(unsafe_code)]
-                let (hr, hi) = unsafe { sh.slice(lo ^ mask, run) };
+                // so `^ mask` maps the run to a contiguous partner range in
+                // the (a=0, b=1) subspace, above or below the run.
+                let (lr, hr) = two_spans(re, lo, lo ^ mask, run);
                 lr.swap_with_slice(hr);
+                let (li, hi) = two_spans(im, lo, lo ^ mask, run);
                 li.swap_with_slice(hi);
             }
         },
@@ -793,11 +689,10 @@ fn apply_local_ops(re: &mut [f64; 16], im: &mut [f64; 16], ops: &[LocalOp]) {
 /// Each group of `2^k` amplitudes (one per assignment of the non-block
 /// bits) is gathered into local registers, pushed through every
 /// constituent gate via [`apply_local_ops`], and scattered back (long
-/// runs skip the gather entirely and stream the member slices). Groups
-/// are independent, so the sweep parallelises over groups; the local
-/// application performs exactly the arithmetic of unfused kernel
-/// execution, so amplitudes stay bit-identical to the gate-at-a-time path
-/// at any thread count.
+/// runs skip the gather entirely and stream the member slices). The
+/// local application performs exactly the arithmetic of unfused kernel
+/// execution, so amplitudes stay bit-identical to the gate-at-a-time
+/// path.
 ///
 /// # Errors
 ///
@@ -808,7 +703,7 @@ fn apply_local_ops(re: &mut [f64; 16], im: &mut [f64; 16], ops: &[LocalOp]) {
 /// gate operand outside the block returns
 /// [`SimError::InvalidFusedBlock`] and leaves the state untouched.
 pub(crate) fn fused(
-    par: Par<'_>,
+    par: Par,
     amps: &mut Amps,
     positions: &[usize],
     gates: &[Gate],
@@ -857,7 +752,7 @@ pub(crate) fn fused(
         *pin = (p, 0);
     }
     let ops = compile_local_ops(dim, gates);
-    drive(par, amps, &pins[..k], |sh, base, run, stride, count| {
+    drive(par, amps, &pins[..k], |re, im, base, run, stride, count| {
         for j in 0..count {
             let rb = base + j * stride;
             if run >= 8 {
@@ -880,47 +775,34 @@ pub(crate) fn fused(
                     let member = |j: u8| rb + off[j as usize] + sub;
                     for op in &ops {
                         match op {
+                            // Distinct local indices name disjoint member
+                            // slices.
                             LocalOp::Swap(pairs) => {
                                 for &(a, b) in pairs {
-                                    // SAFETY: distinct local indices name
-                                    // disjoint member slices; runs (and
-                                    // their sub-blocks) are pairwise
-                                    // disjoint.
-                                    #[allow(unsafe_code)]
-                                    let (ar, ai) = unsafe { sh.slice(member(a), sr) };
-                                    // SAFETY: as above, member `b`.
-                                    #[allow(unsafe_code)]
-                                    let (br, bi) = unsafe { sh.slice(member(b), sr) };
+                                    let (ar, br) = two_spans(re, member(a), member(b), sr);
                                     ar.swap_with_slice(br);
+                                    let (ai, bi) = two_spans(im, member(a), member(b), sr);
                                     ai.swap_with_slice(bi);
                                 }
                             }
                             LocalOp::Butterfly(pairs) => {
                                 for &(a, b) in pairs {
-                                    // SAFETY: as above.
-                                    #[allow(unsafe_code)]
-                                    let (ar, ai) = unsafe { sh.slice(member(a), sr) };
-                                    // SAFETY: as above, member `b`.
-                                    #[allow(unsafe_code)]
-                                    let (br, bi) = unsafe { sh.slice(member(b), sr) };
+                                    let (ar, br) = two_spans(re, member(a), member(b), sr);
                                     butterfly_span(ar, br);
+                                    let (ai, bi) = two_spans(im, member(a), member(b), sr);
                                     butterfly_span(ai, bi);
                                 }
                             }
                             LocalOp::Scale(sel, w) => {
                                 for &jj in sel {
-                                    // SAFETY: as above.
-                                    #[allow(unsafe_code)]
-                                    let (r, i) = unsafe { sh.slice(member(jj), sr) };
-                                    scale_span(r, i, *w);
+                                    let m = member(jj)..member(jj) + sr;
+                                    scale_span(&mut re[m.clone()], &mut im[m], *w);
                                 }
                             }
                             LocalOp::Negate(sel) => {
                                 for &jj in sel {
-                                    // SAFETY: as above.
-                                    #[allow(unsafe_code)]
-                                    let (r, i) = unsafe { sh.slice(member(jj), sr) };
-                                    negate_span(r, i);
+                                    let m = member(jj)..member(jj) + sr;
+                                    negate_span(&mut re[m.clone()], &mut im[m]);
                                 }
                             }
                         }
@@ -931,27 +813,17 @@ pub(crate) fn fused(
                 // Gather mode for short runs (the block pins low bits):
                 // pull each 2^k group into SoA locals, apply every op,
                 // scatter back.
-                #[allow(unsafe_code)]
                 for gbase in rb..rb + run {
                     let mut lre = [0.0f64; 16];
                     let mut lim = [0.0f64; 16];
                     for (jj, &o) in off.iter().enumerate().take(dim) {
-                        // SAFETY: the group's member indices
-                        // (`gbase | off[jj]`) are disjoint from every
-                        // other group's — groups differ in the non-block
-                        // bits — and only this closure invocation touches
-                        // them.
-                        let (r, i) = unsafe { sh.slice(gbase | o, 1) };
-                        lre[jj] = r[0];
-                        lim[jj] = i[0];
+                        lre[jj] = re[gbase | o];
+                        lim[jj] = im[gbase | o];
                     }
                     apply_local_ops(&mut lre, &mut lim, &ops);
                     for (jj, &o) in off.iter().enumerate().take(dim) {
-                        // SAFETY: as above — group members are touched by
-                        // exactly this invocation.
-                        let (r, i) = unsafe { sh.slice(gbase | o, 1) };
-                        r[0] = lre[jj];
-                        i[0] = lim[jj];
+                        re[gbase | o] = lre[jj];
+                        im[gbase | o] = lim[jj];
                     }
                 }
             }
@@ -1012,8 +884,7 @@ fn bit_segments(positions: &[usize]) -> Vec<BitSeg> {
 /// into `scratch`, gathered reads from `amps`, then the buffers swap.
 /// Every amplitude is **moved**, never recombined: zero floating-point
 /// arithmetic, so the sweep is bit-identical to gate-by-gate execution by
-/// construction, at any thread count (destination chunks are disjoint and
-/// the source is read-only).
+/// construction.
 ///
 /// `scratch` is the caller's reusable destination buffer (resized here as
 /// needed); on success it holds the *previous* amplitudes.
@@ -1027,7 +898,6 @@ fn bit_segments(positions: &[usize]) -> Vec<BitSeg> {
 /// block, or a non-permutation gate returns
 /// [`SimError::InvalidFusedBlock`] and leaves the state untouched.
 pub(crate) fn permute(
-    par: Par<'_>,
     amps: &mut Amps,
     scratch: &mut Amps,
     positions: &[usize],
@@ -1109,56 +979,24 @@ pub(crate) fn permute(
     let len = amps.len();
     scratch.resize_zeroed(len);
     let (sre, sim) = amps.parts();
-    let shared = {
-        let (re, im) = scratch.parts_mut();
-        Shared {
-            re: re.as_mut_ptr(),
-            im: im.as_mut_ptr(),
-            len,
-        }
-    };
+    let (dre, dim_) = scratch.parts_mut();
     // Below the lowest pinned bit, source and destination indices advance
-    // in lockstep, so whole runs copy as spans.
+    // in lockstep, so whole runs copy as spans (`len` is a multiple of the
+    // run length: both are powers of two and the block lies inside the
+    // state).
     let run_len = 1usize << positions[0];
-    let sweep = |from: usize, to: usize| {
-        // SAFETY: destination ranges are disjoint across chunks, and the
-        // source buffer is only read.
-        #[allow(unsafe_code)]
-        let (dre, dim_) = unsafe { shared.slice(from, to - from) };
-        if run_len >= LANES {
-            let mut j = from;
-            while j < to {
-                let n = (run_len - (j & (run_len - 1))).min(to - j);
-                let i = (j & !support) | table[extract(j)];
-                dre[j - from..j - from + n].copy_from_slice(&sre[i..i + n]);
-                dim_[j - from..j - from + n].copy_from_slice(&sim[i..i + n]);
-                j += n;
-            }
-        } else {
-            for j in from..to {
-                let i = (j & !support) | table[extract(j)];
-                dre[j - from] = sre[i];
-                dim_[j - from] = sim[i];
-            }
+    if run_len >= LANES {
+        for j in (0..len).step_by(run_len) {
+            let i = (j & !support) | table[extract(j)];
+            dre[j..j + run_len].copy_from_slice(&sre[i..i + run_len]);
+            dim_[j..j + run_len].copy_from_slice(&sim[i..i + run_len]);
         }
-    };
-    match par.pool {
-        Some(pool) if pool.threads() > 1 && len >= PAR_MIN_AMPS => {
-            let chunks = pool.threads().min(len);
-            let per = len / chunks;
-            let extra = len % chunks;
-            let boundary = |c: usize| -> usize {
-                if c == 0 {
-                    0
-                } else if c == chunks {
-                    len
-                } else {
-                    (c * per + c.min(extra)) & !(LANES - 1)
-                }
-            };
-            pool.run(chunks, &|c| sweep(boundary(c), boundary(c + 1)));
+    } else {
+        for j in 0..len {
+            let i = (j & !support) | table[extract(j)];
+            dre[j] = sre[i];
+            dim_[j] = sim[i];
         }
-        _ => sweep(0, len),
     }
     std::mem::swap(amps, scratch);
     Ok(())
@@ -1173,9 +1011,7 @@ pub(crate) fn permute(
 /// exactly-projected qubit (the post-measurement case reclamation targets)
 /// the compact state is numerically identical to the full one restricted
 /// to its support. The copy runs forward in place: every source index is
-/// at or ahead of its destination. (Serial by design: successive halves
-/// overlap, so the chunk-disjointness the parallel driver needs does not
-/// hold.)
+/// at or ahead of its destination.
 pub(crate) fn compact_bit(amps: &mut Amps, p: usize, keep: bool) {
     let half = amps.len() / 2;
     let low_mask = (1usize << p) - 1;
@@ -1339,16 +1175,14 @@ mod tests {
 
     /// Expands one enumeration of `drive` into sorted absolute indices,
     /// asserting no index is delivered twice.
-    fn indices_with(par: Par<'_>, len: usize, pins: &[(usize, usize)]) -> Vec<usize> {
+    fn indices_with(par: Par, len: usize, pins: &[(usize, usize)]) -> Vec<usize> {
         let mut amps = Amps::zeroed(len);
-        let v = std::sync::Mutex::new(Vec::new());
-        drive(par, &mut amps, pins, |_, base, run, stride, count| {
-            let mut v = v.lock().unwrap();
+        let mut v = Vec::new();
+        drive(par, &mut amps, pins, |_, _, base, run, stride, count| {
             for j in 0..count {
                 v.extend(base + j * stride..base + j * stride + run);
             }
         });
-        let mut v = v.into_inner().unwrap();
         v.sort_unstable();
         assert!(v.windows(2).all(|w| w[0] < w[1]), "duplicate index");
         v
@@ -1360,6 +1194,26 @@ mod tests {
         let scalar = indices_with(Par::scalar(), len, pins);
         assert_eq!(grouped, scalar, "grouped and scalar enumerations diverge");
         grouped
+    }
+
+    #[test]
+    fn two_spans_hand_back_the_requested_order() {
+        // Every kernel that can ask for a partner below its first span
+        // swaps the two, which is symmetric, so only this test pins the
+        // order for a caller whose operation is not.
+        let mut buf: Vec<f64> = (0..16u8).map(f64::from).collect();
+        for (a, b) in [(2usize, 9usize), (9, 2), (0, 4), (12, 8)] {
+            let (x, y) = two_spans(&mut buf, a, b, 4);
+            assert_eq!(x, [a, a + 1, a + 2, a + 3].map(|i| i as f64), "({a}, {b})");
+            assert_eq!(y, [b, b + 1, b + 2, b + 3].map(|i| i as f64), "({a}, {b})");
+        }
+        for (a, b) in [(2usize, 5usize), (5, 2), (3, 3)] {
+            let overlap = std::panic::catch_unwind(|| {
+                let mut buf = [0.0f64; 16];
+                let _ = two_spans(&mut buf, a, b, 4);
+            });
+            assert!(overlap.is_err(), "({a}, {b}) overlap must panic");
+        }
     }
 
     #[test]
@@ -1382,7 +1236,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn run_iteration_matches_mask_filter_exhaustively() {
         // Cross-check against the naive definition for every pin layout in
         // a 6-qubit space, for 1, 2 and 3 pins — on both enumeration
@@ -1460,7 +1313,7 @@ mod tests {
         }
     }
 
-    type Kernel = Box<dyn Fn(Par<'_>, &mut Amps)>;
+    type Kernel = Box<dyn Fn(Par, &mut Amps)>;
 
     /// Every kernel family over an `n`-qubit state (requires `n ≥ 10`):
     /// low-bit, high-bit and mixed operands, so runs of length 1 up to
@@ -1529,27 +1382,19 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn parallel_kernels_are_bit_identical_to_serial() {
-        // A pool with several lanes on an array above the parallel
-        // threshold: every kernel family must produce bitwise-identical
-        // amplitudes across the scalar reference, serial and parallel
-        // runs, including high-bit operands where a run spans a huge
-        // contiguous range.
-        let n = 15usize; // 2^15 = 32768 ≥ PAR_MIN_AMPS
+        // Every kernel family on a 15-qubit array must produce
+        // bitwise-identical amplitudes on the lane-grouped enumeration and
+        // the scalar reference, including high-bit operands where a run
+        // spans a huge contiguous range.
+        let n = 15usize;
         let len = 1usize << n;
-        let pool = AmpPool::new(4);
         for (name, kernel) in &kernel_suite(n) {
             let mut scalar = ramp(len);
             kernel(Par::scalar(), &mut scalar);
-            for (mode, par) in [
-                ("serial", Par::serial()),
-                ("parallel", Par::new(Some(&pool))),
-            ] {
-                let mut got = ramp(len);
-                kernel(par, &mut got);
-                assert_bit_identical(&scalar, &got, &format!("{name} [{mode}]"));
-            }
+            let mut got = ramp(len);
+            kernel(Par::serial(), &mut got);
+            assert_bit_identical(&scalar, &got, name);
         }
     }
 
@@ -1559,7 +1404,7 @@ mod tests {
         // scalar tails and still agree bitwise with the scalar path: every
         // kernel at every width from one qubit up to the kernel's arity.
         let w = Complex::cis(1.1);
-        type K = Box<dyn Fn(Par<'_>, &mut Amps)>;
+        type K = Box<dyn Fn(Par, &mut Amps)>;
         for n in [1usize, 2, 3] {
             let len = 1usize << n;
             // `z` acts on qubit 1 once it exists, on qubit 0 at n = 1.
@@ -1614,10 +1459,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn fused_kernel_equals_sequential_application_bitwise() {
         // A 3-qubit block on non-contiguous positions of a 15-qubit state,
-        // serial and parallel, against one-gate-at-a-time execution.
+        // on both enumerations, against one-gate-at-a-time execution.
         let q = |i: u32| QubitId(i);
         let theta = mbu_circuit::Angle::turn_over_power_of_two(3);
         // Local gates over local operands l0, l1, l2.
@@ -1664,8 +1508,7 @@ mod tests {
             }
         }
 
-        let pool = AmpPool::new(3);
-        for par in [Par::scalar(), Par::serial(), Par::new(Some(&pool))] {
+        for par in [Par::scalar(), Par::serial()] {
             let mut fused_amps = ramp(len);
             fused(par, &mut fused_amps, &positions, &gates).unwrap();
             assert_bit_identical(&reference, &fused_amps, "fused");
@@ -1912,14 +1755,12 @@ mod tests {
     /// `permute` against the naive per-index definition, across gate
     /// sequences whose support (6 qubits) exceeds the dense-fusion arity,
     /// with non-contiguous positions so the extract/spread segment walk is
-    /// exercised, serial and pooled.
+    /// exercised — once from bit 0 (the per-amplitude path) and once from
+    /// bit 3 (runs of [`LANES`] amplitudes: the span-copy path).
     #[test]
     fn permute_matches_naive_index_map() {
-        let n = 9usize;
-        let len = 1usize << n;
-        // Local gates over 6 block qubits mapped to scattered positions.
-        let positions = [0usize, 1, 3, 4, 5, 7];
         let q = |i: usize| QubitId(u32::try_from(i).unwrap());
+        // Local gates over 6 block qubits mapped to scattered positions.
         let gates = vec![
             Gate::Cx(q(0), q(3)),
             Gate::Ccx(q(1), q(2), q(0)),
@@ -1930,63 +1771,31 @@ mod tests {
             Gate::X(q(0)),
             Gate::Swap(q(0), q(3)),
         ];
-        // The same gates with global operands, for the reference walk.
-        let global: Vec<Gate> = gates
-            .iter()
-            .map(|g| g.map_qubits(|lq| q(positions[lq.index()])))
-            .collect();
-        let mut want = vec![Complex::ZERO; len];
-        let src = ramp(len);
-        for i in 0..len {
-            let mut j = i;
-            for g in &global {
-                j = perm_image(j, g);
+        for (n, positions) in [(9usize, [0usize, 1, 3, 4, 5, 7]), (12, [3, 4, 6, 7, 8, 10])] {
+            let len = 1usize << n;
+            // The same gates with global operands, for the reference walk.
+            let global: Vec<Gate> = gates
+                .iter()
+                .map(|g| g.map_qubits(|lq| q(positions[lq.index()])))
+                .collect();
+            let mut want = vec![Complex::ZERO; len];
+            let src = ramp(len);
+            for i in 0..len {
+                let mut j = i;
+                for g in &global {
+                    j = perm_image(j, g);
+                }
+                want[j] = src.get(i);
             }
-            want[j] = src.get(i);
+            let want = Amps::from_complex(&want);
+
+            let mut amps = ramp(len);
+            let mut scratch = Amps::zeroed(0);
+            permute(&mut amps, &mut scratch, &positions, &gates).unwrap();
+            assert_bit_identical(&amps, &want, &format!("permute on {positions:?}"));
+            // Old amplitudes land in the swapped-out scratch.
+            assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
         }
-        let want = Amps::from_complex(&want);
-
-        let mut amps = ramp(len);
-        let mut scratch = Amps::zeroed(0);
-        permute(Par::serial(), &mut amps, &mut scratch, &positions, &gates).unwrap();
-        assert_bit_identical(&amps, &want, "serial permute");
-        // Old amplitudes land in the swapped-out scratch.
-        assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
-    }
-
-    /// Pooled permutation sweeps are bit-identical to serial ones, above
-    /// the parallel threshold and with a contiguous low-bit support (the
-    /// span-copy fast path).
-    #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
-    fn permute_parallel_matches_serial() {
-        let n = 15usize; // 2^15 = 32768 ≥ PAR_MIN_AMPS
-        let len = 1usize << n;
-        let q = |i: usize| QubitId(u32::try_from(i).unwrap());
-        // Support on high bits so runs are long (span-copy path).
-        let positions = [9usize, 10, 11, 12];
-        let gates = vec![
-            Gate::Cx(q(0), q(2)),
-            Gate::Ccx(q(1), q(3), q(0)),
-            Gate::Swap(q(1), q(2)),
-            Gate::X(q(3)),
-        ];
-        let mut serial = ramp(len);
-        let mut scratch = Amps::zeroed(0);
-        permute(Par::serial(), &mut serial, &mut scratch, &positions, &gates).unwrap();
-
-        let pool = AmpPool::new(4);
-        let mut parallel = ramp(len);
-        let mut pscratch = Amps::zeroed(0);
-        permute(
-            Par::new(Some(&pool)),
-            &mut parallel,
-            &mut pscratch,
-            &positions,
-            &gates,
-        )
-        .unwrap();
-        assert_bit_identical(&parallel, &serial, "pooled permute");
     }
 
     /// Malformed permutation blocks are rejected with a typed error — in
@@ -1998,7 +1807,7 @@ mod tests {
             let before = ramp(16);
             let mut amps = ramp(16);
             let mut scratch = Amps::zeroed(0);
-            let err = permute(Par::serial(), &mut amps, &mut scratch, positions, gates);
+            let err = permute(&mut amps, &mut scratch, positions, gates);
             assert!(
                 matches!(err, Err(SimError::InvalidFusedBlock { .. })),
                 "expected rejection for positions {positions:?}"
@@ -2021,7 +1830,7 @@ mod tests {
         let mut amps = Amps::zeroed(1usize << 18);
         let mut scratch = Amps::zeroed(0);
         assert!(matches!(
-            permute(Par::serial(), &mut amps, &mut scratch, &wide, &cx),
+            permute(&mut amps, &mut scratch, &wide, &cx),
             Err(SimError::InvalidFusedBlock { .. })
         ));
     }

@@ -56,20 +56,16 @@
 //! [`Simulator::peak_amplitudes`]. Compiled programs may also carry dense
 //! `Fused` unitary blocks from the compiler's gate-fusion pass; the state
 //! vector applies each block in a single sweep over the amplitude array
-//! (bit-identical to unfused execution), and every kernel sweep can split
-//! across a persistent per-state worker pool
-//! ([`StateVector::with_amp_threads`]) with
-//! deterministic chunking — bit-identical results at any lane count.
-//! Amplitudes live in cache-line-aligned structure-of-arrays re/im
-//! buffers, and the kernels walk them as grouped strided spans whose
-//! inner loops autovectorize (explicit 8-wide lane chunks, stable Rust).
+//! (bit-identical to unfused execution). Amplitudes live in
+//! structure-of-arrays re/im buffers, and the serial, bounds-checked
+//! kernels walk them as grouped strided spans whose inner loops
+//! autovectorize (explicit 8-wide lane chunks, stable Rust, no `unsafe`).
 //! The [`ShotRunner`] builds on those seams: a seeded, deterministic,
 //! multi-threaded ensemble engine that compiles the circuit once, shares
-//! the immutable program across all workers, divides one thread budget
-//! between shot workers and per-shot amplitude lanes, and averages
-//! executed counts (and peak-memory stats) over many shots — how the
-//! `tables` binary measures the paper's "in expectation" MBU costs as
-//! Monte-Carlo means. [`BranchEnsemble`] goes one step further: instead
+//! the immutable program across up to one shot worker per thread of its
+//! budget, and averages executed counts (and peak-memory stats) over
+//! many shots — how the `tables` binary measures the paper's "in
+//! expectation" MBU costs as Monte-Carlo means. [`BranchEnsemble`] goes one step further: instead
 //! of re-running the deterministic prefix per shot it forks the state at
 //! each measurement ([`Simulator::measure_fork`]), walks the outcome tree
 //! once, and either returns the **exact** outcome distribution (no RNG at
@@ -114,12 +110,7 @@
 //! assert!(sim.global_phase().is_zero());
 //! ```
 
-// `deny` rather than `forbid`: the chunk-parallel amplitude kernels and
-// their persistent worker pool need two narrow, documented `unsafe`
-// escapes (lifetime-erased job dispatch and disjoint-range slice
-// construction); every other module stays unsafe-free and any new unsafe
-// outside the allow-listed spots is still a hard error.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;
@@ -132,7 +123,6 @@ mod exec;
 mod kernels;
 mod knobs;
 mod phase;
-mod pool;
 mod shots;
 mod simulator;
 mod soa;

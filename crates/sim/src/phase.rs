@@ -1050,7 +1050,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn qft_adder_runs_at_constant_occupancy() {
         // wrapping_add-shaped circuit built by hand at a width no
         // amplitude backend can touch in the Fourier basis.

@@ -18,14 +18,10 @@
 //!   commutative and the final [`Ensemble`] is **bit-identical** for any
 //!   thread count, including fully serial execution.
 //!
-//! The runner owns **one thread budget** covering both parallelism axes:
-//! shot-level workers and, inside each shot, the state vector's
-//! chunk-parallel amplitude lanes. [`ShotRunner::schedule`] splits the
-//! budget so the product never oversubscribes the machine — many shots run
-//! one-per-core with serial kernels, while a single deep shot hands the
-//! whole budget to the amplitude kernels (whose chunking is itself
-//! bit-deterministic), so aggregates stay identical at every
-//! `(with_threads, with_amp_threads)` combination.
+//! The runner owns **one thread budget**: [`ShotRunner::schedule`] runs
+//! `min(shots, budget)` shot workers over contiguous shot ranges, each
+//! shot on serial amplitude kernels, so aggregates stay identical at every
+//! [`with_threads`](ShotRunner::with_threads) value.
 
 use std::collections::BTreeMap;
 use std::thread;
@@ -67,25 +63,13 @@ pub(crate) fn shot_seed(master_seed: u64, shot: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Splits a thread budget between work items and per-item amplitude lanes
-/// (see [`ShotRunner::schedule`]): item workers first, leftover lanes to
-/// per-item amplitude parallelism, with an optional explicit lane pin.
-/// Returns `(workers, amp_lanes)` with `workers × amp_lanes ≤ budget`.
-/// Shared by the shot engine (items = shots) and the branch-tree engine
-/// (items = active tree leaves).
-pub(crate) fn split_budget(budget: usize, items: u64, amp_pin: Option<usize>) -> (usize, usize) {
-    let budget = budget.max(1);
-    let item_cap = usize::try_from(items).unwrap_or(usize::MAX).max(1);
-    match amp_pin {
-        Some(lanes) => {
-            let lanes = lanes.clamp(1, budget);
-            ((budget / lanes).max(1).min(item_cap), lanes)
-        }
-        None => {
-            let workers = budget.min(item_cap);
-            (workers, (budget / workers).max(1))
-        }
-    }
+/// The worker count for `items` work items under a thread budget (see
+/// [`ShotRunner::schedule`]): one worker per item up to the budget, and
+/// at least one. Shared by the shot engine (items = shots) and the
+/// branch-tree engine (items = active tree leaves).
+pub(crate) fn worker_count(budget: usize, items: u64) -> usize {
+    let item_cap = usize::try_from(items).unwrap_or(usize::MAX);
+    budget.min(item_cap).max(1)
 }
 
 /// `GateCounts` flattened into a fixed field order.
@@ -134,28 +118,21 @@ pub(crate) fn count_fields(c: &GateCounts) -> [u64; NFIELDS] {
 pub struct ShotRunner {
     shots: u64,
     master_seed: u64,
-    /// The total thread budget, split between shot workers and per-shot
-    /// amplitude lanes (see [`ShotRunner::schedule`]).
+    /// The total thread budget (see [`ShotRunner::schedule`]).
     threads: usize,
-    /// Pinned per-shot amplitude lanes; `None` lets the scheduler divide
-    /// the budget automatically.
-    amp_threads: Option<usize>,
     passes: Option<PassConfig>,
 }
 
 impl ShotRunner {
-    /// An ensemble of `shots` runs, with the default master seed, a
+    /// An ensemble of `shots` runs, with the default master seed and a
     /// thread budget of one thread per available CPU
-    /// ([`with_threads`](Self::with_threads) changes it) and per-shot
-    /// amplitude lanes scheduled from that budget
-    /// ([`with_amp_threads`](Self::with_amp_threads) pins them).
+    /// ([`with_threads`](Self::with_threads) changes it).
     #[must_use]
     pub fn new(shots: u64) -> Self {
         Self {
             shots,
             master_seed: DEFAULT_MASTER_SEED,
             threads: cpu_threads(),
-            amp_threads: None,
             passes: None,
         }
     }
@@ -183,44 +160,18 @@ impl ShotRunner {
     }
 
     /// Sets the total thread budget (clamped to at least 1). The result
-    /// does not depend on this — only wall-clock time does.
-    ///
-    /// The budget covers **both** parallelism axes: with `S` shots and
-    /// budget `B`, the runner uses `w = min(S, B)` shot workers and hands
-    /// each one `⌊B / w⌋` amplitude lanes (so `w × lanes ≤ B` — the two
-    /// levels never oversubscribe the machine). Many shots therefore get
-    /// pure shot parallelism; few deep shots get amplitude parallelism
-    /// inside each shot. Pin the split explicitly with
-    /// [`with_amp_threads`](Self::with_amp_threads).
+    /// does not depend on this — only wall-clock time does: with `S`
+    /// shots and budget `B`, the runner uses `min(S, B)` shot workers.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Pins the per-shot amplitude lane count instead of letting the
-    /// scheduler derive it from the budget (clamped into `1..=budget`;
-    /// shot workers shrink to keep `workers × lanes ≤ budget`). By default
-    /// the lanes are scheduled from the budget (see
-    /// [`with_threads`](Self::with_threads)).
-    ///
-    /// Results are bit-identical for every `(budget, lanes)` combination —
-    /// both parallelism levels guarantee determinism — so this only tunes
-    /// wall-clock time.
-    #[must_use]
-    pub fn with_amp_threads(mut self, amp_threads: usize) -> Self {
-        self.amp_threads = Some(amp_threads.max(1));
-        self
-    }
-
-    /// Splits the thread budget for an ensemble of `shots`: shot workers
-    /// first (each shot needs one), leftover lanes to per-shot amplitude
-    /// parallelism — deep single shots are exactly where the kernels can
-    /// use them, and small states ignore extra lanes anyway (the kernels'
-    /// size threshold). Returns `(shot_workers, amp_lanes)` with
-    /// `shot_workers × amp_lanes ≤ budget`.
-    fn schedule(&self, shots: u64) -> (usize, usize) {
-        split_budget(self.threads, shots, self.amp_threads)
+    /// The number of shot workers for an ensemble of `shots`: one per
+    /// shot up to the thread budget.
+    fn schedule(&self, shots: u64) -> usize {
+        worker_count(self.threads, shots)
     }
 
     /// The number of shots this runner executes.
@@ -285,7 +236,7 @@ impl ShotRunner {
         if shots == 0 {
             return Err(SimError::EmptyEnsemble);
         }
-        let (workers, amp_lanes) = self.schedule(shots);
+        let workers = self.schedule(shots);
 
         // Compile once; every worker executes the same immutable program
         // instead of re-walking the op tree per shot.
@@ -301,9 +252,6 @@ impl ShotRunner {
             let mut observations = Vec::with_capacity((range.end - range.start) as usize);
             for shot in range {
                 let mut sim = factory();
-                // Divide the budget: this shot may use the lanes its
-                // worker was allotted (a no-op for per-qubit backends).
-                sim.set_amp_threads(amp_lanes);
                 let mut rng = StdRng::seed_from_u64(self.seed_for_shot(shot));
                 let executed = sim
                     .run_compiled(compiled, &mut rng)
@@ -319,19 +267,15 @@ impl ShotRunner {
         } else {
             // Contiguous chunks; the fold is exact, so the split points
             // cannot affect the aggregate — only probe order matters, and
-            // concatenating contiguous chunks preserves shot order. Chunks
-            // for shot ranges that ended up empty (shots < workers can
-            // only arise from an explicit `with_amp_threads` squeeze) are
-            // skipped: a worker with nothing to run is never spawned.
+            // concatenating contiguous chunks preserves shot order. Every
+            // chunk holds at least one shot (`workers ≤ shots`).
             let per = shots / workers as u64;
             let extra = (shots % workers as u64) as usize;
             let mut ranges = Vec::with_capacity(workers);
             let mut start = 0u64;
             for w in 0..workers {
                 let len = per + u64::from(w < extra);
-                if len > 0 {
-                    ranges.push(start..start + len);
-                }
+                ranges.push(start..start + len);
                 start += len;
             }
             thread::scope(|scope| {
@@ -644,7 +588,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn same_master_seed_gives_identical_aggregates() {
         let circuit = coin_circuit();
         let factory = || Box::new(BasisTracker::zeros(1)) as Box<dyn Simulator>;
@@ -665,7 +608,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn parallel_equals_serial_bit_for_bit() {
         let circuit = coin_circuit();
         let factory = || Box::new(BasisTracker::zeros(1)) as Box<dyn Simulator>;
@@ -683,7 +625,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn mean_and_variance_match_bernoulli_expectations() {
         // The conditional branch (1 H + 1 X) runs with probability ½, so
         // the executed X count is Bernoulli(½): mean ½, variance ¼.
@@ -700,7 +641,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn outcome_frequencies_and_records() {
         let circuit = coin_circuit();
         let ensemble = ShotRunner::new(2000)
@@ -719,7 +659,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn probes_arrive_in_shot_order_for_any_thread_count() {
         let circuit = coin_circuit();
         let runner = ShotRunner::new(257).with_threads(1);
@@ -743,7 +682,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn errors_are_deterministic_and_lowest_shot_wins() {
         // A 2-qubit circuit on a 1-qubit simulator fails on every shot;
         // the reported error must be the same for any thread count.
@@ -766,29 +704,19 @@ mod tests {
     #[test]
     fn schedule_prefers_shot_workers_then_amplitude_lanes() {
         let auto = ShotRunner::new(0).with_threads(8);
-        // Many shots: all budget to shot workers, serial kernels.
-        assert_eq!(auto.schedule(100), (8, 1));
-        assert_eq!(auto.schedule(8), (8, 1));
-        // Few shots: leftover budget becomes per-shot amplitude lanes.
-        assert_eq!(auto.schedule(4), (4, 2));
-        assert_eq!(auto.schedule(3), (3, 2), "floor keeps the product ≤ 8");
-        assert_eq!(auto.schedule(1), (1, 8), "single deep shot: all lanes");
-        assert_eq!(auto.schedule(0), (1, 8));
-
-        // Pinned lanes shrink the worker pool so the product fits.
-        let pinned = auto.with_amp_threads(2);
-        assert_eq!(pinned.schedule(100), (4, 2));
-        assert_eq!(pinned.schedule(1), (1, 2));
-        // A pin beyond the budget is clamped, never oversubscribed.
-        assert_eq!(auto.with_amp_threads(64).schedule(10), (1, 8));
-        for (shots, runner) in [(1u64, auto), (5, pinned), (64, auto.with_amp_threads(3))] {
-            let (w, a) = runner.schedule(shots);
-            assert!(w * a <= 8, "{shots} shots: {w}×{a} oversubscribes");
-        }
+        // Many shots: the whole budget goes to shot workers.
+        assert_eq!(auto.schedule(100), 8);
+        assert_eq!(auto.schedule(8), 8);
+        // Few shots: one worker per shot, never an idle one.
+        assert_eq!(auto.schedule(4), 4);
+        assert_eq!(auto.schedule(3), 3);
+        assert_eq!(auto.schedule(1), 1);
+        assert_eq!(auto.schedule(0), 1);
+        // A serial budget stays serial however many shots there are.
+        assert_eq!(auto.with_threads(1).schedule(u64::MAX), 1);
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn single_shot_with_many_workers_runs_and_matches_serial() {
         // Regression: shots < budget must not spawn workers for empty
         // shot ranges, and the lone probe arrives exactly once.
@@ -806,22 +734,13 @@ mod tests {
         assert_eq!(serial, wide);
         assert_eq!(obs_serial, obs_wide);
         assert_eq!(obs_wide.len(), 1);
-        // And with the split forced to leave workers > shots in no
-        // configuration: an explicit 1-lane pin at an 8-thread budget.
-        let (pinned, obs_pinned) = ShotRunner::new(1)
-            .with_threads(8)
-            .with_amp_threads(1)
-            .run_probed(&circuit, factory, probe)
-            .unwrap();
-        assert_eq!(serial, pinned);
-        assert_eq!(obs_serial, obs_pinned);
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn aggregates_are_identical_across_budget_splits() {
-        // The same ensemble at every (shot workers × amp lanes) split of
-        // an 8-thread budget, on the state-vector backend: bit-identical.
+        // The same ensemble at several thread budgets, including budgets
+        // that leave the shots unevenly split across workers, on the
+        // state-vector backend: bit-identical.
         use crate::StateVector;
         let mut b = CircuitBuilder::new();
         let q = b.qreg("q", 3);
@@ -834,32 +753,28 @@ mod tests {
         let factory = || Box::new(StateVector::zeros(3).unwrap()) as Box<dyn Simulator>;
         let base = ShotRunner::new(40)
             .with_threads(1)
-            .with_amp_threads(1)
             .run(&circuit, factory)
             .unwrap();
-        for (threads, lanes) in [(8, 1), (8, 2), (8, 8), (2, 4), (3, 3)] {
+        for threads in [8, 2, 3] {
             let split = ShotRunner::new(40)
                 .with_threads(threads)
-                .with_amp_threads(lanes)
                 .run(&circuit, factory)
                 .unwrap();
-            assert_eq!(base, split, "budget {threads}, lanes {lanes}");
+            assert_eq!(base, split, "budget {threads}");
         }
     }
 
     #[test]
     fn runner_honours_the_resolved_default() {
-        // ShotRunner::new budgets one thread per CPU and schedules the
-        // amplitude lanes itself; the setters override both.
+        // ShotRunner::new budgets one thread per CPU; the setter
+        // overrides it, clamped to at least one thread.
         let runner = ShotRunner::new(10);
         assert_eq!(runner.threads, cpu_threads());
-        assert_eq!(runner.amp_threads, None);
-        let runner = runner.with_threads(5).with_amp_threads(2);
-        assert_eq!((runner.threads, runner.amp_threads), (5, Some(2)));
+        assert_eq!(runner.with_threads(5).threads, 5);
+        assert_eq!(runner.with_threads(0).threads, 1);
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn ensembles_fold_peak_amplitudes_across_shots() {
         // q0 is measured, dropped, and only then is q1 touched — so the
         // reclaiming state vector never holds both qubits at once and the
@@ -915,7 +830,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn opt_in_passes_shrink_executed_counts() {
         // X·X cancels under the default passes, so the optimised ensemble
         // executes no X at all while the lowered one executes two per shot.

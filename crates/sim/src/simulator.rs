@@ -92,7 +92,10 @@ pub trait Simulator {
     ///
     /// # Errors
     ///
-    /// Backend-specific: the basis tracker reports
+    /// Every backend returns [`SimError::OutOfRange`] if an operand lies
+    /// outside the state and [`SimError::DuplicateOperand`] if a
+    /// multi-qubit gate names one qubit twice, before touching the state.
+    /// The rest is backend-specific: the basis tracker reports
     /// [`SimError::UnsupportedEntanglement`] for gates leaving its
     /// fragment.
     fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError>;
@@ -237,19 +240,6 @@ pub trait Simulator {
     /// runs report peak statistics too.
     fn occupancy_peak(&self) -> Option<u64> {
         None
-    }
-
-    /// Requests `threads` intra-state amplitude worker lanes for
-    /// subsequent gate execution, where the backend supports them.
-    ///
-    /// The state vector honours this (its chunk-parallel kernels then
-    /// split each gate's sweep across a persistent worker pool —
-    /// bit-identical results at any lane count); per-qubit backends
-    /// ignore it. The [`ShotRunner`](crate::ShotRunner) calls this on
-    /// every freshly built simulator to divide one thread budget between
-    /// shot-level and amplitude-level parallelism.
-    fn set_amp_threads(&mut self, threads: usize) {
-        let _ = threads;
     }
 
     /// The exact dyadic global phase of the state, when the backend can

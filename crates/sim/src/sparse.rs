@@ -176,8 +176,8 @@ impl SparseVector {
     }
 
     /// The occupied-entry high-water mark of the most recent compiled
-    /// run, or `None` before the first one — the sparse analogue of
-    /// `StateVector::last_run_peak_amplitudes`.
+    /// run, or `None` before the first one — the sparse analogue of the
+    /// dense backend's [`Simulator::peak_amplitudes`].
     #[must_use]
     pub fn last_run_peak_entries(&self) -> Option<u64> {
         self.last_run_peak

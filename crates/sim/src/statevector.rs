@@ -7,7 +7,6 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::kernels::{self, Par};
-use crate::pool::AmpPool;
 use crate::simulator::{Fork, Simulator};
 use crate::soa::Amps;
 
@@ -66,12 +65,6 @@ pub struct StateVector {
     reclaim: bool,
     /// Peak live amplitudes of the most recent compiled run.
     last_run_peak: Option<usize>,
-    /// Requested intra-state amplitude worker lanes (1 = serial, the
-    /// construction default).
-    amp_threads: usize,
-    /// The persistent worker pool, spawned lazily on the first kernel call
-    /// large enough to benefit (never for small states).
-    pool: Option<AmpPool>,
     /// Reusable destination buffer for permutation-block sweeps
     /// ([`kernels::permute`] streams `amps` into it and swaps), allocated
     /// on first need and kept across blocks so a deep shot pays the
@@ -86,12 +79,8 @@ impl Clone for StateVector {
             amps: self.amps.clone(),
             reclaim: self.reclaim,
             last_run_peak: self.last_run_peak,
-            amp_threads: self.amp_threads,
-            // Worker pools are per-instance (one in-flight job each); the
-            // clone lazily spawns its own when it first needs one. The
-            // permutation scratch buffer is pure scratch — reallocated on
-            // first need rather than copied.
-            pool: None,
+            // The permutation scratch buffer is pure scratch — reallocated
+            // on first need rather than copied.
             scratch: None,
         }
     }
@@ -118,8 +107,6 @@ impl StateVector {
             amps,
             reclaim: true,
             last_run_peak: None,
-            amp_threads: 1,
-            pool: None,
             scratch: None,
         })
     }
@@ -163,8 +150,6 @@ impl StateVector {
             amps: Amps::from_complex(&amps),
             reclaim: true,
             last_run_peak: None,
-            amp_threads: 1,
-            pool: None,
             scratch: None,
         })
     }
@@ -192,50 +177,6 @@ impl StateVector {
     #[must_use]
     pub fn reclamation_enabled(&self) -> bool {
         self.reclaim
-    }
-
-    /// Sets the number of amplitude worker lanes for gate execution
-    /// (builder style, clamped to at least 1).
-    ///
-    /// With `n > 1` lanes, every stride kernel splits its sweep over the
-    /// amplitude array into `n` chunks at deterministic boundaries and
-    /// executes them on a persistent worker pool (spawned lazily, and only
-    /// once the state is large enough for the sweep to outweigh the
-    /// wake-up — tiny states always run serially). Chunks write disjoint
-    /// amplitudes with unchanged per-amplitude arithmetic, so amplitudes,
-    /// RNG draws and measurement outcomes are **bit-identical** to serial
-    /// execution at any lane count.
-    ///
-    /// The construction default is 1 (serial); the
-    /// [`ShotRunner`](crate::ShotRunner) overrides it per shot from its
-    /// unified thread budget.
-    #[must_use]
-    pub fn with_amp_threads(mut self, threads: usize) -> Self {
-        Simulator::set_amp_threads(&mut self, threads);
-        self
-    }
-
-    /// The requested amplitude worker lane count (1 = serial).
-    #[must_use]
-    pub fn amp_threads(&self) -> usize {
-        self.amp_threads
-    }
-
-    /// Spawns the worker pool if lanes were requested, none exists yet and
-    /// the state is large enough for parallel sweeps to pay.
-    fn ensure_pool(&mut self) {
-        if self.amp_threads > 1 && self.pool.is_none() && self.amps.len() >= kernels::PAR_MIN_AMPS {
-            self.pool = Some(AmpPool::new(self.amp_threads));
-        }
-    }
-
-    /// The peak number of live amplitudes the most recent compiled run
-    /// operated on: the full `2^n` for the non-reclaiming engine, the
-    /// largest compacted working set for the reclaiming one. `None` before
-    /// any compiled run.
-    #[must_use]
-    pub fn last_run_peak_amplitudes(&self) -> Option<usize> {
-        self.last_run_peak
     }
 
     /// Resets the state to `|index⟩`.
@@ -372,19 +313,6 @@ impl StateVector {
         index
     }
 
-    /// Applies a single gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfRange`] if any operand qubit lies outside
-    /// the state, or [`SimError::DuplicateOperand`] if a multi-qubit gate
-    /// names the same qubit twice. Out-of-range gates used to be silently
-    /// ignored (or panic, depending on the gate); they are now rejected
-    /// before touching any amplitude.
-    pub fn apply_gate_pub(&mut self, gate: &Gate) -> Result<(), SimError> {
-        self.apply(gate)
-    }
-
     /// Runs an adaptive circuit, sampling measurements from `rng`.
     ///
     /// Convenience wrapper over the [`Simulator`] trait method for callers
@@ -472,14 +400,8 @@ impl StateVector {
         gates: &[Gate],
         flip: &mut usize,
     ) -> Result<(), SimError> {
-        self.ensure_pool();
-        let Self {
-            amps,
-            pool,
-            scratch,
-            ..
-        } = self;
-        let par = Par::new(pool.as_ref());
+        let Self { amps, scratch, .. } = self;
+        let par = Par::serial();
         let width = amps.len().trailing_zeros() as usize;
         if positions.iter().all(|&p| p < width) {
             for &p in positions {
@@ -490,7 +412,7 @@ impl StateVector {
             // Wider than the dense-kernel arity: only permutation blocks
             // compile to this shape, applied as one index-remap sweep.
             let buf = scratch.get_or_insert_with(|| Amps::zeroed(0));
-            kernels::permute(par, amps, buf, positions, gates)
+            kernels::permute(amps, buf, positions, gates)
         } else {
             kernels::fused(par, amps, positions, gates)
         }
@@ -510,9 +432,8 @@ impl StateVector {
         fn pin(flip: usize, q: QubitId) -> usize {
             1 ^ (flip >> q.index() & 1)
         }
-        self.ensure_pool();
-        let Self { amps, pool, .. } = self;
-        let par = Par::new(pool.as_ref());
+        let amps = &mut self.amps;
+        let par = Par::serial();
         match *gate {
             Gate::X(q) => *flip ^= 1usize << q.index(),
             Gate::H(q) => {
@@ -592,7 +513,7 @@ impl StateVector {
 
     /// Materialises the pending frame flip on qubit `q`, if any: one exact
     /// X kernel (pure amplitude moves, no arithmetic).
-    fn flush_flip_bit(par: Par<'_>, amps: &mut Amps, flip: &mut usize, q: usize) {
+    fn flush_flip_bit(par: Par, amps: &mut Amps, flip: &mut usize, q: usize) {
         if *flip >> q & 1 == 1 {
             kernels::x(par, amps, q);
             *flip &= !(1usize << q);
@@ -603,13 +524,10 @@ impl StateVector {
     /// resets and at the end of a compiled run, so observable state is
     /// always the physical one.
     fn flush_flips(&mut self, flip: &mut usize) {
-        self.ensure_pool();
-        let Self { amps, pool, .. } = self;
-        let par = Par::new(pool.as_ref());
         let mut m = *flip;
         while m != 0 {
             let q = m.trailing_zeros() as usize;
-            kernels::x(par, amps, q);
+            kernels::x(Par::serial(), &mut self.amps, q);
             m &= m - 1;
         }
         *flip = 0;
@@ -659,20 +577,15 @@ impl StateVector {
         outcome
     }
 
-    /// A forked child sharing this state's configuration but **never** its
-    /// worker pool: the child starts with `pool: None` and lazily spawns
-    /// its own on first need, exactly like [`Clone`] — the pool's one-job
-    /// protocol assumes a single `&mut` owner, so a pool shared between a
-    /// parent and a forked child running on different threads would race
-    /// its epoch/acknowledge handshake and deadlock.
+    /// A forked child holding `amps` under this state's configuration,
+    /// with no compiled run behind it yet and its own (lazily allocated)
+    /// permutation scratch buffer, like [`Clone`].
     fn child_with_amps(&self, amps: Amps) -> Self {
         Self {
             num_qubits: self.num_qubits,
             amps,
             reclaim: self.reclaim,
             last_run_peak: None,
-            amp_threads: self.amp_threads,
-            pool: None,
             scratch: None,
         }
     }
@@ -887,7 +800,7 @@ impl LiveMap {
             // again: already reclaimed.
             return;
         };
-        StateVector::flush_flip_bit(Par::new(None), amps, flip, p);
+        StateVector::flush_flip_bit(Par::serial(), amps, flip, p);
         let (m0, m1) = kernels::bit_masses(amps, p);
         let keep = if m0 <= RECLAIM_TOL {
             true
@@ -1139,16 +1052,6 @@ impl Simulator for StateVector {
     /// (compacted mid-run under reclamation, `2^n` otherwise).
     fn occupancy_peak(&self) -> Option<u64> {
         Some(self.amps.len() as u64)
-    }
-
-    fn set_amp_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.amp_threads {
-            self.amp_threads = threads;
-            // Re-spawn lazily at the new lane count (and never spawn at
-            // all for a serial request).
-            self.pool = None;
-        }
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
@@ -1608,21 +1511,20 @@ mod tests {
             .unwrap()
             .with_reclamation(true);
         on.run_compiled(&compiled, &mut rng).unwrap();
-        let peak_on = on.last_run_peak_amplitudes().unwrap();
+        let peak_on = on.peak_amplitudes().unwrap();
 
         let mut rng = StdRng::seed_from_u64(9);
         let mut off = StateVector::basis(4, 0b0011)
             .unwrap()
             .with_reclamation(false);
         off.run_compiled(&compiled, &mut rng).unwrap();
-        let peak_off = off.last_run_peak_amplitudes().unwrap();
+        let peak_off = off.peak_amplitudes().unwrap();
 
-        assert_eq!(peak_off, 1usize << 4, "non-reclaiming engine holds 2^n");
+        assert_eq!(peak_off, 1u64 << 4, "non-reclaiming engine holds 2^n");
         assert!(
             peak_on * 2 <= peak_off,
             "q2 dropped before q3 materialises: peak {peak_on} vs {peak_off}"
         );
-        assert_eq!(Simulator::peak_amplitudes(&on), Some(peak_on as u64));
     }
 
     #[test]
@@ -1678,153 +1580,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
-    fn amp_parallel_compiled_runs_are_bit_identical_to_serial() {
-        // A 15-qubit (32768-amplitude, above the parallel threshold)
-        // adaptive circuit: compiled execution with 4 amplitude lanes
-        // must reproduce the serial run bit for bit — amplitudes,
-        // records, executed counts — with and without fusion.
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 15);
-        for i in 0..14 {
-            b.h(r[i]);
-            b.cx(r[i], r[i + 1]);
-        }
-        b.ccx(r[0], r[7], r[14]);
-        let m = b.measure(r[14], Basis::Z);
-        let (_, fix) = b.record(|b| {
-            b.h(r[13]);
-            b.cx(r[13], r[14]);
-        });
-        b.emit_conditional(m, &fix);
-        let circuit = b.finish();
-
-        for fuse in [0usize, 3] {
-            let config = mbu_circuit::PassConfig {
-                fuse_max_qubits: fuse,
-                ..mbu_circuit::PassConfig::default()
-            };
-            let compiled = mbu_circuit::CompiledCircuit::with_config(&circuit, &config).unwrap();
-            let mut serial = StateVector::zeros(15).unwrap().with_amp_threads(1);
-            let mut rng = StdRng::seed_from_u64(5);
-            let ex_serial = serial.run_compiled(&compiled, &mut rng).unwrap();
-            let mut parallel = StateVector::zeros(15).unwrap().with_amp_threads(4);
-            let mut rng = StdRng::seed_from_u64(5);
-            let ex_parallel = parallel.run_compiled(&compiled, &mut rng).unwrap();
-            assert_eq!(ex_serial, ex_parallel, "fuse window {fuse}");
-            let amps_serial = serial.amplitudes();
-            let amps_parallel = parallel.amplitudes();
-            for (i, (a, b)) in amps_serial.iter().zip(&amps_parallel).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "fuse {fuse}: re amp {i}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "fuse {fuse}: im amp {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn amp_threads_builder_and_trait_agree() {
-        assert_eq!(
-            StateVector::zeros(1).unwrap().amp_threads(),
-            1,
-            "serial by default"
-        );
-        let sv = StateVector::zeros(1).unwrap().with_amp_threads(6);
-        assert_eq!(sv.amp_threads(), 6);
-        let mut sv = sv.with_amp_threads(0);
-        assert_eq!(sv.amp_threads(), 1, "clamped to serial");
-        Simulator::set_amp_threads(&mut sv, 3);
-        assert_eq!(sv.amp_threads(), 3);
-        // Clones share configuration but never a pool.
-        let clone = sv.clone();
-        assert_eq!(clone.amp_threads(), 3);
-    }
-
-    /// Drives an H sweep over qubits `1..n` and then captures the Born
-    /// probability an ensuing Z measurement of qubit 1 would draw with —
-    /// a bit-exact observable that works through `dyn Simulator`.
-    fn sweep_and_probe(sim: &mut dyn Simulator, n: usize) -> f64 {
-        for i in 1..n {
-            sim.apply_gate(&Gate::H(q(u32::try_from(i).unwrap())))
-                .unwrap();
-        }
-        let mut captured = f64::NAN;
-        sim.measure(q(1), Basis::Z, &mut |p| {
-            captured = p;
-            false
-        })
-        .unwrap();
-        captured
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
-    fn forked_states_never_share_a_worker_pool_across_threads() {
-        // Audit regression for the manual `Clone` / `measure_fork` pair:
-        // the per-state worker pool runs a strict one-job handshake, so a
-        // pool shared between a parent and its forked child would race the
-        // epoch/acknowledge protocol and deadlock the moment both run on
-        // different threads. Build a state big enough to actually spawn
-        // the pool (above `PAR_MIN_AMPS`), fork it, then drive parent and
-        // child concurrently: completing at all is half the assertion, and
-        // both must reproduce a single-threaded reference bit for bit.
-        let n = 15usize;
-        let build = |lanes: usize| {
-            let mut sv = StateVector::zeros(n).unwrap().with_amp_threads(lanes);
-            sv.apply(&Gate::H(q(0))).unwrap();
-            sv.apply(&Gate::Phase(q(0), Angle::turn_over_power_of_two(3)))
-                .unwrap();
-            sv.apply(&Gate::H(q(0))).unwrap();
-            for i in 0..n - 1 {
-                let i = u32::try_from(i).unwrap();
-                sv.apply(&Gate::Cx(q(i), q(i + 1))).unwrap();
-            }
-            sv
-        };
-        let mut parallel = build(4);
-        assert!(parallel.pool.is_some(), "pool spawned above the threshold");
-        let Some(Fork::Split {
-            p_one,
-            one: Some(one),
-        }) = parallel.measure_fork(q(0), Basis::Z).unwrap()
-        else {
-            panic!("a fair coin always splits with a materialised 1-branch");
-        };
-
-        let h_child = std::thread::spawn({
-            let mut sim = one;
-            move || sweep_and_probe(sim.as_mut(), n)
-        });
-        let h_parent = std::thread::spawn(move || {
-            let p = sweep_and_probe(&mut parallel, n);
-            (p, parallel)
-        });
-        let probe_child = h_child.join().unwrap();
-        let (probe_parent, parent) = h_parent.join().unwrap();
-        assert!(parent.pool.is_some(), "parent kept (or re-spawned) a pool");
-
-        // Single-threaded reference of the same fork + sweep.
-        let mut serial = build(1);
-        let Some(Fork::Split {
-            p_one: s_p_one,
-            one: Some(mut s_child),
-        }) = serial.measure_fork(q(0), Basis::Z).unwrap()
-        else {
-            panic!("a fair coin always splits with a materialised 1-branch");
-        };
-        assert_eq!(p_one.to_bits(), s_p_one.to_bits(), "fork probability");
-        assert_eq!(
-            probe_parent.to_bits(),
-            sweep_and_probe(&mut serial, n).to_bits(),
-            "parent branch diverged from serial"
-        );
-        assert_eq!(
-            probe_child.to_bits(),
-            sweep_and_probe(s_child.as_mut(), n).to_bits(),
-            "child branch diverged from serial"
-        );
-    }
-
-    #[test]
     fn reclamation_default_honours_builder_override() {
         let sv = StateVector::zeros(1).unwrap();
         assert!(sv.reclamation_enabled(), "on by default");
@@ -1832,7 +1587,7 @@ mod tests {
         assert!(!off.reclamation_enabled());
         let on = off.with_reclamation(true);
         assert!(on.reclamation_enabled());
-        assert_eq!(sv.last_run_peak_amplitudes(), None, "no compiled run yet");
+        assert_eq!(sv.peak_amplitudes(), None, "no compiled run yet");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! operands, and every permutation of a Toffoli's qubits.
 
 use mbu_circuit::{Angle, Gate, QubitId};
-use mbu_sim::{Complex, StateVector};
+use mbu_sim::{Complex, Simulator, StateVector};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -122,7 +122,7 @@ fn dense_apply(gate: &Gate, amps: &[Complex]) -> Vec<Complex> {
 /// Applies `gate` through the `StateVector`'s stride kernels.
 fn sv_apply(gate: &Gate, amps: &[Complex]) -> Vec<Complex> {
     let mut sv = StateVector::from_amplitudes(amps.to_vec()).unwrap();
-    sv.apply_gate_pub(gate).unwrap();
+    sv.apply_gate(gate).unwrap();
     sv.amplitudes().to_vec()
 }
 
@@ -249,7 +249,7 @@ fn kernels_preserve_norm_on_long_random_products() {
             _ => Gate::Swap(q(b), q(c)),
         };
         amps = dense_apply(&gate, &amps);
-        sv.apply_gate_pub(&gate).unwrap();
+        sv.apply_gate(&gate).unwrap();
         for (i, (g, e)) in sv.amplitudes().iter().zip(&amps).enumerate() {
             assert!(
                 (*g - *e).norm() < 1e-9,

@@ -3,7 +3,7 @@
 //! phase algebra.
 
 use mbu_circuit::{Angle, Circuit, Gate, Op, QubitId};
-use mbu_sim::{BasisTracker, Complex, StateVector};
+use mbu_sim::{BasisTracker, Complex, Simulator, StateVector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,7 +178,7 @@ proptest! {
         let mut probe = StateVector::zeros(1).unwrap();
         for op in circuit.ops().iter().take(3) {
             if let Op::Gate(g) = op {
-                probe.apply_gate_pub(g).unwrap();
+                probe.apply_gate(g).unwrap();
             }
         }
         let p1 = probe.probability_of(1);

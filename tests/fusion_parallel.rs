@@ -1,14 +1,14 @@
-//! Observational invisibility of gate fusion and amplitude parallelism.
+//! Observational invisibility of gate fusion and of the shot engine's
+//! thread budget.
 //!
 //! The gate-fusion pass rewrites the compiled program (runs of adjacent
-//! gates become dense `Instr::Fused` blocks) and `with_amp_threads`
-//! amplitude lanes rewrite the execution schedule (each kernel sweep
-//! splits across a worker pool) — but neither is allowed to change a
-//! single bit of observable behaviour. For random MBU modular adders, the
-//! fused, amplitude-parallel engine must reproduce the unfused serial
-//! engine **exactly**: bitwise-identical amplitudes, identical classical
-//! records and executed counts, identical RNG consumption, and identical
-//! ensemble outcome frequencies — with qubit reclamation on and off.
+//! gates become dense `Instr::Fused` blocks) and the shot engine's thread
+//! budget rewrites the execution schedule — but neither is allowed to
+//! change a single bit of observable behaviour. For random MBU modular
+//! adders, the fused engine must reproduce the unfused one **exactly**:
+//! bitwise-identical amplitudes, identical classical records and executed
+//! counts, identical RNG consumption, and identical ensemble outcome
+//! frequencies at any thread budget — with qubit reclamation on and off.
 
 use mbu_arith::{
     modular::{self, ModAddSpec},
@@ -74,19 +74,17 @@ proptest! {
         prop_assert_eq!(fused.counts(), unfused.counts());
 
         for reclaim in [true, false] {
-            // Baseline: unfused program, serial kernels.
+            // Baseline: unfused program.
             let mut sv_base = StateVector::basis(nq, input)
                 .unwrap()
-                .with_reclamation(reclaim)
-                .with_amp_threads(1);
+                .with_reclamation(reclaim);
             let mut rng_base = StdRng::seed_from_u64(seed);
             let ex_base = sv_base.run_compiled(&unfused, &mut rng_base).unwrap();
 
-            // Fused program, four amplitude lanes.
+            // Fused program.
             let mut sv_fast = StateVector::basis(nq, input)
                 .unwrap()
-                .with_reclamation(reclaim)
-                .with_amp_threads(4);
+                .with_reclamation(reclaim);
             let mut rng_fast = StdRng::seed_from_u64(seed);
             let ex_fast = sv_fast.run_compiled(&fused, &mut rng_fast).unwrap();
 
@@ -142,7 +140,7 @@ fn classical_view(e: &Ensemble) -> impl PartialEq + std::fmt::Debug {
 #[test]
 fn ensemble_outcome_frequencies_survive_fusion_and_thread_splits() {
     // A 2-stage MBU modadd chain under the shot engine: unfused serial
-    // aggregates vs fused runs at several (budget, lane) splits must be
+    // aggregates vs fused runs at several thread budgets must be
     // bit-identical, outcome frequencies included.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let chain = modular::modadd_chain_circuit(&spec, 2, 3, 2).unwrap();
@@ -157,26 +155,24 @@ fn ensemble_outcome_frequencies_survive_fusion_and_thread_splits() {
     let baseline = ShotRunner::new(48)
         .with_passes(unfused_passes())
         .with_threads(1)
-        .with_amp_threads(1)
         .run(&chain.circuit, factory)
         .unwrap();
-    for (threads, lanes) in [(1, 1), (8, 1), (8, 4), (2, 2)] {
+    for threads in [1, 8, 2] {
         let fused = ShotRunner::new(48)
             .with_passes(PassConfig::default())
             .with_threads(threads)
-            .with_amp_threads(lanes)
             .run(&chain.circuit, factory)
             .unwrap();
         assert_eq!(
             classical_view(&baseline),
             classical_view(&fused),
-            "budget {threads}, lanes {lanes}"
+            "budget {threads}"
         );
         for clbit in 0..baseline.num_clbits() {
             assert_eq!(
                 baseline.outcome_frequency(clbit),
                 fused.outcome_frequency(clbit),
-                "clbit {clbit} at budget {threads}, lanes {lanes}"
+                "clbit {clbit} at budget {threads}"
             );
         }
     }

@@ -93,8 +93,7 @@ proptest! {
         prop_assert_eq!(sv_on.value(layout.y.qubits()).unwrap(), (x + y) % p);
         // Reclamation never *raises* the working set.
         prop_assert!(
-            sv_on.last_run_peak_amplitudes().unwrap()
-                <= sv_off.last_run_peak_amplitudes().unwrap()
+            sv_on.peak_amplitudes().unwrap() <= sv_off.peak_amplitudes().unwrap()
         );
 
         // The static resource pins are untouched by the reclamation pass:
@@ -181,6 +180,6 @@ fn unitary_uncompute_reclaims_nothing() {
     sv.set_value(chain.y.qubits(), 4).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     sv.run_compiled(&compiled, &mut rng).unwrap();
-    assert_eq!(sv.last_run_peak_amplitudes(), Some(1 << nq));
+    assert_eq!(sv.peak_amplitudes(), Some(1 << nq));
     assert_eq!(sv.value(chain.y.qubits()).unwrap(), (3 + 3 + 4) % 5);
 }

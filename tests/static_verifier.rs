@@ -121,8 +121,9 @@ fn table1_modadd_rows_prove_equal_at_n64() {
     }
 }
 
-/// The careful profile (tests run with debug assertions on) verifies
-/// every compile end to end and stamps the stats line.
+/// Builds with debug assertions on (the default test profile and the
+/// careful one) verify every compile end to end and stamp the stats line;
+/// release builds skip the inline verifier and stamp that instead.
 #[test]
 fn compiled_programs_arrive_verified_under_the_careful_profile() {
     let adder = adders::plain_adder(AdderKind::Cdkpm, 8).unwrap();
@@ -130,11 +131,22 @@ fn compiled_programs_arrive_verified_under_the_careful_profile() {
     compiled
         .verify()
         .expect("a fresh compile re-verifies clean");
-    assert!(compiled.stats().verified, "careful profile verifies inline");
-    assert!(
-        compiled.stats().to_string().contains("verified"),
-        "the stats line surfaces the verification outcome"
-    );
+    let stats = compiled.stats();
+    if cfg!(debug_assertions) {
+        assert!(stats.verified, "careful profile verifies inline");
+        assert!(!stats.verify_skipped);
+        assert!(
+            stats.to_string().contains("verified"),
+            "the stats line surfaces the verification outcome"
+        );
+    } else {
+        assert!(!stats.verified, "release builds skip the inline verifier");
+        assert!(stats.verify_skipped);
+        assert!(
+            stats.to_string().contains("verify skipped"),
+            "the stats line surfaces the skip"
+        );
+    }
 }
 
 /// Layer 1 pinpoints an injected malformed operand at its exact pc.
