@@ -1102,8 +1102,11 @@ fn compact_slots(slots: &[Option<Instr>]) -> Vec<Instr> {
 /// The estimated amplitude-array traffic of one unfused kernel sweep for
 /// `g`, in eighths of a full read+write pass: `H` touches every
 /// amplitude, a CNOT or SWAP half of them, a Toffoli a quarter; diagonal
-/// sweeps touch their pinned subspace; `X` is a free bit-flip-frame
-/// toggle in the compiled engine and costs nothing.
+/// sweeps touch their pinned subspace. `X` weighs 0, an undercount (its
+/// kernel swaps every amplitude pair), so X gates alone never make a block
+/// worth emitting; the value stays because these weights decide the
+/// compiled output that `tests/counts_golden.rs` and `perfbench --counts`
+/// pin.
 fn fusion_weight(g: &Gate) -> u32 {
     match g {
         Gate::X(_) => 0,
@@ -2112,8 +2115,8 @@ mod tests {
 
     #[test]
     fn fusion_skips_blocks_that_save_no_sweep() {
-        // Diagonal-only runs (cheap subspace sweeps) and X gates (frame
-        // toggles in the compiled engine) are not worth a dense sweep.
+        // Diagonal-only runs (cheap subspace sweeps) and X gates (weight 0
+        // in `fusion_weight`) are not worth a dense sweep.
         let t = Angle::turn_over_power_of_two(4);
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 3);

@@ -122,13 +122,6 @@ impl BasisTracker {
             .unwrap_or(u64::MAX)
     }
 
-    /// The occupied-state high-water mark of the most recent compiled
-    /// run, or `None` before the first one.
-    #[must_use]
-    pub fn last_run_peak_occupied(&self) -> Option<u64> {
-        self.last_run_peak
-    }
-
     /// The single mode-write funnel: adjusts the incremental X-mode count
     /// and the occupancy high-water mark. Every mode transition routes
     /// through here (a plain `qubits.swap` is exempt — it moves modes

@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::thread;
 
-use mbu_circuit::{Basis, Circuit, CompiledCircuit, Gate, Instr, PassConfig};
+use mbu_circuit::{Basis, Circuit, CompiledCircuit, Gate, Instr, PassConfig, QubitId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,6 +210,98 @@ fn write_clbit(executed: &mut Executed, idx: usize, outcome: bool) {
     executed.classical[idx] = Some(outcome);
 }
 
+/// What a forking instruction leaves on each branch besides the projected
+/// state.
+#[derive(Clone, Copy)]
+enum Settle {
+    /// A measurement: each branch records its outcome in this clbit.
+    Record(usize),
+    /// A reset: the outcome-1 branch gets the corrective `X` on this
+    /// qubit, and no record is written.
+    Flip(QubitId),
+}
+
+impl Settle {
+    /// Finishes the instruction on the branch that read `outcome`.
+    fn apply(
+        self,
+        sim: &mut (dyn Simulator + Send),
+        executed: &mut Executed,
+        outcome: bool,
+    ) -> Result<(), SimError> {
+        match self {
+            Settle::Record(idx) => write_clbit(executed, idx, outcome),
+            Settle::Flip(q) if outcome => sim.apply_gate(&Gate::X(q))?,
+            Settle::Flip(_) => {}
+        }
+        Ok(())
+    }
+}
+
+/// Whether a branch with conditional probability `p` is dropped.
+fn pruned(p: f64, eps: f64) -> bool {
+    p <= eps || p <= 0.0
+}
+
+/// A finished (or failed) trajectory, with its state's peak.
+fn leaf(sim: &(dyn Simulator + Send), result: Result<Executed, SimError>) -> Advanced {
+    Advanced::Leaf(result, sim.occupancy_peak())
+}
+
+/// The fork step of a [`Fork::Split`] at `pc`: `sim` has become the
+/// outcome-0 branch and `one` holds the outcome-1 branch. Each child below
+/// the pruning floor is dropped with its mass; each survivor is settled
+/// and resumes at `pc + 1`.
+fn split(
+    mut sim: Box<dyn Simulator + Send>,
+    one: Option<Box<dyn Simulator + Send>>,
+    mut executed: Executed,
+    p_one: f64,
+    settle: Settle,
+    eps: f64,
+    pc: usize,
+) -> Advanced {
+    let mut step = ForkStep {
+        p_one,
+        zero: None,
+        one: None,
+        pruned: 0.0,
+        pc: pc + 1,
+    };
+    match one {
+        // `one` is `None` exactly when the branch is impossible
+        // (p_one == 0), which `pruned` always drops anyway.
+        Some(mut one) if !pruned(p_one, eps) => {
+            let mut executed = executed.clone();
+            if let Err(e) = settle.apply(&mut *one, &mut executed, true) {
+                return leaf(&*sim, Err(e));
+            }
+            step.one = Some(ChildSeed {
+                sim: one,
+                executed,
+                p: p_one,
+            });
+        }
+        _ => step.pruned += p_one.max(0.0),
+    }
+    // The receiver *is* the zero branch: its state and record move into
+    // the outcome-0 seed.
+    let p0 = 1.0 - p_one;
+    if pruned(p0, eps) {
+        step.pruned += p0.max(0.0);
+    } else {
+        if let Err(e) = settle.apply(&mut *sim, &mut executed, false) {
+            return leaf(&*sim, Err(e));
+        }
+        step.zero = Some(ChildSeed {
+            sim,
+            executed,
+            p: p0,
+        });
+    }
+    Advanced::Fork(Box::new(step))
+}
+
 /// Runs one trajectory from `pc` until it finishes, errors, or forks,
 /// consuming its state: a leaf reports the state's occupancy peak, a fork
 /// moves it into the outcome-0 child. Unitary segments are applied
@@ -225,17 +317,9 @@ fn advance(
     mut executed: Executed,
     eps: f64,
 ) -> Advanced {
-    /// Whether a branch with conditional probability `p` is dropped.
-    fn pruned(p: f64, eps: f64) -> bool {
-        p <= eps || p <= 0.0
-    }
-    /// A finished (or failed) trajectory, with its state's peak.
-    fn leaf(sim: &(dyn Simulator + Send), result: Result<Executed, SimError>) -> Advanced {
-        Advanced::Leaf(result, sim.occupancy_peak())
-    }
     let instrs = compiled.instrs();
     while let Some(instr) = instrs.get(pc) {
-        match instr {
+        let (qubit, basis, settle) = match instr {
             Instr::Gate(_) | Instr::Fused(_) => {
                 // A whole deterministic segment in one go.
                 let end = run_end[pc];
@@ -264,8 +348,12 @@ fn advance(
                     }
                     pc += 1;
                 }
+                continue;
             }
-            Instr::Drop(_) => pc += 1,
+            Instr::Drop(_) => {
+                pc += 1;
+                continue;
+            }
             Instr::BranchUnless { clbit, skip } => {
                 let Some(bit) = executed.classical.get(clbit.index()).copied().flatten() else {
                     let e = SimError::UnwrittenClassicalBit { clbit: clbit.0 };
@@ -275,6 +363,7 @@ fn advance(
                     pc += *skip as usize;
                 }
                 pc += 1;
+                continue;
             }
             Instr::Measure {
                 qubit,
@@ -282,111 +371,26 @@ fn advance(
                 clbit,
             } => {
                 executed.counts.record_measurement(*basis);
-                match sim.measure_fork(*qubit, *basis) {
-                    Err(e) => return leaf(&*sim, Err(e)),
-                    Ok(None) => return Advanced::Unsupported,
-                    Ok(Some(Fork::Definite(outcome))) => {
-                        write_clbit(&mut executed, clbit.index(), outcome);
-                        pc += 1;
-                    }
-                    Ok(Some(Fork::Split { p_one, one })) => {
-                        let p0 = 1.0 - p_one;
-                        let mut dropped = 0.0;
-                        let one_seed = match one {
-                            // `one` is `None` exactly when the branch is
-                            // impossible (p_one == 0), which `pruned`
-                            // always drops anyway.
-                            Some(one) if !pruned(p_one, eps) => {
-                                let mut executed = executed.clone();
-                                write_clbit(&mut executed, clbit.index(), true);
-                                Some(ChildSeed {
-                                    sim: one,
-                                    executed,
-                                    p: p_one,
-                                })
-                            }
-                            _ => {
-                                dropped += p_one.max(0.0);
-                                None
-                            }
-                        };
-                        // The receiver *is* the zero branch: its state and
-                        // record move into the outcome-0 seed.
-                        let zero_seed = if pruned(p0, eps) {
-                            dropped += p0.max(0.0);
-                            None
-                        } else {
-                            write_clbit(&mut executed, clbit.index(), false);
-                            Some(ChildSeed {
-                                sim,
-                                executed,
-                                p: p0,
-                            })
-                        };
-                        return Advanced::Fork(Box::new(ForkStep {
-                            p_one,
-                            zero: zero_seed,
-                            one: one_seed,
-                            pruned: dropped,
-                            pc: pc + 1,
-                        }));
-                    }
-                }
+                (*qubit, *basis, Settle::Record(clbit.index()))
             }
             Instr::Reset(qubit) => {
+                // Measure-and-flip semantics without a record.
                 executed.counts.reset += 1;
-                match sim.measure_fork(*qubit, Basis::Z) {
-                    Err(e) => return leaf(&*sim, Err(e)),
-                    Ok(None) => return Advanced::Unsupported,
-                    Ok(Some(Fork::Definite(outcome))) => {
-                        // Measure-and-flip semantics without a record: the
-                        // backend consumed no randomness, so neither do we.
-                        if outcome {
-                            if let Err(e) = sim.apply_gate(&Gate::X(*qubit)) {
-                                return leaf(&*sim, Err(e));
-                            }
-                        }
-                        pc += 1;
-                    }
-                    Ok(Some(Fork::Split { p_one, one })) => {
-                        let p0 = 1.0 - p_one;
-                        let mut dropped = 0.0;
-                        let one_seed = match one {
-                            Some(mut one) if !pruned(p_one, eps) => {
-                                // The 1-branch gets the reset's corrective X.
-                                if let Err(e) = one.apply_gate(&Gate::X(*qubit)) {
-                                    return leaf(&*sim, Err(e));
-                                }
-                                Some(ChildSeed {
-                                    sim: one,
-                                    executed: executed.clone(),
-                                    p: p_one,
-                                })
-                            }
-                            _ => {
-                                dropped += p_one.max(0.0);
-                                None
-                            }
-                        };
-                        let zero_seed = if pruned(p0, eps) {
-                            dropped += p0.max(0.0);
-                            None
-                        } else {
-                            Some(ChildSeed {
-                                sim,
-                                executed,
-                                p: p0,
-                            })
-                        };
-                        return Advanced::Fork(Box::new(ForkStep {
-                            p_one,
-                            zero: zero_seed,
-                            one: one_seed,
-                            pruned: dropped,
-                            pc: pc + 1,
-                        }));
-                    }
+                (*qubit, Basis::Z, Settle::Flip(*qubit))
+            }
+        };
+        match sim.measure_fork(qubit, basis) {
+            Err(e) => return leaf(&*sim, Err(e)),
+            Ok(None) => return Advanced::Unsupported,
+            Ok(Some(Fork::Definite(outcome))) => {
+                // The backend consumed no randomness, so neither do we.
+                if let Err(e) = settle.apply(&mut *sim, &mut executed, outcome) {
+                    return leaf(&*sim, Err(e));
                 }
+                pc += 1;
+            }
+            Ok(Some(Fork::Split { p_one, one })) => {
+                return split(sim, one, executed, p_one, settle, eps, pc);
             }
         }
     }

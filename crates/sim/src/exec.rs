@@ -119,6 +119,56 @@ pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimErr
     Ok(())
 }
 
+/// The one [`measure`](Simulator::measure) front end of the amplitude
+/// backends: rejects an out-of-range qubit, then runs the backend's
+/// Z-basis measurement `measure_z`. An X-basis measurement rotates to Z
+/// with `H`, measures, and rotates back, so the post-measurement state is
+/// `|+⟩` or `|−⟩`.
+pub(crate) fn measure_in_basis<S: Simulator>(
+    sim: &mut S,
+    qubit: QubitId,
+    basis: Basis,
+    draw: &mut dyn FnMut(f64) -> bool,
+    measure_z: impl FnOnce(&mut S, QubitId, &mut dyn FnMut(f64) -> bool) -> Result<bool, SimError>,
+) -> Result<bool, SimError> {
+    if qubit.index() >= sim.num_qubits() {
+        return Err(SimError::OutOfRange {
+            what: format!("measured qubit q{}", qubit.0),
+        });
+    }
+    match basis {
+        Basis::Z => measure_z(sim, qubit, draw),
+        Basis::X => {
+            let h = Gate::H(qubit);
+            sim.apply_gate(&h)?;
+            let outcome = measure_z(sim, qubit, draw)?;
+            sim.apply_gate(&h)?;
+            Ok(outcome)
+        }
+    }
+}
+
+/// The one [`reset`](Simulator::reset) front end of the amplitude
+/// backends: rejects an out-of-range qubit, measures it in Z with the
+/// backend's `measure_z`, and flips it back to `|0⟩` with an `X` on
+/// outcome 1.
+pub(crate) fn reset_in_z<S: Simulator>(
+    sim: &mut S,
+    qubit: QubitId,
+    draw: &mut dyn FnMut(f64) -> bool,
+    measure_z: impl FnOnce(&mut S, QubitId, &mut dyn FnMut(f64) -> bool) -> Result<bool, SimError>,
+) -> Result<(), SimError> {
+    if qubit.index() >= sim.num_qubits() {
+        return Err(SimError::OutOfRange {
+            what: format!("reset qubit q{}", qubit.0),
+        });
+    }
+    if measure_z(sim, qubit, draw)? {
+        sim.apply_gate(&Gate::X(qubit))?;
+    }
+    Ok(())
+}
+
 /// The one [`measure_fork`](Simulator::measure_fork) front end of the
 /// amplitude backends: rejects an out-of-range qubit, then runs the
 /// backend's Z-basis fork `fork_z`. An X-basis fork is the sampling
@@ -209,6 +259,10 @@ pub(crate) fn execute_dyn<S: Simulator + ?Sized>(
 /// recursion, no tree walk. `BranchUnless` reads the classical record like
 /// the interpreted executor's conditionals (reading an unwritten bit is an
 /// error even when the branch would be taken, matching `execute_dyn`).
+/// Gates go through [`apply_gate`](Simulator::apply_gate), fused blocks
+/// through [`apply_fused`](Simulator::apply_fused) (a single-sweep kernel
+/// on the state vector, a replay of the constituents elsewhere) and
+/// [`Instr::Drop`] is a no-op.
 pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
     sim: &mut S,
     compiled: &CompiledCircuit,
@@ -221,15 +275,7 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
         rng,
         executed,
         |s, g| s.apply_gate(g),
-        // No dense kernel: replay the block's constituent gates — the
-        // unitary (and, for amplitude backends, every intermediate
-        // rounding step) is exactly the unfused stream's.
-        |s, fu| {
-            for g in fu.global_gates() {
-                s.apply_gate(&g)?;
-            }
-            Ok(())
-        },
+        |s, fu| s.apply_fused(fu),
         |_, q| Ok(q),
         |_, _| {},
     )
@@ -238,12 +284,13 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
 /// The compiled program-counter loop, parametrised over gate application
 /// (`apply`), fused-block application (`apply_fused`), a hook run before
 /// every non-unitary instruction (`before_nonunitary`) and a handler for
-/// [`Instr::Drop`] (`on_drop`). Backends with deferred per-gate state —
-/// the state vector's bit-flip frame — route through this with a custom
-/// `apply` and a flush hook, so measurement, reset, branch and
-/// classical-record semantics live in exactly one place.
+/// [`Instr::Drop`] (`on_drop`). The reclaiming state-vector executor routes
+/// through this with hooks that translate operands into its compacted
+/// array, and the basis tracker with its unchecked gate `apply`, so
+/// measurement, reset, branch and classical-record semantics live in
+/// exactly one place.
 ///
-/// `apply_fused` executes one [`Instr::Fused`] dense block; the executed
+/// `apply_fused` executes one [`Instr::Fused`] block; the executed
 /// tally always records the block's constituent gates here, so fusion is
 /// invisible in [`Executed`] statistics whatever the backend does.
 /// `before_nonunitary` receives the measured/reset qubit and returns the

@@ -359,9 +359,8 @@ fn negate_groups(
     for_strided!(re, im, run, stride, |r, i| negate_span(r, i));
 }
 
-/// One group of pair runs, each run paired with its partner `d` higher
-/// (`d = 1usize << target`), swapped (`op = false`) or butterflied
-/// (`op = true`).
+/// One group of pair runs, each run swapped with its partner `d` higher
+/// (`d = 1usize << target`).
 ///
 /// Two geometries, both with structurally disjoint spans:
 ///
@@ -372,7 +371,6 @@ fn negate_groups(
 ///   `(count−1)·stride + run ≤ 2^pos[1] ≤ d` long (group bound; a lone
 ///   partial run is shorter than `d` too), so `[base, base+total)` and
 ///   `[base+d, base+d+total)` never overlap.
-#[allow(clippy::too_many_arguments)]
 fn pair_groups(
     re: &mut [f64],
     im: &mut [f64],
@@ -381,7 +379,6 @@ fn pair_groups(
     run: usize,
     stride: usize,
     count: usize,
-    butterfly: bool,
 ) {
     if run == d && run << 1 == stride {
         let span = base..base + count * stride;
@@ -389,13 +386,8 @@ fn pair_groups(
         for (cr, ci) in re.chunks_exact_mut(stride).zip(im.chunks_exact_mut(stride)) {
             let (lr, hr) = cr.split_at_mut(run);
             let (li, hi) = ci.split_at_mut(run);
-            if butterfly {
-                butterfly_span(lr, hr);
-                butterfly_span(li, hi);
-            } else {
-                lr.swap_with_slice(hr);
-                li.swap_with_slice(hi);
-            }
+            lr.swap_with_slice(hr);
+            li.swap_with_slice(hi);
         }
     } else {
         let total = (count - 1) * stride + run;
@@ -403,13 +395,8 @@ fn pair_groups(
         // target-set one, `d` higher.
         let (lr, hr) = two_spans(re, base, base + d, total);
         let (li, hi) = two_spans(im, base, base + d, total);
-        if butterfly {
-            for_strided!(lr, hr, run, stride, |a, b| butterfly_span(a, b));
-            for_strided!(li, hi, run, stride, |a, b| butterfly_span(a, b));
-        } else {
-            for_strided!(lr, hr, run, stride, |a, b| a.swap_with_slice(b));
-            for_strided!(li, hi, run, stride, |a, b| a.swap_with_slice(b));
-        }
+        for_strided!(lr, hr, run, stride, |a, b| a.swap_with_slice(b));
+        for_strided!(li, hi, run, stride, |a, b| a.swap_with_slice(b));
     }
 }
 
@@ -417,135 +404,115 @@ fn pair_groups(
 pub(crate) fn x(par: Par, amps: &mut Amps, t: usize) {
     let m = 1usize << t;
     drive(par, amps, &[(t, 0)], |re, im, base, run, stride, count| {
-        pair_groups(re, im, base, m, run, stride, count, false);
+        pair_groups(re, im, base, m, run, stride, count);
     });
 }
 
-/// Hadamard: butterfly over every pair split on bit `t`.
+/// Hadamard: butterfly over every pair split on bit `t`. The target is
+/// the only pin, so every run is a full lo half (`run == 1usize << t`)
+/// with its hi partner right above it (`stride == 2·run`), and a group is
+/// one contiguous span of whole periods — the merged geometry of
+/// [`pair_groups`].
 pub(crate) fn h(par: Par, amps: &mut Amps, t: usize) {
-    let m = 1usize << t;
     drive(par, amps, &[(t, 0)], |re, im, base, run, stride, count| {
-        pair_groups(re, im, base, m, run, stride, count, true);
+        debug_assert!(run == 1usize << t && run << 1 == stride);
+        let span = base..base + count * stride;
+        let (re, im) = (&mut re[span.clone()], &mut im[span]);
+        for (cr, ci) in re.chunks_exact_mut(stride).zip(im.chunks_exact_mut(stride)) {
+            let (lr, hr) = cr.split_at_mut(run);
+            let (li, hi) = ci.split_at_mut(run);
+            butterfly_span(lr, hr);
+            butterfly_span(li, hi);
+        }
     });
 }
 
-/// Diagonal 1-qubit sweep: multiplies every amplitude whose bit `t` equals
-/// `v` by `w`. `v = 1` is a plain phase gate; `v = 0` is its "anti" form,
-/// which the bit-flip frame of the compiled executor uses to apply phases
-/// on qubits whose storage is X-conjugated.
-pub(crate) fn phase1(par: Par, amps: &mut Amps, t: usize, v: usize, w: Complex) {
-    drive(par, amps, &[(t, v)], |re, im, base, run, stride, count| {
+/// Phase gate: multiplies every amplitude whose bit `t` is set by `w`.
+pub(crate) fn phase1(par: Par, amps: &mut Amps, t: usize, w: Complex) {
+    drive(par, amps, &[(t, 1)], |re, im, base, run, stride, count| {
         scale_groups(re, im, base, run, stride, count, w);
     });
 }
 
-/// Z gate on bit value `v`: negates every amplitude whose bit `t` equals
-/// `v` (see [`negate_span`] for why negation gets its own kernel).
-pub(crate) fn z(par: Par, amps: &mut Amps, t: usize, v: usize) {
-    drive(par, amps, &[(t, v)], |re, im, base, run, stride, count| {
+/// Z gate: negates every amplitude whose bit `t` is set (see
+/// [`negate_span`] for why negation gets its own kernel).
+pub(crate) fn z(par: Par, amps: &mut Amps, t: usize) {
+    drive(par, amps, &[(t, 1)], |re, im, base, run, stride, count| {
         negate_groups(re, im, base, run, stride, count);
     });
 }
 
-/// CNOT with control active on bit value `vc`: swaps target pairs only in
-/// the control-satisfied quarter of the space.
-pub(crate) fn cx(par: Par, amps: &mut Amps, c: usize, vc: usize, t: usize) {
+/// CNOT: swaps target pairs only in the control-satisfied quarter of the
+/// space.
+pub(crate) fn cx(par: Par, amps: &mut Amps, c: usize, t: usize) {
     let mt = 1usize << t;
     drive(
         par,
         amps,
-        &[(c, vc), (t, 0)],
+        &[(c, 1), (t, 0)],
         |re, im, base, run, stride, count| {
-            pair_groups(re, im, base, mt, run, stride, count, false);
+            pair_groups(re, im, base, mt, run, stride, count);
         },
     );
 }
 
-/// Toffoli with controls active on bit values `v1`/`v2`.
-pub(crate) fn ccx(par: Par, amps: &mut Amps, c1: usize, v1: usize, c2: usize, v2: usize, t: usize) {
+/// Toffoli: swaps target pairs where both controls are set.
+pub(crate) fn ccx(par: Par, amps: &mut Amps, c1: usize, c2: usize, t: usize) {
     let mt = 1usize << t;
     drive(
         par,
         amps,
-        &[(c1, v1), (c2, v2), (t, 0)],
+        &[(c1, 1), (c2, 1), (t, 0)],
         |re, im, base, run, stride, count| {
-            pair_groups(re, im, base, mt, run, stride, count, false);
+            pair_groups(re, im, base, mt, run, stride, count);
         },
     );
 }
 
-/// Diagonal 2-qubit sweep: multiplies amplitudes whose bits at `a`/`b`
-/// equal `va`/`vb` by `w`.
-pub(crate) fn phase2(
-    par: Par,
-    amps: &mut Amps,
-    a: usize,
-    va: usize,
-    b: usize,
-    vb: usize,
-    w: Complex,
-) {
+/// Controlled phase: multiplies amplitudes whose bits `a` and `b` are
+/// both set by `w`.
+pub(crate) fn phase2(par: Par, amps: &mut Amps, a: usize, b: usize, w: Complex) {
     drive(
         par,
         amps,
-        &[(a, va), (b, vb)],
+        &[(a, 1), (b, 1)],
         |re, im, base, run, stride, count| {
             scale_groups(re, im, base, run, stride, count, w);
         },
     );
 }
 
-/// CZ on bit values `va`/`vb`: negates the selected quarter.
-pub(crate) fn cz(par: Par, amps: &mut Amps, a: usize, va: usize, b: usize, vb: usize) {
+/// CZ: negates the quarter with bits `a` and `b` set.
+pub(crate) fn cz(par: Par, amps: &mut Amps, a: usize, b: usize) {
     drive(
         par,
         amps,
-        &[(a, va), (b, vb)],
+        &[(a, 1), (b, 1)],
         |re, im, base, run, stride, count| {
             negate_groups(re, im, base, run, stride, count);
         },
     );
 }
 
-/// Diagonal 3-qubit sweep over the selected eighth of the space.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn phase3(
-    par: Par,
-    amps: &mut Amps,
-    a: usize,
-    va: usize,
-    b: usize,
-    vb: usize,
-    c: usize,
-    vc: usize,
-    w: Complex,
-) {
+/// Doubly controlled phase: multiplies the eighth of the space with bits
+/// `a`, `b` and `c` set by `w`.
+pub(crate) fn phase3(par: Par, amps: &mut Amps, a: usize, b: usize, c: usize, w: Complex) {
     drive(
         par,
         amps,
-        &[(a, va), (b, vb), (c, vc)],
+        &[(a, 1), (b, 1), (c, 1)],
         |re, im, base, run, stride, count| {
             scale_groups(re, im, base, run, stride, count, w);
         },
     );
 }
 
-/// CCZ on bit values `va`/`vb`/`vc`: negates the selected eighth.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ccz(
-    par: Par,
-    amps: &mut Amps,
-    a: usize,
-    va: usize,
-    b: usize,
-    vb: usize,
-    c: usize,
-    vc: usize,
-) {
+/// CCZ: negates the eighth with bits `a`, `b` and `c` set.
+pub(crate) fn ccz(par: Par, amps: &mut Amps, a: usize, b: usize, c: usize) {
     drive(
         par,
         amps,
-        &[(a, va), (b, vb), (c, vc)],
+        &[(a, 1), (b, 1), (c, 1)],
         |re, im, base, run, stride, count| {
             negate_groups(re, im, base, run, stride, count);
         },
@@ -1327,43 +1294,40 @@ mod tests {
             ("x hi", Box::new(move |p, a: &mut Amps| x(p, a, n - 1))),
             ("h lo", Box::new(|p, a: &mut Amps| h(p, a, 1))),
             ("h hi", Box::new(move |p, a: &mut Amps| h(p, a, n - 1))),
-            ("z", Box::new(|p, a: &mut Amps| z(p, a, 3, 1))),
+            ("z", Box::new(|p, a: &mut Amps| z(p, a, 3))),
             (
                 "phase1",
-                Box::new(move |p, a: &mut Amps| phase1(p, a, 2, 0, w)),
+                Box::new(move |p, a: &mut Amps| phase1(p, a, 2, w)),
             ),
             (
                 "cx lo-hi",
-                Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1)),
+                Box::new(move |p, a: &mut Amps| cx(p, a, 0, n - 1)),
             ),
             (
                 "cx hi-lo",
-                Box::new(move |p, a: &mut Amps| cx(p, a, n - 1, 1, 0)),
+                Box::new(move |p, a: &mut Amps| cx(p, a, n - 1, 0)),
             ),
-            ("cx adjacent", Box::new(|p, a: &mut Amps| cx(p, a, 0, 1, 1))),
+            ("cx adjacent", Box::new(|p, a: &mut Amps| cx(p, a, 0, 1))),
             (
                 "ccx",
-                Box::new(move |p, a: &mut Amps| ccx(p, a, 2, 1, n - 2, 1, 5)),
+                Box::new(move |p, a: &mut Amps| ccx(p, a, 2, n - 2, 5)),
             ),
             (
                 "ccx lo target",
-                Box::new(move |p, a: &mut Amps| ccx(p, a, 4, 1, n - 1, 0, 0)),
+                Box::new(move |p, a: &mut Amps| ccx(p, a, 4, n - 1, 0)),
             ),
-            (
-                "cz",
-                Box::new(move |p, a: &mut Amps| cz(p, a, 1, 1, n - 1, 1)),
-            ),
+            ("cz", Box::new(move |p, a: &mut Amps| cz(p, a, 1, n - 1))),
             (
                 "phase2",
-                Box::new(move |p, a: &mut Amps| phase2(p, a, 4, 0, 9, 1, w)),
+                Box::new(move |p, a: &mut Amps| phase2(p, a, 4, 9, w)),
             ),
             (
                 "ccz",
-                Box::new(move |p, a: &mut Amps| ccz(p, a, 0, 1, 7, 0, n - 1, 1)),
+                Box::new(move |p, a: &mut Amps| ccz(p, a, 0, 7, n - 1)),
             ),
             (
                 "phase3",
-                Box::new(move |p, a: &mut Amps| phase3(p, a, 3, 1, 8, 1, n - 2, 0, w)),
+                Box::new(move |p, a: &mut Amps| phase3(p, a, 3, 8, n - 2, w)),
             ),
             (
                 "swap",
@@ -1412,22 +1376,19 @@ mod tests {
             let mut kernels: Vec<(&'static str, K)> = vec![
                 ("x", Box::new(|p, a: &mut Amps| x(p, a, 0))),
                 ("h", Box::new(|p, a: &mut Amps| h(p, a, 0))),
-                ("z", Box::new(move |p, a: &mut Amps| z(p, a, z_q, 1))),
+                ("z", Box::new(move |p, a: &mut Amps| z(p, a, z_q))),
                 (
                     "phase1",
-                    Box::new(move |p, a: &mut Amps| phase1(p, a, 0, 1, w)),
+                    Box::new(move |p, a: &mut Amps| phase1(p, a, 0, w)),
                 ),
             ];
             if n >= 2 {
                 kernels.extend::<[(&'static str, K); 4]>([
-                    ("cx", Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1))),
-                    (
-                        "cz",
-                        Box::new(move |p, a: &mut Amps| cz(p, a, 0, 1, n - 1, 1)),
-                    ),
+                    ("cx", Box::new(move |p, a: &mut Amps| cx(p, a, 0, n - 1))),
+                    ("cz", Box::new(move |p, a: &mut Amps| cz(p, a, 0, n - 1))),
                     (
                         "phase2",
-                        Box::new(move |p, a: &mut Amps| phase2(p, a, n - 1, 1, 0, 0, w)),
+                        Box::new(move |p, a: &mut Amps| phase2(p, a, n - 1, 0, w)),
                     ),
                     (
                         "swap",
@@ -1437,14 +1398,11 @@ mod tests {
             }
             if n >= 3 {
                 kernels.extend::<[(&'static str, K); 3]>([
-                    ("ccx", Box::new(|p, a: &mut Amps| ccx(p, a, 0, 1, 2, 1, 1))),
-                    (
-                        "ccz",
-                        Box::new(|p, a: &mut Amps| ccz(p, a, 2, 1, 0, 0, 1, 1)),
-                    ),
+                    ("ccx", Box::new(|p, a: &mut Amps| ccx(p, a, 0, 2, 1))),
+                    ("ccz", Box::new(|p, a: &mut Amps| ccz(p, a, 2, 0, 1))),
                     (
                         "phase3",
-                        Box::new(move |p, a: &mut Amps| phase3(p, a, 1, 1, 2, 0, 0, 1, w)),
+                        Box::new(move |p, a: &mut Amps| phase3(p, a, 1, 2, 0, w)),
                     ),
                 ]);
             }
@@ -1489,20 +1447,17 @@ mod tests {
                     Par::scalar(),
                     &mut reference,
                     a.index(),
-                    1,
                     Complex::cis(t.radians()),
                 ),
-                Gate::Cx(c, t) => cx(Par::scalar(), &mut reference, c.index(), 1, t.index()),
+                Gate::Cx(c, t) => cx(Par::scalar(), &mut reference, c.index(), t.index()),
                 Gate::Ccx(c1, c2, t) => ccx(
                     Par::scalar(),
                     &mut reference,
                     c1.index(),
-                    1,
                     c2.index(),
-                    1,
                     t.index(),
                 ),
-                Gate::Cz(a, b) => cz(Par::scalar(), &mut reference, a.index(), 1, b.index(), 1),
+                Gate::Cz(a, b) => cz(Par::scalar(), &mut reference, a.index(), b.index()),
                 Gate::Swap(a, b) => swap(Par::scalar(), &mut reference, a.index(), b.index()),
                 _ => unreachable!(),
             }
@@ -1526,8 +1481,8 @@ mod tests {
             let len = 1usize << 9;
             let mut reference = ramp(len);
             h(Par::scalar(), &mut reference, positions[0]);
-            cx(Par::scalar(), &mut reference, positions[0], 1, positions[1]);
-            z(Par::scalar(), &mut reference, positions[1], 1);
+            cx(Par::scalar(), &mut reference, positions[0], positions[1]);
+            z(Par::scalar(), &mut reference, positions[1]);
             for par in [Par::scalar(), Par::serial()] {
                 let mut got = ramp(len);
                 fused(par, &mut got, &positions, &gates).unwrap();
@@ -1652,7 +1607,7 @@ mod tests {
     #[test]
     fn phase_kernels_touch_only_the_pinned_subspace() {
         let mut amps = Amps::from_complex(&[Complex::ONE; 16]);
-        phase2(Par::serial(), &mut amps, 3, 1, 1, 1, Complex::I);
+        phase2(Par::serial(), &mut amps, 3, 1, Complex::I);
         for (i, a) in amps.to_vec().iter().enumerate() {
             let expect = if i & 0b1010 == 0b1010 {
                 Complex::I

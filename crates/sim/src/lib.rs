@@ -52,8 +52,11 @@
 //! (halving the live state per drop and re-materialising factored-out
 //! qubits on first touch), which turns the paper's early-ancilla-release
 //! qubit savings into measured memory savings — see
-//! [`StateVector::with_reclamation`] and
-//! [`Simulator::peak_amplitudes`]. Compiled programs may also carry dense
+//! [`StateVector`]'s `run_compiled` and [`Simulator::peak_amplitudes`]. A
+//! program compiled without that pass
+//! ([`PassConfig::reclaim_dead_qubits`](mbu_circuit::PassConfig::reclaim_dead_qubits)
+//! off) carries no drops and runs on the full array. Compiled programs
+//! may also carry dense
 //! `Fused` unitary blocks from the compiler's gate-fusion pass; the state
 //! vector applies each block in a single sweep over the amplitude array
 //! (bit-identical to unfused execution). Amplitudes live in

@@ -912,20 +912,7 @@ impl Simulator for PhaseAccumulator {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => self.measure_z(qubit, draw),
-            Basis::X => {
-                self.apply(&Gate::H(qubit))?;
-                let outcome = self.measure_z(qubit, draw)?;
-                self.apply(&Gate::H(qubit))?;
-                Ok(outcome)
-            }
-        }
+        exec::measure_in_basis(self, qubit, basis, draw, Self::measure_z)
     }
 
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
@@ -933,15 +920,7 @@ impl Simulator for PhaseAccumulator {
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("reset qubit q{}", qubit.0),
-            });
-        }
-        if self.measure_z(qubit, draw)? {
-            self.apply(&Gate::X(qubit))?;
-        }
-        Ok(())
+        exec::reset_in_z(self, qubit, draw, Self::measure_z)
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {

@@ -446,13 +446,16 @@ impl Ensemble {
 
     /// The worst per-shot peak amplitude count across the ensemble, when
     /// the backend reports one (see `Simulator::peak_amplitudes`): the
-    /// largest working set any shot's compiled execution operated on. With
-    /// qubit reclamation the state vector's peak drops below `2^n`;
-    /// without it (`with_reclamation(false)`) this reports the full width.
-    /// Note the caller-held full-width array before the initial compaction
-    /// and after the end-of-run restore is not counted — this measures
-    /// what the engine sweeps, not total allocation. `None` for backends
-    /// that do not track peaks (the basis tracker) or empty ensembles.
+    /// largest working set any shot's compiled execution operated on. When
+    /// the program reclaims qubits the state vector's peak drops below
+    /// `2^n`; for a program compiled without drops
+    /// (`PassConfig { reclaim_dead_qubits: false, .. }`) it is the full
+    /// width. Note the caller-held full-width array before the initial
+    /// compaction and after the end-of-run restore is not counted — this
+    /// measures what the engine sweeps, not total allocation. The other
+    /// backends report occupied entries (the basis tracker its
+    /// `2^(X-mode qubits)` bound). `None` for backends that track no peak
+    /// and for empty ensembles.
     #[must_use]
     pub fn peak_amplitudes(&self) -> Option<u64> {
         self.acc.peak_amps
@@ -786,16 +789,17 @@ mod tests {
         b.h(q[1]);
         let _ = b.measure(q[1], Basis::Z);
         let circuit = b.finish();
-        let runner = ShotRunner::new(50).with_passes(mbu_circuit::PassConfig::default());
-        let on = runner
-            .run(&circuit, || {
-                Box::new(StateVector::zeros(2).unwrap().with_reclamation(true))
-            })
+        let passes = mbu_circuit::PassConfig::default();
+        let on = ShotRunner::new(50)
+            .with_passes(passes)
+            .run(&circuit, || Box::new(StateVector::zeros(2).unwrap()))
             .unwrap();
-        let off = runner
-            .run(&circuit, || {
-                Box::new(StateVector::zeros(2).unwrap().with_reclamation(false))
+        let off = ShotRunner::new(50)
+            .with_passes(mbu_circuit::PassConfig {
+                reclaim_dead_qubits: false,
+                ..passes
             })
+            .run(&circuit, || Box::new(StateVector::zeros(2).unwrap()))
             .unwrap();
         assert_eq!(off.peak_amplitudes(), Some(4), "full 2^n without drops");
         assert_eq!(

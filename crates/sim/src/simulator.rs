@@ -220,11 +220,14 @@ pub trait Simulator {
     /// The peak number of amplitudes (or analogous state entries) the most
     /// recent compiled run operated on, when the backend tracks it.
     ///
-    /// The state vector reports its live working set: the full `2^n` on
-    /// the non-reclaiming engine, the largest compacted array when qubit
-    /// reclamation was active. Backends with per-qubit state (the basis
-    /// tracker) return `None`. The [`ShotRunner`](crate::ShotRunner) folds
-    /// this into per-ensemble peak-memory statistics.
+    /// The state vector reports its live working set: the full `2^n` for a
+    /// program without drops, the largest compacted array for one that
+    /// reclaims qubits. The other backends report occupied entries: the
+    /// sparse map's and the phase accumulator's high-water marks, and the
+    /// basis tracker's `2^(X-mode qubits)` branch bound. Every backend
+    /// returns `None` before its first compiled run. The
+    /// [`ShotRunner`](crate::ShotRunner) folds this into per-ensemble
+    /// peak-memory statistics.
     fn peak_amplitudes(&self) -> Option<u64> {
         None
     }

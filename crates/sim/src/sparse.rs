@@ -175,14 +175,6 @@ impl SparseVector {
         self.amps.len()
     }
 
-    /// The occupied-entry high-water mark of the most recent compiled
-    /// run, or `None` before the first one — the sparse analogue of the
-    /// dense backend's [`Simulator::peak_amplitudes`].
-    #[must_use]
-    pub fn last_run_peak_entries(&self) -> Option<u64> {
-        self.last_run_peak
-    }
-
     /// The amplitude of basis state `index` (an exact zero when the state
     /// is not occupied). Only the first `min(num_qubits, 128)` bits of the
     /// key are addressable this way — enough for every cross-validation
@@ -659,22 +651,7 @@ impl Simulator for SparseVector {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => Ok(self.measure_z(qubit, draw)),
-            Basis::X => {
-                // Rotate to Z, measure, rotate back — the dense engine's
-                // conjugation, so the post-measurement state is |+⟩/|−⟩.
-                self.apply(&Gate::H(qubit))?;
-                let outcome = self.measure_z(qubit, draw);
-                self.apply(&Gate::H(qubit))?;
-                Ok(outcome)
-            }
-        }
+        exec::measure_in_basis(self, qubit, basis, draw, |s, q, d| Ok(s.measure_z(q, d)))
     }
 
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
@@ -686,20 +663,11 @@ impl Simulator for SparseVector {
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("reset qubit q{}", qubit.0),
-            });
-        }
-        if self.measure_z(qubit, draw) {
-            self.apply(&Gate::X(qubit))?;
-        }
-        Ok(())
+        exec::reset_in_z(self, qubit, draw, |s, q, d| Ok(s.measure_z(q, d)))
     }
 
     /// Compiled execution through the shared executor's default hooks:
-    /// plain per-gate application (a sparse X is already `O(occupied)` —
-    /// no bit-flip frame to batch), fused blocks replayed as their
+    /// plain per-gate application, fused blocks replayed as their
     /// constituent gates (bitwise the unfused stream), and `Instr::Drop`
     /// as a no-op — a dropped qubit is definite, so every occupied key
     /// agrees on it and there is nothing to compact; the memory story the

@@ -60,9 +60,6 @@ pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 pub struct StateVector {
     num_qubits: usize,
     amps: Amps,
-    /// Whether compiled runs may execute `Drop` instructions by compacting
-    /// the amplitude array (defaults to on).
-    reclaim: bool,
     /// Peak live amplitudes of the most recent compiled run.
     last_run_peak: Option<usize>,
     /// Reusable destination buffer for permutation-block sweeps
@@ -77,7 +74,6 @@ impl Clone for StateVector {
         Self {
             num_qubits: self.num_qubits,
             amps: self.amps.clone(),
-            reclaim: self.reclaim,
             last_run_peak: self.last_run_peak,
             // The permutation scratch buffer is pure scratch — reallocated
             // on first need rather than copied.
@@ -105,7 +101,6 @@ impl StateVector {
         Ok(Self {
             num_qubits,
             amps,
-            reclaim: true,
             last_run_peak: None,
             scratch: None,
         })
@@ -148,35 +143,9 @@ impl StateVector {
         Ok(Self {
             num_qubits,
             amps: Amps::from_complex(&amps),
-            reclaim: true,
             last_run_peak: None,
             scratch: None,
         })
-    }
-
-    /// Enables or disables qubit reclamation for compiled runs (builder
-    /// style).
-    ///
-    /// When enabled (the default) and the compiled program contains
-    /// [`Drop`](mbu_circuit::Instr::Drop) instructions,
-    /// [`run_compiled`](Simulator::run_compiled) executes on a *compacted*
-    /// amplitude array: definite qubits are factored out up front,
-    /// re-materialised the moment an instruction touches them, and dropped
-    /// qubits are projected out for good — each live-set change halves or
-    /// doubles the array. The run is observationally invisible: outcomes,
-    /// RNG consumption, executed counts and the final state match the
-    /// non-reclaiming engine (the final state exactly, up to the
-    /// `≤ 1e-20`-mass rounding residues a drop discards).
-    #[must_use]
-    pub fn with_reclamation(mut self, enabled: bool) -> Self {
-        self.reclaim = enabled;
-        self
-    }
-
-    /// Whether compiled runs may compact dropped qubits out of the state.
-    #[must_use]
-    pub fn reclamation_enabled(&self) -> bool {
-        self.reclaim
     }
 
     /// Resets the state to `|index⟩`.
@@ -372,165 +341,53 @@ impl StateVector {
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
         exec::validate_gate(gate, self.num_qubits)?;
-        // Gate-at-a-time use: run the kernel under an empty frame and
-        // materialise immediately (an X gate toggles the local frame, so
-        // the flush performs the physical move).
-        let mut flip = 0usize;
-        self.apply_stride(gate, &mut flip);
-        self.flush_flips(&mut flip);
+        self.apply_stride(gate);
         Ok(())
     }
 
     /// Applies a fused dense block (local `gates` over the physical bit
-    /// `positions` of the current array) in one sweep, flushing pending
-    /// frame flips on the block's qubits first — the block computes in
-    /// physical storage; flips on untouched qubits commute with it (they
-    /// permute group bases, and the block acts identically on every
-    /// group).
+    /// `positions` of the current array) in one sweep.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidFusedBlock`] when the descriptor fails
     /// the kernel's structural validation (checked in release builds too);
-    /// the flips are only flushed once the positions are known to be
-    /// in-range, so a rejected block leaves the amplitudes untouched.
-    fn apply_fused_block(
-        &mut self,
-        positions: &[usize],
-        gates: &[Gate],
-        flip: &mut usize,
-    ) -> Result<(), SimError> {
+    /// a rejected block leaves the amplitudes untouched.
+    fn apply_fused_block(&mut self, positions: &[usize], gates: &[Gate]) -> Result<(), SimError> {
         let Self { amps, scratch, .. } = self;
-        let par = Par::serial();
-        let width = amps.len().trailing_zeros() as usize;
-        if positions.iter().all(|&p| p < width) {
-            for &p in positions {
-                Self::flush_flip_bit(par, amps, flip, p);
-            }
-        }
         if positions.len() > mbu_circuit::MAX_FUSED_QUBITS {
             // Wider than the dense-kernel arity: only permutation blocks
             // compile to this shape, applied as one index-remap sweep.
             let buf = scratch.get_or_insert_with(|| Amps::zeroed(0));
             kernels::permute(amps, buf, positions, gates)
         } else {
-            kernels::fused(par, amps, positions, gates)
+            kernels::fused(Par::serial(), amps, positions, gates)
         }
     }
 
     /// Stride-kernel dispatch: every gate touches only the amplitudes it
-    /// can move (see the [`kernels`] module docs). `flip` is the compiled
-    /// executor's bit-flip frame: bit `q` set means qubit `q`'s storage is
-    /// X-conjugated, so controls and diagonal pins activate on the
-    /// *opposite* bit value, X gates toggle the frame instead of moving
-    /// amplitudes, and H (the only non-permutation, non-diagonal gate)
-    /// first materialises the pending flip on its operand. Gate-at-a-time
-    /// callers hand in a fresh zero frame and flush right after, so the
-    /// frame is an internal detail of batched (compiled) execution.
-    fn apply_stride(&mut self, gate: &Gate, flip: &mut usize) {
-        /// The active bit value for an operand under the frame.
-        fn pin(flip: usize, q: QubitId) -> usize {
-            1 ^ (flip >> q.index() & 1)
-        }
+    /// can move (see the [`kernels`] module docs).
+    fn apply_stride(&mut self, gate: &Gate) {
         let amps = &mut self.amps;
         let par = Par::serial();
+        let cis = |theta: Angle| Complex::cis(theta.radians());
         match *gate {
-            Gate::X(q) => *flip ^= 1usize << q.index(),
-            Gate::H(q) => {
-                Self::flush_flip_bit(par, amps, flip, q.index());
-                kernels::h(par, amps, q.index());
+            Gate::X(q) => kernels::x(par, amps, q.index()),
+            Gate::H(q) => kernels::h(par, amps, q.index()),
+            Gate::Z(q) => kernels::z(par, amps, q.index()),
+            Gate::Phase(q, theta) => kernels::phase1(par, amps, q.index(), cis(theta)),
+            Gate::Cx(c, t) => kernels::cx(par, amps, c.index(), t.index()),
+            Gate::Cz(a, b) => kernels::cz(par, amps, a.index(), b.index()),
+            Gate::CPhase(c, t, theta) => {
+                kernels::phase2(par, amps, c.index(), t.index(), cis(theta));
             }
-            Gate::Z(q) => kernels::z(par, amps, q.index(), pin(*flip, q)),
-            Gate::Phase(q, theta) => kernels::phase1(
-                par,
-                amps,
-                q.index(),
-                pin(*flip, q),
-                Complex::cis(theta.radians()),
-            ),
-            // A flipped CX/CCX *target* needs no adjustment: X on the
-            // target commutes with the controlled-X itself.
-            Gate::Cx(c, t) => kernels::cx(par, amps, c.index(), pin(*flip, c), t.index()),
-            Gate::Cz(a, b) => kernels::cz(
-                par,
-                amps,
-                a.index(),
-                pin(*flip, a),
-                b.index(),
-                pin(*flip, b),
-            ),
-            Gate::CPhase(c, t, theta) => kernels::phase2(
-                par,
-                amps,
-                c.index(),
-                pin(*flip, c),
-                t.index(),
-                pin(*flip, t),
-                Complex::cis(theta.radians()),
-            ),
-            Gate::Ccx(c1, c2, t) => kernels::ccx(
-                par,
-                amps,
-                c1.index(),
-                pin(*flip, c1),
-                c2.index(),
-                pin(*flip, c2),
-                t.index(),
-            ),
-            Gate::Ccz(a, b, c) => kernels::ccz(
-                par,
-                amps,
-                a.index(),
-                pin(*flip, a),
-                b.index(),
-                pin(*flip, b),
-                c.index(),
-                pin(*flip, c),
-            ),
-            Gate::CcPhase(c1, c2, t, theta) => kernels::phase3(
-                par,
-                amps,
-                c1.index(),
-                pin(*flip, c1),
-                c2.index(),
-                pin(*flip, c2),
-                t.index(),
-                pin(*flip, t),
-                Complex::cis(theta.radians()),
-            ),
-            Gate::Swap(a, b) => {
-                // Physical SWAP conjugated by the frame is SWAP with the
-                // frame bits exchanged.
-                kernels::swap(par, amps, a.index(), b.index());
-                let fa = *flip >> a.index() & 1;
-                let fb = *flip >> b.index() & 1;
-                if fa != fb {
-                    *flip ^= (1usize << a.index()) | (1usize << b.index());
-                }
+            Gate::Ccx(c1, c2, t) => kernels::ccx(par, amps, c1.index(), c2.index(), t.index()),
+            Gate::Ccz(a, b, c) => kernels::ccz(par, amps, a.index(), b.index(), c.index()),
+            Gate::CcPhase(c1, c2, t, theta) => {
+                kernels::phase3(par, amps, c1.index(), c2.index(), t.index(), cis(theta));
             }
+            Gate::Swap(a, b) => kernels::swap(par, amps, a.index(), b.index()),
         }
-    }
-
-    /// Materialises the pending frame flip on qubit `q`, if any: one exact
-    /// X kernel (pure amplitude moves, no arithmetic).
-    fn flush_flip_bit(par: Par, amps: &mut Amps, flip: &mut usize, q: usize) {
-        if *flip >> q & 1 == 1 {
-            kernels::x(par, amps, q);
-            *flip &= !(1usize << q);
-        }
-    }
-
-    /// Materialises every pending frame flip. Called before measurements,
-    /// resets and at the end of a compiled run, so observable state is
-    /// always the physical one.
-    fn flush_flips(&mut self, flip: &mut usize) {
-        let mut m = *flip;
-        while m != 0 {
-            let q = m.trailing_zeros() as usize;
-            kernels::x(Par::serial(), &mut self.amps, q);
-            m &= m - 1;
-        }
-        *flip = 0;
     }
 
     /// The Born probability that the qubit at bit `p` reads 1, clamped
@@ -584,7 +441,6 @@ impl StateVector {
         Self {
             num_qubits: self.num_qubits,
             amps,
-            reclaim: self.reclaim,
             last_run_peak: None,
             scratch: None,
         }
@@ -762,9 +618,9 @@ impl LiveMap {
 
     /// Makes logical qubit `q` live, materialising it first if it had been
     /// factored out.
-    fn ensure_live(&mut self, amps: &mut Amps, q: usize, flip: &mut usize) {
+    fn ensure_live(&mut self, amps: &mut Amps, q: usize) {
         if let LiveSlot::Virtual(b) = self.slots[q] {
-            self.materialize(amps, q, b, flip);
+            self.materialize(amps, q, b);
         }
     }
 
@@ -773,14 +629,10 @@ impl LiveMap {
     /// sorted means the remap never accumulates a permutation: physical
     /// order always mirrors logical order, and the end-of-run restore is
     /// nothing but materialising the leftover virtual qubits. Live qubits
-    /// above the insertion point shift up by one, as do their pending
-    /// bit-flip frame entries.
-    fn materialize(&mut self, amps: &mut Amps, q: usize, b: bool, flip: &mut usize) {
+    /// above the insertion point shift up by one.
+    fn materialize(&mut self, amps: &mut Amps, q: usize, b: bool) {
         let p = self.phys.partition_point(|&lq| lq < q);
         kernels::expand_bit(amps, p, b);
-        let low = *flip & ((1usize << p) - 1);
-        let high = *flip >> p;
-        *flip = low | (high << (p + 1));
         self.phys.insert(p, q);
         self.slots[q] = LiveSlot::Live(p);
         for j in p + 1..self.phys.len() {
@@ -791,16 +643,15 @@ impl LiveMap {
 
     /// Executes a `Drop`: verifies the qubit is definite (all mass on one
     /// branch, up to reclamation tolerance), projects, compacts the array
-    /// to half its length and re-indexes the surviving qubits and the
-    /// bit-flip frame. A qubit that cannot be proven definite stays live —
-    /// skipping is always safe because drops are advisory.
-    fn drop_qubit(&mut self, amps: &mut Amps, q: usize, flip: &mut usize) {
+    /// to half its length and re-indexes the surviving qubits. A qubit
+    /// that cannot be proven definite stays live — skipping is always safe
+    /// because drops are advisory.
+    fn drop_qubit(&mut self, amps: &mut Amps, q: usize) {
         let LiveSlot::Live(p) = self.slots[q] else {
             // Factored out since the initial compaction and never touched
             // again: already reclaimed.
             return;
         };
-        StateVector::flush_flip_bit(Par::serial(), amps, flip, p);
         let (m0, m1) = kernels::bit_masses(amps, p);
         let keep = if m0 <= RECLAIM_TOL {
             true
@@ -811,10 +662,7 @@ impl LiveMap {
             return;
         };
         kernels::compact_bit(amps, p, keep);
-        // Close the gap at position `p` in the frame and the remap.
-        let low = *flip & ((1usize << p) - 1);
-        let high = *flip >> (p + 1);
-        *flip = low | (high << p);
+        // Close the gap at position `p` in the remap.
         self.phys.remove(p);
         for j in p..self.phys.len() {
             self.slots[self.phys[j]] = LiveSlot::Live(j);
@@ -846,11 +694,9 @@ impl LiveMap {
             *amps = out;
             return;
         }
-        // Flips are flushed before restore; materialisation shifts nothing.
-        let mut no_flips = 0usize;
         for q in 0..num_qubits {
             if let LiveSlot::Virtual(b) = self.slots[q] {
-                self.materialize(amps, q, b, &mut no_flips);
+                self.materialize(amps, q, b);
             }
         }
         debug_assert_eq!(self.phys.len(), num_qubits);
@@ -885,8 +731,6 @@ impl StateVector {
         let mut executed = Executed::default();
         let live =
             std::cell::RefCell::new(LiveMap::compact_definite(self.num_qubits, &mut self.amps));
-        // The bit-flip frame, indexed by *physical* position.
-        let flip = std::cell::Cell::new(0usize);
         let result = exec::execute_compiled_core(
             self,
             compiled,
@@ -894,10 +738,9 @@ impl StateVector {
             &mut executed,
             |sv, g| {
                 let mut lm = live.borrow_mut();
-                let mut f = flip.get();
                 // Materialise every operand before translating any: an
                 // insertion shifts the positions of live qubits above it.
-                g.for_each_qubit(&mut |q| lm.ensure_live(&mut sv.amps, q.index(), &mut f));
+                g.for_each_qubit(&mut |q| lm.ensure_live(&mut sv.amps, q.index()));
                 let mut bad_position = None;
                 let phys = g.map_qubits(|q| {
                     let pos = lm.position(q.index());
@@ -910,15 +753,13 @@ impl StateVector {
                 if let Some(pos) = bad_position {
                     return physical_qubit(pos).map(|_| ());
                 }
-                sv.apply_stride(&phys, &mut f);
-                flip.set(f);
+                sv.apply_stride(&phys);
                 Ok(())
             },
             |sv, fu| {
                 let mut lm = live.borrow_mut();
-                let mut f = flip.get();
                 for q in fu.qubits() {
-                    lm.ensure_live(&mut sv.amps, q.index(), &mut f);
+                    lm.ensure_live(&mut sv.amps, q.index());
                 }
                 let positions: Vec<usize> =
                     fu.qubits().iter().map(|q| lm.position(q.index())).collect();
@@ -927,27 +768,15 @@ impl StateVector {
                 // operands translate to ascending physical positions — the
                 // layout the fused kernels' group enumeration assumes.
                 debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-                let applied = sv.apply_fused_block(&positions, fu.gates(), &mut f);
-                flip.set(f);
-                applied
+                sv.apply_fused_block(&positions, fu.gates())
             },
             |sv, q| {
-                let mut f = flip.get();
-                sv.flush_flips(&mut f);
                 let mut lm = live.borrow_mut();
-                lm.ensure_live(&mut sv.amps, q.index(), &mut f);
-                flip.set(f);
+                lm.ensure_live(&mut sv.amps, q.index());
                 physical_qubit(lm.position(q.index()))
             },
-            |sv, q| {
-                let mut lm = live.borrow_mut();
-                let mut f = flip.get();
-                lm.drop_qubit(&mut sv.amps, q.index(), &mut f);
-                flip.set(f);
-            },
+            |sv, q| live.borrow_mut().drop_qubit(&mut sv.amps, q.index()),
         );
-        let mut f = flip.get();
-        self.flush_flips(&mut f);
         let lm = live.into_inner();
         self.last_run_peak = Some(lm.peak_amps);
         lm.restore(&mut self.amps, self.num_qubits);
@@ -965,80 +794,46 @@ impl Simulator for StateVector {
         self.apply(gate)
     }
 
-    /// Single-sweep fused-block application for gate-at-a-time callers
-    /// (the branch-tree engine's deterministic segments): dense blocks go
-    /// through the gather kernel, wide permutation blocks through the
-    /// index-remap kernel — bit-identical to replaying the constituents.
+    /// Single-sweep fused-block application for the branch-tree engine's
+    /// deterministic segments and for compiled runs without drops: dense
+    /// blocks go through the gather kernel, wide permutation blocks
+    /// through the index-remap kernel — bit-identical to replaying the
+    /// constituents.
     fn apply_fused(&mut self, block: &mbu_circuit::FusedUnitary) -> Result<(), SimError> {
         if let Some(q) = block.qubits().iter().find(|q| q.index() >= self.num_qubits) {
             return Err(SimError::OutOfRange {
                 what: format!("fused-block qubit {}", q.0),
             });
         }
-        // Gate-at-a-time use runs under an empty frame (like `apply`);
-        // blocks hold only frame-free gates, so nothing accrues to flush.
-        let mut flip = 0usize;
         let positions: Vec<usize> = block.qubits().iter().map(|q| q.index()).collect();
-        self.apply_fused_block(&positions, block.gates(), &mut flip)?;
-        debug_assert_eq!(flip, 0, "fused blocks leave no pending frame flips");
-        Ok(())
+        self.apply_fused_block(&positions, block.gates())
     }
 
-    /// Frame-aware compiled execution: gates stream through the stride
-    /// kernels under a bit-flip frame, so X gates cost one mask toggle and
-    /// every controlled/diagonal gate absorbs pending flips into its pin
-    /// values for free. The frame is materialised (exact amplitude moves)
-    /// before any measurement or reset and at the end of the run, so
-    /// results — amplitudes, outcomes, RNG consumption, executed counts —
-    /// are bit-identical to the interpreted walk of the same lowered
-    /// program. Compiled programs are pre-validated by construction, so
-    /// per-gate operand checks are skipped on this path.
-    ///
-    /// When the program reclaims qubits (it contains `Drop` instructions)
-    /// and reclamation is enabled, execution switches to the compacting
-    /// engine: see [`StateVector::with_reclamation`].
+    /// Compiled execution. A program that carries
+    /// [`Drop`](mbu_circuit::Instr::Drop) instructions (the default
+    /// passes emit them for measured-then-dead qubits) runs on a
+    /// *compacted* amplitude array: definite qubits are factored out up
+    /// front, re-materialised the moment an instruction touches them, and
+    /// dropped qubits are projected out for good — each live-set change
+    /// halves or doubles the array. The compaction is observationally
+    /// invisible: outcomes, RNG consumption, executed counts and the final
+    /// state match a run of the same circuit compiled without drops
+    /// (`PassConfig { reclaim_dead_qubits: false, .. }`), the final state
+    /// exactly up to the `≤ 1e-20`-mass rounding residues a drop discards.
+    /// A program without drops runs on the full `2^n` array through the
+    /// shared executor.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        if self.reclaim && compiled.reclaims_qubits() {
+        if compiled.reclaims_qubits() {
             return self.run_compiled_reclaiming(compiled, rng);
         }
-        let mut executed = Executed::default();
         self.last_run_peak = Some(self.amps.len());
-        // The frame lives in a `Cell` so the gate-application closure and
-        // the pre-measurement flush hook can both reach it.
-        let flip = std::cell::Cell::new(0usize);
-        exec::execute_compiled_core(
-            self,
-            compiled,
-            rng,
-            &mut executed,
-            |sv, g| {
-                let mut f = flip.get();
-                sv.apply_stride(g, &mut f);
-                flip.set(f);
-                Ok(())
-            },
-            |sv, fu| {
-                let mut f = flip.get();
-                let positions: Vec<usize> = fu.qubits().iter().map(|q| q.index()).collect();
-                let applied = sv.apply_fused_block(&positions, fu.gates(), &mut f);
-                flip.set(f);
-                applied
-            },
-            |sv, q| {
-                let mut f = flip.get();
-                sv.flush_flips(&mut f);
-                flip.set(f);
-                Ok(q)
-            },
-            |_, _| {},
-        )?;
-        let mut f = flip.get();
-        self.flush_flips(&mut f);
+        let mut executed = Executed::default();
+        exec::execute_compiled(self, compiled, rng, &mut executed)?;
         Ok(executed)
     }
 
@@ -1128,22 +923,7 @@ impl Simulator for StateVector {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("measured qubit q{}", qubit.0),
-            });
-        }
-        match basis {
-            Basis::Z => Ok(self.measure_z(qubit, draw)),
-            Basis::X => {
-                // Measure in X: rotate to Z, measure, rotate back so the
-                // post-measurement state is |+⟩ or |−⟩.
-                self.apply(&Gate::H(qubit))?;
-                let outcome = self.measure_z(qubit, draw);
-                self.apply(&Gate::H(qubit))?;
-                Ok(outcome)
-            }
-        }
+        exec::measure_in_basis(self, qubit, basis, draw, |s, q, d| Ok(s.measure_z(q, d)))
     }
 
     /// Both-branch measurement for the branch-tree engine: the receiver
@@ -1157,15 +937,7 @@ impl Simulator for StateVector {
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
-        if qubit.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("reset qubit q{}", qubit.0),
-            });
-        }
-        if self.measure_z(qubit, draw) {
-            self.apply(&Gate::X(qubit))?;
-        }
-        Ok(())
+        exec::reset_in_z(self, qubit, draw, |s, q, d| Ok(s.measure_z(q, d)))
     }
 }
 
@@ -1459,7 +1231,7 @@ mod tests {
     /// Two sequential Gidney AND compute/MBU-uncompute phases on *fresh*
     /// ancillas (q2 then q3) — the composition profile where reclamation
     /// pays: q2 is dropped before q3 is ever touched.
-    fn two_phase_mbu_circuit() -> mbu_circuit::Circuit {
+    fn two_phase_mbu_circuit() -> Circuit {
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 4);
         for anc in [r[2], r[3]] {
@@ -1475,22 +1247,31 @@ mod tests {
         b.finish()
     }
 
+    /// `circuit` compiled by the default passes and compiled without the
+    /// reclamation pass (so without `Drop`s).
+    fn with_and_without_drops(circuit: &Circuit) -> (CompiledCircuit, CompiledCircuit) {
+        let passes = mbu_circuit::PassConfig {
+            reclaim_dead_qubits: false,
+            ..mbu_circuit::PassConfig::default()
+        };
+        (
+            CompiledCircuit::compile(circuit).unwrap(),
+            CompiledCircuit::with_config(circuit, &passes).unwrap(),
+        )
+    }
+
     #[test]
     fn reclamation_is_observationally_invisible() {
         let circuit = two_phase_mbu_circuit();
-        let compiled = mbu_circuit::CompiledCircuit::compile(&circuit).unwrap();
+        let (compiled, without) = with_and_without_drops(&circuit);
         assert!(compiled.reclaims_qubits(), "{compiled}");
         for seed in 0..24 {
-            let mut on = StateVector::basis(4, 0b0011)
-                .unwrap()
-                .with_reclamation(true);
-            let mut off = StateVector::basis(4, 0b0011)
-                .unwrap()
-                .with_reclamation(false);
+            let mut on = StateVector::basis(4, 0b0011).unwrap();
+            let mut off = StateVector::basis(4, 0b0011).unwrap();
             let mut rng_on = StdRng::seed_from_u64(seed);
             let mut rng_off = StdRng::seed_from_u64(seed);
             let ex_on = on.run_compiled(&compiled, &mut rng_on).unwrap();
-            let ex_off = off.run_compiled(&compiled, &mut rng_off).unwrap();
+            let ex_off = off.run_compiled(&without, &mut rng_off).unwrap();
             assert_eq!(ex_on, ex_off, "seed {seed}");
             let amps_on = on.amplitudes();
             let amps_off = off.amplitudes();
@@ -1505,19 +1286,15 @@ mod tests {
     #[test]
     fn reclamation_halves_the_peak_working_set() {
         let circuit = two_phase_mbu_circuit();
-        let compiled = mbu_circuit::CompiledCircuit::compile(&circuit).unwrap();
+        let (compiled, without) = with_and_without_drops(&circuit);
         let mut rng = StdRng::seed_from_u64(9);
-        let mut on = StateVector::basis(4, 0b0011)
-            .unwrap()
-            .with_reclamation(true);
+        let mut on = StateVector::basis(4, 0b0011).unwrap();
         on.run_compiled(&compiled, &mut rng).unwrap();
         let peak_on = on.peak_amplitudes().unwrap();
 
         let mut rng = StdRng::seed_from_u64(9);
-        let mut off = StateVector::basis(4, 0b0011)
-            .unwrap()
-            .with_reclamation(false);
-        off.run_compiled(&compiled, &mut rng).unwrap();
+        let mut off = StateVector::basis(4, 0b0011).unwrap();
+        off.run_compiled(&without, &mut rng).unwrap();
         let peak_off = off.peak_amplitudes().unwrap();
 
         assert_eq!(peak_off, 1u64 << 4, "non-reclaiming engine holds 2^n");
@@ -1537,15 +1314,15 @@ mod tests {
         b.x(r[1]);
         let _ = b.measure(r[0], Basis::X);
         let circuit = b.finish();
-        let compiled = mbu_circuit::CompiledCircuit::compile(&circuit).unwrap();
+        let (compiled, without) = with_and_without_drops(&circuit);
         assert!(compiled.reclaims_qubits());
         for seed in 0..8 {
-            let mut on = StateVector::zeros(2).unwrap().with_reclamation(true);
-            let mut off = StateVector::zeros(2).unwrap().with_reclamation(false);
+            let mut on = StateVector::zeros(2).unwrap();
+            let mut off = StateVector::zeros(2).unwrap();
             let mut rng_on = StdRng::seed_from_u64(seed);
             let mut rng_off = StdRng::seed_from_u64(seed);
             let ex_on = on.run_compiled(&compiled, &mut rng_on).unwrap();
-            let ex_off = off.run_compiled(&compiled, &mut rng_off).unwrap();
+            let ex_off = off.run_compiled(&without, &mut rng_off).unwrap();
             assert_eq!(ex_on, ex_off);
             let amps_on = on.amplitudes();
             let amps_off = off.amplitudes();
@@ -1569,25 +1346,13 @@ mod tests {
         let circuit = b.finish();
         let compiled = mbu_circuit::CompiledCircuit::compile(&circuit).unwrap();
         assert!(compiled.reclaims_qubits());
-        let mut sv = StateVector::basis(4, 0b1001)
-            .unwrap()
-            .with_reclamation(true);
+        let mut sv = StateVector::basis(4, 0b1001).unwrap();
+        assert_eq!(sv.peak_amplitudes(), None, "no compiled run yet");
         let mut rng = StdRng::seed_from_u64(0);
         let ex = sv.run_compiled(&compiled, &mut rng).unwrap();
         assert!(!ex.outcome(0).unwrap());
         assert_eq!(sv.as_basis(1e-12).unwrap().0, 0b1000, "X flipped q0");
         assert_eq!(sv.amplitudes().len(), 1usize << 4);
-    }
-
-    #[test]
-    fn reclamation_default_honours_builder_override() {
-        let sv = StateVector::zeros(1).unwrap();
-        assert!(sv.reclamation_enabled(), "on by default");
-        let off = sv.clone().with_reclamation(false);
-        assert!(!off.reclamation_enabled());
-        let on = off.with_reclamation(true);
-        assert!(on.reclamation_enabled());
-        assert_eq!(sv.peak_amplitudes(), None, "no compiled run yet");
     }
 
     #[test]

@@ -162,28 +162,26 @@ proptest! {
                 // (one fork per AND) from building thousands of nodes
                 // before falling back: the fallback *is* the
                 // ShotRunner, so bit-identity must hold either way.
+                // Reclamation off: the same passes without drops.
+                let passes = PassConfig {
+                    reclaim_dead_qubits: reclaim,
+                    ..passes
+                };
                 let branch = BranchEnsemble::new(64)
                     .with_master_seed(seed)
                     .with_node_budget(256)
                     .with_passes(passes)
                     .with_eps(eps)
                     .run(&layout.circuit, || {
-                        Box::new(
-                            StateVector::basis(nq, input)
-                                .unwrap()
-                                .with_reclamation(reclaim),
-                        ) as Box<dyn Simulator + Send>
+                        Box::new(StateVector::basis(nq, input).unwrap())
+                            as Box<dyn Simulator + Send>
                     })
                     .unwrap();
                 let per_shot = ShotRunner::new(64)
                     .with_master_seed(seed)
                     .with_passes(passes)
                     .run(&layout.circuit, || {
-                        Box::new(
-                            StateVector::basis(nq, input)
-                                .unwrap()
-                                .with_reclamation(reclaim),
-                        )
+                        Box::new(StateVector::basis(nq, input).unwrap())
                     })
                     .unwrap();
                 prop_assert_eq!(

@@ -74,17 +74,24 @@ proptest! {
         prop_assert_eq!(fused.counts(), unfused.counts());
 
         for reclaim in [true, false] {
+            // Reclamation off: the same passes without drops.
+            let compile = |passes: PassConfig| {
+                let passes = PassConfig {
+                    reclaim_dead_qubits: reclaim,
+                    ..passes
+                };
+                CompiledCircuit::with_config(&layout.circuit, &passes).unwrap()
+            };
+            let unfused = compile(unfused_passes());
+            let fused = compile(PassConfig::default());
+
             // Baseline: unfused program.
-            let mut sv_base = StateVector::basis(nq, input)
-                .unwrap()
-                .with_reclamation(reclaim);
+            let mut sv_base = StateVector::basis(nq, input).unwrap();
             let mut rng_base = StdRng::seed_from_u64(seed);
             let ex_base = sv_base.run_compiled(&unfused, &mut rng_base).unwrap();
 
             // Fused program.
-            let mut sv_fast = StateVector::basis(nq, input)
-                .unwrap()
-                .with_reclamation(reclaim);
+            let mut sv_fast = StateVector::basis(nq, input).unwrap();
             let mut rng_fast = StdRng::seed_from_u64(seed);
             let ex_fast = sv_fast.run_compiled(&fused, &mut rng_fast).unwrap();
 

@@ -1,18 +1,20 @@
 //! Observational invisibility of measurement-driven qubit reclamation.
 //!
-//! The compiled engine may execute `Drop` instructions by compacting the
+//! The compiled engine executes `Drop` instructions by compacting the
 //! state-vector amplitude array — but nothing outside the run is allowed
-//! to notice: for random MBU modular adders, reclamation on vs. off must
-//! produce identical classical records, executed counts, final register
-//! values and (up to the discarded `≤1e-20`-mass rounding residues)
-//! identical amplitudes, and the static `counts_golden`-style resource
-//! pins of the compiled program must not move at all.
+//! to notice: for random MBU modular adders, the default compile (with
+//! drops) and the same circuit compiled without them
+//! (`reclaim_dead_qubits: false`) must produce identical classical
+//! records, executed counts, final register values and (up to the
+//! discarded `≤1e-20`-mass rounding residues) identical amplitudes, and
+//! the static `counts_golden`-style resource pins of the compiled program
+//! must not move at all.
 //!
 //! The chained-modadd test is the acceptance benchmark's twin: two
 //! sequential MBU modular additions on fresh per-stage ancillas must run
-//! at **at most half** the peak amplitudes with reclamation on, while the
+//! at **at most half** the peak amplitudes with drops, while the
 //! shot-ensemble classical aggregates stay bit-identical between the two
-//! engine configurations.
+//! compiles.
 
 use mbu_arith::{
     modular::{self, ModAddSpec},
@@ -43,6 +45,15 @@ fn classical_view(e: &Ensemble) -> impl PartialEq + std::fmt::Debug {
     (e.shots(), e.mean(), e.variance(), records)
 }
 
+/// The default passes without the reclamation pass: no `Drop`s, so the
+/// state vector runs on the full `2^n` array.
+fn no_reclaim() -> PassConfig {
+    PassConfig {
+        reclaim_dead_qubits: false,
+        ..PassConfig::default()
+    }
+}
+
 proptest! {
     // Each case simulates an up-to-18-qubit modadd twice.
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -70,14 +81,15 @@ proptest! {
 
         let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
         prop_assert!(compiled.reclaims_qubits(), "MBU modadds always measure garbage");
+        let without = CompiledCircuit::with_config(&layout.circuit, &no_reclaim()).unwrap();
 
-        let mut sv_on = StateVector::basis(nq, input).unwrap().with_reclamation(true);
+        let mut sv_on = StateVector::basis(nq, input).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let ex_on = sv_on.run_compiled(&compiled, &mut rng).unwrap();
 
-        let mut sv_off = StateVector::basis(nq, input).unwrap().with_reclamation(false);
+        let mut sv_off = StateVector::basis(nq, input).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let ex_off = sv_off.run_compiled(&compiled, &mut rng).unwrap();
+        let ex_off = sv_off.run_compiled(&without, &mut rng).unwrap();
 
         // Identical measurement records, outcomes and executed counts.
         prop_assert_eq!(&ex_on, &ex_off);
@@ -98,11 +110,6 @@ proptest! {
 
         // The static resource pins are untouched by the reclamation pass:
         // drops are not gates, and no gate moves.
-        let no_reclaim = PassConfig {
-            reclaim_dead_qubits: false,
-            ..PassConfig::default()
-        };
-        let without = CompiledCircuit::with_config(&layout.circuit, &no_reclaim).unwrap();
         prop_assert_eq!(compiled.counts(), without.counts());
         prop_assert_eq!(
             compiled.instrs().len(),
@@ -120,22 +127,17 @@ fn chained_mbu_modadd_halves_peak_with_bit_identical_aggregates() {
     let chain = modular::modadd_chain_circuit(&spec, 2, 3, 2).unwrap();
     let nq = chain.circuit.num_qubits();
     let runner = ShotRunner::new(64).with_passes(PassConfig::default());
+    let factory = || {
+        let mut sv = StateVector::zeros(nq).unwrap();
+        sv.set_value(chain.x.qubits(), 2).unwrap();
+        sv.set_value(chain.y.qubits(), 1).unwrap();
+        Box::new(sv) as Box<dyn Simulator>
+    };
 
-    let on = runner
-        .run(&chain.circuit, || {
-            let mut sv = StateVector::zeros(nq).unwrap().with_reclamation(true);
-            sv.set_value(chain.x.qubits(), 2).unwrap();
-            sv.set_value(chain.y.qubits(), 1).unwrap();
-            Box::new(sv) as Box<dyn Simulator>
-        })
-        .unwrap();
+    let on = runner.run(&chain.circuit, factory).unwrap();
     let off = runner
-        .run(&chain.circuit, || {
-            let mut sv = StateVector::zeros(nq).unwrap().with_reclamation(false);
-            sv.set_value(chain.x.qubits(), 2).unwrap();
-            sv.set_value(chain.y.qubits(), 1).unwrap();
-            Box::new(sv) as Box<dyn Simulator>
-        })
+        .with_passes(no_reclaim())
+        .run(&chain.circuit, factory)
         .unwrap();
 
     let peak_on = on.peak_amplitudes().expect("state vector reports peaks");
@@ -167,15 +169,15 @@ fn chained_mbu_modadd_halves_peak_with_bit_identical_aggregates() {
 #[test]
 fn unitary_uncompute_reclaims_nothing() {
     // The §3/§4 asymmetry: the unitary chain has no measurement, so the
-    // compiler emits no drops and the peak stays at full width even with
-    // reclamation enabled.
+    // compiler emits no drops and the peak stays at full width even under
+    // the default passes.
     let spec = ModAddSpec::cdkpm(Uncompute::Unitary);
     let chain = modular::modadd_chain_circuit(&spec, 3, 5, 2).unwrap();
     let compiled = CompiledCircuit::compile(&chain.circuit).unwrap();
     assert!(!compiled.reclaims_qubits());
 
     let nq = chain.circuit.num_qubits();
-    let mut sv = StateVector::zeros(nq).unwrap().with_reclamation(true);
+    let mut sv = StateVector::zeros(nq).unwrap();
     sv.set_value(chain.x.qubits(), 3).unwrap();
     sv.set_value(chain.y.qubits(), 4).unwrap();
     let mut rng = StdRng::seed_from_u64(7);

@@ -94,11 +94,23 @@ proptest! {
             (layout.x.qubits(), u64::try_from(x).unwrap()),
             (layout.y.qubits(), u64::try_from(y).unwrap()),
         ]);
-        for reclaim in [true, false] {
-            for compiled in [&unfused, &fused] {
-                let mut sv = StateVector::basis(nq, input)
-                    .unwrap()
-                    .with_reclamation(reclaim);
+        // Reclamation off: the same passes without drops.
+        let no_drops = |passes: PassConfig| {
+            let passes = PassConfig {
+                reclaim_dead_qubits: false,
+                ..passes
+            };
+            CompiledCircuit::with_config(&layout.circuit, &passes).unwrap()
+        };
+        let unfused_kept = no_drops(unfused_passes());
+        let fused_kept = no_drops(PassConfig::default());
+        let variants = [
+            (true, [&unfused, &fused]),
+            (false, [&unfused_kept, &fused_kept]),
+        ];
+        for (reclaim, programs) in variants {
+            for compiled in programs {
+                let mut sv = StateVector::basis(nq, input).unwrap();
                 let mut rng_sv = StdRng::seed_from_u64(seed);
                 let ex_sv = sv.run_compiled(compiled, &mut rng_sv).unwrap();
 
@@ -572,10 +584,15 @@ fn superposed_mbu_and_matches_dense_bit_for_bit() {
         bb.x(q[2]);
     });
     b.emit_conditional(m, &fix);
-    let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+    // Without drops, so the dense engine keeps the full index range.
+    let passes = PassConfig {
+        reclaim_dead_qubits: false,
+        ..PassConfig::default()
+    };
+    let compiled = CompiledCircuit::with_config(&b.finish(), &passes).unwrap();
 
     for seed in 0..32u64 {
-        let mut dense = StateVector::zeros(3).unwrap().with_reclamation(false);
+        let mut dense = StateVector::zeros(3).unwrap();
         let mut sparse = SparseVector::zeros(3).unwrap();
         let mut rng_d = StdRng::seed_from_u64(seed);
         let mut rng_s = StdRng::seed_from_u64(seed);
