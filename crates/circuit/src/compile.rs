@@ -181,10 +181,9 @@ pub const MAX_PERM_FUSED_QUBITS: usize = 16;
 /// constituent gates re-indexed onto *local* operands `q0..qk` (local
 /// qubit `j` is `qubits()[j]`). Keeping the factorisation — rather than
 /// only the dense product matrix — is what lets executors apply the block
-/// with arithmetic *bit-identical* to unfused execution: the dense matrix
-/// is available from [`FusedUnitary::matrix`] for inspection and
-/// verification, while kernels apply the factors to each gathered
-/// `2^k`-amplitude group in one pass over the state.
+/// with arithmetic *bit-identical* to unfused execution: kernels apply
+/// the factors to each gathered `2^k`-amplitude group in one pass over
+/// the state.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FusedUnitary {
     /// Ascending global operand qubits; local qubit `j` ↔ `qubits[j]`.
@@ -258,130 +257,6 @@ impl FusedUnitary {
     #[must_use]
     pub fn is_permutation(&self) -> bool {
         self.gates.iter().all(Gate::is_permutation)
-    }
-
-    /// The dense `2^k × 2^k` unitary, row-major (`m[r * 2^k + c]` is
-    /// `⟨r|U|c⟩` as `[re, im]`), computed as the ordered product of the
-    /// constituent gates.
-    ///
-    /// Inspection/verification aid for *small* blocks: the matrix has
-    /// `4^k` entries, so calling this on a wide permutation block (up to
-    /// [`MAX_PERM_FUSED_QUBITS`] qubits) is prohibitively large — use
-    /// [`FusedUnitary::gates`] or the executors' index-map application
-    /// instead.
-    #[must_use]
-    pub fn matrix(&self) -> Vec<[f64; 2]> {
-        let dim = 1usize << self.num_qubits();
-        let mut m = vec![[0.0f64; 2]; dim * dim];
-        let mut col = vec![[0.0f64; 2]; dim];
-        for c in 0..dim {
-            col.fill([0.0, 0.0]);
-            col[c] = [1.0, 0.0];
-            for g in &self.gates {
-                apply_gate_to_column(&mut col, g);
-            }
-            for r in 0..dim {
-                m[r * dim + c] = col[r];
-            }
-        }
-        m
-    }
-}
-
-/// Applies `g` (local operands) to a dense `2^k`-entry column vector,
-/// using the same per-amplitude formulas as the simulator kernels.
-fn apply_gate_to_column(col: &mut [[f64; 2]], g: &Gate) {
-    const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
-    let cmul = |a: [f64; 2], b: [f64; 2]| [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]];
-    let cis = |theta: f64| [theta.cos(), theta.sin()];
-    let bit = |i: usize, q: QubitId| i >> q.index() & 1 == 1;
-    let len = col.len();
-    match *g {
-        Gate::X(q) => {
-            for i in 0..len {
-                if !bit(i, q) {
-                    col.swap(i, i | 1 << q.index());
-                }
-            }
-        }
-        Gate::Z(q) => {
-            for (i, a) in col.iter_mut().enumerate() {
-                if bit(i, q) {
-                    *a = [-a[0], -a[1]];
-                }
-            }
-        }
-        Gate::H(q) => {
-            let m = 1usize << q.index();
-            for i in 0..len {
-                if i & m == 0 {
-                    let a = col[i];
-                    let b = col[i | m];
-                    col[i] = [(a[0] + b[0]) * FRAC_1_SQRT_2, (a[1] + b[1]) * FRAC_1_SQRT_2];
-                    col[i | m] = [(a[0] - b[0]) * FRAC_1_SQRT_2, (a[1] - b[1]) * FRAC_1_SQRT_2];
-                }
-            }
-        }
-        Gate::Phase(q, theta) => {
-            let w = cis(theta.radians());
-            for (i, a) in col.iter_mut().enumerate() {
-                if bit(i, q) {
-                    *a = cmul(*a, w);
-                }
-            }
-        }
-        Gate::Cx(c, t) => {
-            for i in 0..len {
-                if bit(i, c) && !bit(i, t) {
-                    col.swap(i, i | 1 << t.index());
-                }
-            }
-        }
-        Gate::Cz(a, b) => {
-            for (i, x) in col.iter_mut().enumerate() {
-                if bit(i, a) && bit(i, b) {
-                    *x = [-x[0], -x[1]];
-                }
-            }
-        }
-        Gate::Ccx(c1, c2, t) => {
-            for i in 0..len {
-                if bit(i, c1) && bit(i, c2) && !bit(i, t) {
-                    col.swap(i, i | 1 << t.index());
-                }
-            }
-        }
-        Gate::Ccz(a, b, c) => {
-            for (i, x) in col.iter_mut().enumerate() {
-                if bit(i, a) && bit(i, b) && bit(i, c) {
-                    *x = [-x[0], -x[1]];
-                }
-            }
-        }
-        Gate::CPhase(c, t, theta) => {
-            let w = cis(theta.radians());
-            for (i, a) in col.iter_mut().enumerate() {
-                if bit(i, c) && bit(i, t) {
-                    *a = cmul(*a, w);
-                }
-            }
-        }
-        Gate::CcPhase(c1, c2, t, theta) => {
-            let w = cis(theta.radians());
-            for (i, a) in col.iter_mut().enumerate() {
-                if bit(i, c1) && bit(i, c2) && bit(i, t) {
-                    *a = cmul(*a, w);
-                }
-            }
-        }
-        Gate::Swap(a, b) => {
-            let mask = (1usize << a.index()) | (1usize << b.index());
-            for i in 0..len {
-                if bit(i, a) && !bit(i, b) {
-                    col.swap(i, i ^ mask);
-                }
-            }
-        }
     }
 }
 
@@ -2085,6 +1960,14 @@ mod tests {
         assert_eq!(compiled.counts(), source.counts());
         // And the dump names the block.
         assert!(compiled.to_string().contains("fused[0] q0 q1 q2 (4 gates)"));
+
+        // The Bell-pair preparation H; CX is one block too.
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 2);
+        b.h(r[0]);
+        b.cx(r[0], r[1]);
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+        assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
     }
 
     #[test]
@@ -2272,31 +2155,6 @@ mod tests {
             .all(FusedUnitary::is_permutation));
         assert_eq!(compiled.instrs().len(), 3);
         assert!(matches!(compiled.instrs()[1], Instr::Gate(Gate::H(_))));
-    }
-
-    #[test]
-    fn fused_matrix_is_the_ordered_product() {
-        // H then CX (the Bell-pair preparation): the dense 4×4 matrix must
-        // send |00⟩ to (|00⟩ + |11⟩)/√2.
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.h(r[0]);
-        b.cx(r[0], r[1]);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.stats().fused_blocks, 1);
-        let m = compiled.fused_unitaries()[0].matrix();
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        // Column 0 (input |00⟩): rows 00 and 11 get 1/√2.
-        assert!((m[0][0] - s).abs() < 1e-15, "{:?}", m[0]);
-        assert!((m[3 * 4][0] - s).abs() < 1e-15);
-        assert!(m[4][0].abs() < 1e-15 && m[2 * 4][0].abs() < 1e-15);
-        // Unitarity: every column has unit norm.
-        for c in 0..4 {
-            let norm: f64 = (0..4)
-                .map(|r| m[r * 4 + c][0].powi(2) + m[r * 4 + c][1].powi(2))
-                .sum();
-            assert!((norm - 1.0).abs() < 1e-12, "column {c}: {norm}");
-        }
     }
 
     #[test]

@@ -1156,8 +1156,8 @@ impl Sym {
 }
 
 /// Applies `gate` (with *local* operand indices) to a `2^k`-entry
-/// symbolic column vector, mirroring the dense executor's
-/// `apply_gate_to_column` arithmetic exactly — but in the exact ring.
+/// symbolic column vector, mirroring the dense kernels' per-amplitude
+/// arithmetic exactly — but in the exact ring.
 fn apply_gate_sym(v: &mut [Sym], gate: &Gate) -> Option<()> {
     let bit = |q: QubitId| 1usize << q.0;
     match *gate {

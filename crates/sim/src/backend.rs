@@ -64,8 +64,9 @@ impl BackendKind {
     /// # Errors
     ///
     /// [`SimError::TooManyQubits`] when the width exceeds the backend's
-    /// construction cap (the dense engine caps near 25 qubits; the sparse
-    /// map and the phase accumulator at
+    /// construction cap (the dense engine at
+    /// [`MAX_STATEVECTOR_QUBITS`](crate::MAX_STATEVECTOR_QUBITS), 26
+    /// qubits; the sparse map and the phase accumulator at
     /// [`MAX_SPARSEVECTOR_QUBITS`](crate::MAX_SPARSEVECTOR_QUBITS);
     /// the tracker has no cap).
     pub fn build(self, num_qubits: usize) -> Result<Box<dyn Simulator + Send>, SimError> {

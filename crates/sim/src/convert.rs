@@ -26,9 +26,8 @@ use crate::statevector::{StateVector, MAX_STATEVECTOR_QUBITS};
 /// same state: every occupied entry lands at its basis index, every other
 /// index is an exact zero. Amplitudes are moved bitwise — no arithmetic.
 ///
-/// The dense state is built with the default reclamation switch, exactly
-/// like [`StateVector::zeros`] — so a converted state behaves like a
-/// natively constructed one.
+/// The dense state is built through [`StateVector::from_amplitudes`], so
+/// it behaves exactly like a natively constructed one.
 ///
 /// # Errors
 ///
@@ -43,10 +42,9 @@ pub fn sparse_to_dense(sparse: &SparseVector) -> Result<StateVector, SimError> {
         });
     }
     // ≤ 26 qubits fits one key word; wider keys were rejected above.
-    let words = sparse.key_words();
     let mut amps = vec![Complex::ZERO; 1usize << n];
-    for (e, &a) in sparse.raw_amps().iter().enumerate() {
-        let index = sparse.raw_keys()[e * words];
+    for (key, a, ()) in sparse.entries() {
+        let index = key[0];
         amps[usize::try_from(index).map_err(|_| SimError::OutOfRange {
             what: format!("sparse key {index} in a {n}-qubit state"),
         })?] = a;
@@ -89,19 +87,20 @@ pub fn phase_to_sparse(phase: &PhaseAccumulator) -> Result<SparseVector, SimErro
         });
     }
     let words = n.div_ceil(64).max(1);
-    let mut entries: Vec<(Vec<u64>, Complex)> = Vec::with_capacity(phase.raw_branches().len() << f);
-    for branch in phase.raw_branches() {
-        let mut magnitude = branch.amp;
+    let branches = phase.branches();
+    let mut entries: Vec<(Vec<u64>, Complex)> = Vec::with_capacity(branches.occupied() << f);
+    for (branch_key, amp, phases) in branches.entries() {
+        let mut magnitude = amp;
         for _ in 0..f {
             magnitude = magnitude.scale(std::f64::consts::FRAC_1_SQRT_2);
         }
         for assignment in 0..(1usize << f) {
-            let mut key = branch.key.clone();
-            let mut turns = branch.phase.clone();
+            let mut key = branch_key.to_vec();
+            let mut turns = phases.phase.clone();
             for (j, &q) in fourier.iter().enumerate() {
                 if assignment >> j & 1 == 1 {
                     key[q as usize / 64] |= 1u64 << (q as usize % 64);
-                    turns.add_assign(&branch.phis[j]);
+                    turns.add_assign(&phases.phis[j]);
                 }
             }
             let mut amp = if turns.is_zero() {
@@ -211,8 +210,8 @@ mod tests {
         let (_, sparse) = lockstep_pair();
         let back = gather(&sparse_to_dense(&sparse).unwrap());
         assert_eq!(back.occupied(), sparse.occupied());
-        assert_eq!(back.raw_keys(), sparse.raw_keys());
-        for (i, (x, y)) in sparse.raw_amps().iter().zip(back.raw_amps()).enumerate() {
+        for (i, ((kx, x, ()), (ky, y, ()))) in sparse.entries().zip(back.entries()).enumerate() {
+            assert_eq!(kx, ky, "key of entry {i}");
             assert_eq!(x.re.to_bits(), y.re.to_bits(), "re of entry {i}");
             assert_eq!(x.im.to_bits(), y.im.to_bits(), "im of entry {i}");
         }
@@ -304,14 +303,10 @@ mod tests {
         assert_eq!(phase.fourier_width(), 1);
         let converted = phase_to_sparse(&phase).unwrap();
         assert_eq!(converted.occupied(), sparse.occupied());
-        assert_eq!(converted.raw_keys(), sparse.raw_keys());
-        for (i, (x, y)) in converted
-            .raw_amps()
-            .iter()
-            .zip(sparse.raw_amps())
-            .enumerate()
+        for (i, ((kx, x, ()), (ky, y, ()))) in converted.entries().zip(sparse.entries()).enumerate()
         {
-            assert!((*x - *y).norm() < 1e-12, "entry {i}: {x} vs {y}");
+            assert_eq!(kx, ky, "key of entry {i}");
+            assert!((x - y).norm() < 1e-12, "entry {i}: {x} vs {y}");
         }
     }
 

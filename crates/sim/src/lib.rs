@@ -20,8 +20,9 @@
 //!   cryptographic register sizes of Table 1 (n = 64, 256, 1024) where a
 //!   dense amplitude array cannot exist.
 //! * [`PhaseAccumulator`] — a Fourier-basis phase-accumulator backend
-//!   ([`BackendKind::Phase`]). Each occupied basis branch carries a basis key
-//!   plus exact arbitrary-precision dyadic phase accumulators for its
+//!   ([`BackendKind::Phase`]). Its branches are entries of the sparse
+//!   backend's map, each carrying, besides its basis key and amplitude,
+//!   exact arbitrary-precision dyadic phase accumulators for the
 //!   Fourier-mode qubits, so the entire interior of a QFT adder —
 //!   `H` promotion, `Rz`/`Phase`/`CPhase`/`CCPhase` rotations, `H`
 //!   collapse — executes as O(occupied) exact angle additions with no

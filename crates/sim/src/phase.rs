@@ -4,7 +4,7 @@
 //! basis *branches*, where each qubit is globally in one of two modes:
 //!
 //! * **Z-mode** — the qubit holds one definite bit per branch, stored in
-//!   the branch's basis key (exactly the sparse map's picture);
+//!   the branch's basis key;
 //! * **Fourier-mode** — the qubit holds the factor
 //!   `(|0⟩ + e^{2πi·φ}|1⟩)/√2` per branch, with `φ` an *exact*
 //!   arbitrary-precision dyadic fraction ([`Dyadic`]) instead of a pair of
@@ -14,6 +14,16 @@
 //! e^{2πi·φ_q}|1⟩)/√2` over its Fourier qubits. Branches keep pairwise
 //! distinct keys, so they stay orthogonal and `Σ|amp|²` remains a valid
 //! probability decomposition.
+//!
+//! The branches live in the sparse backend's sorted basis-key map
+//! ([`SparseVector`]): each entry's key and amplitude are the branch's,
+//! and its payload ([`Phases`]) holds the branch phase and the Fourier
+//! accumulators. Every Z-mode step — key toggles, the key-level `H`,
+//! Born sums, projection, measurement, forks and definite reads — is the
+//! map's own code, so Z-mode qubits behave exactly as on the sparse
+//! backend. This module adds the Fourier side: the mode map, `H`
+//! promotion and collapse, materialisation, the exact diagonal additions,
+//! the phase reflection of an X on a Fourier qubit and cross-mode SWAP.
 //!
 //! The payoff is the interior of a QFT adder (the paper's Draper/Beauregard
 //! circuits): `H` promotes a definite bit into Fourier mode without
@@ -30,8 +40,6 @@
 //! multiple is expanded into explicit 0/1 branches (doubling occupancy,
 //! exactly like the sparse `H`), and the gate proceeds on keys.
 
-use std::cmp::Ordering;
-
 use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, QubitId};
 use rand::RngCore;
 
@@ -39,15 +47,12 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::simulator::{Fork, Simulator};
-use crate::sparse::MAX_SPARSEVECTOR_QUBITS;
+use crate::sparse::{self, SparseVector};
 
 /// Branch-count ceiling for materialisation fallbacks: a gate that would
 /// expand the occupied set past this many branches reports
 /// [`SimError::BranchBudgetExceeded`] instead of exhausting memory.
 pub const MAX_PHASE_BRANCHES: usize = 1usize << 20;
-
-/// Definite-bit read tolerance, mirroring the dense/sparse engines.
-const DEFINITE_TOL: f64 = 1e-9;
 
 /// An exact dyadic fraction of a full turn in `[0, 1)`, at arbitrary
 /// precision: the little-endian words encode an integer `N` and the value
@@ -252,39 +257,14 @@ impl Dyadic {
     }
 }
 
-/// One occupied basis branch.
-#[derive(Clone, Debug)]
-pub(crate) struct Branch {
-    /// Little-endian key words; Fourier-mode qubits' bits are canonically
-    /// zero here.
-    pub(crate) key: Vec<u64>,
-    /// Branch amplitude (never an exact complex zero).
-    pub(crate) amp: Complex,
+/// A branch's Fourier-side data: the payload of its map entry.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Phases {
     /// Exact global phase of the branch, as a fraction of a turn.
     pub(crate) phase: Dyadic,
     /// Per-Fourier-qubit phases, parallel to the state's sorted
     /// `fourier_qubits` list.
     pub(crate) phis: Vec<Dyadic>,
-}
-
-/// Ascending numeric comparison of two equal-width little-endian keys.
-fn cmp_keys(a: &[u64], b: &[u64]) -> Ordering {
-    for (wa, wb) in a.iter().rev().zip(b.iter().rev()) {
-        match wa.cmp(wb) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
-fn is_zero_amp(a: Complex) -> bool {
-    a.re == 0.0 && a.im == 0.0
-}
-
-/// The (word, mask) address of qubit `q` inside a key.
-fn bit_addr(q: QubitId) -> (usize, u64) {
-    (q.index() / 64, 1u64 << (q.index() % 64))
 }
 
 /// The phase-accumulator simulation backend ([`BackendKind::Phase`](crate::BackendKind::Phase)).
@@ -330,20 +310,14 @@ fn bit_addr(q: QubitId) -> (usize, u64) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PhaseAccumulator {
-    num_qubits: usize,
-    /// Key width in 64-bit words: `⌈num_qubits/64⌉`, at least 1.
-    words: usize,
     /// Per-qubit mode flag: `true` = Fourier.
     fourier: Vec<bool>,
     /// Sorted list of Fourier-mode qubits; every branch's `phis` is
     /// parallel to it.
     fourier_qubits: Vec<u32>,
-    /// Occupied branches, sorted ascending by key, pairwise distinct.
-    branches: Vec<Branch>,
-    /// Occupied-branch high-water mark since the last compiled-run start.
-    peak_branches: u64,
-    /// High-water mark of the most recent compiled run, once one ran.
-    last_run_peak: Option<u64>,
+    /// The occupied branches, sorted ascending by key, pairwise distinct.
+    /// Fourier-mode qubits' key bits are canonically zero.
+    map: SparseVector<Phases>,
 }
 
 impl PhaseAccumulator {
@@ -353,35 +327,21 @@ impl PhaseAccumulator {
     /// # Errors
     ///
     /// Returns [`SimError::TooManyQubits`] above
-    /// [`MAX_SPARSEVECTOR_QUBITS`] (the backends share the width cap).
+    /// [`MAX_SPARSEVECTOR_QUBITS`](crate::MAX_SPARSEVECTOR_QUBITS) (the
+    /// backends share the map and its width cap).
     pub fn zeros(num_qubits: usize) -> Result<Self, SimError> {
-        if num_qubits > MAX_SPARSEVECTOR_QUBITS {
-            return Err(SimError::TooManyQubits {
-                requested: num_qubits,
-                max: MAX_SPARSEVECTOR_QUBITS,
-            });
-        }
-        let words = num_qubits.div_ceil(64).max(1);
+        let map = SparseVector::with_payload(num_qubits, Phases::default())?;
         Ok(Self {
-            num_qubits,
-            words,
             fourier: vec![false; num_qubits],
             fourier_qubits: Vec::new(),
-            branches: vec![Branch {
-                key: vec![0; words],
-                amp: Complex::ONE,
-                phase: Dyadic::zero(),
-                phis: Vec::new(),
-            }],
-            peak_branches: 1,
-            last_run_peak: None,
+            map,
         })
     }
 
     /// The number of occupied branches.
     #[must_use]
     pub fn occupied(&self) -> usize {
-        self.branches.len()
+        self.map.occupied()
     }
 
     /// The number of qubits currently held in Fourier mode.
@@ -406,20 +366,8 @@ impl PhaseAccumulator {
     }
 
     /// The occupied branches (conversion seam).
-    pub(crate) fn raw_branches(&self) -> &[Branch] {
-        &self.branches
-    }
-
-    fn note_peak(&mut self) {
-        let k = self.branches.len() as u64;
-        if k > self.peak_branches {
-            self.peak_branches = k;
-        }
-    }
-
-    /// Restores the ascending-key invariant after a key rewrite.
-    fn resort(&mut self) {
-        self.branches.sort_by(|a, b| cmp_keys(&a.key, &b.key));
+    pub(crate) fn branches(&self) -> &SparseVector<Phases> {
+        &self.map
     }
 
     /// Index of Fourier qubit `q` in the sorted list.
@@ -430,6 +378,13 @@ impl PhaseAccumulator {
             .expect("mode map out of sync")
     }
 
+    /// Index at which Z-mode qubit `q` joins the sorted Fourier list.
+    fn fourier_slot(&self, q: QubitId) -> usize {
+        self.fourier_qubits
+            .binary_search(&q.0)
+            .expect_err("Z-mode qubit in the Fourier list")
+    }
+
     /// Losslessly expands Fourier qubit `q` into explicit 0/1 branches
     /// (the qubit returns to Z-mode; occupancy at most doubles).
     ///
@@ -437,35 +392,27 @@ impl PhaseAccumulator {
     ///
     /// [`SimError::BranchBudgetExceeded`] past [`MAX_PHASE_BRANCHES`].
     fn materialize(&mut self, q: QubitId) -> Result<(), SimError> {
-        if self.branches.len() * 2 > MAX_PHASE_BRANCHES {
+        self.check_budget()?;
+        let pos = self.fourier_pos(q);
+        self.map.split_even(q, |p| {
+            let phi = p.phis.remove(pos);
+            let mut one = p.clone();
+            one.phase.add_assign(&phi);
+            one
+        });
+        self.fourier_qubits.remove(pos);
+        self.fourier[q.index()] = false;
+        Ok(())
+    }
+
+    /// Rejects a doubling of the branch set past [`MAX_PHASE_BRANCHES`]
+    /// with [`SimError::BranchBudgetExceeded`].
+    fn check_budget(&self) -> Result<(), SimError> {
+        if self.map.occupied() * 2 > MAX_PHASE_BRANCHES {
             return Err(SimError::BranchBudgetExceeded {
                 budget: MAX_PHASE_BRANCHES,
             });
         }
-        let pos = self.fourier_pos(q);
-        let (bw, bm) = bit_addr(q);
-        let scale = std::f64::consts::FRAC_1_SQRT_2;
-        let mut out = Vec::with_capacity(self.branches.len() * 2);
-        for mut b in std::mem::take(&mut self.branches) {
-            let phi = b.phis.remove(pos);
-            let amp = b.amp.scale(scale);
-            let mut one = Branch {
-                key: b.key.clone(),
-                amp,
-                phase: b.phase.clone(),
-                phis: b.phis.clone(),
-            };
-            one.key[bw] |= bm;
-            one.phase.add_assign(&phi);
-            b.amp = amp;
-            out.push(b);
-            out.push(one);
-        }
-        self.branches = out;
-        self.fourier_qubits.remove(pos);
-        self.fourier[q.index()] = false;
-        self.resort();
-        self.note_peak();
         Ok(())
     }
 
@@ -478,164 +425,50 @@ impl PhaseAccumulator {
         Ok(())
     }
 
-    /// Whether clearing bit `q` would make two occupied keys collide —
-    /// i.e. some branch's `q`-flipped partner key is also occupied.
-    fn h_promotion_collides(&self, q: QubitId) -> bool {
-        let (bw, bm) = bit_addr(q);
-        let mut cleared: Vec<Vec<u64>> = self
-            .branches
-            .iter()
-            .map(|b| {
-                let mut k = b.key.clone();
-                k[bw] &= !bm;
-                k
-            })
-            .collect();
-        cleared.sort_by(|a, b| cmp_keys(a, b));
-        cleared
-            .windows(2)
-            .any(|w| cmp_keys(&w[0], &w[1]) == Ordering::Equal)
-    }
-
-    /// Key-level Hadamard on Z-mode qubit `q` (the sparse engine's pair
-    /// fan-out), used when promotion to Fourier mode is blocked by a
-    /// colliding partner. Requires all-Z branches: callers materialise
-    /// first. Branch phases are folded into the amplitudes (exact for
-    /// quarter-turn multiples) before pairing.
-    fn apply_h_keys(&mut self, q: QubitId) {
-        for b in &mut self.branches {
-            if !b.phase.is_zero() {
-                b.amp = b.amp * b.phase.cis();
-                b.phase = Dyadic::zero();
-            }
-        }
-        let (bw, bm) = bit_addr(q);
-        let k = self.branches.len();
-        let mut order: Vec<usize> = (0..k).collect();
-        order.sort_by(|&a, &b| {
-            let ka = &self.branches[a].key;
-            let kb = &self.branches[b].key;
-            for w in (0..self.words).rev() {
-                let (mut wa, mut wb) = (ka[w], kb[w]);
-                if w == bw {
-                    wa &= !bm;
-                    wb &= !bm;
-                }
-                match wa.cmp(&wb) {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            (ka[bw] & bm).cmp(&(kb[bw] & bm))
-        });
-        let scale = std::f64::consts::FRAC_1_SQRT_2;
-        let mut out: Vec<Branch> = Vec::with_capacity(k * 2);
-        let mut i = 0usize;
-        while i < k {
-            let e = order[i];
-            let mut base = self.branches[e].key.clone();
-            base[bw] &= !bm;
-            let (a, b) = if self.branches[e].key[bw] & bm == 0 {
-                let mut b = Complex::ZERO;
-                if i + 1 < k {
-                    let f = order[i + 1];
-                    let kf = &self.branches[f].key;
-                    let partner = (kf[bw] & bm != 0)
-                        && kf.iter().enumerate().all(|(w, &word)| {
-                            if w == bw {
-                                word & !bm == base[w]
-                            } else {
-                                word == base[w]
-                            }
-                        });
-                    if partner {
-                        b = self.branches[f].amp;
-                        i += 1;
-                    }
-                }
-                (self.branches[e].amp, b)
-            } else {
-                (Complex::ZERO, self.branches[e].amp)
-            };
-            i += 1;
-            let out0 = (a + b).scale(scale);
-            let out1 = (a - b).scale(scale);
-            if !is_zero_amp(out0) {
-                out.push(Branch {
-                    key: base.clone(),
-                    amp: out0,
-                    phase: Dyadic::zero(),
-                    phis: Vec::new(),
-                });
-            }
-            if !is_zero_amp(out1) {
-                base[bw] |= bm;
-                out.push(Branch {
-                    key: base,
-                    amp: out1,
-                    phase: Dyadic::zero(),
-                    phis: Vec::new(),
-                });
-            }
-        }
-        self.branches = out;
-        self.resort();
-        self.note_peak();
-    }
-
     /// Hadamard on `q`.
     ///
     /// * Fourier-mode with every branch's `φ_q ∈ {0, ½}`: exact collapse
     ///   to a definite bit (`φ = ½` reads 1) — the IQFT's closing step.
-    /// * Z-mode with no partner collision: exact promotion to Fourier mode
-    ///   (`φ = bit·½`), occupancy unchanged — the QFT's opening step.
-    /// * Otherwise: materialise and fan out on keys, like the sparse map.
+    /// * Z-mode with no two branches paired on `q`: exact promotion to
+    ///   Fourier mode (`φ = bit·½`), occupancy unchanged — the QFT's
+    ///   opening step.
+    /// * Otherwise: materialise, fold each branch phase into its
+    ///   amplitude (exact for quarter-turn multiples) and fan out on keys
+    ///   through the map's `H`.
     fn apply_h(&mut self, q: QubitId) -> Result<(), SimError> {
         if self.fourier[q.index()] {
             let pos = self.fourier_pos(q);
-            if self.branches.iter().all(|b| b.phis[pos].is_half_multiple()) {
-                let (bw, bm) = bit_addr(q);
-                for b in &mut self.branches {
-                    let phi = b.phis.remove(pos);
-                    if phi.is_half() {
-                        b.key[bw] |= bm;
-                    }
-                }
-                self.fourier_qubits.remove(pos);
-                self.fourier[q.index()] = false;
-                self.resort();
-                return Ok(());
+            if !self
+                .map
+                .entries()
+                .all(|(_, _, p)| p.phis[pos].is_half_multiple())
+            {
+                self.materialize(q)?;
+                return self.apply_h(q);
             }
-            self.materialize(q)?;
-            return self.apply_h(q);
-        }
-        if self.h_promotion_collides(q) {
+            self.map.rewrite_bit(q, |_, p| p.phis.remove(pos).is_half());
+            self.fourier_qubits.remove(pos);
+            self.fourier[q.index()] = false;
+        } else if self.map.has_pair_on(q) {
             self.materialize_all()?;
-            if self.branches.len() * 2 > MAX_PHASE_BRANCHES {
-                return Err(SimError::BranchBudgetExceeded {
-                    budget: MAX_PHASE_BRANCHES,
-                });
-            }
-            self.apply_h_keys(q);
-            return Ok(());
+            self.check_budget()?;
+            self.map.for_each_where(&[], |amp, p| {
+                if !p.phase.is_zero() {
+                    *amp = *amp * p.phase.cis();
+                    p.phase = Dyadic::zero();
+                }
+            });
+            self.map.apply_h(q);
+        } else {
+            let pos = self.fourier_slot(q);
+            self.map.rewrite_bit(q, |bit, p| {
+                let phi = if bit { Dyadic::half() } else { Dyadic::zero() };
+                p.phis.insert(pos, phi);
+                false
+            });
+            self.fourier_qubits.insert(pos, q.0);
+            self.fourier[q.index()] = true;
         }
-        let (bw, bm) = bit_addr(q);
-        let pos = self
-            .fourier_qubits
-            .binary_search(&q.0)
-            .expect_err("Z-mode qubit in the Fourier list");
-        for b in &mut self.branches {
-            let phi = if b.key[bw] & bm != 0 {
-                Dyadic::half()
-            } else {
-                Dyadic::zero()
-            };
-            b.key[bw] &= !bm;
-            b.phis.insert(pos, phi);
-        }
-        self.fourier_qubits.insert(pos, q.0);
-        self.fourier[q.index()] = true;
-        self.resort();
         Ok(())
     }
 
@@ -649,25 +482,15 @@ impl PhaseAccumulator {
                 self.materialize(*c)?;
             }
         }
-        let ctrl: Vec<(usize, u64)> = controls.iter().map(|c| bit_addr(*c)).collect();
         if self.fourier[target.index()] {
             let pos = self.fourier_pos(target);
-            for b in &mut self.branches {
-                if ctrl.iter().all(|&(w, m)| b.key[w] & m != 0) {
-                    let phi = b.phis[pos].clone();
-                    b.phase.add_assign(&phi);
-                    b.phis[pos].negate();
-                }
-            }
-            return Ok(());
+            self.map.for_each_where(controls, |_, p| {
+                p.phase.add_assign(&p.phis[pos]);
+                p.phis[pos].negate();
+            });
+        } else {
+            self.map.permute_x(controls, target);
         }
-        let (tw, tm) = bit_addr(target);
-        for b in &mut self.branches {
-            if ctrl.iter().all(|&(w, m)| b.key[w] & m != 0) {
-                b.key[tw] ^= tm;
-            }
-        }
-        self.resort();
         Ok(())
     }
 
@@ -681,96 +504,72 @@ impl PhaseAccumulator {
         if theta.is_zero() {
             return Ok(());
         }
-        let mut fops: Vec<QubitId> = operands
-            .iter()
-            .copied()
-            .filter(|q| self.fourier[q.index()])
-            .collect();
-        while fops.len() > 1 {
-            self.materialize(fops.remove(0))?;
-        }
-        let fpos = fops.first().map(|q| self.fourier_pos(*q));
-        let zops: Vec<(usize, u64)> = operands
-            .iter()
-            .filter(|q| !self.fourier[q.index()])
-            .map(|q| bit_addr(*q))
-            .collect();
-        for b in &mut self.branches {
-            if zops.iter().all(|&(w, m)| b.key[w] & m != 0) {
-                match fpos {
-                    Some(pos) => b.phis[pos].add_angle(theta),
-                    None => b.phase.add_angle(theta),
-                }
+        let mut fourier_ops = operands.iter().filter(|q| self.fourier[q.index()]).count();
+        for &q in operands {
+            if fourier_ops > 1 && self.fourier[q.index()] {
+                self.materialize(q)?;
+                fourier_ops -= 1;
             }
         }
+        let mut z_ops = [QubitId(0); 3];
+        let (mut n_z, mut fpos) = (0, None);
+        for &q in operands {
+            if self.fourier[q.index()] {
+                fpos = Some(self.fourier_pos(q));
+            } else {
+                z_ops[n_z] = q;
+                n_z += 1;
+            }
+        }
+        self.map.for_each_where(&z_ops[..n_z], |_, p| match fpos {
+            Some(pos) => p.phis[pos].add_angle(theta),
+            None => p.phase.add_angle(theta),
+        });
         Ok(())
     }
 
     /// SWAP exchanges the two qubits' entire factors, whatever their
     /// modes: bits swap as key rewrites, Fourier accumulators move with
     /// their qubit (the mode map is updated — no materialisation needed).
-    fn apply_swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
+    fn apply_swap(&mut self, a: QubitId, b: QubitId) {
         match (self.fourier[a.index()], self.fourier[b.index()]) {
-            (false, false) => {
-                let (aw, am) = bit_addr(a);
-                let (bw, bm) = bit_addr(b);
-                for br in &mut self.branches {
-                    if (br.key[aw] & am != 0) != (br.key[bw] & bm != 0) {
-                        br.key[aw] ^= am;
-                        br.key[bw] ^= bm;
-                    }
-                }
-                self.resort();
-            }
+            (false, false) => self.map.swap_bits(a, b),
             (true, true) => {
-                let pa = self.fourier_pos(a);
-                let pb = self.fourier_pos(b);
-                for br in &mut self.branches {
-                    br.phis.swap(pa, pb);
-                }
+                let (pa, pb) = (self.fourier_pos(a), self.fourier_pos(b));
+                self.map.for_each_where(&[], |_, p| p.phis.swap(pa, pb));
             }
-            (true, false) => return self.swap_mixed(a, b),
-            (false, true) => return self.swap_mixed(b, a),
+            (true, false) => self.swap_mixed(a, b),
+            (false, true) => self.swap_mixed(b, a),
         }
-        Ok(())
     }
 
     /// SWAP with `f` in Fourier mode and `z` in Z-mode: `z` takes the
-    /// accumulator, `f` takes the bit.
-    fn swap_mixed(&mut self, f: QubitId, z: QubitId) -> Result<(), SimError> {
+    /// accumulator and `f` the bit — a key-bit swap, since `f`'s bit is
+    /// canonically zero.
+    fn swap_mixed(&mut self, f: QubitId, z: QubitId) {
         let pf = self.fourier_pos(f);
-        let (fw, fm) = bit_addr(f);
-        let (zw, zm) = bit_addr(z);
         self.fourier_qubits.remove(pf);
         self.fourier[f.index()] = false;
-        let pz = self
-            .fourier_qubits
-            .binary_search(&z.0)
-            .expect_err("Z-mode qubit in the Fourier list");
+        let pz = self.fourier_slot(z);
         self.fourier_qubits.insert(pz, z.0);
         self.fourier[z.index()] = true;
-        for br in &mut self.branches {
-            let phi = br.phis.remove(pf);
-            br.phis.insert(pz, phi);
-            let z_bit = br.key[zw] & zm != 0;
-            br.key[zw] &= !zm;
-            if z_bit {
-                br.key[fw] |= fm;
-            } else {
-                br.key[fw] &= !fm;
-            }
-        }
-        self.resort();
-        Ok(())
+        self.map.for_each_where(&[], |_, p| {
+            let phi = p.phis.remove(pf);
+            p.phis.insert(pz, phi);
+        });
+        self.map.swap_bits(f, z);
     }
 
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        exec::validate_gate(gate, self.num_qubits)?;
+        exec::validate_gate(gate, self.map.width())?;
         match *gate {
             Gate::X(q) => self.permute_x(&[], q),
             Gate::Cx(c, t) => self.permute_x(&[c], t),
             Gate::Ccx(c1, c2, t) => self.permute_x(&[c1, c2], t),
-            Gate::Swap(a, b) => self.apply_swap(a, b),
+            Gate::Swap(a, b) => {
+                self.apply_swap(a, b);
+                Ok(())
+            }
             Gate::Z(q) => self.apply_diagonal(&[q], Angle::HALF_TURN),
             Gate::Cz(x, y) => self.apply_diagonal(&[x, y], Angle::HALF_TURN),
             Gate::Ccz(x, y, z) => self.apply_diagonal(&[x, y, z], Angle::HALF_TURN),
@@ -781,58 +580,9 @@ impl PhaseAccumulator {
         }
     }
 
-    /// The Born probability that qubit `q` reads 1, clamped into `[0, 1]`
-    /// (ascending-key sum over occupied branches). Requires Z-mode.
-    fn z_prob_one(&self, q: QubitId) -> f64 {
-        let (w, m) = bit_addr(q);
-        let p1: f64 = self
-            .branches
-            .iter()
-            .filter(|b| b.key[w] & m != 0)
-            .map(|b| b.amp.norm_sqr())
-            .sum();
-        p1.clamp(0.0, 1.0)
-    }
-
-    /// The renormalisation factor for projecting onto branch `outcome`,
-    /// with the amplitude engines' kept-mass fallback (never inf/NaN).
-    fn z_branch_scale(&self, q: QubitId, outcome: bool, p1: f64) -> f64 {
-        let p = if outcome { p1 } else { 1.0 - p1 };
-        if p > 0.0 {
-            1.0 / p.sqrt()
-        } else {
-            let (w, m) = bit_addr(q);
-            let kept: f64 = self
-                .branches
-                .iter()
-                .filter(|b| (b.key[w] & m != 0) == outcome)
-                .map(|b| b.amp.norm_sqr())
-                .sum();
-            if kept > 0.0 {
-                1.0 / kept.sqrt()
-            } else {
-                1.0
-            }
-        }
-    }
-
-    /// Projects onto branch `outcome` of Z-mode qubit `q`, scaling
-    /// survivors by `scale` and culling exact zeros.
-    fn project(&mut self, q: QubitId, outcome: bool, scale: f64) {
-        let (w, m) = bit_addr(q);
-        self.branches.retain_mut(|b| {
-            if (b.key[w] & m != 0) != outcome {
-                return false;
-            }
-            b.amp = b.amp.scale(scale);
-            !is_zero_amp(b.amp)
-        });
-    }
-
-    /// Z-basis measurement with the shared definite-outcome rule: a Born
-    /// probability of exactly `0.0`/`1.0` forces the outcome and consumes
-    /// **no** draw; otherwise one draw decides. A Fourier-mode qubit is
-    /// materialised first (it is a genuine superposition).
+    /// Z-basis measurement through the map (a definite outcome consumes
+    /// no draw). A Fourier-mode qubit is materialised first: it is a
+    /// genuine superposition.
     fn measure_z(
         &mut self,
         q: QubitId,
@@ -841,65 +591,29 @@ impl PhaseAccumulator {
         if self.fourier[q.index()] {
             self.materialize(q)?;
         }
-        let p1 = self.z_prob_one(q);
-        let outcome = if p1 == 0.0 {
-            false
-        } else if p1 == 1.0 {
-            true
-        } else {
-            draw(p1)
-        };
-        let scale = self.z_branch_scale(q, outcome, p1);
-        self.project(q, outcome, scale);
-        Ok(outcome)
+        Ok(self.map.measure_z(q, draw))
     }
 
     /// The both-branch Z measurement behind
-    /// [`measure_fork`](Simulator::measure_fork), mirroring the sparse
-    /// engine's fork semantics (definite outcomes consume no randomness).
+    /// [`measure_fork`](Simulator::measure_fork): the map's fork, after
+    /// materialising a Fourier-mode qubit.
     fn fork_z(&mut self, q: QubitId) -> Result<Fork, SimError> {
         if self.fourier[q.index()] {
             self.materialize(q)?;
         }
-        let p1 = self.z_prob_one(q);
-        if p1 == 0.0 || p1 == 1.0 {
-            let outcome = p1 == 1.0;
-            self.project(q, outcome, self.z_branch_scale(q, outcome, p1));
-            return Ok(Fork::Definite(outcome));
-        }
-        let scale0 = self.z_branch_scale(q, false, p1);
-        let scale1 = self.z_branch_scale(q, true, p1);
-        let mut one = self.clone();
-        one.last_run_peak = None;
-        self.project(q, false, scale0);
-        one.project(q, true, scale1);
-        one.note_peak();
-        Ok(Fork::Split {
-            p_one: p1,
-            one: Some(Box::new(one)),
-        })
-    }
-
-    /// A definite-bit read under the shared tolerance. Fourier-mode
-    /// qubits are even superpositions — never definite.
-    fn definite_bit(&self, q: QubitId) -> Result<bool, SimError> {
-        if self.fourier[q.index()] {
-            return Err(SimError::ReadOfSuperposedQubit { qubit: q.0 });
-        }
-        let p1 = self.z_prob_one(q);
-        if p1 >= 1.0 - DEFINITE_TOL {
-            Ok(true)
-        } else if p1 <= DEFINITE_TOL {
-            Ok(false)
-        } else {
-            Err(SimError::ReadOfSuperposedQubit { qubit: q.0 })
-        }
+        Ok(self.map.fork_z(q, |map| {
+            Box::new(PhaseAccumulator {
+                fourier: self.fourier.clone(),
+                fourier_qubits: self.fourier_qubits.clone(),
+                map,
+            })
+        }))
     }
 }
 
 impl Simulator for PhaseAccumulator {
     fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.map.width()
     }
 
     fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError> {
@@ -924,52 +638,46 @@ impl Simulator for PhaseAccumulator {
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
-        if q.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("qubit q{}", q.0),
-            });
-        }
-        if self.definite_bit(q)? != value {
+        if self.bit(q)? != value {
             self.apply(&Gate::X(q))?;
         }
         Ok(())
     }
 
     fn bit(&self, q: QubitId) -> Result<bool, SimError> {
-        if q.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("qubit q{}", q.0),
-            });
+        // Fourier-mode qubits are even superpositions: never definite.
+        if self.fourier.get(q.index()) == Some(&true) {
+            return Err(SimError::ReadOfSuperposedQubit { qubit: q.0 });
         }
-        self.definite_bit(q)
+        self.map.definite_bit(q)
     }
 
     fn peak_amplitudes(&self) -> Option<u64> {
-        self.last_run_peak
+        self.map.last_run_peak
     }
 
     fn occupancy_peak(&self) -> Option<u64> {
-        Some(self.peak_branches)
+        Some(self.map.peak_entries)
     }
 
     fn global_phase(&self) -> Option<Angle> {
         // Meaningful when the state is a single branch with no Fourier
         // factors. The exact path: a bitwise-one amplitude hands back the
         // branch's dyadic accumulator directly, at any depth.
-        if self.branches.len() != 1 || !self.fourier_qubits.is_empty() {
+        if self.map.occupied() != 1 || !self.fourier_qubits.is_empty() {
             return None;
         }
-        let b = &self.branches[0];
-        if b.amp.re == 1.0 && b.amp.im == 0.0 {
-            return b.phase.to_angle();
+        let (_, amp, p) = self.map.entries().next()?;
+        if amp.re == 1.0 && amp.im == 0.0 {
+            return p.phase.to_angle();
         }
         // Inexact amplitude: recover a dyadic phase numerically, the
         // amplitude engines' policy.
-        (b.amp * b.phase.cis()).dyadic_phase()
+        (amp * p.phase.cis()).dyadic_phase()
     }
 
-    /// Compiled execution through the shared program-counter core, with
-    /// the branch high-water mark reset and reported like the sparse
+    /// Compiled execution through the map backends' shared run, with the
+    /// branch high-water mark reset and reported like the sparse
     /// engine's. Whether the phase backend pays on a program is a
     /// compile-time question: see
     /// [`PassStats::planned_phase`](mbu_circuit::PassStats::planned_phase).
@@ -978,18 +686,14 @@ impl Simulator for PhaseAccumulator {
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        self.peak_branches = self.branches.len() as u64;
-        let mut executed = Executed::default();
-        exec::execute_compiled(self, compiled, rng, &mut executed)?;
-        self.last_run_peak = Some(self.peak_branches);
-        Ok(executed)
+        sparse::run_compiled_on(self, |s| &mut s.map, compiled, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_SPARSEVECTOR_QUBITS;
     use mbu_circuit::CircuitBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

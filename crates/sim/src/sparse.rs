@@ -1,4 +1,5 @@
-//! The sparse basis-map statevector backend.
+//! The sorted basis-key map: the sparse statevector backend, and the
+//! branch storage of the phase accumulator.
 //!
 //! [`SparseVector`] stores the state as a sorted map from occupied basis
 //! bitstrings (multi-word little-endian keys) to complex amplitudes,
@@ -11,11 +12,22 @@
 //! of Table 1: n = 64, 256, 1024 — widths where a dense amplitude array
 //! cannot exist at all.
 //!
+//! The map carries a crate-private payload per entry, which rides along
+//! through every re-sort, fan-out and projection. The public backend's
+//! payload is `()`. The [`PhaseAccumulator`](crate::PhaseAccumulator)
+//! keeps its branches in the same map, with each branch's exact phase and
+//! Fourier-qubit accumulators as the payload, so its Z-mode qubits run on
+//! this module's code: key addressing, the re-sort, the X/CX/CCX/SWAP
+//! toggles, the key-level `H` fan-out, Born sums, projection, measurement,
+//! forks, definite reads and the compiled-run peak bracket. None of it
+//! depends on which backend it serves.
+//!
 //! Cost model per gate, with `k` occupied entries and `w = ⌈n/64⌉` key
 //! words:
 //!
-//! * permutation gates (X, CX, CCX, SWAP) — `O(k·w)` key rewrites plus an
-//!   `O(k log k)` re-sort, no amplitude arithmetic;
+//! * permutation gates (X, CX, CCX, SWAP) — `O(k·w)` key rewrites and an
+//!   allocation-free order check; only when an entry moved past another,
+//!   an `O(k log k)` in-place re-sort. No amplitude arithmetic;
 //! * diagonal gates (Z, CZ, CCZ, R and controlled R) — `O(k)` phase
 //!   multiplies, keys untouched;
 //! * `H` (the only superposing gate in the set) — pairs entries that
@@ -42,6 +54,7 @@
 //! dense engine's; resets and measurements of definite qubits advance
 //! only the dense stream.
 
+use std::cmp::Ordering;
 use std::f64::consts::FRAC_1_SQRT_2;
 
 use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, QubitId};
@@ -72,6 +85,9 @@ const DEFINITE_TOL: f64 = 1e-9;
 /// [`ShotRunner`](crate::ShotRunner) and
 /// [`BranchEnsemble`](crate::BranchEnsemble) drive it unchanged.
 ///
+/// The type parameter is a per-entry payload private to this crate; the
+/// backend is always `SparseVector<()>`, which `SparseVector` names.
+///
 /// # Examples
 ///
 /// A 300-qubit CNOT chain — far past any dense engine — stays at one
@@ -98,7 +114,7 @@ const DEFINITE_TOL: f64 = 1e-9;
 /// assert!(sim.bit(QubitId(n as u32 - 1)).unwrap());
 /// ```
 #[derive(Clone, Debug)]
-pub struct SparseVector {
+pub struct SparseVector<P = ()> {
     num_qubits: usize,
     /// Key width in 64-bit words: `⌈num_qubits/64⌉`, at least 1.
     words: usize,
@@ -109,10 +125,12 @@ pub struct SparseVector {
     keys: Vec<u64>,
     /// `amps[e]` is entry `e`'s amplitude; never an exact complex zero.
     amps: Vec<Complex>,
+    /// `payload[e]` is entry `e`'s payload, moved with it.
+    payload: Vec<P>,
     /// Occupied-entry high-water mark since the last compiled-run start.
-    peak_entries: u64,
+    pub(crate) peak_entries: u64,
     /// The high-water mark of the most recent compiled run, once one ran.
-    last_run_peak: Option<u64>,
+    pub(crate) last_run_peak: Option<u64>,
 }
 
 /// Ascending numeric comparison of two equal-width little-endian keys.
@@ -120,14 +138,14 @@ pub struct SparseVector {
 // words of every occupied entry; a wrapped index would silently read the
 // wrong entry's key, so their arithmetic must be visibly in-bounds.
 #[deny(clippy::arithmetic_side_effects)]
-fn cmp_keys(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+fn cmp_keys(a: &[u64], b: &[u64]) -> Ordering {
     for (wa, wb) in a.iter().rev().zip(b.iter().rev()) {
         match wa.cmp(wb) {
-            std::cmp::Ordering::Equal => {}
+            Ordering::Equal => {}
             other => return other,
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
 /// Whether an amplitude is an exact complex zero (either signed zero in
@@ -143,6 +161,14 @@ fn bit_addr(q: QubitId) -> (usize, u64) {
     (q.index() / 64, 1u64 << (q.index() % 64))
 }
 
+/// Whether every qubit of `qubits` is set in `key` (true for none).
+fn all_set(key: &[u64], qubits: &[QubitId]) -> bool {
+    qubits.iter().all(|q| {
+        let (w, m) = bit_addr(*q);
+        key[w] & m != 0
+    })
+}
+
 impl SparseVector {
     /// Creates `|0…0⟩` over `num_qubits` qubits: one occupied entry.
     ///
@@ -151,28 +177,7 @@ impl SparseVector {
     /// Returns [`SimError::TooManyQubits`] above
     /// [`MAX_SPARSEVECTOR_QUBITS`].
     pub fn zeros(num_qubits: usize) -> Result<Self, SimError> {
-        if num_qubits > MAX_SPARSEVECTOR_QUBITS {
-            return Err(SimError::TooManyQubits {
-                requested: num_qubits,
-                max: MAX_SPARSEVECTOR_QUBITS,
-            });
-        }
-        let words = num_qubits.div_ceil(64).max(1);
-        Ok(Self {
-            num_qubits,
-            words,
-            keys: vec![0; words],
-            amps: vec![Complex::ONE],
-            peak_entries: 1,
-            last_run_peak: None,
-        })
-    }
-
-    /// The number of occupied basis states (entries with a nonzero
-    /// amplitude).
-    #[must_use]
-    pub fn occupied(&self) -> usize {
-        self.amps.len()
+        Self::with_payload(num_qubits, ())
     }
 
     /// The amplitude of basis state `index` (an exact zero when the state
@@ -202,10 +207,6 @@ impl SparseVector {
         qubits.iter().map(|q| Simulator::bit(self, *q)).collect()
     }
 
-    fn key(&self, e: usize) -> &[u64] {
-        &self.keys[e * self.words..(e + 1) * self.words]
-    }
-
     /// Builds a map directly from pre-sorted raw storage: `keys` holds
     /// `amps.len() · ⌈num_qubits/64⌉` little-endian words, entries sorted
     /// ascending, pairwise distinct, with no exact-zero amplitude — the
@@ -221,32 +222,101 @@ impl SparseVector {
         debug_assert!((1..amps.len()).all(|e| cmp_keys(
             &keys[(e - 1) * words..e * words],
             &keys[e * words..(e + 1) * words]
-        ) == std::cmp::Ordering::Less));
+        ) == Ordering::Less));
         debug_assert!(!amps.iter().any(|a| is_zero(*a)));
-        let peak = amps.len() as u64;
         Self {
             num_qubits,
             words,
             keys,
+            payload: vec![(); amps.len()],
+            peak_entries: amps.len() as u64,
             amps,
-            peak_entries: peak,
             last_run_peak: None,
         }
     }
 
-    /// Raw key storage (`occupied · key_words` words, ascending entries).
-    pub(crate) fn raw_keys(&self) -> &[u64] {
-        &self.keys
+    fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
+        exec::validate_gate(gate, self.num_qubits)?;
+        match *gate {
+            Gate::X(q) => self.permute_x(&[], q),
+            Gate::Cx(c, t) => self.permute_x(&[c], t),
+            Gate::Ccx(c1, c2, t) => self.permute_x(&[c1, c2], t),
+            Gate::Swap(a, b) => self.swap_bits(a, b),
+            Gate::Z(q) => self.negate(&[q]),
+            Gate::Cz(x, y) => self.negate(&[x, y]),
+            Gate::Ccz(x, y, z) => self.negate(&[x, y, z]),
+            Gate::Phase(q, theta) => self.rotate(&[q], theta),
+            Gate::CPhase(c, t, theta) => self.rotate(&[c, t], theta),
+            Gate::CcPhase(c1, c2, t, theta) => self.rotate(&[c1, c2, t], theta),
+            Gate::H(q) => self.apply_h(q),
+        }
+        Ok(())
     }
 
-    /// Raw amplitude storage, parallel to [`raw_keys`](Self::raw_keys).
-    pub(crate) fn raw_amps(&self) -> &[Complex] {
-        &self.amps
+    /// Negates every entry whose `operands` bits are all set: the
+    /// Z/CZ/CCZ family, with the stride kernels' exact `-a` arithmetic.
+    fn negate(&mut self, operands: &[QubitId]) {
+        self.for_each_where(operands, |amp, ()| *amp = -*amp);
     }
 
-    /// Key width in 64-bit words.
-    pub(crate) fn key_words(&self) -> usize {
-        self.words
+    /// Multiplies every entry whose `operands` bits are all set by
+    /// `cis(theta)`: the R/C-R/CC-R family, with the stride kernels'
+    /// exact `a * w` arithmetic.
+    fn rotate(&mut self, operands: &[QubitId], theta: Angle) {
+        let w = Complex::cis(theta.radians());
+        self.for_each_where(operands, |amp, ()| *amp = *amp * w);
+    }
+}
+
+impl<P> SparseVector<P> {
+    /// `|0…0⟩` over `num_qubits` qubits: one entry, carrying `payload`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TooManyQubits`] above
+    /// [`MAX_SPARSEVECTOR_QUBITS`].
+    pub(crate) fn with_payload(num_qubits: usize, payload: P) -> Result<Self, SimError> {
+        if num_qubits > MAX_SPARSEVECTOR_QUBITS {
+            return Err(SimError::TooManyQubits {
+                requested: num_qubits,
+                max: MAX_SPARSEVECTOR_QUBITS,
+            });
+        }
+        let words = num_qubits.div_ceil(64).max(1);
+        Ok(Self {
+            num_qubits,
+            words,
+            keys: vec![0; words],
+            amps: vec![Complex::ONE],
+            payload: vec![payload],
+            peak_entries: 1,
+            last_run_peak: None,
+        })
+    }
+
+    /// The number of occupied basis states (entries with a nonzero
+    /// amplitude).
+    #[must_use]
+    pub fn occupied(&self) -> usize {
+        self.amps.len()
+    }
+
+    /// The register width in qubits.
+    pub(crate) fn width(&self) -> usize {
+        self.num_qubits
+    }
+
+    fn key(&self, e: usize) -> &[u64] {
+        &self.keys[e * self.words..(e + 1) * self.words]
+    }
+
+    /// The entries in ascending key order: key words, amplitude, payload.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&[u64], Complex, &P)> {
+        self.keys
+            .chunks_exact(self.words)
+            .zip(&self.amps)
+            .zip(&self.payload)
+            .map(|((key, amp), p)| (key, *amp, p))
     }
 
     /// Binary search for `key` among the sorted entries.
@@ -262,9 +332,9 @@ impl SparseVector {
             let mid = usize::midpoint(lo, hi);
             let base = mid.saturating_mul(words);
             match cmp_keys(&self.keys[base..base.saturating_add(words)], key) {
-                std::cmp::Ordering::Less => lo = mid.saturating_add(1),
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
+                Ordering::Less => lo = mid.saturating_add(1),
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
             }
         }
         Err(lo)
@@ -277,74 +347,146 @@ impl SparseVector {
         }
     }
 
-    /// Restores the ascending-key invariant after an in-place key rewrite
-    /// (permutation gates) or an `H` fan-out. Permutation gates are
-    /// bijective on keys and `H` emits pairwise-distinct outputs, so a
-    /// pure re-order suffices — no merging.
-    fn resort(&mut self) {
-        let k = self.amps.len();
+    fn swap_entries(&mut self, i: usize, j: usize) {
         let words = self.words;
-        let mut order: Vec<usize> = (0..k).collect();
-        order.sort_unstable_by(|&a, &b| {
-            cmp_keys(
-                &self.keys[a * words..(a + 1) * words],
-                &self.keys[b * words..(b + 1) * words],
-            )
-        });
-        if order.iter().enumerate().all(|(i, &e)| i == e) {
+        for w in 0..words {
+            self.keys.swap(i * words + w, j * words + w);
+        }
+        self.amps.swap(i, j);
+        self.payload.swap(i, j);
+    }
+
+    /// Restores the ascending-key invariant after a key rewrite or an `H`
+    /// fan-out. Both leave the keys pairwise distinct, so a pure re-order
+    /// suffices — no merging. Most rewrites move no entry past another,
+    /// so an allocation-free order check comes first; otherwise the
+    /// entries are sorted in place, one permutation cycle at a time.
+    fn resort(&mut self) {
+        let words = self.words;
+        let mut pairs = self
+            .keys
+            .chunks_exact(words)
+            .zip(self.keys.chunks_exact(words).skip(1));
+        if pairs.all(|(a, b)| cmp_keys(a, b) == Ordering::Less) {
             return;
         }
-        let mut keys = Vec::with_capacity(k * words);
-        let mut amps = Vec::with_capacity(k);
-        for &e in &order {
-            keys.extend_from_slice(&self.keys[e * words..(e + 1) * words]);
-            amps.push(self.amps[e]);
+        let mut order: Vec<usize> = (0..self.amps.len()).collect();
+        order.sort_unstable_by(|&a, &b| cmp_keys(self.key(a), self.key(b)));
+        // Slot `i` takes entry `order[i]`: swap each cycle's entries into
+        // place, marking every visited slot as its own source.
+        for start in 0..order.len() {
+            let mut i = start;
+            loop {
+                let j = std::mem::replace(&mut order[i], i);
+                if j == start {
+                    break;
+                }
+                self.swap_entries(i, j);
+                i = j;
+            }
         }
-        self.keys = keys;
-        self.amps = amps;
+    }
+
+    /// Runs `f` on the amplitude and payload of every entry whose
+    /// `qubits` bits are all set (every entry for none). Keys are
+    /// untouched.
+    pub(crate) fn for_each_where(
+        &mut self,
+        qubits: &[QubitId],
+        mut f: impl FnMut(&mut Complex, &mut P),
+    ) {
+        let entries = self
+            .keys
+            .chunks_exact(self.words)
+            .zip(&mut self.amps)
+            .zip(&mut self.payload);
+        for ((key, amp), p) in entries {
+            if all_set(key, qubits) {
+                f(amp, p);
+            }
+        }
     }
 
     /// Toggles `target` in every entry whose `controls` bits are all set:
     /// the X/CX/CCX family as pure key rewrites.
-    fn permute_x(&mut self, controls: &[QubitId], target: QubitId) {
+    pub(crate) fn permute_x(&mut self, controls: &[QubitId], target: QubitId) {
         let (tw, tm) = bit_addr(target);
-        let ctrl: Vec<(usize, u64)> = controls.iter().map(|c| bit_addr(*c)).collect();
-        let words = self.words;
-        for e in 0..self.amps.len() {
-            let key = &mut self.keys[e * words..(e + 1) * words];
-            if ctrl.iter().all(|&(w, m)| key[w] & m != 0) {
+        for key in self.keys.chunks_exact_mut(self.words) {
+            if all_set(key, controls) {
                 key[tw] ^= tm;
             }
         }
         self.resort();
     }
 
-    /// Negates every entry whose `operands` bits are all set: the
-    /// Z/CZ/CCZ family, with the stride kernels' exact `-a` arithmetic.
-    fn diagonal_negate(&mut self, operands: &[QubitId]) {
-        let ops: Vec<(usize, u64)> = operands.iter().map(|o| bit_addr(*o)).collect();
-        let words = self.words;
-        for (e, amp) in self.amps.iter_mut().enumerate() {
-            let key = &self.keys[e * words..(e + 1) * words];
-            if ops.iter().all(|&(w, m)| key[w] & m != 0) {
-                *amp = -*amp;
+    /// Swaps two key bits wherever they differ: SWAP as two entangled
+    /// toggles in one pass.
+    pub(crate) fn swap_bits(&mut self, a: QubitId, b: QubitId) {
+        let (aw, am) = bit_addr(a);
+        let (bw, bm) = bit_addr(b);
+        for key in self.keys.chunks_exact_mut(self.words) {
+            if (key[aw] & am != 0) != (key[bw] & bm != 0) {
+                key[aw] ^= am;
+                key[bw] ^= bm;
             }
         }
+        self.resort();
     }
 
-    /// Multiplies every entry whose `operands` bits are all set by
-    /// `cis(theta)`: the R/C-R/CC-R family, with the stride kernels'
-    /// exact `a * w` arithmetic.
-    fn diagonal_phase(&mut self, operands: &[QubitId], theta: Angle) {
-        let w = Complex::cis(theta.radians());
-        let ops: Vec<(usize, u64)> = operands.iter().map(|o| bit_addr(*o)).collect();
-        let words = self.words;
-        for (e, amp) in self.amps.iter_mut().enumerate() {
-            let key = &self.keys[e * words..(e + 1) * words];
-            if ops.iter().all(|&(wd, m)| key[wd] & m != 0) {
-                *amp = *amp * w;
+    /// Sets bit `q` of every entry to `f(old bit, payload)`. The caller
+    /// guarantees the rewritten keys stay pairwise distinct.
+    pub(crate) fn rewrite_bit(&mut self, q: QubitId, mut f: impl FnMut(bool, &mut P) -> bool) {
+        let (w, m) = bit_addr(q);
+        for (key, p) in self
+            .keys
+            .chunks_exact_mut(self.words)
+            .zip(&mut self.payload)
+        {
+            if f(key[w] & m != 0, p) {
+                key[w] |= m;
+            } else {
+                key[w] &= !m;
             }
         }
+        self.resort();
+    }
+
+    /// Splits every entry into an even pair on qubit `q`, which must be
+    /// clear in every key: the entry keeps the clear half and gains a
+    /// partner with `q` set, both at amplitude `a·√½`; `split` turns the
+    /// entry's payload into the partner's. Occupancy doubles.
+    pub(crate) fn split_even(&mut self, q: QubitId, mut split: impl FnMut(&mut P) -> P) {
+        let (bw, bm) = bit_addr(q);
+        let words = self.words;
+        for e in 0..self.amps.len() {
+            let a = self.amps[e].scale(FRAC_1_SQRT_2);
+            self.amps[e] = a;
+            self.amps.push(a);
+            self.keys.extend_from_within(e * words..(e + 1) * words);
+            let last = self.keys.len() - words;
+            self.keys[last + bw] |= bm;
+            let one = split(&mut self.payload[e]);
+            self.payload.push(one);
+        }
+        self.resort();
+        self.note_peak();
+    }
+
+    /// Whether two occupied keys differ only in qubit `q`: the pairs an
+    /// `H` on `q` combines.
+    pub(crate) fn has_pair_on(&self, q: QubitId) -> bool {
+        let (w, m) = bit_addr(q);
+        let mut partner = vec![0u64; self.words];
+        self.amps.len() > 1
+            && (0..self.amps.len()).any(|e| {
+                let key = self.key(e);
+                if key[w] & m == 0 {
+                    return false;
+                }
+                partner.copy_from_slice(key);
+                partner[w] ^= m;
+                self.find(&partner).is_ok()
+            })
     }
 
     /// Hadamard on `q`: pairs entries differing only in bit `q` and fans
@@ -353,16 +495,19 @@ impl SparseVector {
     /// with an absent partner entering the sums as an exact complex zero
     /// (precisely the value the dense array holds there). Outputs that
     /// come out exactly zero are culled, keeping the map equal to the
-    /// dense nonzero support.
-    fn apply_h(&mut self, q: QubitId) {
+    /// dense nonzero support. Every output starts from a default payload.
+    pub(crate) fn apply_h(&mut self, q: QubitId)
+    where
+        P: Default,
+    {
         let (bw, bm) = bit_addr(q);
         let words = self.words;
         let k = self.amps.len();
         // Pair entries: order by key-with-bit-cleared, clear half first.
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_unstable_by(|&a, &b| {
-            let ka = &self.keys[a * words..(a + 1) * words];
-            let kb = &self.keys[b * words..(b + 1) * words];
+            let ka = self.key(a);
+            let kb = self.key(b);
             for w in (0..words).rev() {
                 let (mut wa, mut wb) = (ka[w], kb[w]);
                 if w == bw {
@@ -370,7 +515,7 @@ impl SparseVector {
                     wb &= !bm;
                 }
                 match wa.cmp(&wb) {
-                    std::cmp::Ordering::Equal => {}
+                    Ordering::Equal => {}
                     other => return other,
                 }
             }
@@ -382,7 +527,7 @@ impl SparseVector {
         let mut i = 0usize;
         while i < k {
             let e = order[i];
-            base.copy_from_slice(&self.keys[e * words..(e + 1) * words]);
+            base.copy_from_slice(self.key(e));
             base[bw] &= !bm;
             let (a, b) = if self.key(e)[bw] & bm == 0 {
                 // Clear-half entry; its set-half partner, if occupied, is
@@ -422,44 +567,14 @@ impl SparseVector {
                 amps.push(out1);
             }
         }
+        self.payload.clear();
+        self.payload.resize_with(amps.len(), P::default);
         self.keys = keys;
         self.amps = amps;
         // Pair order is not global key order (the target bit outranks the
         // bits below it); one re-sort restores the invariant.
         self.resort();
         self.note_peak();
-    }
-
-    fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        exec::validate_gate(gate, self.num_qubits)?;
-        match *gate {
-            Gate::X(q) => self.permute_x(&[], q),
-            Gate::Cx(c, t) => self.permute_x(&[c], t),
-            Gate::Ccx(c1, c2, t) => self.permute_x(&[c1, c2], t),
-            Gate::Swap(a, b) => {
-                // Swap two key bits where they differ: two entangled
-                // toggles, one pass.
-                let (aw, am) = bit_addr(a);
-                let (bw, bm) = bit_addr(b);
-                let words = self.words;
-                for e in 0..self.amps.len() {
-                    let key = &mut self.keys[e * words..(e + 1) * words];
-                    if (key[aw] & am != 0) != (key[bw] & bm != 0) {
-                        key[aw] ^= am;
-                        key[bw] ^= bm;
-                    }
-                }
-                self.resort();
-            }
-            Gate::Z(q) => self.diagonal_negate(&[q]),
-            Gate::Cz(x, y) => self.diagonal_negate(&[x, y]),
-            Gate::Ccz(x, y, z) => self.diagonal_negate(&[x, y, z]),
-            Gate::Phase(q, theta) => self.diagonal_phase(&[q], theta),
-            Gate::CPhase(c, t, theta) => self.diagonal_phase(&[c, t], theta),
-            Gate::CcPhase(c1, c2, t, theta) => self.diagonal_phase(&[c1, c2, t], theta),
-            Gate::H(q) => self.apply_h(q),
-        }
-        Ok(())
     }
 
     /// The Born probability that qubit `q` reads 1, clamped into `[0, 1]`
@@ -504,27 +619,32 @@ impl SparseVector {
         }
     }
 
-    /// Projects onto branch `outcome` of qubit `q`: survivors are scaled
-    /// by `scale` (bitwise the dense post-measurement values), the other
-    /// half is removed.
+    /// Projects onto branch `outcome` of qubit `q`, in place: survivors
+    /// are scaled by `scale` (bitwise the dense post-measurement values),
+    /// the other half and any exact zero are removed.
     fn project(&mut self, q: QubitId, outcome: bool, scale: f64) {
         let (w, m) = bit_addr(q);
         let words = self.words;
-        let k = self.amps.len();
-        let mut keys = Vec::with_capacity(k * words);
-        let mut amps = Vec::with_capacity(k);
-        for e in 0..k {
-            let key = &self.keys[e * words..(e + 1) * words];
-            if (key[w] & m != 0) == outcome {
-                let a = self.amps[e].scale(scale);
-                if !is_zero(a) {
-                    keys.extend_from_slice(key);
-                    amps.push(a);
-                }
+        let mut kept = 0usize;
+        for e in 0..self.amps.len() {
+            if (self.keys[e * words + w] & m != 0) != outcome {
+                continue;
             }
+            let a = self.amps[e].scale(scale);
+            if is_zero(a) {
+                continue;
+            }
+            if kept != e {
+                self.keys
+                    .copy_within(e * words..(e + 1) * words, kept * words);
+                self.payload.swap(kept, e);
+            }
+            self.amps[kept] = a;
+            kept += 1;
         }
-        self.keys = keys;
-        self.amps = amps;
+        self.keys.truncate(kept * words);
+        self.amps.truncate(kept);
+        self.payload.truncate(kept);
     }
 
     /// Z-basis measurement with the definite-outcome rule: when `p₁` is
@@ -534,7 +654,7 @@ impl SparseVector {
     /// way the post-measurement state is bitwise what the dense
     /// `measure_z` leaves for the same outcome (the forced branches'
     /// renormaliser is exactly `1.0`).
-    fn measure_z(&mut self, q: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> bool {
+    pub(crate) fn measure_z(&mut self, q: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> bool {
         let p1 = self.z_prob_one(q);
         let outcome = if p1 == 0.0 {
             false
@@ -555,8 +675,16 @@ impl SparseVector {
     /// randomness for it — after dropping the impossible half's
     /// (numerically massless) entries, so the surviving state is bitwise
     /// what [`measure_z`](Self::measure_z) leaves. A genuine split scales
-    /// both halves with the dense `split_bit` arithmetic.
-    fn fork_z(&mut self, q: QubitId) -> Fork {
+    /// both halves with the dense `split_bit` arithmetic; `wrap` hands
+    /// the outcome-1 half back as the backend that owns the map.
+    pub(crate) fn fork_z(
+        &mut self,
+        q: QubitId,
+        wrap: impl FnOnce(Self) -> Box<dyn Simulator + Send>,
+    ) -> Fork
+    where
+        P: Clone,
+    {
         let p1 = self.z_prob_one(q);
         if p1 == 0.0 || p1 == 1.0 {
             let outcome = p1 == 1.0;
@@ -572,13 +700,23 @@ impl SparseVector {
         one.note_peak();
         Fork::Split {
             p_one: p1,
-            one: Some(Box::new(one)),
+            one: Some(wrap(one)),
         }
     }
 
     /// A definite-bit read under [`DEFINITE_TOL`], mirroring the dense
     /// engine's `definite_bit`.
-    fn definite_bit(&self, q: QubitId) -> Result<bool, SimError> {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::OutOfRange`] past the register,
+    /// [`SimError::ReadOfSuperposedQubit`] for an indefinite marginal.
+    pub(crate) fn definite_bit(&self, q: QubitId) -> Result<bool, SimError> {
+        if q.index() >= self.num_qubits {
+            return Err(SimError::OutOfRange {
+                what: format!("qubit q{}", q.0),
+            });
+        }
         let p1 = self.z_prob_one(q);
         if p1 >= 1.0 - DEFINITE_TOL {
             Ok(true)
@@ -588,6 +726,28 @@ impl SparseVector {
             Err(SimError::ReadOfSuperposedQubit { qubit: q.0 })
         }
     }
+}
+
+/// A compiled run on a map backend (`map` reaches its map): the shared
+/// executor's default hooks, bracketed by the occupied-entry high-water
+/// mark that [`peak_amplitudes`](Simulator::peak_amplitudes) reports.
+/// `Instr::Drop` is a no-op: a dropped qubit is definite, so every
+/// occupied key agrees on it and there is nothing to compact; the memory
+/// story the drop pass buys the dense engine is the map's resting state.
+pub(crate) fn run_compiled_on<S: Simulator, P>(
+    sim: &mut S,
+    map: fn(&mut S) -> &mut SparseVector<P>,
+    compiled: &CompiledCircuit,
+    rng: &mut dyn RngCore,
+) -> Result<Executed, SimError> {
+    exec::check_width(compiled.num_qubits(), sim.num_qubits())?;
+    let m = map(sim);
+    m.peak_entries = m.occupied() as u64;
+    let mut executed = Executed::default();
+    exec::execute_compiled(sim, compiled, rng, &mut executed)?;
+    let m = map(sim);
+    m.last_run_peak = Some(m.peak_entries);
+    Ok(executed)
 }
 
 impl Simulator for SparseVector {
@@ -600,11 +760,6 @@ impl Simulator for SparseVector {
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
-        if q.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("qubit q{}", q.0),
-            });
-        }
         if self.definite_bit(q)? != value {
             self.apply(&Gate::X(q))?;
         }
@@ -612,11 +767,6 @@ impl Simulator for SparseVector {
     }
 
     fn bit(&self, q: QubitId) -> Result<bool, SimError> {
-        if q.index() >= self.num_qubits {
-            return Err(SimError::OutOfRange {
-                what: format!("qubit q{}", q.0),
-            });
-        }
         self.definite_bit(q)
     }
 
@@ -655,7 +805,9 @@ impl Simulator for SparseVector {
     }
 
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        exec::fork_in_basis(self, qubit, basis, |s, q| Ok(s.fork_z(q)))
+        exec::fork_in_basis(self, qubit, basis, |s, q| {
+            Ok(s.fork_z(q, |one| Box::new(one)))
+        })
     }
 
     fn occupancy_peak(&self) -> Option<u64> {
@@ -668,23 +820,15 @@ impl Simulator for SparseVector {
 
     /// Compiled execution through the shared executor's default hooks:
     /// plain per-gate application, fused blocks replayed as their
-    /// constituent gates (bitwise the unfused stream), and `Instr::Drop`
-    /// as a no-op — a dropped qubit is definite, so every occupied key
-    /// agrees on it and there is nothing to compact; the memory story the
-    /// drop pass buys the dense engine is the sparse map's resting state.
-    /// The occupied-entry high-water mark is reset here and reported
+    /// constituent gates (bitwise the unfused stream) and `Instr::Drop`
+    /// as a no-op, with the occupied-entry high-water mark reported
     /// through [`peak_amplitudes`](Simulator::peak_amplitudes).
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        self.peak_entries = self.amps.len() as u64;
-        let mut executed = Executed::default();
-        exec::execute_compiled(self, compiled, rng, &mut executed)?;
-        self.last_run_peak = Some(self.peak_entries);
-        Ok(executed)
+        run_compiled_on(self, |s| s, compiled, rng)
     }
 }
 

@@ -2,7 +2,7 @@
 //! modular-adder chain on 256-bit registers, run on the sparse
 //! basis-map backend.
 //!
-//! A dense statevector caps out near 25 qubits (2^25 amplitudes). The
+//! A dense statevector caps out at 26 qubits (2^26 amplitudes). The
 //! paper's adders, though, are permutation circuits: started from a
 //! computational basis state they occupy a *handful* of basis states at
 //! any instant — only the MBU/AND measurement ancillas ever fan out,

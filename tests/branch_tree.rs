@@ -20,7 +20,9 @@ use mbu_arith::{
     Uncompute,
 };
 use mbu_circuit::PassConfig;
-use mbu_sim::{BasisTracker, BranchEnsemble, Ensemble, ShotRunner, Simulator, StateVector};
+use mbu_sim::{
+    BasisTracker, BranchEnsemble, Ensemble, ShotRunner, Simulator, SparseVector, StateVector,
+};
 use proptest::prelude::*;
 
 fn arch_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
@@ -101,11 +103,20 @@ proptest! {
         prop_assert!(dist.pruned_mass() < 1e-9, "only rounding residues prune");
         prop_assert!((dist.total_weight() - 1.0).abs() < 1e-9);
 
+        // The sampled side runs on the sparse map: this test holds the
+        // exact tree to per-shot sampling, not one backend to another, and
+        // a shot on the map costs a fraction of a dense one in a debug
+        // build.
         const SHOTS: u64 = 400;
         let mc = ShotRunner::new(SHOTS)
             .with_master_seed(seed)
             .with_passes(PassConfig::default())
-            .run(&layout.circuit, || Box::new(StateVector::basis(nq, input).unwrap()))
+            .run(&layout.circuit, || {
+                let mut sim = SparseVector::zeros(nq).unwrap();
+                sim.set_value(layout.x.qubits(), x).unwrap();
+                sim.set_value(layout.y.qubits(), y).unwrap();
+                Box::new(sim)
+            })
             .unwrap();
         let tol = 5.0 * (0.25 / SHOTS as f64).sqrt();
         for clbit in 0..mc.num_clbits() {
