@@ -375,9 +375,8 @@ pub struct PassStats {
     pub emitted_instrs: usize,
     /// Deterministic segments in the final program: maximal runs of
     /// unitary instructions between non-unitary barriers
-    /// (measurement/reset/drop/branch) and branch join points — the units
-    /// the branch-tree execution engine shares across measurement
-    /// histories. See [`CompiledCircuit::segments`].
+    /// (measurement/reset/drop/branch) and branch join points. See
+    /// [`CompiledCircuit::segments`].
     pub segments: usize,
     /// Non-deterministic instructions (measurements and resets): the
     /// points where an execution trajectory can fork, bounding the branch
@@ -669,18 +668,15 @@ impl CompiledCircuit {
     /// every non-unitary barrier (measurement, reset, drop, branch) and at
     /// every branch join target.
     ///
-    /// Two properties make the segmentation the substrate of branch-tree
-    /// execution:
+    /// Two properties hold by construction:
     ///
     /// * **determinism** — a segment contains no instruction that consumes
     ///   randomness or classical state, so its effect on a given input
-    ///   state is a fixed unitary: executing it once per *measurement
-    ///   history* (instead of once per shot) is exact;
+    ///   state is a fixed unitary;
     /// * **alignment** — every program point the executor can land on (the
     ///   instruction after a barrier, or a branch's join target) is a
     ///   segment start, so a program-counter walk always enters segments
-    ///   at their beginning and can apply a whole segment without
-    ///   re-dispatching on control flow.
+    ///   at their beginning.
     ///
     /// The ranges are those of [`segment_profiles`](Self::segment_profiles),
     /// which compilation records.
@@ -710,8 +706,9 @@ impl CompiledCircuit {
     /// How many instructions of the program can fork an execution
     /// trajectory: measurements and resets (the only instructions that
     /// consume randomness). Branches and drops are deterministic given the
-    /// classical record, so the branch tree has at most `2^fork_points`
-    /// leaves.
+    /// classical record, so the outcome tree has at most `2^fork_points`
+    /// leaves, and a shot replayed over the outcome DAG draws at most
+    /// `fork_points` times.
     #[must_use]
     pub fn fork_points(&self) -> usize {
         self.instrs

@@ -26,6 +26,8 @@
 //! paper's circuits never trigger this error is itself checked by the test
 //! suite.
 
+use std::any::Any;
+
 use mbu_circuit::{Angle, Basis, Circuit, CompiledCircuit, Gate, QubitId};
 use rand::RngCore;
 
@@ -120,6 +122,12 @@ impl BasisTracker {
             .ok()
             .and_then(|k| 1u64.checked_shl(k))
             .unwrap_or(u64::MAX)
+    }
+
+    /// Restarts the occupancy high-water mark at the current occupancy,
+    /// as every compiled run does when it starts.
+    pub(crate) fn start_peak(&mut self) {
+        self.peak = self.occupied();
     }
 
     /// The single mode-write funnel: adjusts the incremental X-mode count
@@ -420,6 +428,13 @@ impl Simulator for BasisTracker {
         Some(self.phase)
     }
 
+    /// Equal per-qubit modes and an equal exact global phase (the
+    /// [`PartialEq`] above): the tracker's whole state.
+    fn same_state(&self, other: &dyn Simulator) -> bool {
+        let other: &dyn Any = other;
+        other.downcast_ref::<Self>().is_some_and(|o| self == o)
+    }
+
     fn measure(
         &mut self,
         qubit: QubitId,
@@ -534,7 +549,7 @@ impl Simulator for BasisTracker {
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits())?;
-        self.peak = self.occupied();
+        self.start_peak();
         let mut executed = Executed::default();
         exec::execute_compiled_core(
             self,

@@ -1,213 +1,189 @@
-//! Branch-sharing shot ensembles: the branch-tree execution engine.
+//! Branch-sharing shot ensembles: the outcome DAG.
 //!
 //! The paper's MBU circuits are long deterministic arithmetic blocks
-//! punctuated by a handful of mid-circuit ancilla measurements. The
-//! [`ShotRunner`](crate::ShotRunner) re-executes the entire deterministic
-//! prefix from scratch for every shot; this module shares it instead. The
-//! compiled program's segmentation ([`CompiledCircuit::segments`]) yields
-//! deterministic unitary runs between non-unitary barriers, and the
-//! backends' [`measure_fork`](Simulator::measure_fork) produces *both*
-//! post-measurement branches at each barrier — so [`BranchEnsemble`] walks
-//! the resulting **outcome tree**, executing each unique measurement
-//! history exactly once:
+//! punctuated by mid-circuit measurements and resets. A per-shot run
+//! re-executes all of it for every shot; this module shares it instead.
+//! Wherever a shot would draw, the backend's
+//! [`measure_fork`](Simulator::measure_fork) produces *both*
+//! post-measurement branches, and each branch runs on to its own next
+//! draw. The result is an **outcome DAG**: a fork node carries the
+//! probability the shot's draw uses, an edge carries what every shot
+//! crossing it executes (gate counts and classical writes), and a leaf
+//! holds the end of a trajectory, or the error it died on.
 //!
-//! * **exact mode** ([`BranchEnsemble::distribution`]) — consumes no
-//!   randomness at all and returns the full outcome/record distribution
-//!   with weights from the branch probabilities: Monte-Carlo answers with
-//!   zero sampling noise;
-//! * **sampled mode** ([`BranchEnsemble::run`]) — draws shot counts per
-//!   leaf by replaying every shot's seeded RNG stream against the tree's
-//!   branch probabilities (an exact multinomial sample over the leaves),
-//!   producing an [`Ensemble`] whose classical aggregates are
-//!   **bit-identical** to per-shot [`ShotRunner`](crate::ShotRunner)
-//!   execution with the same master seed: the fork probabilities are the
-//!   very values the sampling path would have handed to `gen_bool`, in the
-//!   same order along every path.
+//! Trajectories rejoin. Lemma 4.1 of the source paper leaves both
+//! measurement branches in the same state once the outcome-dependent
+//! correction has run, and Gidney's logical-AND uncomputation has the same
+//! shape. Where the backend can tell ([`Simulator::same_state`]), the DAG
+//! is built in program-counter order, and a trajectory that reaches a fork
+//! (or the end) merges into a node already there when both children are
+//! bitwise equal states with equal occupancy peaks that agree on every
+//! classical bit a later branch still reads: from there on both futures
+//! are identical. A chain of such diamonds costs O(measurements) nodes
+//! where the outcome tree has 2^measurements leaves. Backends that cannot
+//! rejoin build the plain tree, depth first, so only O(depth) states are
+//! alive at once. Either way the DAG is built on the calling thread, from
+//! a root whose occupancy high-water mark starts where a compiled run
+//! starts it.
+//!
+//! * **exact mode** ([`BranchEnsemble::distribution`]) consumes no
+//!   randomness at all: it enumerates the DAG's paths (the outcome tree)
+//!   and returns the full outcome/record distribution weighted by the
+//!   branch probabilities — Monte-Carlo answers with zero sampling noise;
+//! * **sampled mode** ([`BranchEnsemble::run`], and the
+//!   [`ShotRunner`](crate::ShotRunner) wherever it shares) replays every
+//!   shot's seeded RNG stream over the DAG. Each fork draws `gen_bool`
+//!   with the very probability the sampling path computes, in the same
+//!   order, and the edges a shot crosses sum to exactly the [`Executed`]
+//!   record its per-shot run produces, so the aggregates are
+//!   **bit-identical** to per-shot execution with the same master seed.
+//!   The shots split into contiguous ranges over the thread budget, as
+//!   per-shot runs do.
 //!
 //! Branches whose conditional probability falls below the floor
 //! ([`BranchEnsemble::with_eps`], default `1e-12`, `0` = full expansion
 //! down to exactly-impossible branches) are pruned; their mass is tracked in
 //! [`BranchDistribution::pruned_mass`], and a replayed shot that lands in
-//! pruned territory quietly falls back to per-shot execution of exactly
-//! that shot. When the tree would exceed the node budget, the sampled mode
-//! falls back to per-shot Monte Carlo wholesale (the exact mode reports
-//! [`SimError::BranchBudgetExceeded`]).
-//!
-//! The engine reuses the single thread budget of the shot engine: active
-//! tree leaves are scheduled like shots, `min(leaves, B)` workers each
-//! advancing whole trajectories.
+//! pruned mass runs per shot, alone. The node budget bounds the DAG (with
+//! the trajectories still running) while it is built: past it, the
+//! sampled mode runs every shot per shot instead, and the exact mode,
+//! whose output is the whole tree, reports
+//! [`SimError::BranchBudgetExceeded`] once either the DAG or the tree
+//! outgrows the budget.
 
-use std::collections::BTreeMap;
-use std::thread;
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::ops::Range;
+use std::sync::mpsc::{self, SyncSender};
 
-use mbu_circuit::{Basis, Circuit, CompiledCircuit, Gate, Instr, PassConfig, QubitId};
+use mbu_circuit::{Basis, Circuit, CompiledCircuit, Gate, GateCounts, Instr, PassConfig, QubitId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::shots::{
-    count_fields, cpu_threads, shot_seed, worker_count, Accumulator, CountStats, Ensemble,
-    ShotRunner, DEFAULT_MASTER_SEED, NFIELDS,
+    compile_for, count_fields, cpu_threads, in_chunks, one_shot, per_shot, shot_seed, worker_count,
+    Accumulator, CountStats, Ensemble, Factory, Probe, DEFAULT_MASTER_SEED, NFIELDS,
 };
 use crate::simulator::{Fork, Simulator};
+use crate::{BasisTracker, PhaseAccumulator, SparseVector};
 
-/// Default ceiling on materialised tree nodes (forks + leaves + pending
-/// branches) before the engine declares the circuit too branchy for
-/// tree execution: 4096 nodes cover 12 fully-random fork points, far past
-/// any Table-1 workload (MBU modular adders fork a handful of times).
+/// Default ceiling on DAG nodes (forks and leaves, plus the trajectories
+/// still running) before the engine declares the circuit too branchy to
+/// share. A DAG that rejoins fits the Table-1 rows at n = 64 with room to
+/// spare: the Gidney row has 513 fork points, and its tracker DAG has 257
+/// forks and 2 leaves. The exact mode's outcome *tree* fits only 12
+/// fully-random fork points.
 pub const DEFAULT_NODE_BUDGET: usize = 4096;
 
 /// Default pruning floor for a branch's conditional probability, and the
 /// ceiling [`BranchEnsemble::with_eps`] clamps to (pruning both children
 /// of a fork must stay impossible).
-const DEFAULT_BRANCH_EPS: f64 = 1e-12;
+pub(crate) const DEFAULT_BRANCH_EPS: f64 = 1e-12;
 const MAX_BRANCH_EPS: f64 = 0.25;
 
-/// A reference into the outcome tree.
+/// Where an edge ends.
 #[derive(Clone, Copy, Debug)]
 enum Link {
-    /// A fork node (index into `Tree::forks`).
+    /// A fork node (index into `Dag::forks`).
     Fork(usize),
-    /// A finished trajectory (index into `Tree::leaves`).
+    /// A leaf (index into `Dag::leaves`).
     Leaf(usize),
-    /// A branch dropped below the pruning floor.
-    Pruned,
 }
 
-/// One randomness-consuming branch point: the probability its draw uses
-/// and the two subtrees.
+/// What every shot crossing an edge executes between two nodes: the
+/// executed counts, and the classical writes in program order.
+#[derive(Debug)]
+struct Edge {
+    counts: GateCounts,
+    writes: Vec<(usize, bool)>,
+    to: Link,
+}
+
+impl Edge {
+    fn apply(&self, executed: &mut Executed) {
+        executed.counts = executed.counts + self.counts;
+        for &(clbit, bit) in &self.writes {
+            write_clbit(&mut executed.classical, clbit, bit);
+        }
+    }
+}
+
+/// One randomness-consuming branch point.
 #[derive(Debug)]
 struct ForkNode {
     /// The Born probability of outcome 1 — exactly the value the sampling
     /// path hands to `gen_bool` at this measurement.
     p_one: f64,
-    /// Absolute probability mass pruned at this fork (path weight times
-    /// the pruned children's conditional probability).
+    /// Conditional probability mass pruned here.
     pruned: f64,
-    zero: Link,
-    one: Link,
+    /// The edges out of the fork, by outcome, `None` where the branch was
+    /// pruned.
+    edges: [Option<Edge>; 2],
 }
 
-/// One complete measurement history.
-#[derive(Debug)]
+/// The end of a trajectory.
 struct LeafNode {
-    /// Path probability (product of branch probabilities).
-    weight: f64,
-    /// What the trajectory executed, or the error it died on (the same
-    /// error a per-shot run of this history reports).
-    result: Result<Executed, SimError>,
+    /// `Ok` where the trajectory ran to the end of the program, or the
+    /// error it died on (the same error a per-shot run of the history
+    /// reports).
+    end: Result<(), SimError>,
     /// The trajectory's occupancy high-water mark
-    /// ([`Simulator::occupancy_peak`]), when the backend reports one — so
-    /// sampled-mode ensembles can fold the same worst-case peak statistic
-    /// per-shot execution reports, instead of losing it to sharing.
+    /// ([`Simulator::occupancy_peak`]) since the root started it, so
+    /// sampled ensembles fold the same worst-case peak that per-shot
+    /// execution reports.
     peak: Option<u64>,
 }
 
-/// The fully built outcome tree.
-#[derive(Debug)]
-struct Tree {
+/// What a replayed shot walks: the nodes and the edge from the root.
+struct Graph {
     forks: Vec<ForkNode>,
     leaves: Vec<LeafNode>,
-    root: Link,
+    root: Edge,
 }
 
-impl Tree {
-    fn set(&mut self, slot: Slot, link: Link) {
-        match slot {
-            Slot::Root => self.root = link,
-            Slot::Zero(f) => self.forks[f].zero = link,
-            Slot::One(f) => self.forks[f].one = link,
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        self.forks.len() + self.leaves.len()
-    }
-
-    /// Leaf and fork indices in **canonical** traversal order: depth
-    /// first, the outcome-0 subtree before the outcome-1 subtree at every
-    /// fork. The build schedules work by thread availability, so the
-    /// `forks`/`leaves` *storage* order depends on the thread budget —
-    /// every aggregate that folds non-associative `f64`s must iterate in
-    /// this canonical order instead, keeping exact-mode results
-    /// bit-identical at any thread count.
-    fn canonical_order(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut leaves = Vec::with_capacity(self.leaves.len());
-        let mut forks = Vec::with_capacity(self.forks.len());
-        let mut stack = vec![self.root];
-        while let Some(link) = stack.pop() {
-            match link {
-                Link::Pruned => {}
-                Link::Leaf(i) => leaves.push(i),
-                Link::Fork(f) => {
-                    forks.push(f);
-                    // `zero` is pushed last so it pops (and emits) first.
-                    stack.push(self.forks[f].one);
-                    stack.push(self.forks[f].zero);
-                }
-            }
-        }
-        (leaves, forks)
-    }
+/// A built outcome DAG.
+pub(crate) struct Dag {
+    graph: Graph,
+    /// The final state of each leaf, by leaf index, kept only where
+    /// trajectories rejoin (later arrivals are compared with it, and
+    /// probes read it): `None` for an error leaf and for every leaf of a
+    /// DAG that does not rejoin.
+    states: Vec<Option<Box<dyn Simulator>>>,
 }
 
-/// Where a work item's result will be linked into the tree.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    Root,
-    Zero(usize),
-    One(usize),
+/// Where a probed shot's observation comes from, as a replay worker
+/// hands it to the calling thread, which holds the leaf states.
+enum Landing<O> {
+    /// The probe of this leaf's state with the shot's record: the first
+    /// shot of its batch to take its path.
+    Probe(usize, Executed),
+    /// The observation of the `i`-th shot of the same batch, which took
+    /// the same path.
+    Again(usize),
+    /// Its own per-shot run: the shot drew into pruned mass.
+    Alone(O),
 }
 
-/// One active trajectory awaiting execution of its next segment run.
-struct Work {
-    slot: Slot,
-    pc: usize,
-    sim: Box<dyn Simulator + Send>,
-    executed: Executed,
-    weight: f64,
-}
+/// `Probe`s per batch of [`Landing`]s a replay worker sends (its last
+/// batch may hold fewer): a bound on the records a batch carries. The
+/// calling thread wakes once per batch and probes each path once per
+/// batch.
+const PROBE_BATCH: usize = 64;
 
-/// A forked child that has not run yet: its state, record so far, and the
-/// conditional probability of its branch.
-struct ChildSeed {
-    sim: Box<dyn Simulator + Send>,
-    executed: Executed,
-    p: f64,
-}
-
-/// What advancing one trajectory to its next branch point produced.
-/// (Boxed fork payload: the variant carries two whole child states and
-/// would otherwise dwarf `Leaf`/`Unsupported`.)
-enum Advanced {
-    /// The trajectory finished (or died on an error), with its state's
-    /// occupancy high-water mark ([`Simulator::occupancy_peak`]).
-    Leaf(Result<Executed, SimError>, Option<u64>),
-    /// The trajectory hit a randomness-consuming instruction and split.
-    Fork(Box<ForkStep>),
-    /// The backend declined `measure_fork`: no branch-sharing execution.
-    Unsupported,
-}
-
-/// The payload of [`Advanced::Fork`].
-struct ForkStep {
-    p_one: f64,
-    /// The surviving children (`None` = pruned), resuming at `pc`.
-    zero: Option<ChildSeed>,
-    one: Option<ChildSeed>,
-    /// Conditional probability mass pruned at this fork.
-    pruned: f64,
-    pc: usize,
-}
+/// How many batches may wait for the calling thread before a replay
+/// worker blocks: with [`PROBE_BATCH`], a bound on their memory.
+const PROBE_QUEUE: usize = 2;
 
 /// Writes a measurement outcome into a classical record, mirroring the
 /// compiled executor's resize-and-store.
-fn write_clbit(executed: &mut Executed, idx: usize, outcome: bool) {
-    if executed.classical.len() <= idx {
-        executed.classical.resize(idx + 1, None);
+fn write_clbit(record: &mut Vec<Option<bool>>, idx: usize, outcome: bool) {
+    if record.len() <= idx {
+        record.resize(idx + 1, None);
     }
-    executed.classical[idx] = Some(outcome);
+    record[idx] = Some(outcome);
 }
 
 /// What a forking instruction leaves on each branch besides the projected
@@ -221,184 +197,573 @@ enum Settle {
     Flip(QubitId),
 }
 
-impl Settle {
-    /// Finishes the instruction on the branch that read `outcome`.
-    fn apply(
-        self,
-        sim: &mut (dyn Simulator + Send),
-        executed: &mut Executed,
-        outcome: bool,
-    ) -> Result<(), SimError> {
-        match self {
-            Settle::Record(idx) => write_clbit(executed, idx, outcome),
-            Settle::Flip(q) if outcome => sim.apply_gate(&Gate::X(q))?,
-            Settle::Flip(_) => {}
-        }
-        Ok(())
-    }
-}
-
 /// Whether a branch with conditional probability `p` is dropped.
 fn pruned(p: f64, eps: f64) -> bool {
     p <= eps || p <= 0.0
 }
 
-/// A finished (or failed) trajectory, with its state's peak.
-fn leaf(sim: &(dyn Simulator + Send), result: Result<Executed, SimError>) -> Advanced {
-    Advanced::Leaf(result, sim.occupancy_peak())
+/// Where a trajectory's edge attaches once it stops: the root, or a
+/// fork's edge for one outcome.
+#[derive(Clone, Copy)]
+enum Slot {
+    Root,
+    Fork(usize, usize),
 }
 
-/// The fork step of a [`Fork::Split`] at `pc`: `sim` has become the
-/// outcome-0 branch and `one` holds the outcome-1 branch. Each child below
-/// the pruning floor is dropped with its mass; each survivor is settled
-/// and resumes at `pc + 1`.
-fn split(
-    mut sim: Box<dyn Simulator + Send>,
-    one: Option<Box<dyn Simulator + Send>>,
-    mut executed: Executed,
-    p_one: f64,
-    settle: Settle,
-    eps: f64,
+/// Where a trajectory stopped.
+enum Step {
+    /// The program ended.
+    End,
+    /// A measurement or reset split the state: the walker's state is the
+    /// outcome-0 branch, `one` the outcome-1 branch, neither settled yet,
+    /// and the walker's pc is past the forking instruction.
+    Split {
+        p_one: f64,
+        one: Option<Box<dyn Simulator + Send>>,
+        settle: Settle,
+    },
+    /// The backend declined `measure_fork`: no branch-sharing execution.
+    Unsupported,
+}
+
+/// One running trajectory.
+struct Walker {
     pc: usize,
-) -> Advanced {
-    let mut step = ForkStep {
-        p_one,
-        zero: None,
-        one: None,
-        pruned: 0.0,
-        pc: pc + 1,
-    };
-    match one {
-        // `one` is `None` exactly when the branch is impossible
-        // (p_one == 0), which `pruned` always drops anyway.
-        Some(mut one) if !pruned(p_one, eps) => {
-            let mut executed = executed.clone();
-            if let Err(e) = settle.apply(&mut *one, &mut executed, true) {
-                return leaf(&*sim, Err(e));
-            }
-            step.one = Some(ChildSeed {
-                sim: one,
-                executed,
-                p: p_one,
-            });
-        }
-        _ => step.pruned += p_one.max(0.0),
-    }
-    // The receiver *is* the zero branch: its state and record move into
-    // the outcome-0 seed.
-    let p0 = 1.0 - p_one;
-    if pruned(p0, eps) {
-        step.pruned += p0.max(0.0);
-    } else {
-        if let Err(e) = settle.apply(&mut *sim, &mut executed, false) {
-            return leaf(&*sim, Err(e));
-        }
-        step.zero = Some(ChildSeed {
+    sim: Box<dyn Simulator>,
+    /// The classical record so far, which its `BranchUnless`es read.
+    record: Vec<Option<bool>>,
+    /// The edge it lays from its last node.
+    from: Slot,
+    counts: GateCounts,
+    writes: Vec<(usize, bool)>,
+}
+
+impl Walker {
+    /// A trajectory resuming at `pc` with an empty edge.
+    fn new(pc: usize, sim: Box<dyn Simulator>, record: Vec<Option<bool>>) -> Self {
+        Self {
+            pc,
             sim,
-            executed,
-            p: p0,
-        });
-    }
-    Advanced::Fork(Box::new(step))
-}
-
-/// Runs one trajectory from `pc` until it finishes, errors, or forks,
-/// consuming its state: a leaf reports the state's occupancy peak, a fork
-/// moves it into the outcome-0 child. Unitary segments are applied
-/// run-at-a-time via the compiled program's segmentation (`run_end[pc]`
-/// is the end of the segment starting at `pc`); counts are tallied
-/// exactly as the per-shot executor tallies them, so leaf records are
-/// interchangeable with per-shot [`Executed`]s.
-fn advance(
-    compiled: &CompiledCircuit,
-    run_end: &[usize],
-    mut pc: usize,
-    mut sim: Box<dyn Simulator + Send>,
-    mut executed: Executed,
-    eps: f64,
-) -> Advanced {
-    let instrs = compiled.instrs();
-    while let Some(instr) = instrs.get(pc) {
-        let (qubit, basis, settle) = match instr {
-            Instr::Gate(_) | Instr::Fused(_) => {
-                // A whole deterministic segment in one go.
-                let end = run_end[pc];
-                while pc < end {
-                    match &instrs[pc] {
-                        Instr::Gate(g) => {
-                            if let Err(e) = sim.apply_gate(g) {
-                                return leaf(&*sim, Err(e));
-                            }
-                            executed.counts.record_gate(g);
-                        }
-                        Instr::Fused(idx) => {
-                            let fu = &compiled.fused_unitaries()[*idx as usize];
-                            // One sweep per block on backends with a fused
-                            // kernel (bit-identical to replaying the
-                            // constituents); others replay via the trait
-                            // default.
-                            if let Err(e) = sim.apply_fused(fu) {
-                                return leaf(&*sim, Err(e));
-                            }
-                            for g in fu.gates() {
-                                executed.counts.record_gate(g);
-                            }
-                        }
-                        _ => unreachable!("segments hold only unitary instructions"),
-                    }
-                    pc += 1;
-                }
-                continue;
-            }
-            Instr::Drop(_) => {
-                pc += 1;
-                continue;
-            }
-            Instr::BranchUnless { clbit, skip } => {
-                let Some(bit) = executed.classical.get(clbit.index()).copied().flatten() else {
-                    let e = SimError::UnwrittenClassicalBit { clbit: clbit.0 };
-                    return leaf(&*sim, Err(e));
-                };
-                if !bit {
-                    pc += *skip as usize;
-                }
-                pc += 1;
-                continue;
-            }
-            Instr::Measure {
-                qubit,
-                basis,
-                clbit,
-            } => {
-                executed.counts.record_measurement(*basis);
-                (*qubit, *basis, Settle::Record(clbit.index()))
-            }
-            Instr::Reset(qubit) => {
-                // Measure-and-flip semantics without a record.
-                executed.counts.reset += 1;
-                (*qubit, Basis::Z, Settle::Flip(*qubit))
-            }
-        };
-        match sim.measure_fork(qubit, basis) {
-            Err(e) => return leaf(&*sim, Err(e)),
-            Ok(None) => return Advanced::Unsupported,
-            Ok(Some(Fork::Definite(outcome))) => {
-                // The backend consumed no randomness, so neither do we.
-                if let Err(e) = settle.apply(&mut *sim, &mut executed, outcome) {
-                    return leaf(&*sim, Err(e));
-                }
-                pc += 1;
-            }
-            Ok(Some(Fork::Split { p_one, one })) => {
-                return split(sim, one, executed, p_one, settle, eps, pc);
-            }
+            record,
+            from: Slot::Root,
+            counts: GateCounts::default(),
+            writes: Vec::new(),
         }
     }
-    leaf(&*sim, Ok(executed))
+
+    /// Finishes a measurement or reset on the branch that read `outcome`.
+    fn settle(&mut self, settle: Settle, outcome: bool) -> Result<(), SimError> {
+        match settle {
+            Settle::Record(clbit) => {
+                write_clbit(&mut self.record, clbit, outcome);
+                self.writes.push((clbit, outcome));
+            }
+            Settle::Flip(q) if outcome => self.sim.apply_gate(&Gate::X(q))?,
+            Settle::Flip(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Runs from the walker's pc to its next stop, tallying what runs
+    /// exactly as the per-shot executor does. `Instr::Drop` is a no-op
+    /// here: a trajectory never compacts.
+    fn advance(&mut self, compiled: &CompiledCircuit) -> Result<Step, SimError> {
+        let instrs = compiled.instrs();
+        while let Some(instr) = instrs.get(self.pc) {
+            self.pc += 1;
+            let (qubit, basis, settle) = match instr {
+                Instr::Gate(g) => {
+                    self.sim.apply_gate(g)?;
+                    self.counts.record_gate(g);
+                    continue;
+                }
+                Instr::Fused(idx) => {
+                    let fu = &compiled.fused_unitaries()[*idx as usize];
+                    self.sim.apply_fused(fu)?;
+                    for g in fu.gates() {
+                        self.counts.record_gate(g);
+                    }
+                    continue;
+                }
+                Instr::Drop(_) => continue,
+                Instr::BranchUnless { clbit, skip } => {
+                    let bit = self.record.get(clbit.index()).copied().flatten();
+                    if !bit.ok_or(SimError::UnwrittenClassicalBit { clbit: clbit.0 })? {
+                        self.pc += *skip as usize;
+                    }
+                    continue;
+                }
+                Instr::Measure {
+                    qubit,
+                    basis,
+                    clbit,
+                } => {
+                    self.counts.record_measurement(*basis);
+                    (*qubit, *basis, Settle::Record(clbit.index()))
+                }
+                Instr::Reset(qubit) => {
+                    // Measure-and-flip semantics without a record.
+                    self.counts.reset += 1;
+                    (*qubit, Basis::Z, Settle::Flip(*qubit))
+                }
+            };
+            match self.sim.measure_fork(qubit, basis)? {
+                None => return Ok(Step::Unsupported),
+                // The backend consumed no randomness, so neither do we.
+                Some(Fork::Definite(outcome)) => self.settle(settle, outcome)?,
+                Some(Fork::Split { p_one, one }) => {
+                    return Ok(Step::Split { p_one, one, settle });
+                }
+            }
+        }
+        Ok(Step::End)
+    }
 }
 
-/// A seeded branch-tree ensemble scheduler: the branch-sharing counterpart
-/// of [`ShotRunner`](crate::ShotRunner).
+/// A fork whose children have not moved yet (rejoin mode): the only
+/// nodes a later trajectory can still merge into.
+struct Open {
+    /// Where its children resume: one past the forking instruction.
+    pc: usize,
+    fork: usize,
+    /// The parked children, by outcome (`None` = pruned).
+    kids: [Option<usize>; 2],
+}
+
+/// The DAG under construction.
+struct Builder {
+    eps: f64,
+    rejoins: bool,
+    /// `(clbit, pc)` of the last `BranchUnless` on each clbit any branch
+    /// reads: two trajectories may merge at pc `p` only if they agree on
+    /// every clbit whose last read is at or after `p`.
+    last_reads: Vec<(usize, usize)>,
+    forks: Vec<ForkNode>,
+    leaves: Vec<LeafNode>,
+    states: Vec<Option<Box<dyn Simulator>>>,
+    root: Option<Edge>,
+    /// Parked trajectories, by id; `queue` orders them and holds one
+    /// entry per trajectory still to run.
+    parked: Vec<Option<Walker>>,
+    queue: BinaryHeap<(Reverse<usize>, usize)>,
+    open: Vec<Open>,
+}
+
+impl Builder {
+    /// Parks `w` to run later. When trajectories rejoin, the lowest pc runs
+    /// first, so every trajectory that can reach a fork has reached it
+    /// before any child of that fork moves on; otherwise the newest runs
+    /// first (depth first).
+    fn park(&mut self, w: Walker) -> usize {
+        let id = self.parked.len();
+        let key = if self.rejoins { w.pc } else { 0 };
+        self.queue.push((Reverse(key), id));
+        self.parked.push(Some(w));
+        id
+    }
+
+    /// Lays `edge` into the slot its trajectory left from.
+    fn attach(&mut self, from: Slot, edge: Edge) {
+        match from {
+            Slot::Root => self.root = Some(edge),
+            Slot::Fork(f, outcome) => self.forks[f].edges[outcome] = Some(edge),
+        }
+    }
+
+    /// Whether two trajectories resuming at `pc` agree on every classical
+    /// bit a branch at or after `pc` reads.
+    fn agree(&self, a: &[Option<bool>], b: &[Option<bool>], pc: usize) -> bool {
+        let bit = |r: &[Option<bool>], c: usize| r.get(c).copied().flatten();
+        self.last_reads
+            .iter()
+            .all(|&(c, last)| last < pc || bit(a, c) == bit(b, c))
+    }
+
+    /// Whether the parked walker `id` and `w` have one future: bitwise
+    /// equal states with equal peaks, agreeing on every bit still read.
+    fn twins(&self, id: usize, w: &Walker) -> bool {
+        let Some(parked) = &self.parked[id] else {
+            return false;
+        };
+        parked.sim.occupancy_peak() == w.sim.occupancy_peak()
+            && self.agree(&parked.record, &w.record, w.pc)
+            && parked.sim.same_state(w.sim.as_ref())
+    }
+
+    /// Ends the trajectory `w` in a leaf: a merge into an equal leaf when
+    /// trajectories rejoin, a new one otherwise.
+    fn leaf(&mut self, w: Walker, end: Result<(), SimError>) {
+        let Walker {
+            sim,
+            from,
+            counts,
+            writes,
+            ..
+        } = w;
+        let peak = sim.occupancy_peak();
+        let to = match end {
+            Ok(()) if self.rejoins => {
+                let twin = self.leaves.iter().zip(&self.states).position(|(l, s)| {
+                    l.peak == peak && s.as_ref().is_some_and(|s| s.same_state(sim.as_ref()))
+                });
+                match twin {
+                    Some(i) => Link::Leaf(i),
+                    None => self.new_leaf(Ok(()), peak, Some(sim)),
+                }
+            }
+            end => self.new_leaf(end, peak, None),
+        };
+        self.attach(from, Edge { counts, writes, to });
+    }
+
+    fn new_leaf(
+        &mut self,
+        end: Result<(), SimError>,
+        peak: Option<u64>,
+        state: Option<Box<dyn Simulator>>,
+    ) -> Link {
+        self.leaves.push(LeafNode { end, peak });
+        self.states.push(state);
+        Link::Leaf(self.leaves.len() - 1)
+    }
+
+    /// The fork step of a [`Step::Split`]: the fork merges into an open
+    /// fork at the same pc whose children are twins of these, or becomes
+    /// a new node whose children are parked. Settling a child can fail
+    /// (the corrective `X` of a reset); the trajectory then dies here.
+    fn split(
+        &mut self,
+        w: Walker,
+        p_one: f64,
+        one: Option<Box<dyn Simulator + Send>>,
+        settle: Settle,
+    ) {
+        let Walker {
+            pc,
+            sim,
+            record,
+            from,
+            counts,
+            writes,
+        } = w;
+        let peak = sim.occupancy_peak();
+        let to = match self.children(pc, sim, record, p_one, one, settle) {
+            Ok((kids, pruned_mass)) => Link::Fork(self.fork(pc, p_one, pruned_mass, kids)),
+            Err(e) => self.new_leaf(Err(e), peak, None),
+        };
+        self.attach(from, Edge { counts, writes, to });
+    }
+
+    /// The settled children of a split, resuming at `pc` (`None` where the
+    /// branch falls below the pruning floor), with the pruned mass.
+    fn children(
+        &self,
+        pc: usize,
+        zero: Box<dyn Simulator>,
+        record: Vec<Option<bool>>,
+        p_one: f64,
+        one: Option<Box<dyn Simulator + Send>>,
+        settle: Settle,
+    ) -> Result<([Option<Walker>; 2], f64), SimError> {
+        let mut pruned_mass = 0.0;
+        let mut kids: [Option<Walker>; 2] = [None, None];
+        match one {
+            // `one` is `None` exactly when the branch is impossible
+            // (p_one == 0), which `pruned` always drops anyway.
+            Some(one) if !pruned(p_one, self.eps) => {
+                let mut child = Walker::new(pc, one, record.clone());
+                child.settle(settle, true)?;
+                kids[1] = Some(child);
+            }
+            _ => pruned_mass += p_one.max(0.0),
+        }
+        // The walker's own state is the outcome-0 branch.
+        let p0 = 1.0 - p_one;
+        if pruned(p0, self.eps) {
+            pruned_mass += p0.max(0.0);
+        } else {
+            let mut child = Walker::new(pc, zero, record);
+            child.settle(settle, false)?;
+            kids[0] = Some(child);
+        }
+        Ok((kids, pruned_mass))
+    }
+
+    /// The node a split whose children resume at `pc` links to: an open
+    /// fork with the same draw whose children are twins of `kids` (a
+    /// join), or a new fork that parks `kids`.
+    fn fork(&mut self, pc: usize, p_one: f64, pruned: f64, kids: [Option<Walker>; 2]) -> usize {
+        let twin = self.open.iter().find(|o| {
+            o.pc == pc
+                && self.forks[o.fork].p_one.to_bits() == p_one.to_bits()
+                && o.kids.iter().zip(&kids).all(|(id, kid)| match (id, kid) {
+                    (None, None) => true,
+                    (Some(id), Some(kid)) => self.twins(*id, kid),
+                    _ => false,
+                })
+        });
+        if let Some(o) = twin {
+            return o.fork;
+        }
+        let f = self.forks.len();
+        self.forks.push(ForkNode {
+            p_one,
+            pruned,
+            edges: [None, None],
+        });
+        let [zero, one] = kids;
+        let kids = [(zero, 0), (one, 1)].map(|(kid, outcome)| {
+            kid.map(|mut kid| {
+                kid.from = Slot::Fork(f, outcome);
+                self.park(kid)
+            })
+        });
+        if self.rejoins {
+            self.open.push(Open { pc, fork: f, kids });
+        }
+        f
+    }
+}
+
+/// Restarts the occupancy high-water mark of `sim` at what it occupies
+/// now, as a compiled run does when it starts, so that an excursion made
+/// while preparing the state does not count. (The state vector keeps no
+/// high-water mark: its occupancy is its current length.)
+fn start_peak(sim: &mut dyn Simulator) {
+    let sim: &mut dyn Any = sim;
+    if let Some(t) = sim.downcast_mut::<BasisTracker>() {
+        t.start_peak();
+    } else if let Some(s) = sim.downcast_mut::<SparseVector>() {
+        s.start_peak();
+    } else if let Some(p) = sim.downcast_mut::<PhaseAccumulator>() {
+        p.start_peak();
+    }
+}
+
+impl Dag {
+    /// Builds the outcome DAG of `compiled` from the state `root`, pruning
+    /// branches at or below `eps`.
+    ///
+    /// # Errors
+    ///
+    /// The executor's entry checks (width, `MBU_VERIFY` admission),
+    /// [`SimError::BranchUnsupported`] if the backend declines to fork and
+    /// [`SimError::BranchBudgetExceeded`] once DAG nodes plus running
+    /// trajectories exceed `budget`.
+    pub(crate) fn build(
+        compiled: &CompiledCircuit,
+        mut root: Box<dyn Simulator>,
+        eps: f64,
+        budget: usize,
+    ) -> Result<Self, SimError> {
+        exec::check_width(compiled.num_qubits(), root.num_qubits())?;
+        exec::admit_compiled(compiled)?;
+        start_peak(root.as_mut());
+        let mut last_read = BTreeMap::new();
+        for (pc, instr) in compiled.instrs().iter().enumerate() {
+            if let Instr::BranchUnless { clbit, .. } = instr {
+                last_read.insert(clbit.index(), pc);
+            }
+        }
+        let mut b = Builder {
+            eps,
+            // A state that cannot recognise itself can never rejoin.
+            rejoins: root.same_state(root.as_ref()),
+            last_reads: last_read.into_iter().collect(),
+            forks: Vec::new(),
+            leaves: Vec::new(),
+            states: Vec::new(),
+            root: None,
+            parked: Vec::new(),
+            queue: BinaryHeap::new(),
+            open: Vec::new(),
+        };
+        b.park(Walker::new(0, root, Vec::new()));
+        while let Some((_, id)) = b.queue.pop() {
+            let Some(mut w) = b.parked[id].take() else {
+                continue;
+            };
+            // No trajectory still parked can reach a fork before this pc.
+            b.open.retain(|o| o.pc > w.pc);
+            match w.advance(compiled) {
+                Err(e) => b.leaf(w, Err(e)),
+                Ok(Step::End) => b.leaf(w, Ok(())),
+                Ok(Step::Split { p_one, one, settle }) => b.split(w, p_one, one, settle),
+                Ok(Step::Unsupported) => return Err(SimError::BranchUnsupported),
+            }
+            if b.forks.len() + b.leaves.len() + b.queue.len() > budget {
+                return Err(SimError::BranchBudgetExceeded { budget });
+            }
+        }
+        let Some(root) = b.root else {
+            // Panic triage: the root trajectory always stops, and its
+            // edge is the first one laid.
+            unreachable!("the root trajectory always stops");
+        };
+        Ok(Self {
+            graph: Graph {
+                forks: b.forks,
+                leaves: b.leaves,
+                root,
+            },
+            states: b.states,
+        })
+    }
+
+    /// **Sampled mode**: replays each of `shots` seeded shots over the DAG
+    /// and folds them exactly as per-shot execution would, `workers`
+    /// threads over contiguous shot ranges. A shot that draws into pruned
+    /// mass runs per shot, alone.
+    ///
+    /// With a probe, the workers send the calling thread, which holds the
+    /// leaf states (they are not `Sync`), each shot's [`Landing`] in
+    /// batches of up to [`PROBE_BATCH`] paths, and it probes the first
+    /// shot of each path in a batch for every shot of the batch that took
+    /// that path. Leaves keep their states only where trajectories rejoin,
+    /// so `probe` must be `None` for a DAG that does not.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest-indexed failing shot.
+    pub(crate) fn replay<O: Clone + Send>(
+        &self,
+        compiled: &CompiledCircuit,
+        shots: u64,
+        master_seed: u64,
+        workers: usize,
+        factory: Factory<'_>,
+        probe: Option<Probe<'_, O>>,
+    ) -> Result<(Accumulator, Vec<O>), SimError> {
+        let graph = &self.graph;
+        let probing = probe.is_some();
+        // The calling thread stops listening only when it panics, which
+        // the scope re-raises: a failed send has nothing left to probe.
+        let send = |to_probe: &SyncSender<_>, w: usize, batch: &mut Vec<Landing<O>>| {
+            let _ = to_probe.send((w, std::mem::take(batch)));
+        };
+        let run_chunk = |(w, to_probe): (usize, SyncSender<_>), range: Range<u64>| {
+            let mut acc = Accumulator::default();
+            let mut batch = Vec::new();
+            // Where each path's `Probe` sits in the batch: one entry per
+            // `Probe`.
+            let mut first: HashMap<Vec<u64>, usize> = HashMap::new();
+            let mut executed = Executed::default();
+            let mut path: Vec<u64> = Vec::new();
+            for shot in range {
+                let seed = shot_seed(master_seed, shot);
+                let mut rng = StdRng::seed_from_u64(seed);
+                executed.counts = GateCounts::default();
+                executed.classical.clear();
+                path.clear();
+                let mut depth = 0usize;
+                let walked = graph.walk(&mut executed, |node| {
+                    let one = rng.gen_bool(node.p_one.clamp(0.0, 1.0));
+                    if probing {
+                        let (word, bit) = (depth / 64, depth % 64);
+                        if word == path.len() {
+                            path.push(0);
+                        }
+                        path[word] |= u64::from(one) << bit;
+                        depth += 1;
+                    }
+                    one
+                });
+                let landing = match walked {
+                    None => {
+                        let observation = one_shot(compiled, factory, seed, probe, &mut acc)?;
+                        observation.map(Landing::Alone)
+                    }
+                    Some(l) => {
+                        let leaf = &graph.leaves[l];
+                        leaf.end.clone()?;
+                        acc.add_shot(&executed, leaf.peak);
+                        probing.then(|| match first.get(&path) {
+                            Some(&i) => Landing::Again(i),
+                            None => {
+                                first.insert(path.clone(), batch.len());
+                                Landing::Probe(l, executed.clone())
+                            }
+                        })
+                    }
+                };
+                batch.extend(landing);
+                if first.len() == PROBE_BATCH {
+                    send(&to_probe, w, &mut batch);
+                    first.clear();
+                }
+            }
+            if !batch.is_empty() {
+                send(&to_probe, w, &mut batch);
+            }
+            Ok(acc)
+        };
+        let (to_probe, batches) = mpsc::sync_channel::<(usize, Vec<Landing<O>>)>(PROBE_QUEUE);
+        let own = (0..workers).map(|w| (w, to_probe.clone())).collect();
+        drop(to_probe);
+        // On the calling thread, while the workers replay: each worker's
+        // observations in shot order. The loop ends once every worker has
+        // finished.
+        let serve = || {
+            let mut observations: Vec<Vec<O>> = (0..workers).map(|_| Vec::new()).collect();
+            for (w, batch) in batches {
+                let observed = &mut observations[w];
+                let start = observed.len();
+                for landing in batch {
+                    let observation = match landing {
+                        Landing::Probe(l, executed) => {
+                            let (Some(probe), Some(state)) = (probe, &self.states[l]) else {
+                                // Panic triage: a worker sends a `Probe`
+                                // only when probing, and only DAGs that
+                                // rejoin are probed, whose leaves that end
+                                // without error keep their states.
+                                unreachable!("a probed leaf keeps its state");
+                            };
+                            probe(state.as_ref(), &executed)
+                        }
+                        Landing::Again(i) => observed[start + i].clone(),
+                        Landing::Alone(o) => o,
+                    };
+                    observed.push(observation);
+                }
+            }
+            observations
+        };
+        let (chunks, observed) = in_chunks(shots, own, run_chunk, serve);
+        let mut acc = Accumulator::default();
+        // A chunk stops at its first failing shot, so the first failing
+        // chunk holds the lowest-indexed one.
+        for chunk in chunks {
+            acc.merge(chunk?);
+        }
+        Ok((acc, observed.into_iter().flatten().collect()))
+    }
+}
+
+impl Graph {
+    /// Walks one shot from the root, taking at each fork the outcome
+    /// `draw` picks and summing the edges it crosses into `executed`.
+    /// Returns the leaf it ends in, or `None` where it draws into pruned
+    /// mass.
+    fn walk(
+        &self,
+        executed: &mut Executed,
+        mut draw: impl FnMut(&ForkNode) -> bool,
+    ) -> Option<usize> {
+        let mut edge = &self.root;
+        loop {
+            edge.apply(executed);
+            let node = match edge.to {
+                Link::Leaf(l) => return Some(l),
+                Link::Fork(f) => &self.forks[f],
+            };
+            edge = node.edges[usize::from(draw(node))].as_ref()?;
+        }
+    }
+}
+
+/// A seeded ensemble scheduler over the outcome DAG: the branch-sharing
+/// counterpart of [`ShotRunner`](crate::ShotRunner), with an exact mode
+/// besides the sampled one.
 ///
 /// # Examples
 ///
@@ -424,7 +789,7 @@ fn advance(
 pub struct BranchEnsemble {
     shots: u64,
     master_seed: u64,
-    /// Total thread budget for leaf workers.
+    /// Total thread budget of the replay and of the per-shot fallback.
     threads: usize,
     passes: Option<PassConfig>,
     eps: f64,
@@ -432,9 +797,10 @@ pub struct BranchEnsemble {
 }
 
 impl BranchEnsemble {
-    /// A branch-tree scheduler whose sampled mode replays `shots` shots
+    /// A DAG scheduler whose sampled mode replays `shots` shots
     /// (the exact mode ignores the count — `new(0)` is fine for
-    /// distribution-only use). Defaults mirror [`ShotRunner::new`]: the
+    /// distribution-only use). Defaults mirror
+    /// [`ShotRunner::new`](crate::ShotRunner::new): the
     /// same master seed and one-thread-per-CPU budget, plus a `1e-12`
     /// pruning floor
     /// ([`with_eps`](Self::with_eps)) and the [`DEFAULT_NODE_BUDGET`] node
@@ -452,7 +818,8 @@ impl BranchEnsemble {
     }
 
     /// Replaces the master seed (sampled mode only — the exact mode is
-    /// seedless). Equal master seeds reproduce a [`ShotRunner`] with the
+    /// seedless). Equal master seeds reproduce a
+    /// [`ShotRunner`](crate::ShotRunner) with the
     /// same seed bit-for-bit.
     #[must_use]
     pub fn with_master_seed(mut self, seed: u64) -> Self {
@@ -460,8 +827,9 @@ impl BranchEnsemble {
         self
     }
 
-    /// Sets the total thread budget (clamped to at least 1); results never
-    /// depend on it.
+    /// Sets the total thread budget of the sampled mode's replay and of its
+    /// per-shot fallback (clamped to at least 1); results never depend on
+    /// it. The DAG is built on the calling thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -469,7 +837,7 @@ impl BranchEnsemble {
     }
 
     /// Enables peephole passes on the compiled program (mirrors
-    /// [`ShotRunner::with_passes`]).
+    /// [`ShotRunner::with_passes`](crate::ShotRunner::with_passes)).
     #[must_use]
     pub fn with_passes(mut self, config: PassConfig) -> Self {
         self.passes = Some(config);
@@ -477,7 +845,7 @@ impl BranchEnsemble {
     }
 
     /// Sets the pruning floor: a branch whose conditional probability is
-    /// `≤ eps` is dropped from the tree (clamped into `[0, 0.25]` so both
+    /// `≤ eps` is dropped from the DAG (clamped into `[0, 0.25]` so both
     /// children of a fork can never prune at once). `0` keeps everything
     /// except exactly-impossible branches — full expansion.
     #[must_use]
@@ -486,9 +854,11 @@ impl BranchEnsemble {
         self
     }
 
-    /// Sets the node budget: the maximum number of materialised tree
-    /// nodes (forks, leaves and pending branches) before tree execution is
-    /// abandoned (clamped to at least 1).
+    /// Sets the node budget: the most DAG nodes (forks and leaves, plus
+    /// the trajectories still running) the build may reach, and the most
+    /// outcome-tree nodes the exact mode enumerates (clamped to at least
+    /// 1). Past it the sampled mode runs per shot; at `1` it does so for
+    /// every circuit that forks.
     #[must_use]
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         self.node_budget = budget.max(1);
@@ -514,122 +884,11 @@ impl BranchEnsemble {
     }
 
     /// The RNG seed the sampled mode uses for shot `shot` — identical to
-    /// [`ShotRunner::seed_for_shot`] with the same master seed.
+    /// [`ShotRunner::seed_for_shot`](crate::ShotRunner::seed_for_shot)
+    /// with the same master seed.
     #[must_use]
     pub fn seed_for_shot(&self, shot: u64) -> u64 {
         shot_seed(self.master_seed, shot)
-    }
-
-    fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, SimError> {
-        match self.passes {
-            None => CompiledCircuit::lower(circuit),
-            Some(config) => CompiledCircuit::with_config(circuit, &config),
-        }
-        .map_err(|e| SimError::InvalidCircuit { why: e.to_string() })
-    }
-
-    /// Builds the outcome tree: frontier rounds of active trajectories,
-    /// each round scheduled under the shared thread budget (leaves like
-    /// shots), results linked back in deterministic item order so the
-    /// tree never depends on scheduling.
-    fn build_tree<F>(&self, compiled: &CompiledCircuit, factory: &F) -> Result<Tree, SimError>
-    where
-        F: Fn() -> Box<dyn Simulator + Send> + Sync,
-    {
-        let root_sim = factory();
-        // The tree walks programs through its own `advance` loop, not the
-        // shared executor, so it runs the executor's entry checks itself.
-        exec::check_width(compiled.num_qubits(), root_sim.num_qubits())?;
-        exec::admit_compiled(compiled)?;
-        // Segment lookup: run_end[pc] = end of the unitary run starting at
-        // (or containing) pc. The walker only enters runs at segment
-        // starts — barriers and branch targets are all segment boundaries.
-        let mut run_end: Vec<usize> = (0..compiled.instrs().len()).collect();
-        for seg in compiled.segments() {
-            run_end[seg.start..seg.end].fill(seg.end);
-        }
-        let run_end = &run_end[..];
-
-        let mut tree = Tree {
-            forks: Vec::new(),
-            leaves: Vec::new(),
-            root: Link::Pruned,
-        };
-        let mut frontier = vec![Work {
-            slot: Slot::Root,
-            pc: 0,
-            sim: root_sim,
-            executed: Executed::default(),
-            weight: 1.0,
-        }];
-        while !frontier.is_empty() {
-            // Depth-first rounds: take the most recently forked branches
-            // (at most one round's worth of workers), leaving the rest on
-            // the stack. Subtrees finish before their siblings expand, so
-            // the number of *live* states stays O(tree depth + threads)
-            // instead of O(frontier width) — a breadth-first frontier on a
-            // measurement-heavy circuit would hold thousands of amplitude
-            // arrays at once before the node budget even tripped.
-            let take = frontier.len().min(self.threads.max(1));
-            let items: Vec<Work> = frontier.split_off(frontier.len() - take);
-            let workers = worker_count(self.threads, items.len() as u64);
-            let results = run_round(items, workers, compiled, run_end, self.eps);
-            for (slot, weight, advanced) in results {
-                match advanced {
-                    Advanced::Unsupported => return Err(SimError::BranchUnsupported),
-                    Advanced::Leaf(result, peak) => {
-                        let i = tree.leaves.len();
-                        tree.leaves.push(LeafNode {
-                            weight,
-                            result,
-                            peak,
-                        });
-                        tree.set(slot, Link::Leaf(i));
-                    }
-                    Advanced::Fork(step) => {
-                        let ForkStep {
-                            p_one,
-                            zero,
-                            one,
-                            pruned,
-                            pc,
-                        } = *step;
-                        let f = tree.forks.len();
-                        tree.forks.push(ForkNode {
-                            p_one,
-                            pruned: weight * pruned,
-                            zero: Link::Pruned,
-                            one: Link::Pruned,
-                        });
-                        tree.set(slot, Link::Fork(f));
-                        for (seed, slot) in [(zero, Slot::Zero(f)), (one, Slot::One(f))] {
-                            if let Some(seed) = seed {
-                                frontier.push(Work {
-                                    slot,
-                                    pc,
-                                    sim: seed.sim,
-                                    executed: seed.executed,
-                                    weight: weight * seed.p,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            // Budget check after every round, the last included. The
-            // guarded quantity — materialised nodes plus pending branches
-            // (each pending branch becomes at least one node) — is a
-            // non-decreasing lower bound on the final tree size, so the
-            // abort decision is a property of the tree: a program either
-            // fits the budget under every schedule or trips it under
-            // every schedule, never depending on the thread count.
-            if tree.node_count() + frontier.len() > self.node_budget {
-                return Err(SimError::BranchBudgetExceeded {
-                    budget: self.node_budget,
-                });
-            }
-        }
-        Ok(tree)
     }
 
     /// **Exact mode**: walks every surviving measurement history once and
@@ -640,9 +899,10 @@ impl BranchEnsemble {
     ///
     /// [`SimError::BranchUnsupported`] if the backend declines
     /// [`measure_fork`](Simulator::measure_fork),
-    /// [`SimError::BranchBudgetExceeded`] if the tree outgrows the node
-    /// budget, or the first trajectory error in deterministic tree order
-    /// (the same error per-shot execution of that history reports).
+    /// [`SimError::BranchBudgetExceeded`] if the DAG or the outcome tree
+    /// outgrows the node budget, or the first trajectory error in
+    /// canonical tree order (the same error per-shot execution of that
+    /// history reports).
     pub fn distribution<F>(
         &self,
         circuit: &Circuit,
@@ -651,37 +911,28 @@ impl BranchEnsemble {
     where
         F: Fn() -> Box<dyn Simulator + Send> + Sync,
     {
-        let compiled = self.compile(circuit)?;
-        let tree = self.build_tree(&compiled, &factory)?;
-        let (leaf_order, _) = tree.canonical_order();
-        for &i in &leaf_order {
-            if let Err(e) = &tree.leaves[i].result {
-                return Err(e.clone());
-            }
-        }
-        Ok(BranchDistribution::from_tree(tree))
+        let compiled = compile_for(circuit, self.passes)?;
+        let dag = Dag::build(&compiled, factory(), self.eps, self.node_budget)?;
+        BranchDistribution::from_dag(&dag, self.node_budget)
     }
 
-    /// **Sampled mode**: builds the tree once, then replays each of the
-    /// `shots` seeded RNG streams against the fork probabilities — an
-    /// exact multinomial draw of shot counts over the leaves whose
-    /// classical aggregates (records, outcome counts, executed-count
-    /// means/variances) are **bit-identical** to a
-    /// [`ShotRunner`](crate::ShotRunner) with the same master seed,
+    /// **Sampled mode**: builds the DAG once, then replays each of the
+    /// `shots` seeded RNG streams over it — an exact multinomial draw of
+    /// shots over the DAG's paths whose classical aggregates (records,
+    /// outcome counts, executed-count means/variances) are
+    /// **bit-identical** to per-shot execution with the same master seed,
     /// circuit and passes. Peak-memory statistics survive the sharing:
     /// each leaf records its trajectory's occupancy high-water mark
     /// ([`Simulator::occupancy_peak`]), so [`Ensemble::peak_amplitudes`]
     /// is the worst peak over the leaves the replayed shots actually
-    /// landed in — `Some` wherever the backend reports occupancy, like
-    /// per-shot execution. (A reclaiming dense backend is the one place
-    /// the *value* can differ: tree mode never drops qubits mid-segment,
-    /// so it reports the full array where a reclaiming per-shot run
-    /// reports the compacted live set.)
+    /// landed in. (A reclaiming dense backend is the one place the
+    /// *value* can differ: a trajectory never drops qubits, so it reports
+    /// the full array where a reclaiming per-shot run reports the
+    /// compacted live set.)
     ///
-    /// Falls back to per-shot Monte Carlo — delegating to an equivalently
-    /// configured `ShotRunner`, still bit-identical — when the backend
-    /// cannot fork or the tree exceeds the node budget. A single replayed
-    /// shot that walks into pruned mass falls back for that shot alone.
+    /// Runs every shot per shot — bit-identical still — when the backend
+    /// cannot fork or the DAG exceeds the node budget. A single replayed
+    /// shot that walks into pruned mass runs per shot alone.
     ///
     /// # Errors
     ///
@@ -694,123 +945,19 @@ impl BranchEnsemble {
         if self.shots == 0 {
             return Err(SimError::EmptyEnsemble);
         }
-        let compiled = self.compile(circuit)?;
-        let tree = match self.build_tree(&compiled, &factory) {
-            Ok(tree) => tree,
+        let compiled = compile_for(circuit, self.passes)?;
+        let factory = || -> Box<dyn Simulator> { factory() };
+        let (shots, seed) = (self.shots, self.master_seed);
+        let workers = worker_count(self.threads, shots);
+        let (acc, _) = match Dag::build(&compiled, factory(), self.eps, self.node_budget) {
+            Ok(dag) => dag.replay::<()>(&compiled, shots, seed, workers, &factory, None)?,
             Err(SimError::BranchUnsupported | SimError::BranchBudgetExceeded { .. }) => {
-                return self.monte_carlo(circuit, &factory);
+                per_shot::<()>(&compiled, shots, seed, workers, &factory, None)?
             }
             Err(e) => return Err(e),
         };
-        let mut acc = Accumulator::default();
-        let mut first_error: Option<SimError> = None;
-        for shot in 0..self.shots {
-            let seed = self.seed_for_shot(shot);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut link = tree.root;
-            loop {
-                match link {
-                    Link::Fork(f) => {
-                        let node = &tree.forks[f];
-                        link = if rng.gen_bool(node.p_one.clamp(0.0, 1.0)) {
-                            node.one
-                        } else {
-                            node.zero
-                        };
-                    }
-                    Link::Leaf(i) => {
-                        match &tree.leaves[i].result {
-                            Ok(executed) => acc.add_shot(executed, tree.leaves[i].peak),
-                            Err(e) => {
-                                if first_error.is_none() {
-                                    first_error = Some(e.clone());
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    Link::Pruned => {
-                        // The shot drew into mass the tree dropped: run
-                        // exactly this shot per-shot, from its own seed —
-                        // identical to what the ShotRunner would have done
-                        // with the same shot index.
-                        let mut sim = factory();
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        match sim.run_compiled(&compiled, &mut rng) {
-                            Ok(executed) => acc.add_shot(&executed, sim.peak_amplitudes()),
-                            Err(e) => {
-                                if first_error.is_none() {
-                                    first_error = Some(e);
-                                }
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
         Ok(Ensemble::from_acc(acc))
     }
-
-    /// The wholesale per-shot fallback: a [`ShotRunner`] configured
-    /// identically, so the result is what tree execution would have
-    /// replayed.
-    fn monte_carlo<F>(&self, circuit: &Circuit, factory: &F) -> Result<Ensemble, SimError>
-    where
-        F: Fn() -> Box<dyn Simulator + Send> + Sync,
-    {
-        let mut runner = ShotRunner::new(self.shots)
-            .with_master_seed(self.master_seed)
-            .with_threads(self.threads);
-        if let Some(passes) = self.passes {
-            runner = runner.with_passes(passes);
-        }
-        runner.run(circuit, || -> Box<dyn Simulator> { factory() })
-    }
-}
-
-/// Executes one frontier round: `workers` scoped threads over contiguous
-/// item chunks. Results come back in item order regardless of
-/// scheduling.
-fn run_round(
-    items: Vec<Work>,
-    workers: usize,
-    compiled: &CompiledCircuit,
-    run_end: &[usize],
-    eps: f64,
-) -> Vec<(Slot, f64, Advanced)> {
-    let advance_item = |work: Work| -> (Slot, f64, Advanced) {
-        let advanced = advance(compiled, run_end, work.pc, work.sim, work.executed, eps);
-        (work.slot, work.weight, advanced)
-    };
-    if workers <= 1 || items.len() <= 1 {
-        return items.into_iter().map(advance_item).collect();
-    }
-    let workers = workers.min(items.len());
-    let per = items.len() / workers;
-    let extra = items.len() % workers;
-    let mut chunks: Vec<Vec<Work>> = Vec::with_capacity(workers);
-    let mut items = items.into_iter();
-    for w in 0..workers {
-        let len = per + usize::from(w < extra);
-        chunks.push(items.by_ref().take(len).collect());
-    }
-    thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(|| chunk.into_iter().map(advance_item).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
 }
 
 /// The exact outcome distribution of a circuit: one entry per surviving
@@ -819,9 +966,8 @@ fn run_round(
 /// RNG consumption.
 #[derive(Debug)]
 pub struct BranchDistribution {
-    /// `(weight, executed)` per leaf, in canonical tree order (depth
-    /// first, outcome 0 before outcome 1) — independent of how the build
-    /// was scheduled.
+    /// `(weight, executed)` per leaf of the outcome tree, in canonical
+    /// order (depth first, outcome 0 before outcome 1).
     leaves: Vec<(f64, Executed)>,
     /// Classical records aggregated over leaves (distinct histories can
     /// share a record when a reset forks without writing a bit).
@@ -832,42 +978,63 @@ pub struct BranchDistribution {
 }
 
 impl BranchDistribution {
-    fn from_tree(tree: Tree) -> Self {
-        // Canonical traversal order for every `f64` fold: the tree's
-        // storage order depends on build scheduling, and summing weights
-        // in a schedule-dependent order would make exact-mode aggregates
-        // drift by ulps across thread budgets.
-        let (leaf_order, fork_order) = tree.canonical_order();
-        let fork_nodes = tree.forks.len();
-        let pruned_mass: f64 = fork_order.iter().map(|&f| tree.forks[f].pruned).sum();
-        let mut slots: Vec<Option<LeafNode>> = tree.leaves.into_iter().map(Some).collect();
-        let leaves: Vec<(f64, Executed)> = leaf_order
-            .iter()
-            .map(|&i| {
-                // Panic triage: both expects guard tree-construction
-                // invariants (`canonical_order` visits each leaf once, and
-                // the walk returns `Err` before building an ensemble when
-                // any leaf failed) — no simulator input reaches them.
-                let leaf = slots[i].take().expect("each leaf linked exactly once");
-                let executed = leaf
-                    .result
-                    .expect("error leaves surfaced before construction");
-                (leaf.weight, executed)
-            })
-            .collect();
+    /// Enumerates the DAG's paths — the outcome tree — depth first,
+    /// outcome 0 before outcome 1, folding every `f64` in that canonical
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BranchBudgetExceeded`] once the tree has more than
+    /// `budget` nodes, else the first error leaf in canonical order.
+    fn from_dag(dag: &Dag, budget: usize) -> Result<Self, SimError> {
+        let mut leaves: Vec<(f64, Executed)> = Vec::new();
+        let mut pruned = Vec::new();
+        let mut nodes = 0usize;
+        let mut first_error = None;
+        let mut stack = vec![(&dag.graph.root, 1.0f64, Executed::default())];
+        while let Some((edge, weight, mut executed)) = stack.pop() {
+            nodes += 1;
+            if nodes > budget {
+                return Err(SimError::BranchBudgetExceeded { budget });
+            }
+            edge.apply(&mut executed);
+            match edge.to {
+                Link::Leaf(l) => match &dag.graph.leaves[l].end {
+                    Ok(_) => leaves.push((weight, executed)),
+                    Err(e) => {
+                        first_error.get_or_insert_with(|| e.clone());
+                    }
+                },
+                Link::Fork(f) => {
+                    let node = &dag.graph.forks[f];
+                    pruned.push(weight * node.pruned);
+                    // `zero` is pushed last so it pops (and emits) first.
+                    let [zero, one] = &node.edges;
+                    if let Some(one) = one {
+                        stack.push((one, weight * node.p_one, executed.clone()));
+                    }
+                    if let Some(zero) = zero {
+                        stack.push((zero, weight * (1.0 - node.p_one), executed));
+                    }
+                }
+            }
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
         let mut records = BTreeMap::new();
         let mut total_weight = 0.0;
         for (weight, executed) in &leaves {
             *records.entry(executed.classical.clone()).or_insert(0.0) += weight;
             total_weight += weight;
         }
-        Self {
+        Ok(Self {
             leaves,
             records,
             total_weight,
-            pruned_mass,
-            fork_nodes,
-        }
+            pruned_mass: pruned.iter().sum(),
+            fork_nodes: pruned.len(),
+        })
     }
 
     /// The number of surviving measurement histories.
@@ -964,7 +1131,7 @@ impl BranchDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BasisTracker, StateVector};
+    use crate::{BasisTracker, ShotRunner, StateVector};
     use mbu_circuit::CircuitBuilder;
 
     /// The fair-coin circuit of the shot-engine tests: X-measure |0⟩, with
@@ -983,6 +1150,20 @@ mod tests {
 
     fn tracker_factory(n: usize) -> impl Fn() -> Box<dyn Simulator + Send> + Sync {
         move || Box::new(BasisTracker::zeros(n))
+    }
+
+    /// The per-shot engine itself, on the lowered program: the reference
+    /// every sampled DAG must reproduce.
+    fn per_shot_reference(
+        circuit: &Circuit,
+        shots: u64,
+        master_seed: u64,
+        factory: impl Fn() -> Box<dyn Simulator + Send> + Sync,
+    ) -> Ensemble {
+        let compiled = compile_for(circuit, None).unwrap();
+        let factory = || -> Box<dyn Simulator> { factory() };
+        let (acc, _) = per_shot::<()>(&compiled, shots, master_seed, 1, &factory, None).unwrap();
+        Ensemble::from_acc(acc)
     }
 
     /// The classical face of an ensemble: the aggregates the bit-identity
@@ -1025,10 +1206,7 @@ mod tests {
                 .with_master_seed(seed)
                 .run(&circuit, tracker_factory(1))
                 .unwrap();
-            let per_shot = ShotRunner::new(500)
-                .with_master_seed(seed)
-                .run(&circuit, || Box::new(BasisTracker::zeros(1)))
-                .unwrap();
+            let per_shot = per_shot_reference(&circuit, 500, seed, tracker_factory(1));
             assert_eq!(
                 classical_face(&branch),
                 classical_face(&per_shot),
@@ -1063,9 +1241,7 @@ mod tests {
         let branch = BranchEnsemble::new(64)
             .run(&circuit, tracker_factory(2))
             .unwrap();
-        let per_shot = ShotRunner::new(64)
-            .run(&circuit, || Box::new(BasisTracker::zeros(2)))
-            .unwrap();
+        let per_shot = per_shot_reference(&circuit, 64, DEFAULT_MASTER_SEED, tracker_factory(2));
         assert_eq!(classical_face(&branch), classical_face(&per_shot));
         assert_eq!(per_shot.peak_amplitudes(), Some(1), "all-definite run");
         assert_eq!(branch.peak_amplitudes(), Some(1), "all-definite tree");
@@ -1174,9 +1350,7 @@ mod tests {
         // Sampled mode still replays per-shot RNG identically (the reset
         // consumes one draw per shot on the sampling path).
         let branch = BranchEnsemble::new(200).run(&circuit, factory).unwrap();
-        let per_shot = ShotRunner::new(200)
-            .run(&circuit, || Box::new(StateVector::zeros(1).unwrap()))
-            .unwrap();
+        let per_shot = per_shot_reference(&circuit, 200, DEFAULT_MASTER_SEED, factory);
         assert_eq!(
             branch.record_frequencies().collect::<Vec<_>>(),
             per_shot.record_frequencies().collect::<Vec<_>>()
@@ -1193,13 +1367,16 @@ mod tests {
             .distribution(&circuit, tracker_factory(1))
             .unwrap_err();
         assert_eq!(err, SimError::BranchBudgetExceeded { budget: 1 });
-        // Sampled mode falls back to per-shot Monte Carlo — bit-identical
-        // to the ShotRunner, peak stats included (it *is* the ShotRunner).
+        // Sampled mode falls back to the per-shot engine, peak stats
+        // included — and the ShotRunner, which shares this tracker's DAG,
+        // lands on the same ensemble.
         let fell_back = tight.run(&circuit, tracker_factory(1)).unwrap();
-        let per_shot = ShotRunner::new(100)
+        let per_shot = per_shot_reference(&circuit, 100, DEFAULT_MASTER_SEED, tracker_factory(1));
+        assert_eq!(fell_back, per_shot);
+        let shared = ShotRunner::new(100)
             .run(&circuit, || Box::new(BasisTracker::zeros(1)))
             .unwrap();
-        assert_eq!(fell_back, per_shot);
+        assert_eq!(shared, per_shot);
     }
 
     #[test]
@@ -1283,9 +1460,8 @@ mod tests {
 
     #[test]
     fn parallel_tree_builds_match_serial_ones() {
-        // Three forks → up to 8 leaves: enough frontier width to schedule
-        // real worker rounds. The distribution must be identical at any
-        // thread budget.
+        // Three forks → 8 leaves. The DAG is built on the calling thread,
+        // and the distribution must stay identical at any thread budget.
         let mut b = CircuitBuilder::new();
         let q = b.qreg("q", 3);
         for i in 0..3 {
@@ -1317,9 +1493,9 @@ mod tests {
     #[test]
     fn exact_aggregates_are_bit_identical_across_thread_budgets() {
         // Non-dyadic fork probabilities (cos²(π/8) from an H·R·H
-        // sandwich): summing leaf weights in build-schedule order would
-        // drift by ulps between thread budgets. The canonical-order folds
-        // must make every exact aggregate bit-identical instead.
+        // sandwich): summing leaf weights in any order but the canonical
+        // one would drift by ulps. Every exact aggregate must be
+        // bit-identical at any thread budget.
         use mbu_circuit::Angle;
         let mut b = CircuitBuilder::new();
         let q = b.qreg("q", 2);
@@ -1360,6 +1536,195 @@ mod tests {
                 .collect();
             let ld: Vec<_> = d.leaves().map(|(w, e)| (w.to_bits(), e.clone())).collect();
             assert_eq!(lb, ld, "threads {threads}: canonical leaf order");
+        }
+    }
+
+    #[test]
+    fn a_clbit_still_to_be_read_keeps_its_branches_apart() {
+        // Clbit c is read twice. After the first read the two branches of
+        // its measurement hold equal states, so at the next fork only c
+        // tells them apart — and the second read still needs it.
+        let mut b = CircuitBuilder::new();
+        let q = b.qreg("q", 3);
+        let c = b.measure(q[0], Basis::X);
+        let (_, undo) = b.record(|bb| bb.z(q[0]));
+        b.emit_conditional(c, &undo);
+        let _ = b.measure(q[1], Basis::X);
+        let (_, flip) = b.record(|bb| bb.x(q[2]));
+        b.emit_conditional(c, &flip);
+        let circuit = b.finish();
+        let compiled = compile_for(&circuit, None).unwrap();
+        let dag = Dag::build(
+            &compiled,
+            Box::new(BasisTracker::zeros(3)),
+            DEFAULT_BRANCH_EPS,
+            DEFAULT_NODE_BUDGET,
+        )
+        .unwrap();
+        assert_eq!(
+            (dag.graph.forks.len(), dag.graph.leaves.len()),
+            (3, 4),
+            "no join before c's last read"
+        );
+        // Every shot's second conditional saw its own branch's bit.
+        let (shared, agree) = ShotRunner::new(64)
+            .run_probed(
+                &circuit,
+                || Box::new(BasisTracker::zeros(3)),
+                |sim, ex| sim.bit(q[2]).ok() == ex.outcome(c.index()).ok(),
+            )
+            .unwrap();
+        assert!(agree.iter().all(|&ok| ok));
+        let per_shot = per_shot_reference(&circuit, 64, DEFAULT_MASTER_SEED, tracker_factory(3));
+        assert_eq!(shared, per_shot);
+    }
+
+    #[test]
+    fn unequal_peaks_keep_equal_states_apart() {
+        // Outcome 1 of c undoes q0's sign but first takes q1 and q3
+        // through |+⟩ beside it (8 occupied states), outcome 0 never
+        // exceeds 4: at q2's fork the states are equal, the peaks are not,
+        // and every shot must keep its own branch's peak.
+        let mut b = CircuitBuilder::new();
+        let q = b.qreg("q", 4);
+        let c = b.measure(q[0], Basis::X);
+        let (_, excursion) = b.record(|bb| {
+            bb.z(q[0]);
+            bb.h(q[1]);
+            bb.h(q[3]);
+            bb.h(q[1]);
+            bb.h(q[3]);
+        });
+        b.emit_conditional(c, &excursion);
+        let _ = b.measure(q[2], Basis::X);
+        let circuit = b.finish();
+        let compiled = compile_for(&circuit, None).unwrap();
+        let dag = Dag::build(
+            &compiled,
+            Box::new(BasisTracker::zeros(4)),
+            DEFAULT_BRANCH_EPS,
+            DEFAULT_NODE_BUDGET,
+        )
+        .unwrap();
+        assert_eq!((dag.graph.forks.len(), dag.graph.leaves.len()), (3, 4));
+        let (_, peaks) = ShotRunner::new(64)
+            .run_probed(
+                &circuit,
+                || Box::new(BasisTracker::zeros(4)),
+                |sim, ex| (ex.outcome(c.index()).unwrap(), sim.occupancy_peak()),
+            )
+            .unwrap();
+        for (one, peak) in peaks {
+            assert_eq!(peak, Some(if one { 8 } else { 4 }));
+        }
+    }
+
+    #[test]
+    fn gidney_rows_rejoin_into_a_chain_of_diamonds() {
+        // The `mc_expect` Gidney row: an MBU modular adder at n = 64 with
+        // 513 fork points, whose outcome tree has far more leaves than
+        // any budget. On the tracker only the 256 logical-AND
+        // uncomputations and the MBU flag split (each reset finds its
+        // ancilla definite), and once an AND's correction has run both of
+        // its branches hold the same state: every split but the flag's
+        // joins the next one, leaving a chain of 257 diamonds.
+        use mbu_arith::modular::{self, ModAddSpec};
+        use mbu_arith::Uncompute;
+        let p = 18_446_744_073_709_551_557;
+        let layout = modular::modadd_circuit(&ModAddSpec::gidney(Uncompute::Mbu), 64, p).unwrap();
+        let compiled = compile_for(&layout.circuit, None).unwrap();
+        assert_eq!(compiled.fork_points(), 513);
+        let mut root = BasisTracker::zeros(layout.circuit.num_qubits());
+        root.set_value(layout.x.qubits(), 0x0123_4567_89ab_cdef)
+            .unwrap();
+        root.set_value(layout.y.qubits(), 0xfedc_ba98_7654_3210)
+            .unwrap();
+        let dag = Dag::build(
+            &compiled,
+            Box::new(root),
+            DEFAULT_BRANCH_EPS,
+            DEFAULT_NODE_BUDGET,
+        )
+        .unwrap();
+        // Every trajectory lays one edge, and either builds the node it
+        // ends in or joins one already built.
+        let edges = 1 + dag
+            .graph
+            .forks
+            .iter()
+            .map(|f| f.edges.iter().flatten().count())
+            .sum::<usize>();
+        let (forks, leaves) = (dag.graph.forks.len(), dag.graph.leaves.len());
+        assert_eq!((forks, edges - forks - leaves, leaves), (257, 256, 2));
+    }
+
+    #[test]
+    fn preparation_excursions_do_not_count_towards_the_peak() {
+        // The factory takes q1 and q2 through |+⟩ and back before handing
+        // the state over (4 occupied states, then 1). A compiled run
+        // starts its high-water mark at the state it is handed, so only
+        // the coin's |±⟩ counts: 2, on the DAG as on a per-shot run.
+        fn prepared(mut sim: Box<dyn Simulator + Send>) -> Box<dyn Simulator + Send> {
+            for q in [1, 2, 1, 2] {
+                sim.apply_gate(&Gate::H(QubitId(q))).unwrap();
+            }
+            sim
+        }
+        let circuit = coin_circuit();
+        let tracker = || prepared(Box::new(BasisTracker::zeros(3)));
+        let sparse = || prepared(Box::new(crate::SparseVector::zeros(3).unwrap()));
+        for factory in [
+            &tracker as &(dyn Fn() -> Box<dyn Simulator + Send> + Sync),
+            &sparse,
+        ] {
+            assert_eq!(factory().occupancy_peak(), Some(4), "the excursion");
+            let per_shot = per_shot_reference(&circuit, 64, DEFAULT_MASTER_SEED, factory);
+            assert_eq!(per_shot.peak_amplitudes(), Some(2));
+            let branch = BranchEnsemble::new(64).run(&circuit, factory).unwrap();
+            assert_eq!(branch, per_shot);
+        }
+        // The shot runner shares the tracker's DAG.
+        let shared = ShotRunner::new(64)
+            .run(&circuit, || -> Box<dyn Simulator> { tracker() })
+            .unwrap();
+        assert_eq!(shared.peak_amplitudes(), Some(2));
+    }
+
+    #[test]
+    fn probed_replays_match_per_shot_probes_across_batches() {
+        // Seven fair coins: 128 paths, so a worker's batch fills with
+        // `PROBE_BATCH` distinct paths and flushes while later shots keep
+        // repeating earlier ones.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut b = CircuitBuilder::new();
+        let q = b.qreg("q", 7);
+        for i in 0..7 {
+            let _ = b.measure(q[i], Basis::X);
+        }
+        let circuit = b.finish();
+        let compiled = compile_for(&circuit, None).unwrap();
+        let factory = || Box::new(BasisTracker::zeros(7)) as Box<dyn Simulator>;
+        let calls = AtomicUsize::new(0);
+        let probe = |sim: &dyn Simulator, ex: &Executed| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            (sim.global_phase(), ex.clone())
+        };
+        let (_, reference) = per_shot(&compiled, 2000, 7, 1, &factory, Some(&probe)).unwrap();
+        for workers in [1, 3] {
+            let dag = Dag::build(
+                &compiled,
+                factory(),
+                DEFAULT_BRANCH_EPS,
+                DEFAULT_NODE_BUDGET,
+            )
+            .unwrap();
+            calls.store(0, Ordering::Relaxed);
+            let (_, observed) = dag
+                .replay(&compiled, 2000, 7, workers, &factory, Some(&probe))
+                .unwrap();
+            assert_eq!(observed, reference, "workers = {workers}");
+            let calls = calls.load(Ordering::Relaxed);
+            assert!(calls < 2000, "repeats share a probe: {calls} calls");
         }
     }
 

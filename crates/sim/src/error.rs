@@ -81,9 +81,12 @@ pub enum SimError {
     /// engines instead of returning an `Ensemble` whose accessors could
     /// only answer `NaN` or a fabricated zero.
     EmptyEnsemble,
-    /// The branch-tree engine's outcome tree grew past its node budget
-    /// before the program ended. The exact-distribution mode surfaces
-    /// this; the sampled mode falls back to per-shot Monte Carlo instead.
+    /// Branch-sharing execution grew past its node budget before the
+    /// program ended: the outcome DAG while it was built, or the outcome
+    /// tree the exact mode enumerates (and the phase accumulator's
+    /// materialised branches, past its own ceiling). The
+    /// exact-distribution mode surfaces this; the sampled mode runs per
+    /// shot instead.
     BranchBudgetExceeded {
         /// The configured node budget that was exceeded.
         budget: usize,
@@ -155,7 +158,7 @@ impl fmt::Display for SimError {
             SimError::BranchBudgetExceeded { budget } => {
                 write!(
                     f,
-                    "branch tree exceeded its {budget}-node budget before the program ended"
+                    "branches exceeded the {budget}-node budget before the program ended"
                 )
             }
             SimError::BranchUnsupported => {

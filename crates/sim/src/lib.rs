@@ -64,17 +64,21 @@
 //! structure-of-arrays re/im buffers, and the serial, bounds-checked
 //! kernels walk them as grouped strided spans whose inner loops
 //! autovectorize (explicit 8-wide lane chunks, stable Rust, no `unsafe`).
-//! The [`ShotRunner`] builds on those seams: a seeded, deterministic,
-//! multi-threaded ensemble engine that compiles the circuit once, shares
-//! the immutable program across up to one shot worker per thread of its
-//! budget, and averages executed counts (and peak-memory stats) over
-//! many shots — how the `tables` binary measures the paper's "in
-//! expectation" MBU costs as Monte-Carlo means. [`BranchEnsemble`] goes one step further: instead
-//! of re-running the deterministic prefix per shot it forks the state at
-//! each measurement ([`Simulator::measure_fork`]), walks the outcome tree
-//! once, and either returns the **exact** outcome distribution (no RNG at
-//! all) or replays the per-shot RNG streams against the tree for
-//! aggregates bit-identical to the [`ShotRunner`]'s. The backend behind
+//! The [`ShotRunner`] builds on those seams: a seeded, deterministic
+//! ensemble engine that compiles the circuit once and averages executed
+//! counts (and peak-memory stats) over many shots — how the `tables`
+//! binary measures the paper's "in expectation" MBU costs as Monte-Carlo
+//! means. It shares branches wherever it can: the program's outcome DAG
+//! ([`BranchEnsemble`]) forks the state at each measurement
+//! ([`Simulator::measure_fork`]) and, on a backend that recognises equal
+//! states ([`Simulator::same_state`], today the basis tracker), rejoins
+//! the branches that Lemma 4.1's correction makes equal again, so a shot
+//! is a replay of its seeded draws over a few hundred nodes instead of a
+//! whole run. Elsewhere each shot runs on its own state. Either path
+//! splits the shots over up to one worker per thread of the budget, and
+//! both give bit-identical aggregates. [`BranchEnsemble`] exposes the DAG directly: its sampled
+//! mode replays shots over it on any backend that forks, and its exact
+//! mode returns the **exact** outcome distribution with no RNG at all. The backend behind
 //! any of those harnesses is one [`BackendKind`] value the caller passes
 //! to its factory. The readouts [`sparse_to_dense`], [`phase_to_sparse`]
 //! and [`phase_to_dense`] convert a finished state for comparison across

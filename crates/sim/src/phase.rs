@@ -103,32 +103,27 @@ impl Dyadic {
         }
     }
 
-    /// Adds `other` mod 1.
+    /// Adds `other` mod 1, in place: the shorter operand is aligned at the
+    /// top word, so only a longer `other` grows `self` (by zero words
+    /// below its least-significant one).
     pub(crate) fn add_assign(&mut self, other: &Dyadic) {
         if other.words.is_empty() {
             return;
         }
-        let l = self.words.len().max(other.words.len());
-        let pad_s = l - self.words.len();
-        let pad_o = l - other.words.len();
-        let mut out = vec![0u64; l];
-        for (i, w) in self.words.iter().enumerate() {
-            out[i + pad_s] = *w;
+        if let Some(pad) = other.words.len().checked_sub(self.words.len()) {
+            self.words.splice(0..0, std::iter::repeat_n(0, pad));
         }
-        let mut carry = 0u64;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let o = if i >= pad_o {
-                other.words[i - pad_o]
-            } else {
-                0
-            };
-            let (s1, c1) = slot.overflowing_add(o);
-            let (s2, c2) = s1.overflowing_add(carry);
+        // Below `other`'s lowest word nothing is added and no carry
+        // starts.
+        let low = self.words.len() - other.words.len();
+        let mut carry = false;
+        for (slot, o) in self.words[low..].iter_mut().zip(&other.words) {
+            let (s1, c1) = slot.overflowing_add(*o);
+            let (s2, c2) = s1.overflowing_add(u64::from(carry));
             *slot = s2;
-            carry = u64::from(c1) + u64::from(c2);
+            carry = c1 || c2;
         }
         // A final carry is a full turn: dropped (mod 1).
-        self.words = out;
         self.canonicalize();
     }
 
@@ -176,14 +171,6 @@ impl Dyadic {
             out.negate();
         }
         out
-    }
-
-    /// Adds an [`Angle`] mod 1.
-    pub(crate) fn add_angle(&mut self, theta: Angle) {
-        if theta.is_zero() {
-            return;
-        }
-        self.add_assign(&Dyadic::from_angle(theta));
     }
 
     /// The fraction as an `f64` in `[0, 1)`.
@@ -336,6 +323,12 @@ impl PhaseAccumulator {
             fourier_qubits: Vec::new(),
             map,
         })
+    }
+
+    /// Restarts the occupied-branch high-water mark at the current
+    /// occupancy, as every compiled run does when it starts.
+    pub(crate) fn start_peak(&mut self) {
+        self.map.start_peak();
     }
 
     /// The number of occupied branches.
@@ -521,9 +514,14 @@ impl PhaseAccumulator {
                 n_z += 1;
             }
         }
-        self.map.for_each_where(&z_ops[..n_z], |_, p| match fpos {
-            Some(pos) => p.phis[pos].add_angle(theta),
-            None => p.phase.add_angle(theta),
+        // Converted once per gate, on the first branch the gate touches.
+        let mut delta = None;
+        self.map.for_each_where(&z_ops[..n_z], |_, p| {
+            let delta = delta.get_or_insert_with(|| Dyadic::from_angle(theta));
+            match fpos {
+                Some(pos) => p.phis[pos].add_assign(delta),
+                None => p.phase.add_assign(delta),
+            }
         });
         Ok(())
     }
@@ -704,11 +702,12 @@ mod tests {
 
     #[test]
     fn dyadic_arithmetic_is_exact() {
+        let mk = |k: u32| Dyadic::from_angle(Angle::turn_over_power_of_two(k));
         let mut x = Dyadic::zero();
-        x.add_angle(Angle::turn_over_power_of_two(2)); // 1/4
-        x.add_angle(Angle::turn_over_power_of_two(2)); // 1/2
+        x.add_assign(&mk(2)); // 1/4
+        x.add_assign(&mk(2)); // 1/2
         assert!(x.is_half());
-        x.add_angle(Angle::turn_over_power_of_two(1)); // wraps to 0
+        x.add_assign(&mk(1)); // wraps to 0
         assert!(x.is_zero());
 
         // Deep fractions survive a round trip through Angle.
@@ -717,7 +716,7 @@ mod tests {
         assert_eq!(y.to_angle(), Some(deep));
         y.negate();
         assert_eq!(y.to_angle(), Some(-deep));
-        y.add_angle(deep);
+        y.add_assign(&Dyadic::from_angle(deep));
         assert!(y.is_zero());
     }
 
@@ -728,7 +727,7 @@ mod tests {
         assert_eq!(mk(1).cis(), Complex::new(-1.0, 0.0));
         assert_eq!(mk(2).cis(), Complex::I);
         let mut three_q = mk(2);
-        three_q.add_angle(Angle::HALF_TURN);
+        three_q.add_assign(&Dyadic::from_angle(Angle::HALF_TURN));
         assert_eq!(three_q.cis(), Complex::new(0.0, -1.0));
     }
 

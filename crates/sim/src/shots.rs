@@ -1,35 +1,49 @@
-//! The parallel shot-ensemble engine.
+//! The shot-ensemble engine.
 //!
 //! The paper's "in expectation" MBU costs (Table 1) are *averages over
 //! measurement outcomes*; this repository verifies them empirically by
-//! Monte-Carlo averaging seeded simulator runs. That workload is
-//! embarrassingly parallel, and [`ShotRunner`] is its engine: a seeded,
-//! deterministic, multi-threaded batch executor that runs the same circuit
-//! on freshly prepared [`Simulator`] states — one per shot — and folds
-//! every [`Executed`] record into an [`Ensemble`] of aggregate statistics.
+//! Monte-Carlo averaging seeded simulator runs. [`ShotRunner`] is that
+//! engine: a seeded, deterministic batch executor that folds every shot's
+//! [`Executed`] record into an [`Ensemble`] of aggregate statistics. It
+//! asks the factory's first state whether its backend can rejoin branches
+//! ([`Simulator::same_state`]) and takes one of two paths to the same
+//! ensemble:
+//!
+//! * **shared** — if it can, the runner builds the program's outcome DAG
+//!   once from that state (see [`BranchEnsemble`](crate::BranchEnsemble))
+//!   and replays each shot's seeded draws over it;
+//! * **per shot** — otherwise every shot runs the whole program on a
+//!   freshly prepared state (the state that was asked is dropped first).
+//!   This is also the fallback when the DAG outgrows its node budget.
+//!
+//! Either path splits the shots into `min(shots, budget)` contiguous
+//! ranges, one per worker thread. On the
+//! `mc_expect` rows (n = 64 MBU modular adders on the basis tracker) a
+//! DAG costs what 2 to 25 whole runs cost to build, and a replayed shot
+//! a quarter of a run or less, so the shared path is the faster one once
+//! each worker has a few dozen shots; below that it loses at most the one
+//! build.
 //!
 //! Determinism is absolute, not statistical:
 //!
 //! * each shot's RNG is seeded purely from the master seed and the shot
 //!   index ([`ShotRunner::seed_for_shot`]), so outcome streams never depend
-//!   on scheduling;
+//!   on scheduling, and a replayed shot draws against exactly the
+//!   probabilities its per-shot run would have drawn against;
 //! * aggregation is exact integer arithmetic (sums and sums of squares of
 //!   `u64` gate counts in `u128`), so the fold is associative and
-//!   commutative and the final [`Ensemble`] is **bit-identical** for any
-//!   thread count, including fully serial execution.
-//!
-//! The runner owns **one thread budget**: [`ShotRunner::schedule`] runs
-//! `min(shots, budget)` shot workers over contiguous shot ranges, each
-//! shot on serial amplitude kernels, so aggregates stay identical at every
-//! [`with_threads`](ShotRunner::with_threads) value.
+//!   commutative and the final [`Ensemble`] is **bit-identical** for either
+//!   path and any thread count.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::thread;
 
 use mbu_circuit::{Circuit, CompiledCircuit, GateCounts, PassConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::branch::{Dag, DEFAULT_BRANCH_EPS, DEFAULT_NODE_BUDGET};
 use crate::error::SimError;
 use crate::exec::Executed;
 use crate::simulator::Simulator;
@@ -37,13 +51,15 @@ use crate::simulator::Simulator;
 /// Number of tallied operation families (the fields of [`GateCounts`]).
 pub(crate) const NFIELDS: usize = 14;
 
-/// What one worker chunk produces: its partial fold and its probe
-/// observations, or the lowest failing shot in the chunk.
-type ChunkResult<O> = Result<(Accumulator, Vec<O>), (u64, SimError)>;
+/// A shot's fresh state, as both engines build it.
+pub(crate) type Factory<'a> = &'a (dyn Fn() -> Box<dyn Simulator> + Sync);
+
+/// What a probed ensemble observes of each shot's final state and record.
+pub(crate) type Probe<'a, O> = &'a (dyn Fn(&dyn Simulator, &Executed) -> O + Sync);
 
 /// The default master seed shared by every ensemble engine, so the
-/// branch-tree sampler reproduces the [`ShotRunner`]'s aggregates out of
-/// the box ("MBUSHOTS").
+/// branch-sharing sampler reproduces the [`ShotRunner`]'s aggregates out
+/// of the box ("MBUSHOTS").
 pub(crate) const DEFAULT_MASTER_SEED: u64 = 0x4d42_5553_484f_5453;
 
 /// The default thread budget of both ensemble engines: one thread per
@@ -53,9 +69,8 @@ pub(crate) fn cpu_threads() -> usize {
 }
 
 /// The deterministic per-shot seed: SplitMix64 over `(master_seed, shot)`,
-/// so nearby shots get decorrelated streams. Shared by the [`ShotRunner`]
-/// and the branch-tree sampler — equal master seeds must replay equal
-/// per-shot RNG streams in both engines.
+/// so nearby shots get decorrelated streams. Shared by every ensemble
+/// path — equal master seeds must replay equal per-shot RNG streams.
 pub(crate) fn shot_seed(master_seed: u64, shot: u64) -> u64 {
     let mut z = master_seed.wrapping_add(shot.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -63,13 +78,12 @@ pub(crate) fn shot_seed(master_seed: u64, shot: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The worker count for `items` work items under a thread budget (see
-/// [`ShotRunner::schedule`]): one worker per item up to the budget, and
-/// at least one. Shared by the shot engine (items = shots) and the
-/// branch-tree engine (items = active tree leaves).
-pub(crate) fn worker_count(budget: usize, items: u64) -> usize {
-    let item_cap = usize::try_from(items).unwrap_or(usize::MAX);
-    budget.min(item_cap).max(1)
+/// The worker count for `shots` shots under a thread budget (see
+/// [`ShotRunner::schedule`]): one worker per shot up to the budget, and at
+/// least one.
+pub(crate) fn worker_count(budget: usize, shots: u64) -> usize {
+    let shot_cap = usize::try_from(shots).unwrap_or(usize::MAX);
+    budget.min(shot_cap).max(1)
 }
 
 /// `GateCounts` flattened into a fixed field order.
@@ -92,7 +106,105 @@ pub(crate) fn count_fields(c: &GateCounts) -> [u64; NFIELDS] {
     ]
 }
 
-/// A seeded, deterministic, multi-threaded ensemble executor.
+/// Lowers `circuit`, or compiles it with `passes` — the one program both
+/// ensemble engines run.
+pub(crate) fn compile_for(
+    circuit: &Circuit,
+    passes: Option<PassConfig>,
+) -> Result<CompiledCircuit, SimError> {
+    match passes {
+        None => CompiledCircuit::lower(circuit),
+        Some(config) => CompiledCircuit::with_config(circuit, &config),
+    }
+    .map_err(|e| SimError::InvalidCircuit { why: e.to_string() })
+}
+
+/// Splits `0..shots` into one contiguous range per value in `own` and
+/// runs `chunk` on each, on its own scoped thread, which takes that value;
+/// meanwhile the calling thread runs `meanwhile` (which the workers may
+/// feed through a channel). Returns the chunks' results in shot order and
+/// what `meanwhile` returned. Every range holds at least one shot
+/// (`own.len() ≤ shots`).
+pub(crate) fn in_chunks<T: Send, C: Send, R>(
+    shots: u64,
+    own: Vec<T>,
+    chunk: impl Fn(T, Range<u64>) -> C + Sync,
+    meanwhile: impl FnOnce() -> R,
+) -> (Vec<C>, R) {
+    let workers = own.len() as u64;
+    let (per, extra) = (shots / workers, shots % workers);
+    let start = |w: u64| w * per + w.min(extra);
+    let chunk = &chunk;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .zip(own)
+            .map(|(w, own)| scope.spawn(move || chunk(own, start(w)..start(w + 1))))
+            .collect();
+        let during = meanwhile();
+        let results = handles
+            .into_iter()
+            .map(|h| {
+                // Re-raise worker panics with their original payload
+                // instead of masking them.
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect();
+        (results, during)
+    })
+}
+
+/// Runs one shot from its own seed — a fresh state from `factory`, the
+/// whole program, the probe — and folds it into `acc`.
+pub(crate) fn one_shot<O>(
+    compiled: &CompiledCircuit,
+    factory: Factory<'_>,
+    seed: u64,
+    probe: Option<Probe<'_, O>>,
+    acc: &mut Accumulator,
+) -> Result<Option<O>, SimError> {
+    let mut sim = factory();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let executed = sim.run_compiled(compiled, &mut rng)?;
+    let observation = probe.map(|probe| probe(sim.as_ref(), &executed));
+    acc.add_shot(&executed, sim.peak_amplitudes());
+    Ok(observation)
+}
+
+/// The per-shot engine: every shot runs the whole program on a fresh
+/// state, `workers` threads over contiguous shot ranges ([`in_chunks`]).
+/// Returns the fold and, when probing, the observations in shot order, or
+/// the error of the lowest-indexed failing shot.
+pub(crate) fn per_shot<O: Send>(
+    compiled: &CompiledCircuit,
+    shots: u64,
+    master_seed: u64,
+    workers: usize,
+    factory: Factory<'_>,
+    probe: Option<Probe<'_, O>>,
+) -> Result<(Accumulator, Vec<O>), SimError> {
+    let run_chunk = |(), range: Range<u64>| {
+        let mut acc = Accumulator::default();
+        let mut observations = Vec::new();
+        for shot in range {
+            let seed = shot_seed(master_seed, shot);
+            observations.extend(one_shot(compiled, factory, seed, probe, &mut acc)?);
+        }
+        Ok((acc, observations))
+    };
+    let mut acc = Accumulator::default();
+    let mut observations = Vec::new();
+    // A chunk stops at its first failing shot, so the first failing chunk
+    // holds the lowest-indexed one.
+    for chunk in in_chunks(shots, vec![(); workers], run_chunk, || ()).0 {
+        let (chunk_acc, chunk_observations): (Accumulator, Vec<O>) = chunk?;
+        acc.merge(chunk_acc);
+        observations.extend(chunk_observations);
+    }
+    Ok((acc, observations))
+}
+
+/// A seeded, deterministic ensemble executor.
 ///
 /// # Examples
 ///
@@ -161,7 +273,8 @@ impl ShotRunner {
 
     /// Sets the total thread budget (clamped to at least 1). The result
     /// does not depend on this — only wall-clock time does: with `S`
-    /// shots and budget `B`, the runner uses `min(S, B)` shot workers.
+    /// shots and budget `B`, either path (see the module docs) splits the
+    /// shots over `min(S, B)` workers.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -190,9 +303,13 @@ impl ShotRunner {
         shot_seed(self.master_seed, shot)
     }
 
-    /// Runs the ensemble: `factory` builds one freshly prepared simulator
-    /// per shot, and the executed statistics are folded into an
-    /// [`Ensemble`].
+    /// Runs the ensemble: `factory` prepares a simulator state, and the
+    /// executed statistics are folded into an [`Ensemble`].
+    ///
+    /// `factory` must return the same state on every call: the shared
+    /// path (see the module docs) calls it once per ensemble, per-shot
+    /// runs once per shot, after the one call that asked whether the
+    /// backend can share.
     ///
     /// # Errors
     ///
@@ -203,17 +320,22 @@ impl ShotRunner {
     where
         F: Fn() -> Box<dyn Simulator> + Sync,
     {
-        self.run_probed(circuit, factory, |_, _| ())
+        self.ensemble::<()>(circuit, &factory, None)
             .map(|(ensemble, _)| ensemble)
     }
 
-    /// Like [`run`](Self::run), but additionally applies `probe` to every
-    /// shot's final simulator state and [`Executed`] record, returning the
-    /// observations in shot order.
+    /// Like [`run`](Self::run), but additionally applies `probe` to the
+    /// final simulator state and [`Executed`] record of every shot,
+    /// returning the observations in shot order.
     ///
     /// This is how per-shot assertions (final register values, global
-    /// phase) are made over an ensemble without abandoning the parallel
-    /// engine.
+    /// phase) are made over an ensemble. On the shared path shots that
+    /// took the same path through the outcome DAG share one final state
+    /// and one record, so `probe` runs on the calling thread, once per
+    /// distinct path in each batch of up to 64 paths a worker hands it,
+    /// and those shots receive clones of its observation. The final state
+    /// there was reached without a compiled run of its own, so its
+    /// [`peak_amplitudes`](Simulator::peak_amplitudes) reads `None`.
     ///
     /// # Errors
     ///
@@ -230,98 +352,49 @@ impl ShotRunner {
     where
         F: Fn() -> Box<dyn Simulator> + Sync,
         P: Fn(&dyn Simulator, &Executed) -> O + Sync,
-        O: Send,
+        O: Clone + Send,
     {
+        self.ensemble(circuit, &factory, Some(&probe))
+    }
+
+    /// The one body of [`run`](Self::run) and
+    /// [`run_probed`](Self::run_probed): compile once, then share the
+    /// outcome DAG where it serves (see the module docs) and run per shot
+    /// elsewhere.
+    fn ensemble<O: Clone + Send>(
+        &self,
+        circuit: &Circuit,
+        factory: Factory<'_>,
+        probe: Option<Probe<'_, O>>,
+    ) -> Result<(Ensemble, Vec<O>), SimError> {
         let shots = self.shots;
         if shots == 0 {
             return Err(SimError::EmptyEnsemble);
         }
+        let compiled = compile_for(circuit, self.passes)?;
         let workers = self.schedule(shots);
-
-        // Compile once; every worker executes the same immutable program
-        // instead of re-walking the op tree per shot.
-        let compiled = match self.passes {
-            None => CompiledCircuit::lower(circuit),
-            Some(config) => CompiledCircuit::with_config(circuit, &config),
-        }
-        .map_err(|e| SimError::InvalidCircuit { why: e.to_string() })?;
-        let compiled = &compiled;
-
-        let run_chunk = |range: std::ops::Range<u64>| -> ChunkResult<O> {
-            let mut acc = Accumulator::default();
-            let mut observations = Vec::with_capacity((range.end - range.start) as usize);
-            for shot in range {
-                let mut sim = factory();
-                let mut rng = StdRng::seed_from_u64(self.seed_for_shot(shot));
-                let executed = sim
-                    .run_compiled(compiled, &mut rng)
-                    .map_err(|e| (shot, e))?;
-                observations.push(probe(sim.as_ref(), &executed));
-                acc.add_shot(&executed, sim.peak_amplitudes());
-            }
-            Ok((acc, observations))
-        };
-
-        let chunk_results: Vec<ChunkResult<O>> = if workers == 1 {
-            vec![run_chunk(0..shots)]
-        } else {
-            // Contiguous chunks; the fold is exact, so the split points
-            // cannot affect the aggregate — only probe order matters, and
-            // concatenating contiguous chunks preserves shot order. Every
-            // chunk holds at least one shot (`workers ≤ shots`).
-            let per = shots / workers as u64;
-            let extra = (shots % workers as u64) as usize;
-            let mut ranges = Vec::with_capacity(workers);
-            let mut start = 0u64;
-            for w in 0..workers {
-                let len = per + u64::from(w < extra);
-                ranges.push(start..start + len);
-                start += len;
-            }
-            thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|range| scope.spawn(|| run_chunk(range)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // Re-raise worker panics with their original
-                        // payload instead of masking them.
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            })
-        };
-
-        let mut acc = Accumulator::default();
-        let mut observations = Vec::with_capacity(shots as usize);
-        let mut first_error: Option<(u64, SimError)> = None;
-        for result in chunk_results {
-            match result {
-                Ok((chunk_acc, chunk_obs)) => {
-                    acc.merge(chunk_acc);
-                    observations.extend(chunk_obs);
+        let root = factory();
+        if root.same_state(root.as_ref()) {
+            match Dag::build(&compiled, root, DEFAULT_BRANCH_EPS, DEFAULT_NODE_BUDGET) {
+                Ok(dag) => {
+                    let (acc, observations) =
+                        dag.replay(&compiled, shots, self.master_seed, workers, factory, probe)?;
+                    return Ok((Ensemble { acc }, observations));
                 }
-                Err((shot, e)) => {
-                    if first_error.as_ref().is_none_or(|(s, _)| shot < *s) {
-                        first_error = Some((shot, e));
-                    }
-                }
+                Err(SimError::BranchUnsupported | SimError::BranchBudgetExceeded { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
-        if let Some((_, e)) = first_error {
-            return Err(e);
-        }
+        let (acc, observations) =
+            per_shot(&compiled, shots, self.master_seed, workers, factory, probe)?;
         Ok((Ensemble { acc }, observations))
     }
 }
 
 /// The exact integer fold of many [`Executed`] records. Crate-visible so
-/// the branch-tree sampler can fold its replayed shots through the same
-/// arithmetic (bit-compatibility with per-shot execution is defined as
-/// equality of this fold).
+/// the DAG replay folds its shots through the same arithmetic
+/// (bit-compatibility with per-shot execution is defined as equality of
+/// this fold).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct Accumulator {
     shots: u64,
@@ -374,7 +447,7 @@ impl Accumulator {
         *self.records.entry(executed.classical.clone()).or_insert(0) += 1;
     }
 
-    fn merge(&mut self, other: Accumulator) {
+    pub(crate) fn merge(&mut self, other: Accumulator) {
         self.shots += other.shots;
         if let Some(peak) = other.peak_amps {
             self.peak_amps = Some(self.peak_amps.map_or(peak, |m| m.max(peak)));
@@ -410,7 +483,8 @@ pub struct Ensemble {
 }
 
 impl Ensemble {
-    /// Wraps a finished fold (the branch-tree sampler's construction path).
+    /// Wraps a finished fold (the branch-sharing sampler's construction
+    /// path).
     pub(crate) fn from_acc(acc: Accumulator) -> Self {
         Self { acc }
     }
@@ -673,15 +747,19 @@ mod tests {
                 sim.bit(mbu_circuit::QubitId(0)).ok(),
             )
         };
-        let (_, serial) = runner
-            .run_probed(&circuit, || Box::new(BasisTracker::zeros(1)), probe)
-            .unwrap();
-        let (_, parallel) = runner
-            .with_threads(5)
-            .run_probed(&circuit, || Box::new(BasisTracker::zeros(1)), probe)
-            .unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 257);
+        // The sparse map cannot rejoin, so its shots run per shot; the
+        // tracker's replay over the outcome DAG is split the same way.
+        let sparse = || Box::new(crate::SparseVector::zeros(1).unwrap()) as Box<dyn Simulator>;
+        let tracker = || Box::new(BasisTracker::zeros(1)) as Box<dyn Simulator>;
+        for factory in [&sparse as Factory<'_>, &tracker] {
+            let (_, serial) = runner.run_probed(&circuit, factory, probe).unwrap();
+            let (_, parallel) = runner
+                .with_threads(5)
+                .run_probed(&circuit, factory, probe)
+                .unwrap();
+            assert_eq!(serial, parallel);
+            assert_eq!(serial.len(), 257);
+        }
     }
 
     #[test]
@@ -869,6 +947,65 @@ mod tests {
             matches!(err, SimError::InvalidCircuit { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn the_shared_path_calls_the_factory_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let circuit = coin_circuit();
+        let calls = AtomicUsize::new(0);
+        let count = |shots: u64, tracker: bool| {
+            calls.store(0, Ordering::Relaxed);
+            ShotRunner::new(shots)
+                .run(&circuit, || -> Box<dyn Simulator> {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if tracker {
+                        Box::new(BasisTracker::zeros(1))
+                    } else {
+                        Box::new(crate::StateVector::zeros(1).unwrap())
+                    }
+                })
+                .unwrap();
+            calls.load(Ordering::Relaxed)
+        };
+        // The tracker rejoins: one state for the whole ensemble, however
+        // few shots it has.
+        assert_eq!(count(500, true), 1);
+        assert_eq!(count(3, true), 1);
+        // A state vector cannot rejoin, so every shot prepares its own,
+        // after the one state that was asked whether it can.
+        assert_eq!(count(500, false), 501);
+    }
+
+    #[test]
+    fn programs_with_drops_share_on_the_tracker() {
+        // The reclaiming compile drops q0 once it is measured; the tracker
+        // treats a `Drop` as a no-op, so the shared path serves the
+        // program and matches per-shot runs bit for bit, peak included.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut b = CircuitBuilder::new();
+        let q = b.qreg("q", 2);
+        let _ = b.measure(q[0], Basis::Z);
+        b.h(q[1]);
+        let _ = b.measure(q[1], Basis::Z);
+        let circuit = b.finish();
+        let passes = PassConfig::default();
+        let compiled = compile_for(&circuit, Some(passes)).unwrap();
+        assert!(compiled.reclaims_qubits());
+        let calls = AtomicUsize::new(0);
+        let factory = || -> Box<dyn Simulator> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Box::new(BasisTracker::zeros(2))
+        };
+        let shared = ShotRunner::new(200)
+            .with_passes(passes)
+            .run(&circuit, factory)
+            .unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "the shared path");
+        let (acc, _) =
+            per_shot::<()>(&compiled, 200, DEFAULT_MASTER_SEED, 1, &factory, None).unwrap();
+        assert_eq!(shared, Ensemble { acc });
+        assert_eq!(shared.peak_amplitudes(), Some(2));
     }
 
     #[test]

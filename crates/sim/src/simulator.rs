@@ -10,6 +10,8 @@
 //! [`StateVector`](crate::StateVector) — or any future backend (stabilizer,
 //! sharded state vector) that implements the trait.
 
+use std::any::Any;
+
 use mbu_circuit::{Angle, Basis, Circuit, CompiledCircuit, Gate, QubitId};
 use rand::RngCore;
 
@@ -49,7 +51,9 @@ pub enum Fork {
 /// A quantum-circuit simulation backend.
 ///
 /// Object-safe: harnesses hold `Box<dyn Simulator>` and stay agnostic of
-/// the state representation. The required methods split in two groups:
+/// the state representation. (`Any` is a supertrait so that
+/// [`same_state`](Simulator::same_state) can recognise its own type behind
+/// `&dyn Simulator`.) The required methods split in two groups:
 ///
 /// * **execution primitives** ([`apply_gate`](Simulator::apply_gate),
 ///   [`measure`](Simulator::measure), [`reset`](Simulator::reset)) consumed
@@ -84,7 +88,7 @@ pub enum Fork {
 ///     assert_eq!(sim.value(q.qubits()).unwrap(), 0b11);
 /// }
 /// ```
-pub trait Simulator {
+pub trait Simulator: Any {
     /// The number of qubits in the state.
     fn num_qubits(&self) -> usize;
 
@@ -164,6 +168,22 @@ pub trait Simulator {
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
         let _ = (qubit, basis);
         Ok(None)
+    }
+
+    /// Whether `other` holds bitwise the same state as `self`: the same
+    /// backend with equal contents, whatever bookkeeping (such as
+    /// occupancy high-water marks) either remembers.
+    ///
+    /// Branch-sharing ensembles ([`BranchEnsemble`](crate::BranchEnsemble)
+    /// and the [`ShotRunner`](crate::ShotRunner)'s shared path) merge two
+    /// trajectories only on `true`, so a `true` must mean that every
+    /// future operation acts on both alike. The default answers `false`,
+    /// which is always safe: a backend that cannot recognise its own
+    /// state never rejoins, and the [`ShotRunner`](crate::ShotRunner)
+    /// runs it per shot.
+    fn same_state(&self, other: &dyn Simulator) -> bool {
+        let _ = other;
+        false
     }
 
     /// Sets qubit `q` to the computational-basis bit `value`.

@@ -294,6 +294,12 @@ impl<P> SparseVector<P> {
         })
     }
 
+    /// Restarts the occupied-entry high-water mark at the current
+    /// occupancy, as every compiled run does when it starts.
+    pub(crate) fn start_peak(&mut self) {
+        self.peak_entries = self.occupied() as u64;
+    }
+
     /// The number of occupied basis states (entries with a nonzero
     /// amplitude).
     #[must_use]
@@ -741,8 +747,7 @@ pub(crate) fn run_compiled_on<S: Simulator, P>(
     rng: &mut dyn RngCore,
 ) -> Result<Executed, SimError> {
     exec::check_width(compiled.num_qubits(), sim.num_qubits())?;
-    let m = map(sim);
-    m.peak_entries = m.occupied() as u64;
+    map(sim).start_peak();
     let mut executed = Executed::default();
     exec::execute_compiled(sim, compiled, rng, &mut executed)?;
     let m = map(sim);

@@ -8,12 +8,17 @@
 //!   agrees with a seeded [`ShotRunner`] ensemble within a Chernoff-style
 //!   tolerance;
 //! * **bit-level** — the sampled mode is not merely statistically right:
-//!   with the same master seed it reproduces the [`ShotRunner`]'s
+//!   with the same master seed it reproduces per-shot execution's
 //!   classical aggregates **bit for bit** (records, outcome counts,
 //!   executed-count means and variances), across reclamation on/off,
 //!   fusion on/off and the default vs the zero
 //!   pruning floor — the replayed per-shot RNG streams draw against the
 //!   very probabilities the sampling path computes.
+//!
+//! The [`ShotRunner`] itself replays shots over the DAG wherever the
+//! backend rejoins, so the per-shot reference here is a
+//! [`BranchEnsemble`] with a node budget of 1: every circuit below forks,
+//! so that budget sends every shot through the per-shot engine.
 
 use mbu_arith::{
     modular::{self, ModAddSpec},
@@ -34,10 +39,10 @@ fn arch_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
 }
 
 /// Architectures whose MBU variants fork only a handful of times (the
-/// flag measurement plus the comparator flags): the regime where branch
-/// trees stay tiny. Gidney-style adders measure one ancilla per AND, so
-/// their trees legitimately blow the node budget — that path is covered
-/// by the Monte-Carlo-fallback assertions instead.
+/// flag measurement plus the comparator flags): the regime where the
+/// exact mode's outcome tree stays tiny. Gidney-style adders measure one
+/// ancilla per AND, so their trees outgrow the node budget even where
+/// their DAGs rejoin; the sampled bit-identity test covers them instead.
 fn few_fork_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
     match arch % 3 {
         0 => ModAddSpec::cdkpm(unc),
@@ -46,6 +51,9 @@ fn few_fork_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
     }
 }
 
+/// A backend's state factory, as the branch engine takes it.
+type Factory<'a> = dyn Fn() -> Box<dyn Simulator + Send> + Sync + 'a;
+
 fn unfused_passes() -> PassConfig {
     PassConfig {
         fuse_max_qubits: 0,
@@ -53,9 +61,9 @@ fn unfused_passes() -> PassConfig {
     }
 }
 
-/// The classical face of an ensemble, peak-memory stats excluded: the
-/// branch engine shares trajectories across shots, so "per-shot peak
-/// amplitudes" is the one statistic it deliberately does not reproduce.
+/// The classical face of an ensemble, peak-memory stats excluded: a
+/// trajectory never compacts, so on a program with drops "per-shot peak
+/// amplitudes" is the one statistic the DAG does not reproduce.
 fn classical_view(e: &Ensemble) -> impl PartialEq + std::fmt::Debug {
     let records: Vec<(Vec<Option<bool>>, u64)> = e
         .record_frequencies()
@@ -139,11 +147,12 @@ proptest! {
         );
     }
 
-    /// Bit-compatibility: branch-tree sampling replays the ShotRunner's
+    /// Bit-compatibility: DAG sampling replays per-shot execution's
     /// aggregates exactly, for every engine configuration — reclamation ×
-    /// fusion — several master seeds, and trees pruned at
-    /// the default floor or fully expanded (`eps = 0`: every possible
-    /// branch materialised).
+    /// fusion — several master seeds, DAGs pruned at the default floor or
+    /// fully expanded (`eps = 0`: every possible branch materialised), on
+    /// the state vector (whose DAG is the outcome tree) and on the basis
+    /// tracker (whose DAG rejoins).
     #[test]
     fn sampled_branch_trees_are_bit_identical_to_per_shot_runs(
         n in 2usize..=3,
@@ -167,42 +176,49 @@ proptest! {
         ]);
 
         let eps = if full_expansion { 0.0 } else { BranchEnsemble::new(0).eps() };
-        for reclaim in [true, false] {
-            for passes in [unfused_passes(), PassConfig::default()] {
-                // A tight node budget keeps the Gidney-style cases
-                // (one fork per AND) from building thousands of nodes
-                // before falling back: the fallback *is* the
-                // ShotRunner, so bit-identity must hold either way.
-                // Reclamation off: the same passes without drops.
-                let passes = PassConfig {
-                    reclaim_dead_qubits: reclaim,
-                    ..passes
-                };
-                let branch = BranchEnsemble::new(64)
-                    .with_master_seed(seed)
-                    .with_node_budget(256)
-                    .with_passes(passes)
-                    .with_eps(eps)
-                    .run(&layout.circuit, || {
-                        Box::new(StateVector::basis(nq, input).unwrap())
-                            as Box<dyn Simulator + Send>
-                    })
-                    .unwrap();
-                let per_shot = ShotRunner::new(64)
-                    .with_master_seed(seed)
-                    .with_passes(passes)
-                    .run(&layout.circuit, || {
-                        Box::new(StateVector::basis(nq, input).unwrap())
-                    })
-                    .unwrap();
-                prop_assert_eq!(
-                    classical_view(&branch),
-                    classical_view(&per_shot),
-                    "reclaim={} fuse={} eps={}",
-                    reclaim,
-                    passes.fuse_max_qubits,
-                    eps
-                );
+        let dense = || {
+            Box::new(StateVector::basis(nq, input).unwrap()) as Box<dyn Simulator + Send>
+        };
+        let tracker = || {
+            let mut sim = BasisTracker::zeros(nq);
+            sim.set_value(layout.x.qubits(), x).unwrap();
+            sim.set_value(layout.y.qubits(), y).unwrap();
+            Box::new(sim) as Box<dyn Simulator + Send>
+        };
+        let backends: [(&str, &Factory<'_>); 2] = [("dense", &dense), ("tracker", &tracker)];
+        for (backend, factory) in backends {
+            for reclaim in [true, false] {
+                for passes in [unfused_passes(), PassConfig::default()] {
+                    // Reclamation off: the same passes without drops. A
+                    // node budget of 256 holds the Gidney-style tracker
+                    // DAGs (one diamond per AND) but not the dense trees,
+                    // which run per shot like the reference.
+                    let passes = PassConfig {
+                        reclaim_dead_qubits: reclaim,
+                        ..passes
+                    };
+                    let runner = BranchEnsemble::new(64)
+                        .with_master_seed(seed)
+                        .with_passes(passes)
+                        .with_eps(eps);
+                    let branch = runner
+                        .with_node_budget(256)
+                        .run(&layout.circuit, factory)
+                        .unwrap();
+                    let per_shot = runner
+                        .with_node_budget(1)
+                        .run(&layout.circuit, factory)
+                        .unwrap();
+                    prop_assert_eq!(
+                        classical_view(&branch),
+                        classical_view(&per_shot),
+                        "{} reclaim={} fuse={} eps={}",
+                        backend,
+                        reclaim,
+                        passes.fuse_max_qubits,
+                        eps
+                    );
+                }
             }
         }
     }
@@ -276,8 +292,9 @@ fn tracker_chains_run_exact_tables_at_full_width() {
 
 #[test]
 fn sampled_tracker_chains_match_shot_runner_bitwise() {
-    // Two-stage chain on the tracker: sampled branch trees and per-shot
-    // execution must agree classically, bit for bit.
+    // Two-stage chain on the tracker: the sampled DAG, the ShotRunner
+    // (which shares the same DAG) and per-shot execution must agree
+    // classically, bit for bit.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let chain = modular::modadd_chain_circuit(&spec, 4, 13, 2).unwrap();
     let nq = chain.circuit.num_qubits();
@@ -297,7 +314,12 @@ fn sampled_tracker_chains_match_shot_runner_bitwise() {
             .with_master_seed(seed)
             .run(&chain.circuit, &factory)
             .unwrap();
-        let per_shot = ShotRunner::new(300)
+        let per_shot = BranchEnsemble::new(300)
+            .with_master_seed(seed)
+            .with_node_budget(1)
+            .run(&chain.circuit, &factory)
+            .unwrap();
+        let runner = ShotRunner::new(300)
             .with_master_seed(seed)
             .run(&chain.circuit, || {
                 let mut sim = BasisTracker::zeros(nq);
@@ -311,9 +333,10 @@ fn sampled_tracker_chains_match_shot_runner_bitwise() {
             classical_view(&per_shot),
             "seed {seed}"
         );
+        assert_eq!(runner, per_shot, "seed {seed}: peaks included");
         // Peak occupancy survives trajectory sharing: each leaf carries
         // its own occupancy high-water (an MBU garbage qubit is in |±⟩
-        // at the mark), so the tree reports the same census the per-shot
+        // at the mark), so the DAG reports the same census the per-shot
         // engine takes.
         assert_eq!(branch.peak_amplitudes(), Some(2), "seed {seed}");
         assert_eq!(per_shot.peak_amplitudes(), Some(2), "seed {seed}");

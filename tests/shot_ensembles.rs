@@ -5,7 +5,10 @@
 
 use mbu_arith::modular::{self, ModAddSpec};
 use mbu_arith::Uncompute;
-use mbu_sim::{BasisTracker, ShotRunner, Simulator, StateVector};
+use mbu_circuit::CompiledCircuit;
+use mbu_sim::{BasisTracker, Executed, ShotRunner, Simulator, SparseVector, StateVector};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn mbu_modadd() -> (modular::ModAdd, u128, u128, u128) {
     let n = 6usize;
@@ -51,17 +54,41 @@ fn same_master_seed_reproduces_the_exact_aggregate() {
 
 #[test]
 fn parallel_and_serial_ensembles_are_bit_identical() {
+    // The sparse map cannot rejoin branches, so its ensemble runs every
+    // shot on its own state; the tracker's is a replay over the outcome
+    // DAG. Both split their shots over the workers, probes included.
     let (layout, _p, x, y) = mbu_modadd();
-    let serial = ShotRunner::new(1000)
-        .with_threads(1)
-        .run(&layout.circuit, tracker_factory(&layout, x, y))
-        .unwrap();
-    for threads in [2, 4, 8] {
-        let parallel = ShotRunner::new(1000)
-            .with_threads(threads)
-            .run(&layout.circuit, tracker_factory(&layout, x, y))
+    let sparse = || -> Box<dyn Simulator> {
+        let mut sim = SparseVector::zeros(layout.circuit.num_qubits()).unwrap();
+        sim.set_value(layout.x.qubits(), x).unwrap();
+        sim.set_value(layout.y.qubits(), y).unwrap();
+        Box::new(sim)
+    };
+    let tracker = tracker_factory(&layout, x, y);
+    let probe =
+        |sim: &dyn Simulator, ex: &Executed| (sim.value(layout.y.qubits()).unwrap(), ex.clone());
+    for (name, factory) in [
+        (
+            "sparse",
+            &sparse as &(dyn Fn() -> Box<dyn Simulator> + Sync),
+        ),
+        ("tracker", &tracker),
+    ] {
+        let (serial, serial_probes) = ShotRunner::new(1000)
+            .with_threads(1)
+            .run_probed(&layout.circuit, factory, probe)
             .unwrap();
-        assert_eq!(serial, parallel, "threads = {threads}");
+        for threads in [2, 4, 8] {
+            let (parallel, parallel_probes) = ShotRunner::new(1000)
+                .with_threads(threads)
+                .run_probed(&layout.circuit, factory, probe)
+                .unwrap();
+            assert_eq!(serial, parallel, "{name}, threads = {threads}");
+            assert_eq!(
+                serial_probes, parallel_probes,
+                "{name}, threads = {threads}"
+            );
+        }
     }
 }
 
@@ -102,6 +129,40 @@ fn per_shot_probes_check_every_result_value() {
         "every shot must compute (x + y) mod p"
     );
     assert_eq!(ensemble.shots(), 200);
+}
+
+#[test]
+fn shared_probes_match_a_per_shot_loop_in_shot_order() {
+    // A Gidney row on the tracker takes the shared path: its probes come
+    // from leaf states of the outcome DAG, one per distinct path. They
+    // must equal what a hand-rolled loop of whole per-shot runs observes,
+    // shot by shot.
+    let (n, p) = (16usize, 65_521u128);
+    let layout = modular::modadd_circuit(&ModAddSpec::gidney(Uncompute::Mbu), n, p).unwrap();
+    let (x, y) = (12_345u128, 54_321u128);
+    let compiled = CompiledCircuit::lower(&layout.circuit).unwrap();
+    let shots = 512u64;
+    let factory = tracker_factory(&layout, x, y);
+    let probe = |sim: &dyn Simulator, ex: &Executed| {
+        (
+            sim.value(layout.y.qubits()).unwrap(),
+            sim.global_phase(),
+            ex.clone(),
+        )
+    };
+    let runner = ShotRunner::new(shots).with_master_seed(99);
+    let (ensemble, observed) = runner.run_probed(&layout.circuit, &factory, probe).unwrap();
+    let expected: Vec<_> = (0..shots)
+        .map(|shot| {
+            let mut sim = factory();
+            let mut rng = StdRng::seed_from_u64(runner.seed_for_shot(shot));
+            let executed = sim.run_compiled(&compiled, &mut rng).unwrap();
+            probe(sim.as_ref(), &executed)
+        })
+        .collect();
+    assert_eq!(observed, expected);
+    assert!(observed.iter().all(|(sum, _, _)| *sum == (x + y) % p));
+    assert!(ensemble.distinct_records() > 1, "the ANDs draw");
 }
 
 #[test]

@@ -461,8 +461,10 @@ fn definite_measurements_prune_fork_nodes_but_not_outcomes() {
 #[test]
 fn branch_sampled_mode_matches_the_shot_runner_on_sparse() {
     // BranchEnsemble's sampled mode promises bit-identical classical
-    // aggregates to an equally seeded ShotRunner; that contract must
-    // hold on the sparse backend too, forks and all.
+    // aggregates to per-shot execution with the same seed; that contract
+    // must hold on the sparse backend too, forks and all. The reference
+    // is the per-shot engine (a node budget of 1); the ShotRunner, which
+    // runs per shot on a backend that cannot rejoin, must agree as well.
     let spec = ModAddSpec::gidney(Uncompute::Mbu);
     let layout = modular::modadd_circuit(&spec, 2, 3).unwrap();
     let nq = layout.circuit.num_qubits();
@@ -477,10 +479,16 @@ fn branch_sampled_mode_matches_the_shot_runner_on_sparse() {
         .with_master_seed(5)
         .run(&layout.circuit, factory)
         .unwrap();
-    let per_shot = ShotRunner::new(96)
+    let per_shot = BranchEnsemble::new(96)
+        .with_master_seed(5)
+        .with_node_budget(1)
+        .run(&layout.circuit, factory)
+        .unwrap();
+    let runner = ShotRunner::new(96)
         .with_master_seed(5)
         .run(&layout.circuit, || factory() as Box<dyn Simulator>)
         .unwrap();
+    assert_eq!(runner, per_shot);
     assert_eq!(classical_view(&branch), classical_view(&per_shot));
     for clbit in 0..branch.num_clbits() {
         assert_eq!(
