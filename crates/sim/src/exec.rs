@@ -95,8 +95,8 @@ pub(crate) fn check_width(program_qubits: usize, state_qubits: usize) -> Result<
 /// past the end), an out-of-range index panics the tracker's mode table,
 /// and a duplicated operand makes the pinned-bit expansion enumerate
 /// garbage. Validation up front turns all of that into a typed error.
-/// Compiled runs skip it per gate: lowering already validated the
-/// operands, and [`check_width`] bounds them by the state.
+/// Every backend's compiled run skips it per gate: lowering already
+/// validated the operands, and [`check_width`] bounds them by the state.
 #[inline]
 pub(crate) fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
     let mut oob: Option<QubitId> = None;
@@ -284,11 +284,11 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
 /// The compiled program-counter loop, parametrised over gate application
 /// (`apply`), fused-block application (`apply_fused`), a hook run before
 /// every non-unitary instruction (`before_nonunitary`) and a handler for
-/// [`Instr::Drop`] (`on_drop`). The reclaiming state-vector executor routes
-/// through this with hooks that translate operands into its compacted
-/// array, and the basis tracker with its unchecked gate `apply`, so
-/// measurement, reset, branch and classical-record semantics live in
-/// exactly one place.
+/// [`Instr::Drop`] (`on_drop`). Every backend's compiled run routes
+/// through this with its unchecked gate `apply` (the reclaiming
+/// state-vector executor's also translates operands into its compacted
+/// array), so measurement, reset, branch and classical-record semantics
+/// live in exactly one place.
 ///
 /// `apply_fused` executes one [`Instr::Fused`] block; the executed
 /// tally always records the block's constituent gates here, so fusion is
@@ -569,6 +569,56 @@ mod tests {
         assert_eq!(backend.gates_seen, 1);
         assert!(ex.outcome(0).unwrap());
         assert_eq!(ex.counts.h, 1);
+    }
+
+    #[test]
+    fn every_backend_rejects_a_compiled_program_wider_than_its_state() {
+        use crate::{BasisTracker, PhaseAccumulator, SparseVector, StateVector};
+        use mbu_circuit::CircuitBuilder;
+        // Every instruction touches the qubit past a 2-qubit state, so a
+        // run that dispatched it unchecked would index out of range.
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("r", 3);
+        b.x(r[2]);
+        b.cx(r[2], r[0]);
+        b.cphase(r[0], r[2], Angle::turn_over_power_of_two(3));
+        b.swap(r[1], r[2]);
+        b.measure(r[2], Basis::Z);
+        b.x(r[0]);
+        let circuit = b.finish();
+        let lowered = CompiledCircuit::lower(&circuit).unwrap();
+        let compiled = CompiledCircuit::compile(&circuit).unwrap();
+        // The dense engine runs the two on its two paths.
+        assert!(!lowered.reclaims_qubits() && compiled.reclaims_qubits());
+
+        let backends: [Box<dyn Simulator>; 4] = [
+            Box::new(StateVector::zeros(2).unwrap()),
+            Box::new(SparseVector::zeros(2).unwrap()),
+            Box::new(PhaseAccumulator::zeros(2).unwrap()),
+            Box::new(BasisTracker::zeros(2)),
+        ];
+        let readouts = |sim: &dyn Simulator| {
+            (
+                [sim.bit(QubitId(0)), sim.bit(QubitId(1))],
+                sim.peak_amplitudes(),
+                sim.occupancy_peak(),
+                sim.global_phase(),
+            )
+        };
+        for mut sim in backends {
+            sim.set_bit(QubitId(1), true).unwrap();
+            let before = readouts(sim.as_ref());
+            for program in [&lowered, &compiled] {
+                let mut rng = StdRng::seed_from_u64(0);
+                assert_eq!(
+                    sim.run_compiled(program, &mut rng).unwrap_err(),
+                    SimError::OutOfRange {
+                        what: "3-qubit compiled program on 2-qubit state".into()
+                    }
+                );
+                assert_eq!(readouts(sim.as_ref()), before);
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! accumulators. Every Z-mode step — key toggles, the key-level `H`,
 //! Born sums, projection, measurement, forks and definite reads — is the
 //! map's own code, so Z-mode qubits behave exactly as on the sparse
-//! backend. This module adds the Fourier side: the mode map, `H`
+//! backend. This module adds the Fourier side: the mode table, `H`
 //! promotion and collapse, materialisation, the exact diagonal additions,
 //! the phase reflection of an X on a Fourier qubit and cross-mode SWAP.
 //!
@@ -141,7 +141,66 @@ impl Dyadic {
         self.canonicalize();
     }
 
-    /// The exact dyadic image of an [`Angle`].
+    /// Adds `theta` mod 1, in place and with no temporary: the angle's
+    /// numerator, at most three words once shifted to a word boundary,
+    /// lands at the word offset its denominator gives, and the carry runs
+    /// on to the top word. [`Angle`]'s negated form (`1 − x`) subtracts
+    /// `x` instead, borrowing the same way; a carry or borrow out of the
+    /// top word is a full turn and drops. Only an angle finer than `self`
+    /// grows it, by zero words below its least-significant one.
+    pub(crate) fn add_angle(&mut self, theta: Angle) {
+        if theta.is_zero() {
+            return;
+        }
+        // `x = num / 2^d` is `len` words wide; shifted up by `s` bits to
+        // fill them, its odd numerator makes the lowest word nonzero.
+        let d = theta.log2_denom() as usize;
+        let len = d.div_ceil(64);
+        let s = (len * 64 - d) as u32; // 0..=63
+        let num = theta.numerator();
+        let (lo, hi) = (num as u64, (num >> 64) as u64);
+        let parts = if s == 0 {
+            [lo, hi, 0u64]
+        } else {
+            [lo << s, (hi << s) | (lo >> (64 - s)), hi >> (64 - s)]
+        };
+        let (parts, rest) = parts.split_at(len.min(3));
+        debug_assert!(
+            rest.iter().all(|&w| w == 0),
+            "angle numerator exceeds its denominator"
+        );
+        if len > self.words.len() {
+            let pad = len - self.words.len();
+            self.words.splice(0..0, std::iter::repeat_n(0, pad));
+        }
+        let low = self.words.len() - len;
+        let negated = theta.is_negated();
+        let step = |a: u64, b: u64| {
+            if negated {
+                a.overflowing_sub(b)
+            } else {
+                a.overflowing_add(b)
+            }
+        };
+        let mut carry = false;
+        for (i, slot) in self.words[low..].iter_mut().enumerate() {
+            let w = match parts.get(i) {
+                Some(&w) => w,
+                // Past the numerator only a carry or borrow moves on.
+                None if carry => 0,
+                None => break,
+            };
+            let (r1, c1) = step(*slot, w);
+            let (r2, c2) = step(r1, u64::from(carry));
+            *slot = r2;
+            carry = c1 || c2;
+        }
+        self.canonicalize();
+    }
+
+    /// The exact dyadic image of an [`Angle`]: the reference
+    /// [`add_angle`](Self::add_angle) is tested against.
+    #[cfg(test)]
     pub(crate) fn from_angle(theta: Angle) -> Self {
         if theta.is_zero() {
             return Self::zero();
@@ -297,8 +356,9 @@ pub(crate) struct Phases {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PhaseAccumulator {
-    /// Per-qubit mode flag: `true` = Fourier.
-    fourier: Vec<bool>,
+    /// The mode table: per qubit, its index in `fourier_qubits` (and so
+    /// in every branch's `phis`) in Fourier mode, `None` in Z-mode.
+    slot: Vec<Option<u32>>,
     /// Sorted list of Fourier-mode qubits; every branch's `phis` is
     /// parallel to it.
     fourier_qubits: Vec<u32>,
@@ -319,7 +379,7 @@ impl PhaseAccumulator {
     pub fn zeros(num_qubits: usize) -> Result<Self, SimError> {
         let map = SparseVector::with_payload(num_qubits, Phases::default())?;
         Ok(Self {
-            fourier: vec![false; num_qubits],
+            slot: vec![None; num_qubits],
             fourier_qubits: Vec::new(),
             map,
         })
@@ -363,38 +423,58 @@ impl PhaseAccumulator {
         &self.map
     }
 
-    /// Index of Fourier qubit `q` in the sorted list.
-    fn fourier_pos(&self, q: QubitId) -> usize {
-        debug_assert!(self.fourier[q.index()]);
-        self.fourier_qubits
-            .binary_search(&q.0)
-            .expect("mode map out of sync")
+    /// Index of qubit `q` in the sorted Fourier list, or `None` in
+    /// Z-mode.
+    fn fourier_pos(&self, q: QubitId) -> Option<usize> {
+        self.slot[q.index()].map(|pos| pos as usize)
     }
 
-    /// Index at which Z-mode qubit `q` joins the sorted Fourier list.
-    fn fourier_slot(&self, q: QubitId) -> usize {
-        self.fourier_qubits
+    /// Puts Z-mode qubit `q` into Fourier mode: it joins the sorted list
+    /// at the index this returns, and the qubits after it move up one.
+    fn enter_fourier(&mut self, q: QubitId) -> usize {
+        let pos = self
+            .fourier_qubits
             .binary_search(&q.0)
-            .expect_err("Z-mode qubit in the Fourier list")
+            .expect_err("Z-mode qubit in the Fourier list");
+        self.fourier_qubits.insert(pos, q.0);
+        self.renumber_from(pos);
+        pos
     }
 
-    /// Losslessly expands Fourier qubit `q` into explicit 0/1 branches
-    /// (the qubit returns to Z-mode; occupancy at most doubles).
+    /// Returns Fourier qubit `q`, at index `pos` of the sorted list, to
+    /// Z-mode: the qubits after it move down one.
+    fn leave_fourier(&mut self, q: QubitId, pos: usize) {
+        self.fourier_qubits.remove(pos);
+        self.slot[q.index()] = None;
+        self.renumber_from(pos);
+    }
+
+    /// Rewrites the mode table for the Fourier list from index `pos` on.
+    fn renumber_from(&mut self, pos: usize) {
+        for (i, &q) in self.fourier_qubits.iter().enumerate().skip(pos) {
+            self.slot[q as usize] = Some(i as u32);
+        }
+    }
+
+    /// Losslessly expands qubit `q`, if it is in Fourier mode, into
+    /// explicit 0/1 branches (the qubit returns to Z-mode; occupancy at
+    /// most doubles). A Z-mode qubit is left as it is.
     ///
     /// # Errors
     ///
     /// [`SimError::BranchBudgetExceeded`] past [`MAX_PHASE_BRANCHES`].
     fn materialize(&mut self, q: QubitId) -> Result<(), SimError> {
+        let Some(pos) = self.fourier_pos(q) else {
+            return Ok(());
+        };
         self.check_budget()?;
-        let pos = self.fourier_pos(q);
         self.map.split_even(q, |p| {
             let phi = p.phis.remove(pos);
             let mut one = p.clone();
             one.phase.add_assign(&phi);
             one
         });
-        self.fourier_qubits.remove(pos);
-        self.fourier[q.index()] = false;
+        self.leave_fourier(q, pos);
         Ok(())
     }
 
@@ -429,8 +509,7 @@ impl PhaseAccumulator {
     ///   amplitude (exact for quarter-turn multiples) and fan out on keys
     ///   through the map's `H`.
     fn apply_h(&mut self, q: QubitId) -> Result<(), SimError> {
-        if self.fourier[q.index()] {
-            let pos = self.fourier_pos(q);
+        if let Some(pos) = self.fourier_pos(q) {
             if !self
                 .map
                 .entries()
@@ -440,8 +519,7 @@ impl PhaseAccumulator {
                 return self.apply_h(q);
             }
             self.map.rewrite_bit(q, |_, p| p.phis.remove(pos).is_half());
-            self.fourier_qubits.remove(pos);
-            self.fourier[q.index()] = false;
+            self.leave_fourier(q, pos);
         } else if self.map.has_pair_on(q) {
             self.materialize_all()?;
             self.check_budget()?;
@@ -453,14 +531,12 @@ impl PhaseAccumulator {
             });
             self.map.apply_h(q);
         } else {
-            let pos = self.fourier_slot(q);
+            let pos = self.enter_fourier(q);
             self.map.rewrite_bit(q, |bit, p| {
                 let phi = if bit { Dyadic::half() } else { Dyadic::zero() };
                 p.phis.insert(pos, phi);
                 false
             });
-            self.fourier_qubits.insert(pos, q.0);
-            self.fourier[q.index()] = true;
         }
         Ok(())
     }
@@ -471,12 +547,9 @@ impl PhaseAccumulator {
     /// be read, and a Fourier factor holds no definite bit.
     fn permute_x(&mut self, controls: &[QubitId], target: QubitId) -> Result<(), SimError> {
         for c in controls {
-            if self.fourier[c.index()] {
-                self.materialize(*c)?;
-            }
+            self.materialize(*c)?;
         }
-        if self.fourier[target.index()] {
-            let pos = self.fourier_pos(target);
+        if let Some(pos) = self.fourier_pos(target) {
             self.map.for_each_where(controls, |_, p| {
                 p.phase.add_assign(&p.phis[pos]);
                 p.phis[pos].negate();
@@ -489,7 +562,8 @@ impl PhaseAccumulator {
 
     /// The diagonal family (`Z`/`CZ`/`CCZ` at a half turn, `Phase`/
     /// `CPhase`/`CCPhase` at any dyadic angle): O(occupied) exact angle
-    /// additions. With one Fourier-mode operand the angle lands on that
+    /// additions in place, which allocate only when an accumulator grows
+    /// in precision. With one Fourier-mode operand the angle lands on that
     /// qubit's accumulator (conditioned on the Z-mode operands' bits);
     /// with none it lands on the branch phase. Two or more Fourier
     /// operands do not factorise — all but the last are materialised.
@@ -497,9 +571,12 @@ impl PhaseAccumulator {
         if theta.is_zero() {
             return Ok(());
         }
-        let mut fourier_ops = operands.iter().filter(|q| self.fourier[q.index()]).count();
+        let mut fourier_ops = operands
+            .iter()
+            .filter(|q| self.fourier_pos(**q).is_some())
+            .count();
         for &q in operands {
-            if fourier_ops > 1 && self.fourier[q.index()] {
+            if fourier_ops > 1 && self.fourier_pos(q).is_some() {
                 self.materialize(q)?;
                 fourier_ops -= 1;
             }
@@ -507,50 +584,39 @@ impl PhaseAccumulator {
         let mut z_ops = [QubitId(0); 3];
         let (mut n_z, mut fpos) = (0, None);
         for &q in operands {
-            if self.fourier[q.index()] {
-                fpos = Some(self.fourier_pos(q));
-            } else {
-                z_ops[n_z] = q;
-                n_z += 1;
+            match self.fourier_pos(q) {
+                Some(pos) => fpos = Some(pos),
+                None => {
+                    z_ops[n_z] = q;
+                    n_z += 1;
+                }
             }
         }
-        // Converted once per gate, on the first branch the gate touches.
-        let mut delta = None;
-        self.map.for_each_where(&z_ops[..n_z], |_, p| {
-            let delta = delta.get_or_insert_with(|| Dyadic::from_angle(theta));
-            match fpos {
-                Some(pos) => p.phis[pos].add_assign(delta),
-                None => p.phase.add_assign(delta),
-            }
+        self.map.for_each_where(&z_ops[..n_z], |_, p| match fpos {
+            Some(pos) => p.phis[pos].add_angle(theta),
+            None => p.phase.add_angle(theta),
         });
         Ok(())
     }
 
     /// SWAP exchanges the two qubits' entire factors, whatever their
     /// modes: bits swap as key rewrites, Fourier accumulators move with
-    /// their qubit (the mode map is updated — no materialisation needed).
+    /// their qubit (the mode table is updated — no materialisation needed).
     fn apply_swap(&mut self, a: QubitId, b: QubitId) {
-        match (self.fourier[a.index()], self.fourier[b.index()]) {
-            (false, false) => self.map.swap_bits(a, b),
-            (true, true) => {
-                let (pa, pb) = (self.fourier_pos(a), self.fourier_pos(b));
-                self.map.for_each_where(&[], |_, p| p.phis.swap(pa, pb));
-            }
-            (true, false) => self.swap_mixed(a, b),
-            (false, true) => self.swap_mixed(b, a),
+        match (self.fourier_pos(a), self.fourier_pos(b)) {
+            (None, None) => self.map.swap_bits(a, b),
+            (Some(pa), Some(pb)) => self.map.for_each_where(&[], |_, p| p.phis.swap(pa, pb)),
+            (Some(pa), None) => self.swap_mixed(a, pa, b),
+            (None, Some(pb)) => self.swap_mixed(b, pb, a),
         }
     }
 
-    /// SWAP with `f` in Fourier mode and `z` in Z-mode: `z` takes the
-    /// accumulator and `f` the bit — a key-bit swap, since `f`'s bit is
-    /// canonically zero.
-    fn swap_mixed(&mut self, f: QubitId, z: QubitId) {
-        let pf = self.fourier_pos(f);
-        self.fourier_qubits.remove(pf);
-        self.fourier[f.index()] = false;
-        let pz = self.fourier_slot(z);
-        self.fourier_qubits.insert(pz, z.0);
-        self.fourier[z.index()] = true;
+    /// SWAP with `f` in Fourier mode (at index `pf` of the sorted list)
+    /// and `z` in Z-mode: `z` takes the accumulator and `f` the bit — a
+    /// key-bit swap, since `f`'s bit is canonically zero.
+    fn swap_mixed(&mut self, f: QubitId, pf: usize, z: QubitId) {
+        self.leave_fourier(f, pf);
+        let pz = self.enter_fourier(z);
         self.map.for_each_where(&[], |_, p| {
             let phi = p.phis.remove(pf);
             p.phis.insert(pz, phi);
@@ -558,8 +624,10 @@ impl PhaseAccumulator {
         self.map.swap_bits(f, z);
     }
 
+    /// Applies `gate` without checking its operands:
+    /// [`apply_gate`](Simulator::apply_gate) validates them first, and a
+    /// compiled run's were validated when it was lowered.
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        exec::validate_gate(gate, self.map.width())?;
         match *gate {
             Gate::X(q) => self.permute_x(&[], q),
             Gate::Cx(c, t) => self.permute_x(&[c], t),
@@ -586,9 +654,7 @@ impl PhaseAccumulator {
         q: QubitId,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        if self.fourier[q.index()] {
-            self.materialize(q)?;
-        }
+        self.materialize(q)?;
         Ok(self.map.measure_z(q, draw))
     }
 
@@ -596,12 +662,10 @@ impl PhaseAccumulator {
     /// [`measure_fork`](Simulator::measure_fork): the map's fork, after
     /// materialising a Fourier-mode qubit.
     fn fork_z(&mut self, q: QubitId) -> Result<Fork, SimError> {
-        if self.fourier[q.index()] {
-            self.materialize(q)?;
-        }
+        self.materialize(q)?;
         Ok(self.map.fork_z(q, |map| {
             Box::new(PhaseAccumulator {
-                fourier: self.fourier.clone(),
+                slot: self.slot.clone(),
                 fourier_qubits: self.fourier_qubits.clone(),
                 map,
             })
@@ -615,6 +679,7 @@ impl Simulator for PhaseAccumulator {
     }
 
     fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError> {
+        exec::validate_gate(gate, self.map.width())?;
         self.apply(gate)
     }
 
@@ -644,7 +709,7 @@ impl Simulator for PhaseAccumulator {
 
     fn bit(&self, q: QubitId) -> Result<bool, SimError> {
         // Fourier-mode qubits are even superpositions: never definite.
-        if self.fourier.get(q.index()) == Some(&true) {
+        if let Some(Some(_)) = self.slot.get(q.index()) {
             return Err(SimError::ReadOfSuperposedQubit { qubit: q.0 });
         }
         self.map.definite_bit(q)
@@ -676,15 +741,16 @@ impl Simulator for PhaseAccumulator {
 
     /// Compiled execution through the map backends' shared run, with the
     /// branch high-water mark reset and reported like the sparse
-    /// engine's. Whether the phase backend pays on a program is a
-    /// compile-time question: see
+    /// engine's, and gates going straight to the unchecked `apply`.
+    /// Whether the phase backend pays on a program is a compile-time
+    /// question: see
     /// [`PassStats::planned_phase`](mbu_circuit::PassStats::planned_phase).
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        sparse::run_compiled_on(self, |s| &mut s.map, compiled, rng)
+        sparse::run_compiled_on(self, |s| &mut s.map, Self::apply, compiled, rng)
     }
 }
 
@@ -718,6 +784,126 @@ mod tests {
         assert_eq!(y.to_angle(), Some(-deep));
         y.add_assign(&Dyadic::from_angle(deep));
         assert!(y.is_zero());
+    }
+
+    /// `acc + theta` through the reference: the angle's whole `Dyadic`,
+    /// then `add_assign`.
+    fn reference_sum(acc: &Dyadic, theta: Angle) -> Dyadic {
+        let mut want = acc.clone();
+        want.add_assign(&Dyadic::from_angle(theta));
+        want
+    }
+
+    fn assert_adds_like_the_reference(acc: &Dyadic, theta: Angle) {
+        let mut got = acc.clone();
+        got.add_angle(theta);
+        assert_eq!(got, reference_sum(acc, theta), "{acc:?} + {theta:?}");
+    }
+
+    /// A canonical accumulator of 0–18 words, runs of all-zero and
+    /// all-one words included so that carries and borrows travel.
+    fn random_accumulator(rng: &mut StdRng) -> Dyadic {
+        use rand::{Rng, RngCore};
+        let len = rng.gen_range(0..19usize);
+        let mut d = Dyadic {
+            words: (0..len)
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.next_u64(),
+                })
+                .collect(),
+        };
+        d.canonicalize();
+        d
+    }
+
+    /// An angle in either canonical form: positive with a numerator of up
+    /// to 128 bits over at most `2^128`, positive past `2^128`, or negated
+    /// (`1 − x`, only past `2^128`) over up to `2^1100`.
+    fn random_angle(rng: &mut StdRng) -> Angle {
+        use rand::{Rng, RngCore};
+        let bits = rng.gen_range(1..129u32);
+        let num = ((u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())) >> (128 - bits);
+        match rng.gen_range(0..3u32) {
+            0 => Angle::from_fraction(num, rng.gen_range(1..129u32)),
+            1 => Angle::from_fraction(num, rng.gen_range(129..1101u32)),
+            _ => -Angle::from_fraction(num, rng.gen_range(129..1101u32)),
+        }
+    }
+
+    #[test]
+    fn add_angle_matches_the_reference_sum() {
+        let mut rng = StdRng::seed_from_u64(0xadda);
+        let mut negated = 0;
+        for _ in 0..20_000 {
+            let (acc, theta) = (random_accumulator(&mut rng), random_angle(&mut rng));
+            negated += usize::from(theta.is_negated());
+            assert_adds_like_the_reference(&acc, theta);
+        }
+        assert!(negated > 5_000, "negated forms drawn: {negated}");
+
+        // Every word split, word-aligned denominators (no shift) among
+        // them, on every accumulator length.
+        for d in [
+            1u32, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 1024, 1025, 1088, 1100,
+        ] {
+            for num in [1u128, 3, u128::from(u64::MAX), u128::MAX] {
+                for len in 0..19usize {
+                    for fill in [0u64, 1, u64::MAX] {
+                        let mut acc = Dyadic {
+                            words: vec![fill; len],
+                        };
+                        acc.canonicalize();
+                        for theta in [Angle::from_fraction(num, d), -Angle::from_fraction(num, d)] {
+                            assert_adds_like_the_reference(&acc, theta);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_angle_carries_borrows_wraps_and_trims() {
+        for len in 1..19usize {
+            let d = 64 * len as u32;
+            let ulp = Angle::from_fraction(1, d);
+            // 1 − 2^-d plus 2^-d: a carry out of every word, a full turn
+            // dropped, nothing left.
+            let mut x = Dyadic {
+                words: vec![u64::MAX; len],
+            };
+            x.add_angle(ulp);
+            assert!(x.is_zero(), "len {len}: {x:?}");
+            // 2^-d minus 3·2^-d: a borrow out of every word, wrapping
+            // below zero to 1 − 2^{1−d}.
+            let mut x = Dyadic {
+                words: std::iter::once(1u64).chain(vec![0u64; len - 1]).collect(),
+            };
+            x.add_angle(-Angle::from_fraction(3, d));
+            let mut want = vec![u64::MAX; len];
+            want[0] = u64::MAX - 1;
+            assert_eq!(x.words, want, "len {len}");
+        }
+
+        // A coarse phase plus a fine one, minus the fine one: the low
+        // words cancel and canonical trimming drops them.
+        let mut rng = StdRng::seed_from_u64(0x7121);
+        for _ in 0..2_000 {
+            let (coarse, fine) = (random_angle(&mut rng), random_angle(&mut rng));
+            let mut x = Dyadic::from_angle(coarse);
+            x.add_angle(fine);
+            x.add_angle(-fine);
+            assert_eq!(x, Dyadic::from_angle(coarse), "{coarse:?} ± {fine:?}");
+        }
+
+        let deep = Angle::turn_over_power_of_two(1025);
+        let mut x = Dyadic::zero();
+        x.add_angle(deep);
+        assert_eq!(x.words.len(), 17);
+        x.add_angle(-deep);
+        assert!(x.is_zero() && x.words.is_empty(), "{x:?}");
     }
 
     #[test]
@@ -933,6 +1119,200 @@ mod tests {
         sim.run_compiled(&compiled, &mut rng).unwrap();
         assert_eq!(sim.occupancy_peak(), Some(2));
         assert_eq!(sim.peak_amplitudes(), Some(2));
+    }
+
+    /// FNV-1a, 64-bit, over little-endian words: a digest of integers
+    /// only, so it is the same on every platform.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn dyadic(&mut self, d: &Dyadic) {
+            self.word(d.words.len() as u64);
+            d.words.iter().for_each(|&w| self.word(w));
+        }
+
+        /// The accumulator's exact part: the Fourier list, then each
+        /// branch's key words, branch phase and Fourier accumulators.
+        /// Amplitudes are left out: they can pass through `cis`.
+        fn state(&mut self, sim: &PhaseAccumulator) {
+            self.word(sim.fourier_list().len() as u64);
+            sim.fourier_list()
+                .iter()
+                .for_each(|&q| self.word(u64::from(q)));
+            self.word(sim.occupied() as u64);
+            for (key, _, p) in sim.branches().entries() {
+                key.iter().for_each(|&w| self.word(w));
+                self.dyadic(&p.phase);
+                self.word(p.phis.len() as u64);
+                p.phis.iter().for_each(|phi| self.dyadic(phi));
+            }
+        }
+
+        fn executed(&mut self, executed: &Executed) {
+            for bit in &executed.classical {
+                self.word(bit.map_or(2, u64::from));
+            }
+            self.word(executed.counts.total_gates());
+        }
+    }
+
+    /// Top-level ops per interpreted chunk of [`fold_runs`]: odd, so
+    /// the fold points drift through the QFT columns.
+    const CHUNK: usize = 97;
+
+    /// Runs `circuit` from the basis input `input` twice and folds what
+    /// the accumulator holds: compiled (`compiled`, one fold at the end),
+    /// and interpreted in chunks of [`CHUNK`] top-level ops, one fold
+    /// after each, so the deep accumulators mid-QFT are pinned too.
+    fn fold_runs(
+        h: &mut Fnv,
+        circuit: &mbu_circuit::Circuit,
+        compiled: &CompiledCircuit,
+        input: &[(QubitId, bool)],
+        seed: u64,
+    ) {
+        let prepared = || {
+            let mut sim = PhaseAccumulator::zeros(circuit.num_qubits()).unwrap();
+            for &(q, bit) in input {
+                sim.set_bit(q, bit).unwrap();
+            }
+            sim
+        };
+        let mut sim = prepared();
+        let executed = sim
+            .run_compiled(compiled, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        h.executed(&executed);
+        h.state(&sim);
+
+        let mut sim = prepared();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut executed = Executed::default();
+        for chunk in circuit.ops().chunks(CHUNK) {
+            exec::execute_dyn(&mut sim, chunk, &mut rng, &mut executed).unwrap();
+            h.state(&sim);
+        }
+        h.executed(&executed);
+    }
+
+    /// A random basis input: one random bit for each of `qubits`.
+    fn random_bits(rng: &mut StdRng, qubits: &[QubitId]) -> Vec<(QubitId, bool)> {
+        use rand::Rng;
+        qubits.iter().map(|&q| (q, rng.gen_bool(0.5))).collect()
+    }
+
+    /// A random constant of `width` bits.
+    fn random_const(rng: &mut StdRng, width: usize) -> mbu_bitstring::BitString {
+        use rand::Rng;
+        mbu_bitstring::BitString::from_bits((0..width).map(|_| rng.gen_bool(0.5)).collect())
+    }
+
+    const EXACT_ARITHMETIC_DIGEST: u64 = 8_815_803_711_540_697_718;
+
+    /// Pins the exact `Dyadic` words that deep `Phase`, `CPhase` and
+    /// `CCPhase` angles leave in the accumulator. `map_backends_golden`
+    /// cannot: it hashes amplitudes, so it leaves out every rotation but
+    /// half turns, whose `sin` and `cos` may differ across platforms.
+    /// This digest folds integers only.
+    #[test]
+    fn deep_angle_arithmetic_is_pinned() {
+        use mbu_arith::adders::draper::{self, Sign};
+        use mbu_arith::modular::beauregard;
+        use mbu_arith::Uncompute;
+
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut rng = StdRng::seed_from_u64(0x00d1_ad1c);
+        let lowered = |b: CircuitBuilder| {
+            let circuit = b.finish();
+            let compiled = CompiledCircuit::lower(&circuit).unwrap();
+            (circuit, compiled)
+        };
+
+        // QFT · IQFT round trips across the one-, two- and three-word
+        // accumulator widths.
+        for m in [1usize, 2, 3, 31, 63, 64, 65, 66, 127, 128, 129, 130] {
+            for _ in 0..2 {
+                let mut b = CircuitBuilder::new();
+                let r = b.qreg("r", m);
+                draper::qft(&mut b, r.qubits()).unwrap();
+                draper::iqft(&mut b, r.qubits()).unwrap();
+                let input = random_bits(&mut rng, r.qubits());
+                let (circuit, compiled) = lowered(b);
+                fold_runs(&mut h, &circuit, &compiled, &input, 1);
+            }
+        }
+
+        // ΦADD / ΦSUB of a register, and of a constant with zero, one and
+        // two controls (Phase, CPhase, CCPhase): the minus sign past
+        // 2^128 denominators takes `Angle`'s negated form.
+        for (n, m) in [
+            (1usize, 1usize),
+            (5, 9),
+            (64, 65),
+            (100, 128),
+            (128, 129),
+            (130, 130),
+        ] {
+            for sign in [Sign::Plus, Sign::Minus] {
+                let mut b = CircuitBuilder::new();
+                let x = b.qreg("x", n);
+                let y = b.qreg("y", m);
+                draper::qft(&mut b, y.qubits()).unwrap();
+                draper::phi_add(&mut b, x.qubits(), y.qubits(), sign).unwrap();
+                draper::iqft(&mut b, y.qubits()).unwrap();
+                let mut input = random_bits(&mut rng, x.qubits());
+                input.extend(random_bits(&mut rng, y.qubits()));
+                let (circuit, compiled) = lowered(b);
+                fold_runs(&mut h, &circuit, &compiled, &input, 2);
+            }
+        }
+        for (width, m) in [(9usize, 9usize), (64, 65), (128, 129), (130, 130)] {
+            for sign in [Sign::Plus, Sign::Minus] {
+                for controls in 0..3usize {
+                    let a = random_const(&mut rng, width);
+                    let mut b = CircuitBuilder::new();
+                    let c = b.qreg("c", 2);
+                    let y = b.qreg("y", m);
+                    draper::qft(&mut b, y.qubits()).unwrap();
+                    match controls {
+                        0 => draper::phi_add_const(&mut b, &a, y.qubits(), sign),
+                        1 => draper::c_phi_add_const(&mut b, c[0], &a, y.qubits(), sign),
+                        _ => draper::cc_phi_add_const(&mut b, c[0], c[1], &a, y.qubits(), sign),
+                    }
+                    .unwrap();
+                    draper::iqft(&mut b, y.qubits()).unwrap();
+                    let mut input = random_bits(&mut rng, c.qubits());
+                    input.extend(random_bits(&mut rng, y.qubits()));
+                    let (circuit, compiled) = lowered(b);
+                    fold_runs(&mut h, &circuit, &compiled, &input, 3);
+                }
+            }
+        }
+
+        // The n = 64 Beauregard MBU modular adder, default-compiled as
+        // the benchmark runs it, at a few seeds.
+        let p = 18_446_744_073_709_551_557u128;
+        let layout = beauregard::modadd_circuit(Uncompute::Mbu, 64, p).unwrap();
+        let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
+        for seed in 0..3u64 {
+            use rand::Rng;
+            let (xv, yv) = (rng.gen_range(0..p), rng.gen_range(0..p));
+            let mut input: Vec<(QubitId, bool)> = Vec::new();
+            for (reg, v) in [(&layout.x, xv), (&layout.y, yv)] {
+                for (i, &q) in reg.qubits().iter().enumerate() {
+                    input.push((q, i < 128 && (v >> i) & 1 == 1));
+                }
+            }
+            fold_runs(&mut h, &layout.circuit, &compiled, &input, seed);
+        }
+        assert_eq!(h.0, EXACT_ARITHMETIC_DIGEST, "got {}", h.0);
     }
 
     #[test]

@@ -235,8 +235,10 @@ impl SparseVector {
         }
     }
 
+    /// Applies `gate` without checking its operands:
+    /// [`apply_gate`](Simulator::apply_gate) validates them first, and a
+    /// compiled run's were validated when it was lowered.
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        exec::validate_gate(gate, self.num_qubits)?;
         match *gate {
             Gate::X(q) => self.permute_x(&[], q),
             Gate::Cx(c, t) => self.permute_x(&[c], t),
@@ -734,22 +736,35 @@ impl<P> SparseVector<P> {
     }
 }
 
-/// A compiled run on a map backend (`map` reaches its map): the shared
-/// executor's default hooks, bracketed by the occupied-entry high-water
-/// mark that [`peak_amplitudes`](Simulator::peak_amplitudes) reports.
-/// `Instr::Drop` is a no-op: a dropped qubit is definite, so every
-/// occupied key agrees on it and there is nothing to compact; the memory
-/// story the drop pass buys the dense engine is the map's resting state.
+/// A compiled run on a map backend (`map` reaches its map), bracketed by
+/// the occupied-entry high-water mark that
+/// [`peak_amplitudes`](Simulator::peak_amplitudes) reports. Gates, and the
+/// constituents of fused blocks, go straight to the backend's unchecked
+/// `apply`: lowering validated every operand, and `check_width` bounds
+/// them by the state. `Instr::Drop` is a no-op: a dropped qubit is
+/// definite, so every occupied key agrees on it and there is nothing to
+/// compact; the memory story the drop pass buys the dense engine is the
+/// map's resting state.
 pub(crate) fn run_compiled_on<S: Simulator, P>(
     sim: &mut S,
     map: fn(&mut S) -> &mut SparseVector<P>,
+    apply: fn(&mut S, &Gate) -> Result<(), SimError>,
     compiled: &CompiledCircuit,
     rng: &mut dyn RngCore,
 ) -> Result<Executed, SimError> {
     exec::check_width(compiled.num_qubits(), sim.num_qubits())?;
     map(sim).start_peak();
     let mut executed = Executed::default();
-    exec::execute_compiled(sim, compiled, rng, &mut executed)?;
+    exec::execute_compiled_core(
+        sim,
+        compiled,
+        rng,
+        &mut executed,
+        apply,
+        |s, fu| fu.global_gates().try_for_each(|g| apply(s, &g)),
+        |_, q| Ok(q),
+        |_, _| {},
+    )?;
     let m = map(sim);
     m.last_run_peak = Some(m.peak_entries);
     Ok(executed)
@@ -761,6 +776,7 @@ impl Simulator for SparseVector {
     }
 
     fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError> {
+        exec::validate_gate(gate, self.num_qubits)?;
         self.apply(gate)
     }
 
@@ -823,8 +839,8 @@ impl Simulator for SparseVector {
         exec::reset_in_z(self, qubit, draw, |s, q, d| Ok(s.measure_z(q, d)))
     }
 
-    /// Compiled execution through the shared executor's default hooks:
-    /// plain per-gate application, fused blocks replayed as their
+    /// Compiled execution through the map backends' shared run:
+    /// unchecked per-gate application, fused blocks replayed as their
     /// constituent gates (bitwise the unfused stream) and `Instr::Drop`
     /// as a no-op, with the occupied-entry high-water mark reported
     /// through [`peak_amplitudes`](Simulator::peak_amplitudes).
@@ -833,7 +849,7 @@ impl Simulator for SparseVector {
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        run_compiled_on(self, |s| s, compiled, rng)
+        run_compiled_on(self, |s| s, Self::apply, compiled, rng)
     }
 }
 
@@ -873,13 +889,13 @@ mod tests {
             Gate::CPhase(q(0), q(5), theta),
         ] {
             assert!(matches!(
-                sv.apply(&gate).unwrap_err(),
+                sv.apply_gate(&gate).unwrap_err(),
                 SimError::OutOfRange { .. }
             ));
         }
         for gate in [Gate::Cx(q(1), q(1)), Gate::Swap(q(0), q(0))] {
             assert!(matches!(
-                sv.apply(&gate).unwrap_err(),
+                sv.apply_gate(&gate).unwrap_err(),
                 SimError::DuplicateOperand { .. }
             ));
         }

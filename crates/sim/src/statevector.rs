@@ -821,7 +821,9 @@ impl Simulator for StateVector {
     /// (`PassConfig { reclaim_dead_qubits: false, .. }`), the final state
     /// exactly up to the `≤ 1e-20`-mass rounding residues a drop discards.
     /// A program without drops runs on the full `2^n` array through the
-    /// shared executor.
+    /// shared executor. Either way gates go straight to the stride
+    /// kernels: lowering validated every operand, and `check_width`
+    /// bounds them by the state.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -833,7 +835,19 @@ impl Simulator for StateVector {
         }
         self.last_run_peak = Some(self.amps.len());
         let mut executed = Executed::default();
-        exec::execute_compiled(self, compiled, rng, &mut executed)?;
+        exec::execute_compiled_core(
+            self,
+            compiled,
+            rng,
+            &mut executed,
+            |sv, g| {
+                sv.apply_stride(g);
+                Ok(())
+            },
+            |sv, fu| sv.apply_fused(fu),
+            |_, q| Ok(q),
+            |_, _| {},
+        )?;
         Ok(executed)
     }
 
