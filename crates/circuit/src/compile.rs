@@ -10,12 +10,13 @@
 //! [`Instr::BranchUnless`] skips, so execution is a single program-counter
 //! loop over a flat slice shared immutably by any number of worker threads.
 //!
-//! The pipeline is `lower → passes → execute`:
+//! The pipeline is `lower → passes → packing → execute`:
 //!
 //! 1. **lower** — [`CompiledCircuit::lower`] validates the circuit and
 //!    flattens nested conditionals into branch instructions. No gate is
 //!    added, removed or reordered: a lowered program executes the exact same
-//!    operation sequence as the interpreted tree walk.
+//!    operation sequence as the interpreted tree walk, though not one
+//!    instruction per gate (see packing below).
 //! 2. **passes** — [`CompiledCircuit::compile`] (or
 //!    [`CompiledCircuit::with_config`] for explicit [`PassConfig`] control)
 //!    additionally runs peephole passes over straight-line gate segments:
@@ -49,7 +50,17 @@
 //!      the unfused stream.
 //!
 //!    Every pass records what it did in [`PassStats`].
-//! 3. **execute** — the `mbu-sim` crate runs compiled programs through
+//! 3. **packing** — the last stage of every compile, including
+//!    [`lower`](CompiledCircuit::lower), so no [`PassConfig`] field
+//!    switches it: each maximal run of at least two consecutive
+//!    `CPhase(c_j, t, ±2π/2^{k_j})` gates on one target,
+//!    with one sign and pairwise distinct `k_j` (a QFT, IQFT or ΦADD
+//!    column), becomes one [`Instr::Gradient`] over a compact
+//!    [`PhaseGradient`] (8 bytes a term). It adds, removes and reorders no
+//!    gate: [`PhaseGradient::gates`] re-derives the run. The phase
+//!    accumulator applies a gradient on a Fourier-mode target as one
+//!    multi-word addition per branch; every other executor replays it.
+//! 4. **execute** — the `mbu-sim` crate runs compiled programs through
 //!    `Simulator::run_compiled`, and its `ShotRunner` lowers once and
 //!    shares the immutable program across all shot worker threads.
 //!
@@ -94,11 +105,12 @@
 //! [`PassStats`] implements [`fmt::Display`] too (it is embedded in the
 //! dump header) and exposes per-pass counters as fields.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::mem::{self, Discriminant};
 use std::ops::Range;
 
+use crate::angle::Angle;
 use crate::circuit::Circuit;
 use crate::counts::GateCounts;
 use crate::error::CircuitError;
@@ -160,6 +172,17 @@ pub enum Instr {
     /// invisible in [`Executed`](../mbu_sim/struct.Executed.html)-style
     /// statistics.
     Fused(u32),
+    /// Apply the phase gradient stored at this index of the program's
+    /// gradient table ([`CompiledCircuit::gradients`]): a run of
+    /// `CPhase(c_j, t, ±2π/2^{k_j})` gates on one target `t`, with one
+    /// sign and pairwise distinct `k_j`, which the packing step folded
+    /// into one instruction. On a Fourier-mode target its effect is
+    /// `φ_t ± Σ_j bit(c_j)·2^{-k_j}`: one multi-word addition.
+    ///
+    /// Executors without that closed form replay the constituent gates
+    /// ([`PhaseGradient::gates`]); either way the executed gate tally
+    /// records every constituent.
+    Gradient(u32),
 }
 
 /// Upper bound on the arity of a fused unitary block (`2^4 × 2^4` dense
@@ -257,6 +280,74 @@ impl FusedUnitary {
     #[must_use]
     pub fn is_permutation(&self) -> bool {
         self.gates.iter().all(Gate::is_permutation)
+    }
+}
+
+/// A phase-gradient cascade: the `CPhase(c_j, t, ±2π/2^{k_j})` gates of
+/// one QFT, IQFT or ΦADD column, stored as one `(control, k)` term (8
+/// bytes) per gate instead of one [`Instr`] each.
+///
+/// The terms keep program order, so [`gates`](Self::gates) re-derives the
+/// exact gates the packing step replaced. Every term shares the target
+/// and the sign. The packing step only emits gradients of at least two
+/// terms, with pairwise distinct `k ≥ 1` and the target outside the
+/// controls; the static verifier checks all of that.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PhaseGradient {
+    target: QubitId,
+    negative: bool,
+    terms: Vec<(QubitId, u32)>,
+}
+
+impl PhaseGradient {
+    /// A gradient on `target` with the given `(control, k)` terms: each
+    /// stands for `CPhase(control, target, ±2π/2^k)`, with `−` when
+    /// `negative` is set. Not validated: the packing step only builds
+    /// well-formed gradients, and [`validate`](crate::validate) checks a
+    /// hand-assembled one.
+    #[must_use]
+    pub fn new(target: QubitId, negative: bool, terms: Vec<(QubitId, u32)>) -> Self {
+        Self {
+            target,
+            negative,
+            terms,
+        }
+    }
+
+    /// The qubit every term rotates.
+    #[must_use]
+    pub fn target(&self) -> QubitId {
+        self.target
+    }
+
+    /// Whether every term rotates by `−2π/2^k` rather than `+2π/2^k`.
+    #[must_use]
+    pub fn is_negative(&self) -> bool {
+        self.negative
+    }
+
+    /// The `(control, k)` terms, in program order.
+    #[must_use]
+    pub fn terms(&self) -> &[(QubitId, u32)] {
+        &self.terms
+    }
+
+    /// The angle of a term with exponent `k`: `±2π/2^k` in canonical form.
+    fn angle(&self, k: u32) -> Angle {
+        let theta = Angle::turn_over_power_of_two(k);
+        if self.negative {
+            -theta
+        } else {
+            theta
+        }
+    }
+
+    /// The constituent `CPhase` gates, in application order — what
+    /// executors without the closed form replay.
+    pub fn gates(&self) -> impl Iterator<Item = Gate> + '_ {
+        self.terms
+            .iter()
+            .map(|&(c, k)| Gate::CPhase(c, self.target, self.angle(k)))
     }
 }
 
@@ -371,6 +462,12 @@ pub struct PassStats {
     /// Gates absorbed into fused blocks (each emitted block absorbs at
     /// least two).
     pub fused_gates: u64,
+    /// [`Instr::Gradient`] instructions emitted by the packing step,
+    /// which runs in every compile.
+    pub gradients: u64,
+    /// `CPhase` gates absorbed into gradients (each gradient absorbs at
+    /// least two).
+    pub gradient_gates: u64,
     /// Instructions in the final program.
     pub emitted_instrs: usize,
     /// Deterministic segments in the final program: maximal runs of
@@ -420,7 +517,8 @@ impl fmt::Display for PassStats {
         write!(
             f,
             "lowered {} instrs; cancelled {}, merged {}, identities {}, phase-dead {}, \
-             reclaimed {}, fused {} gates into {} blocks; emitted {} \
+             reclaimed {}, fused {} gates into {} blocks, packed {} CPhase into {} \
+             gradients; emitted {} \
              ({} segments, {} fork points; planned {} dense / {} sparse / {} phase)",
             self.lowered_instrs,
             self.cancelled,
@@ -430,6 +528,8 @@ impl fmt::Display for PassStats {
             self.dead_qubits_reclaimed,
             self.fused_gates,
             self.fused_blocks,
+            self.gradient_gates,
+            self.gradients,
             self.emitted_instrs,
             self.segments,
             self.fork_points,
@@ -487,6 +587,8 @@ pub struct CompiledCircuit {
     instrs: Vec<Instr>,
     /// Dense unitary blocks referenced by [`Instr::Fused`] indices.
     fused: Vec<FusedUnitary>,
+    /// Phase gradients referenced by [`Instr::Gradient`] indices.
+    gradients: Vec<PhaseGradient>,
     /// One profile per deterministic segment, in program order.
     profiles: Vec<SegmentProfile>,
     stats: PassStats,
@@ -495,7 +597,9 @@ pub struct CompiledCircuit {
 impl CompiledCircuit {
     /// Lowers `circuit` to a flat instruction stream without running any
     /// optimisation pass. The lowered program executes the exact operation
-    /// sequence of the interpreted tree walk.
+    /// sequence of the interpreted tree walk; the packing step still folds
+    /// its `CPhase` cascades into [`Instr::Gradient`]s, which re-derive
+    /// the same gates.
     ///
     /// # Errors
     ///
@@ -541,31 +645,35 @@ impl CompiledCircuit {
         let nc = circuit.num_clbits();
         let mut instrs = Vec::new();
         flatten(circuit.ops(), &mut instrs);
-        crate::verify::expect_valid_stage("lower", nq, nc, &instrs, &[])?;
+        crate::verify::expect_valid_stage("lower", nq, nc, &instrs, &[], &[])?;
         let mut stats = PassStats {
             lowered_instrs: instrs.len(),
             ..PassStats::default()
         };
         if config.any() {
             instrs = peephole(instrs, nq, config, &mut stats);
-            crate::verify::expect_valid_stage("peephole", nq, nc, &instrs, &[])?;
+            crate::verify::expect_valid_stage("peephole", nq, nc, &instrs, &[], &[])?;
         }
         let mut fused = Vec::new();
         if config.fuse_max_qubits > 0 {
             (instrs, fused) = fuse_gates(instrs, config.fuse_max_qubits, &mut stats);
-            crate::verify::expect_valid_stage("fusion", nq, nc, &instrs, &fused)?;
+            crate::verify::expect_valid_stage("fusion", nq, nc, &instrs, &fused, &[])?;
         }
         if config.reclaim_dead_qubits {
             instrs = reclaim_dead_qubits(instrs, circuit.num_qubits(), &mut stats, &fused);
-            crate::verify::expect_valid_stage("reclamation", nq, nc, &instrs, &fused)?;
+            crate::verify::expect_valid_stage("reclamation", nq, nc, &instrs, &fused, &[])?;
         }
+        let gradients;
+        (instrs, gradients) = pack_gradients(instrs, &mut stats);
+        crate::verify::expect_valid_stage("packing", nq, nc, &instrs, &fused, &gradients)?;
         stats.emitted_instrs = instrs.len();
-        let profiles = crate::plan::profile_segments(&instrs, &fused, nq);
+        let profiles = crate::plan::profile_segments(&instrs, &fused, &gradients, nq);
         let mut compiled = Self {
             num_qubits: circuit.num_qubits(),
             num_clbits: circuit.num_clbits(),
             instrs,
             fused,
+            gradients,
             profiles,
             stats,
         };
@@ -626,6 +734,23 @@ impl CompiledCircuit {
         &self.fused
     }
 
+    /// The phase gradients the packing step emitted, indexed by
+    /// [`Instr::Gradient`] payloads.
+    #[must_use]
+    pub fn gradients(&self) -> &[PhaseGradient] {
+        &self.gradients
+    }
+
+    /// The instruction stream and the gradient table, writable and
+    /// unchecked: a seam for tests of the static verifier and of the
+    /// executors' admission gate, which must see malformed programs. A
+    /// program edited through it may fail [`verify`](Self::verify), and
+    /// executors may panic on it unless that gate is armed.
+    #[doc(hidden)]
+    pub fn raw_parts_mut(&mut self) -> (&mut [Instr], &mut [PhaseGradient]) {
+        (&mut self.instrs, &mut self.gradients)
+    }
+
     /// What the peephole passes did to this program.
     #[must_use]
     pub fn stats(&self) -> &PassStats {
@@ -650,6 +775,11 @@ impl CompiledCircuit {
                         counts.record_gate(g);
                     }
                 }
+                Instr::Gradient(idx) => {
+                    for g in self.gradients[*idx as usize].gates() {
+                        counts.record_gate(&g);
+                    }
+                }
                 Instr::BranchUnless { .. } | Instr::Drop(_) => {}
             }
         }
@@ -664,9 +794,9 @@ impl CompiledCircuit {
     }
 
     /// The deterministic segmentation of the program: maximal runs of
-    /// *unitary* instructions ([`Instr::Gate`] / [`Instr::Fused`]) cut at
-    /// every non-unitary barrier (measurement, reset, drop, branch) and at
-    /// every branch join target.
+    /// *unitary* instructions ([`Instr::Gate`] / [`Instr::Fused`] /
+    /// [`Instr::Gradient`]) cut at every non-unitary barrier (measurement,
+    /// reset, drop, branch) and at every branch join target.
     ///
     /// Two properties hold by construction:
     ///
@@ -720,7 +850,8 @@ impl CompiledCircuit {
 
 /// One deterministic segment of a compiled program: the instruction range
 /// `start..end` holds only unitary instructions ([`Instr::Gate`] /
-/// [`Instr::Fused`]). Produced by [`CompiledCircuit::segments`].
+/// [`Instr::Fused`] / [`Instr::Gradient`]). Produced by
+/// [`CompiledCircuit::segments`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Segment {
     /// First instruction of the run (inclusive).
@@ -761,6 +892,20 @@ impl fmt::Display for CompiledCircuit {
                         write!(f, " {q}")?;
                     }
                     writeln!(f, " ({} gates)", fu.gates().len())?;
+                }
+                Instr::Gradient(idx) => {
+                    let pg = &self.gradients[*idx as usize];
+                    let op = if pg.is_negative() { "-=" } else { "+=" };
+                    write!(
+                        f,
+                        "{pc:5}: {:indent$}gradient[{idx}] {} {op}",
+                        "",
+                        pg.target()
+                    )?;
+                    for (c, k) in pg.terms() {
+                        write!(f, " {c}/2^{k}")?;
+                    }
+                    writeln!(f, " ({} gates)", pg.terms().len())?;
                 }
                 Instr::BranchUnless { clbit, skip } => {
                     let target = pc + 1 + *skip as usize;
@@ -1193,6 +1338,7 @@ fn reclaim_dead_qubits(
                 collapsed[q.index()] = true;
             }
             Instr::BranchUnless { .. } | Instr::Drop(_) => {}
+            Instr::Gradient(_) => unreachable!("packing runs after reclamation"),
         }
     }
 
@@ -1223,6 +1369,101 @@ fn reclaim_dead_qubits(
     }
     out.extend(drops_at[n].iter().map(|q| Instr::Drop(*q)));
     out
+}
+
+/// The exponent `k ≥ 1` of a `CPhase` angle `±2π/2^k`, with its sign
+/// (`Some(true)` for the negative angle). Both canonical forms of the
+/// negative angle count: the positive complement `1 − 2^{-k}` up to
+/// `k = 128` and [`Angle`]'s negated form past it. A half turn (`k = 1`)
+/// is its own negative, so its sign is `None` and it joins a run of
+/// either sign.
+fn gradient_term(theta: Angle) -> Option<(u32, Option<bool>)> {
+    let (num, k) = (theta.numerator(), theta.log2_denom());
+    if theta.is_negated() {
+        (num == 1).then_some((k, Some(true)))
+    } else if num == 1 {
+        Some((k, (k > 1).then_some(false)))
+    } else if (2..=128).contains(&k) && num == u128::MAX >> (128 - k) {
+        Some((k, Some(true)))
+    } else {
+        None
+    }
+}
+
+/// The packing step, the last stage of every compile: each maximal run of
+/// at least two consecutive `CPhase(c_j, t, ±2π/2^{k_j})` gates that
+/// share the target `t` (the second operand) and the sign, with pairwise
+/// distinct `k_j`, becomes one [`Instr::Gradient`] over a
+/// [`PhaseGradient`] appended to the returned table. Every QFT, IQFT and
+/// ΦADD column is such a run. Any other instruction ends a run, and so
+/// does a join barrier, so a gradient never spans a barrier, a fused
+/// block or a branch's join target; branch skips are recomputed over the
+/// packed stream. A stream with no two adjacent `CPhase` gates comes back
+/// as it went in, without a copy.
+fn pack_gradients(instrs: Vec<Instr>, stats: &mut PassStats) -> (Vec<Instr>, Vec<PhaseGradient>) {
+    let is_cphase = |i: &Instr| matches!(i, Instr::Gate(Gate::CPhase(..)));
+    if !instrs
+        .windows(2)
+        .any(|w| is_cphase(&w[0]) && is_cphase(&w[1]))
+    {
+        return (instrs, Vec::new());
+    }
+    let barrier = join_barriers(&instrs);
+    let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
+    let mut table = Vec::new();
+    // The open run: its first slot, its target, its terms so far (empty:
+    // no run is open), its sign once a term other than a half turn fixed
+    // it, and its exponents.
+    let mut head = 0usize;
+    let mut target = QubitId(0);
+    let mut terms: Vec<(QubitId, u32)> = Vec::new();
+    let mut sign: Option<bool> = None;
+    let mut seen: HashSet<u32> = HashSet::new();
+    for (pc, &at_join) in barrier.iter().enumerate() {
+        let term = match slots.get(pc) {
+            Some(Some(Instr::Gate(Gate::CPhase(c, t, theta)))) => {
+                gradient_term(*theta).map(|(k, s)| (*c, *t, k, s))
+            }
+            _ => None,
+        };
+        if let Some((c, t, k, s)) = term {
+            let same_sign = match (s, sign) {
+                (Some(s), Some(run)) => s == run,
+                _ => true,
+            };
+            if !terms.is_empty() && !at_join && t == target && same_sign && seen.insert(k) {
+                terms.push((c, k));
+                sign = sign.or(s);
+                continue;
+            }
+        }
+        let len = terms.len();
+        if len >= 2 {
+            let idx = u32::try_from(table.len()).expect("gradient table fits u32 indices");
+            slots[head] = Some(Instr::Gradient(idx));
+            slots[head + 1..head + len].fill(None);
+            // A clone is allocated at its exact length: the program keeps
+            // its gradients for as long as it lives.
+            table.push(PhaseGradient::new(
+                target,
+                sign == Some(true),
+                terms.clone(),
+            ));
+            stats.gradients += 1;
+            stats.gradient_gates += len as u64;
+        }
+        terms.clear();
+        if let Some((c, t, k, s)) = term {
+            head = pc;
+            target = t;
+            terms.push((c, k));
+            sign = s;
+            seen.clear();
+            seen.insert(k);
+        }
+    }
+    table.shrink_to_fit();
+    (compact_slots(&slots), table)
 }
 
 /// Marks an empty [`SlotStacks`] stack.
@@ -1500,8 +1741,9 @@ fn eliminate_phase_dead(slots: &mut [Option<Instr>], barrier: &[bool], stats: &m
                 // Drops never move amplitudes; stepping over is safe (and
                 // the reclamation pass runs after this one anyway).
                 Some(Instr::Drop(_)) => continue,
-                // Fused blocks only appear after this pass; conservative.
-                Some(Instr::Fused(_)) | Some(Instr::BranchUnless { .. }) => break,
+                // Fused blocks and gradients only appear after this pass;
+                // conservative.
+                Some(Instr::Fused(_) | Instr::Gradient(_) | Instr::BranchUnless { .. }) => break,
             }
         }
         if dead {
@@ -1605,7 +1847,7 @@ mod tests {
     use super::*;
     use crate::angle::Angle;
     use crate::builder::CircuitBuilder;
-    use crate::verify::Finding;
+    use crate::verify::{Finding, ProgramView};
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
@@ -2427,6 +2669,24 @@ mod tests {
         }
 
         #[test]
+        fn packing_round_trips_to_valid_maximal_gradients(circuit in gate_soup()) {
+            let lowered = flat(&circuit);
+            let mut stats = PassStats::default();
+            let (packed, table) = pack_gradients(lowered.clone(), &mut stats);
+            proptest::prop_assert_eq!(unpack(&packed, &table), lowered);
+            let view = ProgramView::new(circuit.num_qubits(), circuit.num_clbits(), &packed, &[])
+                .with_gradients(&table);
+            let findings = crate::verify::validate(&view);
+            proptest::prop_assert!(findings.is_empty(), "{findings:?}");
+            proptest::prop_assert!(table.iter().all(|g| g.terms().len() >= 2));
+            proptest::prop_assert_eq!(stats.gradients, table.len() as u64);
+            proptest::prop_assert_eq!(
+                stats.gradient_gates,
+                table.iter().map(|g| g.terms().len() as u64).sum::<u64>()
+            );
+        }
+
+        #[test]
         fn indexed_peephole_matches_the_rescan_oracle(circuit in gate_soup()) {
             // Each peephole pass alone, then the default and aggressive sets.
             let configs = [
@@ -2454,8 +2714,9 @@ mod tests {
         use rand::SeedableRng;
         let soup = gate_soup();
         let mut rng = proptest::TestRng::seed_from_u64(7);
-        // Fused blocks, branches (joins), measurements, resets, drops.
-        let mut seen = [false; 5];
+        // Fused blocks, branches (joins), measurements, resets, drops,
+        // gradients.
+        let mut seen = [false; 6];
         for _ in 0..200 {
             let compiled = CompiledCircuit::compile(&soup.generate(&mut rng)).unwrap();
             for instr in compiled.instrs() {
@@ -2466,11 +2727,12 @@ mod tests {
                     Instr::Measure { .. } => 2,
                     Instr::Reset(_) => 3,
                     Instr::Drop(_) => 4,
+                    Instr::Gradient(_) => 5,
                 };
                 seen[kind] = true;
             }
         }
-        assert_eq!(seen, [true; 5]);
+        assert_eq!(seen, [true; 6]);
     }
 
     /// A compiled program with a segment before, inside and after a
@@ -2538,6 +2800,214 @@ mod tests {
                 recorded: actual + 1,
                 actual,
             }]
+        );
+    }
+
+    /// `instrs` with every gradient replayed as its `CPhase` gates and the
+    /// branch skips stretched to match: the stream before packing.
+    fn unpack(instrs: &[Instr], table: &[PhaseGradient]) -> Vec<Instr> {
+        let width = |i: &Instr| match i {
+            Instr::Gradient(idx) => table[*idx as usize].terms().len(),
+            _ => 1,
+        };
+        // starts[pc]: where instruction `pc` lands in the unpacked stream.
+        let mut starts = vec![0usize; instrs.len() + 1];
+        for (pc, i) in instrs.iter().enumerate() {
+            starts[pc + 1] = starts[pc] + width(i);
+        }
+        let mut out = Vec::with_capacity(starts[instrs.len()]);
+        for (pc, i) in instrs.iter().enumerate() {
+            match i {
+                Instr::Gradient(idx) => {
+                    out.extend(table[*idx as usize].gates().map(Instr::Gate));
+                }
+                Instr::BranchUnless { clbit, skip } => {
+                    let join = pc + 1 + *skip as usize;
+                    let skip = u32::try_from(starts[join] - starts[pc + 1]).unwrap();
+                    out.push(Instr::BranchUnless {
+                        clbit: *clbit,
+                        skip,
+                    });
+                }
+                other => out.push(*other),
+            }
+        }
+        out
+    }
+
+    fn flat(circuit: &Circuit) -> Vec<Instr> {
+        let mut instrs = Vec::new();
+        flatten(circuit.ops(), &mut instrs);
+        instrs
+    }
+
+    #[test]
+    fn packing_folds_each_qft_column_into_one_gradient() {
+        // A 5-qubit QFT and IQFT: columns of 1 to 4 `CPhase` gates.
+        let m = 5;
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("r", m);
+        let k = |i: usize, j: usize| Angle::turn_over_power_of_two((i - j + 1) as u32);
+        for i in (0..m).rev() {
+            b.h(r[i]);
+            for j in (0..i).rev() {
+                b.cphase(r[j], r[i], k(i, j));
+            }
+        }
+        for i in 0..m {
+            for j in 0..i {
+                b.cphase(r[j], r[i], -k(i, j));
+            }
+            b.h(r[i]);
+        }
+        let circuit = b.finish();
+        let lowered = CompiledCircuit::lower(&circuit).unwrap();
+        // The columns of 2, 3 and 4 gates pack in both transforms; the
+        // one-gate column stays a gate.
+        let stats = lowered.stats();
+        assert_eq!(
+            (stats.gradients, stats.gradient_gates),
+            (6, 18),
+            "{lowered}"
+        );
+        assert_eq!(stats.lowered_instrs, 30);
+        assert_eq!(stats.emitted_instrs, 10 + 2 + 6);
+        let first = &lowered.gradients()[0];
+        assert_eq!(first.target(), r[4]);
+        assert!(!first.is_negative());
+        assert_eq!(first.terms(), [(r[3], 2), (r[2], 3), (r[1], 4), (r[0], 5)]);
+        assert!(lowered.gradients()[5].is_negative());
+        // Nothing added, removed or reordered.
+        assert_eq!(
+            unpack(lowered.instrs(), lowered.gradients()),
+            flat(&circuit)
+        );
+        assert_eq!(lowered.counts(), circuit.counts());
+        let dump = lowered.to_string();
+        assert!(
+            dump.contains("gradient[0] q4 += q3/2^2 q2/2^3 q1/2^4 q0/2^5 (4 gates)"),
+            "{dump}"
+        );
+        assert!(dump.contains("gradient[5] q4 -= q0/2^5"), "{dump}");
+        assert!(dump.contains("packed 18 CPhase into 6 gradients"), "{dump}");
+    }
+
+    #[test]
+    fn packing_stops_at_targets_signs_repeats_angles_and_joins() {
+        let t = Angle::turn_over_power_of_two;
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 6);
+        let m = b.measure(r[5], Basis::Z);
+        // Both canonical forms of a negative angle, and a half turn, which
+        // joins a run of either sign.
+        b.cphase(r[0], r[4], -t(200));
+        b.cphase(r[1], r[4], -t(128));
+        b.cphase(r[2], r[4], t(1));
+        b.cphase(r[3], r[4], -t(3));
+        // A repeated exponent opens a new run...
+        b.cphase(r[0], r[4], -t(3));
+        b.cphase(r[1], r[4], -t(4));
+        // ...and so do a sign change...
+        b.cphase(r[2], r[4], t(5));
+        b.cphase(r[3], r[4], t(6));
+        // ...and a new target (the second operand).
+        b.cphase(r[4], r[3], t(7));
+        b.cphase(r[0], r[3], t(8));
+        // A run inside a guarded block ends at its join.
+        let (_, body) = b.record(|b| {
+            b.cphase(r[1], r[3], t(9));
+            b.cphase(r[2], r[3], t(10));
+        });
+        b.emit_conditional(m, &body);
+        b.cphase(r[0], r[3], t(11));
+        // An angle that is not ±2π/2^k ends a run too.
+        b.cphase(r[1], r[3], Angle::from_fraction(3, 4));
+        b.cphase(r[2], r[3], t(12));
+        let circuit = b.finish();
+        let lowered = CompiledCircuit::lower(&circuit).unwrap();
+        assert_eq!(
+            lowered.gradients(),
+            [
+                PhaseGradient::new(
+                    r[4],
+                    true,
+                    vec![(r[0], 200), (r[1], 128), (r[2], 1), (r[3], 3)]
+                ),
+                PhaseGradient::new(r[4], true, vec![(r[0], 3), (r[1], 4)]),
+                PhaseGradient::new(r[4], false, vec![(r[2], 5), (r[3], 6)]),
+                PhaseGradient::new(r[3], false, vec![(r[4], 7), (r[0], 8)]),
+                PhaseGradient::new(r[3], false, vec![(r[1], 9), (r[2], 10)]),
+            ],
+            "{lowered}"
+        );
+        // Measure, four gradients, the branch over the fifth, three gates.
+        assert_eq!(lowered.instrs().len(), 10, "{lowered}");
+        assert!(matches!(
+            lowered.instrs()[5],
+            Instr::BranchUnless { skip: 1, .. }
+        ));
+        assert_eq!(
+            unpack(lowered.instrs(), lowered.gradients()),
+            flat(&circuit)
+        );
+        assert_eq!(lowered.verify(), Ok(()));
+    }
+
+    #[test]
+    fn packing_leaves_a_stream_without_a_cphase_pair_in_place() {
+        let theta = Angle::turn_over_power_of_two(3);
+        let instrs = vec![
+            Instr::Gate(Gate::CPhase(q(0), q(1), theta)),
+            Instr::Gate(Gate::H(q(1))),
+            Instr::Gate(Gate::CPhase(q(0), q(1), theta)),
+        ];
+        let at = instrs.as_ptr();
+        let mut stats = PassStats::default();
+        let (out, table) = pack_gradients(instrs, &mut stats);
+        assert_eq!(out.as_ptr(), at, "no copy");
+        assert_eq!(out.len(), 3);
+        assert!(table.is_empty());
+        assert_eq!(stats, PassStats::default());
+    }
+
+    #[test]
+    fn verify_catches_trivial_gradients_and_drifted_gradient_tallies() {
+        let t = Angle::turn_over_power_of_two;
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 3);
+        b.cphase(r[0], r[2], t(2));
+        b.cphase(r[1], r[2], t(3));
+        let clean = CompiledCircuit::lower(&b.finish()).unwrap();
+        assert_eq!(clean.stats().gradients, 1);
+
+        let mut drifted = clean.clone();
+        drifted.stats.gradients += 1;
+        drifted.stats.gradient_gates -= 1;
+        assert_eq!(
+            drifted.verify().unwrap_err().findings(),
+            [
+                Finding::StatsMismatch {
+                    field: "gradients",
+                    recorded: 2,
+                    actual: 1,
+                },
+                Finding::StatsMismatch {
+                    field: "gradient_gates",
+                    recorded: 1,
+                    actual: 2,
+                },
+            ]
+        );
+
+        let mut trivial = clean.clone();
+        trivial.gradients[0].terms.truncate(1);
+        let findings = trivial.verify().unwrap_err().findings().to_vec();
+        assert_eq!(
+            findings[0],
+            Finding::GradientTrivial {
+                gradient: 0,
+                terms: 1
+            }
         );
     }
 

@@ -24,8 +24,10 @@
 //! * a compilation layer ([`CompiledCircuit`]): lowering to a flat
 //!   branch-encoded instruction stream plus peephole passes (self-inverse
 //!   cancellation, exact rotation merging, identity and phase-dead
-//!   elimination) with per-pass [`PassStats`] — the program representation
-//!   the simulators' hot paths execute;
+//!   elimination) with per-pass [`PassStats`], and a packing step that
+//!   folds each QFT/ΦADD cascade of controlled rotations into one
+//!   [`PhaseGradient`] instruction — the program representation the
+//!   simulators' hot paths execute;
 //! * a static verification layer ([`verify`]): a linear IR
 //!   [validator](verify::validate) run after every pass under the careful
 //!   profile, and a [symbolic equivalence checker](verify::check_equivalence)
@@ -68,8 +70,8 @@ pub use angle::Angle;
 pub use builder::{CircuitBuilder, OpBlock, Register};
 pub use circuit::Circuit;
 pub use compile::{
-    CompiledCircuit, FusedUnitary, Instr, PassConfig, PassStats, Segment, MAX_FUSED_QUBITS,
-    MAX_PERM_FUSED_QUBITS,
+    CompiledCircuit, FusedUnitary, Instr, PassConfig, PassStats, PhaseGradient, Segment,
+    MAX_FUSED_QUBITS, MAX_PERM_FUSED_QUBITS,
 };
 pub use counts::{ExpectedCounts, GateCounts};
 pub use error::CircuitError;

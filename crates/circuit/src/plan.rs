@@ -37,7 +37,7 @@
 
 use std::fmt;
 
-use crate::compile::{CompiledCircuit, FusedUnitary, Instr, Segment};
+use crate::compile::{CompiledCircuit, FusedUnitary, Instr, PhaseGradient, Segment};
 use crate::gate::Gate;
 use crate::op::QubitId;
 
@@ -226,6 +226,7 @@ pub fn plan_segment(
 pub(crate) fn profile_segments(
     instrs: &[Instr],
     fused: &[FusedUnitary],
+    gradients: &[PhaseGradient],
     num_qubits: usize,
 ) -> Vec<SegmentProfile> {
     // Branch join targets cut runs: the instructions before and after a
@@ -244,7 +245,7 @@ pub(crate) fn profile_segments(
     // grown only as far as the widest qubit touched.
     let mut counted_in: Vec<usize> = Vec::new();
     for (pc, instr) in instrs.iter().enumerate() {
-        let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
+        let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_) | Instr::Gradient(_));
         if join[pc] || !unitary {
             if let Some(mut done) = open.take() {
                 done.segment.end = pc;
@@ -266,16 +267,24 @@ pub(crate) fn profile_segments(
             }
         };
         // A fused block classifies by its (operand-independent) gate
-        // families and takes its support from its global qubits.
-        let gates = match instr {
+        // families and takes its support from its global qubits; a
+        // gradient counts its target and controls, and classifies as the
+        // `CPhase` gates it stands for.
+        let (gates, cphases) = match instr {
             Instr::Gate(g) => {
                 g.for_each_qubit(&mut count);
-                std::slice::from_ref(g)
+                (std::slice::from_ref(g), 0)
             }
             Instr::Fused(idx) => {
                 let block = &fused[*idx as usize];
                 block.qubits().iter().copied().for_each(count);
-                block.gates()
+                (block.gates(), 0)
+            }
+            Instr::Gradient(idx) => {
+                let pg = &gradients[*idx as usize];
+                count(pg.target());
+                pg.terms().iter().for_each(|&(c, _)| count(c));
+                (&[][..], pg.terms().len())
             }
             Instr::Measure { .. } | Instr::Reset(_) => {
                 occ_log2 = occ_log2.saturating_sub(1);
@@ -298,6 +307,11 @@ pub(crate) fn profile_segments(
             p.diag_only &= g.is_diagonal();
             p.h_count += u32::from(matches!(g, Gate::H(_)));
             p.diag_count += u32::from(g.is_diagonal());
+        }
+        if cphases > 0 {
+            // `CPhase` is diagonal and no permutation.
+            p.perm_only = false;
+            p.diag_count += u32::try_from(cphases).unwrap_or(u32::MAX);
         }
     }
     if let Some(mut done) = open {
@@ -346,7 +360,7 @@ pub(crate) mod oracle {
         let mut segments = Vec::new();
         let mut start: Option<usize> = None;
         for (pc, instr) in instrs.iter().enumerate() {
-            let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
+            let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_) | Instr::Gradient(_));
             if join[pc] || !unitary {
                 if let Some(s) = start.take() {
                     segments.push(Segment { start: s, end: pc });
@@ -402,6 +416,11 @@ pub(crate) mod oracle {
                         }
                         for q in fu.qubits() {
                             support.insert(q.0);
+                        }
+                    }
+                    Instr::Gradient(idx) => {
+                        for g in compiled.gradients()[*idx as usize].gates() {
+                            classify(&g, &mut support);
                         }
                     }
                     _ => unreachable!("non-unitary instr inside a segment"),

@@ -2,9 +2,10 @@
 //! symbolic equivalence checker, both running *without* simulating a
 //! single amplitude.
 //!
-//! The compile pipeline stacks six semantics-critical passes (peephole
+//! The compile pipeline stacks seven semantics-critical stages (peephole
 //! cancellation/merging, dense-block fusion, permutation-run fusion,
-//! liveness/`Drop` reclamation, segmentation, representation planning).
+//! liveness/`Drop` reclamation, phase-gradient packing, segmentation,
+//! representation planning).
 //! The paper's contribution — measurement-based uncomputation is *exactly*
 //! equivalent to unitary uncomputation — makes a miscompile that silently
 //! drops a phase correction or reorders a `Drop` past a live use the worst
@@ -27,6 +28,11 @@
 //!   ([`MAX_FUSED_QUBITS`] dense / [`MAX_PERM_FUSED_QUBITS`] permutation),
 //!   local indices in range, and — at the program level — the
 //!   block/constituent tallies recorded in the stats;
+//! * gradient table consistency: [`Instr::Gradient`] indices in range,
+//!   target and controls inside the register, the target outside its
+//!   controls, pairwise distinct exponents, and — at the program level —
+//!   at least two terms per gradient and the gradient/constituent
+//!   tallies recorded in the stats;
 //! * `Drop` safety via a def-use dataflow walk: no instruction touches a
 //!   qubit after its `Drop`, every dropped qubit was collapsed (measured
 //!   or reset) beforehand, and drops sit at guard depth zero — exactly
@@ -62,8 +68,10 @@
 //! step. Non-unitary instructions are hard barriers: both streams must
 //! present the same measurement/reset/branch and `D` must have returned
 //! to the identity (passes never move gates across barriers), guarded
-//! regions are compared recursively, and fused blocks are transparently
-//! expanded to their constituents. On mismatch the checker reports the
+//! regions are compared recursively, and fused blocks and phase gradients
+//! are transparently expanded to their constituents, so an `Equal`
+//! verdict against the unpacked stream proves the packing. On mismatch
+//! the checker reports the
 //! **first diverging instruction** on each side — the point where `D`
 //! left the identity and never recovered.
 //!
@@ -82,12 +90,13 @@
 //! angles are `2π/2^k` with `k ≤ 66` and pass-induced differences stay
 //! within a three-qubit window.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 use crate::angle::Angle;
 use crate::compile::{
-    CompiledCircuit, FusedUnitary, Instr, Segment, MAX_FUSED_QUBITS, MAX_PERM_FUSED_QUBITS,
+    CompiledCircuit, FusedUnitary, Instr, PhaseGradient, Segment, MAX_FUSED_QUBITS,
+    MAX_PERM_FUSED_QUBITS,
 };
 use crate::error::CircuitError;
 use crate::gate::{Basis, Gate};
@@ -97,18 +106,20 @@ use crate::plan::{plan_segment, PlanConfig, PlannedRepr, SegmentProfile};
 /// A borrowed, possibly untrusted instruction stream plus the register
 /// shape it claims — the validator's input. Obtain one from a finished
 /// program via [`CompiledCircuit::view`], or build one with
-/// [`ProgramView::new`] to check a hand-assembled (or deliberately
-/// mutated) stream.
+/// [`ProgramView::new`] (and [`with_gradients`](Self::with_gradients)) to
+/// check a hand-assembled (or deliberately mutated) stream.
 #[derive(Clone, Copy, Debug)]
 pub struct ProgramView<'a> {
     num_qubits: usize,
     num_clbits: usize,
     instrs: &'a [Instr],
     fused: &'a [FusedUnitary],
+    gradients: &'a [PhaseGradient],
 }
 
 impl<'a> ProgramView<'a> {
-    /// Wraps a raw stream and its fused-block table.
+    /// Wraps a raw stream and its fused-block table, with an empty
+    /// gradient table.
     #[must_use]
     pub fn new(
         num_qubits: usize,
@@ -121,7 +132,15 @@ impl<'a> ProgramView<'a> {
             num_clbits,
             instrs,
             fused,
+            gradients: &[],
         }
+    }
+
+    /// The same view over the gradient table `gradients`, which the
+    /// stream's [`Instr::Gradient`] payloads index.
+    #[must_use]
+    pub fn with_gradients(self, gradients: &'a [PhaseGradient]) -> Self {
+        Self { gradients, ..self }
     }
 
     /// The claimed qubit count.
@@ -146,6 +165,12 @@ impl<'a> ProgramView<'a> {
     #[must_use]
     pub fn fused(&self) -> &'a [FusedUnitary] {
         self.fused
+    }
+
+    /// The gradient table referenced by [`Instr::Gradient`] payloads.
+    #[must_use]
+    pub fn gradients(&self) -> &'a [PhaseGradient] {
+        self.gradients
     }
 }
 
@@ -249,6 +274,45 @@ pub enum Finding {
         /// [`MAX_PERM_FUSED_QUBITS`] for permutation blocks).
         max: usize,
     },
+    /// An [`Instr::Gradient`] payload indexes past the gradient table.
+    GradientIndexOutOfRange {
+        /// Offending instruction.
+        pc: usize,
+        /// The out-of-range table index.
+        index: u32,
+    },
+    /// A gradient's target or one of its controls lies outside the
+    /// register.
+    GradientOperandOutOfRange {
+        /// Offending gradient (table index).
+        gradient: usize,
+        /// Offending qubit index.
+        qubit: u32,
+    },
+    /// A gradient's target is also one of its controls.
+    GradientTargetIsControl {
+        /// Offending gradient (table index).
+        gradient: usize,
+        /// The term that names the target as its control.
+        term: usize,
+    },
+    /// A gradient repeats an exponent `k`: its terms no longer add as
+    /// distinct bits.
+    GradientRepeatedExponent {
+        /// Offending gradient (table index).
+        gradient: usize,
+        /// The term that repeats an earlier term's exponent.
+        term: usize,
+        /// The repeated exponent.
+        k: u32,
+    },
+    /// A gradient holds fewer terms than the packing step ever emits.
+    GradientTrivial {
+        /// Offending gradient (table index).
+        gradient: usize,
+        /// Its term count.
+        terms: usize,
+    },
     /// An instruction touches a qubit after the qubit's [`Instr::Drop`].
     UseAfterDrop {
         /// The instruction touching the dead qubit.
@@ -305,6 +369,7 @@ impl Finding {
             | Finding::BranchTargetOutOfRange { pc, .. }
             | Finding::BranchNotNested { pc, .. }
             | Finding::FusedIndexOutOfRange { pc, .. }
+            | Finding::GradientIndexOutOfRange { pc, .. }
             | Finding::UseAfterDrop { pc, .. }
             | Finding::DropWithoutCollapse { pc, .. }
             | Finding::DropInsideGuard { pc, .. } => Some(*pc),
@@ -367,6 +432,21 @@ impl fmt::Display for Finding {
             Finding::FusedBlockTooWide { block, width, max } => {
                 write!(f, "fused[{block}]: spans {width} qubits (cap {max})")
             }
+            Finding::GradientIndexOutOfRange { pc, index } => {
+                write!(f, "pc {pc}: gradient index {index} past table end")
+            }
+            Finding::GradientOperandOutOfRange { gradient, qubit } => {
+                write!(f, "gradient[{gradient}]: qubit q{qubit} out of range")
+            }
+            Finding::GradientTargetIsControl { gradient, term } => {
+                write!(f, "gradient[{gradient}] term {term}: control is the target")
+            }
+            Finding::GradientRepeatedExponent { gradient, term, k } => {
+                write!(f, "gradient[{gradient}] term {term}: exponent {k} repeated")
+            }
+            Finding::GradientTrivial { gradient, terms } => {
+                write!(f, "gradient[{gradient}]: only {terms} terms")
+            }
             Finding::UseAfterDrop { pc, qubit, drop_pc } => {
                 write!(f, "pc {pc}: touches qubit q{qubit} dropped at pc {drop_pc}")
             }
@@ -425,9 +505,9 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The operand qubits an instruction touches (gate operands, fused-block
-/// global support, measured/reset/dropped qubit). Duplicates are kept so
-/// callers can detect them.
-fn touched_qubits(instr: &Instr, fused: &[FusedUnitary], out: &mut Vec<u32>) {
+/// global support, gradient target and controls, measured/reset/dropped
+/// qubit). Duplicates are kept so callers can detect them.
+fn touched_qubits(instr: &Instr, view: &ProgramView<'_>, out: &mut Vec<u32>) {
     out.clear();
     match instr {
         Instr::Gate(g) => g.for_each_qubit(&mut |q| out.push(q.0)),
@@ -435,8 +515,14 @@ fn touched_qubits(instr: &Instr, fused: &[FusedUnitary], out: &mut Vec<u32>) {
             out.push(qubit.0);
         }
         Instr::Fused(idx) => {
-            if let Some(block) = fused.get(*idx as usize) {
+            if let Some(block) = view.fused.get(*idx as usize) {
                 out.extend(block.qubits().iter().map(|q| q.0));
+            }
+        }
+        Instr::Gradient(idx) => {
+            if let Some(pg) = view.gradients.get(*idx as usize) {
+                out.push(pg.target().0);
+                out.extend(pg.terms().iter().map(|(c, _)| c.0));
             }
         }
         Instr::BranchUnless { .. } => {}
@@ -509,6 +595,32 @@ pub fn validate(view: &ProgramView<'_>) -> Vec<Finding> {
         }
     }
 
+    let mut exponents = HashSet::new();
+    for (gi, pg) in view.gradients.iter().enumerate() {
+        let target = pg.target();
+        for q in std::iter::once(target).chain(pg.terms().iter().map(|&(c, _)| c)) {
+            if q.0 >= num_qubits {
+                findings.push(Finding::GradientOperandOutOfRange {
+                    gradient: gi,
+                    qubit: q.0,
+                });
+            }
+        }
+        exponents.clear();
+        for (term, &(c, k)) in pg.terms().iter().enumerate() {
+            if c == target {
+                findings.push(Finding::GradientTargetIsControl { gradient: gi, term });
+            }
+            if !exponents.insert(k) {
+                findings.push(Finding::GradientRepeatedExponent {
+                    gradient: gi,
+                    term,
+                    k,
+                });
+            }
+        }
+    }
+
     // One forward pass: operand ranges, guard nesting, drop dataflow.
     let mut guard_ends: Vec<usize> = Vec::new();
     let mut collapsed = vec![false; view.num_qubits];
@@ -518,10 +630,11 @@ pub fn validate(view: &ProgramView<'_>) -> Vec<Finding> {
         while guard_ends.last() == Some(&pc) {
             guard_ends.pop();
         }
-        // Range and duplicate checks on the operands themselves.
-        touched_qubits(instr, view.fused, &mut ops);
+        // Range and duplicate checks on the operands themselves (a
+        // block's or gradient's are table findings above).
+        touched_qubits(instr, view, &mut ops);
         for (i, &q) in ops.iter().enumerate() {
-            if q >= num_qubits && !matches!(instr, Instr::Fused(_)) {
+            if q >= num_qubits && !matches!(instr, Instr::Fused(_) | Instr::Gradient(_)) {
                 findings.push(Finding::QubitOutOfRange { pc, qubit: q });
             }
             if matches!(instr, Instr::Gate(_)) && ops[..i].contains(&q) {
@@ -590,6 +703,11 @@ pub fn validate(view: &ProgramView<'_>) -> Vec<Finding> {
             Instr::Fused(idx) => {
                 if (*idx as usize) >= view.fused.len() {
                     findings.push(Finding::FusedIndexOutOfRange { pc, index: *idx });
+                }
+            }
+            Instr::Gradient(idx) => {
+                if (*idx as usize) >= view.gradients.len() {
+                    findings.push(Finding::GradientIndexOutOfRange { pc, index: *idx });
                 }
             }
         }
@@ -670,6 +788,14 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
                         }
                     }
                 }
+                Instr::Gradient(idx) => {
+                    if let Some(pg) = view.gradients.get(*idx as usize) {
+                        for g in pg.gates() {
+                            classify(&g);
+                            g.for_each_qubit(&mut touch);
+                        }
+                    }
+                }
                 _ => {}
             }
         }
@@ -685,7 +811,7 @@ fn rederive_profiles(view: &ProgramView<'_>) -> Vec<SegmentProfile> {
         });
     };
     for (pc, instr) in view.instrs.iter().enumerate() {
-        let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_));
+        let unitary = matches!(instr, Instr::Gate(_) | Instr::Fused(_) | Instr::Gradient(_));
         if join[pc] || !unitary {
             if let Some(start) = run_start.take() {
                 close(&mut profiles, &mut last_seen, &mut occ_log2, start, pc);
@@ -715,8 +841,10 @@ fn push_stat(findings: &mut Vec<Finding>, field: &'static str, recorded: u64, ac
 }
 
 /// Full Layer-1 validation of a finished program: the stream checks of
-/// [`validate`] plus stats consistency (emitted/fused/drop/segment/plan
-/// tallies must describe this exact program) and segment-profile/plan
+/// [`validate`] plus stats consistency (emitted/fused/gradient/drop/
+/// segment/plan tallies must describe this exact program), the
+/// at-least-two-constituents rule for fused blocks and gradients, and
+/// segment-profile/plan
 /// coherence against an independent re-derivation. It walks the segments
 /// once: the recorded profiles are compared with that one re-derivation,
 /// and the plan tallies are re-planned from the recorded profiles.
@@ -731,6 +859,15 @@ pub fn validate_compiled(compiled: &CompiledCircuit) -> Vec<Finding> {
             findings.push(Finding::FusedBlockTrivial {
                 block: bi,
                 gates: 1,
+            });
+        }
+    }
+    for (gi, pg) in view.gradients.iter().enumerate() {
+        // The packing step only emits runs of at least two gates.
+        if pg.terms().len() < 2 {
+            findings.push(Finding::GradientTrivial {
+                gradient: gi,
+                terms: pg.terms().len(),
             });
         }
     }
@@ -754,6 +891,18 @@ pub fn validate_compiled(compiled: &CompiledCircuit) -> Vec<Finding> {
         "fused_gates",
         stats.fused_gates,
         view.fused.iter().map(|b| b.gates().len() as u64).sum(),
+    );
+    push_stat(
+        &mut findings,
+        "gradients",
+        stats.gradients,
+        view.gradients.len() as u64,
+    );
+    push_stat(
+        &mut findings,
+        "gradient_gates",
+        stats.gradient_gates,
+        view.gradients.iter().map(|g| g.terms().len() as u64).sum(),
     );
     push_stat(
         &mut findings,
@@ -850,11 +999,12 @@ pub(crate) fn expect_valid_stage(
     num_clbits: usize,
     instrs: &[Instr],
     fused: &[FusedUnitary],
+    gradients: &[PhaseGradient],
 ) -> Result<(), CircuitError> {
     if !cfg!(debug_assertions) {
         return Ok(());
     }
-    let view = ProgramView::new(num_qubits, num_clbits, instrs, fused);
+    let view = ProgramView::new(num_qubits, num_clbits, instrs, fused).with_gradients(gradients);
     match validate(&view).into_iter().next() {
         None => Ok(()),
         Some(finding) => Err(CircuitError::VerificationFailed {
@@ -875,6 +1025,7 @@ impl CompiledCircuit {
             self.instrs(),
             self.fused_unitaries(),
         )
+        .with_gradients(self.gradients())
     }
 
     /// Runs the full Layer-1 validator ([`validate_compiled`]) on demand:
@@ -1469,7 +1620,8 @@ impl DiffState {
 }
 
 /// The front of a [`Walk`]: the next effective instruction, with fused
-/// blocks already expanded to constituent gates and `Drop`s skipped.
+/// blocks and gradients already expanded to constituent gates and `Drop`s
+/// skipped.
 #[derive(Clone, Copy, Debug)]
 enum Front {
     Gate(Gate, usize),
@@ -1477,12 +1629,12 @@ enum Front {
 }
 
 /// A cursor over one region `lo..hi` of a stream that presents gates and
-/// barriers uniformly: fused blocks stream out their constituents (all
-/// reported at the block's pc) and advisory `Drop`s are transparent.
+/// barriers uniformly: fused blocks and gradients stream out their
+/// constituents (all reported at the block's or gradient's pc) and
+/// advisory `Drop`s are transparent.
 #[derive(Clone)]
 struct Walk<'a> {
-    instrs: &'a [Instr],
-    fused: &'a [FusedUnitary],
+    view: ProgramView<'a>,
     pc: usize,
     hi: usize,
     queue: VecDeque<Gate>,
@@ -1490,10 +1642,9 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(instrs: &'a [Instr], fused: &'a [FusedUnitary], lo: usize, hi: usize) -> Self {
+    fn new(view: ProgramView<'a>, lo: usize, hi: usize) -> Self {
         Self {
-            instrs,
-            fused,
+            view,
             pc: lo,
             hi,
             queue: VecDeque::new(),
@@ -1509,15 +1660,22 @@ impl<'a> Walk<'a> {
             if self.pc >= self.hi {
                 return None;
             }
-            match self.instrs[self.pc] {
+            match self.view.instrs[self.pc] {
                 Instr::Drop(_) => self.pc += 1,
                 Instr::Gate(g) => return Some(Front::Gate(g, self.pc)),
                 Instr::Fused(idx) => {
                     self.queue_pc = self.pc;
                     self.pc += 1;
                     // Validation already vouched for the index.
-                    if let Some(block) = self.fused.get(idx as usize) {
+                    if let Some(block) = self.view.fused.get(idx as usize) {
                         self.queue.extend(block.global_gates());
+                    }
+                }
+                Instr::Gradient(idx) => {
+                    self.queue_pc = self.pc;
+                    self.pc += 1;
+                    if let Some(pg) = self.view.gradients.get(idx as usize) {
+                        self.queue.extend(pg.gates());
                     }
                 }
                 other => return Some(Front::Barrier(other, self.pc)),
@@ -1671,13 +1829,8 @@ impl Engine<'_> {
         pre_range: (usize, usize),
         post_range: (usize, usize),
     ) -> Result<(), Equivalence> {
-        let mut pre = Walk::new(self.pre.instrs, self.pre.fused, pre_range.0, pre_range.1);
-        let mut post = Walk::new(
-            self.post.instrs,
-            self.post.fused,
-            post_range.0,
-            post_range.1,
-        );
+        let mut pre = Walk::new(self.pre, pre_range.0, pre_range.1);
+        let mut post = Walk::new(self.post, post_range.0, post_range.1);
         loop {
             match (pre.front(), post.front()) {
                 (None, None) => {
@@ -2039,6 +2192,82 @@ mod tests {
             operand: 1
         }));
         assert!(findings.contains(&Finding::FusedIndexOutOfRange { pc: 1, index: 5 }));
+    }
+
+    #[test]
+    fn validator_flags_malformed_gradients_once_each() {
+        let t = QubitId(2);
+        let table = [
+            // A control past the register.
+            PhaseGradient::new(t, false, vec![(QubitId(0), 2), (QubitId(9), 3)]),
+            // The target among its own controls.
+            PhaseGradient::new(t, true, vec![(QubitId(0), 2), (t, 3)]),
+            // A repeated exponent.
+            PhaseGradient::new(t, false, vec![(QubitId(0), 4), (QubitId(1), 4)]),
+            // Well-formed.
+            PhaseGradient::new(t, true, vec![(QubitId(0), 1), (QubitId(1), 1100)]),
+        ];
+        let instrs = [
+            Instr::Gradient(0),
+            Instr::Gradient(1),
+            Instr::Gradient(2),
+            Instr::Gradient(3),
+            // Past the table.
+            Instr::Gradient(4),
+        ];
+        let view = ProgramView::new(3, 0, &instrs, &[]).with_gradients(&table);
+        assert_eq!(
+            validate(&view),
+            [
+                Finding::GradientOperandOutOfRange {
+                    gradient: 0,
+                    qubit: 9
+                },
+                Finding::GradientTargetIsControl {
+                    gradient: 1,
+                    term: 1
+                },
+                Finding::GradientRepeatedExponent {
+                    gradient: 2,
+                    term: 1,
+                    k: 4
+                },
+                Finding::GradientIndexOutOfRange { pc: 4, index: 4 },
+            ]
+        );
+        // Without its table the stream's every gradient dangles.
+        let bare = ProgramView::new(3, 0, &instrs[3..4], &[]);
+        assert_eq!(
+            validate(&bare),
+            [Finding::GradientIndexOutOfRange { pc: 0, index: 3 }]
+        );
+    }
+
+    #[test]
+    fn gradients_touch_their_qubits_for_the_drop_dataflow() {
+        let instrs = [
+            Instr::Measure {
+                qubit: QubitId(1),
+                basis: Basis::Z,
+                clbit: ClbitId(0),
+            },
+            Instr::Drop(QubitId(1)),
+            Instr::Gradient(0),
+        ];
+        let table = [PhaseGradient::new(
+            QubitId(2),
+            false,
+            vec![(QubitId(0), 2), (QubitId(1), 3)],
+        )];
+        let view = ProgramView::new(3, 1, &instrs, &[]).with_gradients(&table);
+        assert_eq!(
+            validate(&view),
+            [Finding::UseAfterDrop {
+                pc: 2,
+                qubit: 1,
+                drop_pc: 1
+            }]
+        );
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   amplitude sweeps at any width the sparse map accepts;
 //! * [`Tracker`](BackendKind::Tracker) — the `O(1)`-per-gate
 //!   [`BasisTracker`], which rejects circuits that leave its fragment.
+//!
+//! A kind also knows how to compile for itself
+//! ([`BackendKind::compile`]): only the dense engine gains from the
+//! default passes.
+
+use mbu_circuit::{Circuit, CircuitError, CompiledCircuit, PassConfig};
 
 use crate::basis::BasisTracker;
 use crate::error::SimError;
@@ -57,6 +63,31 @@ impl BackendKind {
             Self::Phase => "phase",
             Self::Tracker => "tracker",
         }
+    }
+
+    /// The compile passes that pay on this backend: the default passes
+    /// for the dense engine, whose kernels sweep the whole array per
+    /// instruction (fusion and reclamation exist for them), and none for
+    /// the other three, which replay fused blocks gate by gate and treat
+    /// drops as no-ops. Phase gradients are packed under every config,
+    /// so the phase accumulator loses nothing.
+    #[must_use]
+    pub fn passes(self) -> PassConfig {
+        match self {
+            Self::Dense => PassConfig::default(),
+            Self::Sparse | Self::Phase | Self::Tracker => PassConfig::none(),
+        }
+    }
+
+    /// Compiles `circuit` for this backend, with [`passes`](Self::passes).
+    /// The result runs on any backend; it is only cheapest to compile and
+    /// run on this one.
+    ///
+    /// # Errors
+    ///
+    /// The first [`CircuitError`] found by [`Circuit::validate`].
+    pub fn compile(self, circuit: &Circuit) -> Result<CompiledCircuit, CircuitError> {
+        CompiledCircuit::with_config(circuit, &self.passes())
     }
 
     /// Builds a fresh `|0…0⟩` simulator of this kind.

@@ -540,9 +540,10 @@ impl Simulator for BasisTracker {
     /// program-counter loop, bracketed by a high-water-mark reset and
     /// capture so the tracker reports
     /// [`peak_amplitudes`](Simulator::peak_amplitudes) in the same
-    /// occupied-states unit as the amplitude backends. Gates and fused
-    /// blocks go straight to the unchecked `apply`: lowering validated
-    /// every operand, and `check_width` bounds them by the mode table.
+    /// occupied-states unit as the amplitude backends. Gates and the
+    /// constituents of fused blocks and gradients go straight to the
+    /// unchecked `apply`: lowering validated every operand, and
+    /// `check_width` bounds them by the mode table.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -558,6 +559,7 @@ impl Simulator for BasisTracker {
             &mut executed,
             |s, g| s.apply(g),
             |s, fu| fu.global_gates().try_for_each(|g| s.apply(&g)),
+            |s, pg| pg.gates().try_for_each(|g| s.apply(&g)),
             |_, q| Ok(q),
             |_, _| {},
         )?;

@@ -285,6 +285,13 @@ impl Walker {
                     }
                     continue;
                 }
+                Instr::Gradient(idx) => {
+                    for g in compiled.gradients()[*idx as usize].gates() {
+                        self.sim.apply_gate(&g)?;
+                        self.counts.record_gate(&g);
+                    }
+                    continue;
+                }
                 Instr::Drop(_) => continue,
                 Instr::BranchUnless { clbit, skip } => {
                     let bit = self.record.get(clbit.index()).copied().flatten();

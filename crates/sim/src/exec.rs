@@ -7,7 +7,9 @@
 
 use std::sync::OnceLock;
 
-use mbu_circuit::{Basis, CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op, QubitId};
+use mbu_circuit::{
+    Basis, CompiledCircuit, FusedUnitary, Gate, GateCounts, Instr, Op, PhaseGradient, QubitId,
+};
 use rand::{Rng, RngCore};
 
 use crate::error::SimError;
@@ -261,7 +263,8 @@ pub(crate) fn execute_dyn<S: Simulator + ?Sized>(
 /// error even when the branch would be taken, matching `execute_dyn`).
 /// Gates go through [`apply_gate`](Simulator::apply_gate), fused blocks
 /// through [`apply_fused`](Simulator::apply_fused) (a single-sweep kernel
-/// on the state vector, a replay of the constituents elsewhere) and
+/// on the state vector, a replay of the constituents elsewhere),
+/// gradients replay their constituents through `apply_gate` and
 /// [`Instr::Drop`] is a no-op.
 pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
     sim: &mut S,
@@ -276,23 +279,27 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
         executed,
         |s, g| s.apply_gate(g),
         |s, fu| s.apply_fused(fu),
+        |s, pg| pg.gates().try_for_each(|g| s.apply_gate(&g)),
         |_, q| Ok(q),
         |_, _| {},
     )
 }
 
 /// The compiled program-counter loop, parametrised over gate application
-/// (`apply`), fused-block application (`apply_fused`), a hook run before
-/// every non-unitary instruction (`before_nonunitary`) and a handler for
-/// [`Instr::Drop`] (`on_drop`). Every backend's compiled run routes
-/// through this with its unchecked gate `apply` (the reclaiming
-/// state-vector executor's also translates operands into its compacted
-/// array), so measurement, reset, branch and classical-record semantics
-/// live in exactly one place.
+/// (`apply`), fused-block application (`apply_fused`), phase-gradient
+/// application (`apply_gradient`), a hook run before every non-unitary
+/// instruction (`before_nonunitary`) and a handler for [`Instr::Drop`]
+/// (`on_drop`). Every backend's compiled run routes through this with its
+/// unchecked gate `apply` (the reclaiming state-vector executor's also
+/// translates operands into its compacted array), so measurement, reset,
+/// branch and classical-record semantics live in exactly one place.
 ///
-/// `apply_fused` executes one [`Instr::Fused`] block; the executed
-/// tally always records the block's constituent gates here, so fusion is
-/// invisible in [`Executed`] statistics whatever the backend does.
+/// `apply_fused` executes one [`Instr::Fused`] block and `apply_gradient`
+/// one [`Instr::Gradient`]; every backend but the phase accumulator
+/// replays the gradient's constituents through its `apply`. The executed
+/// tally always records the constituent gates here, so fusion and
+/// packing are invisible in [`Executed`] statistics whatever the backend
+/// does.
 /// `before_nonunitary` receives the measured/reset qubit and returns the
 /// qubit the backend call should address: the reclaiming state-vector
 /// executor uses it to translate a logical qubit to its physical bit
@@ -310,6 +317,7 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     executed: &mut Executed,
     mut apply: impl FnMut(&mut S, &Gate) -> Result<(), SimError>,
     mut apply_fused: impl FnMut(&mut S, &FusedUnitary) -> Result<(), SimError>,
+    mut apply_gradient: impl FnMut(&mut S, &PhaseGradient) -> Result<(), SimError>,
     mut before_nonunitary: impl FnMut(&mut S, QubitId) -> Result<QubitId, SimError>,
     mut on_drop: impl FnMut(&mut S, QubitId),
 ) -> Result<(), SimError> {
@@ -331,6 +339,12 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
                 for g in fu.gates() {
                     executed.counts.record_gate(g);
                 }
+            }
+            Instr::Gradient(idx) => {
+                let pg = &compiled.gradients()[*idx as usize];
+                apply_gradient(sim, pg)?;
+                // Every constituent is a `CPhase`.
+                executed.counts.cphase += pg.terms().len() as u64;
             }
             Instr::Measure {
                 qubit,
@@ -614,6 +628,87 @@ mod tests {
                     sim.run_compiled(program, &mut rng).unwrap_err(),
                     SimError::OutOfRange {
                         what: "3-qubit compiled program on 2-qubit state".into()
+                    }
+                );
+                assert_eq!(readouts(sim.as_ref()), before);
+            }
+        }
+    }
+
+    #[test]
+    fn the_admission_gate_rejects_malformed_gradients_before_any_instruction() {
+        use crate::{BasisTracker, PhaseAccumulator, SparseVector, StateVector};
+        use mbu_circuit::{CircuitBuilder, Finding, PhaseGradient};
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("r", 4);
+        b.x(r[0]);
+        for j in 0..3 {
+            b.cphase(r[j], r[3], Angle::turn_over_power_of_two(j as u32 + 2));
+        }
+        let clean = CompiledCircuit::lower(&b.finish()).unwrap();
+        assert_eq!(clean.stats().gradients, 1, "{clean}");
+        // Each case: one gradient malformation and the finding it gives.
+        let retabled = |edit: fn(&mut [(QubitId, u32)])| {
+            let mut program = clean.clone();
+            let mut terms = clean.gradients()[0].terms().to_vec();
+            edit(&mut terms);
+            program.raw_parts_mut().1[0] = PhaseGradient::new(QubitId(3), false, terms);
+            program
+        };
+        let mut past_table = clean.clone();
+        past_table.raw_parts_mut().0[1] = Instr::Gradient(1);
+        let cases = [
+            (
+                past_table,
+                Finding::GradientIndexOutOfRange { pc: 1, index: 1 },
+            ),
+            (
+                retabled(|terms| terms[1].0 = QubitId(7)),
+                Finding::GradientOperandOutOfRange {
+                    gradient: 0,
+                    qubit: 7,
+                },
+            ),
+            (
+                retabled(|terms| terms[2].0 = QubitId(3)),
+                Finding::GradientTargetIsControl {
+                    gradient: 0,
+                    term: 2,
+                },
+            ),
+            (
+                retabled(|terms| terms[2].1 = terms[0].1),
+                Finding::GradientRepeatedExponent {
+                    gradient: 0,
+                    term: 2,
+                    k: 2,
+                },
+            ),
+        ];
+        let readouts =
+            |sim: &dyn Simulator| ([0, 1, 2, 3].map(|i| sim.bit(q(i)).ok()), sim.global_phase());
+        for (program, finding) in cases {
+            let err = program.verify().unwrap_err();
+            assert_eq!(err.findings()[0], finding);
+            if !verify_enabled() {
+                continue;
+            }
+            // Armed, every backend refuses the program before it runs
+            // any of it: the X on r0 never happens.
+            let backends: [Box<dyn Simulator>; 4] = [
+                Box::new(StateVector::zeros(4).unwrap()),
+                Box::new(SparseVector::zeros(4).unwrap()),
+                Box::new(PhaseAccumulator::zeros(4).unwrap()),
+                Box::new(BasisTracker::zeros(4)),
+            ];
+            for mut sim in backends {
+                sim.set_bit(q(1), true).unwrap();
+                let before = readouts(sim.as_ref());
+                let mut rng = StdRng::seed_from_u64(0);
+                assert_eq!(
+                    sim.run_compiled(&program, &mut rng).unwrap_err(),
+                    SimError::VerificationRejected {
+                        why: err.to_string()
                     }
                 );
                 assert_eq!(readouts(sim.as_ref()), before);

@@ -33,14 +33,18 @@
 //! meets `φ ∈ {0, ½}` and collapses the qubit back to a definite bit —
 //! the whole adder runs at constant occupancy. A Draper addition over
 //! n = 1024 qubits, where a dense array cannot allocate and the sparse map
-//! would fan out to `2^{1025}` entries, executes in O(gates).
+//! would fan out to `2^{1025}` entries, executes in O(gates). In a
+//! compiled run a whole QFT, IQFT or ΦADD column arrives as one phase
+//! gradient ([`Instr::Gradient`](mbu_circuit::Instr::Gradient)), which is
+//! one multi-word addition per branch, and a promotion or collapse moves
+//! O(1) accumulators per branch.
 //!
 //! Outside that closed fragment the backend stays universal by *lossless
 //! materialisation*: a Fourier qubit whose phase is not a half-turn
 //! multiple is expanded into explicit 0/1 branches (doubling occupancy,
 //! exactly like the sparse `H`), and the gate proceeds on keys.
 
-use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, QubitId};
+use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, PhaseGradient, QubitId};
 use rand::RngCore;
 
 use crate::complex::Complex;
@@ -169,14 +173,35 @@ impl Dyadic {
             rest.iter().all(|&w| w == 0),
             "angle numerator exceeds its denominator"
         );
+        self.add_at(parts, len, theta.is_negated());
+    }
+
+    /// Adds mod 1, in place, the fraction `N / 2^{64·words.len()}` whose
+    /// little-endian words are `words`, or subtracts it when `subtract`
+    /// is set: a phase gradient's summed terms, in one pass.
+    pub(crate) fn add_words(&mut self, words: &[u64], subtract: bool) {
+        // Low zero words add nothing; dropping them keeps `self` from
+        // growing past the finest set bit.
+        if let Some(first) = words.iter().position(|&w| w != 0) {
+            self.add_at(&words[first..], words.len() - first, subtract);
+        }
+    }
+
+    /// The shared carry loop of [`add_angle`](Self::add_angle) and
+    /// [`add_words`](Self::add_words): adds (or subtracts) mod 1 the
+    /// `len`-word fraction whose low words are `parts` (the rest zero). It
+    /// lands at the word offset `len` gives, and the carry or borrow runs
+    /// on to the top word, where it drops as a full turn. Only a fraction
+    /// finer than `self` grows it, by zero words below its
+    /// least-significant one.
+    fn add_at(&mut self, parts: &[u64], len: usize, subtract: bool) {
         if len > self.words.len() {
             let pad = len - self.words.len();
             self.words.splice(0..0, std::iter::repeat_n(0, pad));
         }
         let low = self.words.len() - len;
-        let negated = theta.is_negated();
         let step = |a: u64, b: u64| {
-            if negated {
+            if subtract {
                 a.overflowing_sub(b)
             } else {
                 a.overflowing_add(b)
@@ -186,7 +211,7 @@ impl Dyadic {
         for (i, slot) in self.words[low..].iter_mut().enumerate() {
             let w = match parts.get(i) {
                 Some(&w) => w,
-                // Past the numerator only a carry or borrow moves on.
+                // Past the addend only a carry or borrow moves on.
                 None if carry => 0,
                 None => break,
             };
@@ -308,8 +333,8 @@ impl Dyadic {
 pub(crate) struct Phases {
     /// Exact global phase of the branch, as a fraction of a turn.
     pub(crate) phase: Dyadic,
-    /// Per-Fourier-qubit phases, parallel to the state's sorted
-    /// `fourier_qubits` list.
+    /// Per-Fourier-qubit phases, parallel to the state's
+    /// `fourier_qubits` list (indexed by slot).
     pub(crate) phis: Vec<Dyadic>,
 }
 
@@ -359,8 +384,9 @@ pub struct PhaseAccumulator {
     /// The mode table: per qubit, its index in `fourier_qubits` (and so
     /// in every branch's `phis`) in Fourier mode, `None` in Z-mode.
     slot: Vec<Option<u32>>,
-    /// Sorted list of Fourier-mode qubits; every branch's `phis` is
-    /// parallel to it.
+    /// The Fourier-mode qubits by slot, every branch's `phis` parallel to
+    /// it: a promotion appends, and a collapse moves the last slot into
+    /// the freed one, so a mode change costs O(1) per branch.
     fourier_qubits: Vec<u32>,
     /// The occupied branches, sorted ascending by key, pairwise distinct.
     /// Fourier-mode qubits' key bits are canonically zero.
@@ -413,7 +439,8 @@ impl PhaseAccumulator {
         qubits.iter().map(|q| Simulator::bit(self, *q)).collect()
     }
 
-    /// The sorted Fourier-qubit list (conversion seam).
+    /// The Fourier qubits by slot, parallel to every branch's `phis`
+    /// (conversion seam).
     pub(crate) fn fourier_list(&self) -> &[u32] {
         &self.fourier_qubits
     }
@@ -423,36 +450,28 @@ impl PhaseAccumulator {
         &self.map
     }
 
-    /// Index of qubit `q` in the sorted Fourier list, or `None` in
-    /// Z-mode.
+    /// The slot of qubit `q` in the Fourier list, or `None` in Z-mode.
     fn fourier_pos(&self, q: QubitId) -> Option<usize> {
         self.slot[q.index()].map(|pos| pos as usize)
     }
 
-    /// Puts Z-mode qubit `q` into Fourier mode: it joins the sorted list
-    /// at the index this returns, and the qubits after it move up one.
+    /// Puts Z-mode qubit `q` into Fourier mode, in a new last slot, which
+    /// this returns: every branch's `phis` must `push` its accumulator.
     fn enter_fourier(&mut self, q: QubitId) -> usize {
-        let pos = self
-            .fourier_qubits
-            .binary_search(&q.0)
-            .expect_err("Z-mode qubit in the Fourier list");
-        self.fourier_qubits.insert(pos, q.0);
-        self.renumber_from(pos);
+        let pos = self.fourier_qubits.len();
+        self.fourier_qubits.push(q.0);
+        self.slot[q.index()] = Some(pos as u32);
         pos
     }
 
-    /// Returns Fourier qubit `q`, at index `pos` of the sorted list, to
-    /// Z-mode: the qubits after it move down one.
+    /// Returns Fourier qubit `q`, at slot `pos`, to Z-mode: the last
+    /// slot's qubit moves into `pos`, as every branch's `phis` does with
+    /// its `swap_remove(pos)`.
     fn leave_fourier(&mut self, q: QubitId, pos: usize) {
-        self.fourier_qubits.remove(pos);
+        self.fourier_qubits.swap_remove(pos);
         self.slot[q.index()] = None;
-        self.renumber_from(pos);
-    }
-
-    /// Rewrites the mode table for the Fourier list from index `pos` on.
-    fn renumber_from(&mut self, pos: usize) {
-        for (i, &q) in self.fourier_qubits.iter().enumerate().skip(pos) {
-            self.slot[q as usize] = Some(i as u32);
+        if let Some(&moved) = self.fourier_qubits.get(pos) {
+            self.slot[moved as usize] = Some(pos as u32);
         }
     }
 
@@ -469,7 +488,7 @@ impl PhaseAccumulator {
         };
         self.check_budget()?;
         self.map.split_even(q, |p| {
-            let phi = p.phis.remove(pos);
+            let phi = p.phis.swap_remove(pos);
             let mut one = p.clone();
             one.phase.add_assign(&phi);
             one
@@ -518,7 +537,8 @@ impl PhaseAccumulator {
                 self.materialize(q)?;
                 return self.apply_h(q);
             }
-            self.map.rewrite_bit(q, |_, p| p.phis.remove(pos).is_half());
+            self.map
+                .rewrite_bit(q, |_, p| p.phis.swap_remove(pos).is_half());
             self.leave_fourier(q, pos);
         } else if self.map.has_pair_on(q) {
             self.materialize_all()?;
@@ -533,8 +553,9 @@ impl PhaseAccumulator {
         } else {
             let pos = self.enter_fourier(q);
             self.map.rewrite_bit(q, |bit, p| {
-                let phi = if bit { Dyadic::half() } else { Dyadic::zero() };
-                p.phis.insert(pos, phi);
+                debug_assert_eq!(p.phis.len(), pos);
+                p.phis
+                    .push(if bit { Dyadic::half() } else { Dyadic::zero() });
                 false
             });
         }
@@ -600,28 +621,75 @@ impl PhaseAccumulator {
     }
 
     /// SWAP exchanges the two qubits' entire factors, whatever their
-    /// modes: bits swap as key rewrites, Fourier accumulators move with
-    /// their qubit (the mode table is updated — no materialisation needed).
+    /// modes: bits swap as key rewrites, and Fourier accumulators stay in
+    /// their slots while the mode table relabels them — no
+    /// materialisation, and no accumulator moves.
     fn apply_swap(&mut self, a: QubitId, b: QubitId) {
         match (self.fourier_pos(a), self.fourier_pos(b)) {
             (None, None) => self.map.swap_bits(a, b),
-            (Some(pa), Some(pb)) => self.map.for_each_where(&[], |_, p| p.phis.swap(pa, pb)),
+            (Some(pa), Some(pb)) => {
+                self.slot.swap(a.index(), b.index());
+                self.fourier_qubits.swap(pa, pb);
+            }
             (Some(pa), None) => self.swap_mixed(a, pa, b),
             (None, Some(pb)) => self.swap_mixed(b, pb, a),
         }
     }
 
-    /// SWAP with `f` in Fourier mode (at index `pf` of the sorted list)
-    /// and `z` in Z-mode: `z` takes the accumulator and `f` the bit — a
-    /// key-bit swap, since `f`'s bit is canonically zero.
+    /// SWAP with `f` in Fourier mode (at slot `pf`) and `z` in Z-mode: `z`
+    /// takes over `f`'s slot, accumulators untouched, and `f` takes `z`'s
+    /// bit — a key-bit swap, since `f`'s bit is canonically zero.
     fn swap_mixed(&mut self, f: QubitId, pf: usize, z: QubitId) {
-        self.leave_fourier(f, pf);
-        let pz = self.enter_fourier(z);
-        self.map.for_each_where(&[], |_, p| {
-            let phi = p.phis.remove(pf);
-            p.phis.insert(pz, phi);
-        });
+        self.fourier_qubits[pf] = z.0;
+        self.slot[z.index()] = Some(pf as u32);
+        self.slot[f.index()] = None;
         self.map.swap_bits(f, z);
+    }
+
+    /// A phase gradient, the `CPhase(c_j, t, ±2π/2^{k_j})` cascade of a
+    /// QFT, IQFT or ΦADD column. On a Fourier-mode target with no
+    /// Fourier-mode control it is one exact addition per branch: the
+    /// branch ORs its set controls' bits into a word buffer at the offsets
+    /// the `k_j` give (the `k_j` are distinct, so the OR is the sum) and
+    /// adds the buffer to `φ_t`, or subtracts it. Exact arithmetic mod 1
+    /// has one result, so the accumulator ends with the words the
+    /// constituent gates leave; every other case replays them.
+    fn apply_gradient(&mut self, pg: &PhaseGradient) -> Result<(), SimError> {
+        let terms = pg.terms();
+        let fast = self
+            .fourier_pos(pg.target())
+            .filter(|_| terms.iter().all(|&(c, _)| self.fourier_pos(c).is_none()));
+        let Some(pos) = fast else {
+            return pg.gates().try_for_each(|g| self.apply(&g));
+        };
+        // 2^{-k} is bit `64·len − k` of a `len`-word fraction (`k = 0`, a
+        // full turn, adds nothing).
+        let len = terms
+            .iter()
+            .map(|&(_, k)| k as usize)
+            .max()
+            .unwrap_or(0)
+            .div_ceil(64);
+        let mut stack = [0u64; 32];
+        let mut heap = Vec::new();
+        let buf = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0u64);
+            &mut heap[..]
+        };
+        let negative = pg.is_negative();
+        self.map.for_each_keyed(|key, p| {
+            buf.fill(0);
+            for &(c, k) in terms {
+                if k > 0 && sparse::key_bit(key, c) {
+                    let bit = 64 * len - k as usize;
+                    buf[bit / 64] |= 1u64 << (bit % 64);
+                }
+            }
+            p.phis[pos].add_words(buf, negative);
+        });
+        Ok(())
     }
 
     /// Applies `gate` without checking its operands:
@@ -741,7 +809,8 @@ impl Simulator for PhaseAccumulator {
 
     /// Compiled execution through the map backends' shared run, with the
     /// branch high-water mark reset and reported like the sparse
-    /// engine's, and gates going straight to the unchecked `apply`.
+    /// engine's, gates going straight to the unchecked `apply` and phase
+    /// gradients to their one-addition-per-branch closed form.
     /// Whether the phase backend pays on a program is a compile-time
     /// question: see
     /// [`PassStats::planned_phase`](mbu_circuit::PassStats::planned_phase).
@@ -750,7 +819,14 @@ impl Simulator for PhaseAccumulator {
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        sparse::run_compiled_on(self, |s| &mut s.map, Self::apply, compiled, rng)
+        sparse::run_compiled_on(
+            self,
+            |s| &mut s.map,
+            Self::apply,
+            Self::apply_gradient,
+            compiled,
+            rng,
+        )
     }
 }
 
@@ -904,6 +980,141 @@ mod tests {
         assert_eq!(x.words.len(), 17);
         x.add_angle(-deep);
         assert!(x.is_zero() && x.words.is_empty(), "{x:?}");
+    }
+
+    /// A random accumulator state over `n ≥ 8` qubits: 1 to 4 branches
+    /// (split on qubits 0 and 1), random bits and branch phases, and up
+    /// to 8 qubits in Fourier mode with random accumulators.
+    fn random_phase_state(rng: &mut StdRng, n: usize) -> PhaseAccumulator {
+        use rand::Rng;
+        let mut sim = PhaseAccumulator::zeros(n).unwrap();
+        let branches = rng.gen_range(1..5usize);
+        for s in 0..branches.min(3) - 1 {
+            sim.apply(&Gate::H(q(s as u32))).unwrap();
+            sim.materialize(q(s as u32)).unwrap();
+        }
+        if branches == 3 {
+            // Four even branches, one of them turned a quarter: the
+            // key-level `H` on q0 cancels one output of the unturned pair.
+            sim.apply(&Gate::CPhase(q(0), q(1), Angle::turn_over_power_of_two(2)))
+                .unwrap();
+            sim.apply(&Gate::H(q(0))).unwrap();
+        }
+        assert_eq!(sim.occupied(), branches);
+        for i in 2..n as u32 {
+            if rng.gen_bool(0.5) {
+                sim.apply(&Gate::X(q(i))).unwrap();
+            }
+            if rng.gen_bool(0.3) {
+                sim.apply(&Gate::Phase(q(i), random_angle(rng))).unwrap();
+            }
+        }
+        for _ in 0..8 {
+            let f = q(rng.gen_range(2..n as u32));
+            if sim.fourier_pos(f).is_none() {
+                sim.apply(&Gate::H(f)).unwrap();
+                sim.apply(&Gate::Phase(f, random_angle(rng))).unwrap();
+            }
+        }
+        assert_eq!(sim.occupied(), branches, "promotions keep the branches");
+        sim
+    }
+
+    /// Everything the accumulator holds, exactly: modes, keys, amplitude
+    /// bits, branch phases and Fourier accumulators.
+    fn assert_same_state(a: &PhaseAccumulator, b: &PhaseAccumulator) {
+        assert_eq!(a.slot, b.slot);
+        assert_eq!(a.fourier_qubits, b.fourier_qubits);
+        assert_eq!(a.occupied(), b.occupied());
+        for ((ka, aa, pa), (kb, ab, pb)) in a.branches().entries().zip(b.branches().entries()) {
+            assert_eq!(ka, kb);
+            assert_eq!(
+                (aa.re.to_bits(), aa.im.to_bits()),
+                (ab.re.to_bits(), ab.im.to_bits())
+            );
+            assert_eq!(pa.phase, pb.phase);
+            assert_eq!(pa.phis, pb.phis);
+        }
+    }
+
+    #[test]
+    fn gradient_closed_form_equals_constituent_replay() {
+        use rand::Rng;
+        let n = 256;
+        let mut rng = StdRng::seed_from_u64(0x9_7ad1);
+        let mut ks: Vec<u32> = (1..=1100).collect();
+        // Closed-form runs, replays, and terms past and up to 2^-128 in
+        // negative gradients (`Angle`'s two negative forms).
+        let (mut closed, mut replayed, mut deep_neg, mut shallow_neg) = (0, 0, 0, 0);
+        for case in 0..240 {
+            let mut sim = random_phase_state(&mut rng, n);
+            let target = q(rng.gen_range(2..n as u32));
+            // A Z-mode target, a Fourier-mode one, and a Fourier-mode one
+            // with one to three Fourier-mode controls (the fallback).
+            let mode = case % 3;
+            if mode != 0 && sim.fourier_pos(target).is_none() {
+                sim.apply(&Gate::H(target)).unwrap();
+            }
+            let len = rng.gen_range(2..201usize);
+            // Distinct exponents: the head of a partial Fisher–Yates
+            // shuffle.
+            for i in 0..len {
+                let j = rng.gen_range(i..ks.len());
+                ks.swap(i, j);
+            }
+            let mut terms: Vec<(QubitId, u32)> = ks[..len]
+                .iter()
+                .map(|&k| {
+                    let c = loop {
+                        let c = q(rng.gen_range(0..n as u32));
+                        if c != target && sim.fourier_pos(c).is_none() {
+                            break c;
+                        }
+                    };
+                    (c, k)
+                })
+                .collect();
+            if mode == 2 {
+                let others: Vec<u32> = sim
+                    .fourier_list()
+                    .iter()
+                    .copied()
+                    .filter(|&f| f != target.0)
+                    .collect();
+                for _ in 0..rng.gen_range(1..4) {
+                    let term = rng.gen_range(0..len);
+                    terms[term].0 = q(others[rng.gen_range(0..others.len())]);
+                }
+            }
+            let negative = rng.gen_bool(0.5);
+            if negative {
+                deep_neg += terms.iter().filter(|&&(_, k)| k > 128).count();
+                shallow_neg += terms.iter().filter(|&&(_, k)| k <= 128).count();
+            }
+            let pg = PhaseGradient::new(target, negative, terms);
+            let fast = sim.fourier_pos(target).is_some()
+                && pg
+                    .terms()
+                    .iter()
+                    .all(|&(c, _)| sim.fourier_pos(c).is_none());
+            if fast {
+                closed += 1;
+            } else {
+                replayed += 1;
+            }
+            let mut packed = sim.clone();
+            packed.apply_gradient(&pg).unwrap();
+            let mut replay = sim;
+            for g in pg.gates() {
+                replay.apply(&g).unwrap();
+            }
+            assert_same_state(&packed, &replay);
+        }
+        assert!(
+            closed > 40 && replayed > 40,
+            "{closed} closed, {replayed} replayed"
+        );
+        assert!(deep_neg > 0 && shallow_neg > 0);
     }
 
     #[test]
@@ -1138,20 +1349,25 @@ mod tests {
             d.words.iter().for_each(|&w| self.word(w));
         }
 
-        /// The accumulator's exact part: the Fourier list, then each
-        /// branch's key words, branch phase and Fourier accumulators.
+        /// The accumulator's exact part: the Fourier qubits, then each
+        /// branch's key words, branch phase and Fourier accumulators, all
+        /// in ascending qubit order (not slot order, which depends on the
+        /// order of promotions and collapses).
         /// Amplitudes are left out: they can pass through `cis`.
         fn state(&mut self, sim: &PhaseAccumulator) {
-            self.word(sim.fourier_list().len() as u64);
-            sim.fourier_list()
-                .iter()
-                .for_each(|&q| self.word(u64::from(q)));
+            let mut fourier = sim.fourier_list().to_vec();
+            fourier.sort_unstable();
+            self.word(fourier.len() as u64);
+            fourier.iter().for_each(|&q| self.word(u64::from(q)));
             self.word(sim.occupied() as u64);
             for (key, _, p) in sim.branches().entries() {
                 key.iter().for_each(|&w| self.word(w));
                 self.dyadic(&p.phase);
                 self.word(p.phis.len() as u64);
-                p.phis.iter().for_each(|phi| self.dyadic(phi));
+                for &q in &fourier {
+                    let pos = sim.fourier_pos(QubitId(q)).expect("Fourier qubit");
+                    self.dyadic(&p.phis[pos]);
+                }
             }
         }
 

@@ -57,7 +57,7 @@
 use std::cmp::Ordering;
 use std::f64::consts::FRAC_1_SQRT_2;
 
-use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, QubitId};
+use mbu_circuit::{Angle, Basis, CompiledCircuit, Gate, PhaseGradient, QubitId};
 use rand::RngCore;
 
 use crate::complex::Complex;
@@ -161,12 +161,15 @@ fn bit_addr(q: QubitId) -> (usize, u64) {
     (q.index() / 64, 1u64 << (q.index() % 64))
 }
 
+/// Whether qubit `q` is set in `key`.
+pub(crate) fn key_bit(key: &[u64], q: QubitId) -> bool {
+    let (w, m) = bit_addr(q);
+    key[w] & m != 0
+}
+
 /// Whether every qubit of `qubits` is set in `key` (true for none).
 fn all_set(key: &[u64], qubits: &[QubitId]) -> bool {
-    qubits.iter().all(|q| {
-        let (w, m) = bit_addr(*q);
-        key[w] & m != 0
-    })
+    qubits.iter().all(|q| key_bit(key, *q))
 }
 
 impl SparseVector {
@@ -415,6 +418,13 @@ impl<P> SparseVector<P> {
         }
     }
 
+    /// Runs `f` on the key and payload of every entry. Keys are untouched.
+    pub(crate) fn for_each_keyed(&mut self, mut f: impl FnMut(&[u64], &mut P)) {
+        for (key, p) in self.keys.chunks_exact(self.words).zip(&mut self.payload) {
+            f(key, p);
+        }
+    }
+
     /// Toggles `target` in every entry whose `controls` bits are all set:
     /// the X/CX/CCX family as pure key rewrites.
     pub(crate) fn permute_x(&mut self, controls: &[QubitId], target: QubitId) {
@@ -483,18 +493,20 @@ impl<P> SparseVector<P> {
     /// Whether two occupied keys differ only in qubit `q`: the pairs an
     /// `H` on `q` combines.
     pub(crate) fn has_pair_on(&self, q: QubitId) -> bool {
+        if self.amps.len() < 2 {
+            return false;
+        }
         let (w, m) = bit_addr(q);
         let mut partner = vec![0u64; self.words];
-        self.amps.len() > 1
-            && (0..self.amps.len()).any(|e| {
-                let key = self.key(e);
-                if key[w] & m == 0 {
-                    return false;
-                }
-                partner.copy_from_slice(key);
-                partner[w] ^= m;
-                self.find(&partner).is_ok()
-            })
+        (0..self.amps.len()).any(|e| {
+            let key = self.key(e);
+            if key[w] & m == 0 {
+                return false;
+            }
+            partner.copy_from_slice(key);
+            partner[w] ^= m;
+            self.find(&partner).is_ok()
+        })
     }
 
     /// Hadamard on `q`: pairs entries differing only in bit `q` and fans
@@ -740,8 +752,9 @@ impl<P> SparseVector<P> {
 /// the occupied-entry high-water mark that
 /// [`peak_amplitudes`](Simulator::peak_amplitudes) reports. Gates, and the
 /// constituents of fused blocks, go straight to the backend's unchecked
-/// `apply`: lowering validated every operand, and `check_width` bounds
-/// them by the state. `Instr::Drop` is a no-op: a dropped qubit is
+/// `apply`, and gradients to its `apply_gradient`: lowering validated
+/// every operand, and `check_width` bounds them by the state.
+/// `Instr::Drop` is a no-op: a dropped qubit is
 /// definite, so every occupied key agrees on it and there is nothing to
 /// compact; the memory story the drop pass buys the dense engine is the
 /// map's resting state.
@@ -749,6 +762,7 @@ pub(crate) fn run_compiled_on<S: Simulator, P>(
     sim: &mut S,
     map: fn(&mut S) -> &mut SparseVector<P>,
     apply: fn(&mut S, &Gate) -> Result<(), SimError>,
+    apply_gradient: fn(&mut S, &PhaseGradient) -> Result<(), SimError>,
     compiled: &CompiledCircuit,
     rng: &mut dyn RngCore,
 ) -> Result<Executed, SimError> {
@@ -762,6 +776,7 @@ pub(crate) fn run_compiled_on<S: Simulator, P>(
         &mut executed,
         apply,
         |s, fu| fu.global_gates().try_for_each(|g| apply(s, &g)),
+        apply_gradient,
         |_, q| Ok(q),
         |_, _| {},
     )?;
@@ -840,16 +855,23 @@ impl Simulator for SparseVector {
     }
 
     /// Compiled execution through the map backends' shared run:
-    /// unchecked per-gate application, fused blocks replayed as their
-    /// constituent gates (bitwise the unfused stream) and `Instr::Drop`
-    /// as a no-op, with the occupied-entry high-water mark reported
-    /// through [`peak_amplitudes`](Simulator::peak_amplitudes).
+    /// unchecked per-gate application, fused blocks and gradients replayed
+    /// as their constituent gates (bitwise the unfused stream) and
+    /// `Instr::Drop` as a no-op, with the occupied-entry high-water mark
+    /// reported through [`peak_amplitudes`](Simulator::peak_amplitudes).
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
-        run_compiled_on(self, |s| s, Self::apply, compiled, rng)
+        run_compiled_on(
+            self,
+            |s| s,
+            Self::apply,
+            |s, pg| pg.gates().try_for_each(|g| s.apply(&g)),
+            compiled,
+            rng,
+        )
     }
 }
 

@@ -731,31 +731,32 @@ impl StateVector {
         let mut executed = Executed::default();
         let live =
             std::cell::RefCell::new(LiveMap::compact_definite(self.num_qubits, &mut self.amps));
+        let apply = |sv: &mut Self, g: &Gate| {
+            let mut lm = live.borrow_mut();
+            // Materialise every operand before translating any: an
+            // insertion shifts the positions of live qubits above it.
+            g.for_each_qubit(&mut |q| lm.ensure_live(&mut sv.amps, q.index()));
+            let mut bad_position = None;
+            let phys = g.map_qubits(|q| {
+                let pos = lm.position(q.index());
+                u32::try_from(pos).map(QubitId).unwrap_or_else(|_| {
+                    bad_position.get_or_insert(pos);
+                    QubitId(0)
+                })
+            });
+            drop(lm);
+            if let Some(pos) = bad_position {
+                return physical_qubit(pos).map(|_| ());
+            }
+            sv.apply_stride(&phys);
+            Ok(())
+        };
         let result = exec::execute_compiled_core(
             self,
             compiled,
             rng,
             &mut executed,
-            |sv, g| {
-                let mut lm = live.borrow_mut();
-                // Materialise every operand before translating any: an
-                // insertion shifts the positions of live qubits above it.
-                g.for_each_qubit(&mut |q| lm.ensure_live(&mut sv.amps, q.index()));
-                let mut bad_position = None;
-                let phys = g.map_qubits(|q| {
-                    let pos = lm.position(q.index());
-                    u32::try_from(pos).map(QubitId).unwrap_or_else(|_| {
-                        bad_position.get_or_insert(pos);
-                        QubitId(0)
-                    })
-                });
-                drop(lm);
-                if let Some(pos) = bad_position {
-                    return physical_qubit(pos).map(|_| ());
-                }
-                sv.apply_stride(&phys);
-                Ok(())
-            },
+            apply,
             |sv, fu| {
                 let mut lm = live.borrow_mut();
                 for q in fu.qubits() {
@@ -770,6 +771,7 @@ impl StateVector {
                 debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
                 sv.apply_fused_block(&positions, fu.gates())
             },
+            |sv, pg| pg.gates().try_for_each(|g| apply(sv, &g)),
             |sv, q| {
                 let mut lm = live.borrow_mut();
                 lm.ensure_live(&mut sv.amps, q.index());
@@ -821,9 +823,9 @@ impl Simulator for StateVector {
     /// (`PassConfig { reclaim_dead_qubits: false, .. }`), the final state
     /// exactly up to the `≤ 1e-20`-mass rounding residues a drop discards.
     /// A program without drops runs on the full `2^n` array through the
-    /// shared executor. Either way gates go straight to the stride
-    /// kernels: lowering validated every operand, and `check_width`
-    /// bounds them by the state.
+    /// shared executor. Either way gates, and the constituents of phase
+    /// gradients, go straight to the stride kernels: lowering validated
+    /// every operand, and `check_width` bounds them by the state.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -845,6 +847,10 @@ impl Simulator for StateVector {
                 Ok(())
             },
             |sv, fu| sv.apply_fused(fu),
+            |sv, pg| {
+                pg.gates().for_each(|g| sv.apply_stride(&g));
+                Ok(())
+            },
             |_, q| Ok(q),
             |_, _| {},
         )?;

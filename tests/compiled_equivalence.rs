@@ -286,3 +286,56 @@ fn shotrunner_with_passes_matches_interpreted_distribution() {
         assert_eq!(plain.outcome_writes(clbit), optimised.outcome_writes(clbit));
     }
 }
+
+/// `BackendKind::compile` chooses the passes, not the semantics: on each
+/// backend its program and the default compile give the same classical
+/// record and the same register readout, on the five ripple Table-1 rows
+/// (n = 3) and on the Beauregard adder at n = 8. The tracker refuses the
+/// Beauregard adder's Fourier basis; it must refuse both programs alike.
+#[test]
+fn backend_compiles_agree_with_the_default_compile() {
+    use mbu_arith::resources::Table1Row;
+    use mbu_bench::{benchmark_modulus, build_row_circuit};
+    use mbu_sim::BackendKind;
+
+    let rows = [
+        (Table1Row::Vbe5, 3),
+        (Table1Row::Vbe4, 3),
+        (Table1Row::Cdkpm, 3),
+        (Table1Row::Gidney, 3),
+        (Table1Row::CdkpmGidney, 3),
+        (Table1Row::Draper, 8),
+    ];
+    let kinds = [
+        BackendKind::Dense,
+        BackendKind::Sparse,
+        BackendKind::Phase,
+        BackendKind::Tracker,
+    ];
+    for (row, n) in rows {
+        let p = benchmark_modulus(n);
+        let layout = build_row_circuit(row, Uncompute::Mbu, n, p).unwrap();
+        let default = CompiledCircuit::compile(&layout.circuit).unwrap();
+        for kind in kinds {
+            let own = kind.compile(&layout.circuit).unwrap();
+            assert_eq!(own.stats().lowered_instrs, default.stats().lowered_instrs);
+            for (seed, (x, y)) in [(1u64, (1, p - 1)), (2, (p / 2, p / 3))] {
+                let run = |program: &CompiledCircuit| -> Result<_, mbu_sim::SimError> {
+                    let mut sim = kind.build(layout.circuit.num_qubits())?;
+                    sim.set_value(layout.x.qubits(), x)?;
+                    sim.set_value(layout.y.qubits(), y)?;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let executed = sim.run_compiled(program, &mut rng)?;
+                    let readout = (sim.value(layout.x.qubits())?, sim.value(layout.y.qubits())?);
+                    Ok((executed.classical, readout))
+                };
+                let got = run(&own);
+                assert_eq!(got, run(&default), "{row:?} on {kind}");
+                match got {
+                    Ok((_, readout)) => assert_eq!(readout, (x, (x + y) % p), "{row:?} on {kind}"),
+                    Err(_) => assert!(kind == BackendKind::Tracker && row == Table1Row::Draper),
+                }
+            }
+        }
+    }
+}

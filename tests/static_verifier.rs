@@ -14,11 +14,11 @@
 //! exact program counter, on randomly chosen instructions across gate
 //! families (angle bumps, basis swaps, operand swaps).
 
-use mbu_arith::{adders, compare, resources::Table1Row, AdderKind, Uncompute};
+use mbu_arith::{adders, compare, modular::beauregard, resources::Table1Row, AdderKind, Uncompute};
 use mbu_bench::{benchmark_modulus, build_row_circuit};
 use mbu_circuit::{
-    check_equivalence, check_equivalence_with, Angle, Circuit, CompiledCircuit, Equivalence, Gate,
-    Instr, PassConfig, ProgramView, QubitId,
+    check_equivalence, check_equivalence_with, Angle, Circuit, CompiledCircuit, EquivOptions,
+    Equivalence, Gate, Instr, PassConfig, PhaseGradient, ProgramView, QubitId,
 };
 use proptest::prelude::*;
 
@@ -118,6 +118,115 @@ fn table1_modadd_rows_prove_equal_at_n64() {
     for row in rows {
         let layout = build_row_circuit(row, Uncompute::Mbu, N, p).unwrap();
         prove_passes(&layout.circuit, &format!("{row:?} modadd (n = {N})"));
+    }
+}
+
+/// `compiled`'s stream before packing: every gradient replayed as its
+/// `CPhase` gates, and the branch skips stretched to match.
+fn unpacked(compiled: &CompiledCircuit) -> Vec<Instr> {
+    let table = compiled.gradients();
+    let instrs = compiled.instrs();
+    let width = |i: &Instr| match i {
+        Instr::Gradient(idx) => table[*idx as usize].terms().len(),
+        _ => 1,
+    };
+    let mut starts = vec![0usize; instrs.len() + 1];
+    for (pc, i) in instrs.iter().enumerate() {
+        starts[pc + 1] = starts[pc] + width(i);
+    }
+    let mut out = Vec::with_capacity(starts[instrs.len()]);
+    for (pc, i) in instrs.iter().enumerate() {
+        match i {
+            Instr::Gradient(idx) => out.extend(table[*idx as usize].gates().map(Instr::Gate)),
+            Instr::BranchUnless { clbit, skip } => {
+                let join = pc + 1 + *skip as usize;
+                out.push(Instr::BranchUnless {
+                    clbit: *clbit,
+                    skip: u32::try_from(starts[join] - starts[pc + 1]).unwrap(),
+                });
+            }
+            other => out.push(*other),
+        }
+    }
+    out
+}
+
+/// Proves `circuit`'s packed programs, lowered and default-compiled,
+/// equal to their unpacked streams; returns the gradients packed.
+fn prove_packing(circuit: &Circuit, label: &str) -> u64 {
+    let mut packed = 0;
+    for compiled in [
+        CompiledCircuit::lower(circuit).unwrap(),
+        CompiledCircuit::compile(circuit).unwrap(),
+    ] {
+        let flat = unpacked(&compiled);
+        let pre = ProgramView::new(
+            compiled.num_qubits(),
+            compiled.num_clbits(),
+            &flat,
+            compiled.fused_unitaries(),
+        );
+        let verdict = check_equivalence_with(&pre, &compiled.view(), &Default::default());
+        assert!(
+            verdict.is_equal(),
+            "{label}: packing failed the symbolic proof: {verdict}"
+        );
+        packed += compiled.stats().gradients;
+    }
+    packed
+}
+
+/// The packing step on every QFT-architecture circuit at n ≤ 64, where
+/// the angles (down to `2π/2^66`) stay inside the checker's `2^128`
+/// domain: the Draper primitives and modular adder and the Beauregard
+/// adders, in both uncompute modes and with 0–2 controls on the constant
+/// adder.
+#[test]
+fn packing_proves_equal_on_draper_and_beauregard_at_n64() {
+    let n = N;
+    let p = benchmark_modulus(n);
+    let a = p / 3;
+    let kind = AdderKind::Draper;
+    let mut circuits = vec![
+        ("plain adder", adders::plain_adder(kind, n).unwrap().circuit),
+        ("subtractor", adders::subtractor(kind, n).unwrap().circuit),
+        (
+            "controlled adder",
+            adders::controlled_adder(kind, n).unwrap().circuit,
+        ),
+        (
+            "const adder",
+            adders::const_adder(kind, n, a).unwrap().circuit,
+        ),
+        (
+            "controlled const adder",
+            adders::controlled_const_adder(kind, n, a).unwrap().circuit,
+        ),
+        ("comparator", compare::comparator(kind, n).unwrap().circuit),
+    ];
+    for unc in [Uncompute::Mbu, Uncompute::Unitary] {
+        circuits.push((
+            "Draper modadd",
+            build_row_circuit(Table1Row::Draper, unc, n, p)
+                .unwrap()
+                .circuit,
+        ));
+        circuits.push((
+            "Beauregard modadd",
+            beauregard::modadd_circuit(unc, n, p).unwrap().circuit,
+        ));
+        for controls in 0..3 {
+            circuits.push((
+                "Beauregard const modadd",
+                beauregard::modadd_const_circuit(unc, controls, n, a, p)
+                    .unwrap()
+                    .circuit,
+            ));
+        }
+    }
+    for (label, circuit) in &circuits {
+        let packed = prove_packing(circuit, label);
+        assert!(packed > 0, "{label}: nothing packed");
     }
 }
 
@@ -259,13 +368,87 @@ proptest! {
         let nq = compiled.num_qubits();
         let nc = compiled.num_clbits();
         let fused = compiled.fused_unitaries();
-        let pre = ProgramView::new(nq, nc, &instrs, fused);
-        let post = ProgramView::new(nq, nc, &mutated, fused);
+        let gradients = compiled.gradients();
+        let pre = ProgramView::new(nq, nc, &instrs, fused).with_gradients(gradients);
+        let post = ProgramView::new(nq, nc, &mutated, fused).with_gradients(gradients);
         let verdict = check_equivalence_with(&pre, &post, &Default::default());
         let Equivalence::Diverged { pre_pc, post_pc, .. } = verdict else {
             panic!("a mutated stream must diverge, got {verdict}");
         };
         prop_assert_eq!(pre_pc, pc, "pre-stream pc");
         prop_assert_eq!(post_pc, pc, "post-stream pc");
+    }
+}
+
+/// One gradient of `program` rebuilt by `edit`, with every other
+/// instruction and table entry kept.
+fn with_gradient(
+    program: &CompiledCircuit,
+    idx: usize,
+    edit: impl FnOnce(&PhaseGradient) -> PhaseGradient,
+) -> Vec<PhaseGradient> {
+    let mut table = program.gradients().to_vec();
+    table[idx] = edit(&table[idx]);
+    table
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A gradient with one exponent moved, one control moved or its sign
+    /// flipped diverges at the gradient's own pc. The checker aligns a
+    /// changed gate only once the difference operator covers it, so a
+    /// control moves to the next term's control (covered one term later)
+    /// rather than to a fresh qubit. A flipped sign changes every term,
+    /// so the difference spans all of the gradient's controls: it is
+    /// drawn from gradients narrow enough (at most 4 terms) for a support
+    /// cap of 5, which keeps the symbolic matrices small.
+    #[test]
+    fn mutated_gradients_diverge_at_their_pc(
+        idx in 0usize..10_000,
+        term in 0usize..10_000,
+        kind in 0u8..3,
+    ) {
+        let adder = adders::plain_adder(AdderKind::Draper, 8).unwrap();
+        let compiled = CompiledCircuit::lower(&adder.circuit).unwrap();
+        let instrs = compiled.instrs();
+        let pool: Vec<usize> = compiled
+            .gradients()
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| kind != 2 || g.terms().len() <= 4)
+            .map(|(i, _)| i)
+            .collect();
+        let g = pool[idx % pool.len()];
+        let table = with_gradient(&compiled, g, |pg| {
+            let mut terms = pg.terms().to_vec();
+            let t = term % terms.len();
+            let negative = pg.is_negative();
+            match kind {
+                0 => terms[t].1 = terms.iter().map(|&(_, k)| k).max().unwrap() + 1,
+                1 => {
+                    let t = term % (terms.len() - 1);
+                    terms[t].0 = terms[t + 1].0;
+                }
+                _ => return PhaseGradient::new(pg.target(), !negative, terms),
+            }
+            PhaseGradient::new(pg.target(), negative, terms)
+        });
+        let pc = instrs
+            .iter()
+            .position(|i| *i == Instr::Gradient(g as u32))
+            .unwrap();
+        let (nq, nc) = (compiled.num_qubits(), compiled.num_clbits());
+        let fused = compiled.fused_unitaries();
+        let post = ProgramView::new(nq, nc, instrs, fused).with_gradients(&table);
+        let opts = EquivOptions {
+            max_support: 5,
+            ..EquivOptions::default()
+        };
+        let verdict = check_equivalence_with(&compiled.view(), &post, &opts);
+        let Equivalence::Diverged { pre_pc, post_pc, .. } = verdict else {
+            panic!("a mutated gradient must diverge, got {verdict}");
+        };
+        prop_assert_eq!((pre_pc, post_pc), (pc, pc));
     }
 }
