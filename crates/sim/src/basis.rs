@@ -560,7 +560,8 @@ impl Simulator for BasisTracker {
             |s, g| s.apply(g),
             |s, fu| fu.global_gates().try_for_each(|g| s.apply(&g)),
             |s, pg| pg.gates().try_for_each(|g| s.apply(&g)),
-            |_, q| Ok(q),
+            Self::measure,
+            Self::reset,
             |_, _| {},
         )?;
         self.last_run_peak = Some(self.peak);

@@ -280,19 +280,20 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
         |s, g| s.apply_gate(g),
         |s, fu| s.apply_fused(fu),
         |s, pg| pg.gates().try_for_each(|g| s.apply_gate(&g)),
-        |_, q| Ok(q),
+        S::measure,
+        S::reset,
         |_, _| {},
     )
 }
 
 /// The compiled program-counter loop, parametrised over gate application
 /// (`apply`), fused-block application (`apply_fused`), phase-gradient
-/// application (`apply_gradient`), a hook run before every non-unitary
-/// instruction (`before_nonunitary`) and a handler for [`Instr::Drop`]
-/// (`on_drop`). Every backend's compiled run routes through this with its
-/// unchecked gate `apply` (the reclaiming state-vector executor's also
-/// translates operands into its compacted array), so measurement, reset,
-/// branch and classical-record semantics live in exactly one place.
+/// application (`apply_gradient`), measurement (`measure`), reset
+/// (`reset`) and a handler for [`Instr::Drop`] (`on_drop`). Every
+/// backend's compiled run routes through this with its unchecked gate
+/// `apply` (the reclaiming state-vector executor's also translates
+/// operands into its compacted array), so the draws, branch and
+/// classical-record semantics live in exactly one place.
 ///
 /// `apply_fused` executes one [`Instr::Fused`] block and `apply_gradient`
 /// one [`Instr::Gradient`]; every backend but the phase accumulator
@@ -300,15 +301,14 @@ pub(crate) fn execute_compiled<S: Simulator + ?Sized>(
 /// tally always records the constituent gates here, so fusion and
 /// packing are invisible in [`Executed`] statistics whatever the backend
 /// does.
-/// `before_nonunitary` receives the measured/reset qubit and returns the
-/// qubit the backend call should address: the reclaiming state-vector
-/// executor uses it to translate a logical qubit to its physical bit
-/// position in the compacted amplitude array (and to materialise it first
-/// if it had been factored out) — it is fallible because that translation
-/// can reject malformed positions. Plain backends return the qubit
-/// unchanged. `on_drop` is the reclamation hook; for backends without a
-/// compaction story a drop is a semantic no-op and the default handler
-/// does nothing.
+/// `measure` and `reset` take the qubit as the program names it and the
+/// draw to sample with: plain backends pass their
+/// [`measure`](Simulator::measure) and [`reset`](Simulator::reset),
+/// while the reclaiming state-vector executor measures at the qubit's bit
+/// position in its compacted array (materialising the qubit first if it
+/// had been factored out). `on_drop` is the reclamation hook; for
+/// backends without a compaction story a drop is a semantic no-op and the
+/// default handler does nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     sim: &mut S,
@@ -318,7 +318,13 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
     mut apply: impl FnMut(&mut S, &Gate) -> Result<(), SimError>,
     mut apply_fused: impl FnMut(&mut S, &FusedUnitary) -> Result<(), SimError>,
     mut apply_gradient: impl FnMut(&mut S, &PhaseGradient) -> Result<(), SimError>,
-    mut before_nonunitary: impl FnMut(&mut S, QubitId) -> Result<QubitId, SimError>,
+    mut measure: impl FnMut(
+        &mut S,
+        QubitId,
+        Basis,
+        &mut dyn FnMut(f64) -> bool,
+    ) -> Result<bool, SimError>,
+    mut reset: impl FnMut(&mut S, QubitId, &mut dyn FnMut(f64) -> bool) -> Result<(), SimError>,
     mut on_drop: impl FnMut(&mut S, QubitId),
 ) -> Result<(), SimError> {
     admit_compiled(compiled)?;
@@ -351,9 +357,8 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
                 basis,
                 clbit,
             } => {
-                let target = before_nonunitary(sim, *qubit)?;
                 let mut draw = |p1: f64| rng.gen_bool(p1.clamp(0.0, 1.0));
-                let outcome = sim.measure(target, *basis, &mut draw)?;
+                let outcome = measure(sim, *qubit, *basis, &mut draw)?;
                 executed.counts.record_measurement(*basis);
                 let idx = clbit.index();
                 if executed.classical.len() <= idx {
@@ -362,9 +367,8 @@ pub(crate) fn execute_compiled_core<S: Simulator + ?Sized>(
                 executed.classical[idx] = Some(outcome);
             }
             Instr::Reset(qubit) => {
-                let target = before_nonunitary(sim, *qubit)?;
                 let mut draw = |p1: f64| rng.gen_bool(p1.clamp(0.0, 1.0));
-                sim.reset(target, &mut draw)?;
+                reset(sim, *qubit, &mut draw)?;
                 executed.counts.reset += 1;
             }
             Instr::Drop(qubit) => on_drop(sim, *qubit),
@@ -685,8 +689,13 @@ mod tests {
                 },
             ),
         ];
-        let readouts =
-            |sim: &dyn Simulator| ([0, 1, 2, 3].map(|i| sim.bit(q(i)).ok()), sim.global_phase());
+        let readouts = |sim: &dyn Simulator| {
+            (
+                [0, 1, 2, 3].map(|i| sim.bit(q(i)).ok()),
+                sim.global_phase(),
+                sim.peak_amplitudes(),
+            )
+        };
         for (program, finding) in cases {
             let err = program.verify().unwrap_err();
             assert_eq!(err.findings()[0], finding);

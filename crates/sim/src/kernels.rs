@@ -913,35 +913,7 @@ pub(crate) fn permute(
             .map(|s| ((j >> s.start) & s.mask) << s.shift)
             .sum()
     };
-    let spread = |v: usize| -> usize {
-        segs.iter()
-            .map(|s| ((v >> s.shift) & s.mask) << s.start)
-            .sum()
-    };
-    // Inverse local map, deposited: `table[v]` is the support-bit pattern
-    // of the source index feeding destination pattern `v`. All block
-    // gates are self-inverse, so `G⁻¹` is the gates applied in reverse
-    // order, each acting classically on the local bit pattern.
-    let dim = 1usize << k;
-    let table: Vec<usize> = (0..dim)
-        .map(|v| {
-            let mut w = v;
-            for g in gates.iter().rev() {
-                let m = |q: mbu_circuit::QubitId| q.index();
-                match *g {
-                    Gate::X(t) => w ^= 1usize << m(t),
-                    Gate::Cx(c, t) => w ^= ((w >> m(c)) & 1) << m(t),
-                    Gate::Ccx(c1, c2, t) => w ^= ((w >> m(c1)) & (w >> m(c2)) & 1) << m(t),
-                    Gate::Swap(a, b) => {
-                        let x = ((w >> m(a)) ^ (w >> m(b))) & 1;
-                        w ^= (x << m(a)) | (x << m(b));
-                    }
-                    _ => unreachable!("validated: permutation gates only"),
-                }
-            }
-            spread(w)
-        })
-        .collect();
+    let table = inverse_table(positions, gates);
 
     let len = amps.len();
     scratch.resize_zeroed(len);
@@ -969,6 +941,62 @@ pub(crate) fn permute(
     Ok(())
 }
 
+/// The bits of the local patterns `base..base + 64`, one `u64` lane per
+/// pattern, for the six local bits that vary inside such a window.
+const LANE_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The inverse local map of a validated permutation block, deposited:
+/// `table[v]` is the support-bit pattern (at the absolute `positions`) of
+/// the source index feeding destination pattern `v`. All block gates are
+/// self-inverse, so `G⁻¹` is the gates applied in reverse order.
+///
+/// Built bit-sliced, 64 patterns at a time: slice `b` holds local bit `b`
+/// of 64 consecutive patterns, one per `u64` lane, so each gate acts on
+/// all 64 as one bitwise operation — `X` a not, `CX` a xor, `CCX` the xor
+/// of an and, `SWAP` an exchange of two slices — instead of being replayed
+/// on every pattern one at a time.
+fn inverse_table(positions: &[usize], gates: &[Gate]) -> Vec<usize> {
+    let k = positions.len();
+    let dim = 1usize << k;
+    let mut table = vec![0usize; dim];
+    let mut slices = [0u64; mbu_circuit::MAX_PERM_FUSED_QUBITS];
+    for (chunk, out) in table.chunks_mut(64).enumerate() {
+        let base = chunk * 64;
+        for (b, s) in slices.iter_mut().enumerate().take(k) {
+            *s = match LANE_BITS.get(b) {
+                Some(&lanes) => lanes,
+                None if (base >> b) & 1 == 1 => u64::MAX,
+                None => 0,
+            };
+        }
+        for g in gates.iter().rev() {
+            let m = |q: mbu_circuit::QubitId| q.index();
+            match *g {
+                Gate::X(t) => slices[m(t)] = !slices[m(t)],
+                Gate::Cx(c, t) => slices[m(t)] ^= slices[m(c)],
+                Gate::Ccx(c1, c2, t) => slices[m(t)] ^= slices[m(c1)] & slices[m(c2)],
+                Gate::Swap(a, b) => slices.swap(m(a), m(b)),
+                _ => unreachable!("validated: permutation gates only"),
+            }
+        }
+        for (lane, entry) in out.iter_mut().enumerate() {
+            *entry = positions
+                .iter()
+                .zip(&slices)
+                .map(|(&p, &s)| (((s >> lane) & 1) as usize) << p)
+                .sum();
+        }
+    }
+    table
+}
+
 /// Reclamation kernel: projects bit `p` onto the definite value `keep` and
 /// compacts the array to half its length, so the state no longer
 /// represents the dropped qubit at all.
@@ -994,15 +1022,56 @@ pub(crate) fn compact_bit(amps: &mut Amps, p: usize, keep: bool) {
     amps.truncate(half);
 }
 
-/// Reclamation kernel: the exact inverse of [`compact_bit`] — doubles the
-/// state by inserting a fresh bit holding `value` at position `p`, used to
-/// re-materialise a factored-out qubit the moment an instruction touches
-/// it (at its *order-preserving* position, so the live-qubit remap never
-/// accumulates a permutation that would need sorting out at restore time).
+/// Reclamation kernel: brings factored-out qubits back into the array in
+/// one pass. `inserted` lists each fresh bit as `(position, value)`, by
+/// ascending position in the grown array (a qubit's *order-preserving*
+/// position, so the live-qubit layout never accumulates a permutation).
+///
+/// The grown array is allocated zeroed once and the live core scattered
+/// into it: old index bits keep their order, each shifted up past the
+/// fresh positions below it, and the fresh bits hold their values. Pure
+/// moves, bitwise what one `expand_bit` doubling per inserted bit leaves
+/// (it zeroes every vacated entry): only `+0.0` entries are
+/// skipped — the grown array holds them already — while `-0.0` ones move
+/// like any other amplitude.
+pub(crate) fn expand_bits(amps: &Amps, inserted: &[(usize, bool)]) -> Amps {
+    let mut out = Amps::zeroed(amps.len() << inserted.len());
+    // The old index bits split into runs that stay contiguous: `(mask,
+    // shift)` moves the run `mask` up past the `shift` fresh bits below
+    // it.
+    let mut fresh = 0usize;
+    let mut runs = Vec::with_capacity(inserted.len() + 1);
+    let mut lo = 0usize;
+    for (shift, &(pos, value)) in inserted.iter().enumerate() {
+        fresh |= usize::from(value) << pos;
+        let hi = pos - shift;
+        runs.push((((1usize << hi) - 1) & !((1usize << lo) - 1), shift));
+        lo = hi;
+    }
+    runs.push((!((1usize << lo) - 1), inserted.len()));
+    let (re, im) = amps.parts();
+    let (ore, oim) = out.parts_mut();
+    for (i, (&r, &m)) in re.iter().zip(im).enumerate() {
+        if r.to_bits() | m.to_bits() == 0 {
+            continue;
+        }
+        let j = runs
+            .iter()
+            .fold(fresh, |j, &(mask, shift)| j | ((i & mask) << shift));
+        ore[j] = r;
+        oim[j] = m;
+    }
+    out
+}
+
+/// The exact inverse of [`compact_bit`], one bit at a time: doubles the
+/// state by inserting a fresh bit holding `value` at position `p`. The
+/// reference [`expand_bits`] is held to.
 ///
 /// Pure moves, backward in place: every destination index is at or ahead
 /// of its source, and vacated sources are zeroed. At the top position with
 /// `value = 0` this degenerates to a plain zero-extension.
+#[cfg(test)]
 pub(crate) fn expand_bit(amps: &mut Amps, p: usize, value: bool) {
     let old = amps.len();
     amps.resize_zeroed(old * 2);
@@ -1604,6 +1673,46 @@ mod tests {
         );
     }
 
+    /// `expand_bits` brings several qubits in at once; it must leave
+    /// bitwise what one `expand_bit` per inserted bit (ascending) leaves,
+    /// on random layouts whose amplitudes mix `+0.0`, `-0.0` and nonzero
+    /// components.
+    #[test]
+    fn expand_bits_matches_the_doubling_cascade() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let component = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (f64::from(rng.gen_range(0..2000u32)) - 999.5) / 1000.0,
+        };
+        for case in 0..400 {
+            let live = rng.gen_range(0..7usize);
+            let fresh = rng.gen_range(0..5usize);
+            let width = live + fresh;
+            // The fresh bits' positions in the grown array: `fresh`
+            // distinct positions out of `width`, ascending.
+            let mut positions: Vec<usize> = (0..width).collect();
+            while positions.len() > fresh {
+                positions.remove(rng.gen_range(0..positions.len()));
+            }
+            let inserted: Vec<(usize, bool)> =
+                positions.iter().map(|&p| (p, rng.gen_bool(0.5))).collect();
+            let src: Vec<Complex> = (0..1usize << live)
+                .map(|_| Complex::new(component(&mut rng), component(&mut rng)))
+                .collect();
+            let src = Amps::from_complex(&src);
+
+            let mut cascade = src.clone();
+            for &(p, value) in &inserted {
+                expand_bit(&mut cascade, p, value);
+            }
+            let grown = expand_bits(&src, &inserted);
+            assert_eq!(grown.len(), cascade.len(), "case {case}");
+            assert_bit_identical(&grown, &cascade, &format!("case {case}: {inserted:?}"));
+        }
+    }
+
     #[test]
     fn phase_kernels_touch_only_the_pinned_subspace() {
         let mut amps = Amps::from_complex(&[Complex::ONE; 16]);
@@ -1751,6 +1860,53 @@ mod tests {
             // Old amplitudes land in the swapped-out scratch.
             assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
         }
+    }
+
+    /// The bit-sliced inverse table against replaying the reversed gates
+    /// on every local pattern one at a time, at every block width from a
+    /// partial 64-pattern window (k < 6) up to the 16-qubit cap, with
+    /// scattered positions.
+    #[test]
+    fn inverse_table_matches_the_per_pattern_replay() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let q = |i: usize| QubitId(u32::try_from(i).unwrap());
+        for k in (1..=10).chain([16]) {
+            let mut positions: Vec<usize> = (0..k + 3).collect();
+            while positions.len() > k {
+                positions.remove(rng.gen_range(0..positions.len()));
+            }
+            let mut gates = Vec::new();
+            for _ in 0..40 {
+                let a = rng.gen_range(0..k);
+                let b = (a + rng.gen_range(1..k.max(2))) % k;
+                let c = (0..k).find(|&c| c != a && c != b);
+                gates.push(match (rng.gen_range(0..4u32), c) {
+                    (1, _) if a != b => Gate::Cx(q(a), q(b)),
+                    (2, Some(c)) if a != b => Gate::Ccx(q(a), q(c), q(b)),
+                    (3, _) if a != b => Gate::Swap(q(a), q(b)),
+                    _ => Gate::X(q(a)),
+                });
+            }
+            let table = inverse_table(&positions, &gates);
+            for (v, &entry) in table.iter().enumerate() {
+                let mut w = v;
+                for g in gates.iter().rev() {
+                    w = perm_image(w, g);
+                }
+                let deposited = scatter_bits(w, &positions);
+                assert_eq!(entry, deposited, "k={k} pattern {v}");
+            }
+        }
+    }
+
+    /// Bit `j` of `w` lands at `positions[j]`.
+    fn scatter_bits(w: usize, positions: &[usize]) -> usize {
+        positions
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| ((w >> j) & 1) << p)
+            .sum()
     }
 
     /// Malformed permutation blocks are rejected with a typed error — in

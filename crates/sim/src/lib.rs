@@ -53,7 +53,9 @@
 //! (halving the live state per drop and re-materialising factored-out
 //! qubits on first touch), which turns the paper's early-ancilla-release
 //! qubit savings into measured memory savings — see
-//! [`StateVector`]'s `run_compiled` and [`Simulator::peak_amplitudes`]. A
+//! [`StateVector`]'s `run_compiled` and [`Simulator::peak_amplitudes`].
+//! Between runs the state rests factored, definite qubits out of the
+//! array (see [`StateVector`]'s layout). A
 //! program compiled without that pass
 //! ([`PassConfig::reclaim_dead_qubits`](mbu_circuit::PassConfig::reclaim_dead_qubits)
 //! off) carries no drops and runs on the full array. Compiled programs

@@ -524,9 +524,8 @@ impl Ensemble {
     /// the program reclaims qubits the state vector's peak drops below
     /// `2^n`; for a program compiled without drops
     /// (`PassConfig { reclaim_dead_qubits: false, .. }`) it is the full
-    /// width. Note the caller-held full-width array before the initial
-    /// compaction and after the end-of-run restore is not counted — this
-    /// measures what the engine sweeps, not total allocation. The other
+    /// width. A shot's state rests factored before and after its run, so
+    /// the peak is what the engine sweeps. The other
     /// backends report occupied entries (the basis tracker its
     /// `2^(X-mode qubits)` bound). `None` for backends that track no peak
     /// and for empty ensembles.

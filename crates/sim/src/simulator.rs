@@ -238,14 +238,16 @@ pub trait Simulator: Any {
     }
 
     /// The peak number of amplitudes (or analogous state entries) the most
-    /// recent compiled run operated on, when the backend tracks it.
+    /// recent compiled run that succeeded operated on, when the backend
+    /// tracks it.
     ///
     /// The state vector reports its live working set: the full `2^n` for a
     /// program without drops, the largest compacted array for one that
     /// reclaims qubits. The other backends report occupied entries: the
     /// sparse map's and the phase accumulator's high-water marks, and the
     /// basis tracker's `2^(X-mode qubits)` branch bound. Every backend
-    /// returns `None` before its first compiled run. The
+    /// returns `None` before its first compiled run, and a run that is
+    /// refused or fails leaves the value where it was. The
     /// [`ShotRunner`](crate::ShotRunner) folds this into per-ensemble
     /// peak-memory statistics.
     fn peak_amplitudes(&self) -> Option<u64> {
@@ -256,7 +258,7 @@ pub trait Simulator: Any {
     /// compiled run reached, when the backend tracks one.
     ///
     /// Where [`peak_amplitudes`](Simulator::peak_amplitudes) reports the
-    /// allocated working set (the dense backend's full `2^n` array), this
+    /// allocated working set, this
     /// reports logical occupancy: the sparse backend's high-water entry
     /// count, the basis tracker's `2^(X-mode qubits)` branch bound.
     /// Branch-tree execution aggregates it per leaf so shared-trajectory

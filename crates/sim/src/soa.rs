@@ -70,12 +70,6 @@ impl Amps {
         self.im[i] = a.im;
     }
 
-    /// Zeroes every amplitude.
-    pub(crate) fn fill_zero(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-    }
-
     /// The component buffers, read-only.
     pub(crate) fn parts(&self) -> (&[f64], &[f64]) {
         (&self.re, &self.im)
@@ -158,13 +152,12 @@ mod tests {
     #[test]
     fn set_and_fill() {
         let mut amps = Amps::zeroed(4);
+        assert!(amps.iter().all(|a| a == Complex::ZERO));
         amps.set(1, Complex::new(-1.0, 0.5));
         amps.set(3, Complex::I);
         assert_eq!(amps.get(1), Complex::new(-1.0, 0.5));
         assert_eq!(amps.get(2), Complex::ZERO);
         assert_eq!(amps.get(3), Complex::I);
-        amps.fill_zero();
-        assert!(amps.iter().all(|a| a == Complex::ZERO));
     }
 
     #[test]

@@ -777,7 +777,8 @@ pub(crate) fn run_compiled_on<S: Simulator, P>(
         apply,
         |s, fu| fu.global_gates().try_for_each(|g| apply(s, &g)),
         apply_gradient,
-        |_, q| Ok(q),
+        S::measure,
+        S::reset,
         |_, _| {},
     )?;
     let m = map(sim);

@@ -1,5 +1,8 @@
 //! The exact state-vector backend.
 
+use std::borrow::Cow;
+use std::cell::Cell;
+
 use mbu_circuit::{Angle, Basis, Circuit, CompiledCircuit, Gate, QubitId};
 use rand::RngCore;
 
@@ -36,6 +39,25 @@ pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 /// so a register `q[0..n]` holding the integer `v` contributes `v << 0` when
 /// the register occupies the low qubits.
 ///
+/// # Layout
+///
+/// The state rests *factored*: a qubit known to hold a definite bit is kept
+/// out of the amplitude array as that bit, and the array spans only the
+/// other, *live* qubits, in their logical order. A fresh
+/// [`zeros`](Self::zeros) or [`basis`](Self::basis) state is one
+/// amplitude, [`set_value`](Simulator::set_value) flips factored-out bits,
+/// and the reads ([`bit`](Simulator::bit), [`value`](Simulator::value),
+/// [`amplitude`](Self::amplitude), [`probability_of`](Self::probability_of),
+/// [`norm`](Self::norm), [`as_basis`](Self::as_basis),
+/// [`global_phase`](Simulator::global_phase)) go through the layout. A
+/// compiled run that reclaims qubits works on the live core only (see
+/// [`run_compiled`](Simulator::run_compiled)). Everything else — a gate at
+/// a time, a measurement, a reset, a fork, a compiled run without drops,
+/// [`amplitudes`](Self::amplitudes), [`inner_product`](Self::inner_product)
+/// — first brings every qubit back into the full `2^n` array. None of it
+/// shows from outside: every nonzero amplitude, outcome and draw is
+/// bitwise what the full array gives.
+///
 /// # Examples
 ///
 /// ```
@@ -59,8 +81,14 @@ pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 #[derive(Debug)]
 pub struct StateVector {
     num_qubits: usize,
+    /// The amplitudes over the live qubits: bit `j` of an index is qubit
+    /// `layout.phys[j]`.
     amps: Amps,
-    /// Peak live amplitudes of the most recent compiled run.
+    /// Where every qubit lives: a bit position of `amps`, or a definite
+    /// bit factored out of it.
+    layout: LiveMap,
+    /// Peak live amplitudes of the most recent compiled run that
+    /// succeeded.
     last_run_peak: Option<usize>,
     /// Reusable destination buffer for permutation-block sweeps
     /// ([`kernels::permute`] streams `amps` into it and swaps), allocated
@@ -74,6 +102,7 @@ impl Clone for StateVector {
         Self {
             num_qubits: self.num_qubits,
             amps: self.amps.clone(),
+            layout: self.layout.clone(),
             last_run_peak: self.last_run_peak,
             // The permutation scratch buffer is pure scratch — reallocated
             // on first need rather than copied.
@@ -82,8 +111,14 @@ impl Clone for StateVector {
     }
 }
 
+/// The one-amplitude array of a state with every qubit factored out.
+fn unit() -> Amps {
+    Amps::from_complex(&[Complex::ONE])
+}
+
 impl StateVector {
-    /// Creates `|0…0⟩` over `num_qubits` qubits.
+    /// Creates `|0…0⟩` over `num_qubits` qubits, every qubit factored
+    /// out: one amplitude, whatever the width.
     ///
     /// # Errors
     ///
@@ -96,11 +131,10 @@ impl StateVector {
                 max: MAX_STATEVECTOR_QUBITS,
             });
         }
-        let mut amps = Amps::zeroed(1usize << num_qubits);
-        amps.set(0, Complex::ONE);
         Ok(Self {
             num_qubits,
-            amps,
+            amps: unit(),
+            layout: LiveMap::basis(num_qubits, 0),
             last_run_peak: None,
             scratch: None,
         })
@@ -118,7 +152,8 @@ impl StateVector {
         Ok(sv)
     }
 
-    /// Creates a state from raw amplitudes (length must be a power of two).
+    /// Creates a state from raw amplitudes (length must be a power of two),
+    /// every qubit live in the full array.
     ///
     /// The amplitudes are used as-is; callers wanting a normalised state
     /// should normalise first.
@@ -143,12 +178,14 @@ impl StateVector {
         Ok(Self {
             num_qubits,
             amps: Amps::from_complex(&amps),
+            layout: LiveMap::full(num_qubits),
             last_run_peak: None,
             scratch: None,
         })
     }
 
-    /// Resets the state to `|index⟩`.
+    /// Resets the state to `|index⟩`, every qubit factored out (the
+    /// amplitude array shrinks to one entry).
     ///
     /// # Errors
     ///
@@ -159,8 +196,8 @@ impl StateVector {
                 what: format!("basis index {index}"),
             });
         }
-        self.amps.fill_zero();
-        self.amps.set(index as usize, Complex::ONE);
+        self.amps = unit();
+        self.layout = LiveMap::basis(self.num_qubits, index);
         Ok(())
     }
 
@@ -177,19 +214,27 @@ impl StateVector {
     /// Panics if `index ≥ 2^num_qubits`.
     #[must_use]
     pub fn amplitude(&self, index: u64) -> Complex {
-        self.amps.get(index as usize)
+        assert!(
+            index >> self.num_qubits == 0,
+            "basis index {index} outside a {}-qubit state",
+            self.num_qubits
+        );
+        self.layout
+            .compact_index(index as usize)
+            .map_or(Complex::ZERO, |i| self.amps.get(i))
     }
 
     /// All amplitudes, indexed by basis state.
     ///
     /// Amplitudes are stored internally as structure-of-arrays re/im
-    /// buffers (see the crate docs), so this materialises a fresh
-    /// interleaved vector — an `O(2^n)` copy. Component values round-trip
-    /// bit-exactly; hot paths wanting single entries should use
+    /// buffers over the live qubits (see [the layout](Self#layout)), so
+    /// this materialises a fresh interleaved vector over the full index
+    /// space — an `O(2^n)` copy. Component values round-trip bit-exactly;
+    /// hot paths wanting single entries should use
     /// [`amplitude`](Self::amplitude).
     #[must_use]
     pub fn amplitudes(&self) -> Vec<Complex> {
-        self.amps.to_vec()
+        self.full().to_vec()
     }
 
     /// The probability of observing basis state `index`.
@@ -199,7 +244,7 @@ impl StateVector {
     /// Panics if `index ≥ 2^num_qubits`.
     #[must_use]
     pub fn probability_of(&self, index: u64) -> f64 {
-        self.amps.get(index as usize).norm_sqr()
+        self.amplitude(index).norm_sqr()
     }
 
     /// The 2-norm of the state (1 for any normalised state).
@@ -216,8 +261,9 @@ impl StateVector {
     #[must_use]
     pub fn inner_product(&self, other: &Self) -> Complex {
         assert_eq!(self.num_qubits, other.num_qubits, "width mismatch");
+        let (ours, theirs) = (self.full(), other.full());
         let mut acc = Complex::ZERO;
-        for (a, b) in self.amps.iter().zip(other.amps.iter()) {
+        for (a, b) in ours.iter().zip(theirs.iter()) {
             acc += a.conj() * b;
         }
         acc
@@ -243,11 +289,18 @@ impl StateVector {
             .filter(|(i, _)| *i != best)
             .map(|(_, a)| a.norm_sqr())
             .sum();
-        if leaked <= tol {
-            Some((best as u64, self.amps.get(best)))
-        } else {
-            None
+        if leaked > tol {
+            return None;
         }
+        // The first index of greatest probability over the full array: a
+        // positive maximum lies in the live core, a zero one (every
+        // entry's probability is 0) at index 0.
+        let index = if best_p > 0.0 {
+            self.layout.full_index(best) as u64
+        } else {
+            0
+        };
+        Some((index, self.amplitude(index)))
     }
 
     /// Reads the integer value of a register out of a basis index.
@@ -300,26 +353,65 @@ impl StateVector {
         Simulator::run(self, circuit, rng)
     }
 
-    /// The probability that qubit `q` reads 1 in the computational basis.
-    /// One block-structured kernel sweep, summing in ascending index order
-    /// exactly like the per-index filtered scan it replaced.
+    /// The amplitudes over the full `2^n` index space: the array itself
+    /// when every qubit is live, otherwise a copy with every factored-out
+    /// qubit brought back in.
+    fn full(&self) -> Cow<'_, Amps> {
+        if self.layout.is_full() {
+            Cow::Borrowed(&self.amps)
+        } else {
+            Cow::Owned(kernels::expand_bits(&self.amps, &self.layout.factored()))
+        }
+    }
+
+    /// Brings every factored-out qubit back into the array, in one pass:
+    /// the array then spans the full `2^n` index space with qubit `i` at
+    /// bit `i`, exactly as a state that never factored anything out.
+    fn expand(&mut self) {
+        if !self.layout.is_full() {
+            self.amps = self.full().into_owned();
+            self.layout = LiveMap::full(self.num_qubits);
+            self.layout.check(&self.amps);
+        }
+    }
+
+    /// The probability that qubit `q` reads 1. A live qubit's is one
+    /// block-structured kernel sweep of the array, summing in ascending
+    /// index order exactly like the per-index filtered scan over the full
+    /// array. A factored-out qubit's is 0, or the array's total mass
+    /// summed in the same order — what that scan adds up for a qubit set
+    /// wherever the state has mass — so an unnormalised state fails the
+    /// definiteness check alike.
     fn prob_one(&self, q: QubitId) -> f64 {
-        kernels::prob_of_set_bit(&self.amps, q.index())
+        match self.layout.slots[q.index()] {
+            LiveSlot::Live(p) => kernels::prob_of_set_bit(&self.amps, p),
+            LiveSlot::Virtual(false) => 0.0,
+            LiveSlot::Virtual(true) => self.amps.iter().fold(0.0, |m, a| m + a.norm_sqr()),
+        }
     }
 
     /// The per-qubit probabilities of reading 1, for all of `qubits`, in a
     /// single sweep over the amplitudes (instead of one sweep per qubit).
     /// Zero-weight amplitudes — the overwhelming majority for the
-    /// basis-like states register reads happen on — are skipped.
+    /// basis-like states register reads happen on — are skipped. A
+    /// factored-out qubit reads as its bit wherever the state has mass.
     fn marginals(&self, qubits: &[QubitId]) -> Vec<f64> {
+        // Per qubit: the array bit it reads, or its factored-out bit.
+        let reads: Vec<(usize, bool)> = qubits
+            .iter()
+            .map(|q| match self.layout.slots[q.index()] {
+                LiveSlot::Live(p) => (1usize << p, false),
+                LiveSlot::Virtual(b) => (0, b),
+            })
+            .collect();
         let mut p1 = vec![0.0f64; qubits.len()];
         for (i, a) in self.amps.iter().enumerate() {
             let w = a.norm_sqr();
             if w == 0.0 {
                 continue;
             }
-            for (j, q) in qubits.iter().enumerate() {
-                if (i >> q.index()) & 1 == 1 {
+            for (j, &(mask, set)) in reads.iter().enumerate() {
+                if set || i & mask != 0 {
                     p1[j] += w;
                 }
             }
@@ -339,8 +431,18 @@ impl StateVector {
         }
     }
 
+    /// Flips qubit `q`: an `X` on its bit of the array, or on the bit it
+    /// holds factored out.
+    fn flip(&mut self, q: QubitId) {
+        match self.layout.slots[q.index()] {
+            LiveSlot::Live(p) => kernels::x(Par::serial(), &mut self.amps, p),
+            LiveSlot::Virtual(b) => self.layout.slots[q.index()] = LiveSlot::Virtual(!b),
+        }
+    }
+
     fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
         exec::validate_gate(gate, self.num_qubits)?;
+        self.expand();
         self.apply_stride(gate);
         Ok(())
     }
@@ -424,9 +526,9 @@ impl StateVector {
         }
     }
 
-    /// Z-basis measurement: projects and renormalises.
-    fn measure_z(&mut self, q: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> bool {
-        let p = q.index();
+    /// Z-basis measurement of the qubit at bit `p`: projects and
+    /// renormalises.
+    fn measure_z(&mut self, p: usize, draw: &mut dyn FnMut(f64) -> bool) -> bool {
         let p1 = self.z_prob_one(p);
         let outcome = draw(p1);
         let scale = self.z_branch_scale(p, outcome, p1);
@@ -434,31 +536,47 @@ impl StateVector {
         outcome
     }
 
-    /// A forked child holding `amps` under this state's configuration,
-    /// with no compiled run behind it yet and its own (lazily allocated)
+    /// Measurement in `basis` of the qubit at bit `p` of the array: an
+    /// `X` measurement rotates to `Z` with `H`, measures and rotates back,
+    /// the same kernels [`Simulator::measure`] runs on the full array.
+    fn measure_at(&mut self, p: usize, basis: Basis, draw: &mut dyn FnMut(f64) -> bool) -> bool {
+        let x = basis == Basis::X;
+        if x {
+            kernels::h(Par::serial(), &mut self.amps, p);
+        }
+        let outcome = self.measure_z(p, draw);
+        if x {
+            kernels::h(Par::serial(), &mut self.amps, p);
+        }
+        outcome
+    }
+
+    /// A forked child holding `amps` under this state's layout, with no
+    /// compiled run behind it yet and its own (lazily allocated)
     /// permutation scratch buffer, like [`Clone`].
     fn child_with_amps(&self, amps: Amps) -> Self {
         Self {
             num_qubits: self.num_qubits,
             amps,
+            layout: self.layout.clone(),
             last_run_peak: None,
             scratch: None,
         }
     }
 
-    /// The both-branch Z measurement behind [`Simulator::measure_fork`]:
-    /// one probability sweep plus one [`kernels::split_bit`] sweep yields
-    /// both renormalised children, each **possible** branch bit-identical
-    /// to a forced-outcome [`measure_z`](Self::measure_z) on a copy of the
-    /// parent. An impossible branch (probability exactly 0) is never
-    /// materialised — the outcome-1 side comes back as `None`, the
-    /// outcome-0 side stays in the receiver with its dead half merely
-    /// zeroed — and its kept-mass fallback sweep is skipped: every
-    /// branch-tree consumer prunes zero-probability children unseen, and
-    /// paying a full child allocation plus two extra sweeps per definite
-    /// measurement would double the traffic of a full-expansion run.
-    fn fork_z(&mut self, q: QubitId) -> Fork {
-        let p = q.index();
+    /// The both-branch Z measurement behind [`Simulator::measure_fork`]
+    /// of the qubit at bit `p`: one probability sweep plus one
+    /// [`kernels::split_bit`] sweep yields both renormalised children,
+    /// each **possible** branch bit-identical to a forced-outcome
+    /// [`measure_z`](Self::measure_z) on a copy of the parent. An
+    /// impossible branch (probability exactly 0) is never materialised —
+    /// the outcome-1 side comes back as `None`, the outcome-0 side stays
+    /// in the receiver with its dead half merely zeroed — and its
+    /// kept-mass fallback sweep is skipped: every branch-tree consumer
+    /// prunes zero-probability children unseen, and paying a full child
+    /// allocation plus two extra sweeps per definite measurement would
+    /// double the traffic of a full-expansion run.
+    fn fork_z(&mut self, p: usize) -> Fork {
         let p1 = self.z_prob_one(p);
         if p1 == 0.0 {
             // Outcome 0 is certain: its renormaliser is exactly
@@ -484,161 +602,167 @@ impl StateVector {
     }
 }
 
-/// Whether an index-gather/scatter over the live core (`2^live · live`
-/// bit operations) is cheaper than a per-bit compaction/expansion cascade
-/// over the full array (`≈ 2·2^n` contiguous element moves). True when
-/// the live core is small relative to the full width.
-fn gather_beats_cascade(live: usize, num_qubits: usize) -> bool {
-    (1usize << live).saturating_mul(live.max(1)) <= 1usize << num_qubits
+/// Whether an index-gather over the surviving core (`2^live · live` bit
+/// operations) is cheaper than a per-bit in-place compaction cascade over
+/// the current array (`≈ 2·2^current` contiguous element moves). True
+/// when few live qubits survive.
+fn gather_beats_cascade(live: usize, current: usize) -> bool {
+    (1usize << live).saturating_mul(live.max(1)) <= 1usize << current
 }
 
-/// The full-width index bits contributed by the factored-out qubits.
-fn virtual_base(slots: &[LiveSlot]) -> usize {
-    let mut base = 0usize;
-    for (q, slot) in slots.iter().enumerate() {
-        if let LiveSlot::Virtual(true) = slot {
-            base |= 1usize << q;
-        }
-    }
-    base
-}
-
-/// Expands compact index `i` to its full-width index: bit `j` of `i`
-/// lands at position `phys[j]`, on top of the virtual-qubit `base`.
-fn scatter_index(base: usize, phys: &[usize], i: usize) -> usize {
+/// Deposits index `i` at `positions`: bit `j` of `i` lands at position
+/// `positions[j]`, on top of `base`.
+fn scatter_index(base: usize, positions: &[usize], i: usize) -> usize {
     let mut idx = base;
-    for (j, &q) in phys.iter().enumerate() {
+    for (j, &q) in positions.iter().enumerate() {
         idx |= ((i >> j) & 1) << q;
     }
     idx
 }
 
-/// Where a logical qubit lives during a reclaiming compiled run.
-#[derive(Clone, Copy, Debug)]
+/// Where a qubit lives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LiveSlot {
-    /// Materialised in the amplitude array at this bit position.
+    /// In the amplitude array at this bit position.
     Live(usize),
     /// Factored out of the array while holding this definite bit.
     Virtual(bool),
 }
 
-/// The live-qubit remap table of one reclaiming compiled run.
+/// The layout of a [`StateVector`]: which qubits are live in the
+/// amplitude array, at which bit positions, and which are factored out
+/// as definite bits.
 ///
-/// The compiled engine's core assumption — `QubitId` equals statevector
-/// bit position — stops holding the moment a drop compacts the array; this
-/// table is the single source of truth that restores it: every instruction
-/// operand is translated through [`LiveMap::ensure_live`] (materialising
-/// factored-out qubits on first touch), and every drop updates the
-/// positions of the survivors.
-#[derive(Debug)]
+/// Live qubits keep their logical order (`phys` ascends), so the array
+/// is the full `2^n` one restricted to the factored-out bits' values,
+/// entry order preserved: a sum over it in index order adds the same
+/// nonzero terms in the same order as over the full array. The full
+/// layout — every qubit live, `phys[i] == i` — is the case where nothing
+/// is factored out. In a reclaiming compiled run every instruction
+/// operand is translated through the map: operands are brought in on
+/// first touch ([`ensure_live`](Self::ensure_live)), and every drop or
+/// compaction re-indexes the survivors.
+#[derive(Clone, Debug)]
 struct LiveMap {
     /// Logical qubit → current location.
     slots: Vec<LiveSlot>,
     /// Physical bit position → logical qubit (`len` = live count).
     phys: Vec<usize>,
-    /// Largest amplitude array the run has operated on so far.
-    peak_amps: usize,
 }
 
 impl LiveMap {
-    /// Factors every exactly-definite qubit out of `amps`, compacting the
-    /// array down to the live core (and releasing the surplus capacity of
-    /// the caller-held full-width allocation when the reduction is big).
-    ///
-    /// Exact by construction: a qubit is virtualised only when every
-    /// amplitude on one of its branches is exactly zero, and each
-    /// [`kernels::compact_bit`] step copies the survivors bit-for-bit.
-    fn compact_definite(num_qubits: usize, amps: &mut Amps) -> Self {
-        // One sweep: which bit values ever occur with nonzero amplitude.
-        let mut ones = 0usize;
-        let mut zeros = 0usize;
-        for (i, a) in amps.iter().enumerate() {
-            if a != Complex::ZERO {
-                ones |= i;
-                zeros |= !i;
-            }
-        }
-        let mut slots = Vec::with_capacity(num_qubits);
-        let mut phys = Vec::new();
-        for q in 0..num_qubits {
-            let seen1 = ones >> q & 1 == 1;
-            let seen0 = zeros >> q & 1 == 1;
-            if seen1 && seen0 {
-                slots.push(LiveSlot::Live(phys.len()));
-                phys.push(q);
-            } else {
-                slots.push(LiveSlot::Virtual(seen1));
-            }
-        }
-        let live = phys.len();
-        if live < num_qubits {
-            if gather_beats_cascade(live, num_qubits) {
-                // Few live qubits: gather the core directly into a fresh
-                // (small) array, releasing the full-width allocation for
-                // the duration of the run.
-                let base = virtual_base(&slots);
-                let mut compact = Amps::zeroed(1usize << live);
-                for i in 0..1usize << live {
-                    compact.set(i, amps.get(scatter_index(base, &phys, i)));
-                }
-                *amps = compact;
-            } else {
-                // Mostly live: compact virtual positions from the top down
-                // (each step a forward in-place copy over the shrinking
-                // array — under 2·2^n element moves in total).
-                for q in (0..num_qubits).rev() {
-                    if let LiveSlot::Virtual(b) = slots[q] {
-                        kernels::compact_bit(amps, q, b);
-                    }
-                }
-                if amps.len() * 4 <= amps.capacity() {
-                    amps.shrink_to_fit();
-                }
-            }
-        }
+    /// Every qubit factored out, holding its bit of `index`.
+    fn basis(num_qubits: usize, index: u64) -> Self {
         Self {
-            slots,
-            phys,
-            peak_amps: amps.len(),
+            slots: (0..num_qubits)
+                .map(|q| LiveSlot::Virtual((index >> q) & 1 == 1))
+                .collect(),
+            phys: Vec::new(),
         }
+    }
+
+    /// Every qubit live at its own bit position.
+    fn full(num_qubits: usize) -> Self {
+        Self {
+            slots: (0..num_qubits).map(LiveSlot::Live).collect(),
+            phys: (0..num_qubits).collect(),
+        }
+    }
+
+    /// Whether every qubit is live.
+    fn is_full(&self) -> bool {
+        self.phys.len() == self.slots.len()
+    }
+
+    /// The factored-out qubits with their bits, ascending: what
+    /// [`kernels::expand_bits`] inserts to rebuild the full array (where
+    /// qubit `q` sits at bit `q`).
+    fn factored(&self) -> Vec<(usize, bool)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(q, slot)| match *slot {
+                LiveSlot::Virtual(b) => Some((q, b)),
+                LiveSlot::Live(_) => None,
+            })
+            .collect()
+    }
+
+    /// The full index of array index `i`.
+    fn full_index(&self, i: usize) -> usize {
+        let base = self
+            .factored()
+            .iter()
+            .map(|&(q, b)| usize::from(b) << q)
+            .sum();
+        scatter_index(base, &self.phys, i)
+    }
+
+    /// The array index holding full index `index`, or `None` when a
+    /// factored-out qubit holds the other bit (the amplitude is zero).
+    fn compact_index(&self, index: usize) -> Option<usize> {
+        let mut i = 0usize;
+        for (q, slot) in self.slots.iter().enumerate() {
+            let bit = (index >> q) & 1;
+            match *slot {
+                LiveSlot::Live(p) => i |= bit << p,
+                LiveSlot::Virtual(b) if bit != usize::from(b) => return None,
+                LiveSlot::Virtual(_) => {}
+            }
+        }
+        Some(i)
     }
 
     /// The physical bit position of logical qubit `q`.
     ///
-    /// Only valid once `q` is live — callers materialise every operand of
-    /// an instruction (via [`ensure_live`](Self::ensure_live)) *before*
-    /// translating any of them, because a materialisation shifts the
-    /// positions of live qubits above its insertion point.
+    /// Only valid once `q` is live — callers bring every operand of an
+    /// instruction in (via [`ensure_live`](Self::ensure_live)) *before*
+    /// translating any of them, because an insertion shifts the
+    /// positions of live qubits above it.
     fn position(&self, q: usize) -> usize {
         match self.slots[q] {
             LiveSlot::Live(p) => p,
-            LiveSlot::Virtual(_) => unreachable!("operand materialised before translation"),
+            LiveSlot::Virtual(_) => unreachable!("operand brought in before translation"),
         }
     }
 
-    /// Makes logical qubit `q` live, materialising it first if it had been
-    /// factored out.
-    fn ensure_live(&mut self, amps: &mut Amps, q: usize) {
-        if let LiveSlot::Virtual(b) = self.slots[q] {
-            self.materialize(amps, q, b);
+    /// Makes every qubit of `qubits` live, bringing the factored-out ones
+    /// into `amps` in one pass ([`kernels::expand_bits`]), each at its
+    /// *order-preserving* position: live qubits above an insertion point
+    /// shift up, and the map never accumulates a permutation.
+    fn ensure_live(&mut self, amps: &mut Amps, qubits: &[usize]) {
+        let factored = |q: &usize| matches!(self.slots[*q], LiveSlot::Virtual(_));
+        if !qubits.iter().any(factored) {
+            return;
         }
+        let mut fresh: Vec<usize> = qubits.iter().copied().filter(factored).collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        let mut phys = Vec::with_capacity(self.phys.len() + fresh.len());
+        let mut inserted = Vec::with_capacity(fresh.len());
+        let mut old = self.phys.iter().copied().peekable();
+        for q in fresh {
+            while let Some(p) = old.next_if(|&p| p < q) {
+                phys.push(p);
+            }
+            if let LiveSlot::Virtual(b) = self.slots[q] {
+                inserted.push((phys.len(), b));
+            }
+            phys.push(q);
+        }
+        phys.extend(old);
+        *amps = kernels::expand_bits(amps, &inserted);
+        self.relink(phys);
+        self.check(amps);
     }
 
-    /// Re-inserts virtual qubit `q` (holding bit `b`) at its
-    /// *order-preserving* position, doubling the array. Keeping `phys`
-    /// sorted means the remap never accumulates a permutation: physical
-    /// order always mirrors logical order, and the end-of-run restore is
-    /// nothing but materialising the leftover virtual qubits. Live qubits
-    /// above the insertion point shift up by one.
-    fn materialize(&mut self, amps: &mut Amps, q: usize, b: bool) {
-        let p = self.phys.partition_point(|&lq| lq < q);
-        kernels::expand_bit(amps, p, b);
-        self.phys.insert(p, q);
-        self.slots[q] = LiveSlot::Live(p);
-        for j in p + 1..self.phys.len() {
-            self.slots[self.phys[j]] = LiveSlot::Live(j);
+    /// Installs `phys` as the live qubits, pointing their slots at their
+    /// new positions.
+    fn relink(&mut self, phys: Vec<usize>) {
+        for (j, &q) in phys.iter().enumerate() {
+            self.slots[q] = LiveSlot::Live(j);
         }
-        self.peak_amps = self.peak_amps.max(amps.len());
+        self.phys = phys;
     }
 
     /// Executes a `Drop`: verifies the qubit is definite (all mass on one
@@ -648,8 +772,7 @@ impl LiveMap {
     /// because drops are advisory.
     fn drop_qubit(&mut self, amps: &mut Amps, q: usize) {
         let LiveSlot::Live(p) = self.slots[q] else {
-            // Factored out since the initial compaction and never touched
-            // again: already reclaimed.
+            // Factored out and never touched since: already reclaimed.
             return;
         };
         let (m0, m1) = kernels::bit_masses(amps, p);
@@ -668,86 +791,137 @@ impl LiveMap {
             self.slots[self.phys[j]] = LiveSlot::Live(j);
         }
         self.slots[q] = LiveSlot::Virtual(keep);
+        self.check(amps);
     }
 
-    /// Re-expands `amps` to the full `2^num_qubits` layout with every
-    /// logical qubit back at its own bit position — virtual qubits
-    /// re-inserted at their recorded definite values — so the external
-    /// `QubitId == bit position` contract holds again after the run.
+    /// Factors every exactly-definite live qubit out of `amps`, compacting
+    /// the array down to the rest (and releasing the surplus capacity of
+    /// the old allocation when the reduction is big). Sweeps the live
+    /// core only: qubits already factored out stay as they are.
     ///
-    /// Because `phys` is kept sorted throughout the run, this is just the
-    /// remaining materialisations: once every qubit is live, position
-    /// equals logical index by construction.
-    fn restore(mut self, amps: &mut Amps, num_qubits: usize) {
-        let live = self.phys.len();
-        if live == num_qubits {
-            // `phys` is sorted, so fully-live means identity already.
-            return;
-        }
-        if gather_beats_cascade(live, num_qubits) {
-            // Small live core: scatter it into a fresh full-width array.
-            let base = virtual_base(&self.slots);
-            let mut out = Amps::zeroed(1usize << num_qubits);
-            for (i, a) in amps.iter().enumerate() {
-                out.set(scatter_index(base, &self.phys, i), a);
-            }
-            *amps = out;
-            return;
-        }
-        for q in 0..num_qubits {
-            if let LiveSlot::Virtual(b) = self.slots[q] {
-                self.materialize(amps, q, b);
+    /// Exact by construction: a qubit is factored out only when every
+    /// amplitude on one of its branches is exactly zero, and the survivors
+    /// are copied bit-for-bit.
+    fn compact_definite(&mut self, amps: &mut Amps) {
+        // One sweep: which bit values ever occur with nonzero amplitude.
+        let mut ones = 0usize;
+        let mut zeros = 0usize;
+        for (i, a) in amps.iter().enumerate() {
+            if a != Complex::ZERO {
+                ones |= i;
+                zeros |= !i;
             }
         }
-        debug_assert_eq!(self.phys.len(), num_qubits);
-        debug_assert!(self.phys.iter().enumerate().all(|(j, &q)| j == q));
+        let mut phys = Vec::with_capacity(self.phys.len());
+        let mut kept = Vec::with_capacity(self.phys.len());
+        let mut removed = Vec::new();
+        for (p, &q) in self.phys.iter().enumerate() {
+            let seen1 = ones >> p & 1 == 1;
+            let seen0 = zeros >> p & 1 == 1;
+            if seen1 && seen0 {
+                phys.push(q);
+                kept.push(p);
+            } else {
+                removed.push((p, seen1));
+            }
+        }
+        if removed.is_empty() {
+            return;
+        }
+        if gather_beats_cascade(phys.len(), self.phys.len()) {
+            // Few survivors: gather them straight into a fresh (small)
+            // array, releasing the old allocation.
+            let base = removed.iter().map(|&(p, b)| usize::from(b) << p).sum();
+            let mut compact = Amps::zeroed(1usize << phys.len());
+            for i in 0..compact.len() {
+                compact.set(i, amps.get(scatter_index(base, &kept, i)));
+            }
+            *amps = compact;
+        } else {
+            // Mostly live: compact the factored positions from the top
+            // down (each step a forward in-place copy over the shrinking
+            // array — under 2·2^live element moves in total).
+            for &(p, b) in removed.iter().rev() {
+                kernels::compact_bit(amps, p, b);
+            }
+            if amps.len() * 4 <= amps.capacity() {
+                amps.shrink_to_fit();
+            }
+        }
+        for &(p, b) in &removed {
+            self.slots[self.phys[p]] = LiveSlot::Virtual(b);
+        }
+        self.relink(phys);
+        self.check(amps);
     }
-}
 
-/// A physical bit position as a [`QubitId`], as a typed error instead of
-/// a panic when a (malformed) position cannot be encoded — the
-/// drop/compaction path must never bring a worker thread down on bad
-/// input.
-fn physical_qubit(pos: usize) -> Result<QubitId, SimError> {
-    u32::try_from(pos)
-        .map(QubitId)
-        .map_err(|_| SimError::OutOfRange {
-            what: format!("physical qubit position {pos}"),
-        })
+    /// The layout's invariants, checked after every change in builds with
+    /// debug assertions: `phys` strictly ascends, `slots` and `phys` name
+    /// the same live qubits at the same positions, and the array spans
+    /// exactly the live qubits.
+    fn check(&self, amps: &Amps) {
+        debug_assert!(
+            self.phys.windows(2).all(|w| w[0] < w[1]),
+            "live qubits out of order: {:?}",
+            self.phys
+        );
+        debug_assert!(
+            self.phys
+                .iter()
+                .enumerate()
+                .all(|(j, &q)| self.slots[q] == LiveSlot::Live(j))
+                && self
+                    .slots
+                    .iter()
+                    .filter(|s| matches!(s, LiveSlot::Live(_)))
+                    .count()
+                    == self.phys.len(),
+            "slots {:?} disagree with live qubits {:?}",
+            self.slots,
+            self.phys
+        );
+        debug_assert_eq!(amps.len(), 1usize << self.phys.len(), "array width");
+    }
 }
 
 impl StateVector {
-    /// The reclaiming compiled executor: runs the program on a compacted
-    /// amplitude array, materialising qubits on first touch and executing
-    /// `Drop` instructions by projection + compaction, with every operand
-    /// translated through the [`LiveMap`]. Restores the full-width layout
-    /// (and records the peak working set) before returning — reclamation
-    /// is invisible to everything outside the run.
+    /// The reclaiming compiled executor: runs the program on the live
+    /// core of the layout — compacted to what is not definite when the
+    /// run starts, each factored-out qubit brought in the moment an
+    /// instruction touches it, `Drop`s executed by projection and
+    /// compaction — with every operand translated through the
+    /// [`LiveMap`]. When the run ends, failed or not, whatever is definite
+    /// is factored out again. Returns the peak working set.
     fn run_compiled_reclaiming(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
-    ) -> Result<Executed, SimError> {
-        let mut executed = Executed::default();
-        let live =
-            std::cell::RefCell::new(LiveMap::compact_definite(self.num_qubits, &mut self.amps));
-        let apply = |sv: &mut Self, g: &Gate| {
-            let mut lm = live.borrow_mut();
-            // Materialise every operand before translating any: an
-            // insertion shifts the positions of live qubits above it.
-            g.for_each_qubit(&mut |q| lm.ensure_live(&mut sv.amps, q.index()));
-            let mut bad_position = None;
-            let phys = g.map_qubits(|q| {
-                let pos = lm.position(q.index());
-                u32::try_from(pos).map(QubitId).unwrap_or_else(|_| {
-                    bad_position.get_or_insert(pos);
-                    QubitId(0)
-                })
+        executed: &mut Executed,
+    ) -> Result<usize, SimError> {
+        self.layout.compact_definite(&mut self.amps);
+        let peak = Cell::new(self.amps.len());
+        let live = |sv: &mut Self, qubits: &[usize]| {
+            sv.layout.ensure_live(&mut sv.amps, qubits);
+            peak.set(peak.get().max(sv.amps.len()));
+        };
+        let position = |sv: &mut Self, q: QubitId| {
+            live(sv, &[q.index()]);
+            sv.layout.position(q.index())
+        };
+        let apply = |sv: &mut Self, g: &Gate| -> Result<(), SimError> {
+            // Bring every operand in before translating any: an insertion
+            // shifts the positions of live qubits above it.
+            let mut operands = [0usize; 3];
+            let mut k = 0;
+            g.for_each_qubit(&mut |q| {
+                operands[k] = q.index();
+                k += 1;
             });
-            drop(lm);
-            if let Some(pos) = bad_position {
-                return physical_qubit(pos).map(|_| ());
-            }
+            live(sv, &operands[..k]);
+            let phys = g.map_qubits(|q| {
+                let p = sv.layout.position(q.index());
+                QubitId(u32::try_from(p).expect("positions lie below MAX_STATEVECTOR_QUBITS"))
+            });
             sv.apply_stride(&phys);
             Ok(())
         };
@@ -755,16 +929,12 @@ impl StateVector {
             self,
             compiled,
             rng,
-            &mut executed,
+            executed,
             apply,
             |sv, fu| {
-                let mut lm = live.borrow_mut();
-                for q in fu.qubits() {
-                    lm.ensure_live(&mut sv.amps, q.index());
-                }
-                let positions: Vec<usize> =
-                    fu.qubits().iter().map(|q| lm.position(q.index())).collect();
-                drop(lm);
+                let qubits: Vec<usize> = fu.qubits().iter().map(|q| q.index()).collect();
+                live(sv, &qubits);
+                let positions: Vec<usize> = qubits.iter().map(|&q| sv.layout.position(q)).collect();
                 // `phys` mirrors logical order, so ascending logical
                 // operands translate to ascending physical positions — the
                 // layout the fused kernels' group enumeration assumes.
@@ -772,18 +942,21 @@ impl StateVector {
                 sv.apply_fused_block(&positions, fu.gates())
             },
             |sv, pg| pg.gates().try_for_each(|g| apply(sv, &g)),
-            |sv, q| {
-                let mut lm = live.borrow_mut();
-                lm.ensure_live(&mut sv.amps, q.index());
-                physical_qubit(lm.position(q.index()))
+            |sv, q, basis, draw| {
+                let p = position(sv, q);
+                Ok(sv.measure_at(p, basis, draw))
             },
-            |sv, q| live.borrow_mut().drop_qubit(&mut sv.amps, q.index()),
+            |sv, q, draw| {
+                let p = position(sv, q);
+                if sv.measure_z(p, draw) {
+                    kernels::x(Par::serial(), &mut sv.amps, p);
+                }
+                Ok(())
+            },
+            |sv, q| sv.layout.drop_qubit(&mut sv.amps, q.index()),
         );
-        let lm = live.into_inner();
-        self.last_run_peak = Some(lm.peak_amps);
-        lm.restore(&mut self.amps, self.num_qubits);
-        result?;
-        Ok(executed)
+        self.layout.compact_definite(&mut self.amps);
+        result.map(|()| peak.get())
     }
 }
 
@@ -807,66 +980,80 @@ impl Simulator for StateVector {
                 what: format!("fused-block qubit {}", q.0),
             });
         }
+        self.expand();
         let positions: Vec<usize> = block.qubits().iter().map(|q| q.index()).collect();
         self.apply_fused_block(&positions, block.gates())
     }
 
     /// Compiled execution. A program that carries
     /// [`Drop`](mbu_circuit::Instr::Drop) instructions (the default
-    /// passes emit them for measured-then-dead qubits) runs on a
-    /// *compacted* amplitude array: definite qubits are factored out up
-    /// front, re-materialised the moment an instruction touches them, and
-    /// dropped qubits are projected out for good — each live-set change
-    /// halves or doubles the array. The compaction is observationally
+    /// passes emit them for measured-then-dead qubits) runs on the live
+    /// core of [the layout](StateVector#layout): the qubits definite when
+    /// it starts stay factored out, each factored-out qubit is brought
+    /// into the array the moment an instruction touches it (all of an
+    /// instruction's in one pass), dropped qubits are projected out for
+    /// good, and whatever is definite when the run ends is factored out
+    /// again — each qubit brought in doubles the array and each drop
+    /// halves it. The
+    /// state rests factored after the run, and that is observationally
     /// invisible: outcomes, RNG consumption, executed counts and the final
     /// state match a run of the same circuit compiled without drops
     /// (`PassConfig { reclaim_dead_qubits: false, .. }`), the final state
     /// exactly up to the `≤ 1e-20`-mass rounding residues a drop discards.
-    /// A program without drops runs on the full `2^n` array through the
-    /// shared executor. Either way gates, and the constituents of phase
-    /// gradients, go straight to the stride kernels: lowering validated
-    /// every operand, and `check_width` bounds them by the state.
+    /// A program without drops first brings every qubit into the full
+    /// `2^n` array and runs on it through the shared executor. Either way
+    /// gates, and the constituents of phase gradients, go straight to the
+    /// stride kernels: lowering validated every operand, and `check_width`
+    /// bounds them by the state.
     fn run_compiled(
         &mut self,
         compiled: &CompiledCircuit,
         rng: &mut dyn RngCore,
     ) -> Result<Executed, SimError> {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
-        if compiled.reclaims_qubits() {
-            return self.run_compiled_reclaiming(compiled, rng);
-        }
-        self.last_run_peak = Some(self.amps.len());
         let mut executed = Executed::default();
-        exec::execute_compiled_core(
-            self,
-            compiled,
-            rng,
-            &mut executed,
-            |sv, g| {
-                sv.apply_stride(g);
-                Ok(())
-            },
-            |sv, fu| sv.apply_fused(fu),
-            |sv, pg| {
-                pg.gates().for_each(|g| sv.apply_stride(&g));
-                Ok(())
-            },
-            |_, q| Ok(q),
-            |_, _| {},
-        )?;
+        let peak = if compiled.reclaims_qubits() {
+            self.run_compiled_reclaiming(compiled, rng, &mut executed)?
+        } else {
+            self.expand();
+            exec::execute_compiled_core(
+                self,
+                compiled,
+                rng,
+                &mut executed,
+                |sv, g| {
+                    sv.apply_stride(g);
+                    Ok(())
+                },
+                |sv, fu| sv.apply_fused(fu),
+                |sv, pg| {
+                    pg.gates().for_each(|g| sv.apply_stride(&g));
+                    Ok(())
+                },
+                Self::measure,
+                Self::reset,
+                |_, _| {},
+            )?;
+            self.amps.len()
+        };
+        self.last_run_peak = Some(peak);
         Ok(executed)
     }
 
+    /// The largest amplitude array the most recent compiled run *that
+    /// succeeded* held: `2^n` without drops, the peak of the live core
+    /// with them. A refused or failed run leaves it where it was.
     fn peak_amplitudes(&self) -> Option<u64> {
         self.last_run_peak.map(|p| p as u64)
     }
 
-    /// The dense working set *is* the amplitude array: every entry is
-    /// materialised whether or not it carries mass, so the occupancy a
-    /// branch-tree leaf should account for is its current length
-    /// (compacted mid-run under reclamation, `2^n` otherwise).
+    /// The dense working set of a state between runs: the full `2^n`
+    /// array, which every operation outside a reclaiming compiled run
+    /// (a gate, a measurement, a fork) brings every qubit back into
+    /// first. Every entry is materialised whether or not it carries mass,
+    /// so this is what a branch-tree leaf accounts for.
     fn occupancy_peak(&self) -> Option<u64> {
-        Some(self.amps.len() as u64)
+        Some(1u64 << self.num_qubits)
     }
 
     fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
@@ -875,9 +1062,8 @@ impl Simulator for StateVector {
                 what: format!("qubit q{}", q.0),
             });
         }
-        let current = Self::definite_bit(self.prob_one(q), q)?;
-        if current != value {
-            self.apply(&Gate::X(q))?;
+        if Self::definite_bit(self.prob_one(q), q)? != value {
+            self.flip(q);
         }
         Ok(())
     }
@@ -888,13 +1074,13 @@ impl Simulator for StateVector {
                 what: format!("qubit q{}", q.0),
             });
         }
-        // One marginal sweep for the whole register, then X where the
+        // One marginal sweep for the whole register, then a flip where the
         // current bit differs from the requested one.
         let marginals = self.marginals(qubits);
         for (i, (q, p1)) in qubits.iter().zip(marginals).enumerate() {
             let desired = i < 128 && (value >> i) & 1 == 1;
             if Self::definite_bit(p1, *q)? != desired {
-                self.apply(&Gate::X(*q))?;
+                self.flip(*q);
             }
         }
         Ok(())
@@ -943,7 +1129,10 @@ impl Simulator for StateVector {
         basis: Basis,
         draw: &mut dyn FnMut(f64) -> bool,
     ) -> Result<bool, SimError> {
-        exec::measure_in_basis(self, qubit, basis, draw, |s, q, d| Ok(s.measure_z(q, d)))
+        exec::measure_in_basis(self, qubit, basis, draw, |s, q, d| {
+            s.expand();
+            Ok(s.measure_z(q.index(), d))
+        })
     }
 
     /// Both-branch measurement for the branch-tree engine: the receiver
@@ -953,18 +1142,24 @@ impl Simulator for StateVector {
     /// measurement even when the outcome is certain, and the fork must
     /// mirror that so per-shot RNG replay stays bit-identical.
     fn measure_fork(&mut self, qubit: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
-        exec::fork_in_basis(self, qubit, basis, |s, q| Ok(s.fork_z(q)))
+        exec::fork_in_basis(self, qubit, basis, |s, q| {
+            s.expand();
+            Ok(s.fork_z(q.index()))
+        })
     }
 
     fn reset(&mut self, qubit: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
-        exec::reset_in_z(self, qubit, draw, |s, q, d| Ok(s.measure_z(q, d)))
+        exec::reset_in_z(self, qubit, draw, |s, q, d| {
+            s.expand();
+            Ok(s.measure_z(q.index(), d))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbu_circuit::{Angle, CircuitBuilder};
+    use mbu_circuit::{Angle, CircuitBuilder, ClbitId, Op};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1373,6 +1568,130 @@ mod tests {
         assert!(!ex.outcome(0).unwrap());
         assert_eq!(sv.as_basis(1e-12).unwrap().0, 0b1000, "X flipped q0");
         assert_eq!(sv.amplitudes().len(), 1usize << 4);
+    }
+
+    #[test]
+    fn factored_states_read_and_write_registers_without_an_array() {
+        // 26 qubits in the full layout would be 2^26 amplitudes (1 GiB);
+        // factored out, preparing and reading two registers keeps the
+        // array at one amplitude.
+        let mut sv = StateVector::zeros(MAX_STATEVECTOR_QUBITS).unwrap();
+        let x: Vec<QubitId> = (0..13).map(q).collect();
+        let y: Vec<QubitId> = (13..26).map(q).collect();
+        sv.set_value(&x, 0x1234).unwrap();
+        sv.set_value(&y, 0x0abc).unwrap();
+        assert_eq!(sv.value(&x).unwrap(), 0x1234);
+        assert_eq!(sv.value(&y).unwrap(), 0x0abc);
+        assert!(sv.bit(q(2)).unwrap() && !sv.bit(q(0)).unwrap());
+        assert_eq!(sv.amps.len(), 1);
+        let index = 0x1234 | (0x0abc_u64 << 13);
+        assert_eq!(sv.as_basis(0.0), Some((index, Complex::ONE)));
+        assert_eq!(sv.amplitude(index), Complex::ONE);
+        assert_eq!(sv.amplitude(index ^ 1), Complex::ZERO);
+        assert_eq!(sv.amps.len(), 1);
+        assert!(matches!(
+            StateVector::zeros(MAX_STATEVECTOR_QUBITS + 1),
+            Err(SimError::TooManyQubits { .. })
+        ));
+    }
+
+    #[test]
+    fn a_reclaimed_qubit_of_an_unnormalised_state_still_reads_superposed() {
+        // Total mass 0.5, all of it with q1 set: the full array sums
+        // p1(q1) = 0.5, so q1 reads as superposed. A reclaiming run
+        // factors q1 out (it is exactly definite); it must still read so.
+        let half = Complex::new(0.5, 0.0);
+        let amps = vec![
+            Complex::ZERO,
+            Complex::ZERO,
+            half,
+            half,
+            Complex::ZERO,
+            Complex::ZERO,
+            Complex::ZERO,
+            Complex::ZERO,
+        ];
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 3);
+        let _ = b.measure(r[2], Basis::Z);
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+        assert!(compiled.reclaims_qubits(), "{compiled}");
+
+        let full = StateVector::from_amplitudes(amps.clone()).unwrap();
+        let mut sv = StateVector::from_amplitudes(amps).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        sv.run_compiled(&compiled, &mut rng).unwrap();
+        assert_eq!(
+            sv.layout.slots[1],
+            LiveSlot::Virtual(true),
+            "q1 factored out"
+        );
+        let superposed = SimError::ReadOfSuperposedQubit { qubit: 1 };
+        for state in [&full, &sv] {
+            assert_eq!(state.bit(q(1)).unwrap_err(), superposed);
+            assert_eq!(state.value(&[q(1)]).unwrap_err(), superposed);
+        }
+        for mut state in [full, sv] {
+            assert_eq!(state.set_bit(q(1), false).unwrap_err(), superposed);
+            assert_eq!(state.set_bit(q(1), true).unwrap_err(), superposed);
+        }
+    }
+
+    #[test]
+    fn a_failed_run_keeps_the_last_peak() {
+        // H q1, measure q0 (then dead: a drop), and a branch on a bit no
+        // measurement writes: the run fails with a typed error after it
+        // has brought qubits in. The peak of the last run that succeeded
+        // stands, on both executors.
+        let ops = |branch: u32| {
+            vec![
+                Op::Gate(Gate::H(q(1))),
+                Op::Measure {
+                    qubit: q(0),
+                    basis: Basis::Z,
+                    clbit: ClbitId(0),
+                },
+                Op::Conditional {
+                    clbit: ClbitId(branch),
+                    ops: vec![Op::Gate(Gate::X(q(2)))],
+                },
+            ]
+        };
+        let good = Circuit::from_ops(3, 2, ops(0));
+        let bad = Circuit::from_ops(3, 2, ops(1));
+        let passes = mbu_circuit::PassConfig {
+            reclaim_dead_qubits: false,
+            ..mbu_circuit::PassConfig::default()
+        };
+        let compile = |c: &Circuit, reclaim: bool| {
+            if reclaim {
+                CompiledCircuit::compile(c).unwrap()
+            } else {
+                CompiledCircuit::with_config(c, &passes).unwrap()
+            }
+        };
+        for reclaim in [true, false] {
+            let (good, bad) = (compile(&good, reclaim), compile(&bad, reclaim));
+            assert_eq!(good.reclaims_qubits(), reclaim, "{good}");
+            let mut sv = StateVector::zeros(3).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            assert!(sv.run_compiled(&bad, &mut rng).is_err());
+            assert_eq!(sv.peak_amplitudes(), None, "reclaim {reclaim}");
+            sv.run_compiled(&good, &mut rng).unwrap();
+            let peak = sv.peak_amplitudes();
+            assert!(peak.is_some_and(|p| p == 8 || reclaim && p < 8), "{peak:?}");
+            sv.prepare_basis(0b001).unwrap();
+            let err = sv.run_compiled(&bad, &mut rng).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimError::UnwrittenClassicalBit { clbit: 1 }
+                        | SimError::VerificationRejected { .. }
+                ),
+                "{err}"
+            );
+            assert_eq!(sv.peak_amplitudes(), peak, "reclaim {reclaim}");
+        }
     }
 
     #[test]

@@ -20,11 +20,11 @@ use mbu_arith::{
     modular::{self, ModAddSpec},
     Uncompute,
 };
-use mbu_circuit::{CompiledCircuit, PassConfig};
-use mbu_sim::{Ensemble, ShotRunner, Simulator, StateVector};
+use mbu_circuit::{CompiledCircuit, PassConfig, QubitId};
+use mbu_sim::{Complex, Ensemble, ShotRunner, Simulator, StateVector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn arch_spec(arch: u8, unc: Uncompute) -> ModAddSpec {
     match arch % 3 {
@@ -115,6 +115,106 @@ proptest! {
             compiled.instrs().len(),
             without.instrs().len() + compiled.stats().dead_qubits_reclaimed as usize
         );
+    }
+}
+
+proptest! {
+    // Each case runs an up-to-18-qubit modadd from two starting layouts.
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A state rests factored — definite qubits out of the amplitude
+    /// array — and a reclaiming run starts from whatever layout it finds.
+    /// Starting from `zeros` + `set_value` (every qubit factored out) or
+    /// from the same basis state with every qubit live must not show.
+    #[test]
+    fn factored_and_full_starts_are_indistinguishable(
+        n in 2usize..=4,
+        pk in 0u128..1_000_000,
+        xk in 0u128..1_000_000,
+        yk in 0u128..1_000_000,
+        arch in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let pmax = (1u128 << n) - 1;
+        let p = 2 + pk % (pmax - 1);
+        let x = xk % p;
+        let y = yk % p;
+        let layout = modular::modadd_circuit(&arch_spec(arch, Uncompute::Mbu), n, p).unwrap();
+        let nq = layout.circuit.num_qubits();
+        let compiled = CompiledCircuit::compile(&layout.circuit).unwrap();
+        prop_assert!(compiled.reclaims_qubits());
+
+        let mut factored = StateVector::zeros(nq).unwrap();
+        factored.set_value(layout.x.qubits(), x).unwrap();
+        factored.set_value(layout.y.qubits(), y).unwrap();
+        let input = StateVector::index_with(&[
+            (layout.x.qubits(), u64::try_from(x).unwrap()),
+            (layout.y.qubits(), u64::try_from(y).unwrap()),
+        ]);
+        let mut amps = vec![Complex::ZERO; 1usize << nq];
+        amps[usize::try_from(input).unwrap()] = Complex::ONE;
+        let mut full = StateVector::from_amplitudes(amps).unwrap();
+
+        let mut rng_factored = StdRng::seed_from_u64(seed);
+        let mut rng_full = StdRng::seed_from_u64(seed);
+        let ex_factored = factored.run_compiled(&compiled, &mut rng_factored).unwrap();
+        let ex_full = full.run_compiled(&compiled, &mut rng_full).unwrap();
+        prop_assert_eq!(ex_factored, ex_full);
+        prop_assert_eq!(rng_factored.next_u64(), rng_full.next_u64(), "RNG position");
+        prop_assert_eq!(factored.peak_amplitudes(), full.peak_amplitudes());
+        for q in 0..nq {
+            let q = QubitId(u32::try_from(q).unwrap());
+            prop_assert_eq!(factored.bit(q), full.bit(q));
+        }
+        for register in [&layout.x, &layout.y] {
+            prop_assert_eq!(
+                factored.value(register.qubits()),
+                full.value(register.qubits())
+            );
+        }
+        prop_assert_eq!(factored.value(layout.y.qubits()).unwrap(), (x + y) % p);
+        let output = StateVector::index_with(&[
+            (layout.x.qubits(), u64::try_from(x).unwrap()),
+            (layout.y.qubits(), u64::try_from((x + y) % p).unwrap()),
+        ]);
+        for index in [input, output, 0, (1u64 << nq) - 1] {
+            prop_assert_eq!(
+                factored.probability_of(index).to_bits(),
+                full.probability_of(index).to_bits(),
+                "probability of {}", index
+            );
+        }
+        prop_assert_eq!(factored.norm().to_bits(), full.norm().to_bits());
+        prop_assert_eq!(factored.as_basis(1e-9), full.as_basis(1e-9));
+        prop_assert_eq!(factored.global_phase(), full.global_phase());
+        let (a, b) = (factored.amplitudes(), full.amplitudes());
+        prop_assert_eq!(a.len(), b.len());
+        for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+            prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "re of amp {}", i);
+            prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "im of amp {}", i);
+        }
+    }
+}
+
+#[test]
+fn chained_cdkpm_dense_peak_is_pinned() {
+    // The two-stage CDKPM MBU chain on the dense engine: stage 1's
+    // measured ancillas drop before stage 2's come in, so the array never
+    // spans more than all qubits but one. At n = 4, p = 13 this is the
+    // benchmark's 23-qubit `dense_chain`, whose `--counts` end with this
+    // peak (4194304).
+    let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
+    for (n, p, x, y) in [(2, 3, 2, 1), (4, 13, 11, 7)] {
+        let chain = modular::modadd_chain_circuit(&spec, n, p, 2).unwrap();
+        let nq = chain.circuit.num_qubits();
+        let compiled = CompiledCircuit::compile(&chain.circuit).unwrap();
+        let mut sv = StateVector::zeros(nq).unwrap();
+        sv.set_value(chain.x.qubits(), x).unwrap();
+        sv.set_value(chain.y.qubits(), y).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        sv.run_compiled(&compiled, &mut rng).unwrap();
+        assert_eq!(sv.peak_amplitudes(), Some(1u64 << (nq - 1)), "n = {n}");
+        assert_eq!(sv.value(chain.y.qubits()).unwrap(), (2 * x + y) % p);
     }
 }
 
