@@ -26,6 +26,14 @@
 //! a root whose occupancy high-water mark starts where a compiled run
 //! starts it.
 //!
+//! The DAG is flat: a fork is its draw probability and two
+//! `(next, payload)` edges, each distinct edge gate count is stored once
+//! (the payload indexes it), and every edge's classical writes sit in one
+//! array. A replayed shot tallies the payloads it crosses and multiplies
+//! its counts out once, at the end, so it costs little more than its
+//! draws. Where both edges of a fork lead to one node, the walk's next
+//! step does not wait on the draw.
+//!
 //! * **exact mode** ([`BranchEnsemble::distribution`]) consumes no
 //!   randomness at all: it enumerates the DAG's paths (the outcome tree)
 //!   and returns the full outcome/record distribution weighted by the
@@ -38,24 +46,22 @@
 //!   record its per-shot run produces, so the aggregates are
 //!   **bit-identical** to per-shot execution with the same master seed.
 //!   The shots split into contiguous ranges over the thread budget, as
-//!   per-shot runs do.
+//!   per-shot runs do, and each replay worker probes its own shots.
 //!
 //! Branches whose conditional probability falls below the floor
 //! ([`BranchEnsemble::with_eps`], default `1e-12`, `0` = full expansion
 //! down to exactly-impossible branches) are pruned; their mass is tracked in
 //! [`BranchDistribution::pruned_mass`], and a replayed shot that lands in
 //! pruned mass runs per shot, alone. The node budget bounds the DAG (with
-//! the trajectories still running) while it is built: past it, the
-//! sampled mode runs every shot per shot instead, and the exact mode,
-//! whose output is the whole tree, reports
+//! the trajectories still running) while it is built: past it, or past
+//! what its `u32` indices hold, the sampled mode runs every shot per shot
+//! instead, and the exact mode, whose output is the whole tree, reports
 //! [`SimError::BranchBudgetExceeded`] once either the DAG or the tree
 //! outgrows the budget.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::ops::Range;
-use std::sync::mpsc::{self, SyncSender};
 
 use mbu_circuit::{Basis, Circuit, CompiledCircuit, Gate, GateCounts, Instr, PassConfig, QubitId};
 use rand::rngs::StdRng;
@@ -64,8 +70,8 @@ use rand::{Rng, SeedableRng};
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::shots::{
-    compile_for, count_fields, cpu_threads, in_chunks, one_shot, per_shot, shot_seed, worker_count,
-    Accumulator, CountStats, Ensemble, Factory, Probe, DEFAULT_MASTER_SEED, NFIELDS,
+    compile_for, count_fields, cpu_threads, gate_counts, in_chunks, one_shot, per_shot, shot_seed,
+    worker_count, Accumulator, CountStats, Ensemble, Factory, Probe, DEFAULT_MASTER_SEED, NFIELDS,
 };
 use crate::simulator::{Fork, Simulator};
 use crate::{BasisTracker, PhaseAccumulator, SparseVector};
@@ -84,44 +90,50 @@ pub const DEFAULT_NODE_BUDGET: usize = 4096;
 pub(crate) const DEFAULT_BRANCH_EPS: f64 = 1e-12;
 const MAX_BRANCH_EPS: f64 = 0.25;
 
-/// Where an edge ends.
+/// The tag of an edge's `next` that ends in a leaf: the bits below it
+/// hold the leaf's index.
+const LEAF: u32 = 1u32 << 31;
+
+/// The `next` of a pruned edge, and of an edge not laid yet.
+const PRUNED: u32 = u32::MAX;
+
+/// Distinct paths per probe batch of a replay worker: a worker probes the
+/// first shot of each path in a batch and clones that observation for the
+/// batch's later shots of the path, so this bounds the paths (and the
+/// records) it keeps.
+const PROBE_BATCH: usize = 64;
+
+/// One edge: the node it ends in and what a shot crossing it executes.
 #[derive(Clone, Copy, Debug)]
-enum Link {
-    /// A fork node (index into `Dag::forks`).
-    Fork(usize),
-    /// A leaf (index into `Dag::leaves`).
-    Leaf(usize),
-}
-
-/// What every shot crossing an edge executes between two nodes: the
-/// executed counts, and the classical writes in program order.
-#[derive(Debug)]
 struct Edge {
-    counts: GateCounts,
-    writes: Vec<(usize, bool)>,
-    to: Link,
+    /// A fork's index, `LEAF |` a leaf's index, or [`PRUNED`].
+    next: u32,
+    /// Its executed counts: an index into `Dag::counts`.
+    payload: u32,
 }
 
-impl Edge {
-    fn apply(&self, executed: &mut Executed) {
-        executed.counts = executed.counts + self.counts;
-        for &(clbit, bit) in &self.writes {
-            write_clbit(&mut executed.classical, clbit, bit);
-        }
-    }
-}
+const UNLAID: Edge = Edge {
+    next: PRUNED,
+    payload: 0,
+};
 
 /// One randomness-consuming branch point.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ForkNode {
     /// The Born probability of outcome 1 — exactly the value the sampling
     /// path hands to `gen_bool` at this measurement.
     p_one: f64,
-    /// Conditional probability mass pruned here.
-    pruned: f64,
-    /// The edges out of the fork, by outcome, `None` where the branch was
-    /// pruned.
-    edges: [Option<Edge>; 2],
+    /// The edges out of the fork, by outcome; a pruned branch's edge ends
+    /// in [`PRUNED`].
+    edges: [Edge; 2],
+}
+
+impl ForkNode {
+    /// The node both outcomes lead to, if they do.
+    fn rejoin(&self) -> Option<u32> {
+        let [zero, one] = self.edges;
+        (zero.next == one.next && zero.next != PRUNED).then_some(zero.next)
+    }
 }
 
 /// The end of a trajectory.
@@ -137,16 +149,22 @@ struct LeafNode {
     peak: Option<u64>,
 }
 
-/// What a replayed shot walks: the nodes and the edge from the root.
-struct Graph {
-    forks: Vec<ForkNode>,
-    leaves: Vec<LeafNode>,
-    root: Edge,
-}
-
-/// A built outcome DAG.
+/// A built outcome DAG. Edge `0` is the root's, and edge `1 + 2f + o`
+/// is outcome `o` of fork `f`.
 pub(crate) struct Dag {
-    graph: Graph,
+    root: Edge,
+    forks: Vec<ForkNode>,
+    /// Conditional probability mass pruned at each fork.
+    pruned: Vec<f64>,
+    leaves: Vec<LeafNode>,
+    /// The distinct executed counts of the edges, by payload.
+    counts: Vec<GateCounts>,
+    /// Every edge's classical writes in program order, edge after edge:
+    /// edge `e`'s are `writes[writes_at[e]..writes_at[e + 1]]`.
+    writes: Vec<(u32, bool)>,
+    writes_at: Vec<u32>,
+    /// One past the highest clbit any edge writes.
+    clbits: usize,
     /// The final state of each leaf, by leaf index, kept only where
     /// trajectories rejoin (later arrivals are compared with it, and
     /// probes read it): `None` for an error leaf and for every leaf of a
@@ -154,28 +172,15 @@ pub(crate) struct Dag {
     states: Vec<Option<Box<dyn Simulator>>>,
 }
 
-/// Where a probed shot's observation comes from, as a replay worker
-/// hands it to the calling thread, which holds the leaf states.
-enum Landing<O> {
-    /// The probe of this leaf's state with the shot's record: the first
-    /// shot of its batch to take its path.
-    Probe(usize, Executed),
-    /// The observation of the `i`-th shot of the same batch, which took
-    /// the same path.
-    Again(usize),
-    /// Its own per-shot run: the shot drew into pruned mass.
-    Alone(O),
+/// `i` as a `u32` below `limit`. A DAG whose indices outgrow their `u32`
+/// fields fails as one past the node budget does, so the sampled mode
+/// runs it per shot.
+fn narrow(i: usize, limit: u32, budget: usize) -> Result<u32, SimError> {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i < limit)
+        .ok_or(SimError::BranchBudgetExceeded { budget })
 }
-
-/// `Probe`s per batch of [`Landing`]s a replay worker sends (its last
-/// batch may hold fewer): a bound on the records a batch carries. The
-/// calling thread wakes once per batch and probes each path once per
-/// batch.
-const PROBE_BATCH: usize = 64;
-
-/// How many batches may wait for the calling thread before a replay
-/// worker blocks: with [`PROBE_BATCH`], a bound on their memory.
-const PROBE_QUEUE: usize = 2;
 
 /// Writes a measurement outcome into a classical record, mirroring the
 /// compiled executor's resize-and-store.
@@ -191,7 +196,7 @@ fn write_clbit(record: &mut Vec<Option<bool>>, idx: usize, outcome: bool) {
 #[derive(Clone, Copy)]
 enum Settle {
     /// A measurement: each branch records its outcome in this clbit.
-    Record(usize),
+    Record(u32),
     /// A reset: the outcome-1 branch gets the corrective `X` on this
     /// qubit, and no record is written.
     Flip(QubitId),
@@ -208,6 +213,16 @@ fn pruned(p: f64, eps: f64) -> bool {
 enum Slot {
     Root,
     Fork(usize, usize),
+}
+
+impl Slot {
+    /// The edge's index (see [`Dag`]).
+    fn edge(self) -> usize {
+        match self {
+            Slot::Root => 0,
+            Slot::Fork(f, outcome) => 1 + 2 * f + outcome,
+        }
+    }
 }
 
 /// Where a trajectory stopped.
@@ -235,7 +250,7 @@ struct Walker {
     /// The edge it lays from its last node.
     from: Slot,
     counts: GateCounts,
-    writes: Vec<(usize, bool)>,
+    writes: Vec<(u32, bool)>,
 }
 
 impl Walker {
@@ -255,7 +270,7 @@ impl Walker {
     fn settle(&mut self, settle: Settle, outcome: bool) -> Result<(), SimError> {
         match settle {
             Settle::Record(clbit) => {
-                write_clbit(&mut self.record, clbit, outcome);
+                write_clbit(&mut self.record, clbit as usize, outcome);
                 self.writes.push((clbit, outcome));
             }
             Settle::Flip(q) if outcome => self.sim.apply_gate(&Gate::X(q))?,
@@ -306,7 +321,7 @@ impl Walker {
                     clbit,
                 } => {
                     self.counts.record_measurement(*basis);
-                    (*qubit, *basis, Settle::Record(clbit.index()))
+                    (*qubit, *basis, Settle::Record(clbit.0))
                 }
                 Instr::Reset(qubit) => {
                     // Measure-and-flip semantics without a record.
@@ -333,48 +348,160 @@ struct Open {
     /// Where its children resume: one past the forking instruction.
     pc: usize,
     fork: usize,
-    /// The parked children, by outcome (`None` = pruned).
+    /// The parking slots of its children, by outcome (`None` = pruned).
     kids: [Option<usize>; 2],
 }
 
 /// The DAG under construction.
 struct Builder {
     eps: f64,
+    budget: usize,
     rejoins: bool,
     /// `(clbit, pc)` of the last `BranchUnless` on each clbit any branch
     /// reads: two trajectories may merge at pc `p` only if they agree on
     /// every clbit whose last read is at or after `p`.
     last_reads: Vec<(usize, usize)>,
+    root: Edge,
     forks: Vec<ForkNode>,
+    pruned: Vec<f64>,
     leaves: Vec<LeafNode>,
     states: Vec<Option<Box<dyn Simulator>>>,
-    root: Option<Edge>,
-    /// Parked trajectories, by id; `queue` orders them and holds one
-    /// entry per trajectory still to run.
+    /// The distinct edge counts by payload, and the payload of each.
+    counts: Vec<GateCounts>,
+    payloads: HashMap<[u64; NFIELDS], u32>,
+    /// Each edge's classical writes, by edge index.
+    writes: Vec<Vec<(u32, bool)>>,
+    /// Parked trajectories, by slot, and the slots free for reuse: the
+    /// slots never outnumber the trajectories parked at once.
     parked: Vec<Option<Walker>>,
-    queue: BinaryHeap<(Reverse<usize>, usize)>,
+    free: Vec<usize>,
+    /// One `(order, sequence number, slot)` per parked trajectory: the
+    /// heap pops the lowest order key first, the newest of equal keys
+    /// first.
+    queue: BinaryHeap<(Reverse<usize>, u64, usize)>,
+    parks: u64,
     open: Vec<Open>,
 }
 
 impl Builder {
+    /// A build of the outcome DAG of `compiled` from the state `root`,
+    /// with the root's trajectory parked (see [`Dag::build`]).
+    fn start(
+        compiled: &CompiledCircuit,
+        mut root: Box<dyn Simulator>,
+        eps: f64,
+        budget: usize,
+    ) -> Result<Self, SimError> {
+        exec::check_width(compiled.num_qubits(), root.num_qubits())?;
+        exec::admit_compiled(compiled)?;
+        start_peak(root.as_mut());
+        let mut last_read = BTreeMap::new();
+        for (pc, instr) in compiled.instrs().iter().enumerate() {
+            if let Instr::BranchUnless { clbit, .. } = instr {
+                last_read.insert(clbit.index(), pc);
+            }
+        }
+        let mut b = Self {
+            eps,
+            budget,
+            // A state that cannot recognise itself can never rejoin.
+            rejoins: root.same_state(root.as_ref()),
+            last_reads: last_read.into_iter().collect(),
+            root: UNLAID,
+            forks: Vec::new(),
+            pruned: Vec::new(),
+            leaves: Vec::new(),
+            states: Vec::new(),
+            counts: Vec::new(),
+            payloads: HashMap::new(),
+            writes: vec![Vec::new()],
+            parked: Vec::new(),
+            free: Vec::new(),
+            queue: BinaryHeap::new(),
+            parks: 0,
+            open: Vec::new(),
+        };
+        b.park(Walker::new(0, root, Vec::new()));
+        Ok(b)
+    }
+
     /// Parks `w` to run later. When trajectories rejoin, the lowest pc runs
     /// first, so every trajectory that can reach a fork has reached it
     /// before any child of that fork moves on; otherwise the newest runs
     /// first (depth first).
     fn park(&mut self, w: Walker) -> usize {
-        let id = self.parked.len();
         let key = if self.rejoins { w.pc } else { 0 };
-        self.queue.push((Reverse(key), id));
-        self.parked.push(Some(w));
-        id
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.parked[slot] = Some(w);
+                slot
+            }
+            None => {
+                self.parked.push(Some(w));
+                self.parked.len() - 1
+            }
+        };
+        self.queue.push((Reverse(key), self.parks, slot));
+        self.parks += 1;
+        slot
     }
 
-    /// Lays `edge` into the slot its trajectory left from.
-    fn attach(&mut self, from: Slot, edge: Edge) {
-        match from {
-            Slot::Root => self.root = Some(edge),
-            Slot::Fork(f, outcome) => self.forks[f].edges[outcome] = Some(edge),
+    /// Runs the next parked trajectory to its next stop, and lays what it
+    /// ran into the DAG. Returns `false` once no trajectory is left.
+    fn step(&mut self, compiled: &CompiledCircuit) -> Result<bool, SimError> {
+        let Some((_, _, slot)) = self.queue.pop() else {
+            return Ok(false);
+        };
+        let Some(mut w) = self.parked[slot].take() else {
+            // Panic triage: each queue entry holds the one slot its
+            // trajectory was parked in, emptied only here.
+            unreachable!("a queued slot holds its trajectory");
+        };
+        self.free.push(slot);
+        // No trajectory still parked can reach a fork before this pc; the
+        // forks this drops include the one that parked `w`, so no open
+        // fork names a free slot.
+        self.open.retain(|o| o.pc > w.pc);
+        match w.advance(compiled) {
+            Err(e) => self.leaf(w, Err(e))?,
+            Ok(Step::End) => self.leaf(w, Ok(()))?,
+            Ok(Step::Split { p_one, one, settle }) => self.split(w, p_one, one, settle)?,
+            Ok(Step::Unsupported) => return Err(SimError::BranchUnsupported),
         }
+        if self.forks.len() + self.leaves.len() + self.queue.len() > self.budget {
+            return Err(SimError::BranchBudgetExceeded {
+                budget: self.budget,
+            });
+        }
+        Ok(true)
+    }
+
+    /// Lays the edge a trajectory ran from the slot it left, ending in
+    /// `next`.
+    fn attach(
+        &mut self,
+        from: Slot,
+        counts: GateCounts,
+        writes: Vec<(u32, bool)>,
+        next: u32,
+    ) -> Result<(), SimError> {
+        let key = count_fields(&counts);
+        let payload = match self.payloads.get(&key) {
+            Some(&payload) => payload,
+            None => {
+                let payload = narrow(self.counts.len(), u32::MAX, self.budget)?;
+                self.counts.push(counts);
+                self.payloads.insert(key, payload);
+                payload
+            }
+        };
+        let edge = Edge { next, payload };
+        match from {
+            Slot::Root => self.root = edge,
+            Slot::Fork(f, outcome) => self.forks[f].edges[outcome] = edge,
+        }
+        self.writes[from.edge()] = writes;
+        Ok(())
     }
 
     /// Whether two trajectories resuming at `pc` agree on every classical
@@ -386,10 +513,10 @@ impl Builder {
             .all(|&(c, last)| last < pc || bit(a, c) == bit(b, c))
     }
 
-    /// Whether the parked walker `id` and `w` have one future: bitwise
+    /// Whether the walker parked in `slot` and `w` have one future: bitwise
     /// equal states with equal peaks, agreeing on every bit still read.
-    fn twins(&self, id: usize, w: &Walker) -> bool {
-        let Some(parked) = &self.parked[id] else {
+    fn twins(&self, slot: usize, w: &Walker) -> bool {
+        let Some(parked) = &self.parked[slot] else {
             return false;
         };
         parked.sim.occupancy_peak() == w.sim.occupancy_peak()
@@ -399,7 +526,7 @@ impl Builder {
 
     /// Ends the trajectory `w` in a leaf: a merge into an equal leaf when
     /// trajectories rejoin, a new one otherwise.
-    fn leaf(&mut self, w: Walker, end: Result<(), SimError>) {
+    fn leaf(&mut self, w: Walker, end: Result<(), SimError>) -> Result<(), SimError> {
         let Walker {
             sim,
             from,
@@ -408,19 +535,19 @@ impl Builder {
             ..
         } = w;
         let peak = sim.occupancy_peak();
-        let to = match end {
+        let next = match end {
             Ok(()) if self.rejoins => {
                 let twin = self.leaves.iter().zip(&self.states).position(|(l, s)| {
                     l.peak == peak && s.as_ref().is_some_and(|s| s.same_state(sim.as_ref()))
                 });
                 match twin {
-                    Some(i) => Link::Leaf(i),
-                    None => self.new_leaf(Ok(()), peak, Some(sim)),
+                    Some(i) => LEAF | narrow(i, LEAF - 1, self.budget)?,
+                    None => self.new_leaf(Ok(()), peak, Some(sim))?,
                 }
             }
-            end => self.new_leaf(end, peak, None),
+            end => self.new_leaf(end, peak, None)?,
         };
-        self.attach(from, Edge { counts, writes, to });
+        self.attach(from, counts, writes, next)
     }
 
     fn new_leaf(
@@ -428,10 +555,12 @@ impl Builder {
         end: Result<(), SimError>,
         peak: Option<u64>,
         state: Option<Box<dyn Simulator>>,
-    ) -> Link {
+    ) -> Result<u32, SimError> {
+        // Below `LEAF - 1`, so that no leaf reads as `PRUNED`.
+        let next = LEAF | narrow(self.leaves.len(), LEAF - 1, self.budget)?;
         self.leaves.push(LeafNode { end, peak });
         self.states.push(state);
-        Link::Leaf(self.leaves.len() - 1)
+        Ok(next)
     }
 
     /// The fork step of a [`Step::Split`]: the fork merges into an open
@@ -444,7 +573,7 @@ impl Builder {
         p_one: f64,
         one: Option<Box<dyn Simulator + Send>>,
         settle: Settle,
-    ) {
+    ) -> Result<(), SimError> {
         let Walker {
             pc,
             sim,
@@ -454,11 +583,11 @@ impl Builder {
             writes,
         } = w;
         let peak = sim.occupancy_peak();
-        let to = match self.children(pc, sim, record, p_one, one, settle) {
-            Ok((kids, pruned_mass)) => Link::Fork(self.fork(pc, p_one, pruned_mass, kids)),
-            Err(e) => self.new_leaf(Err(e), peak, None),
+        let next = match self.children(pc, sim, record, p_one, one, settle) {
+            Ok((kids, pruned_mass)) => self.fork(pc, p_one, pruned_mass, kids)?,
+            Err(e) => self.new_leaf(Err(e), peak, None)?,
         };
-        self.attach(from, Edge { counts, writes, to });
+        self.attach(from, counts, writes, next)
     }
 
     /// The settled children of a split, resuming at `pc` (`None` where the
@@ -496,28 +625,39 @@ impl Builder {
         Ok((kids, pruned_mass))
     }
 
-    /// The node a split whose children resume at `pc` links to: an open
+    /// The fork a split whose children resume at `pc` links to: an open
     /// fork with the same draw whose children are twins of `kids` (a
     /// join), or a new fork that parks `kids`.
-    fn fork(&mut self, pc: usize, p_one: f64, pruned: f64, kids: [Option<Walker>; 2]) -> usize {
+    fn fork(
+        &mut self,
+        pc: usize,
+        p_one: f64,
+        pruned: f64,
+        kids: [Option<Walker>; 2],
+    ) -> Result<u32, SimError> {
         let twin = self.open.iter().find(|o| {
             o.pc == pc
                 && self.forks[o.fork].p_one.to_bits() == p_one.to_bits()
-                && o.kids.iter().zip(&kids).all(|(id, kid)| match (id, kid) {
-                    (None, None) => true,
-                    (Some(id), Some(kid)) => self.twins(*id, kid),
-                    _ => false,
-                })
+                && o.kids
+                    .iter()
+                    .zip(&kids)
+                    .all(|(slot, kid)| match (slot, kid) {
+                        (None, None) => true,
+                        (Some(slot), Some(kid)) => self.twins(*slot, kid),
+                        _ => false,
+                    })
         });
         if let Some(o) = twin {
-            return o.fork;
+            return narrow(o.fork, LEAF, self.budget);
         }
         let f = self.forks.len();
+        let next = narrow(f, LEAF, self.budget)?;
         self.forks.push(ForkNode {
             p_one,
-            pruned,
-            edges: [None, None],
+            edges: [UNLAID; 2],
         });
+        self.pruned.push(pruned);
+        self.writes.extend([Vec::new(), Vec::new()]);
         let [zero, one] = kids;
         let kids = [(zero, 0), (one, 1)].map(|(kid, outcome)| {
             kid.map(|mut kid| {
@@ -528,7 +668,29 @@ impl Builder {
         if self.rejoins {
             self.open.push(Open { pc, fork: f, kids });
         }
-        f
+        Ok(next)
+    }
+
+    /// The built DAG: the edges' writes laid end to end.
+    fn finish(self) -> Result<Dag, SimError> {
+        let mut writes = Vec::new();
+        let mut writes_at = vec![0];
+        for edge in self.writes {
+            writes.extend(edge);
+            writes_at.push(narrow(writes.len(), u32::MAX, self.budget)?);
+        }
+        let clbits = writes.iter().map(|&(c, _)| c as usize + 1).max();
+        Ok(Dag {
+            root: self.root,
+            forks: self.forks,
+            pruned: self.pruned,
+            leaves: self.leaves,
+            counts: self.counts,
+            writes,
+            writes_at,
+            clbits: clbits.unwrap_or(0),
+            states: self.states,
+        })
     }
 }
 
@@ -547,6 +709,85 @@ fn start_peak(sim: &mut dyn Simulator) {
     }
 }
 
+/// The draw a per-shot run makes at a measurement whose outcome 1 has
+/// probability `p_one`.
+fn draw(rng: &mut StdRng, p_one: f64) -> bool {
+    rng.gen_bool(p_one.clamp(0.0, 1.0))
+}
+
+/// One replay worker's buffers for the shot it walks.
+struct Shot {
+    /// How many edges of each payload it crossed.
+    tally: Vec<u32>,
+    /// Its classical record: the first `len` entries of a buffer
+    /// `Dag::clbits` long.
+    record: Vec<Option<bool>>,
+    len: usize,
+    /// Its draws, bit `i` of the path the `i`-th, when probing.
+    path: Vec<u64>,
+    drawn: usize,
+}
+
+impl Shot {
+    fn new(dag: &Dag) -> Self {
+        Self {
+            tally: vec![0; dag.counts.len()],
+            record: vec![None; dag.clbits],
+            len: 0,
+            path: Vec::new(),
+            drawn: 0,
+        }
+    }
+
+    /// Empties the buffers for the next shot.
+    fn clear(&mut self) {
+        self.tally.fill(0);
+        self.record[..self.len].fill(None);
+        self.len = 0;
+        self.path.clear();
+        self.drawn = 0;
+    }
+
+    /// Applies one edge's classical writes.
+    fn write(&mut self, writes: &[(u32, bool)]) {
+        for &(clbit, bit) in writes {
+            let clbit = clbit as usize;
+            self.record[clbit] = Some(bit);
+            self.len = self.len.max(clbit + 1);
+        }
+    }
+
+    /// Appends one draw to the path, which grows a word at a time.
+    fn push_draw(&mut self, one: bool) {
+        let bit = self.drawn % 64;
+        match self.path.last_mut() {
+            Some(word) if bit > 0 => *word |= u64::from(one) << bit,
+            _ => self.path.push(u64::from(one)),
+        }
+        self.drawn += 1;
+    }
+
+    /// The record as the per-shot executor leaves it: one past the
+    /// highest clbit written, `None` where nothing was.
+    fn record(&self) -> &[Option<bool>] {
+        &self.record[..self.len]
+    }
+
+    /// The executed counts, as [`count_fields`]: every payload times the
+    /// edges crossed that carry it.
+    fn fields(&self, counts: &[GateCounts]) -> [u64; NFIELDS] {
+        let mut fields = [0u64; NFIELDS];
+        for (&n, counts) in self.tally.iter().zip(counts) {
+            if n > 0 {
+                for (sum, field) in fields.iter_mut().zip(count_fields(counts)) {
+                    *sum += u64::from(n) * field;
+                }
+            }
+        }
+        fields
+    }
+}
+
 impl Dag {
     /// Builds the outcome DAG of `compiled` from the state `root`, pruning
     /// branches at or below `eps`.
@@ -556,65 +797,52 @@ impl Dag {
     /// The executor's entry checks (width, `MBU_VERIFY` admission),
     /// [`SimError::BranchUnsupported`] if the backend declines to fork and
     /// [`SimError::BranchBudgetExceeded`] once DAG nodes plus running
-    /// trajectories exceed `budget`.
+    /// trajectories exceed `budget`, or an index outgrows its `u32`.
     pub(crate) fn build(
         compiled: &CompiledCircuit,
-        mut root: Box<dyn Simulator>,
+        root: Box<dyn Simulator>,
         eps: f64,
         budget: usize,
     ) -> Result<Self, SimError> {
-        exec::check_width(compiled.num_qubits(), root.num_qubits())?;
-        exec::admit_compiled(compiled)?;
-        start_peak(root.as_mut());
-        let mut last_read = BTreeMap::new();
-        for (pc, instr) in compiled.instrs().iter().enumerate() {
-            if let Instr::BranchUnless { clbit, .. } = instr {
-                last_read.insert(clbit.index(), pc);
+        let mut b = Builder::start(compiled, root, eps, budget)?;
+        while b.step(compiled)? {}
+        b.finish()
+    }
+
+    /// Edge `e`'s classical writes.
+    fn edge_writes(&self, e: usize) -> &[(u32, bool)] {
+        &self.writes[self.writes_at[e] as usize..self.writes_at[e + 1] as usize]
+    }
+
+    /// Walks one shot from the root, drawing from `rng` at every fork as
+    /// its per-shot run would, and leaves what it crossed in `shot` (the
+    /// path only when `probing`). Returns the leaf it ends in, or `None`
+    /// where it draws into pruned mass.
+    fn walk(&self, rng: &mut StdRng, shot: &mut Shot, probing: bool) -> Option<usize> {
+        shot.clear();
+        shot.tally[self.root.payload as usize] += 1;
+        shot.write(self.edge_writes(0));
+        let mut next = self.root.next;
+        while next < LEAF {
+            let f = next as usize;
+            let fork = &self.forks[f];
+            let one = draw(rng, fork.p_one);
+            if probing {
+                shot.push_draw(one);
             }
-        }
-        let mut b = Builder {
-            eps,
-            // A state that cannot recognise itself can never rejoin.
-            rejoins: root.same_state(root.as_ref()),
-            last_reads: last_read.into_iter().collect(),
-            forks: Vec::new(),
-            leaves: Vec::new(),
-            states: Vec::new(),
-            root: None,
-            parked: Vec::new(),
-            queue: BinaryHeap::new(),
-            open: Vec::new(),
-        };
-        b.park(Walker::new(0, root, Vec::new()));
-        while let Some((_, id)) = b.queue.pop() {
-            let Some(mut w) = b.parked[id].take() else {
-                continue;
+            let one = usize::from(one);
+            let edge = fork.edges[one];
+            // Where both outcomes lead to one node, the next address does
+            // not wait on the draw.
+            next = match fork.rejoin() {
+                Some(next) => next,
+                None if edge.next == PRUNED => return None,
+                None => edge.next,
             };
-            // No trajectory still parked can reach a fork before this pc.
-            b.open.retain(|o| o.pc > w.pc);
-            match w.advance(compiled) {
-                Err(e) => b.leaf(w, Err(e)),
-                Ok(Step::End) => b.leaf(w, Ok(())),
-                Ok(Step::Split { p_one, one, settle }) => b.split(w, p_one, one, settle),
-                Ok(Step::Unsupported) => return Err(SimError::BranchUnsupported),
-            }
-            if b.forks.len() + b.leaves.len() + b.queue.len() > budget {
-                return Err(SimError::BranchBudgetExceeded { budget });
-            }
+            shot.tally[edge.payload as usize] += 1;
+            shot.write(self.edge_writes(1 + 2 * f + one));
         }
-        let Some(root) = b.root else {
-            // Panic triage: the root trajectory always stops, and its
-            // edge is the first one laid.
-            unreachable!("the root trajectory always stops");
-        };
-        Ok(Self {
-            graph: Graph {
-                forks: b.forks,
-                leaves: b.leaves,
-                root,
-            },
-            states: b.states,
-        })
+        Some((next & !LEAF) as usize)
     }
 
     /// **Sampled mode**: replays each of `shots` seeded shots over the DAG
@@ -622,12 +850,12 @@ impl Dag {
     /// threads over contiguous shot ranges. A shot that draws into pruned
     /// mass runs per shot, alone.
     ///
-    /// With a probe, the workers send the calling thread, which holds the
-    /// leaf states (they are not `Sync`), each shot's [`Landing`] in
-    /// batches of up to [`PROBE_BATCH`] paths, and it probes the first
-    /// shot of each path in a batch for every shot of the batch that took
-    /// that path. Leaves keep their states only where trajectories rejoin,
-    /// so `probe` must be `None` for a DAG that does not.
+    /// With a probe, each worker probes its own shots, reading the leaf
+    /// states in place: the first shot of each distinct path in a batch
+    /// of up to [`PROBE_BATCH`] paths is probed, and the batch's later
+    /// shots of that path receive clones of its observation. Leaves keep
+    /// their states only where trajectories rejoin, so `probe` must be
+    /// `None` for a DAG that does not.
     ///
     /// # Errors
     ///
@@ -641,130 +869,52 @@ impl Dag {
         factory: Factory<'_>,
         probe: Option<Probe<'_, O>>,
     ) -> Result<(Accumulator, Vec<O>), SimError> {
-        let graph = &self.graph;
-        let probing = probe.is_some();
-        // The calling thread stops listening only when it panics, which
-        // the scope re-raises: a failed send has nothing left to probe.
-        let send = |to_probe: &SyncSender<_>, w: usize, batch: &mut Vec<Landing<O>>| {
-            let _ = to_probe.send((w, std::mem::take(batch)));
-        };
-        let run_chunk = |(w, to_probe): (usize, SyncSender<_>), range: Range<u64>| {
+        in_chunks(shots, workers, |range| {
             let mut acc = Accumulator::default();
-            let mut batch = Vec::new();
-            // Where each path's `Probe` sits in the batch: one entry per
-            // `Probe`.
+            let mut observed = Vec::new();
+            let mut shot = Shot::new(self);
+            // The paths of the current batch, each with where its first
+            // shot's observation sits in `observed`.
             let mut first: HashMap<Vec<u64>, usize> = HashMap::new();
+            // What a probe reads besides the state, refilled per call.
             let mut executed = Executed::default();
-            let mut path: Vec<u64> = Vec::new();
-            for shot in range {
-                let seed = shot_seed(master_seed, shot);
+            for i in range {
+                let seed = shot_seed(master_seed, i);
                 let mut rng = StdRng::seed_from_u64(seed);
-                executed.counts = GateCounts::default();
-                executed.classical.clear();
-                path.clear();
-                let mut depth = 0usize;
-                let walked = graph.walk(&mut executed, |node| {
-                    let one = rng.gen_bool(node.p_one.clamp(0.0, 1.0));
-                    if probing {
-                        let (word, bit) = (depth / 64, depth % 64);
-                        if word == path.len() {
-                            path.push(0);
-                        }
-                        path[word] |= u64::from(one) << bit;
-                        depth += 1;
-                    }
-                    one
-                });
-                let landing = match walked {
+                let Some(l) = self.walk(&mut rng, &mut shot, probe.is_some()) else {
+                    observed.extend(one_shot(compiled, factory, seed, probe, &mut acc)?);
+                    continue;
+                };
+                let leaf = &self.leaves[l];
+                leaf.end.clone()?;
+                let fields = shot.fields(&self.counts);
+                acc.add_shot(&fields, shot.record(), leaf.peak);
+                let Some(probe) = probe else {
+                    continue;
+                };
+                let observation = match first.get(&shot.path) {
+                    Some(&at) => observed[at].clone(),
                     None => {
-                        let observation = one_shot(compiled, factory, seed, probe, &mut acc)?;
-                        observation.map(Landing::Alone)
-                    }
-                    Some(l) => {
-                        let leaf = &graph.leaves[l];
-                        leaf.end.clone()?;
-                        acc.add_shot(&executed, leaf.peak);
-                        probing.then(|| match first.get(&path) {
-                            Some(&i) => Landing::Again(i),
-                            None => {
-                                first.insert(path.clone(), batch.len());
-                                Landing::Probe(l, executed.clone())
-                            }
-                        })
+                        if first.len() == PROBE_BATCH {
+                            first.clear();
+                        }
+                        first.insert(shot.path.clone(), observed.len());
+                        let Some(state) = self.states[l].as_deref() else {
+                            // Panic triage: only DAGs that rejoin are
+                            // probed, and their leaves that end without
+                            // error keep their states.
+                            unreachable!("a probed leaf keeps its state");
+                        };
+                        executed.counts = gate_counts(fields);
+                        executed.classical.clear();
+                        executed.classical.extend_from_slice(shot.record());
+                        probe(state, &executed)
                     }
                 };
-                batch.extend(landing);
-                if first.len() == PROBE_BATCH {
-                    send(&to_probe, w, &mut batch);
-                    first.clear();
-                }
+                observed.push(observation);
             }
-            if !batch.is_empty() {
-                send(&to_probe, w, &mut batch);
-            }
-            Ok(acc)
-        };
-        let (to_probe, batches) = mpsc::sync_channel::<(usize, Vec<Landing<O>>)>(PROBE_QUEUE);
-        let own = (0..workers).map(|w| (w, to_probe.clone())).collect();
-        drop(to_probe);
-        // On the calling thread, while the workers replay: each worker's
-        // observations in shot order. The loop ends once every worker has
-        // finished.
-        let serve = || {
-            let mut observations: Vec<Vec<O>> = (0..workers).map(|_| Vec::new()).collect();
-            for (w, batch) in batches {
-                let observed = &mut observations[w];
-                let start = observed.len();
-                for landing in batch {
-                    let observation = match landing {
-                        Landing::Probe(l, executed) => {
-                            let (Some(probe), Some(state)) = (probe, &self.states[l]) else {
-                                // Panic triage: a worker sends a `Probe`
-                                // only when probing, and only DAGs that
-                                // rejoin are probed, whose leaves that end
-                                // without error keep their states.
-                                unreachable!("a probed leaf keeps its state");
-                            };
-                            probe(state.as_ref(), &executed)
-                        }
-                        Landing::Again(i) => observed[start + i].clone(),
-                        Landing::Alone(o) => o,
-                    };
-                    observed.push(observation);
-                }
-            }
-            observations
-        };
-        let (chunks, observed) = in_chunks(shots, own, run_chunk, serve);
-        let mut acc = Accumulator::default();
-        // A chunk stops at its first failing shot, so the first failing
-        // chunk holds the lowest-indexed one.
-        for chunk in chunks {
-            acc.merge(chunk?);
-        }
-        Ok((acc, observed.into_iter().flatten().collect()))
-    }
-}
-
-impl Graph {
-    /// Walks one shot from the root, taking at each fork the outcome
-    /// `draw` picks and summing the edges it crosses into `executed`.
-    /// Returns the leaf it ends in, or `None` where it draws into pruned
-    /// mass.
-    fn walk(
-        &self,
-        executed: &mut Executed,
-        mut draw: impl FnMut(&ForkNode) -> bool,
-    ) -> Option<usize> {
-        let mut edge = &self.root;
-        loop {
-            edge.apply(executed);
-            let node = match edge.to {
-                Link::Leaf(l) => return Some(l),
-                Link::Fork(f) => &self.forks[f],
-            };
-            edge = node.edges[usize::from(draw(node))].as_ref()?;
-        }
+            Ok((acc, observed))
+        })
     }
 }
 
@@ -998,32 +1148,36 @@ impl BranchDistribution {
         let mut pruned = Vec::new();
         let mut nodes = 0usize;
         let mut first_error = None;
-        let mut stack = vec![(&dag.graph.root, 1.0f64, Executed::default())];
-        while let Some((edge, weight, mut executed)) = stack.pop() {
+        let mut stack = vec![(0usize, dag.root, 1.0f64, Executed::default())];
+        while let Some((e, edge, weight, mut executed)) = stack.pop() {
             nodes += 1;
             if nodes > budget {
                 return Err(SimError::BranchBudgetExceeded { budget });
             }
-            edge.apply(&mut executed);
-            match edge.to {
-                Link::Leaf(l) => match &dag.graph.leaves[l].end {
+            executed.counts = executed.counts + dag.counts[edge.payload as usize];
+            for &(clbit, bit) in dag.edge_writes(e) {
+                write_clbit(&mut executed.classical, clbit as usize, bit);
+            }
+            if edge.next >= LEAF {
+                // A leaf: pruned edges are never pushed.
+                match &dag.leaves[(edge.next & !LEAF) as usize].end {
                     Ok(_) => leaves.push((weight, executed)),
                     Err(e) => {
                         first_error.get_or_insert_with(|| e.clone());
                     }
-                },
-                Link::Fork(f) => {
-                    let node = &dag.graph.forks[f];
-                    pruned.push(weight * node.pruned);
-                    // `zero` is pushed last so it pops (and emits) first.
-                    let [zero, one] = &node.edges;
-                    if let Some(one) = one {
-                        stack.push((one, weight * node.p_one, executed.clone()));
-                    }
-                    if let Some(zero) = zero {
-                        stack.push((zero, weight * (1.0 - node.p_one), executed));
-                    }
                 }
+                continue;
+            }
+            let f = edge.next as usize;
+            let node = &dag.forks[f];
+            pruned.push(weight * dag.pruned[f]);
+            // `zero` is pushed last so it pops (and emits) first.
+            let [zero, one] = node.edges;
+            if one.next != PRUNED {
+                stack.push((2 + 2 * f, one, weight * node.p_one, executed.clone()));
+            }
+            if zero.next != PRUNED {
+                stack.push((1 + 2 * f, zero, weight * (1.0 - node.p_one), executed));
             }
         }
         if let Some(e) = first_error {
@@ -1569,7 +1723,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            (dag.graph.forks.len(), dag.graph.leaves.len()),
+            (dag.forks.len(), dag.leaves.len()),
             (3, 4),
             "no join before c's last read"
         );
@@ -1613,7 +1767,7 @@ mod tests {
             DEFAULT_NODE_BUDGET,
         )
         .unwrap();
-        assert_eq!((dag.graph.forks.len(), dag.graph.leaves.len()), (3, 4));
+        assert_eq!((dag.forks.len(), dag.leaves.len()), (3, 4));
         let (_, peaks) = ShotRunner::new(64)
             .run_probed(
                 &circuit,
@@ -1656,13 +1810,42 @@ mod tests {
         // Every trajectory lays one edge, and either builds the node it
         // ends in or joins one already built.
         let edges = 1 + dag
-            .graph
             .forks
             .iter()
-            .map(|f| f.edges.iter().flatten().count())
+            .map(|f| f.edges.iter().filter(|e| e.next != PRUNED).count())
             .sum::<usize>();
-        let (forks, leaves) = (dag.graph.forks.len(), dag.graph.leaves.len());
+        let (forks, leaves) = (dag.forks.len(), dag.leaves.len());
         assert_eq!((forks, edges - forks - leaves, leaves), (257, 256, 2));
+    }
+
+    #[test]
+    fn parked_slots_never_outnumber_the_trajectories_parked_at_once() {
+        // The Gidney n = 8 tracker row parks both children of every
+        // fork, and each runs in turn: a slot freed by one that ran is
+        // reused, so the slots stay as few as the most parked at once.
+        use mbu_arith::modular::{self, ModAddSpec};
+        use mbu_arith::Uncompute;
+        let layout = modular::modadd_circuit(&ModAddSpec::gidney(Uncompute::Mbu), 8, 251).unwrap();
+        let compiled = compile_for(&layout.circuit, None).unwrap();
+        let mut root = BasisTracker::zeros(layout.circuit.num_qubits());
+        root.set_value(layout.x.qubits(), 200).unwrap();
+        root.set_value(layout.y.qubits(), 100).unwrap();
+        let mut b = Builder::start(
+            &compiled,
+            Box::new(root),
+            DEFAULT_BRANCH_EPS,
+            DEFAULT_NODE_BUDGET,
+        )
+        .unwrap();
+        let mut most = b.queue.len();
+        while b.step(&compiled).unwrap() {
+            most = most.max(b.queue.len());
+            assert!(b.parked.len() <= most, "{} slots", b.parked.len());
+        }
+        // 67 trajectories parked in all, at most 3 at once.
+        assert_eq!((b.parked.len(), b.parks), (3, 67));
+        let dag = b.finish().unwrap();
+        assert_eq!((dag.forks.len(), dag.leaves.len()), (33, 2));
     }
 
     #[test]
@@ -1700,38 +1883,152 @@ mod tests {
     #[test]
     fn probed_replays_match_per_shot_probes_across_batches() {
         // Seven fair coins: 128 paths, so a worker's batch fills with
-        // `PROBE_BATCH` distinct paths and flushes while later shots keep
-        // repeating earlier ones.
+        // `PROBE_BATCH` distinct paths and starts over while later shots
+        // keep repeating earlier ones. One coin: 2 paths, so each worker
+        // probes at most twice.
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut b = CircuitBuilder::new();
-        let q = b.qreg("q", 7);
-        for i in 0..7 {
-            let _ = b.measure(q[i], Basis::X);
-        }
-        let circuit = b.finish();
-        let compiled = compile_for(&circuit, None).unwrap();
-        let factory = || Box::new(BasisTracker::zeros(7)) as Box<dyn Simulator>;
-        let calls = AtomicUsize::new(0);
-        let probe = |sim: &dyn Simulator, ex: &Executed| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (sim.global_phase(), ex.clone())
-        };
-        let (_, reference) = per_shot(&compiled, 2000, 7, 1, &factory, Some(&probe)).unwrap();
-        for workers in [1, 3] {
-            let dag = Dag::build(
-                &compiled,
-                factory(),
-                DEFAULT_BRANCH_EPS,
-                DEFAULT_NODE_BUDGET,
-            )
-            .unwrap();
-            calls.store(0, Ordering::Relaxed);
-            let (_, observed) = dag
-                .replay(&compiled, 2000, 7, workers, &factory, Some(&probe))
+        for coins in [7, 1] {
+            let mut b = CircuitBuilder::new();
+            let q = b.qreg("q", coins);
+            for i in 0..coins {
+                let _ = b.measure(q[i], Basis::X);
+            }
+            let circuit = b.finish();
+            let compiled = compile_for(&circuit, None).unwrap();
+            let factory = || Box::new(BasisTracker::zeros(coins)) as Box<dyn Simulator>;
+            let calls = AtomicUsize::new(0);
+            let probe = |sim: &dyn Simulator, ex: &Executed| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (sim.global_phase(), ex.clone())
+            };
+            let (_, reference) = per_shot(&compiled, 2000, 7, 1, &factory, Some(&probe)).unwrap();
+            for workers in [1, 3] {
+                let dag = Dag::build(
+                    &compiled,
+                    factory(),
+                    DEFAULT_BRANCH_EPS,
+                    DEFAULT_NODE_BUDGET,
+                )
                 .unwrap();
-            assert_eq!(observed, reference, "workers = {workers}");
-            let calls = calls.load(Ordering::Relaxed);
-            assert!(calls < 2000, "repeats share a probe: {calls} calls");
+                calls.store(0, Ordering::Relaxed);
+                let (_, observed) = dag
+                    .replay(&compiled, 2000, 7, workers, &factory, Some(&probe))
+                    .unwrap();
+                assert_eq!(observed, reference, "{coins} coins, workers = {workers}");
+                let calls = calls.load(Ordering::Relaxed);
+                assert!(calls < 2000, "repeats share a probe: {calls} calls");
+                if coins == 1 {
+                    assert!(calls <= 2 * workers, "{calls} calls, workers = {workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shots_drawn_into_pruned_mass_run_alone_in_shot_order() {
+        // q0 reads 1 with p_one = sin²(π/32) ≈ 0.0096, below the 0.05
+        // floor: that branch is pruned, and the shots that draw it run
+        // per shot amid the replayed ones. q1 is a fair coin after it.
+        // (An X-basis measurement after H·P·H would draw at ½; the Z
+        // basis reads the sandwich's sin².)
+        use mbu_circuit::Angle;
+        use std::f64::consts::PI;
+        let mut b = CircuitBuilder::new();
+        let q = b.qreg("q", 2);
+        b.h(q[0]);
+        b.phase(q[0], Angle::turn_over_power_of_two(5));
+        b.h(q[0]);
+        let c = b.measure(q[0], Basis::Z);
+        let _ = b.measure(q[1], Basis::X);
+        let circuit = b.finish();
+        let dense = || Box::new(StateVector::zeros(2).unwrap()) as Box<dyn Simulator + Send>;
+        let dist = BranchEnsemble::new(0)
+            .with_eps(0.05)
+            .distribution(&circuit, dense)
+            .unwrap();
+        let p_one = (PI / 32.0).sin().powi(2);
+        assert!((dist.pruned_mass() - p_one).abs() < 1e-12, "{dist:?}");
+        for seed in [3u64, 11, 2026] {
+            let branch = BranchEnsemble::new(1000)
+                .with_eps(0.05)
+                .with_master_seed(seed)
+                .run(&circuit, dense)
+                .unwrap();
+            assert!(branch.outcome_ones(c.index()) > 0, "seed {seed}");
+            let per_shot = per_shot_reference(&circuit, 1000, seed, dense);
+            assert_eq!(branch, per_shot, "seed {seed}");
+        }
+        // Probed, on a state vector whose DAG keeps its leaf states: the
+        // observations of the shots that ran alone land in shot order.
+        let compiled = compile_for(&circuit, None).unwrap();
+        let factory = || Box::new(Comparable(StateVector::zeros(2).unwrap())) as Box<dyn Simulator>;
+        let probe = |sim: &dyn Simulator, ex: &Executed| (sim.bit(q[0]).ok(), ex.clone());
+        let dag = Dag::build(&compiled, factory(), 0.05, DEFAULT_NODE_BUDGET).unwrap();
+        assert!(dag.states.iter().all(Option::is_some));
+        for seed in [3u64, 11, 2026] {
+            let (acc, reference) =
+                per_shot(&compiled, 1000, seed, 1, &factory, Some(&probe)).unwrap();
+            assert!(reference.iter().any(|(bit, _)| *bit == Some(true)));
+            for workers in [1, 3] {
+                let replayed = dag
+                    .replay(&compiled, 1000, seed, workers, &factory, Some(&probe))
+                    .unwrap();
+                assert_eq!(replayed, (acc.clone(), reference.clone()), "seed {seed}");
+            }
+        }
+    }
+
+    /// A state vector that recognises its own state, so that its outcome
+    /// DAGs rejoin and keep their leaf states. Its peaks read `None` (the
+    /// trait's defaults) on the DAG and per shot alike.
+    struct Comparable(StateVector);
+
+    impl Simulator for Comparable {
+        fn num_qubits(&self) -> usize {
+            self.0.num_qubits()
+        }
+        fn apply_gate(&mut self, gate: &Gate) -> Result<(), SimError> {
+            self.0.apply_gate(gate)
+        }
+        fn measure(
+            &mut self,
+            q: QubitId,
+            basis: Basis,
+            draw: &mut dyn FnMut(f64) -> bool,
+        ) -> Result<bool, SimError> {
+            self.0.measure(q, basis, draw)
+        }
+        fn reset(&mut self, q: QubitId, draw: &mut dyn FnMut(f64) -> bool) -> Result<(), SimError> {
+            self.0.reset(q, draw)
+        }
+        fn measure_fork(&mut self, q: QubitId, basis: Basis) -> Result<Option<Fork>, SimError> {
+            let wrap = |one: Box<dyn Simulator + Send>| {
+                let one: Box<dyn Any> = one;
+                let one = one.downcast::<StateVector>().expect("a dense branch");
+                Box::new(Comparable(*one)) as Box<dyn Simulator + Send>
+            };
+            Ok(self.0.measure_fork(q, basis)?.map(|fork| match fork {
+                Fork::Split { p_one, one } => Fork::Split {
+                    p_one,
+                    one: one.map(wrap),
+                },
+                definite => definite,
+            }))
+        }
+        fn same_state(&self, other: &dyn Simulator) -> bool {
+            let other: &dyn Any = other;
+            other
+                .downcast_ref::<Self>()
+                .is_some_and(|o| o.0.amplitudes() == self.0.amplitudes())
+        }
+        fn set_bit(&mut self, q: QubitId, value: bool) -> Result<(), SimError> {
+            self.0.set_bit(q, value)
+        }
+        fn bit(&self, q: QubitId) -> Result<bool, SimError> {
+            self.0.bit(q)
+        }
+        fn global_phase(&self) -> Option<mbu_circuit::Angle> {
+            self.0.global_phase()
         }
     }
 

@@ -37,6 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::thread;
 
 use mbu_circuit::{Circuit, CompiledCircuit, GateCounts, PassConfig};
@@ -106,6 +107,28 @@ pub(crate) fn count_fields(c: &GateCounts) -> [u64; NFIELDS] {
     ]
 }
 
+/// The inverse of [`count_fields`].
+pub(crate) fn gate_counts(f: [u64; NFIELDS]) -> GateCounts {
+    let [x, z, h, phase, cx, cz, toffoli, ccz, cphase, ccphase, swap, measure_z, measure_x, reset] =
+        f;
+    GateCounts {
+        x,
+        z,
+        h,
+        phase,
+        cx,
+        cz,
+        toffoli,
+        ccz,
+        cphase,
+        ccphase,
+        swap,
+        measure_z,
+        measure_x,
+        reset,
+    }
+}
+
 /// Lowers `circuit`, or compiles it with `passes` — the one program both
 /// ensemble engines run.
 pub(crate) fn compile_for(
@@ -119,29 +142,26 @@ pub(crate) fn compile_for(
     .map_err(|e| SimError::InvalidCircuit { why: e.to_string() })
 }
 
-/// Splits `0..shots` into one contiguous range per value in `own` and
-/// runs `chunk` on each, on its own scoped thread, which takes that value;
-/// meanwhile the calling thread runs `meanwhile` (which the workers may
-/// feed through a channel). Returns the chunks' results in shot order and
-/// what `meanwhile` returned. Every range holds at least one shot
-/// (`own.len() ≤ shots`).
-pub(crate) fn in_chunks<T: Send, C: Send, R>(
+/// Splits `0..shots` into `workers` contiguous ranges (each holds at
+/// least one shot: `workers ≤ shots`), runs `chunk` on each on its own
+/// scoped thread, and folds the chunks in shot order. Returns the fold
+/// with the observations in shot order, or the error of the
+/// lowest-indexed failing shot: a chunk stops at its first failing shot,
+/// so the first failing chunk holds it.
+pub(crate) fn in_chunks<O: Send>(
     shots: u64,
-    own: Vec<T>,
-    chunk: impl Fn(T, Range<u64>) -> C + Sync,
-    meanwhile: impl FnOnce() -> R,
-) -> (Vec<C>, R) {
-    let workers = own.len() as u64;
+    workers: usize,
+    chunk: impl Fn(Range<u64>) -> Result<(Accumulator, Vec<O>), SimError> + Sync,
+) -> Result<(Accumulator, Vec<O>), SimError> {
+    let workers = workers as u64;
     let (per, extra) = (shots / workers, shots % workers);
     let start = |w: u64| w * per + w.min(extra);
     let chunk = &chunk;
-    thread::scope(|scope| {
+    let chunks: Vec<_> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .zip(own)
-            .map(|(w, own)| scope.spawn(move || chunk(own, start(w)..start(w + 1))))
+            .map(|w| scope.spawn(move || chunk(start(w)..start(w + 1))))
             .collect();
-        let during = meanwhile();
-        let results = handles
+        handles
             .into_iter()
             .map(|h| {
                 // Re-raise worker panics with their original payload
@@ -149,9 +169,16 @@ pub(crate) fn in_chunks<T: Send, C: Send, R>(
                 h.join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
-            .collect();
-        (results, during)
-    })
+            .collect()
+    });
+    let mut acc = Accumulator::default();
+    let mut observations = Vec::new();
+    for chunk in chunks {
+        let (chunk_acc, chunk_observations) = chunk?;
+        acc.merge(chunk_acc);
+        observations.extend(chunk_observations);
+    }
+    Ok((acc, observations))
 }
 
 /// Runs one shot from its own seed — a fresh state from `factory`, the
@@ -167,7 +194,11 @@ pub(crate) fn one_shot<O>(
     let mut rng = StdRng::seed_from_u64(seed);
     let executed = sim.run_compiled(compiled, &mut rng)?;
     let observation = probe.map(|probe| probe(sim.as_ref(), &executed));
-    acc.add_shot(&executed, sim.peak_amplitudes());
+    acc.add_shot(
+        &count_fields(&executed.counts),
+        &executed.classical,
+        sim.peak_amplitudes(),
+    );
     Ok(observation)
 }
 
@@ -183,7 +214,7 @@ pub(crate) fn per_shot<O: Send>(
     factory: Factory<'_>,
     probe: Option<Probe<'_, O>>,
 ) -> Result<(Accumulator, Vec<O>), SimError> {
-    let run_chunk = |(), range: Range<u64>| {
+    in_chunks(shots, workers, |range| {
         let mut acc = Accumulator::default();
         let mut observations = Vec::new();
         for shot in range {
@@ -191,17 +222,7 @@ pub(crate) fn per_shot<O: Send>(
             observations.extend(one_shot(compiled, factory, seed, probe, &mut acc)?);
         }
         Ok((acc, observations))
-    };
-    let mut acc = Accumulator::default();
-    let mut observations = Vec::new();
-    // A chunk stops at its first failing shot, so the first failing chunk
-    // holds the lowest-indexed one.
-    for chunk in in_chunks(shots, vec![(); workers], run_chunk, || ()).0 {
-        let (chunk_acc, chunk_observations): (Accumulator, Vec<O>) = chunk?;
-        acc.merge(chunk_acc);
-        observations.extend(chunk_observations);
-    }
-    Ok((acc, observations))
+    })
 }
 
 /// A seeded, deterministic ensemble executor.
@@ -329,12 +350,13 @@ impl ShotRunner {
     /// returning the observations in shot order.
     ///
     /// This is how per-shot assertions (final register values, global
-    /// phase) are made over an ensemble. On the shared path shots that
-    /// took the same path through the outcome DAG share one final state
-    /// and one record, so `probe` runs on the calling thread, once per
-    /// distinct path in each batch of up to 64 paths a worker hands it,
-    /// and those shots receive clones of its observation. The final state
-    /// there was reached without a compiled run of its own, so its
+    /// phase) are made over an ensemble; `probe` runs on the worker
+    /// threads. On the shared path shots that took the same path through
+    /// the outcome DAG share one final state and one record, so each
+    /// worker calls `probe` once per distinct path in each batch of up to
+    /// 64 paths of its shots, and the batch's other shots of that path
+    /// receive clones of its observation. The final state there was
+    /// reached without a compiled run of its own, so its
     /// [`peak_amplitudes`](Simulator::peak_amplitudes) reads `None`.
     ///
     /// # Errors
@@ -379,7 +401,7 @@ impl ShotRunner {
                 Ok(dag) => {
                     let (acc, observations) =
                         dag.replay(&compiled, shots, self.master_seed, workers, factory, probe)?;
-                    return Ok((Ensemble { acc }, observations));
+                    return Ok((Ensemble::from_acc(acc), observations));
                 }
                 Err(SimError::BranchUnsupported | SimError::BranchBudgetExceeded { .. }) => {}
                 Err(e) => return Err(e),
@@ -387,7 +409,7 @@ impl ShotRunner {
         }
         let (acc, observations) =
             per_shot(&compiled, shots, self.master_seed, workers, factory, probe)?;
-        Ok((Ensemble { acc }, observations))
+        Ok((Ensemble::from_acc(acc), observations))
     }
 }
 
@@ -400,8 +422,8 @@ pub(crate) struct Accumulator {
     shots: u64,
     sum: [u128; NFIELDS],
     sumsq: [u128; NFIELDS],
-    clbit_ones: Vec<u64>,
-    clbit_writes: Vec<u64>,
+    /// Shots per distinct classical record; the per-clbit tallies are
+    /// derived from it (see [`Ensemble`]).
     records: BTreeMap<Vec<Option<bool>>, u64>,
     /// Worst per-shot peak amplitude count, when the backend reports one
     /// (the state vector's live working set — reclamation's memory story).
@@ -414,8 +436,6 @@ impl Default for Accumulator {
             shots: 0,
             sum: [0; NFIELDS],
             sumsq: [0; NFIELDS],
-            clbit_ones: Vec::new(),
-            clbit_writes: Vec::new(),
             records: BTreeMap::new(),
             peak_amps: None,
         }
@@ -423,28 +443,30 @@ impl Default for Accumulator {
 }
 
 impl Accumulator {
-    pub(crate) fn add_shot(&mut self, executed: &Executed, peak_amps: Option<u64>) {
+    /// Folds in one shot: its executed counts as [`count_fields`], its
+    /// classical record and its peak. The record is cloned only when it
+    /// is new to the fold.
+    pub(crate) fn add_shot(
+        &mut self,
+        fields: &[u64; NFIELDS],
+        record: &[Option<bool>],
+        peak_amps: Option<u64>,
+    ) {
         self.shots += 1;
         if let Some(peak) = peak_amps {
             self.peak_amps = Some(self.peak_amps.map_or(peak, |m| m.max(peak)));
         }
-        let fields = count_fields(&executed.counts);
-        for (i, f) in fields.iter().enumerate() {
-            let f = u128::from(*f);
+        for (i, &f) in fields.iter().enumerate() {
+            let f = u128::from(f);
             self.sum[i] += f;
             self.sumsq[i] += f * f;
         }
-        if executed.classical.len() > self.clbit_ones.len() {
-            self.clbit_ones.resize(executed.classical.len(), 0);
-            self.clbit_writes.resize(executed.classical.len(), 0);
-        }
-        for (i, bit) in executed.classical.iter().enumerate() {
-            if let Some(b) = bit {
-                self.clbit_writes[i] += 1;
-                self.clbit_ones[i] += u64::from(*b);
+        match self.records.get_mut(record) {
+            Some(n) => *n += 1,
+            None => {
+                self.records.insert(record.to_vec(), 1);
             }
         }
-        *self.records.entry(executed.classical.clone()).or_insert(0) += 1;
     }
 
     pub(crate) fn merge(&mut self, other: Accumulator) {
@@ -456,17 +478,13 @@ impl Accumulator {
             self.sum[i] += other.sum[i];
             self.sumsq[i] += other.sumsq[i];
         }
-        if other.clbit_ones.len() > self.clbit_ones.len() {
-            self.clbit_ones.resize(other.clbit_ones.len(), 0);
-            self.clbit_writes.resize(other.clbit_writes.len(), 0);
+        // Keep the larger record map and insert the smaller one's records,
+        // so that folding many chunks costs records × log(records).
+        let mut records = other.records;
+        if records.len() > self.records.len() {
+            std::mem::swap(&mut self.records, &mut records);
         }
-        for (i, ones) in other.clbit_ones.iter().enumerate() {
-            self.clbit_ones[i] += ones;
-        }
-        for (i, writes) in other.clbit_writes.iter().enumerate() {
-            self.clbit_writes[i] += writes;
-        }
-        for (record, n) in other.records {
+        for (record, n) in records {
             *self.records.entry(record).or_insert(0) += n;
         }
     }
@@ -477,16 +495,59 @@ impl Accumulator {
 /// Comparable with `==`: two ensembles are equal iff every underlying
 /// integer tally matches, which is what the parallel-equals-serial
 /// guarantee is stated in terms of.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct Ensemble {
     acc: Accumulator,
+    /// The per-clbit tallies, derived from the distinct records on their
+    /// first read, so that no shot pays for them, nor an ensemble whose
+    /// tallies are never read.
+    clbits: OnceLock<ClbitTallies>,
+}
+
+/// Equality is the fold's: the per-clbit tallies are a function of it.
+impl PartialEq for Ensemble {
+    fn eq(&self, other: &Self) -> bool {
+        self.acc == other.acc
+    }
+}
+
+impl Eq for Ensemble {}
+
+/// How many shots wrote each classical bit, and how many wrote 1 to it.
+#[derive(Clone, Debug)]
+struct ClbitTallies {
+    writes: Vec<u64>,
+    ones: Vec<u64>,
 }
 
 impl Ensemble {
-    /// Wraps a finished fold (the branch-sharing sampler's construction
-    /// path).
+    /// Wraps a finished fold.
     pub(crate) fn from_acc(acc: Accumulator) -> Self {
-        Self { acc }
+        Self {
+            acc,
+            clbits: OnceLock::new(),
+        }
+    }
+
+    /// The per-clbit tallies: one pass over the distinct records, the
+    /// first time they are read.
+    fn clbits(&self) -> &ClbitTallies {
+        self.clbits.get_or_init(|| {
+            let width = self.acc.records.keys().map(Vec::len).max().unwrap_or(0);
+            let mut tallies = ClbitTallies {
+                writes: vec![0; width],
+                ones: vec![0; width],
+            };
+            for (record, &n) in &self.acc.records {
+                for (i, bit) in record.iter().enumerate() {
+                    if let Some(b) = bit {
+                        tallies.writes[i] += n;
+                        tallies.ones[i] += n * u64::from(*b);
+                    }
+                }
+            }
+            tallies
+        })
     }
 
     /// How many shots were folded in.
@@ -537,13 +598,13 @@ impl Ensemble {
     /// How many shots wrote classical bit `clbit`.
     #[must_use]
     pub fn outcome_writes(&self, clbit: usize) -> u64 {
-        self.acc.clbit_writes.get(clbit).copied().unwrap_or(0)
+        self.clbits().writes.get(clbit).copied().unwrap_or(0)
     }
 
     /// How many shots wrote outcome 1 to classical bit `clbit`.
     #[must_use]
     pub fn outcome_ones(&self, clbit: usize) -> u64 {
-        self.acc.clbit_ones.get(clbit).copied().unwrap_or(0)
+        self.clbits().ones.get(clbit).copied().unwrap_or(0)
     }
 
     /// The empirical frequency of outcome 1 on classical bit `clbit`,
@@ -557,7 +618,7 @@ impl Ensemble {
     /// The number of classical bits any shot wrote.
     #[must_use]
     pub fn num_clbits(&self) -> usize {
-        self.acc.clbit_writes.len()
+        self.clbits().writes.len()
     }
 
     /// The highest classical bit index any shot wrote — for protocols (like
@@ -565,7 +626,7 @@ impl Ensemble {
     /// interest.
     #[must_use]
     pub fn last_clbit(&self) -> Option<usize> {
-        self.acc.clbit_writes.iter().rposition(|&writes| writes > 0)
+        self.clbits().writes.iter().rposition(|&writes| writes > 0)
     }
 
     /// Frequencies of complete classical records, most-populated first is
@@ -1003,7 +1064,7 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 1, "the shared path");
         let (acc, _) =
             per_shot::<()>(&compiled, 200, DEFAULT_MASTER_SEED, 1, &factory, None).unwrap();
-        assert_eq!(shared, Ensemble { acc });
+        assert_eq!(shared, Ensemble::from_acc(acc));
         assert_eq!(shared.peak_amplitudes(), Some(2));
     }
 

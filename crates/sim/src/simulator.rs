@@ -53,7 +53,10 @@ pub enum Fork {
 /// Object-safe: harnesses hold `Box<dyn Simulator>` and stay agnostic of
 /// the state representation. (`Any` is a supertrait so that
 /// [`same_state`](Simulator::same_state) can recognise its own type behind
-/// `&dyn Simulator`.) The required methods split in two groups:
+/// `&dyn Simulator`; `Send` and `Sync` so that ensemble workers can move
+/// states between threads and read shared ones, such as the leaf states
+/// of an outcome DAG, side by side.) The required methods split in two
+/// groups:
 ///
 /// * **execution primitives** ([`apply_gate`](Simulator::apply_gate),
 ///   [`measure`](Simulator::measure), [`reset`](Simulator::reset)) consumed
@@ -88,7 +91,7 @@ pub enum Fork {
 ///     assert_eq!(sim.value(q.qubits()).unwrap(), 0b11);
 /// }
 /// ```
-pub trait Simulator: Any {
+pub trait Simulator: Any + Send + Sync {
     /// The number of qubits in the state.
     fn num_qubits(&self) -> usize;
 

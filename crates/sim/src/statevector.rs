@@ -93,7 +93,7 @@ pub struct StateVector {
     /// Reusable destination buffer for permutation-block sweeps
     /// ([`kernels::permute`] streams `amps` into it and swaps), allocated
     /// on first need and kept across blocks so a deep shot pays the
-    /// allocation once.
+    /// allocation once; a compiled run releases it when it returns.
     scratch: Option<Amps>,
 }
 
@@ -1013,7 +1013,7 @@ impl Simulator for StateVector {
         exec::check_width(compiled.num_qubits(), self.num_qubits)?;
         let mut executed = Executed::default();
         let peak = if compiled.reclaims_qubits() {
-            self.run_compiled_reclaiming(compiled, rng, &mut executed)?
+            self.run_compiled_reclaiming(compiled, rng, &mut executed)
         } else {
             self.expand();
             exec::execute_compiled_core(
@@ -1033,10 +1033,13 @@ impl Simulator for StateVector {
                 Self::measure,
                 Self::reset,
                 |_, _| {},
-            )?;
-            self.amps.len()
+            )
+            .map(|()| self.amps.len())
         };
-        self.last_run_peak = Some(peak);
+        // The permutation scratch serves the run's blocks only: a resting
+        // state keeps no buffer as wide as the widest array the run held.
+        self.scratch = None;
+        self.last_run_peak = Some(peak?);
         Ok(executed)
     }
 
@@ -1634,6 +1637,50 @@ mod tests {
         for mut state in [full, sv] {
             assert_eq!(state.set_bit(q(1), false).unwrap_err(), superposed);
             assert_eq!(state.set_bit(q(1), true).unwrap_err(), superposed);
+        }
+    }
+
+    #[test]
+    fn a_compiled_run_releases_the_permutation_scratch() {
+        // A CX ladder over 8 qubits fuses into one permutation block wider
+        // than the dense kernels take, which sweeps through the scratch
+        // buffer; q8 is measured and dead, so the default passes drop it.
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 9);
+        b.h(r[0]);
+        for i in 0..7 {
+            b.cx(r[i], r[i + 1]);
+        }
+        let _ = b.measure(r[8], Basis::Z);
+        let circuit = b.finish();
+        let unfused = mbu_circuit::PassConfig {
+            reclaim_dead_qubits: false,
+            fuse_max_qubits: 0,
+            ..mbu_circuit::PassConfig::default()
+        };
+        let unfused = CompiledCircuit::with_config(&circuit, &unfused).unwrap();
+        for reclaim in [true, false] {
+            let passes = mbu_circuit::PassConfig {
+                reclaim_dead_qubits: reclaim,
+                ..mbu_circuit::PassConfig::default()
+            };
+            let compiled = CompiledCircuit::with_config(&circuit, &passes).unwrap();
+            assert_eq!(compiled.reclaims_qubits(), reclaim, "{compiled}");
+            assert!(
+                compiled
+                    .fused_unitaries()
+                    .iter()
+                    .any(|fu| fu.num_qubits() > mbu_circuit::MAX_FUSED_QUBITS),
+                "{compiled}"
+            );
+            let mut sv = StateVector::zeros(9).unwrap();
+            sv.run_compiled(&compiled, &mut StdRng::seed_from_u64(1))
+                .unwrap();
+            assert!(sv.scratch.is_none(), "reclaim {reclaim}");
+            let mut want = StateVector::zeros(9).unwrap();
+            want.run_compiled(&unfused, &mut StdRng::seed_from_u64(1))
+                .unwrap();
+            assert_eq!(sv.amplitudes(), want.amplitudes(), "reclaim {reclaim}");
         }
     }
 
