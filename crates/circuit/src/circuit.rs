@@ -139,7 +139,7 @@ impl Circuit {
     }
 
     /// Lowers the circuit to a flat instruction stream and runs the exact
-    /// default peephole passes — shorthand for
+    /// default passes (gate fusion, dead-qubit reclamation) — shorthand for
     /// [`CompiledCircuit::compile`](crate::CompiledCircuit::compile).
     ///
     /// # Errors

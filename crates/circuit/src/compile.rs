@@ -1,5 +1,5 @@
-//! Circuit compilation: lowering to a flat instruction stream plus peephole
-//! optimisation passes.
+//! Circuit compilation: lowering to a flat instruction stream, gate fusion,
+//! dead-qubit reclamation and phase-gradient packing.
 //!
 //! The interpreted executors walk the [`Op`] tree of a [`Circuit`] on every
 //! run, recursing into [`Op::Conditional`] bodies and re-resolving structure
@@ -10,47 +10,32 @@
 //! [`Instr::BranchUnless`] skips, so execution is a single program-counter
 //! loop over a flat slice shared immutably by any number of worker threads.
 //!
-//! The pipeline is `lower → passes → packing → execute`:
+//! The pipeline is `lower → fusion → reclamation → packing → execute`:
 //!
 //! 1. **lower** — [`CompiledCircuit::lower`] validates the circuit and
 //!    flattens nested conditionals into branch instructions. No gate is
 //!    added, removed or reordered: a lowered program executes the exact same
 //!    operation sequence as the interpreted tree walk, though not one
 //!    instruction per gate (see packing below).
-//! 2. **passes** — [`CompiledCircuit::compile`] (or
-//!    [`CompiledCircuit::with_config`] for explicit [`PassConfig`] control)
-//!    additionally runs peephole passes over straight-line gate segments:
-//!    * *adjacent self-inverse cancellation* — `X·X`, `H·H`, `CX·CX`,
-//!      `CCX·CCX`, … pairs separated only by commuting gates are removed;
-//!    * *rotation merging* — `R(θ₁)·R(θ₂) → R(θ₁+θ₂)` for `Phase`,
-//!      `CPhase` and `CcPhase` on the same qubit set (exact dyadic
-//!      [`Angle`](crate::Angle) arithmetic, so merging never drifts);
-//!    * *identity elimination* — zero-angle rotations left over after
-//!      merging are dropped;
-//!    * *phase-dead elimination before measurement* (off by default, see
-//!      [`PassConfig::phase_dead_before_measure`]) — single-qubit diagonal
-//!      gates whose qubit is next consumed by a `Z`-basis measurement or a
-//!      reset only contribute a global phase to the collapsed branch and
-//!      can be dropped when callers accept global-phase equivalence;
-//!    * *dead-qubit reclamation* (on by default, see
-//!      [`PassConfig::reclaim_dead_qubits`]) — a liveness analysis that
-//!      emits [`Instr::Drop`] for every qubit that was measured or reset
-//!      and is never touched again, so compacting backends (the state
-//!      vector) can release the qubit mid-run and halve their live
-//!      amplitude array per drop — the paper's early-ancilla-release payoff
-//!      made concrete in the execution engine;
-//!    * *gate fusion* (on by default, see
-//!      [`PassConfig::fuse_max_qubits`]) — merges maximal runs of
-//!      adjacent gates whose combined support fits in
-//!      `k ≤ `[`MAX_FUSED_QUBITS`] qubits into dense
-//!      `2^k × 2^k` [`Instr::Fused`] unitaries ([`FusedUnitary`]), so an
-//!      amplitude backend applies the whole run in **one sweep** over the
-//!      state instead of one sweep per gate. Exact: executors apply the
-//!      block in factored form, with per-amplitude arithmetic identical to
-//!      the unfused stream.
+//! 2. **fusion** (on by default, see [`PassConfig::fuse_max_qubits`]) —
+//!    [`CompiledCircuit::compile`] (or [`CompiledCircuit::with_config`]
+//!    for explicit [`PassConfig`] control) merges maximal runs of adjacent
+//!    gates whose combined support fits in `k ≤ `[`MAX_FUSED_QUBITS`]
+//!    qubits into dense `2^k × 2^k` [`Instr::Fused`] unitaries
+//!    ([`FusedUnitary`]), so an amplitude backend applies the whole run in
+//!    **one sweep** over the state instead of one sweep per gate.
+//!    Executors apply the block in factored form, with per-amplitude
+//!    arithmetic identical to the unfused stream.
+//! 3. **reclamation** (on by default, see
+//!    [`PassConfig::reclaim_dead_qubits`]) — a liveness analysis that
+//!    emits [`Instr::Drop`] for every qubit that was measured or reset and
+//!    is never touched again, so compacting backends (the state vector) can
+//!    release the qubit mid-run and halve their live amplitude array per
+//!    drop — the paper's early-ancilla-release payoff made concrete in the
+//!    execution engine.
 //!
-//!    Every pass records what it did in [`PassStats`].
-//! 3. **packing** — the last stage of every compile, including
+//!    Both passes record what they did in [`PassStats`].
+//! 4. **packing** — the last stage of every compile, including
 //!    [`lower`](CompiledCircuit::lower), so no [`PassConfig`] field
 //!    switches it: each maximal run of at least two consecutive
 //!    `CPhase(c_j, t, ±2π/2^{k_j})` gates on one target,
@@ -60,19 +45,18 @@
 //!    gate: [`PhaseGradient::gates`] re-derives the run. The phase
 //!    accumulator applies a gradient on a Fourier-mode target as one
 //!    multi-word addition per branch; every other executor replays it.
-//! 4. **execute** — the `mbu-sim` crate runs compiled programs through
+//! 5. **execute** — the `mbu-sim` crate runs compiled programs through
 //!    `Simulator::run_compiled`, and its `ShotRunner` lowers once and
 //!    shares the immutable program across all shot worker threads.
 //!
-//! Passes never cross a *barrier*: measurements, resets, branch
-//! instructions and branch join points all flush the peephole window, so an
-//! optimised program is observationally equivalent to the original on every
-//! control-flow path. For the default passes, equivalence is exact in the
-//! algebra (identical classical records and measurement outcomes;
-//! amplitudes equal up to floating-point re-association, since a cancelled
-//! gate pair skips two rounding steps and a merged rotation evaluates one
-//! `cis` instead of two); with phase-dead elimination enabled, states may
-//! additionally differ by a global phase.
+//! No stage adds, removes or reorders a gate, and none crosses a
+//! *barrier* (measurements, resets, branch instructions and branch join
+//! points), so every compile is bit-exact to [`CompiledCircuit::lower`] on
+//! every backend: the same classical records, the same executed gate
+//! counts and the same amplitude bits. The one reading that differs is
+//! that of a dropped qubit on the dense engine, which projects it out:
+//! the rounding residue its dead branch may hold (below `1e-10` in
+//! amplitude) reads as an exact zero.
 //!
 //! # Dumping a compiled program
 //!
@@ -105,10 +89,8 @@
 //! [`PassStats`] implements [`fmt::Display`] too (it is embedded in the
 //! dump header) and exposes per-pass counters as fields.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::mem::{self, Discriminant};
-use std::ops::Range;
 
 use crate::angle::Angle;
 use crate::circuit::Circuit;
@@ -155,7 +137,9 @@ pub enum Instr {
     /// Semantically a no-op: executors without a compaction story (the
     /// basis tracker, the sparse map) simply skip it, and
     /// compacting executors must be observationally invisible — identical
-    /// outcomes, RNG consumption, executed counts and final state.
+    /// outcomes, RNG consumption, executed counts and final state, save
+    /// the rounding residue (below `1e-10` in amplitude) the projection
+    /// discards from the qubit's dead branch.
     Drop(QubitId),
     /// Apply the fused block stored at this index of the program's
     /// fused-unitary table ([`CompiledCircuit::fused_unitaries`]): a run
@@ -351,31 +335,18 @@ impl PhaseGradient {
     }
 }
 
-/// Which peephole passes [`CompiledCircuit::with_config`] runs.
+/// Which passes [`CompiledCircuit::with_config`] runs.
 ///
-/// The default configuration ([`PassConfig::default`], used by
-/// [`CompiledCircuit::compile`]) enables every *algebraically exact* pass:
-/// the optimised program produces identical classical records and
-/// measurement outcomes, and amplitudes equal to the unoptimised program's
-/// up to floating-point re-association (removed gates skip their rounding
-/// steps). Only [`CompiledCircuit::lower`] — no passes — is bit-exact.
-/// [`PassConfig::phase_dead_before_measure`] additionally
-/// drops gates that only affect the global phase of post-measurement
-/// states; enable it with [`PassConfig::aggressive`] when global-phase
-/// equivalence is acceptable.
+/// Every pass is exact: it adds, removes and reorders no gate, so a
+/// program compiled under any configuration produces the same classical
+/// records, executed gate counts and amplitude bits as
+/// [`CompiledCircuit::lower`], save the rounding residue (below `1e-10`
+/// in amplitude) that a drop on the dense engine reads as an exact zero.
+/// The default configuration
+/// ([`PassConfig::default`], used by [`CompiledCircuit::compile`]) enables
+/// both passes; [`PassConfig::none`] disables them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PassConfig {
-    /// Cancel adjacent pairs of identical self-inverse gates.
-    pub cancel_self_inverse: bool,
-    /// Merge adjacent rotations on the same qubit set.
-    pub merge_rotations: bool,
-    /// Drop zero-angle rotations.
-    pub remove_identities: bool,
-    /// Drop single-qubit diagonal gates (`Z`, `Phase`) whose qubit is next
-    /// consumed by a `Z`-basis measurement or reset. **Not exact**: the
-    /// post-measurement state may differ by a global phase (measurement
-    /// probabilities and outcomes are untouched).
-    pub phase_dead_before_measure: bool,
     /// Run the liveness analysis that emits [`Instr::Drop`] for qubits
     /// that were measured (or reset) and are provably never touched again,
     /// letting compacting backends reclaim them mid-run. Observationally
@@ -393,10 +364,6 @@ pub struct PassConfig {
 impl Default for PassConfig {
     fn default() -> Self {
         Self {
-            cancel_self_inverse: true,
-            merge_rotations: true,
-            remove_identities: true,
-            phase_dead_before_measure: false,
             reclaim_dead_qubits: true,
             fuse_max_qubits: 3,
         }
@@ -408,51 +375,31 @@ impl PassConfig {
     #[must_use]
     pub fn none() -> Self {
         Self {
-            cancel_self_inverse: false,
-            merge_rotations: false,
-            remove_identities: false,
-            phase_dead_before_measure: false,
             reclaim_dead_qubits: false,
             fuse_max_qubits: 0,
         }
-    }
-
-    /// Every pass, including the global-phase-inexact one.
-    #[must_use]
-    pub fn aggressive() -> Self {
-        Self {
-            phase_dead_before_measure: true,
-            ..Self::default()
-        }
-    }
-
-    /// Whether any peephole pass is enabled (the reclamation pass runs
-    /// separately, after the peephole window).
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.cancel_self_inverse
-            || self.merge_rotations
-            || self.remove_identities
-            || self.phase_dead_before_measure
     }
 }
 
 /// Per-pass statistics of one compilation.
 ///
-/// All counters are in *instructions*: a cancelled pair contributes 2 to
-/// [`PassStats::cancelled`], a merge that folds two rotations into one
-/// contributes 1 to [`PassStats::merged`].
+/// The four removal counters ([`cancelled`](Self::cancelled),
+/// [`merged`](Self::merged), [`identities_removed`](Self::identities_removed)
+/// and [`phase_dead_removed`](Self::phase_dead_removed)) and
+/// [`removed`](Self::removed) always read 0: no pass removes a gate. They
+/// stay only until the benchmark driver (`perfbench/`) stops reading them,
+/// and [`Display`](fmt::Display) leaves them out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PassStats {
     /// Instructions in the stream right after lowering, before any pass.
     pub lowered_instrs: usize,
-    /// Gates removed by self-inverse cancellation.
+    /// Always 0: no pass cancels gates.
     pub cancelled: u64,
-    /// Rotations eliminated by merging into a neighbour.
+    /// Always 0: no pass merges rotations.
     pub merged: u64,
-    /// Zero-angle rotations dropped.
+    /// Always 0: no pass drops zero-angle rotations.
     pub identities_removed: u64,
-    /// Diagonal gates dropped as phase-dead before a measurement/reset.
+    /// Always 0: no pass drops phase-dead gates.
     pub phase_dead_removed: u64,
     /// Qubits for which the liveness pass emitted an [`Instr::Drop`]:
     /// measured (or reset) at some point and never touched afterwards.
@@ -505,7 +452,7 @@ pub struct PassStats {
 }
 
 impl PassStats {
-    /// Total instructions removed by all passes.
+    /// Total instructions removed by all passes: always 0.
     #[must_use]
     pub fn removed(&self) -> u64 {
         self.cancelled + self.merged + self.identities_removed + self.phase_dead_removed
@@ -516,15 +463,10 @@ impl fmt::Display for PassStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "lowered {} instrs; cancelled {}, merged {}, identities {}, phase-dead {}, \
-             reclaimed {}, fused {} gates into {} blocks, packed {} CPhase into {} \
-             gradients; emitted {} \
+            "lowered {} instrs; reclaimed {}, fused {} gates into {} blocks, \
+             packed {} CPhase into {} gradients; emitted {} \
              ({} segments, {} fork points; planned {} dense / {} sparse / {} phase)",
             self.lowered_instrs,
-            self.cancelled,
-            self.merged,
-            self.identities_removed,
-            self.phase_dead_removed,
             self.dead_qubits_reclaimed,
             self.fused_gates,
             self.fused_blocks,
@@ -549,8 +491,10 @@ impl fmt::Display for PassStats {
 /// A circuit lowered to a flat, pre-validated instruction stream.
 ///
 /// Produced by [`CompiledCircuit::lower`] (no passes),
-/// [`CompiledCircuit::compile`] (exact default passes) or
-/// [`CompiledCircuit::with_config`]. Compilation validates the circuit, so
+/// [`CompiledCircuit::compile`] (the default passes) or
+/// [`CompiledCircuit::with_config`]; all three run bit-exactly alike on
+/// every backend, save the rounding residue a dense-engine drop zeroes.
+/// Compilation validates the circuit, so
 /// executors may assume every qubit and classical-bit reference is in
 /// range and every gate has distinct operands.
 ///
@@ -596,10 +540,9 @@ pub struct CompiledCircuit {
 
 impl CompiledCircuit {
     /// Lowers `circuit` to a flat instruction stream without running any
-    /// optimisation pass. The lowered program executes the exact operation
-    /// sequence of the interpreted tree walk; the packing step still folds
-    /// its `CPhase` cascades into [`Instr::Gradient`]s, which re-derive
-    /// the same gates.
+    /// pass. The lowered program executes the exact operation sequence of
+    /// the interpreted tree walk; the packing step still folds its `CPhase`
+    /// cascades into [`Instr::Gradient`]s, which re-derive the same gates.
     ///
     /// # Errors
     ///
@@ -609,7 +552,15 @@ impl CompiledCircuit {
         Self::with_config(circuit, &PassConfig::none())
     }
 
-    /// Lowers `circuit` and runs the default (exact) peephole passes.
+    /// Lowers `circuit` and runs the default passes: gate fusion and
+    /// dead-qubit reclamation. Neither adds, removes or reorders a gate,
+    /// so the program runs bit-exactly like [`lower`](Self::lower)'s on
+    /// every backend — the same classical records, executed gate counts
+    /// and amplitude bits, save the rounding residue (below `1e-10` in
+    /// amplitude) that a drop on the dense engine reads as an exact zero.
+    /// The passes change only how a backend may apply the program: a
+    /// fused block in one sweep of a dense state, a drop as an early
+    /// release of a measured qubit.
     ///
     /// # Errors
     ///
@@ -624,17 +575,6 @@ impl CompiledCircuit {
     ///
     /// Returns the first [`CircuitError`] found by [`Circuit::validate`].
     pub fn with_config(circuit: &Circuit, config: &PassConfig) -> Result<Self, CircuitError> {
-        Self::with_peephole(circuit, config, run_passes)
-    }
-
-    /// [`CompiledCircuit::with_config`] with its peephole stage passed in,
-    /// so the tests can run the whole pipeline on the rescanning reference
-    /// pass as well.
-    fn with_peephole(
-        circuit: &Circuit,
-        config: &PassConfig,
-        peephole: fn(Vec<Instr>, usize, &PassConfig, &mut PassStats) -> Vec<Instr>,
-    ) -> Result<Self, CircuitError> {
         circuit.validate()?;
         // Under the careful profile (debug assertions on) every pipeline
         // stage is gated by the static verifier: a pass that emits a
@@ -650,10 +590,6 @@ impl CompiledCircuit {
             lowered_instrs: instrs.len(),
             ..PassStats::default()
         };
-        if config.any() {
-            instrs = peephole(instrs, nq, config, &mut stats);
-            crate::verify::expect_valid_stage("peephole", nq, nc, &instrs, &[], &[])?;
-        }
         let mut fused = Vec::new();
         if config.fuse_max_qubits > 0 {
             (instrs, fused) = fuse_gates(instrs, config.fuse_max_qubits, &mut stats);
@@ -751,7 +687,7 @@ impl CompiledCircuit {
         (&mut self.instrs, &mut self.gradients)
     }
 
-    /// What the peephole passes did to this program.
+    /// What the passes did to this program.
     #[must_use]
     pub fn stats(&self) -> &PassStats {
         &self.stats
@@ -962,75 +898,6 @@ fn flatten(ops: &[Op], out: &mut Vec<Instr>) {
     }
 }
 
-/// Whether `g` is its own inverse (so an identical adjacent copy cancels).
-fn self_inverse(g: &Gate) -> bool {
-    matches!(
-        g,
-        Gate::X(_)
-            | Gate::Z(_)
-            | Gate::H(_)
-            | Gate::Cx(..)
-            | Gate::Cz(..)
-            | Gate::Ccx(..)
-            | Gate::Ccz(..)
-            | Gate::Swap(..)
-    )
-}
-
-/// Whether `g` and `h` denote the same unitary, treating operand order of
-/// symmetric gates (`CZ`, `CCZ`, `SWAP`, rotations controlled on a set, the
-/// Toffoli control pair) as irrelevant.
-fn same_unitary(g: &Gate, h: &Gate) -> bool {
-    use Gate::{Ccx, Ccz, Cz, Swap};
-    match (*g, *h) {
-        (Cz(a1, b1), Cz(a2, b2)) | (Swap(a1, b1), Swap(a2, b2)) => {
-            (a1, b1) == (a2, b2) || (a1, b1) == (b2, a2)
-        }
-        (Ccz(a1, b1, c1), Ccz(a2, b2, c2)) => set3(a1, b1, c1) == set3(a2, b2, c2),
-        (Ccx(a1, b1, t1), Ccx(a2, b2, t2)) => {
-            t1 == t2 && ((a1, b1) == (a2, b2) || (a1, b1) == (b2, a2))
-        }
-        _ => g == h,
-    }
-}
-
-/// The three operands as a sorted triple (all-symmetric gates).
-fn set3(a: QubitId, b: QubitId, c: QubitId) -> (QubitId, QubitId, QubitId) {
-    let mut v = [a, b, c];
-    v.sort_unstable();
-    (v[0], v[1], v[2])
-}
-
-/// If `g` and `h` are rotations of the same family on the same qubit set,
-/// the merged rotation (angles added exactly). Pairs whose exact sum does
-/// not fit the dyadic representation (see [`Angle::checked_add`]) are left
-/// unmerged rather than approximated.
-fn merge_rotations(g: &Gate, h: &Gate) -> Option<Gate> {
-    use Gate::{CPhase, CcPhase, Phase};
-    match (*g, *h) {
-        (Phase(q1, a1), Phase(q2, a2)) if q1 == q2 => a1.checked_add(a2).map(|a| Phase(q1, a)),
-        (CPhase(c1, t1, a1), CPhase(c2, t2, a2))
-            if (c1, t1) == (c2, t2) || (c1, t1) == (t2, c2) =>
-        {
-            a1.checked_add(a2).map(|a| CPhase(c1, t1, a))
-        }
-        (CcPhase(x1, y1, z1, a1), CcPhase(x2, y2, z2, a2))
-            if set3(x1, y1, z1) == set3(x2, y2, z2) =>
-        {
-            a1.checked_add(a2).map(|a| CcPhase(x1, y1, z1, a))
-        }
-        _ => None,
-    }
-}
-
-/// A rotation whose angle reduced to zero (the identity).
-fn is_identity(g: &Gate) -> bool {
-    matches!(
-        g,
-        Gate::Phase(_, a) | Gate::CPhase(_, _, a) | Gate::CcPhase(_, _, _, a) if a.is_zero()
-    )
-}
-
 /// The branch join points of `instrs`: `barrier[pc]` is set when a guarded
 /// block ends just before `pc` (one extra entry covers the end of the
 /// program). A gate after the join executes on every path, a gate inside
@@ -1044,49 +911,6 @@ fn join_barriers(instrs: &[Instr]) -> Vec<bool> {
         }
     }
     barrier
-}
-
-/// The maximal straight-line gate runs of `slots`, cut at every non-gate
-/// slot and join barrier: the peephole passes' windows.
-fn gate_runs(slots: &[Option<Instr>], barrier: &[bool]) -> Vec<Range<usize>> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for pc in 0..=slots.len() {
-        let is_gate = pc < slots.len() && matches!(slots[pc], Some(Instr::Gate(_)));
-        if !is_gate || barrier[pc] {
-            if pc > start {
-                runs.push(start..pc);
-            }
-            // A gate at a join opens the next run.
-            start = if is_gate { pc } else { pc + 1 };
-        }
-    }
-    runs
-}
-
-/// Runs the enabled passes over the lowered stream.
-fn run_passes(
-    instrs: Vec<Instr>,
-    num_qubits: usize,
-    config: &PassConfig,
-    stats: &mut PassStats,
-) -> Vec<Instr> {
-    let barrier = join_barriers(&instrs);
-    // Slots: None = removed.
-    let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
-    let mut index = PeepholeIndex::new(num_qubits, slots.len());
-    for run in gate_runs(&slots, &barrier) {
-        optimize_segment(&mut slots, run, &mut index, config, stats);
-    }
-    if config.remove_identities {
-        remove_identities(&mut slots, stats);
-    }
-
-    if config.phase_dead_before_measure {
-        eliminate_phase_dead(&mut slots, &barrier, stats);
-    }
-
-    compact_slots(&slots)
 }
 
 /// Compacts removed (`None`) slots, recomputing branch skips over the
@@ -1241,10 +1065,9 @@ fn greedy_fuse(
 ///    family) whose support fits in `max_qubits ≤` [`MAX_FUSED_QUBITS`]
 ///    qubits, applied by backends as gathered local `2^k` groups.
 ///
-/// Like the peephole window, fusion never crosses a barrier (measurement,
-/// reset, drop, branch or branch join), and it never reorders gates —
-/// only contiguous runs merge, so each block's product unitary is exactly
-/// the program's. Blocks that would not save array traffic (summed
+/// Fusion never crosses a barrier (measurement, reset, drop, branch or
+/// branch join), and it never reorders gates — only contiguous runs
+/// merge, so each block's product unitary is exactly the program's. Blocks that would not save array traffic (summed
 /// [`fusion_weight`] below [`PERM_FUSE_MIN_WEIGHT`] /
 /// [`FUSE_MIN_WEIGHT`]) are left unfused; light gates (diagonals in dense
 /// blocks, `X` in either) ride along inside emitted blocks for free.
@@ -1466,382 +1289,6 @@ fn pack_gradients(instrs: Vec<Instr>, stats: &mut PassStats) -> (Vec<Instr>, Vec
     (compact_slots(&slots), table)
 }
 
-/// Marks an empty [`SlotStacks`] stack.
-const EMPTY: u32 = u32::MAX;
-
-/// Stacks of gate slots (one per qubit, or per diagonal key), linked
-/// through the slots themselves: entry `slot × stride + k` stands for the
-/// slot's `k`-th operand and `below[entry]` is the entry under it, so each
-/// index is two flat arrays allocated once. Slots are pushed in program
-/// order, so a stack's top is its newest slot; removed slots and slots
-/// before the current run are dropped lazily, when they surface.
-struct SlotStacks {
-    /// Entries per slot: the widest gate's arity, or 1.
-    stride: usize,
-    /// Per stack: its top entry, or [`EMPTY`].
-    top: Vec<u32>,
-    /// Per entry: the entry below it (written when pushed).
-    below: Vec<u32>,
-}
-
-impl SlotStacks {
-    fn new(stacks: usize, slots: usize, stride: usize) -> Self {
-        let entries = slots * stride;
-        assert!(
-            u32::try_from(entries).is_ok(),
-            "peephole index entries fit u32"
-        );
-        Self {
-            stride,
-            top: vec![EMPTY; stacks],
-            below: vec![0; entries],
-        }
-    }
-
-    /// Pushes operand `k` of `slot` onto `stack`.
-    fn push(&mut self, stack: usize, slot: usize, k: usize) {
-        let entry = slot * self.stride + k;
-        self.below[entry] = self.top[stack];
-        self.top[stack] = entry as u32;
-    }
-
-    fn pop(&mut self, stack: usize) {
-        self.top[stack] = self.below[self.top[stack] as usize];
-    }
-
-    /// The newest live slot of `stack` at or after `start`.
-    fn peek(&mut self, stack: usize, start: usize, slots: &[Option<Instr>]) -> Option<usize> {
-        loop {
-            let entry = self.top[stack];
-            if entry == EMPTY {
-                return None;
-            }
-            let slot = entry as usize / self.stride;
-            if slot < start {
-                // Everything below is older still.
-                self.top[stack] = EMPTY;
-                return None;
-            }
-            if slots[slot].is_some() {
-                return Some(slot);
-            }
-            self.top[stack] = self.below[entry as usize];
-        }
-    }
-
-    /// Pushes `slot` onto the stack of each of `g`'s qubits.
-    fn push_qubits(&mut self, g: &Gate, slot: usize) {
-        let mut k = 0;
-        g.for_each_qubit(&mut |q| {
-            self.push(q.index(), slot, k);
-            k += 1;
-        });
-    }
-}
-
-/// What [`optimize_segment`] looks partners up in: the live gates seen so
-/// far, stacked per qubit and per diagonal key.
-struct PeepholeIndex {
-    /// Per qubit: every gate touching it.
-    touching: SlotStacks,
-    /// Per qubit: the non-diagonal gates touching it, the walls a diagonal
-    /// gate's search stops at.
-    walls: SlotStacks,
-    /// Per diagonal key (family and sorted qubit set): its gates.
-    same_key: SlotStacks,
-    /// The `same_key` stack of every key seen so far.
-    key_ids: HashMap<(Discriminant<Gate>, [QubitId; 3]), usize>,
-}
-
-impl PeepholeIndex {
-    fn new(num_qubits: usize, slots: usize) -> Self {
-        Self {
-            touching: SlotStacks::new(num_qubits, slots, 3),
-            walls: SlotStacks::new(num_qubits, slots, 3),
-            same_key: SlotStacks::new(0, slots, 1),
-            key_ids: HashMap::new(),
-        }
-    }
-
-    /// The `same_key` stack of diagonal `g`. Every diagonal family is
-    /// symmetric in its operands, so the sorted qubit set is the key.
-    fn key(&mut self, g: &Gate) -> usize {
-        let mut qubits = [QubitId(u32::MAX); 3];
-        let mut n = 0;
-        g.for_each_qubit(&mut |q| {
-            qubits[n] = q;
-            n += 1;
-        });
-        qubits.sort_unstable();
-        let fresh = self.key_ids.len();
-        let id = *self
-            .key_ids
-            .entry((mem::discriminant(g), qubits))
-            .or_insert(fresh);
-        if id == fresh {
-            self.same_key.top.push(EMPTY);
-        }
-        id
-    }
-}
-
-/// Cancellation and merging within one straight-line run of gates,
-/// `slots[run]`.
-///
-/// Each gate looks back across the gates it commutes with — those on
-/// disjoint qubits and, when both are diagonal, all of them — for a partner:
-///
-/// * a non-diagonal gate steps over nothing that shares a qubit, so its one
-///   candidate is the nearest live gate on any of its qubits (the newest of
-///   its qubits' `touching` tops); it cancels if that is the same
-///   self-inverse unitary;
-/// * a diagonal gate steps over every diagonal and stops at the nearest
-///   live non-diagonal gate on its qubits (its *wall*, from the `walls`
-///   tops). Its candidates are the live diagonals of its family on its
-///   qubit set above the wall, visited nearest first: a self-inverse one
-///   cancels with the first, a rotation absorbs each one whose exact angle
-///   sum fits (see [`Angle::checked_add`](crate::Angle::checked_add)) and
-///   steps over the others.
-///
-/// Every lookup pops only what earlier gates pushed, so the pass costs
-/// O(instructions × arity) amortised. It replaces a rescan (kept as the
-/// test oracle) that walked back over every commuting gate: quadratic on
-/// ripple-carry ladders, where nearly every gate commutes with the carry
-/// chain, and 12–16M steps per n = 1024 VBE or CDKPM modular adder to
-/// remove at most 6 gates. On a 2-vCPU Xeon host the pass went from 37.5
-/// to 0.9 ms per `perfbench` `modadd_wide` job and from 924 to 11 ms on
-/// the n = 128 Beauregard adder.
-fn optimize_segment(
-    slots: &mut [Option<Instr>],
-    run: Range<usize>,
-    index: &mut PeepholeIndex,
-    config: &PassConfig,
-    stats: &mut PassStats,
-) {
-    let start = run.start;
-    for i in run {
-        let Some(Instr::Gate(mut g)) = slots[i] else {
-            continue;
-        };
-        if g.is_diagonal() {
-            // Only diagonals above the wall are reachable.
-            let mut lo = start;
-            g.for_each_qubit(&mut |q| {
-                if let Some(wall) = index.walls.peek(q.index(), start, slots) {
-                    lo = lo.max(wall + 1);
-                }
-            });
-            let key = index.key(&g);
-            if config.cancel_self_inverse && self_inverse(&g) {
-                let partner = index.same_key.peek(key, start, slots);
-                if let Some(j) = partner.filter(|&j| j >= lo) {
-                    index.same_key.pop(key);
-                    slots[i] = None;
-                    slots[j] = None;
-                    stats.cancelled += 2;
-                    continue;
-                }
-            } else if config.merge_rotations && !self_inverse(&g) {
-                // Rotations whose exact sum does not fit stay in place.
-                let mut unmerged = Vec::new();
-                while let Some(j) = index.same_key.peek(key, start, slots).filter(|&j| j >= lo) {
-                    index.same_key.pop(key);
-                    let Some(Instr::Gate(h)) = slots[j] else {
-                        unreachable!("peek returns live gate slots")
-                    };
-                    match merge_rotations(&g, &h) {
-                        Some(merged) => {
-                            slots[j] = None;
-                            stats.merged += 1;
-                            g = merged;
-                        }
-                        None => unmerged.push(j),
-                    }
-                }
-                for &j in unmerged.iter().rev() {
-                    index.same_key.push(key, j, 0);
-                }
-                slots[i] = Some(Instr::Gate(g));
-            }
-            index.same_key.push(key, i, 0);
-        } else {
-            let mut nearest = None;
-            g.for_each_qubit(&mut |q| {
-                nearest = nearest.max(index.touching.peek(q.index(), start, slots));
-            });
-            if let Some(j) = nearest {
-                let Some(Instr::Gate(h)) = slots[j] else {
-                    unreachable!("peek returns live gate slots")
-                };
-                if config.cancel_self_inverse && self_inverse(&g) && same_unitary(&g, &h) {
-                    slots[i] = None;
-                    slots[j] = None;
-                    stats.cancelled += 2;
-                    continue;
-                }
-            }
-            index.walls.push_qubits(&g, i);
-        }
-        index.touching.push_qubits(&g, i);
-    }
-}
-
-/// Drops the zero-angle rotations left after merging.
-fn remove_identities(slots: &mut [Option<Instr>], stats: &mut PassStats) {
-    for slot in slots {
-        if let Some(Instr::Gate(g)) = slot {
-            if is_identity(g) {
-                *slot = None;
-                stats.identities_removed += 1;
-            }
-        }
-    }
-}
-
-/// Drops `Z`/`Phase` gates whose qubit is next consumed by a Z-basis
-/// measurement or reset (global-phase-only effect on the collapsed state).
-fn eliminate_phase_dead(slots: &mut [Option<Instr>], barrier: &[bool], stats: &mut PassStats) {
-    for i in 0..slots.len() {
-        let q = match slots[i] {
-            Some(Instr::Gate(Gate::Z(q) | Gate::Phase(q, _))) => q,
-            _ => continue,
-        };
-        // Scan forward for the next operation consuming `q`; stop at any
-        // control-flow boundary. Diagonal gates commute past the candidate,
-        // so they may be stepped over even when they touch `q`.
-        let mut dead = false;
-        for (j, slot) in slots.iter().enumerate().skip(i + 1) {
-            if barrier[j] {
-                break;
-            }
-            match slot {
-                None => continue,
-                Some(Instr::Gate(g)) => {
-                    if g.is_diagonal() {
-                        continue;
-                    }
-                    let mut touches = false;
-                    g.for_each_qubit(&mut |qq| touches |= qq == q);
-                    if touches {
-                        break;
-                    }
-                }
-                Some(Instr::Measure { qubit, basis, .. }) => {
-                    if *qubit == q {
-                        dead = *basis == Basis::Z;
-                        break;
-                    }
-                }
-                Some(Instr::Reset(qubit)) => {
-                    if *qubit == q {
-                        dead = true;
-                        break;
-                    }
-                }
-                // Drops never move amplitudes; stepping over is safe (and
-                // the reclamation pass runs after this one anyway).
-                Some(Instr::Drop(_)) => continue,
-                // Fused blocks and gradients only appear after this pass;
-                // conservative.
-                Some(Instr::Fused(_) | Instr::Gradient(_) | Instr::BranchUnless { .. }) => break,
-            }
-        }
-        if dead {
-            slots[i] = None;
-            stats.phase_dead_removed += 1;
-        }
-    }
-}
-
-/// The peephole pass as first written: each gate rescans the run behind
-/// it across every gate it commutes with. Quadratic on long ripple
-/// ladders, it stays as the reference [`optimize_segment`] must match bit
-/// for bit.
-#[cfg(test)]
-mod oracle {
-    use super::*;
-
-    /// Whether the rescan may step over `f` while looking for a partner of
-    /// `g`: sound when the two commute, which we certify either by disjoint
-    /// qubit support or by both being diagonal.
-    fn commutes(f: &Gate, g: &Gate) -> bool {
-        if f.is_diagonal() && g.is_diagonal() {
-            return true;
-        }
-        let mut disjoint = true;
-        f.for_each_qubit(&mut |qf| {
-            g.for_each_qubit(&mut |qg| {
-                if qf == qg {
-                    disjoint = false;
-                }
-            });
-        });
-        disjoint
-    }
-
-    /// Cancellation and merging within one run, by walking back from
-    /// every gate.
-    fn optimize_segment(slots: &mut [Option<Instr>], config: &PassConfig, stats: &mut PassStats) {
-        let gate_at = |slot: &Option<Instr>| match slot {
-            Some(Instr::Gate(g)) => Some(*g),
-            _ => None,
-        };
-        for i in 0..slots.len() {
-            let Some(mut g) = gate_at(&slots[i]) else {
-                continue;
-            };
-            // Walk backwards over removed slots and commuting gates,
-            // looking for a cancellation partner or a mergeable rotation.
-            let mut j = i;
-            while j > 0 {
-                j -= 1;
-                let Some(h) = gate_at(&slots[j]) else {
-                    continue;
-                };
-                if config.cancel_self_inverse && self_inverse(&g) && same_unitary(&g, &h) {
-                    slots[i] = None;
-                    slots[j] = None;
-                    stats.cancelled += 2;
-                    break;
-                }
-                if config.merge_rotations {
-                    if let Some(merged) = merge_rotations(&g, &h) {
-                        slots[j] = None;
-                        stats.merged += 1;
-                        g = merged;
-                        slots[i] = Some(Instr::Gate(g));
-                        continue; // keep scanning: more partners may commute up
-                    }
-                }
-                if !commutes(&h, &g) {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// [`run_passes`](super::run_passes) on the rescanning segment pass.
-    pub(super) fn run_passes(
-        instrs: Vec<Instr>,
-        _num_qubits: usize,
-        config: &PassConfig,
-        stats: &mut PassStats,
-    ) -> Vec<Instr> {
-        let barrier = join_barriers(&instrs);
-        let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
-        for run in gate_runs(&slots, &barrier) {
-            optimize_segment(&mut slots[run], config, stats);
-        }
-        if config.remove_identities {
-            remove_identities(&mut slots, stats);
-        }
-        if config.phase_dead_before_measure {
-            eliminate_phase_dead(&mut slots, &barrier, stats);
-        }
-        compact_slots(&slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1851,17 +1298,6 @@ mod tests {
 
     fn q(i: u32) -> QubitId {
         QubitId(i)
-    }
-
-    fn gates(compiled: &CompiledCircuit) -> Vec<Gate> {
-        compiled
-            .instrs()
-            .iter()
-            .filter_map(|i| match i {
-                Instr::Gate(g) => Some(*g),
-                _ => None,
-            })
-            .collect()
     }
 
     #[test]
@@ -1896,148 +1332,83 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_self_inverse_pairs_cancel() {
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 3);
-        b.x(r[0]);
-        b.x(r[0]);
-        b.h(r[1]);
-        b.ccx(r[0], r[1], r[2]);
-        b.ccx(r[1], r[0], r[2]); // symmetric control pair still cancels
-        b.h(r[1]);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        // Cancellation cascades: once the CCX pair vanishes, the H's become
-        // adjacent and cancel too — the whole segment is the identity.
-        assert_eq!(compiled.counts().total_gates(), 0);
-        assert_eq!(compiled.stats().cancelled, 6);
-    }
-
-    #[test]
-    fn cancellation_reaches_across_commuting_gates() {
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 3);
-        b.x(r[0]);
-        b.h(r[1]); // disjoint support: scan steps over it
-        b.cz(r[1], r[2]); // disjoint from q0
-        b.x(r[0]);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.counts().x, 0);
-        assert_eq!(compiled.counts().h, 1);
-        assert_eq!(compiled.counts().cz, 1);
-    }
-
-    #[test]
-    fn cancellation_blocked_by_shared_support() {
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.x(r[0]);
-        b.h(r[0]); // same qubit, not diagonal: blocks
-        b.x(r[0]);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.counts().x, 2);
-    }
-
-    #[test]
-    fn rotations_merge_exactly_and_identities_vanish() {
-        let t = Angle::turn_over_power_of_two(3);
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.phase(r[0], t);
-        b.cphase(r[0], r[1], t);
-        b.phase(r[0], t); // merges with the first Phase (diagonal commute)
-        b.cphase(r[1], r[0], -t); // merges to zero with the CPhase -> dropped
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        let g = gates(&compiled);
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0], Gate::Phase(r[0], t.checked_add(t).unwrap()));
-        assert_eq!(compiled.stats().merged, 2);
-        assert_eq!(compiled.stats().identities_removed, 1);
-    }
-
-    #[test]
     fn measurements_are_barriers() {
+        // `H`, `CX` is the Bell shape that fuses; a measurement between the
+        // two, even of another qubit, keeps both plain.
         let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 1);
-        b.x(r[0]);
-        b.measure(r[0], Basis::Z);
-        b.x(r[0]);
+        let r = b.qreg("q", 3);
+        b.h(r[0]);
+        b.measure(r[2], Basis::Z);
+        b.cx(r[0], r[1]);
         let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.counts().x, 2, "no cancellation across measure");
+        assert_eq!(compiled.stats().fused_blocks, 0, "{compiled}");
+        assert_eq!(compiled.counts().h + compiled.counts().cx, 2);
     }
 
     #[test]
     fn branch_joins_are_barriers() {
         let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 1);
-        let m = b.measure(r[0], Basis::Z);
-        let (_, block) = b.record(|b| b.x(r[0]));
+        let r = b.qreg("q", 3);
+        let m = b.measure(r[2], Basis::Z);
+        let (_, block) = b.record(|b| b.h(r[0]));
         b.emit_conditional(m, &block);
-        b.x(r[0]); // runs on every path; must not cancel the guarded X
+        b.cx(r[0], r[1]); // runs on every path; must not fuse with the guarded H
         let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.counts().x, 2);
+        assert_eq!(compiled.stats().fused_blocks, 0, "{compiled}");
+        assert!(matches!(
+            compiled.instrs().last(),
+            Some(Instr::Gate(Gate::Cx(..)))
+        ));
     }
 
     #[test]
     fn passes_inside_conditional_bodies_still_run() {
         let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 1);
-        let m = b.measure(r[0], Basis::Z);
+        let r = b.qreg("q", 3);
+        let m = b.measure(r[2], Basis::Z);
         let (_, block) = b.record(|b| {
-            b.x(r[0]);
-            b.x(r[0]);
+            b.h(r[0]);
+            b.cx(r[0], r[1]);
         });
         b.emit_conditional(m, &block);
         let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(compiled.counts().x, 0);
+        // Measure, drop q2, then the branch over the one fused block.
+        assert_eq!(compiled.stats().fused_blocks, 1, "{compiled}");
         assert!(matches!(
-            compiled.instrs().last(),
-            Some(Instr::BranchUnless { skip: 0, .. })
+            compiled.instrs(),
+            [
+                Instr::Measure { .. },
+                Instr::Drop(_),
+                Instr::BranchUnless { skip: 1, .. },
+                Instr::Fused(0)
+            ]
         ));
-    }
-
-    #[test]
-    fn phase_dead_removal_is_opt_in() {
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.z(r[0]);
-        b.h(r[1]); // other qubit: stepped over
-        b.measure(r[0], Basis::Z);
-        let circuit = b.finish();
-
-        let exact = CompiledCircuit::compile(&circuit).unwrap();
-        assert_eq!(exact.counts().z, 1, "default passes keep the Z");
-
-        let aggressive = CompiledCircuit::with_config(&circuit, &PassConfig::aggressive()).unwrap();
-        assert_eq!(aggressive.counts().z, 0);
-        assert_eq!(aggressive.stats().phase_dead_removed, 1);
-    }
-
-    #[test]
-    fn phase_dead_keeps_gates_feeding_x_measurements() {
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 1);
-        b.z(r[0]);
-        b.measure(r[0], Basis::X); // Z flips |+⟩ to |−⟩: not dead
-        let compiled =
-            CompiledCircuit::with_config(&b.finish(), &PassConfig::aggressive()).unwrap();
-        assert_eq!(compiled.counts().z, 1);
     }
 
     #[test]
     fn stats_roundtrip_and_display() {
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 2);
-        b.x(r[0]);
-        b.x(r[0]);
+        b.h(r[0]);
         b.cx(r[0], r[1]);
+        b.measure(r[1], Basis::Z);
         let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
         let stats = compiled.stats();
         assert_eq!(stats.lowered_instrs, 3);
-        assert_eq!(stats.emitted_instrs, 1);
-        assert_eq!(stats.removed(), 2);
+        // The fused block, the measurement and the drop of q1.
+        assert_eq!(stats.emitted_instrs, 3);
+        assert_eq!((stats.fused_blocks, stats.fused_gates), (1, 2));
+        assert_eq!(stats.dead_qubits_reclaimed, 1);
+        assert_eq!(stats.removed(), 0);
         let dump = compiled.to_string();
-        assert!(dump.contains("CX q0 q1"), "{dump}");
-        assert!(dump.contains("cancelled 2"), "{dump}");
+        assert!(
+            dump.contains(
+                "lowered 3 instrs; reclaimed 1, fused 2 gates into 1 blocks, \
+                 packed 0 CPhase into 0 gradients; emitted 3 "
+            ),
+            "{dump}"
+        );
+        assert!(dump.contains("fused[0] q0 q1 (2 gates)"), "{dump}");
     }
 
     #[test]
@@ -2503,55 +1874,9 @@ mod tests {
         assert_eq!(compiled.fork_points(), 0);
     }
 
-    #[test]
-    fn unmergeable_rotations_are_stepped_over() {
-        // The deep rotation's sum with any of the others has no exact
-        // dyadic form, so it stays put; the other three merge across it
-        // and across the CZ on the same qubit (all four are diagonal).
-        let deep = Angle::turn_over_power_of_two(133);
-        let wide = -Angle::turn_over_power_of_two(126);
-        let t = Angle::turn_over_power_of_two(3);
-        assert!(deep.checked_add(wide).is_none());
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.phase(r[0], t);
-        b.phase(r[0], deep);
-        b.cz(r[0], r[1]);
-        b.phase(r[0], wide);
-        b.phase(r[0], t);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(
-            gates(&compiled),
-            [
-                Gate::Phase(r[0], deep),
-                Gate::Cz(r[0], r[1]),
-                Gate::Phase(r[0], wide.checked_add(t).unwrap().checked_add(t).unwrap()),
-            ]
-        );
-        assert_eq!(compiled.stats().merged, 2);
-    }
-
-    #[test]
-    fn cancellation_reopens_the_gates_behind_the_pair() {
-        // Once the inner CX pair cancels, the H pair around it is adjacent
-        // again, and the diagonal behind the H wall becomes reachable.
-        let mut b = CircuitBuilder::new();
-        let r = b.qreg("q", 2);
-        b.z(r[0]);
-        b.h(r[0]);
-        b.cx(r[0], r[1]);
-        b.cx(r[0], r[1]);
-        b.h(r[0]);
-        b.cz(r[1], r[0]);
-        b.z(r[0]);
-        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
-        assert_eq!(gates(&compiled), [Gate::Cz(r[1], r[0])]);
-        assert_eq!(compiled.stats().cancelled, 6);
-    }
-
-    /// A soup angle: shallow multiples of an eighth of a turn, which merge
-    /// and sum to zero, or deep `±2π/2^k` (k = 126..=133), whose sums
-    /// [`Angle::checked_add`] often refuses.
+    /// A soup angle: shallow multiples of an eighth of a turn, or deep
+    /// `±2π/2^k` (k = 126..=133); the half turn and the deep ones are
+    /// gradient terms.
     fn soup_angle(i: usize) -> Angle {
         let k = 126 + (i % 8) as u32;
         match i {
@@ -2598,8 +1923,8 @@ mod tests {
     }
 
     /// Random gate soups on 2–6 qubits: fresh gates of all 11 families,
-    /// echoes of recent gates (so partners meet across commuting gates),
-    /// and measurements, resets and conditional blocks as barriers.
+    /// echoes of recent gates (so equal gates meet across others), and
+    /// measurements, resets and conditional blocks as barriers.
     fn gate_soup() -> impl proptest::Strategy<Value = Circuit> {
         use proptest::prelude::*;
         (2u32..=6)
@@ -2669,11 +1994,31 @@ mod tests {
         }
 
         #[test]
+        fn every_compile_keeps_the_lowered_stream(circuit in gate_soup()) {
+            // Fused blocks and gradients replayed, drops left out: each
+            // pass configuration emits the lowered gates in their order.
+            let lowered = flat(&circuit);
+            let configs = [
+                PassConfig::default(),
+                PassConfig { reclaim_dead_qubits: false, fuse_max_qubits: 3 },
+                PassConfig { reclaim_dead_qubits: true, fuse_max_qubits: 0 },
+                PassConfig { reclaim_dead_qubits: true, fuse_max_qubits: MAX_FUSED_QUBITS },
+            ];
+            for config in configs {
+                let compiled = CompiledCircuit::with_config(&circuit, &config).unwrap();
+                let replayed =
+                    unpack(compiled.instrs(), compiled.fused_unitaries(), compiled.gradients());
+                proptest::prop_assert!(replayed == lowered, "{config:?} on\n{compiled}");
+                proptest::prop_assert_eq!(compiled.stats().removed(), 0);
+            }
+        }
+
+        #[test]
         fn packing_round_trips_to_valid_maximal_gradients(circuit in gate_soup()) {
             let lowered = flat(&circuit);
             let mut stats = PassStats::default();
             let (packed, table) = pack_gradients(lowered.clone(), &mut stats);
-            proptest::prop_assert_eq!(unpack(&packed, &table), lowered);
+            proptest::prop_assert_eq!(unpack(&packed, &[], &table), lowered);
             let view = ProgramView::new(circuit.num_qubits(), circuit.num_clbits(), &packed, &[])
                 .with_gradients(&table);
             let findings = crate::verify::validate(&view);
@@ -2684,27 +2029,6 @@ mod tests {
                 stats.gradient_gates,
                 table.iter().map(|g| g.terms().len() as u64).sum::<u64>()
             );
-        }
-
-        #[test]
-        fn indexed_peephole_matches_the_rescan_oracle(circuit in gate_soup()) {
-            // Each peephole pass alone, then the default and aggressive sets.
-            let configs = [
-                PassConfig { cancel_self_inverse: true, ..PassConfig::none() },
-                PassConfig { merge_rotations: true, ..PassConfig::none() },
-                PassConfig { remove_identities: true, ..PassConfig::none() },
-                PassConfig::default(),
-                PassConfig::aggressive(),
-            ];
-            for config in configs {
-                let got = CompiledCircuit::with_config(&circuit, &config).unwrap();
-                let want =
-                    CompiledCircuit::with_peephole(&circuit, &config, oracle::run_passes).unwrap();
-                proptest::prop_assert!(
-                    got.instrs() == want.instrs() && got.stats() == want.stats(),
-                    "{config:?} on\n{circuit}\nindexed:\n{got}\nrescan:\n{want}"
-                );
-            }
         }
     }
 
@@ -2803,11 +2127,14 @@ mod tests {
         );
     }
 
-    /// `instrs` with every gradient replayed as its `CPhase` gates and the
-    /// branch skips stretched to match: the stream before packing.
-    fn unpack(instrs: &[Instr], table: &[PhaseGradient]) -> Vec<Instr> {
+    /// `instrs` with every fused block and gradient replayed as its gates,
+    /// every drop left out and the branch skips stretched to match: the
+    /// lowered stream before packing.
+    fn unpack(instrs: &[Instr], fused: &[FusedUnitary], table: &[PhaseGradient]) -> Vec<Instr> {
         let width = |i: &Instr| match i {
+            Instr::Fused(idx) => fused[*idx as usize].gates().len(),
             Instr::Gradient(idx) => table[*idx as usize].terms().len(),
+            Instr::Drop(_) => 0,
             _ => 1,
         };
         // starts[pc]: where instruction `pc` lands in the unpacked stream.
@@ -2818,9 +2145,13 @@ mod tests {
         let mut out = Vec::with_capacity(starts[instrs.len()]);
         for (pc, i) in instrs.iter().enumerate() {
             match i {
+                Instr::Fused(idx) => {
+                    out.extend(fused[*idx as usize].global_gates().map(Instr::Gate));
+                }
                 Instr::Gradient(idx) => {
                     out.extend(table[*idx as usize].gates().map(Instr::Gate));
                 }
+                Instr::Drop(_) => {}
                 Instr::BranchUnless { clbit, skip } => {
                     let join = pc + 1 + *skip as usize;
                     let skip = u32::try_from(starts[join] - starts[pc + 1]).unwrap();
@@ -2879,7 +2210,7 @@ mod tests {
         assert!(lowered.gradients()[5].is_negative());
         // Nothing added, removed or reordered.
         assert_eq!(
-            unpack(lowered.instrs(), lowered.gradients()),
+            unpack(lowered.instrs(), &[], lowered.gradients()),
             flat(&circuit)
         );
         assert_eq!(lowered.counts(), circuit.counts());
@@ -2947,7 +2278,7 @@ mod tests {
             Instr::BranchUnless { skip: 1, .. }
         ));
         assert_eq!(
-            unpack(lowered.instrs(), lowered.gradients()),
+            unpack(lowered.instrs(), &[], lowered.gradients()),
             flat(&circuit)
         );
         assert_eq!(lowered.verify(), Ok(()));
@@ -3009,28 +2340,5 @@ mod tests {
                 terms: 1
             }
         );
-    }
-
-    #[test]
-    fn gate_soups_exercise_every_peephole_counter() {
-        use proptest::Strategy;
-        use rand::SeedableRng;
-        let soup = gate_soup();
-        let mut rng = proptest::TestRng::seed_from_u64(7);
-        let mut total = PassStats::default();
-        for _ in 0..200 {
-            let circuit = soup.generate(&mut rng);
-            let s = *CompiledCircuit::with_config(&circuit, &PassConfig::aggressive())
-                .unwrap()
-                .stats();
-            total.cancelled += s.cancelled;
-            total.merged += s.merged;
-            total.identities_removed += s.identities_removed;
-            total.phase_dead_removed += s.phase_dead_removed;
-        }
-        assert!(total.cancelled > 0, "{total:?}");
-        assert!(total.merged > 0, "{total:?}");
-        assert!(total.identities_removed > 0, "{total:?}");
-        assert!(total.phase_dead_removed > 0, "{total:?}");
     }
 }

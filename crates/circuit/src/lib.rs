@@ -22,12 +22,13 @@
 //! * an ASCII [`diagram`] renderer regenerating the paper's
 //!   circuit figures;
 //! * a compilation layer ([`CompiledCircuit`]): lowering to a flat
-//!   branch-encoded instruction stream plus peephole passes (self-inverse
-//!   cancellation, exact rotation merging, identity and phase-dead
-//!   elimination) with per-pass [`PassStats`], and a packing step that
-//!   folds each QFT/ΦADD cascade of controlled rotations into one
-//!   [`PhaseGradient`] instruction — the program representation the
-//!   simulators' hot paths execute;
+//!   branch-encoded instruction stream plus two exact passes (gate fusion
+//!   and dead-qubit reclamation) with per-pass [`PassStats`], and a
+//!   packing step that folds each QFT/ΦADD cascade of controlled
+//!   rotations into one [`PhaseGradient`] instruction — the program
+//!   representation the simulators' hot paths execute. No stage adds,
+//!   removes or reorders a gate, so every compile executes exactly the
+//!   gates of the lowered program;
 //! * a static verification layer ([`verify`]): a linear IR
 //!   [validator](verify::validate) run after every pass under the careful
 //!   profile, and a [symbolic equivalence checker](verify::check_equivalence)

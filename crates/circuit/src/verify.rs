@@ -2,10 +2,9 @@
 //! symbolic equivalence checker, both running *without* simulating a
 //! single amplitude.
 //!
-//! The compile pipeline stacks seven semantics-critical stages (peephole
-//! cancellation/merging, dense-block fusion, permutation-run fusion,
-//! liveness/`Drop` reclamation, phase-gradient packing, segmentation,
-//! representation planning).
+//! The compile pipeline stacks six semantics-critical stages (dense-block
+//! fusion, permutation-run fusion, liveness/`Drop` reclamation,
+//! phase-gradient packing, segmentation, representation planning).
 //! The paper's contribution — measurement-based uncomputation is *exactly*
 //! equivalent to unitary uncomputation — makes a miscompile that silently
 //! drops a phase correction or reorders a `Drop` past a live use the worst
@@ -87,8 +86,9 @@
 //! `θ − π` for the `2^{-1025}`-turn rotations of a width-1024 QFT adder —
 //! such programs fall back to validator-only coverage). All Table 1–6
 //! adder circuits at n = 64 sit comfortably inside the domain: their
-//! angles are `2π/2^k` with `k ≤ 66` and pass-induced differences stay
-//! within a three-qubit window.
+//! angles are `2π/2^k` with `k ≤ 66`, and no pass changes a gate, so a
+//! compile leaves no difference at all once its fused blocks and
+//! gradients are expanded.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -99,7 +99,7 @@ use crate::compile::{
     MAX_PERM_FUSED_QUBITS,
 };
 use crate::error::CircuitError;
-use crate::gate::{Basis, Gate};
+use crate::gate::Gate;
 use crate::op::QubitId;
 use crate::plan::{plan_segment, PlanConfig, PlannedRepr, SegmentProfile};
 
@@ -1058,33 +1058,24 @@ impl CompiledCircuit {
 pub struct EquivOptions {
     /// Widest support the difference operator may reach before the
     /// checker gives up ([`Equivalence::Inconclusive`]). The symbolic
-    /// matrix holds `4^support` entries, so this is a cost cap; the
-    /// peephole and fusion windows never spread a difference past three
-    /// qubits, so the default of 8 is generous.
+    /// matrix holds `4^support` entries, so this is a cost cap. No pass
+    /// changes a gate, so the compiler's own stages leave no difference
+    /// at all once fused blocks and gradients are expanded; the cap
+    /// bounds what a hand-edited or mutated stream may spread to, and
+    /// the default of 8 covers a few three-qubit gates.
     pub max_support: usize,
-    /// Forgive differences that amount to a global phase — per branch
-    /// trajectory — at barriers and stream end: a pure-phase difference
-    /// operator anywhere, or a diagonal difference confined to a qubit
-    /// about to be `Z`-measured or reset. Required to certify the
-    /// (deliberately phase-inexact) `phase_dead_before_measure` pass;
-    /// leave off to demand exact operator equality.
-    pub allow_global_phase: bool,
 }
 
 impl Default for EquivOptions {
     fn default() -> Self {
-        Self {
-            max_support: 8,
-            allow_global_phase: false,
-        }
+        Self { max_support: 8 }
     }
 }
 
 /// Outcome of the symbolic equivalence check.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Equivalence {
-    /// Proof: the two streams implement the same state function (up to
-    /// the allowances in [`EquivOptions`]).
+    /// Proof: the two streams implement the same state function.
     Equal,
     /// The streams differ; `pre_pc`/`post_pc` localise the first
     /// instruction on each side at which the difference operator left the
@@ -1198,18 +1189,6 @@ impl Sym {
                 sqrt2: 0,
                 coeff: 1,
             }] if phase.is_zero()
-        )
-    }
-
-    /// Whether the value is a pure phase `±e^{2πiθ}` of unit magnitude.
-    fn is_unit_phase(&self) -> bool {
-        matches!(
-            self.terms.as_slice(),
-            [Term {
-                sqrt2: 0,
-                coeff: 1 | -1,
-                ..
-            }]
         )
     }
 
@@ -1437,28 +1416,6 @@ impl DiffState {
 
     fn is_identity(&self) -> bool {
         self.support.is_empty() && self.mat[0].is_one()
-    }
-
-    /// Whether `D` is `e^{iφ}·I` (support pruned away, arbitrary unit
-    /// phase left over).
-    fn global_phase_only(&self) -> bool {
-        self.support.is_empty() && self.mat[0].is_unit_phase()
-    }
-
-    /// Whether `D` is diagonal and supported (at most) on `q` — the shape
-    /// the `phase_dead_before_measure` pass leaves right before `q`'s
-    /// `Z`-collapse, where it only shifts a per-outcome global phase.
-    fn diagonal_confined_to(&self, q: u32) -> bool {
-        match *self.support.as_slice() {
-            [] => self.mat[0].is_unit_phase(),
-            [only] => only == q && self.mat[1].is_zero() && self.mat[2].is_zero(),
-            _ => false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.support.clear();
-        self.mat = vec![Sym::one()];
     }
 
     /// Whether `gate`'s operands avoid the support entirely, so that
@@ -1794,34 +1751,14 @@ impl Engine<'_> {
         Ok(())
     }
 
-    /// Requires the difference operator discharged (identity, or within
-    /// the configured allowances) before crossing barrier `a`.
-    fn discharge_at_barrier(
-        &mut self,
-        barrier: &Instr,
-        pre_pc: usize,
-        post_pc: usize,
-    ) -> Result<(), Equivalence> {
+    /// Requires the difference operator discharged (the identity) before
+    /// crossing a barrier.
+    fn discharge_at_barrier(&self, pre_pc: usize, post_pc: usize) -> Result<(), Equivalence> {
         if self.d.is_identity() {
-            return Ok(());
+            Ok(())
+        } else {
+            Err(self.diverged(pre_pc, post_pc, "streams differ at a non-unitary barrier"))
         }
-        if self.opts.allow_global_phase {
-            let forgivable = match barrier {
-                Instr::Measure {
-                    qubit,
-                    basis: Basis::Z,
-                    ..
-                }
-                | Instr::Reset(qubit) => self.d.diagonal_confined_to(qubit.0),
-                _ => self.d.global_phase_only(),
-            };
-            if forgivable {
-                self.d.reset();
-                self.pending = None;
-                return Ok(());
-            }
-        }
-        Err(self.diverged(pre_pc, post_pc, "streams differ at a non-unitary barrier"))
     }
 
     fn run_region(
@@ -1835,11 +1772,6 @@ impl Engine<'_> {
             match (pre.front(), post.front()) {
                 (None, None) => {
                     if self.d.is_identity() {
-                        return Ok(());
-                    }
-                    if self.opts.allow_global_phase && self.d.global_phase_only() {
-                        self.d.reset();
-                        self.pending = None;
                         return Ok(());
                     }
                     return Err(self.diverged(
@@ -1882,12 +1814,18 @@ impl Engine<'_> {
                     let opc = post.report_pc();
                     self.absorb(&g, true, gpc, opc)?;
                     pre.pop_gate();
-                    // Pull post gates confined to the difference's
-                    // support, so merged rotations discharge promptly —
-                    // but never widen D from the post side: a cancelled
-                    // pre pair discharges itself on the next iteration,
-                    // and absorbing unrelated post gates here would drag
-                    // the streams out of alignment.
+                    // A replaced gate: absorb the post front on the right
+                    // as well, even where it gains an operand, while the
+                    // union support fits the cap.
+                    if let Some(Front::Gate(h, hpc)) = post.front() {
+                        if self.d.union_support_len(&h) <= self.opts.max_support {
+                            self.absorb(&h, false, pre.report_pc(), hpc)?;
+                            post.pop_gate();
+                        }
+                    }
+                    // Then pull post gates confined to the difference's
+                    // support, so a rewritten run (two rotations stood in
+                    // for by their sum) discharges promptly.
                     while let Some(Front::Gate(h, hpc)) = post.front() {
                         if !self.d.covers(&h) {
                             break;
@@ -1902,7 +1840,7 @@ impl Engine<'_> {
                     post.pop_gate();
                 }
                 (Some(Front::Barrier(a, pa)), Some(Front::Barrier(b, pb))) => {
-                    self.discharge_at_barrier(&a, pa, pb)?;
+                    self.discharge_at_barrier(pa, pb)?;
                     match (a, b) {
                         (
                             Instr::BranchUnless {
@@ -2015,7 +1953,7 @@ pub fn check_equivalence_with(
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
-    use crate::compile::PassConfig;
+    use crate::gate::Basis;
     use crate::op::ClbitId;
 
     fn compiled_and_lowered(
@@ -2287,26 +2225,39 @@ mod tests {
         b.h(q[1]);
         b.h(q[1]);
         b.h(q[0]);
-        let circuit = b.finish();
-        let lowered = CompiledCircuit::lower(&circuit).unwrap();
-        let compiled = CompiledCircuit::compile(&circuit).unwrap();
-        // The H(q1) pair cancels; proving it exercises the √2 ring.
-        assert!(compiled.counts().h < lowered.counts().h);
-        assert_eq!(check_equivalence(&lowered, &compiled), Equivalence::Equal);
+        let lowered = CompiledCircuit::lower(&b.finish()).unwrap();
+        // The same stream with the H(q1) pair cancelled; proving it
+        // exercises the √2 ring.
+        let h = |q: u32| Instr::Gate(Gate::H(QubitId(q)));
+        let cancelled = [h(0), Instr::Gate(Gate::Cz(QubitId(0), QubitId(1))), h(0)];
+        let post = ProgramView::new(2, 0, &cancelled, &[]);
+        assert_eq!(
+            check_equivalence_with(&lowered.view(), &post, &EquivOptions::default()),
+            Equivalence::Equal
+        );
     }
 
     #[test]
     fn rotation_merge_proves_equal() {
+        let t = Angle::turn_over_power_of_two;
         let mut b = CircuitBuilder::new();
         let q = b.qreg("q", 2);
-        b.phase(q[0], Angle::turn_over_power_of_two(3));
+        b.phase(q[0], t(3));
         b.cx(q[0], q[1]);
-        b.phase(q[0], Angle::turn_over_power_of_two(3));
-        b.phase(q[0], Angle::turn_over_power_of_two(2));
-        let circuit = b.finish();
-        let lowered = CompiledCircuit::lower(&circuit).unwrap();
-        let compiled = CompiledCircuit::compile(&circuit).unwrap();
-        assert_eq!(check_equivalence(&lowered, &compiled), Equivalence::Equal);
+        b.phase(q[0], t(3));
+        b.phase(q[0], t(2));
+        let lowered = CompiledCircuit::lower(&b.finish()).unwrap();
+        // The same stream with the last two rotations merged into one.
+        let merged = [
+            Instr::Gate(Gate::Phase(QubitId(0), t(3))),
+            Instr::Gate(Gate::Cx(QubitId(0), QubitId(1))),
+            Instr::Gate(Gate::Phase(QubitId(0), t(3).checked_add(t(2)).unwrap())),
+        ];
+        let post = ProgramView::new(2, 0, &merged, &[]);
+        assert_eq!(
+            check_equivalence_with(&lowered.view(), &post, &EquivOptions::default()),
+            Equivalence::Equal
+        );
     }
 
     #[test]
@@ -2364,31 +2315,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_dead_pass_needs_the_global_phase_allowance() {
-        let mut b = CircuitBuilder::new();
-        let q = b.qreg("q", 1);
-        b.x(q[0]);
-        b.z(q[0]);
-        b.measure(q[0], Basis::Z);
-        let circuit = b.finish();
-        let lowered = CompiledCircuit::lower(&circuit).unwrap();
-        let aggressive = CompiledCircuit::with_config(&circuit, &PassConfig::aggressive()).unwrap();
-        assert!(aggressive.stats().phase_dead_removed > 0);
-        assert!(!check_equivalence(&lowered, &aggressive).is_equal());
-        assert_eq!(
-            check_equivalence_with(
-                &lowered.view(),
-                &aggressive.view(),
-                &EquivOptions {
-                    allow_global_phase: true,
-                    ..EquivOptions::default()
-                }
-            ),
-            Equivalence::Equal
-        );
-    }
-
-    #[test]
     fn support_cap_reports_inconclusive() {
         let mut pre = Vec::new();
         let mut post = Vec::new();
@@ -2403,10 +2329,7 @@ mod tests {
         }
         let a = ProgramView::new(4, 0, &pre, &[]);
         let b = ProgramView::new(4, 0, &post, &[]);
-        let opts = EquivOptions {
-            max_support: 2,
-            ..EquivOptions::default()
-        };
+        let opts = EquivOptions { max_support: 2 };
         assert!(matches!(
             check_equivalence_with(&a, &b, &opts),
             Equivalence::Inconclusive { .. }

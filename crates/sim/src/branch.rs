@@ -993,8 +993,10 @@ impl BranchEnsemble {
         self
     }
 
-    /// Enables peephole passes on the compiled program (mirrors
-    /// [`ShotRunner::with_passes`](crate::ShotRunner::with_passes)).
+    /// Compiles the program with `config`'s passes instead of only
+    /// lowering it (mirrors
+    /// [`ShotRunner::with_passes`](crate::ShotRunner::with_passes)). Every
+    /// pass is exact, so the ensemble does not change.
     #[must_use]
     pub fn with_passes(mut self, config: PassConfig) -> Self {
         self.passes = Some(config);

@@ -303,12 +303,15 @@ pub trait Simulator: Any + Send + Sync {
     /// Runs a pre-compiled program: a flat program-counter loop with no
     /// per-shot tree walk. Compile once with
     /// [`CompiledCircuit::lower`] (exact operation sequence) or
-    /// [`CompiledCircuit::compile`] (exact peephole passes), then execute
-    /// it any number of times — the program is immutable and freely
-    /// shareable across threads.
+    /// [`CompiledCircuit::compile`] (the same sequence, fused and with
+    /// drops), then execute it any number of times — the program is
+    /// immutable and freely shareable across threads.
     ///
-    /// For a lowered (pass-free) program this produces bit-identical
-    /// results to [`run`](Simulator::run) given the same `rng` stream.
+    /// Given the same `rng` stream, any compile of a circuit produces the
+    /// same classical record and executed counts as [`run`](Simulator::run),
+    /// and the same amplitude bits. The one exception is a drop on the
+    /// dense engine: it reads the rounding residue a measured qubit's dead
+    /// branch may hold (below `1e-10` in amplitude) as an exact zero.
     ///
     /// # Errors
     ///

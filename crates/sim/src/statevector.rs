@@ -1653,12 +1653,7 @@ mod tests {
         }
         let _ = b.measure(r[8], Basis::Z);
         let circuit = b.finish();
-        let unfused = mbu_circuit::PassConfig {
-            reclaim_dead_qubits: false,
-            fuse_max_qubits: 0,
-            ..mbu_circuit::PassConfig::default()
-        };
-        let unfused = CompiledCircuit::with_config(&circuit, &unfused).unwrap();
+        let unfused = CompiledCircuit::lower(&circuit).unwrap();
         for reclaim in [true, false] {
             let passes = mbu_circuit::PassConfig {
                 reclaim_dead_qubits: reclaim,

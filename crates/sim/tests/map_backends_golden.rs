@@ -15,7 +15,8 @@
 //! X-basis measurements, resets and classically controlled blocks. Other
 //! rotation angles are left out, because the last bits of `sin` and
 //! `cos` may differ between platforms. Each program runs lowered and
-//! default-compiled.
+//! default-compiled, on the same draws: every compile is exact, so the
+//! two runs must hash alike, and the digest folds one per program.
 
 use mbu_circuit::{Basis, Circuit, CircuitBuilder, CompiledCircuit, QubitId};
 use mbu_sim::{phase_to_sparse, Complex, Fork, PhaseAccumulator, Simulator, SparseVector};
@@ -23,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const PROGRAMS: u64 = 3000;
-const SPARSE_DIGEST: u64 = 6_320_083_811_681_124_119;
-const PHASE_DIGEST: u64 = 9_804_089_441_713_613_725;
+const SPARSE_DIGEST: u64 = 7_570_052_588_889_562_286;
+const PHASE_DIGEST: u64 = 980_432_246_504_598_147;
 
 /// FNV-1a, 64-bit, over little-endian words.
 struct Fnv(u64);
@@ -176,73 +177,94 @@ fn random_program(rng: &mut StdRng) -> (Circuit, u128) {
     (b.finish(), input)
 }
 
-/// Runs every program on backend `S` and hashes what each run exposes.
+/// Runs `program` on backend `S` from the basis state `input`, then
+/// measures `q` in `basis` with `measure_fork`, and hashes what the run
+/// exposes.
+fn run_digest<S: MapBackend + 'static>(
+    program: &CompiledCircuit,
+    input: u128,
+    seed: u64,
+    q: QubitId,
+    basis: Basis,
+) -> u64 {
+    let mut h = Fnv::new();
+    let n = program.num_qubits();
+    let qubits: Vec<QubitId> = (0..n as u32).map(QubitId).collect();
+    let mut sim = S::zeros(n);
+    sim.set_value(&qubits, input).unwrap();
+    let executed = sim
+        .run_compiled(program, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    for bit in &executed.classical {
+        h.word(bit.map_or(2, u64::from));
+    }
+    let c = &executed.counts;
+    for count in [
+        c.x,
+        c.z,
+        c.h,
+        c.phase,
+        c.cx,
+        c.cz,
+        c.toffoli,
+        c.ccz,
+        c.cphase,
+        c.ccphase,
+        c.swap,
+        c.measure_z,
+        c.measure_x,
+        c.reset,
+    ] {
+        h.word(count);
+    }
+    h.word(sim.occupied() as u64);
+    h.option(sim.peak_amplitudes());
+    h.option(sim.occupancy_peak());
+    h.phase(&sim);
+    h.amplitudes(&sim.amplitudes());
+
+    match sim.measure_fork(q, basis).unwrap() {
+        Some(Fork::Definite(outcome)) => h.word(u64::from(outcome)),
+        Some(Fork::Split { p_one, one }) => {
+            h.word(p_one.to_bits());
+            let one = one.expect("map backends hand back the outcome-1 branch");
+            for &q in &qubits {
+                h.read(one.bit(q));
+            }
+            h.option(one.peak_amplitudes());
+            h.option(one.occupancy_peak());
+            h.phase(one.as_ref());
+        }
+        None => panic!("map backends fork"),
+    }
+    h.word(sim.occupied() as u64);
+    h.amplitudes(&sim.amplitudes());
+    h.0
+}
+
+/// Runs every program on backend `S`, lowered and default-compiled, and
+/// folds the run digests into one.
 fn digest<S: MapBackend + 'static>() -> u64 {
     let mut h = Fnv::new();
     for program in 0..PROGRAMS {
         let mut rng = StdRng::seed_from_u64(program);
         let (circuit, input) = random_program(&mut rng);
-        let n = circuit.num_qubits();
-        let qubits: Vec<QubitId> = (0..n as u32).map(QubitId).collect();
+        let seed = rng.gen_range(0..u64::MAX);
+        let q = distinct(&mut rng, circuit.num_qubits(), 1)[0];
+        let basis = if rng.gen_bool(0.5) {
+            Basis::X
+        } else {
+            Basis::Z
+        };
         let lowered = CompiledCircuit::lower(&circuit).unwrap();
         let compiled = CompiledCircuit::compile(&circuit).unwrap();
-        for (k, program) in [lowered, compiled].iter().enumerate() {
-            let mut sim = S::zeros(n);
-            sim.set_value(&qubits, input).unwrap();
-            let mut run_rng = StdRng::seed_from_u64(rng.gen_range(0..u64::MAX));
-            let executed = sim.run_compiled(program, &mut run_rng).unwrap();
-            h.word(k as u64);
-            for bit in &executed.classical {
-                h.word(bit.map_or(2, u64::from));
-            }
-            let c = &executed.counts;
-            for count in [
-                c.x,
-                c.z,
-                c.h,
-                c.phase,
-                c.cx,
-                c.cz,
-                c.toffoli,
-                c.ccz,
-                c.cphase,
-                c.ccphase,
-                c.swap,
-                c.measure_z,
-                c.measure_x,
-                c.reset,
-            ] {
-                h.word(count);
-            }
-            h.word(sim.occupied() as u64);
-            h.option(sim.peak_amplitudes());
-            h.option(sim.occupancy_peak());
-            h.phase(&sim);
-            h.amplitudes(&sim.amplitudes());
-
-            let q = distinct(&mut rng, n, 1)[0];
-            let basis = if rng.gen_bool(0.5) {
-                Basis::X
-            } else {
-                Basis::Z
-            };
-            match sim.measure_fork(q, basis).unwrap() {
-                Some(Fork::Definite(outcome)) => h.word(u64::from(outcome)),
-                Some(Fork::Split { p_one, one }) => {
-                    h.word(p_one.to_bits());
-                    let one = one.expect("map backends hand back the outcome-1 branch");
-                    for &q in &qubits {
-                        h.read(one.bit(q));
-                    }
-                    h.option(one.peak_amplitudes());
-                    h.option(one.occupancy_peak());
-                    h.phase(one.as_ref());
-                }
-                None => panic!("map backends fork"),
-            }
-            h.word(sim.occupied() as u64);
-            h.amplitudes(&sim.amplitudes());
-        }
+        let run = run_digest::<S>(&lowered, input, seed, q, basis);
+        assert_eq!(
+            run_digest::<S>(&compiled, input, seed, q, basis),
+            run,
+            "program {program}: the compiled run differs from the lowered one"
+        );
+        h.word(run);
     }
     h.0
 }

@@ -859,16 +859,12 @@ fn table1_functional_at_scale_on_sparse() {
 }
 
 /// A `PassStats` golden: one value per [`pass_counters`] entry.
-type Counters = [u64; 14];
+type Counters = [u64; 10];
 
 /// The named `PassStats` counters a golden pins, in table order.
-fn pass_counters(s: &mbu_circuit::PassStats) -> [(&'static str, u64); 14] {
+fn pass_counters(s: &mbu_circuit::PassStats) -> [(&'static str, u64); 10] {
     [
         ("lowered_instrs", s.lowered_instrs as u64),
-        ("cancelled", s.cancelled),
-        ("merged", s.merged),
-        ("identities_removed", s.identities_removed),
-        ("phase_dead_removed", s.phase_dead_removed),
         ("dead_qubits_reclaimed", s.dead_qubits_reclaimed),
         ("fused_blocks", s.fused_blocks),
         ("fused_gates", s.fused_gates),
@@ -901,7 +897,8 @@ fn profile_digest(compiled: &mbu_circuit::CompiledCircuit) -> ProfileDigest {
 }
 
 /// Compiles `circuit` with the default passes and checks every counter
-/// and the profile digest; returns the stats for further checks.
+/// and the profile digest; returns the stats for further checks. No pass
+/// removes a gate, so the four removal counters must read 0.
 fn check_pass_stats(
     tag: &str,
     circuit: &Circuit,
@@ -912,6 +909,17 @@ fn check_pass_stats(
     for ((name, got), want) in pass_counters(compiled.stats()).into_iter().zip(want) {
         assert_eq!(got, want, "{tag}: PassStats::{name}");
     }
+    let s = compiled.stats();
+    assert_eq!(
+        [
+            s.cancelled,
+            s.merged,
+            s.identities_removed,
+            s.phase_dead_removed
+        ],
+        [0; 4],
+        "{tag}: removal counters"
+    );
     assert_eq!(profile_digest(&compiled), digest, "{tag}: profile digest");
     *compiled.stats()
 }
@@ -920,9 +928,8 @@ fn check_pass_stats(
 fn table1_wide_pass_stats_golden() {
     // The modadd_wide benchmark rows: the five ripple Table-1 rows ×
     // {MBU, unitary} × n ∈ {256, 1024}, p = 2^127 − 1. Columns follow
-    // `pass_counters`: lowered, cancelled, merged, identities,
-    // phase-dead, reclaimed, fused blocks, fused gates, emitted,
-    // segments, fork points, planned dense / sparse / phase.
+    // `pass_counters`: lowered, reclaimed, fused blocks, fused gates,
+    // emitted, segments, fork points, planned dense / sparse / phase.
     // (row, spec, n, MBU counters, unitary counters).
     type Row = (
         &'static str,
@@ -937,87 +944,71 @@ fn table1_wide_pass_stats_golden() {
             "vbe5",
             ModAddSpec::vbe5,
             256,
-            [10758, 6, 0, 0, 0, 1, 529, 9974, 1308, 2, 1, 0, 2, 0],
-            [10752, 6, 0, 0, 0, 0, 528, 9971, 1303, 1, 0, 0, 1, 0],
+            [10758, 1, 529, 9980, 1308, 2, 1, 0, 2, 0],
+            [10752, 0, 528, 9977, 1303, 1, 0, 0, 1, 0],
         ),
         (
             "vbe4",
             ModAddSpec::vbe4,
             256,
-            [8711, 2, 0, 0, 0, 1, 426, 7418, 1718, 2, 1, 0, 2, 0],
-            [8705, 2, 0, 0, 0, 0, 426, 7419, 1710, 1, 0, 0, 1, 0],
+            [8711, 1, 426, 7420, 1718, 2, 1, 0, 2, 0],
+            [8705, 0, 426, 7421, 1710, 1, 0, 0, 1, 0],
         ),
         (
             "cdkpm",
             ModAddSpec::cdkpm,
             256,
-            [7700, 4, 0, 0, 0, 1, 310, 6453, 1554, 2, 1, 0, 2, 0],
-            [7694, 4, 0, 0, 0, 0, 310, 6454, 1546, 1, 0, 0, 1, 0],
+            [7700, 1, 310, 6457, 1554, 2, 1, 0, 2, 0],
+            [7694, 0, 310, 6458, 1546, 1, 0, 0, 1, 0],
         ),
         (
             "gidney",
             ModAddSpec::gidney,
             256,
-            [
-                13817, 0, 0, 0, 0, 514, 1245, 6398, 9178, 2050, 2049, 0, 2050, 0,
-            ],
-            [
-                13811, 0, 0, 0, 0, 514, 1245, 6416, 9154, 2050, 2048, 0, 2050, 0,
-            ],
+            [13817, 514, 1245, 6398, 9178, 2050, 2049, 0, 2050, 0],
+            [13811, 514, 1245, 6416, 9154, 2050, 2048, 0, 2050, 0],
         ),
         (
             "hybrid",
             ModAddSpec::gidney_cdkpm,
             256,
-            [
-                10754, 4, 0, 0, 0, 257, 776, 6419, 5364, 1024, 1023, 0, 1024, 0,
-            ],
-            [
-                10748, 4, 0, 0, 0, 257, 776, 6421, 5356, 1023, 1022, 0, 1023, 0,
-            ],
+            [10754, 257, 776, 6423, 5364, 1024, 1023, 0, 1024, 0],
+            [10748, 257, 776, 6425, 5356, 1023, 1022, 0, 1023, 0],
         ),
         (
             "vbe5",
             ModAddSpec::vbe5,
             1024,
-            [41478, 6, 0, 0, 0, 1, 2063, 39163, 4373, 2, 1, 0, 2, 0],
-            [41472, 6, 0, 0, 0, 0, 2063, 39163, 4366, 1, 0, 0, 1, 0],
+            [41478, 1, 2063, 39169, 4373, 2, 1, 0, 2, 0],
+            [41472, 0, 2063, 39169, 4366, 1, 0, 0, 1, 0],
         ),
         (
             "vbe4",
             ModAddSpec::vbe4,
             1024,
-            [33287, 2, 0, 0, 0, 1, 1654, 28935, 6005, 2, 1, 0, 2, 0],
-            [33281, 2, 0, 0, 0, 0, 1654, 28937, 5996, 1, 0, 0, 1, 0],
+            [33287, 1, 1654, 28937, 6005, 2, 1, 0, 2, 0],
+            [33281, 0, 1654, 28939, 5996, 1, 0, 0, 1, 0],
         ),
         (
             "cdkpm",
             ModAddSpec::cdkpm,
             1024,
-            [29204, 4, 0, 0, 0, 1, 1187, 24851, 5537, 2, 1, 0, 2, 0],
-            [29198, 4, 0, 0, 0, 0, 1187, 24852, 5529, 1, 0, 0, 1, 0],
+            [29204, 1, 1187, 24855, 5537, 2, 1, 0, 2, 0],
+            [29198, 0, 1187, 24856, 5529, 1, 0, 0, 1, 0],
         ),
         (
             "gidney",
             ModAddSpec::gidney,
             1024,
-            [
-                53753, 0, 0, 0, 0, 2050, 4931, 24830, 35904, 8194, 8193, 0, 8194, 0,
-            ],
-            [
-                53747, 0, 0, 0, 0, 2050, 4932, 24846, 35883, 8194, 8192, 0, 8194, 0,
-            ],
+            [53753, 2050, 4931, 24830, 35904, 8194, 8193, 0, 8194, 0],
+            [53747, 2050, 4932, 24846, 35883, 8194, 8192, 0, 8194, 0],
         ),
         (
             "hybrid",
             ModAddSpec::gidney_cdkpm,
             1024,
-            [
-                41474, 4, 0, 0, 0, 1025, 3058, 24853, 20700, 4096, 4095, 0, 4096, 0,
-            ],
-            [
-                41468, 4, 0, 0, 0, 1025, 3058, 24855, 20692, 4096, 4094, 0, 4096, 0,
-            ],
+            [41474, 1025, 3058, 24857, 20700, 4096, 4095, 0, 4096, 0],
+            [41468, 1025, 3058, 24859, 20692, 4096, 4094, 0, 4096, 0],
         ),
     ];
     // Each row's profile digests (see `profile_digest`): [MBU, unitary].
@@ -1048,17 +1039,17 @@ fn table1_wide_pass_stats_golden() {
 
 #[test]
 fn beauregard_pass_stats_golden() {
-    // The qft_phase benchmark program: 92,500 lowered instructions on
-    // which the peephole passes find nothing to remove. The last row is
-    // its profile digest (see `profile_digest`). The packing step folds
-    // 90,162 of its 90,298 `CPhase` instructions into 1,388 gradients,
-    // which leaves 2,594 of the 91,368 instructions the passes emit.
+    // The qft_phase benchmark program: 92,500 lowered instructions. The
+    // last row is its profile digest (see `profile_digest`). The packing
+    // step folds 90,162 of its 90,298 `CPhase` instructions into 1,388
+    // gradients, which leaves 2,594 of the 91,368 instructions fusion and
+    // reclamation emit.
     let p = (1u128 << 127) - 1;
     let layout = modular::beauregard::modadd_circuit(Uncompute::Mbu, 128, p).unwrap();
     let stats = check_pass_stats(
         "beauregard128-Mbu",
         &layout.circuit,
-        [92500, 0, 0, 0, 0, 1, 556, 1689, 2594, 2, 1, 0, 0, 2],
+        [92500, 1, 556, 1689, 2594, 2, 1, 0, 0, 2],
         [516, 1035, 91458, 258],
     );
     assert_eq!((stats.gradients, stats.gradient_gates), (1388, 90162));

@@ -1,9 +1,9 @@
 //! Acceptance suite for the static verifier on the paper's workloads.
 //!
 //! The compiler's Layer-2 equivalence checker must *prove* — without
-//! simulating a single amplitude — that the peephole window, both fusion
-//! passes and the dead-qubit reclamation pass preserve every Table 1–6
-//! circuit at the paper's benchmark width n = 64. The proof obligation is
+//! simulating a single amplitude — that both fusion passes and the
+//! dead-qubit reclamation pass preserve every Table 1–6 circuit at the
+//! paper's benchmark width n = 64. The proof obligation is
 //! discharged symbolically: the checker walks the lowered and the
 //! optimised instruction streams in lockstep and keeps their difference
 //! operator in the exact ring `Z[e^{2πiθ}, 1/√2]`, so `Equal` here is a
@@ -37,18 +37,8 @@ const ALL_KINDS: [AdderKind; 4] = [
 fn prove_passes(circuit: &Circuit, label: &str) {
     let lowered = CompiledCircuit::lower(circuit).unwrap();
     let configs = [
-        // The peephole window alone (cancellation, rotation merging,
-        // identity removal), fusion and reclamation off.
-        (
-            "peephole",
-            PassConfig {
-                fuse_max_qubits: 0,
-                reclaim_dead_qubits: false,
-                ..PassConfig::default()
-            },
-        ),
         // Both fusion passes alone (dense blocks and permutation runs),
-        // with the peephole window off.
+        // reclamation off.
         (
             "fusion",
             PassConfig {
@@ -56,7 +46,7 @@ fn prove_passes(circuit: &Circuit, label: &str) {
                 ..PassConfig::none()
             },
         ),
-        // The default pipeline: peephole + fusion + reclamation.
+        // The default pipeline: fusion + reclamation.
         ("default", PassConfig::default()),
     ];
     for (name, config) in configs {
@@ -395,14 +385,12 @@ fn with_gradient(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A gradient with one exponent moved, one control moved or its sign
-    /// flipped diverges at the gradient's own pc. The checker aligns a
-    /// changed gate only once the difference operator covers it, so a
-    /// control moves to the next term's control (covered one term later)
-    /// rather than to a fresh qubit. A flipped sign changes every term,
-    /// so the difference spans all of the gradient's controls: it is
-    /// drawn from gradients narrow enough (at most 4 terms) for a support
-    /// cap of 5, which keeps the symbolic matrices small.
+    /// A gradient with one exponent moved, one control moved to a fresh
+    /// qubit (one the gradient does not touch) or its sign flipped
+    /// diverges at the gradient's own pc. A flipped sign changes every
+    /// term, so the difference spans all of the gradient's controls: it
+    /// is drawn from gradients narrow enough (at most 4 terms) for a
+    /// support cap of 5, which keeps the symbolic matrices small.
     #[test]
     fn mutated_gradients_diverge_at_their_pc(
         idx in 0usize..10_000,
@@ -420,6 +408,7 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         let g = pool[idx % pool.len()];
+        let nq = compiled.num_qubits();
         let table = with_gradient(&compiled, g, |pg| {
             let mut terms = pg.terms().to_vec();
             let t = term % terms.len();
@@ -427,8 +416,11 @@ proptest! {
             match kind {
                 0 => terms[t].1 = terms.iter().map(|&(_, k)| k).max().unwrap() + 1,
                 1 => {
-                    let t = term % (terms.len() - 1);
-                    terms[t].0 = terms[t + 1].0;
+                    let fresh: Vec<QubitId> = (0..nq as u32)
+                        .map(QubitId)
+                        .filter(|&q| q != pg.target() && terms.iter().all(|&(c, _)| c != q))
+                        .collect();
+                    terms[t].0 = fresh[term % fresh.len()];
                 }
                 _ => return PhaseGradient::new(pg.target(), !negative, terms),
             }
@@ -438,13 +430,9 @@ proptest! {
             .iter()
             .position(|i| *i == Instr::Gradient(g as u32))
             .unwrap();
-        let (nq, nc) = (compiled.num_qubits(), compiled.num_clbits());
         let fused = compiled.fused_unitaries();
-        let post = ProgramView::new(nq, nc, instrs, fused).with_gradients(&table);
-        let opts = EquivOptions {
-            max_support: 5,
-            ..EquivOptions::default()
-        };
+        let post = ProgramView::new(nq, compiled.num_clbits(), instrs, fused).with_gradients(&table);
+        let opts = EquivOptions { max_support: 5 };
         let verdict = check_equivalence_with(&compiled.view(), &post, &opts);
         let Equivalence::Diverged { pre_pc, post_pc, .. } = verdict else {
             panic!("a mutated gradient must diverge, got {verdict}");
