@@ -799,10 +799,9 @@ pub(crate) fn fused(
     Ok(())
 }
 
-/// A maximal run of consecutive pinned bit positions, shared by the
-/// extract/spread bit-field walks of the permutation kernel: support bits
-/// `shift..shift+width` of a local pattern live at absolute bits
-/// `start..start+width`.
+/// A maximal run of consecutive bit positions, shared by the bit-field
+/// walks of the permutation kernel: bits `shift..shift+width` of a packed
+/// index live at absolute bits `start..start+width`.
 struct BitSeg {
     start: usize,
     shift: usize,
@@ -837,24 +836,177 @@ fn bit_segments(positions: &[usize]) -> Vec<BitSeg> {
     segs
 }
 
+/// Spreads the packed index `v` over the segments' absolute bits.
+#[deny(clippy::arithmetic_side_effects)]
+fn deposit(segs: &[BitSeg], v: usize) -> usize {
+    segs.iter()
+        .fold(0, |out, s| out | (((v >> s.shift) & s.mask) << s.start))
+}
+
+/// The index bits below one 64-byte line of a component buffer
+/// ([`LANES`] amplitudes), and their mask.
+const LINE_BITS: usize = LANES.trailing_zeros() as usize;
+const LINE_MASK: usize = LANES - 1;
+
+/// The groups an in-place permutation sweep works through, one at a time.
+///
+/// A permutation block moves an amplitude only among those that share its
+/// non-block bits, so the array splits into independent groups. A group
+/// takes the block bits plus the non-block bits below [`LINE_BITS`], so
+/// that no 64-byte line of either component buffer is split between two
+/// groups: a group is `2^(k+j)` amplitudes for a `k`-qubit block with `j`
+/// non-block bits below [`LINE_BITS`], laid out as contiguous runs of at
+/// least one line each (shorter only when the whole array is). Inside a
+/// group, amplitudes are numbered by their group bits in ascending order:
+/// the *group-local* index. The low [`LINE_BITS`] bits of a group-local
+/// index are the absolute ones, and every higher bit is a block bit.
+struct PermGroups {
+    /// The group bits, as segments; the first starts at bit 0.
+    inner: Vec<BitSeg>,
+    /// The other bits, as segments: they number the groups.
+    outer: Vec<BitSeg>,
+    /// log2 of the array length.
+    len_bits: usize,
+    /// log2 of a group's size.
+    group_bits: usize,
+    /// log2 of a contiguous run: the width of the first inner segment.
+    run_bits: usize,
+    /// How many block bits lie below [`LINE_BITS`]: the low bits of a
+    /// block pattern that sit among the low bits of a group-local index.
+    low_block: usize,
+    /// For each value of a group-local index's low [`LINE_BITS`] bits: its
+    /// block-pattern bits, ...
+    pattern_lo: [usize; LANES],
+    /// ... and its non-block bits, which every block leaves in place.
+    keep_lo: [usize; LANES],
+    /// For each value of a block pattern's low [`LINE_BITS`] bits: its low
+    /// `low_block` bits at their group-local positions.
+    spread_lo: [usize; LANES],
+}
+
+// The group geometry computes the base index of every run the sweep copies
+// and the buffer index of every amplitude it writes back: the same rule
+// as `Pins` and `bit_segments`.
+#[deny(clippy::arithmetic_side_effects)]
+impl PermGroups {
+    /// The groups of a validated block at the ascending `positions` of a
+    /// `2^len_bits`-amplitude array.
+    fn new(positions: &[usize], len_bits: usize) -> Self {
+        let (inner, outer): (Vec<usize>, Vec<usize>) =
+            (0..len_bits).partition(|&p| p < LINE_BITS || positions.binary_search(&p).is_ok());
+        let inner_segs = bit_segments(&inner);
+        // The block bits below `LINE_BITS` lead the ascending `positions`,
+        // and sit at their absolute positions in a group-local index.
+        let low: Vec<usize> = positions
+            .iter()
+            .copied()
+            .take_while(|&p| p < LINE_BITS)
+            .collect();
+        let low_mask = low.iter().fold(0, |m, &p| m | (1usize << p));
+        // Bit `b` of a block pattern is bit `low[b]` of a group-local index.
+        let pattern_lo = std::array::from_fn(|x| {
+            low.iter()
+                .enumerate()
+                .fold(0, |pat, (b, &p)| pat | (((x >> p) & 1) << b))
+        });
+        let spread_lo = std::array::from_fn(|x| {
+            low.iter()
+                .enumerate()
+                .fold(0, |v, (b, &p)| v | (((x >> b) & 1) << p))
+        });
+        Self {
+            // Bits 0.. of the array are group bits up to the first gap, so
+            // the first segment starts at bit 0.
+            run_bits: inner_segs[0].mask.count_ones() as usize,
+            group_bits: inner.len(),
+            inner: inner_segs,
+            outer: bit_segments(&outer),
+            len_bits,
+            low_block: low.len(),
+            pattern_lo,
+            keep_lo: std::array::from_fn(|x| x & !low_mask),
+            spread_lo,
+        }
+    }
+
+    /// The first absolute index of run `r` of group `g`: the run's
+    /// group-local indices start at `r << run_bits`.
+    fn run_start(&self, g: usize, r: usize) -> usize {
+        deposit(&self.outer, g) | deposit(&self.inner, r << self.run_bits)
+    }
+
+    /// The group-local index whose amplitude the block moves to
+    /// group-local index `v`, by the block's inverse `table` (see
+    /// [`inverse_table`]): `v`'s block pattern is looked up, and its
+    /// non-block bits stay.
+    fn source(&self, table: &[u16], v: usize) -> usize {
+        let lo = v & LINE_MASK;
+        let s = usize::from(table[self.pattern_lo[lo] | ((v >> LINE_BITS) << self.low_block)]);
+        self.spread_lo[s & LINE_MASK] | self.keep_lo[lo] | ((s >> self.low_block) << LINE_BITS)
+    }
+
+    /// Permutes `amps` in place by the block's inverse `table`.
+    fn sweep(&self, amps: &mut Amps, table: &[u16]) {
+        if self.low_block == LINE_BITS {
+            // No non-block bit below `LINE_BITS`: a group-local index is
+            // the block pattern itself, so the table lists every source.
+            // Half the time of `source` on a group that fits in L1.
+            self.sweep_by(amps, |v| usize::from(table[v]));
+        } else {
+            self.sweep_by(amps, |v| self.source(table, v));
+        }
+    }
+
+    /// Permutes `amps` in place, one group at a time through one
+    /// group-sized buffer: the group's runs are copied into the buffer in
+    /// group-local order, then written back over the same runs, each
+    /// amplitude read from the buffer at the group-local index `source`
+    /// names.
+    fn sweep_by(&self, amps: &mut Amps, source: impl Fn(usize) -> usize) {
+        let run = 1usize << self.run_bits;
+        let runs = 1usize << self.group_bits >> self.run_bits;
+        let groups = 1usize << self.len_bits >> self.group_bits;
+        let mut buf = Amps::zeroed(1usize << self.group_bits);
+        let (bre, bim) = buf.parts_mut();
+        let (re, im) = amps.parts_mut();
+        for g in 0..groups {
+            let copies = bre.chunks_exact_mut(run).zip(bim.chunks_exact_mut(run));
+            for (r, (cr, ci)) in copies.enumerate() {
+                let at = self.run_start(g, r);
+                cr.copy_from_slice(&re[at..][..run]);
+                ci.copy_from_slice(&im[at..][..run]);
+            }
+            for r in 0..runs {
+                let at = self.run_start(g, r);
+                let first = r << self.run_bits;
+                let dest = re[at..][..run].iter_mut().zip(&mut im[at..][..run]);
+                for (t, (dr, di)) in dest.enumerate() {
+                    let s = source(first | t);
+                    *dr = bre[s];
+                    *di = bim[s];
+                }
+            }
+        }
+    }
+}
+
 /// The fused permutation-block kernel: applies a compiled fusion block
 /// whose gates are all classical basis permutations (`X`, `CX`, `CCX`,
 /// `SWAP`; see `Gate::is_permutation`) — `gates` with local operands over
-/// the (ascending) physical bit `positions` — in a single sweep, however
-/// many gates the block holds.
+/// the (ascending) physical bit `positions` — in one sweep, however many
+/// gates the block holds, **in place**.
 ///
 /// The block's composed action factorises as `identity` on the non-block
 /// bits times a permutation `G` of the `2^k` block-bit patterns, so the
 /// kernel precomputes the *inverse* local map as a `2^k`-entry table of
-/// already-deposited bit patterns and streams the state once:
-/// `new[j] = old[(j & !support) | table[extract(j)]]` — sequential writes
-/// into `scratch`, gathered reads from `amps`, then the buffers swap.
-/// Every amplitude is **moved**, never recombined: zero floating-point
-/// arithmetic, so the sweep is bit-identical to gate-by-gate execution by
-/// construction.
-///
-/// `scratch` is the caller's reusable destination buffer (resized here as
-/// needed); on success it holds the *previous* amplitudes.
+/// local patterns ([`inverse_table`]) and permutes each group of
+/// amplitudes that share their non-block bits among themselves (see
+/// [`PermGroups`]): the group is copied into one reusable buffer of at
+/// most `2^(k+3)` amplitudes and written back in place,
+/// `new[j] = old[source(j)]`. The state keeps its buffers, so a sweep
+/// holds one state-sized array, not two. Every amplitude is **moved**,
+/// never recombined: zero floating-point arithmetic, so the sweep is
+/// bit-identical to gate-by-gate execution by construction.
 ///
 /// # Errors
 ///
@@ -866,7 +1018,6 @@ fn bit_segments(positions: &[usize]) -> Vec<BitSeg> {
 /// [`SimError::InvalidFusedBlock`] and leaves the state untouched.
 pub(crate) fn permute(
     amps: &mut Amps,
-    scratch: &mut Amps,
     positions: &[usize],
     gates: &[Gate],
 ) -> Result<(), SimError> {
@@ -905,39 +1056,8 @@ pub(crate) fn permute(
             )));
         }
     }
-
-    let segs = bit_segments(positions);
-    let support: usize = segs.iter().map(|s| s.mask << s.start).sum();
-    let extract = |j: usize| -> usize {
-        segs.iter()
-            .map(|s| ((j >> s.start) & s.mask) << s.shift)
-            .sum()
-    };
-    let table = inverse_table(positions, gates);
-
-    let len = amps.len();
-    scratch.resize_zeroed(len);
-    let (sre, sim) = amps.parts();
-    let (dre, dim_) = scratch.parts_mut();
-    // Below the lowest pinned bit, source and destination indices advance
-    // in lockstep, so whole runs copy as spans (`len` is a multiple of the
-    // run length: both are powers of two and the block lies inside the
-    // state).
-    let run_len = 1usize << positions[0];
-    if run_len >= LANES {
-        for j in (0..len).step_by(run_len) {
-            let i = (j & !support) | table[extract(j)];
-            dre[j..j + run_len].copy_from_slice(&sre[i..i + run_len]);
-            dim_[j..j + run_len].copy_from_slice(&sim[i..i + run_len]);
-        }
-    } else {
-        for j in 0..len {
-            let i = (j & !support) | table[extract(j)];
-            dre[j] = sre[i];
-            dim_[j] = sim[i];
-        }
-    }
-    std::mem::swap(amps, scratch);
+    let table = inverse_table(k, gates);
+    PermGroups::new(positions, amps.len().trailing_zeros() as usize).sweep(amps, &table);
     Ok(())
 }
 
@@ -952,23 +1072,24 @@ const LANE_BITS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// The inverse local map of a validated permutation block, deposited:
-/// `table[v]` is the support-bit pattern (at the absolute `positions`) of
-/// the source index feeding destination pattern `v`. All block gates are
-/// self-inverse, so `G⁻¹` is the gates applied in reverse order.
+// A local pattern of a permutation block fits the table's `u16` entries.
+const _: () = assert!(mbu_circuit::MAX_PERM_FUSED_QUBITS <= u16::BITS as usize);
+
+/// The inverse local map of a validated `k`-qubit permutation block:
+/// `table[v]` is the local pattern of the source feeding destination
+/// pattern `v`, where bit `b` of a pattern is block qubit `b`. All block
+/// gates are self-inverse, so `G⁻¹` is the gates applied in reverse order.
 ///
 /// Built bit-sliced, 64 patterns at a time: slice `b` holds local bit `b`
 /// of 64 consecutive patterns, one per `u64` lane, so each gate acts on
 /// all 64 as one bitwise operation — `X` a not, `CX` a xor, `CCX` the xor
 /// of an and, `SWAP` an exchange of two slices — instead of being replayed
 /// on every pattern one at a time.
-fn inverse_table(positions: &[usize], gates: &[Gate]) -> Vec<usize> {
-    let k = positions.len();
+fn inverse_table(k: usize, gates: &[Gate]) -> Vec<u16> {
     let dim = 1usize << k;
-    let mut table = vec![0usize; dim];
+    let mut table = Vec::with_capacity(dim);
     let mut slices = [0u64; mbu_circuit::MAX_PERM_FUSED_QUBITS];
-    for (chunk, out) in table.chunks_mut(64).enumerate() {
-        let base = chunk * 64;
+    for base in (0..dim).step_by(64) {
         for (b, s) in slices.iter_mut().enumerate().take(k) {
             *s = match LANE_BITS.get(b) {
                 Some(&lanes) => lanes,
@@ -986,13 +1107,11 @@ fn inverse_table(positions: &[usize], gates: &[Gate]) -> Vec<usize> {
                 _ => unreachable!("validated: permutation gates only"),
             }
         }
-        for (lane, entry) in out.iter_mut().enumerate() {
-            *entry = positions
-                .iter()
-                .zip(&slices)
-                .map(|(&p, &s)| (((s >> lane) & 1) as usize) << p)
-                .sum();
-        }
+        table.extend((0..dim.min(64)).map(|lane| {
+            slices[..k].iter().enumerate().fold(0u16, |entry, (b, &s)| {
+                entry | (u16::from((s >> lane) & 1 == 1) << b)
+            })
+        }));
     }
     table
 }
@@ -1033,7 +1152,10 @@ pub(crate) fn compact_bit(amps: &mut Amps, p: usize, keep: bool) {
 /// moves, bitwise what one `expand_bit` doubling per inserted bit leaves
 /// (it zeroes every vacated entry): only `+0.0` entries are
 /// skipped — the grown array holds them already — while `-0.0` ones move
-/// like any other amplitude.
+/// like any other amplitude. [`Amps::zeroed`] writes those zeros up
+/// front, so the pages the scatter skips are mapped already: the next
+/// kernel to sweep the array, typically an in-place [`permute`], reads
+/// and rewrites them without a page fault.
 pub(crate) fn expand_bits(amps: &Amps, inserted: &[(usize, bool)]) -> Amps {
     let mut out = Amps::zeroed(amps.len() << inserted.len());
     // The old index bits split into runs that stay contiguous: `(mask,
@@ -1817,33 +1939,60 @@ mod tests {
     }
 
     /// `permute` against the naive per-index definition, across gate
-    /// sequences whose support (6 qubits) exceeds the dense-fusion arity,
-    /// with non-contiguous positions so the extract/spread segment walk is
-    /// exercised — once from bit 0 (the per-amplitude path) and once from
-    /// bit 3 (runs of [`LANES`] amplitudes: the span-copy path).
+    /// sequences whose support exceeds the dense-fusion arity, with
+    /// non-contiguous positions so the segment walks are exercised, on
+    /// every group geometry: a block from bit 0, blocks with 1, 2 and 3
+    /// non-block bits below [`LINE_BITS`], a block spanning every bit of
+    /// the array, a 16-qubit block in an 18-bit array, and an array
+    /// shorter than a line. The sweep works in place: the array keeps both
+    /// of its buffers.
     #[test]
     fn permute_matches_naive_index_map() {
         let q = |i: usize| QubitId(u32::try_from(i).unwrap());
-        // Local gates over 6 block qubits mapped to scattered positions.
-        let gates = vec![
-            Gate::Cx(q(0), q(3)),
-            Gate::Ccx(q(1), q(2), q(0)),
-            Gate::X(q(4)),
-            Gate::Swap(q(2), q(5)),
-            Gate::Cx(q(5), q(1)),
-            Gate::Ccx(q(3), q(4), q(2)),
-            Gate::X(q(0)),
-            Gate::Swap(q(0), q(3)),
+        let cases: [(usize, Vec<usize>); 7] = [
+            (9, vec![0, 1, 2, 4, 5, 7]),
+            (9, vec![0, 1, 3, 4, 5, 7]),
+            (10, vec![1, 3, 4, 6, 7, 8]),
+            (12, vec![3, 4, 6, 7, 8, 10]),
+            (6, (0..6).collect()),
+            (18, (0..18).filter(|&p| p != 2 && p != 9).collect()),
+            (2, vec![1]),
         ];
-        for (n, positions) in [(9usize, [0usize, 1, 3, 4, 5, 7]), (12, [3, 4, 6, 7, 8, 10])] {
+        for (n, positions) in cases {
+            let k = positions.len();
+            // Local gates over the block qubits: six of them, and the top
+            // ones too when the block is wider.
+            let mut gates = if k < 6 {
+                vec![Gate::X(q(k - 1))]
+            } else {
+                vec![
+                    Gate::Cx(q(0), q(3)),
+                    Gate::Ccx(q(1), q(2), q(0)),
+                    Gate::X(q(4)),
+                    Gate::Swap(q(2), q(5)),
+                    Gate::Cx(q(5), q(1)),
+                    Gate::Ccx(q(3), q(4), q(2)),
+                    Gate::X(q(0)),
+                    Gate::Swap(q(0), q(3)),
+                ]
+            };
+            if k > 6 {
+                gates.extend([
+                    Gate::Cx(q(k - 1), q(6)),
+                    Gate::Ccx(q(0), q(k - 1), q(k / 2)),
+                    Gate::Swap(q(1), q(k - 2)),
+                    Gate::X(q(k - 1)),
+                ]);
+            }
             let len = 1usize << n;
             // The same gates with global operands, for the reference walk.
             let global: Vec<Gate> = gates
                 .iter()
                 .map(|g| g.map_qubits(|lq| q(positions[lq.index()])))
                 .collect();
+            let mut src = ramp(len);
+            src.set(len / 3, Complex::new(-0.0, -0.0));
             let mut want = vec![Complex::ZERO; len];
-            let src = ramp(len);
             for i in 0..len {
                 let mut j = i;
                 for g in &global {
@@ -1853,29 +2002,24 @@ mod tests {
             }
             let want = Amps::from_complex(&want);
 
-            let mut amps = ramp(len);
-            let mut scratch = Amps::zeroed(0);
-            permute(&mut amps, &mut scratch, &positions, &gates).unwrap();
+            let mut amps = src.clone();
+            let buffers = |a: &Amps| (a.parts().0.as_ptr(), a.parts().1.as_ptr());
+            let before = buffers(&amps);
+            permute(&mut amps, &positions, &gates).unwrap();
             assert_bit_identical(&amps, &want, &format!("permute on {positions:?}"));
-            // Old amplitudes land in the swapped-out scratch.
-            assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
+            assert_eq!(buffers(&amps), before, "{positions:?}: buffers kept");
         }
     }
 
     /// The bit-sliced inverse table against replaying the reversed gates
     /// on every local pattern one at a time, at every block width from a
-    /// partial 64-pattern window (k < 6) up to the 16-qubit cap, with
-    /// scattered positions.
+    /// partial 64-pattern window (k < 6) up to the 16-qubit cap.
     #[test]
     fn inverse_table_matches_the_per_pattern_replay() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(24);
         let q = |i: usize| QubitId(u32::try_from(i).unwrap());
         for k in (1..=10).chain([16]) {
-            let mut positions: Vec<usize> = (0..k + 3).collect();
-            while positions.len() > k {
-                positions.remove(rng.gen_range(0..positions.len()));
-            }
             let mut gates = Vec::new();
             for _ in 0..40 {
                 let a = rng.gen_range(0..k);
@@ -1888,25 +2032,16 @@ mod tests {
                     _ => Gate::X(q(a)),
                 });
             }
-            let table = inverse_table(&positions, &gates);
+            let table = inverse_table(k, &gates);
+            assert_eq!(table.len(), 1usize << k, "k={k}");
             for (v, &entry) in table.iter().enumerate() {
                 let mut w = v;
                 for g in gates.iter().rev() {
                     w = perm_image(w, g);
                 }
-                let deposited = scatter_bits(w, &positions);
-                assert_eq!(entry, deposited, "k={k} pattern {v}");
+                assert_eq!(usize::from(entry), w, "k={k} pattern {v}");
             }
         }
-    }
-
-    /// Bit `j` of `w` lands at `positions[j]`.
-    fn scatter_bits(w: usize, positions: &[usize]) -> usize {
-        positions
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| ((w >> j) & 1) << p)
-            .sum()
     }
 
     /// Malformed permutation blocks are rejected with a typed error — in
@@ -1917,8 +2052,7 @@ mod tests {
         let check = |positions: &[usize], gates: &[Gate]| {
             let before = ramp(16);
             let mut amps = ramp(16);
-            let mut scratch = Amps::zeroed(0);
-            let err = permute(&mut amps, &mut scratch, positions, gates);
+            let err = permute(&mut amps, positions, gates);
             assert!(
                 matches!(err, Err(SimError::InvalidFusedBlock { .. })),
                 "expected rejection for positions {positions:?}"
@@ -1939,9 +2073,8 @@ mod tests {
         // Wider than the remap-table cap.
         let wide: Vec<usize> = (0..17).collect();
         let mut amps = Amps::zeroed(1usize << 18);
-        let mut scratch = Amps::zeroed(0);
         assert!(matches!(
-            permute(&mut amps, &mut scratch, &wide, &cx),
+            permute(&mut amps, &wide, &cx),
             Err(SimError::InvalidFusedBlock { .. })
         ));
     }

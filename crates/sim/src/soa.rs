@@ -26,11 +26,25 @@ pub(crate) struct Amps {
 }
 
 impl Amps {
-    /// All-zero amplitudes of the given length.
+    /// All-zero amplitudes of the given length, written up front.
+    ///
+    /// `vec![0.0; len]` would take zeroed memory from the allocator, whose
+    /// pages the operating system maps on first touch: a read maps the
+    /// shared zero page, and the first write after it takes a second,
+    /// copy-on-write fault. Writing the zeros here makes the first touch of
+    /// every page a write, so a fresh array pays one fault per page however
+    /// its kernel walks it — a sparse scatter into it
+    /// ([`expand_bits`](crate::kernels::expand_bits)), or a permutation
+    /// sweep that reads and then rewrites it in place.
     pub(crate) fn zeroed(len: usize) -> Self {
+        let zeros = || {
+            let mut v = Vec::with_capacity(len);
+            v.resize(len, 0.0);
+            v
+        };
         Self {
-            re: vec![0.0; len],
-            im: vec![0.0; len],
+            re: zeros(),
+            im: zeros(),
         }
     }
 
@@ -94,7 +108,9 @@ impl Amps {
         self.im.truncate(new_len);
     }
 
-    /// Resizes, zeroing newly exposed amplitudes.
+    /// Resizes, zeroing newly exposed amplitudes (for the one-bit
+    /// `expand_bit` reference of the kernel tests).
+    #[cfg(test)]
     pub(crate) fn resize_zeroed(&mut self, new_len: usize) {
         self.re.resize(new_len, 0.0);
         self.im.resize(new_len, 0.0);

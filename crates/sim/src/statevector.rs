@@ -58,6 +58,19 @@ pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 /// shows from outside: every nonzero amplitude, outcome and draw is
 /// bitwise what the full array gives.
 ///
+/// # Memory
+///
+/// A state holds one amplitude array, and its kernels work on it in
+/// place: a fused permutation block (up to 16 qubits) permutes the
+/// amplitudes that share their non-block bits among themselves, through a
+/// buffer of at most `2^(k+3)` amplitudes for a `k`-qubit block, not
+/// through a second state-sized array. A new array (bringing qubits in,
+/// the outcome-1 child of a fork) has its zeros written when it is
+/// allocated. Zeroed memory straight from the allocator would be mapped
+/// lazily, page by page: a kernel that first reads such a page maps the
+/// shared zero page, and its first write then takes a second,
+/// copy-on-write fault. Written up front, each page faults once.
+///
 /// # Examples
 ///
 /// ```
@@ -78,7 +91,7 @@ pub const MAX_STATEVECTOR_QUBITS: usize = 26;
 /// assert!((sim.probability_of(0b00) - 0.5).abs() < 1e-12);
 /// assert!((sim.probability_of(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StateVector {
     num_qubits: usize,
     /// The amplitudes over the live qubits: bit `j` of an index is qubit
@@ -90,25 +103,6 @@ pub struct StateVector {
     /// Peak live amplitudes of the most recent compiled run that
     /// succeeded.
     last_run_peak: Option<usize>,
-    /// Reusable destination buffer for permutation-block sweeps
-    /// ([`kernels::permute`] streams `amps` into it and swaps), allocated
-    /// on first need and kept across blocks so a deep shot pays the
-    /// allocation once; a compiled run releases it when it returns.
-    scratch: Option<Amps>,
-}
-
-impl Clone for StateVector {
-    fn clone(&self) -> Self {
-        Self {
-            num_qubits: self.num_qubits,
-            amps: self.amps.clone(),
-            layout: self.layout.clone(),
-            last_run_peak: self.last_run_peak,
-            // The permutation scratch buffer is pure scratch — reallocated
-            // on first need rather than copied.
-            scratch: None,
-        }
-    }
 }
 
 /// The one-amplitude array of a state with every qubit factored out.
@@ -136,7 +130,6 @@ impl StateVector {
             amps: unit(),
             layout: LiveMap::basis(num_qubits, 0),
             last_run_peak: None,
-            scratch: None,
         })
     }
 
@@ -180,7 +173,6 @@ impl StateVector {
             amps: Amps::from_complex(&amps),
             layout: LiveMap::full(num_qubits),
             last_run_peak: None,
-            scratch: None,
         })
     }
 
@@ -456,14 +448,13 @@ impl StateVector {
     /// the kernel's structural validation (checked in release builds too);
     /// a rejected block leaves the amplitudes untouched.
     fn apply_fused_block(&mut self, positions: &[usize], gates: &[Gate]) -> Result<(), SimError> {
-        let Self { amps, scratch, .. } = self;
         if positions.len() > mbu_circuit::MAX_FUSED_QUBITS {
             // Wider than the dense-kernel arity: only permutation blocks
-            // compile to this shape, applied as one index-remap sweep.
-            let buf = scratch.get_or_insert_with(|| Amps::zeroed(0));
-            kernels::permute(amps, buf, positions, gates)
+            // compile to this shape, applied as one in-place index-remap
+            // sweep.
+            kernels::permute(&mut self.amps, positions, gates)
         } else {
-            kernels::fused(Par::serial(), amps, positions, gates)
+            kernels::fused(Par::serial(), &mut self.amps, positions, gates)
         }
     }
 
@@ -551,19 +542,6 @@ impl StateVector {
         outcome
     }
 
-    /// A forked child holding `amps` under this state's layout, with no
-    /// compiled run behind it yet and its own (lazily allocated)
-    /// permutation scratch buffer, like [`Clone`].
-    fn child_with_amps(&self, amps: Amps) -> Self {
-        Self {
-            num_qubits: self.num_qubits,
-            amps,
-            layout: self.layout.clone(),
-            last_run_peak: None,
-            scratch: None,
-        }
-    }
-
     /// The both-branch Z measurement behind [`Simulator::measure_fork`]
     /// of the qubit at bit `p`: one probability sweep plus one
     /// [`kernels::split_bit`] sweep yields both renormalised children,
@@ -597,7 +575,12 @@ impl StateVector {
         let one_amps = kernels::split_bit(&mut self.amps, 1usize << p, scale0, scale1);
         Fork::Split {
             p_one: p1,
-            one: Some(Box::new(self.child_with_amps(one_amps))),
+            one: Some(Box::new(Self {
+                num_qubits: self.num_qubits,
+                amps: one_amps,
+                layout: self.layout.clone(),
+                last_run_peak: None,
+            })),
         }
     }
 }
@@ -1036,9 +1019,6 @@ impl Simulator for StateVector {
             )
             .map(|()| self.amps.len())
         };
-        // The permutation scratch serves the run's blocks only: a resting
-        // state keeps no buffer as wide as the widest array the run held.
-        self.scratch = None;
         self.last_run_peak = Some(peak?);
         Ok(executed)
     }
@@ -1641,10 +1621,10 @@ mod tests {
     }
 
     #[test]
-    fn a_compiled_run_releases_the_permutation_scratch() {
+    fn a_wide_permutation_block_runs_like_its_unfused_gates() {
         // A CX ladder over 8 qubits fuses into one permutation block wider
-        // than the dense kernels take, which sweeps through the scratch
-        // buffer; q8 is measured and dead, so the default passes drop it.
+        // than the dense kernels take, which permutes the array in place;
+        // q8 is measured and dead, so the default passes drop it.
         let mut b = CircuitBuilder::new();
         let r = b.qreg("q", 9);
         b.h(r[0]);
@@ -1671,7 +1651,6 @@ mod tests {
             let mut sv = StateVector::zeros(9).unwrap();
             sv.run_compiled(&compiled, &mut StdRng::seed_from_u64(1))
                 .unwrap();
-            assert!(sv.scratch.is_none(), "reclaim {reclaim}");
             let mut want = StateVector::zeros(9).unwrap();
             want.run_compiled(&unfused, &mut StdRng::seed_from_u64(1))
                 .unwrap();
